@@ -14,6 +14,7 @@ from .errors import (
     EmptyEdge,
     HyperwalkError,
     IsolatedVertex,
+    MalformedInput,
     NonPositiveWeight,
     NotEdgeIndependent,
     NotStationary,
@@ -50,8 +51,6 @@ from .core import (
 from .walk import (
     PRNG_ALGORITHM,
     TransitionMatrix,
-    WalkKind,
-    build_transition,
     nonlazy_transition_matrix,
     restart_matrix,
     simulate,

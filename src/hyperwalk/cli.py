@@ -16,7 +16,6 @@ import datetime
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .core import (
     graph_to_json_dict,
     read_hypergraph,
 )
-from .errors import HyperwalkError
+from .errors import HyperwalkError, MalformedInput
 from .rankagg import experiment, matches_from_json_dict, rank_clique, rank_hypergraph, rank_mc3
 from .reduction import (
     edge_independent_to_graph,
@@ -37,12 +36,7 @@ from .reduction import (
 )
 from .spectral import check_cheeger, eigenvalues_symmetric, laplacian, spectral_report
 from .stationary import stationary_direct, stationary_rho
-from .walk import (
-    PRNG_ALGORITHM,
-    WalkKind,
-    build_transition,
-    transition_matrix,
-)
+from .walk import PRNG_ALGORITHM, nonlazy_transition_matrix, restart_matrix, transition_matrix
 
 
 # -- reproducibility manifest --------------------------------------------------
@@ -55,35 +49,20 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-@dataclass
-class RunManifest:
-    """What produced an output file: re-running `command` against inputs with
-    these digests reproduces the file byte-for-byte within one build."""
-
-    command: list[str]
-    inputs: dict[str, str]
-    seed: int | None
-    version: str
-    prng: str
-    timestamp: str
-
-    @classmethod
-    def capture(cls, argv, inputs, seed):
-        return cls(
-            command=["hyperwalk"] + list(argv),
-            inputs={p: _sha256(p) for p in inputs},
-            seed=seed,
-            version=__version__,
-            prng=PRNG_ALGORITHM,
-            timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        )
-
-
 def write_manifest(out_path: str, argv: list[str], inputs: list[str],
                    seed: int | None) -> None:
-    manifest = RunManifest.capture(argv, inputs, seed)
+    """Record what produced `out_path`: re-running `command` against inputs
+    with these digests reproduces the file byte-for-byte within one build."""
+    manifest = {
+        "command": ["hyperwalk"] + list(argv),
+        "inputs": {p: _sha256(p) for p in inputs},
+        "seed": seed,
+        "version": __version__,
+        "prng": PRNG_ALGORITHM,
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+    }
     with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest.__dict__, fh, indent=2)
+        json.dump(manifest, fh, indent=2)
         fh.write("\n")
 
 
@@ -114,18 +93,13 @@ def _cmd_validate(args, argv) -> int:
 
 def _cmd_transition(args, argv) -> int:
     H = read_hypergraph(args.input)
+    P = nonlazy_transition_matrix(H) if args.kind == "nonlazy" else transition_matrix(H)
     if args.kind == "restart":
         restart = None
         if args.restart_vertex is not None:
-            r = np.zeros(H.n_vertices)
-            r[H.index(args.restart_vertex)] = 1.0
-            restart = tuple(r)
-        kind = WalkKind.restart_walk(args.beta, restart)
-    elif args.kind == "nonlazy":
-        kind = WalkKind.nonlazy()
-    else:
-        kind = WalkKind.lazy()
-    P = build_transition(H, kind)
+            restart = np.zeros(H.n_vertices)
+            restart[H.index(args.restart_vertex)] = 1.0
+        P = restart_matrix(P, args.beta, restart)
     if args.json:
         payload = {
             "vertices": list(P.vertices),
@@ -147,7 +121,9 @@ def _cmd_stationary(args, argv) -> int:
     else:  # auto: prefer the rho route, fall back to the direct solve
         try:
             result = stationary_rho(H)
-        except HyperwalkError:
+        except HyperwalkError as exc:
+            print(f"warning: rho route failed ({type(exc).__name__}: {exc}); "
+                  "using the direct solve", file=sys.stderr)
             result = stationary_direct(transition_matrix(H))
     _emit(json.dumps(result.as_dict(), indent=2) + "\n",
           args.out, argv, [args.input], None)
@@ -198,7 +174,11 @@ def _cmd_reduce(args, argv) -> int:
 def _cmd_rankagg(args, argv) -> int:
     if args.matches:
         with open(args.matches, "r", encoding="utf-8") as fh:
-            data = matches_from_json_dict(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:  # invalid JSON or not UTF-8
+                raise MalformedInput(f"{args.matches}: {exc}") from None
+        data = matches_from_json_dict(doc)
         out_rows = []
         for ranker in (rank_hypergraph, rank_clique, rank_mc3):
             r = ranker(data, beta=args.beta)
@@ -339,16 +319,16 @@ def dispatch(argv: list[str]) -> int:
     # line.
     config = _config_path(argv)
     if config:
-        with open(config, "r", encoding="utf-8") as fh:
-            parser.set_defaults(**json.load(fh))
+        try:
+            with open(config, "r", encoding="utf-8") as fh:
+                parser.set_defaults(**json.load(fh))
+        except (OSError, ValueError, TypeError) as exc:  # TypeError: not an object
+            parser.error(f"--config {config}: {exc}")
     args = parser.parse_args(argv)
     try:
         return args.handler(args, argv)
-    except HyperwalkError as exc:
+    except (HyperwalkError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:  # out-of-range parameters are usage errors
         print(f"usage error: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ from .errors import (
     DisconnectedHypergraph,
     DuplicateVertex,
     EmptyEdge,
+    MalformedInput,
     NonPositiveWeight,
     NotSymmetric,
     UnknownVertex,
@@ -52,7 +53,7 @@ __all__ = [
 def _positive(value, what: str) -> float:
     try:
         out = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise NonPositiveWeight(f"{what}: expected a number, got {value!r}") from None
     if not math.isfinite(out) or out <= 0.0:
         raise NonPositiveWeight(f"{what}: must be finite and > 0, got {value!r}")
@@ -88,14 +89,17 @@ class Hyperedge:
 
 
 class Hypergraph:
-    """Immutable hypergraph with per-edge vertex weights.
+    """Immutable hypergraph with per-edge vertex weights, stored as one CSR
+    layout: edge k's members are ``indices[indptr[k]:indptr[k+1]]``
+    (ascending vertex indices, the order every matrix construction uses),
+    their weights the same slice of ``gamma``, and its weight ``omega[k]``.
 
     Enforced at construction: declared vertices are unique, every edge member
     is a declared vertex, all weights are finite positives, and the clique
     graph is connected (a vertex in no edge counts as disconnected).
     """
 
-    __slots__ = ("vertices", "edges", "_index", "_member_idx", "_member_gamma")
+    __slots__ = ("vertices", "indptr", "indices", "gamma", "omega", "_index")
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[Hyperedge]):
         names = tuple(str(v) for v in vertices)
@@ -115,19 +119,29 @@ class Hypergraph:
                 if v not in index:
                     raise UnknownVertex(f"edge #{i} references undeclared vertex {v!r}")
 
+        sizes = [len(e) for e in edge_tuple]
+        indices = np.array([index[v] for e in edge_tuple for v in e.members], dtype=np.intp)
+        gamma = np.array([g for e in edge_tuple for g in e.members.values()], dtype=float)
+        order = np.lexsort((indices, np.repeat(np.arange(len(sizes)), sizes)))
         self.vertices = names
-        self.edges = edge_tuple
         self._index = index
-        # Dense views per edge, member indices ascending: the iteration order
-        # every matrix construction uses.
-        self._member_idx = []
-        self._member_gamma = []
-        for e in edge_tuple:
-            idx = np.array(sorted(index[v] for v in e.members), dtype=np.intp)
-            gam = np.array([e.members[names[j]] for j in idx], dtype=float)
-            self._member_idx.append(idx)
-            self._member_gamma.append(gam)
+        self.indptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+        self.indices = indices[order]
+        self.gamma = gamma[order]
+        self.omega = np.array([e.weight for e in edge_tuple], dtype=float)
+        for a in self._arrays():  # read-only: rescaled copies share them
+            a.flags.writeable = False
         self._check_connected()
+
+    def _with_gamma(self, gamma: np.ndarray) -> "Hypergraph":
+        """Same vertices, edges and edge weights with new (already validated)
+        vertex weights; connectivity cannot change, so it is not rechecked."""
+        new = object.__new__(Hypergraph)
+        for attr in ("vertices", "_index", "indptr", "indices", "omega"):
+            setattr(new, attr, getattr(self, attr))
+        new.gamma = gamma
+        gamma.flags.writeable = False
+        return new
 
     @property
     def n_vertices(self) -> int:
@@ -135,7 +149,16 @@ class Hypergraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.omega)
+
+    @property
+    def edges(self) -> tuple[Hyperedge, ...]:
+        """The hyperedges, members in ascending vertex index order."""
+        ptr, ind, gam = self.indptr.tolist(), self.indices.tolist(), self.gamma.tolist()
+        return tuple(
+            Hyperedge(w, {self.vertices[j]: g for j, g in zip(ind[a:b], gam[a:b])})
+            for w, a, b in zip(self.omega.tolist(), ptr, ptr[1:])
+        )
 
     def index(self, vertex: str) -> int:
         try:
@@ -145,7 +168,12 @@ class Hypergraph:
 
     def _check_connected(self) -> None:
         n = len(self.vertices)
-        incident = np.zeros(n, dtype=int)
+        incident = np.bincount(self.indices, minlength=n)
+        if incident.min() == 0:
+            j = int(np.argmin(incident))
+            raise DisconnectedHypergraph(
+                f"vertex {self.vertices[j]!r} is not a member of any hyperedge"
+            )
         parent = list(range(n))
 
         def find(x: int) -> int:
@@ -154,18 +182,13 @@ class Hypergraph:
                 x = parent[x]
             return x
 
-        for idx in self._member_idx:
-            incident[idx] += 1
-            root = find(int(idx[0]))
-            for j in idx[1:]:
-                r = find(int(j))
+        ptr, ind = self.indptr.tolist(), self.indices.tolist()
+        for a, b in zip(ptr, ptr[1:]):
+            root = find(ind[a])
+            for j in ind[a + 1:b]:
+                r = find(j)
                 if r != root:
                     parent[r] = root
-        for j in range(n):
-            if incident[j] == 0:
-                raise DisconnectedHypergraph(
-                    f"vertex {self.vertices[j]!r} is not a member of any hyperedge"
-                )
         roots = {find(j) for j in range(n)}
         if len(roots) > 1:
             a, b = sorted(roots)[:2]
@@ -174,27 +197,70 @@ class Hypergraph:
                 "are in different components"
             )
 
+    def _arrays(self) -> tuple:
+        return (self.indptr, self.indices, self.gamma, self.omega)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
+        return self.vertices == other.vertices and all(
+            np.array_equal(a, b) for a, b in zip(self._arrays(), other._arrays())
+        )
 
     def __hash__(self):
-        return hash((self.vertices, self.edges))
+        return hash((self.vertices,) + tuple(a.tobytes() for a in self._arrays()))
 
     def __repr__(self) -> str:
         return f"Hypergraph(|V|={self.n_vertices}, |E|={self.n_edges})"
 
 
+def _per_member(H: Hypergraph, per_edge) -> np.ndarray:
+    """Expand one value per edge to one value per (edge, member) entry."""
+    return np.repeat(per_edge, np.diff(H.indptr))
+
+
+def _vertex_major(H: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """The transposed layout: ``(vptr, order)`` such that
+    ``order[vptr[v]:vptr[v+1]]`` are the entries of vertex v, incident edges
+    ascending."""
+    vptr = np.zeros(H.n_vertices + 1, dtype=np.intp)
+    np.cumsum(np.bincount(H.indices, minlength=H.n_vertices), out=vptr[1:])
+    return vptr, np.argsort(H.indices, kind="stable")
+
+
+# Block entries formed per pass of _block_scatter; bounds its temporaries.
+_SCATTER_CHUNK = 1 << 18
+
+
+def _block_scatter(indptr, indices, left, right, n: int, scale=None) -> np.ndarray:
+    """Dense n x n sum over groups k of ``scale[k] * outer(left[g], right[g])``
+    placed at rows and columns ``indices[g]``, where g = indptr[k]:indptr[k+1].
+
+    Groups of one size are scattered together, sizes ascending, groups in
+    order within a size, and every term is formed as ``(left * right) *
+    scale``. So when ``left`` is ``right``, entries (u, v) and (v, u) receive
+    equal terms in equal order and the result is exactly symmetric. Work is
+    O(sum of squared group sizes).
+    """
+    out = np.zeros(n * n)
+    sizes = np.diff(indptr)
+    for s in np.flatnonzero(np.bincount(sizes)):  # sizes present, ascending
+        groups = np.flatnonzero(sizes == s)
+        for part in np.array_split(groups, -(-len(groups) * s * s // _SCATTER_CHUNK)):
+            pos = indptr[part][:, None] + np.arange(s)  # one row of entries per group
+            values = left[pos][:, :, None] * right[pos][:, None, :]
+            if scale is not None:
+                values *= scale[part][:, None, None]
+            idx = indices[pos]
+            np.add.at(out, (idx[:, :, None] * n + idx[:, None, :]).ravel(), values.ravel())
+    return out.reshape(n, n)
+
+
 def degrees(H: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     """Vertex degrees d(v) = sum of incident edge weights, and edge degrees
     delta(e) = sum of member vertex weights."""
-    d = np.zeros(H.n_vertices)
-    delta = np.zeros(H.n_edges)
-    for k, (idx, gam) in enumerate(zip(H._member_idx, H._member_gamma)):
-        d[idx] += H.edges[k].weight
-        delta[k] = gam.sum()
-    return d, delta
+    d = np.bincount(H.indices, weights=_per_member(H, H.omega), minlength=H.n_vertices)
+    return d, np.add.reduceat(H.gamma, H.indptr[:-1])
 
 
 @dataclass
@@ -207,22 +273,14 @@ class IncidenceMatrices:
     d: np.ndarray      # vertex degrees
     delta: np.ndarray  # edge degrees
 
-    @property
-    def D_V(self) -> np.ndarray:
-        return np.diag(self.d)
-
-    @property
-    def D_E(self) -> np.ndarray:
-        return np.diag(self.delta)
-
 
 def incidence_matrices(H: Hypergraph) -> IncidenceMatrices:
     n, m = H.n_vertices, H.n_edges
+    edge = _per_member(H, np.arange(m))
     R = np.zeros((m, n))
+    R[edge, H.indices] = H.gamma
     W = np.zeros((n, m))
-    for k, (idx, gam) in enumerate(zip(H._member_idx, H._member_gamma)):
-        R[k, idx] = gam
-        W[idx, k] = H.edges[k].weight
+    W[H.indices, edge] = H.omega[edge]
     d, delta = degrees(H)
     return IncidenceMatrices(R=R, W=W, d=d, delta=delta)
 
@@ -268,10 +326,8 @@ class WeightedGraph:
 def clique_graph(H: Hypergraph, include_self_loops: bool = True) -> WeightedGraph:
     """Unweighted clique skeleton: (u,v) has weight 1 iff some edge contains
     both. Self-loops are the lazy-walk convention; pass False to drop them."""
-    n = H.n_vertices
-    A = np.zeros((n, n))
-    for idx in H._member_idx:
-        A[np.ix_(idx, idx)] = 1.0
+    ones = np.ones(len(H.indices))
+    A = (_block_scatter(H.indptr, H.indices, ones, ones, H.n_vertices) > 0.0).astype(float)
     if not include_self_loops:
         np.fill_diagonal(A, 0.0)
     return WeightedGraph(H.vertices, A)
@@ -284,11 +340,13 @@ def rescale_edges(H: Hypergraph, factors) -> Hypergraph:
     factors = np.asarray(factors, dtype=float)
     if factors.shape != (H.n_edges,):
         raise ValueError("need exactly one factor per edge")
-    edges = [
-        Hyperedge(e.weight, {v: g * factors[k] for v, g in e.members.items()})
-        for k, e in enumerate(H.edges)
-    ]
-    return Hypergraph(H.vertices, edges)
+    gamma = H.gamma * _per_member(H, factors)
+    bad = np.flatnonzero(~(np.isfinite(gamma) & (gamma > 0.0)))
+    if len(bad):
+        k = int(np.searchsorted(H.indptr, bad[0], side="right")) - 1
+        raise NonPositiveWeight(f"edge #{k}: factor {factors[k]!r} leaves a vertex "
+                                "weight that is not finite and > 0")
+    return H._with_gamma(gamma)
 
 
 def delta_normalized(H: Hypergraph) -> Hypergraph:
@@ -301,20 +359,19 @@ def edge_independent_gamma(H: Hypergraph, rtol: float = 1e-12):
     """Per-vertex weight vector if weights are edge-independent, else None.
 
     Edge-independent means gamma_e(v) agrees (to relative tolerance) across
-    all edges incident to v.
+    all edges incident to v; the weight in v's first edge is returned.
     """
-    gamma = np.full(H.n_vertices, np.nan)
-    for idx, gam in zip(H._member_idx, H._member_gamma):
-        for j, g in zip(idx, gam):
-            if np.isnan(gamma[j]):
-                gamma[j] = g
-            elif abs(g - gamma[j]) > rtol * max(abs(g), abs(gamma[j])):
-                return None
-    return gamma
+    vptr, order = _vertex_major(H)
+    g = H.gamma[order]
+    first = g[vptr[:-1]]
+    ref = np.repeat(first, np.diff(vptr))
+    if np.any(np.abs(g - ref) > rtol * np.maximum(np.abs(g), np.abs(ref))):
+        return None
+    return first
 
 
 def has_trivial_weights(H: Hypergraph, atol: float = 1e-12) -> bool:
-    return all(abs(gam - 1.0).max() <= atol for gam in H._member_gamma)
+    return bool(np.abs(H.gamma - 1.0).max() <= atol)
 
 
 # -- serialization -----------------------------------------------------------
@@ -328,17 +385,25 @@ def build_hypergraph(data: Mapping) -> Hypergraph:
          "edges": [{"weight": 1.0, "members": {"a": 2.0, "b": 1.0}}, ...]}
     """
     if not isinstance(data, Mapping):
-        raise ValueError("hypergraph JSON must be an object")
+        raise MalformedInput("hypergraph JSON must be an object")
     try:
         vertices = data["vertices"]
         raw_edges = data["edges"]
     except KeyError as exc:
-        raise ValueError(f"hypergraph JSON is missing key {exc}") from None
+        raise MalformedInput(f"hypergraph JSON is missing key {exc}") from None
+    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+        raise MalformedInput('"vertices" must be a list of vertex names')
+    if not isinstance(raw_edges, list):
+        raise MalformedInput('"edges" must be a list of edge objects')
     edges = []
     for i, entry in enumerate(raw_edges):
+        if not isinstance(entry, Mapping):
+            raise MalformedInput(f"edge #{i} must be an object, got {entry!r}")
         members = entry.get("members")
         if not members:
             raise EmptyEdge(f"edge #{i} has no members")
+        if not isinstance(members, Mapping):
+            raise MalformedInput(f'edge #{i}: "members" must map vertex names to weights')
         try:
             edges.append(Hyperedge(entry.get("weight"), members))
         except NonPositiveWeight as exc:
@@ -358,17 +423,15 @@ def _reject_duplicate_keys(pairs):
 
 
 def loads_json(text: str) -> Hypergraph:
-    return build_hypergraph(json.loads(text, object_pairs_hook=_reject_duplicate_keys))
+    try:
+        data = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"invalid JSON: {exc}") from None
+    return build_hypergraph(data)
 
 
 def to_json_dict(H: Hypergraph) -> dict:
-    edges = []
-    for k, e in enumerate(H.edges):
-        members = {
-            H.vertices[j]: float(g)
-            for j, g in zip(H._member_idx[k], H._member_gamma[k])
-        }
-        edges.append({"weight": float(e.weight), "members": members})
+    edges = [{"weight": e.weight, "members": e.members} for e in H.edges]
     return {"vertices": list(H.vertices), "edges": edges}
 
 
@@ -386,12 +449,8 @@ def to_text(H: Hypergraph) -> str:
         if ":" in v or any(c.isspace() for c in v):
             raise ValueError(f"vertex name {v!r} cannot be written in text format")
     lines = ["# vertices: " + " ".join(H.vertices)]
-    for k, e in enumerate(H.edges):
-        parts = [repr(float(e.weight))]
-        parts += [
-            f"{H.vertices[j]}:{float(g)!r}"
-            for j, g in zip(H._member_idx[k], H._member_gamma[k])
-        ]
+    for e in H.edges:
+        parts = [repr(e.weight)] + [f"{v}:{g!r}" for v, g in e.members.items()]
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
@@ -419,7 +478,7 @@ def from_text(text: str) -> Hypergraph:
         for tok in tokens[1:]:
             name, _, gtext = tok.rpartition(":")
             if not name:
-                raise ValueError(f"line {lineno}: expected 'vertex:weight', got {tok!r}")
+                raise MalformedInput(f"line {lineno}: expected 'vertex:weight', got {tok!r}")
             if name in members:
                 raise DuplicateVertex(f"line {lineno}: vertex {name!r} listed twice in one edge")
             try:
@@ -439,7 +498,10 @@ def read_hypergraph(path: str) -> Hypergraph:
     """Load a hypergraph file; '*.json' uses the JSON format, anything else
     the whitespace text format."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MalformedInput(f"{path}: not UTF-8 text ({exc})") from None
     if str(path).endswith(".json"):
         return loads_json(text)
     return from_text(text)
@@ -448,17 +510,11 @@ def read_hypergraph(path: str) -> Hypergraph:
 def graph_to_json_dict(G: WeightedGraph) -> dict:
     """Emit a weighted graph in the hypergraph JSON format (pair edges, loops
     as singleton edges)."""
-    edges = []
-    n = G.n_vertices
-    for u in range(n):
-        for v in range(u, n):
-            w = G.weights[u, v]
-            if w > 0.0:
-                if u == v:
-                    members = {G.vertices[u]: 1.0}
-                else:
-                    members = {G.vertices[u]: 1.0, G.vertices[v]: 1.0}
-                edges.append({"weight": float(w), "members": members})
+    edges = [
+        {"weight": float(G.weights[u, v]),
+         "members": {G.vertices[u]: 1.0, G.vertices[v]: 1.0}}  # one key if u == v
+        for u, v in zip(*np.nonzero(np.triu(G.weights) > 0.0))
+    ]
     return {"vertices": list(G.vertices), "edges": edges}
 
 

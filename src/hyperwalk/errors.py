@@ -31,6 +31,11 @@ class UnknownVertex(HyperwalkError):
     """A vertex name does not appear in the declared vertex set."""
 
 
+class MalformedInput(HyperwalkError, ValueError):
+    """An input file is not valid JSON or text, or does not have the expected
+    structure (e.g. an edge that is not an object)."""
+
+
 # -- walks ------------------------------------------------------------------
 
 class BadBeta(HyperwalkError):

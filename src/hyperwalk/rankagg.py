@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import Hyperedge, Hypergraph, delta_normalized
-from .errors import ElementMismatch, ScoreOverflow
+from .errors import ConvergenceFailure, ElementMismatch, MalformedInput, ScoreOverflow
 from .reduction import clique_expansion_weights, graph_random_walk
 from .stationary import stationary_direct
 from .walk import TransitionMatrix, restart_matrix, transition_matrix
@@ -50,6 +50,8 @@ __all__ = [
 SCALE_RANGE = (1.0 / 3.0, 3.0)
 SCORE_LIMIT = 700.0  # exp() overflows just above 709
 DEFAULT_BETA = 0.4
+# generate() gives up after this many match draws (kept or discarded).
+MAX_DRAWS = 100_000
 TIE_RULE = "ascending-player-id"
 
 
@@ -99,7 +101,8 @@ def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
     [1/3, 3]; player i's score is c * N(0.2 * i, sigma). Deterministic for a
     fixed seed. Connectivity is required because every downstream chain is
     built on a hypergraph, and those are connected by construction; coverage
-    alone almost always suffices, so the extra matches are rare.
+    alone almost always suffices, so the extra matches are rare. After
+    MAX_DRAWS draws without reaching both, ConvergenceFailure is raised.
     """
     if n < 2:
         raise ValueError("need at least two players")
@@ -119,7 +122,14 @@ def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
         return x
 
     components = n
+    draws = 0
     while not covered.all() or components > 1:
+        if draws == MAX_DRAWS:
+            raise ConvergenceFailure(
+                f"{MAX_DRAWS} match draws did not cover all {n} players in one "
+                f"connected set at p={p}; increase p"
+            )
+        draws += 1
         mask = rng.random(n) < p
         if mask.sum() < 2:
             continue
@@ -321,12 +331,15 @@ def matches_from_json_dict(data: Mapping) -> MatchData:
 
         {"n": 4, "matches": [{"participants": [1, 3], "scores": [0.5, 1.25]}]}
     """
-    matches = [
-        Match(tuple(int(i) for i in m["participants"]),
-              tuple(float(s) for s in m["scores"]))
-        for m in data["matches"]
-    ]
-    return MatchData(n=int(data["n"]), matches=matches)
+    try:
+        matches = [
+            Match(tuple(int(i) for i in m["participants"]),
+                  tuple(float(s) for s in m["scores"]))
+            for m in data["matches"]
+        ]
+        return MatchData(n=int(data["n"]), matches=matches)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise MalformedInput(f"match data: {type(exc).__name__}: {exc}") from None
 
 
 def matches_to_json_dict(data: MatchData) -> dict:

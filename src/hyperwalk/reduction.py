@@ -21,6 +21,9 @@ import numpy as np
 from .core import (
     Hypergraph,
     WeightedGraph,
+    _block_scatter,
+    _vertex_major,
+    degrees,
     edge_independent_gamma,
     has_trivial_weights,
 )
@@ -29,7 +32,6 @@ from .errors import (
     NotEdgeIndependent,
     NotStationary,
     NotTrivialWeights,
-    SingletonEdge,
     SizeLimit,
 )
 from .spectral import eigenvalues_symmetric, laplacian, laplacian_from_walk
@@ -59,10 +61,17 @@ def graph_random_walk(G: WeightedGraph) -> TransitionMatrix:
     """Row-normalize the weight matrix: from u, move to v with probability
     w(u,v) / sum_z w(u,z)."""
     sums = G.weights.sum(axis=1)
-    for i, s in enumerate(sums):
-        if not s > 0.0:
-            raise IsolatedVertex(f"vertex {G.vertices[i]!r} has zero total weight")
+    if not sums.min() > 0.0:
+        raise IsolatedVertex(f"vertex {G.vertices[int(np.argmin(sums))]!r} has zero total weight")
     return TransitionMatrix(G.vertices, G.weights / sums[:, None])
+
+
+def _clique_weights(H: Hypergraph, gamma: np.ndarray) -> WeightedGraph:
+    """w(u,v) = sum over shared edges of omega(e) gamma(u) gamma(v) / delta(e),
+    with one gamma value per (edge, member) entry; self-loops included."""
+    _, delta = degrees(H)
+    return WeightedGraph(H.vertices, _block_scatter(H.indptr, H.indices, gamma, gamma,
+                                                    H.n_vertices, H.omega / delta))
 
 
 def edge_independent_to_graph(H: Hypergraph) -> WeightedGraph:
@@ -71,25 +80,14 @@ def edge_independent_to_graph(H: Hypergraph) -> WeightedGraph:
     gamma = edge_independent_gamma(H)
     if gamma is None:
         raise NotEdgeIndependent("vertex weights differ across incident edges")
-    n = H.n_vertices
-    W = np.zeros((n, n))
-    for k, idx in enumerate(H._member_idx):
-        e = H.edges[k]
-        delta = H._member_gamma[k].sum()
-        block = np.outer(gamma[idx], gamma[idx]) * (e.weight / delta)
-        W[np.ix_(idx, idx)] += block
-    return WeightedGraph(H.vertices, W)
+    return _clique_weights(H, gamma[H.indices])
 
 
 def clique_expansion_weights(H: Hypergraph) -> WeightedGraph:
     """Weighted clique expansion on H's current vertex weights:
     w(u,v) = sum over shared edges of omega(e) gamma_e(u) gamma_e(v) / delta(e),
     self-loops included."""
-    n = H.n_vertices
-    W = np.zeros((n, n))
-    for k, (idx, gam) in enumerate(zip(H._member_idx, H._member_gamma)):
-        W[np.ix_(idx, idx)] += np.outer(gam, gam) * (H.edges[k].weight / gam.sum())
-    return WeightedGraph(H.vertices, W)
+    return _clique_weights(H, H.gamma)
 
 
 def sandwich_weights(H: Hypergraph) -> WeightedGraph:
@@ -185,19 +183,13 @@ def nonlazy_trivial_equivalence(H: Hypergraph) -> NonlazyEquivalence:
     the two transition matrices."""
     if not has_trivial_weights(H):
         raise NotTrivialWeights("non-lazy equivalence applies to all-ones vertex weights")
-    for k, e in enumerate(H.edges):
-        if len(e) < 2:
-            raise SingletonEdge(f"edge #{k} has a single member")
-    n = H.n_vertices
-    W = np.zeros((n, n))
-    for k, idx in enumerate(H._member_idx):
-        w = H.edges[k].weight / (len(idx) - 1)
-        W[np.ix_(idx, idx)] += w
-        W[idx, idx] -= w  # no self-loops
+    P = nonlazy_transition_matrix(H)  # raises SingletonEdge for one-member edges
+    ones = np.ones(len(H.indices))
+    W = _block_scatter(H.indptr, H.indices, ones, ones, H.n_vertices,
+                       H.omega / (np.diff(H.indptr) - 1))
+    np.fill_diagonal(W, 0.0)  # no self-loops
     G = WeightedGraph(H.vertices, W)
-    dev = float(np.abs(
-        nonlazy_transition_matrix(H).matrix - graph_random_walk(G).matrix
-    ).max())
+    dev = float(np.abs(P.matrix - graph_random_walk(G).matrix).max())
     return NonlazyEquivalence(graph=G, max_dev=dev)
 
 
@@ -225,14 +217,9 @@ def sandwich_check(H: Hypergraph, tol: float = 1e-9) -> SandwichCheck:
     pi_g = stationary_direct(P_g).pi
     lam_g = float(eigenvalues_symmetric(laplacian_from_walk(P_g, pi_g).L)[1])
 
-    spread = np.ones(H.n_vertices)
-    incident_gamma: list[list[float]] = [[] for _ in range(H.n_vertices)]
-    for idx, gam in zip(Hn._member_idx, Hn._member_gamma):
-        for j, g in zip(idx, gam):
-            incident_gamma[int(j)].append(float(g))
-    for j, values in enumerate(incident_gamma):
-        spread[j] = max(values) / min(values)
-    c = float(spread.max())
+    vptr, order = _vertex_major(Hn)
+    g = Hn.gamma[order]
+    c = float((np.maximum.reduceat(g, vptr[:-1]) / np.minimum.reduceat(g, vptr[:-1])).max())
 
     pi_h = stationary_direct(transition_matrix(H)).pi
     pi_dev = float(np.abs(pi_g - pi_h).max())

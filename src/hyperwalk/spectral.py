@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hypergraph, degrees
-from .errors import ConvergenceFailure, NotSymmetric, SizeLimit, Unmixed
+from .core import Hypergraph, _per_member, degrees
+from .errors import NotSymmetric, SizeLimit, Unmixed
 from .stationary import rho_normalized, stationary_rho
 from .walk import TransitionMatrix, transition_matrix
 
@@ -68,77 +68,17 @@ def laplacian(H: Hypergraph) -> HypergraphLaplacian:
 
 # -- symmetric eigensolver ---------------------------------------------------
 
-def eigh_symmetric(M, sym_tol: float = 1e-10, sweep_cap: int = 100,
-                   off_tol: float = 1e-12):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps row by row, zeroing each off-diagonal pair, until the off-diagonal
-    Frobenius norm falls below off_tol relative to the matrix norm. Returns
-    (eigenvalues ascending, eigenvector columns in matching order);
-    deterministic for a given input.
-    """
+def eigh_symmetric(M, sym_tol: float = 1e-10):
+    """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``)
+    after checking symmetry to ``sym_tol``. Returns (eigenvalues ascending,
+    eigenvector columns in matching order)."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotSymmetric("matrix is not square")
     asym = np.abs(M - M.T).max(initial=0.0)
     if asym > sym_tol:
         raise NotSymmetric(f"matrix asymmetric by {asym:.3e}")
-    A = (M + M.T) / 2.0
-    n = A.shape[0]
-    V = np.eye(n)
-    norm = np.linalg.norm(A, "fro")
-    if norm == 0.0 or n == 1:
-        order = np.argsort(np.diag(A), kind="stable")
-        return np.diag(A)[order].copy(), V[:, order]
-    target = off_tol * norm
-
-    def off_norm() -> float:
-        # Summed directly over the off-diagonal entries; subtracting the
-        # diagonal mass from the full Frobenius norm cancels catastrophically
-        # once the off-diagonal part is small.
-        off2 = A.copy()
-        np.fill_diagonal(off2, 0.0)
-        return float(np.linalg.norm(off2, "fro"))
-
-    converged = False
-    for _ in range(sweep_cap):
-        off = off_norm()
-        if off <= target:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) < 1e-300:  # denormal pivot: drop it outright
-                    A[p, q] = 0.0
-                    A[q, p] = 0.0
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vec_p = V[:, p].copy()
-                vec_q = V[:, q].copy()
-                V[:, p] = c * vec_p - s * vec_q
-                V[:, q] = s * vec_p + c * vec_q
-    else:
-        off = off_norm()
-        converged = off <= target
-    if not converged:
-        raise ConvergenceFailure(f"Jacobi sweeps exhausted (off-diagonal norm {off:.3e})")
-    evals = np.diag(A).copy()
-    order = np.argsort(evals, kind="stable")
-    return evals[order], V[:, order]
+    return np.linalg.eigh((M + M.T) / 2.0)
 
 
 def eigenvalues_symmetric(M) -> np.ndarray:
@@ -240,11 +180,11 @@ def _bound_from_components(beta1: float, beta2: float, d_min: float,
     log_term = -math.log(2.0 * eps * math.sqrt(d_min * beta2))
     if log_term <= 0.0:
         return 0, True
-    return math.ceil(8.0 * beta1 / (phi * phi) * log_term), False
+    return math.ceil(8.0 / (beta1 * phi * phi) * log_term), False
 
 
 def mixing_time_bound(H: Hypergraph, eps: float) -> MixingBound:
-    """The bound ceil(8 beta1 / Phi^2 * log(1 / (2 eps sqrt(d_min beta2))))
+    """The bound ceil(8 / (beta1 Phi^2) * log(1 / (2 eps sqrt(d_min beta2))))
     on the eps-mixing time of the lazy walk.
 
     The vertex weights are first rescaled per edge so every per-edge constant
@@ -252,20 +192,25 @@ def mixing_time_bound(H: Hypergraph, eps: float) -> MixingBound:
     beta2 = min gamma_e(v) (not invariant, hence the rescaling matters).
     A nonpositive logarithm clamps the bound to 0 and sets the vacuous flag.
 
-    Caveat: the 8*beta1/Phi^2 prefactor vanishes as beta1 shrinks while real
-    mixing times do not, so on hypergraphs with strongly skewed vertex
-    weights the value can fall below the measured mixing time. It is kept in
-    this form deliberately; a prefactor of 2/(beta1 * Phi^2) is the
-    conservative alternative.
+    Derivation: P(v,v) = sum_e omega(e)/d(v) * gamma_e(v)/delta(e) >= beta1,
+    so P = beta1 I + (1 - beta1) Q with Q stochastic, and since Q* contracts
+    L2(pi) the Dirichlet forms satisfy E_{PP*} >= 2 beta1 E_P. The gap of
+    P P* is therefore at least 2 beta1 lambda >= beta1 Phi^2, with lambda
+    the gap of the normalized Laplacian (>= Phi^2 / 2 by the Cheeger
+    inequality that ``check_cheeger`` verifies). Fill's bound for
+    non-reversible chains, 4 ||P^t(x,.) - pi||_TV^2 <= (1 - gap(PP*))^t / pi(x),
+    puts the distance below eps once
+    t >= 2 / (beta1 Phi^2) * log(1 / (2 eps sqrt(pi_min))), and after the
+    rescaling pi(v) = sum_e omega(e) gamma_e(v) >= d(v) beta2 >= d_min beta2.
+    The prefactor 8 leaves a factor-4 margin over that 2. A smaller beta1 is
+    a weaker guarantee that the walk holds, so it gives a larger bound.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps!r}")
     Hn = rho_normalized(H)
     d, delta = degrees(Hn)
-    beta1 = min(
-        float((gam / delta[k]).min()) for k, gam in enumerate(Hn._member_gamma)
-    )
-    beta2 = min(float(gam.min()) for gam in Hn._member_gamma)
+    beta1 = float((Hn.gamma / _per_member(Hn, delta)).min())
+    beta2 = float(Hn.gamma.min())
     d_min = float(d.min())
     phi = cheeger_constant(Hn).phi
     bound, vacuous = _bound_from_components(beta1, beta2, d_min, phi, eps)

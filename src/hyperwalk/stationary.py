@@ -4,8 +4,8 @@ Three routes are provided and cross-checked against each other:
 
 * ``stationary_rho`` -- the per-edge-constant construction: normalize each
   edge so its degree is 1, build the |E| x |E| coupling matrix A with
-  A[e, f] = sum over v in both edges of omega(f) * gamma_f(v) / d(v), take
-  its positive eigenvector for eigenvalue 1, rescale so
+  A[e, f] = sum over v in both edges of omega(f) * gamma_f(v) / d(v), solve
+  for its positive fixed point A rho = rho, rescale so
   sum_e rho_e * omega(e) = 1, and assemble
   pi_v = sum over incident e of rho_e * omega(e) * gamma_e(v).
 * ``stationary_direct`` -- solve pi P = pi, sum pi = 1 as a dense linear
@@ -13,6 +13,9 @@ Three routes are provided and cross-checked against each other:
 * ``stationary_edge_independent`` -- the closed form
   pi_v = d(v) gamma(v) / sum_u d(u) gamma(u) available when vertex weights
   do not depend on the edge.
+
+The first two share one fixed-point solve: the dense system (M - I) x = 0
+with its last equation replaced by sum(x) = 1, on M = A and on M = P^T.
 
 ``naive_stationary`` is the degree-fraction formula d(v)/sum d(u). It is
 *not* the stationary distribution in general -- it ignores the vertex
@@ -27,6 +30,9 @@ import numpy as np
 
 from .core import (
     Hypergraph,
+    _block_scatter,
+    _per_member,
+    _vertex_major,
     degrees,
     delta_normalized,
     edge_independent_gamma,
@@ -64,7 +70,7 @@ class StationaryResult:
     method: str
     residual: float
 
-    def as_dict(self, H: Hypergraph | None = None) -> dict:
+    def as_dict(self) -> dict:
         out = {
             "pi": {v: float(x) for v, x in zip(self.vertices, self.pi)},
             "rho": {} if self.rho is None else {
@@ -83,62 +89,36 @@ def _residual(pi: np.ndarray, P: TransitionMatrix) -> float:
 def edge_coupling_matrix(H: Hypergraph) -> np.ndarray:
     """The |E| x |E| matrix whose eigenvalue-1 eigenvector gives the per-edge
     constants. Expects H already normalized to delta(e) = 1; its column sums,
-    weighted by the edge weights, reproduce the edge weights exactly."""
-    m = H.n_edges
-    d, _ = degrees(H)
-    A = np.zeros((m, m))
-    # membership[j] = indices of edges containing vertex j
-    membership: list[list[int]] = [[] for _ in range(H.n_vertices)]
-    for k, idx in enumerate(H._member_idx):
-        for j in idx:
-            membership[int(j)].append(k)
-    for f, (idx, gam) in enumerate(zip(H._member_idx, H._member_gamma)):
-        w_f = H.edges[f].weight
-        for j, g in zip(idx, gam):
-            contrib = w_f * g / d[j]
-            for e in membership[int(j)]:
-                A[e, f] += contrib
-    return A
+    weighted by the edge weights, reproduce the edge weights exactly.
 
-
-def _perron_unit_eigenvector(A: np.ndarray, tol: float = 1e-12,
-                             max_iter: int = 10**6) -> np.ndarray:
-    """Positive eigenvector of A for eigenvalue 1, normalized to sum 1.
-
-    Power iteration with a stall check; falls back to a nullspace solve of
-    (A - I) when progress flattens out.
+    Built vertex by vertex: each vertex v adds
+    outer(1, omega(f) * gamma_f(v) / d(v)) over the edges e, f holding it.
     """
-    m = A.shape[0]
-    rho = np.full(m, 1.0 / m)
-    checkpoint = np.inf
-    for it in range(max_iter):
-        nxt = A @ rho
-        total = nxt.sum()
-        if not total > 0.0:
-            break
-        nxt /= total
-        diff = np.abs(nxt - rho).max()
-        rho = nxt
-        if diff < tol:
-            return rho
-        if (it + 1) % 2000 == 0:
-            if diff > 0.5 * checkpoint:
-                break  # stalled; elimination will finish the job
-            checkpoint = diff
-    # Rank-revealing fallback: the kernel of (A - I).
-    _, sigma, vt = np.linalg.svd(A - np.eye(m))
-    vec = vt[-1]
-    if vec.sum() < 0.0:
-        vec = -vec
-    if vec.min() <= 0.0:
-        raise ConvergenceFailure(
-            "eigenvector for the per-edge constants is not strictly positive "
-            f"(min component {vec.min():.3e})"
-        )
-    vec = vec / vec.sum()
-    if np.abs(A @ vec - vec).max() > 1e-10:
-        raise ConvergenceFailure("per-edge constant solve did not converge")
-    return vec
+    d, _ = degrees(H)
+    vptr, order = _vertex_major(H)
+    edge = _per_member(H, np.arange(H.n_edges))
+    contrib = _per_member(H, H.omega) * H.gamma / d[H.indices]
+    return _block_scatter(vptr, edge[order], np.ones(len(order)), contrib[order],
+                          H.n_edges)
+
+
+def _fixed_point(M: np.ndarray) -> np.ndarray:
+    """The x with M x = x and sum(x) = 1, overwriting M.
+
+    Solves (M - I) x = 0 with its last equation replaced by sum(x) = 1, by
+    LU with partial pivoting. When the fixed point is unique the replaced
+    equation is redundant (the rows of M - I are dependent) and the system
+    is nonsingular.
+    """
+    n = M.shape[0]
+    M[np.diag_indices(n)] -= 1.0
+    M[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    try:
+        return np.linalg.solve(M, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"stationary solve failed: {exc}") from None
 
 
 def stationary_rho(H: Hypergraph) -> StationaryResult:
@@ -148,15 +128,17 @@ def stationary_rho(H: Hypergraph) -> StationaryResult:
     satisfies sum_e rho_e * omega(e) = 1.
     """
     Hn = delta_normalized(H)
-    A = edge_coupling_matrix(Hn)
-    rho = _perron_unit_eigenvector(A)
-    omega = np.array([e.weight for e in H.edges])
-    rho = rho / float(rho @ omega)
-    pi = np.zeros(H.n_vertices)
-    for k, (idx, gam) in enumerate(zip(Hn._member_idx, Hn._member_gamma)):
-        pi[idx] += rho[k] * omega[k] * gam
+    rho = _fixed_point(edge_coupling_matrix(Hn))
+    if not rho.min() > 0.0:
+        raise ConvergenceFailure(
+            "fixed point for the per-edge constants is not strictly positive "
+            f"(min component {rho.min():.3e})"
+        )
+    rho = rho / float(rho @ H.omega)
+    pi = np.bincount(Hn.indices, weights=_per_member(Hn, rho * H.omega) * Hn.gamma,
+                     minlength=H.n_vertices)
     residual = _residual(pi, transition_matrix(H))
-    if residual > RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL:
         raise ConvergenceFailure(
             f"stationary residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}"
         )
@@ -169,19 +151,10 @@ def stationary_rho(H: Hypergraph) -> StationaryResult:
 def stationary_direct(P: TransitionMatrix) -> StationaryResult:
     """Solve pi P = pi with sum pi = 1 by dense elimination (partial
     pivoting). The oracle the rho route is checked against."""
-    n = P.n
-    M = P.matrix.T - np.eye(n)
-    M[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(M, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"stationary solve failed: {exc}") from None
-    residual = _residual(pi, P)
+    pi = _fixed_point(P.matrix.T.copy())
     return StationaryResult(
         vertices=P.vertices, pi=pi, rho=None, method="direct-solve",
-        residual=residual,
+        residual=_residual(pi, P),
     )
 
 

@@ -9,19 +9,15 @@ members. All matrices are dense and row-stochastic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import Hypergraph, degrees, incidence_matrices
+from .core import Hypergraph, _block_scatter, _per_member, degrees
 from .errors import BadBeta, SingletonEdge, SizeLimit, UnknownVertex
 
 __all__ = [
     "DENSE_SIZE_LIMIT",
     "PRNG_ALGORITHM",
     "TransitionMatrix",
-    "WalkKind",
-    "build_transition",
     "nonlazy_transition_matrix",
     "restart_matrix",
     "simulate",
@@ -78,30 +74,30 @@ def _check_size(n: int) -> None:
 
 
 def transition_matrix(H: Hypergraph) -> TransitionMatrix:
-    """Lazy walk matrix P = D_V^-1 W D_E^-1 R."""
+    """Lazy walk matrix P = D_V^-1 W D_E^-1 R, built edge by edge:
+    P[v, w] = sum over edges e holding both of omega(e)/d(v) * gamma_e(w)/delta(e)."""
     _check_size(H.n_vertices)
-    inc = incidence_matrices(H)
-    P = (inc.W / inc.d[:, None]) @ (inc.R / inc.delta[:, None])
-    return TransitionMatrix(H.vertices, P)
+    d, delta = degrees(H)
+    left = _per_member(H, H.omega) / d[H.indices]
+    right = H.gamma / _per_member(H, delta)
+    return TransitionMatrix(H.vertices, _block_scatter(H.indptr, H.indices, left, right,
+                                                       H.n_vertices))
 
 
 def nonlazy_transition_matrix(H: Hypergraph) -> TransitionMatrix:
     """Walk that never stays put: the stay weight is removed from each edge's
     normalization, so the diagonal is exactly zero."""
     _check_size(H.n_vertices)
-    for k, e in enumerate(H.edges):
-        if len(e) < 2:
-            raise SingletonEdge(f"edge #{k} has a single member; non-lazy walk undefined")
-    n = H.n_vertices
-    d, _ = degrees(H)
-    P = np.zeros((n, n))
-    for k, (idx, gam) in enumerate(zip(H._member_idx, H._member_gamma)):
-        delta = gam.sum()
-        # block[a, b] = (omega / d(v_a)) * gamma(w_b) / (delta - gamma(v_a))
-        coeff = H.edges[k].weight / (d[idx] * (delta - gam))
-        block = np.outer(coeff, gam)
-        np.fill_diagonal(block, 0.0)
-        P[np.ix_(idx, idx)] += block
+    singletons = np.flatnonzero(np.diff(H.indptr) < 2)
+    if len(singletons):
+        raise SingletonEdge(
+            f"edge #{singletons[0]} has a single member; non-lazy walk undefined"
+        )
+    d, delta = degrees(H)
+    # P[v, w] += (omega / d(v)) * gamma(w) / (delta - gamma(v)) for w != v
+    coeff = _per_member(H, H.omega) / (d[H.indices] * (_per_member(H, delta) - H.gamma))
+    P = _block_scatter(H.indptr, H.indices, coeff, H.gamma, H.n_vertices)
+    np.fill_diagonal(P, 0.0)
     return TransitionMatrix(H.vertices, P)
 
 
@@ -124,41 +120,6 @@ def restart_matrix(P: TransitionMatrix, beta: float, restart=None) -> Transition
             raise BadBeta("restart distribution must be nonnegative and sum to 1")
     mixed = (1.0 - beta) * P.matrix + beta * r[None, :]
     return TransitionMatrix(P.vertices, mixed)
-
-
-@dataclass(frozen=True)
-class WalkKind:
-    """Which walk to build: 'lazy', 'nonlazy', or 'restart' (with beta and an
-    optional non-uniform restart distribution)."""
-
-    kind: str
-    beta: float | None = None
-    restart: tuple[float, ...] | None = None
-
-    @classmethod
-    def lazy(cls) -> "WalkKind":
-        return cls("lazy")
-
-    @classmethod
-    def nonlazy(cls) -> "WalkKind":
-        return cls("nonlazy")
-
-    @classmethod
-    def restart_walk(cls, beta: float, restart=None) -> "WalkKind":
-        if not (isinstance(beta, (int, float)) and 0.0 < beta < 1.0):
-            raise BadBeta(f"restart probability must lie in (0, 1), got {beta!r}")
-        dist = None if restart is None else tuple(float(x) for x in restart)
-        return cls("restart", beta=float(beta), restart=dist)
-
-
-def build_transition(H: Hypergraph, kind: WalkKind) -> TransitionMatrix:
-    if kind.kind == "lazy":
-        return transition_matrix(H)
-    if kind.kind == "nonlazy":
-        return nonlazy_transition_matrix(H)
-    if kind.kind == "restart":
-        return restart_matrix(transition_matrix(H), kind.beta, kind.restart)
-    raise ValueError(f"unknown walk kind {kind.kind!r}")
 
 
 def simulate(P: TransitionMatrix, start: str, steps: int, seed: int) -> list[str]:

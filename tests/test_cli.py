@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hyperwalk import demo_hypergraph, dumps_json
+from hyperwalk import ConvergenceFailure, demo_hypergraph, dumps_json
 from hyperwalk.cli import dispatch
 
 
@@ -93,7 +93,7 @@ def test_spectral_with_cheeger(demo_file, capsys):
     assert dispatch(["spectral", "--input", demo_file, "--eps", "0.25",
                      "--check-cheeger"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["mixing_bound"] == 17
+    assert payload["mixing_bound"] == 263
     assert payload["cheeger_inequality"]["holds"] is True
 
 
@@ -164,3 +164,58 @@ def test_config_defaults_merged(demo_file, tmp_path, capsys):
 def test_missing_input_file_is_domain_error(capsys):
     assert dispatch(["validate", "--input", "no-such-file.json"]) == 1
     assert "no-such-file" in capsys.readouterr().err
+
+
+# -- input contract: malformed files exit 1 and name the error ----------------------
+
+def _write_json(tmp_path, name, doc) -> str:
+    path = tmp_path / name
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("doc", [
+    '{"vertices": ["a", "b"], "edges": [',                          # invalid JSON
+    {"vertices": ["a", "b"], "edges": ["a"]},                       # edge is not an object
+    {"vertices": "ab",                                              # vertices is a string
+     "edges": [{"weight": 1.0, "members": {"a": 1.0, "b": 1.0}}]},
+])
+def test_malformed_hypergraph_is_named_domain_error(tmp_path, capsys, doc):
+    path = _write_json(tmp_path, "h.json", doc)
+    assert dispatch(["validate", "--input", path]) == 1
+    assert "MalformedInput" in capsys.readouterr().err
+
+
+def test_input_directory_is_named_domain_error(tmp_path, capsys):
+    assert dispatch(["validate", "--input", str(tmp_path)]) == 1
+    assert "IsADirectoryError" in capsys.readouterr().err
+
+
+def test_matches_without_scores_is_named_domain_error(tmp_path, capsys):
+    path = _write_json(tmp_path, "m.json", {"n": 2, "matches": [{"participants": [1, 2]}]})
+    assert dispatch(["rankagg", "--matches", path]) == 1
+    err = capsys.readouterr().err
+    assert "MalformedInput" in err and "scores" in err
+
+
+def test_rankagg_unreachable_coverage_stops(capsys):
+    argv = ["rankagg", "--n", "5", "--p", "0.0001", "--trials", "1", "--seed", "1"]
+    assert dispatch(argv) == 1
+    assert "ConvergenceFailure" in capsys.readouterr().err
+
+
+def test_stationary_auto_reports_fallback(demo_file, tmp_path, capsys, monkeypatch):
+    direct = tmp_path / "direct.json"
+    assert dispatch(["stationary", "--input", demo_file, "--method", "direct",
+                     "--out", str(direct)]) == 0
+
+    def failing_rho(H):
+        raise ConvergenceFailure("rho route refused")
+
+    monkeypatch.setattr("hyperwalk.cli.stationary_rho", failing_rho)
+    auto = tmp_path / "auto.json"
+    assert dispatch(["stationary", "--input", demo_file, "--out", str(auto)]) == 0
+    assert "ConvergenceFailure: rho route refused" in capsys.readouterr().err
+    assert auto.read_bytes() == direct.read_bytes()
+    manifest = json.loads((tmp_path / "auto.json.manifest.json").read_text())
+    assert set(manifest) == {"command", "inputs", "seed", "version", "prng", "timestamp"}

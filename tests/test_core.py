@@ -25,7 +25,9 @@ from hyperwalk import (
     loads_json,
     rescale_edges,
     to_text,
+    transition_matrix,
 )
+from hyperwalk.core import _block_scatter
 from conftest import sweep
 
 
@@ -52,8 +54,8 @@ def test_incidence_matrices(h_demo):
     inc = incidence_matrices(h_demo)
     np.testing.assert_array_equal(inc.R, [[2, 1, 1, 0], [1, 0, 1, 1]])
     np.testing.assert_array_equal(inc.W, [[1, 1], [1, 0], [1, 1], [0, 1]])
-    np.testing.assert_array_equal(inc.D_E, np.diag([4.0, 3.0]))
-    np.testing.assert_array_equal(inc.D_V, np.diag([2.0, 1.0, 2.0, 1.0]))
+    np.testing.assert_array_equal(inc.delta, [4.0, 3.0])
+    np.testing.assert_array_equal(inc.d, [2.0, 1.0, 2.0, 1.0])
 
 
 def test_clique_graph_with_loops(h_demo):
@@ -144,6 +146,40 @@ def test_rescale_leaves_degrees_and_clique(h_demo):
     np.testing.assert_array_equal(d1, d2)
     np.testing.assert_array_equal(clique_graph(h_demo).weights, clique_graph(H2).weights)
     assert delta2[0] == pytest.approx(4 * 7.3)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), 1e308])
+def test_rescale_rejects_bad_factor(h_demo, bad):
+    # 1e308 is finite but overflows against the vertex weight 2 in edge #0
+    with pytest.raises(NonPositiveWeight, match="edge #0"):
+        rescale_edges(h_demo, [bad, 1.0])
+
+
+def test_block_scatter_matches_per_group_outer_products():
+    # Reference: one outer product per group, added in group order. The
+    # scatter adds groups in size order, so sums of the (positive) terms may
+    # differ in the last bits.
+    rng = np.random.default_rng(104)
+    for H in sweep(104, 20, max_vertices=10, max_edges=8):
+        left, right = rng.uniform(0.1, 10.0, size=(2, len(H.indices)))
+        scale = rng.uniform(0.1, 10.0, size=H.n_edges)
+        want = np.zeros((H.n_vertices, H.n_vertices))
+        for k in range(H.n_edges):
+            g = slice(H.indptr[k], H.indptr[k + 1])
+            idx = H.indices[g]
+            want[np.ix_(idx, idx)] += np.outer(left[g], right[g]) * scale[k]
+        got = _block_scatter(H.indptr, H.indices, left, right, H.n_vertices, scale)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_block_scatter_chunks_leave_results_unchanged(monkeypatch):
+    for H in sweep(103, 10, max_vertices=12, max_edges=10):
+        P = transition_matrix(H).matrix
+        G = clique_graph(H).weights
+        monkeypatch.setattr("hyperwalk.core._SCATTER_CHUNK", 1)
+        assert np.array_equal(transition_matrix(H).matrix, P)
+        assert np.array_equal(clique_graph(H).weights, G)
+        monkeypatch.undo()
 
 
 def test_delta_normalized(h_demo):

@@ -11,6 +11,7 @@ from hyperwalk import (
     NotEdgeIndependent,
     NotStationary,
     NotTrivialWeights,
+    SingletonEdge,
     SizeLimit,
     WeightedGraph,
     clique_expansion_weights,
@@ -175,6 +176,13 @@ def test_nonlazy_equivalence_sweep():
 def test_nonlazy_rejects_nontrivial(h_demo):
     with pytest.raises(NotTrivialWeights):
         nonlazy_trivial_equivalence(h_demo)
+
+
+def test_nonlazy_rejects_singleton_edge():
+    H = Hypergraph(("a", "b"), [Hyperedge(1.0, {"a": 1.0, "b": 1.0}),
+                                Hyperedge(1.0, {"b": 1.0})])
+    with pytest.raises(SingletonEdge, match="#1"):
+        nonlazy_trivial_equivalence(H)
 
 
 # -- weighted clique expansion and the eigenvalue bracket -----------------------------------

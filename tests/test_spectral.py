@@ -188,7 +188,7 @@ def test_demo_mixing_components(h_demo):
     assert mb.beta2 == pytest.approx(2 / 17, abs=1e-10)
     assert mb.d_min == 1.0
     assert mb.phi == pytest.approx(89 / 192, abs=1e-12)
-    assert mb.bound == 17
+    assert mb.bound == 263
     assert not mb.vacuous
 
 
@@ -237,7 +237,7 @@ def test_two_vertex_bound_dominates(two_vertex_edge):
 
 def test_spectral_report(h_demo):
     report = spectral_report(h_demo, eps=0.25)
-    assert report.mixing_bound == 17
+    assert report.mixing_bound == 263
     assert report.cheeger == pytest.approx(89 / 192, abs=1e-12)
     assert report.eigenvalues[0] == pytest.approx(0.0, abs=1e-10)
     assert report.lam > 0.0

@@ -145,9 +145,8 @@ def test_rho_normalized_fixed_point(h_demo):
     Hn = rho_normalized(h_demo)
     # after rescaling, pi_v is literally the sum of omega * gamma over
     # incident edges and the per-edge constants are all 1
-    pi = np.zeros(Hn.n_vertices)
-    for k, (idx, gam) in enumerate(zip(Hn._member_idx, Hn._member_gamma)):
-        pi[idx] += Hn.edges[k].weight * gam
+    weights = np.repeat(Hn.omega, np.diff(Hn.indptr)) * Hn.gamma
+    pi = np.bincount(Hn.indices, weights=weights, minlength=Hn.n_vertices)
     np.testing.assert_allclose(pi, DEMO_PI, atol=1e-10)
     res = stationary_rho(Hn)
     _, delta = degrees(Hn)

@@ -12,8 +12,6 @@ from hyperwalk import (
     SingletonEdge,
     SizeLimit,
     UnknownVertex,
-    WalkKind,
-    build_transition,
     degrees,
     nonlazy_transition_matrix,
     rescale_edges,
@@ -33,17 +31,15 @@ DEMO_P = np.array([
 
 
 def summation_transition(H):
-    """Entrywise evaluation of the walk definition; oracle for the factored
-    matrix product."""
+    """Entrywise evaluation of the walk definition from the member dicts;
+    oracle for the scatter-built matrix."""
     n = H.n_vertices
     d, delta = degrees(H)
     P = np.zeros((n, n))
     for k, e in enumerate(H.edges):
-        idx = H._member_idx[k]
-        gam = H._member_gamma[k]
-        for a, v in enumerate(idx):
-            for b, w in enumerate(idx):
-                P[v, w] += (e.weight / d[v]) * (gam[b] / delta[k])
+        for v in e.members:
+            for w, gw in e.members.items():
+                P[H.index(v), H.index(w)] += (e.weight / d[H.index(v)]) * (gw / delta[k])
     return P
 
 
@@ -150,17 +146,6 @@ def test_nonlazy_diagonal_zero_on_sweeps():
         P = nonlazy_transition_matrix(H).matrix
         assert np.all(np.diag(P) == 0.0)
         np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
-
-
-def test_walk_kind_dispatch(h_demo):
-    P1 = build_transition(h_demo, WalkKind.lazy())
-    P2 = build_transition(h_demo, WalkKind.nonlazy())
-    P3 = build_transition(h_demo, WalkKind.restart_walk(0.4))
-    assert P1.matrix[1, 0] == 0.5
-    assert P2.matrix[1, 1] == 0.0
-    assert P3.matrix[1, 0] == pytest.approx(0.4)
-    with pytest.raises(BadBeta):
-        WalkKind.restart_walk(0.0)
 
 
 # -- simulation -------------------------------------------------------------------
