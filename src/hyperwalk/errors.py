@@ -47,7 +47,7 @@ class SingletonEdge(HyperwalkError):
 
 
 class SizeLimit(HyperwalkError):
-    """Input exceeds the documented size bound of an operation."""
+    """Input is outside the documented size range of an operation."""
 
 
 # -- solvers ------------------------------------------------------------------

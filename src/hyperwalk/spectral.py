@@ -41,7 +41,15 @@ __all__ = [
 ]
 
 # Exhaustive subset enumeration: 2^24 is the most we are willing to walk.
+# The masks are scored by numpy in blocks of CHEEGER_BLOCK, so the
+# enumeration's memory is bounded by the block size whatever n is, and only
+# the near-minimal candidates are rescored exactly in Python.
 CHEEGER_SIZE_LIMIT = 24
+CHEEGER_BLOCK = 1 << 10
+# Relative gap between a block's numpy sums and the fixed-order Python sums.
+# Both add non-negative terms, so they differ by at most about
+# (n^2 + 4n) 2^-53, which is below 1e-13 up to CHEEGER_SIZE_LIMIT.
+CHEEGER_RTOL = 1e-12
 
 
 @dataclass
@@ -98,47 +106,79 @@ class CheegerResult:
 def _cheeger_enumerate(P: np.ndarray, pi: np.ndarray):
     """Exact minimum of boundary flow over pi(S), over all S with
     0 < pi(S) <= 1/2; ties broken by lexicographically smallest sorted index
-    tuple. Plain-float accumulation in fixed (ascending) order so independent
-    enumerations can agree bit-for-bit."""
+    tuple. The result is that of plain-float accumulation in fixed
+    (ascending) order, so independent enumerations can agree bit-for-bit.
+
+    The masks are scored by numpy in blocks of ``CHEEGER_BLOCK``. Block sums
+    and fixed-order sums of the same non-negative terms differ by a relative
+    ``CHEEGER_RTOL`` at most, so a subset can only be feasible if its block
+    pi(S) is at most (1 + RTOL)/2, and can only be minimal if its block ratio
+    is within a factor 1 + 3 RTOL of the least block ratio among the subsets
+    that are surely feasible (block pi(S) <= (1 - RTOL)/2). Only those
+    candidates are rescored in fixed order."""
     n = len(pi)
     flow_terms = [[float(pi[x] * P[x, y]) for y in range(n)] for x in range(n)]
     pi_list = [float(x) for x in pi]
+    F = pi[:, None] * P
+    ones = np.ones(n)
+    half_hi = 0.5 * (1.0 + CHEEGER_RTOL)
+    half_lo = 0.5 * (1.0 - CHEEGER_RTOL)
+    bound = math.inf  # least block ratio of a surely feasible subset so far
     best_ratio = None
     best_subset = None
-    for mask in range(1, (1 << n) - 1):
-        members = [i for i in range(n) if mask >> i & 1]
-        pi_s = 0.0
-        for i in members:
-            pi_s += pi_list[i]
-        if pi_s > 0.5:
-            continue
-        flow = 0.0
-        for x in members:
-            row = flow_terms[x]
-            for y in range(n):
-                if not mask >> y & 1:
-                    flow += row[y]
-        ratio = flow / pi_s
-        key = tuple(members)
-        if (
-            best_ratio is None
-            or ratio < best_ratio
-            or (ratio == best_ratio and key < best_subset)
-        ):
-            best_ratio = ratio
-            best_subset = key
+    full = (1 << n) - 1
+    # Reused buffers: fresh block-sized temporaries cost more than the math.
+    rows = min(CHEEGER_BLOCK, full - 1)
+    inside_buf, outside_buf, flow_buf = (np.empty((rows, n)) for _ in range(3))
+    for start in range(1, full, CHEEGER_BLOCK):
+        masks = np.arange(start, min(start + CHEEGER_BLOCK, full))
+        k = len(masks)
+        inside, outside, flow = inside_buf[:k], outside_buf[:k], flow_buf[:k]
+        inside[...] = np.unpackbits(masks.astype("<u4").view(np.uint8).reshape(k, 4),
+                                    axis=1, count=n, bitorder="little")
+        np.subtract(1.0, inside, out=outside)
+        pi_s = inside @ pi
+        np.matmul(inside, F, out=flow)
+        flow *= outside
+        ratio = flow @ ones / pi_s
+        bound = min(bound, float(np.min(ratio, where=pi_s <= half_lo, initial=math.inf)))
+        candidates = (pi_s <= half_hi) & (ratio <= bound * (1.0 + 3.0 * CHEEGER_RTOL))
+        for mask in masks[candidates].tolist():
+            members = [i for i in range(n) if mask >> i & 1]
+            pi_exact = 0.0
+            for i in members:
+                pi_exact += pi_list[i]
+            if pi_exact > 0.5:
+                continue
+            flow_exact = 0.0
+            for x in members:
+                row = flow_terms[x]
+                for y in range(n):
+                    if not mask >> y & 1:
+                        flow_exact += row[y]
+            exact = flow_exact / pi_exact
+            key = tuple(members)
+            if (
+                best_ratio is None
+                or exact < best_ratio
+                or (exact == best_ratio and key < best_subset)
+            ):
+                best_ratio = exact
+                best_subset = key
     return best_ratio, best_subset
+
+
+def _require_cheeger_size(H: Hypergraph) -> None:
+    n = H.n_vertices
+    if not 2 <= n <= CHEEGER_SIZE_LIMIT:
+        raise SizeLimit(
+            f"Cheeger enumeration supports 2 to {CHEEGER_SIZE_LIMIT} vertices, got {n}"
+        )
 
 
 def cheeger_constant(H: Hypergraph) -> CheegerResult:
     """Cheeger constant of the lazy walk on H by exhaustive enumeration."""
-    n = H.n_vertices
-    if n > CHEEGER_SIZE_LIMIT:
-        raise SizeLimit(
-            f"Cheeger enumeration supports at most {CHEEGER_SIZE_LIMIT} vertices, got {n}"
-        )
-    if n < 2:
-        raise ValueError("Cheeger constant needs at least two vertices")
+    _require_cheeger_size(H)
     P = transition_matrix(H)
     pi = stationary_rho(H).pi
     phi, subset = _cheeger_enumerate(P.matrix, pi)
@@ -155,6 +195,7 @@ class CheegerCheck:
 
 def check_cheeger(H: Hypergraph, tol: float = 1e-9) -> CheegerCheck:
     """Verify Phi^2/2 <= lambda <= 2 Phi for the normalized Laplacian."""
+    _require_cheeger_size(H)
     lap = laplacian(H)
     lam = float(eigenvalues_symmetric(lap.normalized)[1])
     lam_plain = float(eigenvalues_symmetric(lap.L)[1])
@@ -264,6 +305,7 @@ class SpectralReport:
 
 
 def spectral_report(H: Hypergraph, eps: float = 0.25) -> SpectralReport:
+    _require_cheeger_size(H)
     lap = laplacian(H)
     evals = eigenvalues_symmetric(lap.L)
     lam_norm = float(eigenvalues_symmetric(lap.normalized)[1])

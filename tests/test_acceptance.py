@@ -162,13 +162,10 @@ def test_criterion_6_mixing_time_bound(spectral_sweep):
                   f"50 instances x eps in {{0.25, 0.1}}: {violations}")
     assert ok, (
         "mixing_time_bound is not an upper bound on these (instance, eps, "
-        f"bound, measured) cases: {violations}. Known limitation of the "
-        "implemented formula: the 8*beta1/Phi^2 prefactor vanishes as beta1 "
-        "shrinks while measured mixing times stay >= 1, so skewed vertex "
-        "weights (tiny gamma/delta ratios) drive the bound below the true "
-        "mixing time; a 2/(beta1*Phi^2) prefactor dominates on all tested "
-        "instances. The formula is kept as documented rather than silently "
-        "corrected."
+        f"bound, measured) cases: {violations}. The bound uses the "
+        "8/(beta1*Phi^2) prefactor derived in the mixing_time_bound "
+        "docstring; a violation means the bound or the measured mixing "
+        "time is computed wrongly."
     )
 
 

@@ -204,6 +204,27 @@ def test_rankagg_unreachable_coverage_stops(capsys):
     assert "ConvergenceFailure" in capsys.readouterr().err
 
 
+def test_spectral_one_vertex_is_size_limit(tmp_path, capsys):
+    path = _write_json(tmp_path, "h.json",
+                       {"vertices": ["a"], "edges": [{"weight": 1, "members": {"a": 1}}]})
+    assert dispatch(["spectral", "--input", path]) == 1
+    assert "SizeLimit" in capsys.readouterr().err
+
+
+def test_spectral_too_many_vertices_fails_before_the_laplacian(tmp_path, capsys,
+                                                                monkeypatch):
+    def unreachable(H):
+        raise AssertionError("the Laplacian was built before the size check")
+
+    monkeypatch.setattr("hyperwalk.spectral.laplacian", unreachable)
+    names = [f"v{i}" for i in range(25)]
+    path = _write_json(tmp_path, "h.json",
+                       {"vertices": names,
+                        "edges": [{"weight": 1, "members": {v: 1 for v in names}}]})
+    assert dispatch(["spectral", "--input", path, "--check-cheeger"]) == 1
+    assert "SizeLimit" in capsys.readouterr().err
+
+
 def test_stationary_auto_reports_fallback(demo_file, tmp_path, capsys, monkeypatch):
     direct = tmp_path / "direct.json"
     assert dispatch(["stationary", "--input", demo_file, "--method", "direct",

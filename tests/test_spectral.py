@@ -24,6 +24,7 @@ from hyperwalk import (
     stationary_rho,
     transition_matrix,
 )
+import hyperwalk.spectral as spectral
 from hyperwalk.spectral import _bound_from_components
 from conftest import sweep
 
@@ -155,6 +156,82 @@ def test_cheeger_cross_check_on_sweep():
         phi2, subset2 = brute_force_cheeger(P.matrix, pi)
         assert res.phi == phi2
         assert res.argmin == tuple(H.vertices[i] for i in subset2)
+
+
+def _assert_matches_brute_force(H, res):
+    phi2, subset2 = brute_force_cheeger(transition_matrix(H).matrix, stationary_rho(H).pi)
+    assert res.phi == phi2
+    assert res.argmin == tuple(H.vertices[i] for i in subset2)
+
+
+def _uniform_complete(n):
+    names = [f"v{i}" for i in range(n)]
+    return Hypergraph(names, [Hyperedge(1.0, {v: 1.0 for v in names})])
+
+
+def test_cheeger_near_ties_match_brute_force():
+    # In a uniform complete hypergraph every subset of one size ties, and for
+    # even n half of the vertices carry pi(S) = 1/2 exactly. With all weights
+    # 1 many subsets tie up to the last bit or have pi(S) within an ulp of
+    # 1/2, so block sums and fixed-order sums order them differently and the
+    # rescoring must undo that.
+    instances = ([_uniform_complete(n) for n in range(2, 11)]
+                 + sweep(1000, 25, trivial=True) + sweep(1001, 25, trivial=True))
+    for H in instances:
+        _assert_matches_brute_force(H, cheeger_constant(H))
+
+
+def test_cheeger_block_size_does_not_matter(monkeypatch):
+    instances = sweep(405, 15)
+    results = {}
+    for block in (1, 3, spectral.CHEEGER_BLOCK):
+        monkeypatch.setattr(spectral, "CHEEGER_BLOCK", block)
+        results[block] = [cheeger_constant(H) for H in instances]
+    assert results[1] == results[3] == results[spectral.CHEEGER_BLOCK]
+    for H, res in zip(instances, results[1]):
+        _assert_matches_brute_force(H, res)
+
+
+def _numpy_cheeger_ratios(P, pi):
+    """Every mask's pi(S) and flow/pi(S), with the flow taken as total
+    outflow minus the flow inside S (a different formula from the library's),
+    over chunks of 2^14 masks."""
+    n = len(pi)
+    F = pi[:, None] * P
+    masks = np.arange(1 << n)
+    pi_s = np.empty(len(masks))
+    flow = np.empty(len(masks))
+    for start in range(0, len(masks), 1 << 14):
+        chunk = slice(start, start + (1 << 14))
+        inside = ((masks[chunk, None] >> np.arange(n)) & 1).astype(float)
+        pi_s[chunk] = inside @ pi
+        flow[chunk] = inside @ F.sum(axis=1) - np.einsum("ki,ij,kj->k", inside, F, inside)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return masks, pi_s, flow / pi_s
+
+
+def test_cheeger_n18_against_numpy_oracle():
+    rng = np.random.default_rng(18)
+    n = 18
+    names = [f"v{i}" for i in range(n)]
+    edges = [Hyperedge(float(rng.uniform(0.1, 10.0)),
+                       {names[i]: float(rng.uniform(0.1, 10.0)),
+                        names[(i + 1) % n]: float(rng.uniform(0.1, 10.0))})
+             for i in range(n)]
+    for _ in range(6):
+        members = rng.choice(n, size=4, replace=False)
+        edges.append(Hyperedge(float(rng.uniform(0.1, 10.0)),
+                               {names[j]: float(rng.uniform(0.1, 10.0)) for j in members}))
+    H = Hypergraph(names, edges)
+    res = cheeger_constant(H)
+    masks, pi_s, ratio = _numpy_cheeger_ratios(transition_matrix(H).matrix,
+                                                stationary_rho(H).pi)
+    feasible = (masks > 0) & (masks < (1 << n) - 1) & (pi_s <= 0.5)
+    phi = ratio[feasible].min()
+    assert abs(res.phi - phi) <= 1e-12
+    argmin = sum(1 << H.index(v) for v in res.argmin)
+    assert pi_s[argmin] <= 0.5 + 1e-12
+    assert abs(ratio[argmin] - phi) <= 1e-12
 
 
 def test_cheeger_size_limit():
