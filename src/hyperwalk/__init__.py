@@ -28,7 +28,6 @@ from .errors import (
     Unmixed,
 )
 from .core import (
-    Hyperedge,
     Hypergraph,
     IncidenceMatrices,
     WeightedGraph,

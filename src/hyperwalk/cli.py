@@ -32,9 +32,8 @@ from .reduction import (
     nonlazy_trivial_equivalence,
     reversibility,
     sandwich_check,
-    sandwich_weights,
 )
-from .spectral import check_cheeger, eigenvalues_symmetric, laplacian, spectral_report
+from .spectral import check_cheeger, eigenvalues_symmetric, laplacian_from_walk, spectral_report
 from .stationary import stationary_direct, stationary_rho
 from .walk import PRNG_ALGORITHM, nonlazy_transition_matrix, restart_matrix, transition_matrix
 
@@ -156,8 +155,8 @@ def _cmd_reduce(args, argv) -> int:
         G = eq.graph
         verdict = {"mode": "nonlazy", "max_dev": eq.max_dev}
     else:
-        G = sandwich_weights(H)
         chk = sandwich_check(H)
+        G = chk.graph
         verdict = {
             "mode": "sandwich",
             "lambda_hypergraph": chk.lam_h,
@@ -208,7 +207,7 @@ def _cmd_demo(args, argv) -> int:
     P = transition_matrix(H)
     pi = stationary_rho(H)
     verdict = reversibility(P, pi.pi)
-    evals = eigenvalues_symmetric(laplacian(H).L)
+    evals = eigenvalues_symmetric(laplacian_from_walk(P, pi.pi).L)
     cheeger = check_cheeger(H)
     if args.json:
         payload = {
@@ -250,8 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file of default flag values (explicit flags win)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--json", action="store_true", help="machine-readable stdout")
+    def add_out(p):
         p.add_argument("--out", help="write output to this file (plus a .manifest.json)")
 
     p = sub.add_parser("validate", help="parse and validate a hypergraph file")
@@ -263,26 +261,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["lazy", "nonlazy", "restart"], default="lazy")
     p.add_argument("--beta", type=float, default=0.4)
     p.add_argument("--restart-vertex", help="restart to this vertex instead of uniform")
-    common(p)
+    p.add_argument("--json", action="store_true", help="JSON instead of CSV")
+    add_out(p)
     p.set_defaults(handler=_cmd_transition)
 
     p = sub.add_parser("stationary", help="stationary distribution as JSON")
     p.add_argument("--input", required=True)
     p.add_argument("--method", choices=["rho", "direct", "auto"], default="auto")
-    common(p)
+    add_out(p)
     p.set_defaults(handler=_cmd_stationary)
 
     p = sub.add_parser("spectral", help="Laplacian spectrum, Cheeger constant, mixing bound")
     p.add_argument("--input", required=True)
     p.add_argument("--eps", type=float, default=0.25)
     p.add_argument("--check-cheeger", action="store_true")
-    common(p)
+    add_out(p)
     p.set_defaults(handler=_cmd_spectral)
 
     p = sub.add_parser("reduce", help="clique-graph reductions")
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=["eqind", "sandwich", "nonlazy"], required=True)
-    common(p)
+    add_out(p)
     p.set_defaults(handler=_cmd_reduce)
 
     p = sub.add_parser("rankagg", help="synthetic rank-aggregation experiment")
@@ -293,11 +292,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--beta", type=float, default=0.4)
     p.add_argument("--matches", help="rank externally supplied matches (JSON) instead")
-    common(p)
+    p.add_argument("--json", action="store_true", help="JSON instead of CSV")
+    add_out(p)
     p.set_defaults(handler=_cmd_rankagg)
 
     p = sub.add_parser("demo", help="run everything on the built-in fixture")
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", action="store_true", help="JSON instead of text")
     p.set_defaults(handler=_cmd_demo)
 
     return parser

@@ -27,7 +27,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Hyperedge",
     "Hypergraph",
     "IncidenceMatrices",
     "WeightedGraph",
@@ -50,42 +49,26 @@ __all__ = [
 ]
 
 
-def _positive(value, what: str) -> float:
+def _to_float(value) -> float:
     try:
-        out = float(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError):
-        raise NonPositiveWeight(f"{what}: expected a number, got {value!r}") from None
-    if not math.isfinite(out) or out <= 0.0:
-        raise NonPositiveWeight(f"{what}: must be finite and > 0, got {value!r}")
-    return out
+        return math.nan  # not a number: rejected as not finite
 
 
-class Hyperedge:
-    """One weighted hyperedge: an edge weight plus a positive weight per member."""
-
-    __slots__ = ("weight", "members")
-
-    def __init__(self, weight: float, members: Mapping[str, float]):
-        self.weight = _positive(weight, "hyperedge weight")
-        if not members:
-            raise EmptyEdge("hyperedge has no members")
-        self.members = {
-            str(v): _positive(g, f"vertex weight of {v!r}") for v, g in members.items()
-        }
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Hyperedge):
-            return NotImplemented
-        return self.weight == other.weight and self.members == other.members
-
-    def __hash__(self):
-        return hash((self.weight, tuple(sorted(self.members.items()))))
-
-    def __repr__(self) -> str:
-        return f"Hyperedge({self.weight!r}, {self.members!r})"
+def _positive(values, describe) -> np.ndarray:
+    """``values`` as a float array whose entries are all finite and > 0, the
+    one weight check. Otherwise NonPositiveWeight names ``describe(i)`` for
+    the first offending entry i; an entry float() refuses counts as one."""
+    if not isinstance(values, np.ndarray):
+        try:
+            values = np.fromiter(values, dtype=float, count=len(values))
+        except (TypeError, ValueError, OverflowError):
+            values = np.array([_to_float(v) for v in values])
+    bad = np.flatnonzero(~(np.isfinite(values) & (values > 0.0)))
+    if len(bad):
+        raise NonPositiveWeight(f"{describe(int(bad[0]))} must be a finite number > 0")
+    return values
 
 
 class Hypergraph:
@@ -94,14 +77,17 @@ class Hypergraph:
     (ascending vertex indices, the order every matrix construction uses),
     their weights the same slice of ``gamma``, and its weight ``omega[k]``.
 
-    Enforced at construction: declared vertices are unique, every edge member
-    is a declared vertex, all weights are finite positives, and the clique
+    Built from ``(weight, members)`` pairs, one per edge, where ``members``
+    maps a vertex name to its weight in that edge. Enforced at construction:
+    declared vertices are unique, every edge has members and they are
+    declared vertices, all weights are finite positives, and the clique
     graph is connected (a vertex in no edge counts as disconnected).
     """
 
     __slots__ = ("vertices", "indptr", "indices", "gamma", "omega", "_index")
 
-    def __init__(self, vertices: Sequence[str], edges: Iterable[Hyperedge]):
+    def __init__(self, vertices: Sequence[str],
+                 edges: Iterable[tuple[float, Mapping[str, float]]]):
         names = tuple(str(v) for v in vertices)
         index: dict[str, int] = {}
         for v in names:
@@ -111,24 +97,30 @@ class Hypergraph:
         if not names:
             raise DisconnectedHypergraph("hypergraph has no vertices")
 
-        edge_tuple = tuple(edges)
-        for i, e in enumerate(edge_tuple):
-            if not isinstance(e, Hyperedge):
-                raise TypeError(f"edge #{i} is not a Hyperedge")
-            for v in e.members:
+        weights, sizes, members_idx, members_gamma = [], [], [], []
+        for k, (weight, members) in enumerate(edges):
+            if not members:
+                raise EmptyEdge(f"edge #{k} has no members")
+            for v in members:
                 if v not in index:
-                    raise UnknownVertex(f"edge #{i} references undeclared vertex {v!r}")
+                    raise UnknownVertex(f"edge #{k} references undeclared vertex {v!r}")
+                members_idx.append(index[v])
+            weights.append(weight)
+            sizes.append(len(members))
+            members_gamma.extend(members.values())
 
-        sizes = [len(e) for e in edge_tuple]
-        indices = np.array([index[v] for e in edge_tuple for v in e.members], dtype=np.intp)
-        gamma = np.array([g for e in edge_tuple for g in e.members.values()], dtype=float)
-        order = np.lexsort((indices, np.repeat(np.arange(len(sizes)), sizes)))
+        edge = np.repeat(np.arange(len(sizes)), sizes)
+        omega = _positive(weights, lambda k: f"edge #{k}: edge weight {weights[k]!r}")
+        gamma = _positive(members_gamma, lambda i: (
+            f"edge #{edge[i]}: weight {members_gamma[i]!r} of vertex {names[members_idx[i]]!r}"))
+        indices = np.array(members_idx, dtype=np.intp)
+        order = np.lexsort((indices, edge))
         self.vertices = names
         self._index = index
         self.indptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
         self.indices = indices[order]
         self.gamma = gamma[order]
-        self.omega = np.array([e.weight for e in edge_tuple], dtype=float)
+        self.omega = omega
         for a in self._arrays():  # read-only: rescaled copies share them
             a.flags.writeable = False
         self._check_connected()
@@ -150,15 +142,6 @@ class Hypergraph:
     @property
     def n_edges(self) -> int:
         return len(self.omega)
-
-    @property
-    def edges(self) -> tuple[Hyperedge, ...]:
-        """The hyperedges, members in ascending vertex index order."""
-        ptr, ind, gam = self.indptr.tolist(), self.indices.tolist(), self.gamma.tolist()
-        return tuple(
-            Hyperedge(w, {self.vertices[j]: g for j, g in zip(ind[a:b], gam[a:b])})
-            for w, a, b in zip(self.omega.tolist(), ptr, ptr[1:])
-        )
 
     def index(self, vertex: str) -> int:
         try:
@@ -340,13 +323,13 @@ def rescale_edges(H: Hypergraph, factors) -> Hypergraph:
     factors = np.asarray(factors, dtype=float)
     if factors.shape != (H.n_edges,):
         raise ValueError("need exactly one factor per edge")
-    gamma = H.gamma * _per_member(H, factors)
-    bad = np.flatnonzero(~(np.isfinite(gamma) & (gamma > 0.0)))
-    if len(bad):
-        k = int(np.searchsorted(H.indptr, bad[0], side="right")) - 1
-        raise NonPositiveWeight(f"edge #{k}: factor {factors[k]!r} leaves a vertex "
-                                "weight that is not finite and > 0")
-    return H._with_gamma(gamma)
+
+    def describe(i: int) -> str:
+        k = int(np.searchsorted(H.indptr, i, side="right")) - 1
+        return (f"edge #{k}: weight of vertex {H.vertices[H.indices[i]]!r} "
+                f"times factor {float(factors[k])!r}")
+
+    return H._with_gamma(_positive(H.gamma * _per_member(H, factors), describe))
 
 
 def delta_normalized(H: Hypergraph) -> Hypergraph:
@@ -399,15 +382,10 @@ def build_hypergraph(data: Mapping) -> Hypergraph:
     for i, entry in enumerate(raw_edges):
         if not isinstance(entry, Mapping):
             raise MalformedInput(f"edge #{i} must be an object, got {entry!r}")
-        members = entry.get("members")
-        if not members:
-            raise EmptyEdge(f"edge #{i} has no members")
+        members = entry.get("members") or {}  # missing or empty: EmptyEdge
         if not isinstance(members, Mapping):
             raise MalformedInput(f'edge #{i}: "members" must map vertex names to weights')
-        try:
-            edges.append(Hyperedge(entry.get("weight"), members))
-        except NonPositiveWeight as exc:
-            raise NonPositiveWeight(f"edge #{i}: {exc}") from None
+        edges.append((entry.get("weight"), members))
     return Hypergraph(vertices, edges)
 
 
@@ -431,7 +409,13 @@ def loads_json(text: str) -> Hypergraph:
 
 
 def to_json_dict(H: Hypergraph) -> dict:
-    edges = [{"weight": e.weight, "members": e.members} for e in H.edges]
+    """The JSON form, the one per-edge view of H: members in ascending vertex
+    index order."""
+    ptr, ind, gam = H.indptr.tolist(), H.indices.tolist(), H.gamma.tolist()
+    edges = [
+        {"weight": w, "members": {H.vertices[j]: g for j, g in zip(ind[a:b], gam[a:b])}}
+        for w, a, b in zip(H.omega.tolist(), ptr, ptr[1:])
+    ]
     return {"vertices": list(H.vertices), "edges": edges}
 
 
@@ -449,8 +433,8 @@ def to_text(H: Hypergraph) -> str:
         if ":" in v or any(c.isspace() for c in v):
             raise ValueError(f"vertex name {v!r} cannot be written in text format")
     lines = ["# vertices: " + " ".join(H.vertices)]
-    for e in H.edges:
-        parts = [repr(e.weight)] + [f"{v}:{g!r}" for v, g in e.members.items()]
+    for e in to_json_dict(H)["edges"]:
+        parts = [repr(e["weight"])] + [f"{v}:{g!r}" for v, g in e["members"].items()]
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
@@ -490,7 +474,7 @@ def from_text(text: str) -> Hypergraph:
                 order.append(name)
         if not members:
             raise EmptyEdge(f"line {lineno}: edge has no members")
-        edges.append(Hyperedge(weight, members))
+        edges.append((weight, members))
     return Hypergraph(declared if declared is not None else order, edges)
 
 
@@ -529,7 +513,7 @@ def demo_hypergraph() -> Hypergraph:
     return Hypergraph(
         ("v1", "v2", "v3", "v4"),
         [
-            Hyperedge(1.0, {"v1": 2.0, "v2": 1.0, "v3": 1.0}),
-            Hyperedge(1.0, {"v1": 1.0, "v3": 1.0, "v4": 1.0}),
+            (1.0, {"v1": 2.0, "v2": 1.0, "v3": 1.0}),
+            (1.0, {"v1": 1.0, "v3": 1.0, "v4": 1.0}),
         ],
     )

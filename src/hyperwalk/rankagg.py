@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Hyperedge, Hypergraph, delta_normalized
+from .core import Hypergraph, delta_normalized
 from .errors import ConvergenceFailure, ElementMismatch, MalformedInput, ScoreOverflow
 from .reduction import clique_expansion_weights, graph_random_walk
 from .stationary import stationary_direct
@@ -52,7 +52,6 @@ SCORE_LIMIT = 700.0  # exp() overflows just above 709
 DEFAULT_BETA = 0.4
 # generate() gives up after this many match draws (kept or discarded).
 MAX_DRAWS = 100_000
-TIE_RULE = "ascending-player-id"
 
 
 @dataclass(frozen=True)
@@ -75,10 +74,6 @@ class Match:
 class MatchData:
     n: int
     matches: list[Match]
-    sigma: float | None = None
-    p: float | None = None
-    seed: int | None = None
-    scale_range: tuple[float, float] = SCALE_RANGE
 
     def __post_init__(self):
         seen: set[int] = set()
@@ -145,7 +140,7 @@ def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
             if r != root:
                 parent[r] = root
                 components -= 1
-    return MatchData(n=n, matches=matches, sigma=sigma, p=p, seed=seed)
+    return MatchData(n=n, matches=matches)
 
 
 def match_hypergraph(data: MatchData) -> Hypergraph:
@@ -168,27 +163,20 @@ def match_hypergraph(data: MatchData) -> Hypergraph:
                     f"match #{k}: exp(score) degenerate for player {i} (score {s!r})"
                 )
             members[str(i)] = g
-        edges.append(Hyperedge(float(np.std(scores)) + 1.0, members))
+        edges.append((float(np.std(scores)) + 1.0, members))
     return Hypergraph(vertices, edges)
 
 
 @dataclass
 class RankingResult:
     method: str
-    players: tuple[int, ...]
     scores: np.ndarray            # stationary value per player, index = id - 1
-    order: tuple[int, ...]        # best first
-    tie_rule: str = TIE_RULE
+    order: tuple[int, ...]        # best first, ties by ascending player id
 
 
 def _ranking(method: str, n: int, stationary: np.ndarray) -> RankingResult:
     order = sorted(range(1, n + 1), key=lambda i: (-stationary[i - 1], i))
-    return RankingResult(
-        method=method,
-        players=tuple(range(1, n + 1)),
-        scores=stationary,
-        order=tuple(order),
-    )
+    return RankingResult(method=method, scores=stationary, order=tuple(order))
 
 
 def rank_hypergraph(data: MatchData, beta: float = DEFAULT_BETA) -> RankingResult:

@@ -34,8 +34,8 @@ from .errors import (
     NotTrivialWeights,
     SizeLimit,
 )
-from .spectral import eigenvalues_symmetric, laplacian, laplacian_from_walk
-from .stationary import rho_normalized, stationary_direct
+from .spectral import eigenvalues_symmetric, laplacian_from_walk
+from .stationary import rho_normalized, stationary_direct, stationary_rho
 from .walk import TransitionMatrix, nonlazy_transition_matrix, transition_matrix
 
 __all__ = [
@@ -195,6 +195,7 @@ def nonlazy_trivial_equivalence(H: Hypergraph) -> NonlazyEquivalence:
 
 @dataclass
 class SandwichCheck:
+    graph: WeightedGraph  # the rho-rescaled clique expansion, as sandwich_weights
     lam_h: float
     lam_g: float
     c: float
@@ -207,10 +208,13 @@ def sandwich_check(H: Hypergraph, tol: float = 1e-9) -> SandwichCheck:
     Laplacian eigenvalues of H and of its rho-rescaled clique expansion.
 
     c is the worst per-vertex spread of the rescaled weights over *incident*
-    edges (weights of edges not containing v are zero and excluded).
+    edges (weights of edges not containing v are zero and excluded). The
+    rho solve and the walk matrix of H are each computed once and shared.
     """
-    Hn = rho_normalized(H)
-    lam_h = float(eigenvalues_symmetric(laplacian(H).L)[1])
+    rho = stationary_rho(H)
+    Hn = rho_normalized(H, rho)
+    P_h = transition_matrix(H)
+    lam_h = float(eigenvalues_symmetric(laplacian_from_walk(P_h, rho.pi).L)[1])
 
     G = clique_expansion_weights(Hn)
     P_g = graph_random_walk(G)
@@ -221,7 +225,8 @@ def sandwich_check(H: Hypergraph, tol: float = 1e-9) -> SandwichCheck:
     g = Hn.gamma[order]
     c = float((np.maximum.reduceat(g, vptr[:-1]) / np.minimum.reduceat(g, vptr[:-1])).max())
 
-    pi_h = stationary_direct(transition_matrix(H)).pi
+    pi_h = stationary_direct(P_h).pi
     pi_dev = float(np.abs(pi_g - pi_h).max())
     holds = (lam_h / c - tol) <= lam_g <= (c * lam_h + tol)
-    return SandwichCheck(lam_h=lam_h, lam_g=lam_g, c=c, holds=holds, pi_dev=pi_dev)
+    return SandwichCheck(graph=G, lam_h=lam_h, lam_g=lam_g, c=c, holds=holds,
+                         pi_dev=pi_dev)

@@ -216,6 +216,11 @@ class MixingBound:
     vacuous: bool
 
 
+def _require_eps(eps: float) -> None:
+    if not 0.0 < eps < 0.5:
+        raise ValueError(f"eps must lie in (0, 1/2), got {eps!r}")
+
+
 def _bound_from_components(beta1: float, beta2: float, d_min: float,
                            phi: float, eps: float) -> tuple[int, bool]:
     log_term = -math.log(2.0 * eps * math.sqrt(d_min * beta2))
@@ -246,8 +251,7 @@ def mixing_time_bound(H: Hypergraph, eps: float) -> MixingBound:
     The prefactor 8 leaves a factor-4 margin over that 2. A smaller beta1 is
     a weaker guarantee that the walk holds, so it gives a larger bound.
     """
-    if not 0.0 < eps < 0.5:
-        raise ValueError(f"eps must lie in (0, 1/2), got {eps!r}")
+    _require_eps(eps)
     Hn = rho_normalized(H)
     d, delta = degrees(Hn)
     beta1 = float((Hn.gamma / _per_member(Hn, delta)).min())
@@ -305,6 +309,7 @@ class SpectralReport:
 
 
 def spectral_report(H: Hypergraph, eps: float = 0.25) -> SpectralReport:
+    _require_eps(eps)
     _require_cheeger_size(H)
     lap = laplacian(H)
     evals = eigenvalues_symmetric(lap.L)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hyperwalk import DisconnectedHypergraph, Hyperedge, Hypergraph, demo_hypergraph
+from hyperwalk import DisconnectedHypergraph, Hypergraph, demo_hypergraph
 
 
 @pytest.fixture
@@ -15,12 +15,12 @@ def h_demo():
 @pytest.fixture
 def triangle():
     """Single edge {a, b, c} with trivial weights: the smallest uniform chain."""
-    return Hypergraph(("a", "b", "c"), [Hyperedge(1.0, {"a": 1.0, "b": 1.0, "c": 1.0})])
+    return Hypergraph(("a", "b", "c"), [(1.0, {"a": 1.0, "b": 1.0, "c": 1.0})])
 
 
 @pytest.fixture
 def two_vertex_edge():
-    return Hypergraph(("a", "b"), [Hyperedge(1.0, {"a": 1.0, "b": 1.0})])
+    return Hypergraph(("a", "b"), [(1.0, {"a": 1.0, "b": 1.0})])
 
 
 def random_hypergraph(rng, max_vertices=8, max_edges=6, weight_range=(0.1, 10.0),
@@ -49,7 +49,7 @@ def random_hypergraph(rng, max_vertices=8, max_edges=6, weight_range=(0.1, 10.0)
                 else:
                     members[names[j]] = float(rng.uniform(lo, hi))
             omega = 1.0 if trivial else float(rng.uniform(lo, hi))
-            edges.append(Hyperedge(omega, members))
+            edges.append((omega, members))
         try:
             return Hypergraph(names, edges)
         except DisconnectedHypergraph:

@@ -1,6 +1,7 @@
 """CLI dispatch, exit codes, output formats, and run manifests."""
 
 import json
+import sys
 
 import pytest
 
@@ -186,6 +187,15 @@ def test_malformed_hypergraph_is_named_domain_error(tmp_path, capsys, doc):
     assert "MalformedInput" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["x", None])
+def test_non_numeric_weight_is_named_domain_error(tmp_path, capsys, bad):
+    for edge in ({"weight": bad, "members": {"a": 1.0, "b": 1.0}},
+                 {"weight": 1.0, "members": {"a": 1.0, "b": bad}}):
+        path = _write_json(tmp_path, "h.json", {"vertices": ["a", "b"], "edges": [edge]})
+        assert dispatch(["validate", "--input", path]) == 1
+        assert "NonPositiveWeight: edge #0" in capsys.readouterr().err
+
+
 def test_input_directory_is_named_domain_error(tmp_path, capsys):
     assert dispatch(["validate", "--input", str(tmp_path)]) == 1
     assert "IsADirectoryError" in capsys.readouterr().err
@@ -240,3 +250,48 @@ def test_stationary_auto_reports_fallback(demo_file, tmp_path, capsys, monkeypat
     assert auto.read_bytes() == direct.read_bytes()
     manifest = json.loads((tmp_path / "auto.json.manifest.json").read_text())
     assert set(manifest) == {"command", "inputs", "seed", "version", "prng", "timestamp"}
+
+
+def test_spectral_bad_eps_fails_before_the_laplacian(demo_file, capsys, monkeypatch):
+    def unreachable(H):
+        raise AssertionError("the Laplacian was built before the eps check")
+
+    monkeypatch.setattr("hyperwalk.spectral.laplacian", unreachable)
+    assert dispatch(["spectral", "--input", demo_file, "--eps", "0.7"]) == 2
+    assert "eps must lie in (0, 1/2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["stationary"], ["spectral"],
+                                     ["reduce", "--mode", "sandwich"]])
+def test_json_flag_rejected_where_output_is_always_json(demo_file, command):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(command + ["--input", demo_file, "--json"])
+    assert exc.value.code == 2
+
+
+def _count_calls(monkeypatch, *names) -> dict:
+    """Count calls of the named functions through every hyperwalk module
+    that holds them, so calls from inside the library are seen too."""
+    counts = dict.fromkeys(names, 0)
+    modules = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "hyperwalk"]
+    for module in modules:
+        for name in names:
+            original = getattr(module, name, None)
+            if original is None:
+                continue
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_reduce_sandwich_derives_each_walk_once(demo_file, capsys, monkeypatch):
+    counts = _count_calls(monkeypatch, "stationary_rho", "transition_matrix",
+                          "clique_expansion_weights")
+    assert dispatch(["reduce", "--input", demo_file, "--mode", "sandwich"]) == 0
+    # the second walk matrix is the one the rho solve checks its residual on
+    assert counts == {"stationary_rho": 1, "transition_matrix": 2,
+                      "clique_expansion_weights": 1}

@@ -9,7 +9,6 @@ from hyperwalk import (
     DisconnectedHypergraph,
     DuplicateVertex,
     EmptyEdge,
-    Hyperedge,
     Hypergraph,
     NonPositiveWeight,
     UnknownVertex,
@@ -24,6 +23,7 @@ from hyperwalk import (
     incidence_matrices,
     loads_json,
     rescale_edges,
+    to_json_dict,
     to_text,
     transition_matrix,
 )
@@ -38,14 +38,14 @@ def test_demo_fixture_degrees(h_demo):
 
 
 def test_single_edge_degrees():
-    H = Hypergraph(("a", "b"), [Hyperedge(5.0, {"a": 1.0, "b": 2.0})])
+    H = Hypergraph(("a", "b"), [(5.0, {"a": 1.0, "b": 2.0})])
     d, delta = degrees(H)
     np.testing.assert_array_equal(d, [5.0, 5.0])
     np.testing.assert_array_equal(delta, [3.0])
 
 
 def test_trivial_edge_degree_is_size():
-    H = Hypergraph("abcde", [Hyperedge(1.0, {v: 1.0 for v in "abcde"})])
+    H = Hypergraph("abcde", [(1.0, {v: 1.0 for v in "abcde"})])
     _, delta = degrees(H)
     assert delta[0] == 5.0
 
@@ -85,45 +85,45 @@ def test_clique_graph_triangle(triangle):
 
 def test_duplicate_vertex_declaration():
     with pytest.raises(DuplicateVertex, match="'a'"):
-        Hypergraph(("a", "a"), [Hyperedge(1.0, {"a": 1.0})])
+        Hypergraph(("a", "a"), [(1.0, {"a": 1.0})])
 
 
 def test_empty_edge():
-    with pytest.raises(EmptyEdge):
-        Hyperedge(1.0, {})
+    with pytest.raises(EmptyEdge, match="edge #1"):
+        Hypergraph(("a", "b"), [(1.0, {"a": 1.0, "b": 1.0}), (1.0, {})])
 
 
 def test_nonpositive_weights():
-    with pytest.raises(NonPositiveWeight):
-        Hyperedge(-1.0, {"a": 1.0})
-    with pytest.raises(NonPositiveWeight):
-        Hyperedge(1.0, {"a": 0.0})
-    with pytest.raises(NonPositiveWeight):
-        Hyperedge(float("nan"), {"a": 1.0})
-    with pytest.raises(NonPositiveWeight):
-        Hyperedge(1.0, {"a": float("inf")})
+    # The message names the edge, and for a vertex weight also the vertex;
+    # non-numbers are rejected the same way, never as a bare ValueError.
+    first = (1.0, {"a": 1.0, "b": 1.0})
+    for bad in (-1.0, 0.0, float("nan"), float("inf"), "x", None):
+        with pytest.raises(NonPositiveWeight, match="edge #1: edge weight"):
+            Hypergraph(("a", "b"), [first, (bad, {"a": 1.0})])
+        with pytest.raises(NonPositiveWeight, match="edge #1: .* of vertex 'b'"):
+            Hypergraph(("a", "b"), [first, (1.0, {"a": 1.0, "b": bad})])
 
 
 def test_unknown_member():
     with pytest.raises(UnknownVertex, match="'c'"):
-        Hypergraph(("a", "b"), [Hyperedge(1.0, {"a": 1.0, "c": 1.0})])
+        Hypergraph(("a", "b"), [(1.0, {"a": 1.0, "c": 1.0})])
 
 
 def test_disconnected_two_edges():
     with pytest.raises(DisconnectedHypergraph):
         Hypergraph(
             ("a", "b", "c", "d"),
-            [Hyperedge(1.0, {"a": 1.0, "b": 1.0}), Hyperedge(1.0, {"c": 1.0, "d": 1.0})],
+            [(1.0, {"a": 1.0, "b": 1.0}), (1.0, {"c": 1.0, "d": 1.0})],
         )
 
 
 def test_isolated_vertex_is_disconnected():
     with pytest.raises(DisconnectedHypergraph, match="'c'"):
-        Hypergraph(("a", "b", "c"), [Hyperedge(1.0, {"a": 1.0, "b": 1.0})])
+        Hypergraph(("a", "b", "c"), [(1.0, {"a": 1.0, "b": 1.0})])
 
 
 def test_single_vertex_single_edge_is_valid():
-    H = Hypergraph(("a",), [Hyperedge(2.0, {"a": 3.0})])
+    H = Hypergraph(("a",), [(2.0, {"a": 3.0})])
     assert H.n_vertices == 1
 
 
@@ -191,7 +191,7 @@ def test_delta_normalized(h_demo):
 def test_degree_double_counting():
     for H in sweep(101, 25):
         d, _ = degrees(H)
-        total = sum(e.weight * len(e) for e in H.edges)
+        total = sum(e["weight"] * len(e["members"]) for e in to_json_dict(H)["edges"])
         assert d.sum() == pytest.approx(total, rel=1e-13)
 
 

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperwalk import (
-    Hyperedge,
     Hypergraph,
     clique_expansion_weights,
     dumps_json,
@@ -54,7 +53,7 @@ def hypergraphs(draw, weights=MODERATE, names=None, max_vertices=7, max_edges=5)
     for j in range(1, len(sets)):
         sets[j] = sets[j] | {min(sets[j - 1])}
     sets[-1] = sets[-1] | (set(range(n)) - set().union(*sets))
-    edges = [Hyperedge(draw(weights), {labels[v]: draw(weights) for v in sorted(s)})
+    edges = [(draw(weights), {labels[v]: draw(weights) for v in sorted(s)})
              for s in sets]
     return Hypergraph(labels, edges)
 

@@ -18,6 +18,7 @@ from hyperwalk import (
     rank_clique,
     rank_hypergraph,
     rank_mc3,
+    to_json_dict,
 )
 from hyperwalk.rankagg import matches_from_json_dict, matches_to_json_dict
 
@@ -67,18 +68,18 @@ def test_match_validation():
 
 def test_match_hypergraph_identical_scores():
     data = MatchData(2, [Match((1, 2), (1.5, 1.5))])
-    H = match_hypergraph(data)
-    assert H.edges[0].weight == 1.0  # zero deviation
-    assert H.edges[0].members["1"] == pytest.approx(math.exp(1.5))
+    (edge,) = to_json_dict(match_hypergraph(data))["edges"]
+    assert edge["weight"] == 1.0  # zero deviation
+    assert edge["members"]["1"] == pytest.approx(math.exp(1.5))
 
 
 def test_match_hypergraph_weights():
     data = MatchData(2, [Match((1, 2), (0.0, math.log(2.0)))])
-    H = match_hypergraph(data)
+    (edge,) = to_json_dict(match_hypergraph(data))["edges"]
     # population standard deviation of (0, ln 2) is ln(2)/2
-    assert H.edges[0].weight == pytest.approx(1.0 + math.log(2.0) / 2, abs=1e-15)
-    assert H.edges[0].members["1"] == pytest.approx(1.0)
-    assert H.edges[0].members["2"] == pytest.approx(2.0)
+    assert edge["weight"] == pytest.approx(1.0 + math.log(2.0) / 2, abs=1e-15)
+    assert edge["members"]["1"] == pytest.approx(1.0)
+    assert edge["members"]["2"] == pytest.approx(2.0)
 
 
 def test_score_overflow():

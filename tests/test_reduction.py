@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from hyperwalk import (
-    Hyperedge,
     Hypergraph,
     IsolatedVertex,
     NotEdgeIndependent,
@@ -64,7 +63,7 @@ def test_trivial_single_edge_collapse(triangle):
 def test_scaled_weights_same_walk(triangle):
     doubled = Hypergraph(
         triangle.vertices,
-        [Hyperedge(1.0, {v: 2.0 for v in "abc"})],
+        [(1.0, {v: 2.0 for v in "abc"})],
     )
     P1 = graph_random_walk(edge_independent_to_graph(triangle)).matrix
     P2 = graph_random_walk(edge_independent_to_graph(doubled)).matrix
@@ -150,10 +149,10 @@ def test_kolmogorov_two_vertices_trivially_holds(two_vertex_edge):
 
 def test_kolmogorov_size_limits():
     names = [f"v{i}" for i in range(13)]
-    H = Hypergraph(names, [Hyperedge(1.0, {v: 1.0 for v in names})])
+    H = Hypergraph(names, [(1.0, {v: 1.0 for v in names})])
     with pytest.raises(SizeLimit):
         kolmogorov_check(transition_matrix(H), 5)
-    H2 = Hypergraph(("a", "b"), [Hyperedge(1.0, {"a": 1.0, "b": 1.0})])
+    H2 = Hypergraph(("a", "b"), [(1.0, {"a": 1.0, "b": 1.0})])
     with pytest.raises(SizeLimit):
         kolmogorov_check(transition_matrix(H2), 7)
 
@@ -179,8 +178,8 @@ def test_nonlazy_rejects_nontrivial(h_demo):
 
 
 def test_nonlazy_rejects_singleton_edge():
-    H = Hypergraph(("a", "b"), [Hyperedge(1.0, {"a": 1.0, "b": 1.0}),
-                                Hyperedge(1.0, {"b": 1.0})])
+    H = Hypergraph(("a", "b"), [(1.0, {"a": 1.0, "b": 1.0}),
+                                (1.0, {"b": 1.0})])
     with pytest.raises(SingletonEdge, match="#1"):
         nonlazy_trivial_equivalence(H)
 
@@ -233,4 +232,6 @@ def test_sandwich_check_edge_independent_collapses_to_equality():
 
 def test_sandwich_check_sweep():
     for H in sweep(508, 15):
-        assert sandwich_check(H).holds
+        chk = sandwich_check(H)
+        assert chk.holds
+        assert chk.graph == sandwich_weights(H)  # the graph it checked, bit for bit

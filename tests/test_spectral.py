@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hyperwalk import (
-    Hyperedge,
     Hypergraph,
     NotSymmetric,
     SizeLimit,
@@ -166,7 +165,7 @@ def _assert_matches_brute_force(H, res):
 
 def _uniform_complete(n):
     names = [f"v{i}" for i in range(n)]
-    return Hypergraph(names, [Hyperedge(1.0, {v: 1.0 for v in names})])
+    return Hypergraph(names, [(1.0, {v: 1.0 for v in names})])
 
 
 def test_cheeger_near_ties_match_brute_force():
@@ -214,13 +213,13 @@ def test_cheeger_n18_against_numpy_oracle():
     rng = np.random.default_rng(18)
     n = 18
     names = [f"v{i}" for i in range(n)]
-    edges = [Hyperedge(float(rng.uniform(0.1, 10.0)),
+    edges = [(float(rng.uniform(0.1, 10.0)),
                        {names[i]: float(rng.uniform(0.1, 10.0)),
                         names[(i + 1) % n]: float(rng.uniform(0.1, 10.0))})
              for i in range(n)]
     for _ in range(6):
         members = rng.choice(n, size=4, replace=False)
-        edges.append(Hyperedge(float(rng.uniform(0.1, 10.0)),
+        edges.append((float(rng.uniform(0.1, 10.0)),
                                {names[j]: float(rng.uniform(0.1, 10.0)) for j in members}))
     H = Hypergraph(names, edges)
     res = cheeger_constant(H)
@@ -236,7 +235,7 @@ def test_cheeger_n18_against_numpy_oracle():
 
 def test_cheeger_size_limit():
     names = [f"v{i}" for i in range(25)]
-    H = Hypergraph(names, [Hyperedge(1.0, {v: 1.0 for v in names})])
+    H = Hypergraph(names, [(1.0, {v: 1.0 for v in names})])
     with pytest.raises(SizeLimit):
         cheeger_constant(H)
 

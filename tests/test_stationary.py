@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from hyperwalk import (
-    Hyperedge,
     Hypergraph,
     NotEdgeIndependent,
     SingularSystem,
@@ -18,6 +17,7 @@ from hyperwalk import (
     stationary_direct,
     stationary_edge_independent,
     stationary_rho,
+    to_json_dict,
     transition_matrix,
 )
 from hyperwalk.core import delta_normalized
@@ -40,7 +40,7 @@ def test_demo_rho(h_demo):
     np.testing.assert_allclose(res.pi, DEMO_PI, atol=1e-10)
     # hand solve of the 2x2 coupling system for the demo fixture
     np.testing.assert_allclose(res.rho, [8 / 17, 9 / 17], atol=1e-10)
-    omega = np.array([e.weight for e in h_demo.edges])
+    omega = np.array([e["weight"] for e in to_json_dict(h_demo)["edges"]])
     assert res.rho @ omega == pytest.approx(1.0, abs=1e-12)
     assert res.residual <= 1e-9
     assert res.method == "rho-eigenvector"
@@ -91,7 +91,8 @@ def test_edge_independent_trivial_is_degree_fraction():
 def test_edge_independent_scaling_cancels(triangle):
     doubled = Hypergraph(
         triangle.vertices,
-        [Hyperedge(e.weight, {v: 2.0 for v in e.members}) for e in triangle.edges],
+        [(e["weight"], {v: 2.0 for v in e["members"]})
+         for e in to_json_dict(triangle)["edges"]],
     )
     r1 = stationary_edge_independent(triangle)
     r2 = stationary_edge_independent(doubled)

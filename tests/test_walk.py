@@ -7,7 +7,6 @@ import pytest
 
 from hyperwalk import (
     BadBeta,
-    Hyperedge,
     Hypergraph,
     SingletonEdge,
     SizeLimit,
@@ -18,6 +17,7 @@ from hyperwalk import (
     restart_matrix,
     simulate,
     stationary_direct,
+    to_json_dict,
     transition_matrix,
 )
 from conftest import sweep
@@ -36,10 +36,10 @@ def summation_transition(H):
     n = H.n_vertices
     d, delta = degrees(H)
     P = np.zeros((n, n))
-    for k, e in enumerate(H.edges):
-        for v in e.members:
-            for w, gw in e.members.items():
-                P[H.index(v), H.index(w)] += (e.weight / d[H.index(v)]) * (gw / delta[k])
+    for k, e in enumerate(to_json_dict(H)["edges"]):
+        for v in e["members"]:
+            for w, gw in e["members"].items():
+                P[H.index(v), H.index(w)] += (e["weight"] / d[H.index(v)]) * (gw / delta[k])
     return P
 
 
@@ -79,7 +79,7 @@ def test_per_edge_rescaling_invariance():
 
 def test_size_limit():
     names = [f"v{i}" for i in range(4097)]
-    H = Hypergraph(names, [Hyperedge(1.0, {v: 1.0 for v in names})])
+    H = Hypergraph(names, [(1.0, {v: 1.0 for v in names})])
     with pytest.raises(SizeLimit):
         transition_matrix(H)
 
@@ -136,7 +136,7 @@ def test_nonlazy_demo_entry(h_demo):
 
 
 def test_nonlazy_singleton_edge():
-    H = Hypergraph(("a",), [Hyperedge(1.0, {"a": 1.0})])
+    H = Hypergraph(("a",), [(1.0, {"a": 1.0})])
     with pytest.raises(SingletonEdge, match="#0"):
         nonlazy_transition_matrix(H)
 
