@@ -95,13 +95,11 @@ from .reduction import (
 )
 from .rankagg import (
     ExperimentResult,
-    Match,
     MatchData,
     RankingResult,
     experiment,
     generate,
     kendall_tau,
-    match_hypergraph,
     rank_clique,
     rank_hypergraph,
     rank_mc3,

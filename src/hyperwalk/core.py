@@ -385,7 +385,14 @@ def build_hypergraph(data: Mapping) -> Hypergraph:
         members = entry.get("members") or {}  # missing or empty: EmptyEdge
         if not isinstance(members, Mapping):
             raise MalformedInput(f'edge #{i}: "members" must map vertex names to weights')
-        edges.append((entry.get("weight"), members))
+        weight = entry.get("weight")
+        # Only JSON numbers are weights: float() takes true (a bool) and "2".
+        wrong = [f"edge weight {w!r}" for w in [weight] if type(w) not in (int, float)] + [
+            f"weight {g!r} of vertex {v!r}" for v, g in members.items()
+            if type(g) not in (int, float)]
+        if wrong:
+            raise NonPositiveWeight(f"edge #{i}: {wrong[0]} must be a finite number > 0")
+        edges.append((weight, members))
     return Hypergraph(vertices, edges)
 
 

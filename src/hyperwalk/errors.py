@@ -93,7 +93,7 @@ class Unmixed(HyperwalkError):
 # -- rank aggregation ---------------------------------------------------------
 
 class ScoreOverflow(HyperwalkError):
-    """A match score is too large to exponentiate into a vertex weight."""
+    """A match score is not finite, or too large to exponentiate into a vertex weight."""
 
 
 class ElementMismatch(HyperwalkError):

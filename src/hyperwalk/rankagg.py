@@ -20,26 +20,26 @@ unweighted and top-weighted (hyperbolic position weights) variants.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .core import Hypergraph, delta_normalized
-from .errors import ConvergenceFailure, ElementMismatch, MalformedInput, ScoreOverflow
+from .errors import (ConvergenceFailure, DisconnectedHypergraph, DuplicateVertex,
+                     ElementMismatch, MalformedInput, ScoreOverflow)
 from .reduction import clique_expansion_weights, graph_random_walk
 from .stationary import stationary_direct
 from .walk import TransitionMatrix, restart_matrix, transition_matrix
 
 __all__ = [
     "ExperimentResult",
-    "Match",
     "MatchData",
     "RankingResult",
     "experiment",
     "generate",
     "kendall_tau",
-    "match_hypergraph",
     "matches_from_json_dict",
     "matches_to_json_dict",
     "rank_clique",
@@ -54,37 +54,55 @@ DEFAULT_BETA = 0.4
 MAX_DRAWS = 100_000
 
 
-@dataclass(frozen=True)
-class Match:
-    participants: tuple[int, ...]
-    scores: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.participants) != len(self.scores):
-            raise ValueError("participants and scores must have equal length")
-        if len(set(self.participants)) != len(self.participants):
-            raise ValueError("participants must be distinct")
-        if len(self.participants) < 2:
-            raise ValueError("a match needs at least two participants")
-        if not all(math.isfinite(s) for s in self.scores):
-            raise ValueError("scores must be finite")
-
-
-@dataclass
 class MatchData:
-    n: int
-    matches: list[Match]
+    """Matches among players 1..n, built from ``(participants, scores)``
+    pairs: the one hypergraph the rankers read (see the module docstring) and
+    each entry's raw score in its CSR order (players ascending in a match). A
+    match needs two or more distinct participants with one finite score of at
+    most SCORE_LIMIT (else ScoreOverflow) each; the hypergraph rejects a player
+    outside 1..n (UnknownVertex) or in no match (DisconnectedHypergraph)."""
 
-    def __post_init__(self):
-        seen: set[int] = set()
-        for m in self.matches:
-            for i in m.participants:
-                if not 1 <= i <= self.n:
-                    raise ValueError(f"player {i} outside 1..{self.n}")
-            seen.update(m.participants)
-        if len(seen) != self.n:
-            missing = sorted(set(range(1, self.n + 1)) - seen)
-            raise ValueError(f"players never appear in any match: {missing[:5]}")
+    __slots__ = ("hypergraph", "scores")
+
+    def __init__(self, n: int, matches: Iterable[tuple[Sequence[int], Sequence[float]]]):
+        pairs = [(np.asarray(who), np.asarray(s, dtype=float)) for who, s in matches]
+        sizes = np.array([len(who) for who, _ in pairs], dtype=np.intp)
+        bad = (sizes < 2) | (sizes != [len(s) for _, s in pairs])
+        if bad.any():
+            raise MalformedInput(f"match #{bad.argmax()}: needs 2+ participants, one score each")
+        if n > sizes.sum():  # some player is in no match; found before n names are made
+            raise DisconnectedHypergraph(f"{n} players but only {sizes.sum()} match entries")
+        players = np.concatenate([np.empty(0, dtype=np.intp)] + [who for who, _ in pairs])
+        scores = np.concatenate([np.empty(0)] + [s for _, s in pairs])
+        edge = np.repeat(np.arange(len(sizes)), sizes)
+        order = np.lexsort((players, edge))  # the hypergraph's CSR order
+        p, e = players[order], edge[order]
+        twice = np.flatnonzero((p[1:] == p[:-1]) & (e[1:] == e[:-1]))
+        if len(twice):
+            raise DuplicateVertex(f"match #{e[twice[0]]}: player {p[twice[0]]} takes part twice")
+        bad = np.flatnonzero(~(np.isfinite(scores) & (scores <= SCORE_LIMIT)))
+        if len(bad):
+            i = bad[0]
+            raise ScoreOverflow(f"match #{edge[i]}: score {float(scores[i])!r} of player "
+                                f"{players[i]} is not a finite number <= {SCORE_LIMIT}")
+        # np.std per match, scores in input order: np.std over the rows of a
+        # block gives the bits of np.std of each row (np.add.reduceat does not).
+        omega = np.empty(len(sizes))
+        ptr = np.concatenate(([0], np.cumsum(sizes)))
+        for s in np.flatnonzero(np.bincount(sizes)):
+            rows = np.flatnonzero(sizes == s)
+            omega[rows] = np.std(scores[ptr[rows][:, None] + np.arange(s)], axis=1) + 1.0
+        names = [str(i) for i in players.tolist()]
+        gamma = [math.exp(s) for s in scores.tolist()]  # np.exp differs in the last bit
+        edges = [(w, dict(zip(names[a:b], gamma[a:b])))
+                 for w, a, b in zip(omega.tolist(), ptr.tolist(), ptr[1:].tolist())]
+        self.hypergraph = Hypergraph([str(i) for i in range(1, n + 1)], edges)
+        self.scores = scores[order]
+        self.scores.flags.writeable = False
+
+    @property
+    def n(self) -> int:
+        return self.hypergraph.n_vertices
 
 
 def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
@@ -106,8 +124,7 @@ def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     rng = np.random.default_rng(seed)
-    matches: list[Match] = []
-    covered = np.zeros(n, dtype=bool)
+    matches = []
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -116,9 +133,9 @@ def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
             x = parent[x]
         return x
 
-    components = n
+    components = n  # one set: every player has appeared and all are connected
     draws = 0
-    while not covered.all() or components > 1:
+    while components > 1:
         if draws == MAX_DRAWS:
             raise ConvergenceFailure(
                 f"{MAX_DRAWS} match draws did not cover all {n} players in one "
@@ -131,40 +148,14 @@ def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
         players = np.flatnonzero(mask) + 1
         c = rng.uniform(*SCALE_RANGE)
         scores = c * rng.normal(0.2 * players, sigma)
-        matches.append(Match(tuple(int(i) for i in players),
-                             tuple(float(s) for s in scores)))
-        covered[players - 1] = True
+        matches.append((players, scores))
         root = find(int(players[0]) - 1)
         for i in players[1:]:
             r = find(int(i) - 1)
             if r != root:
                 parent[r] = root
                 components -= 1
-    return MatchData(n=n, matches=matches)
-
-
-def match_hypergraph(data: MatchData) -> Hypergraph:
-    """One hyperedge per match: weight = population standard deviation of the
-    match scores + 1, vertex weight = exp(score). Scores above 700 raise
-    rather than silently saturating."""
-    vertices = [str(i) for i in range(1, data.n + 1)]
-    edges = []
-    for k, m in enumerate(data.matches):
-        scores = np.asarray(m.scores)
-        members: dict[str, float] = {}
-        for i, s in zip(m.participants, scores):
-            if s > SCORE_LIMIT or not math.isfinite(s):
-                raise ScoreOverflow(
-                    f"match #{k}: score {s!r} of player {i} cannot be exponentiated"
-                )
-            g = math.exp(s)
-            if g == 0.0 or not math.isfinite(g):
-                raise ScoreOverflow(
-                    f"match #{k}: exp(score) degenerate for player {i} (score {s!r})"
-                )
-            members[str(i)] = g
-        edges.append((float(np.std(scores)) + 1.0, members))
-    return Hypergraph(vertices, edges)
+    return MatchData(n, matches)
 
 
 @dataclass
@@ -181,7 +172,7 @@ def _ranking(method: str, n: int, stationary: np.ndarray) -> RankingResult:
 
 def rank_hypergraph(data: MatchData, beta: float = DEFAULT_BETA) -> RankingResult:
     """Restart walk on the match hypergraph, players sorted by stationary mass."""
-    P = transition_matrix(match_hypergraph(data))
+    P = transition_matrix(data.hypergraph)
     pi = stationary_direct(restart_matrix(P, beta)).pi
     return _ranking("hypergraph-rwr", data.n, pi)
 
@@ -190,7 +181,7 @@ def rank_clique(data: MatchData, beta: float = DEFAULT_BETA) -> RankingResult:
     """Restart walk on the weighted clique expansion, built after normalizing
     each edge degree to 1 (the cheap stand-in for the per-edge-constant
     rescaling)."""
-    H = delta_normalized(match_hypergraph(data))
+    H = delta_normalized(data.hypergraph)
     P = graph_random_walk(clique_expansion_weights(H))
     pi = stationary_direct(restart_matrix(P, beta)).pi
     return _ranking("clique-rwr", data.n, pi)
@@ -200,23 +191,18 @@ def rank_mc3(data: MatchData, beta: float = DEFAULT_BETA) -> RankingResult:
     """MC3 chain: from player i, pick one of i's matches uniformly, then a
     participant j of it uniformly; move to j only if j outscored i there
     (ties keep the walker in place)."""
-    n = data.n
-    match_count = np.zeros(n)
-    for m in data.matches:
-        for i in m.participants:
-            match_count[i - 1] += 1
-    P = np.zeros((n, n))
-    for m in data.matches:
-        size = len(m.participants)
-        score_of = dict(zip(m.participants, m.scores))
-        for i in m.participants:
-            step = 1.0 / (match_count[i - 1] * size)
-            for j in m.participants:
-                if score_of[j] > score_of[i]:
-                    P[i - 1, j - 1] += step
-                else:
-                    P[i - 1, i - 1] += step
-    chain = TransitionMatrix([str(i) for i in range(1, n + 1)], P)
+    H = data.hypergraph
+    n = H.n_vertices
+    count = np.bincount(H.indices, minlength=n)  # matches per player
+    P = np.zeros(n * n)
+    ptr = H.indptr.tolist()
+    for a, b in zip(ptr, ptr[1:]):
+        idx, s = H.indices[a:b], data.scores[a:b]
+        # row: each participant; column: whoever outscored them, else themselves
+        to = np.where(s[None, :] > s[:, None], idx[None, :], idx[:, None])
+        step = np.repeat(1.0 / (count[idx] * (b - a)), b - a)
+        np.add.at(P, (idx[:, None] * n + to).ravel(), step)  # in order, as the plain loop adds
+    chain = TransitionMatrix(H.vertices, P.reshape(n, n))
     pi = stationary_direct(restart_matrix(chain, beta)).pi
     return _ranking("mc3", n, pi)
 
@@ -278,6 +264,8 @@ def experiment(n: int, sigma: float, p_values: Iterable[float], trials: int,
     Trial t uses seed + t, so trials are independent given the base seed and
     the whole table is reproducible byte-for-byte.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     p_values = [float(p) for p in p_values]
     truth = list(range(n, 0, -1))  # best player first
     rows: list[dict] = []
@@ -318,23 +306,29 @@ def matches_from_json_dict(data: Mapping) -> MatchData:
     """Parse externally supplied match data::
 
         {"n": 4, "matches": [{"participants": [1, 3], "scores": [0.5, 1.25]}]}
+
+    ``n`` and the participants must be JSON integers and the scores finite
+    JSON numbers (not ``true``, ``"0.5"`` or ``NaN``), else MalformedInput.
     """
     try:
-        matches = [
-            Match(tuple(int(i) for i in m["participants"]),
-                  tuple(float(s) for s in m["scores"]))
-            for m in data["matches"]
-        ]
-        return MatchData(n=int(data["n"]), matches=matches)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        n = data["n"]
+        matches = [(m["participants"], m["scores"]) for m in data["matches"]]
+    except (KeyError, TypeError) as exc:
         raise MalformedInput(f"match data: {type(exc).__name__}: {exc}") from None
+    if type(n) is not int:  # JSON true/false load as bool, a subclass of int
+        raise MalformedInput(f'match data: "n" must be an integer, got {n!r}')
+    for k, (who, scores) in enumerate(matches):
+        if not (isinstance(who, list) and all(type(i) is int for i in who)
+                and isinstance(scores, list) and all(
+                    type(s) in (int, float) and abs(s) <= sys.float_info.max for s in scores)):
+            raise MalformedInput(f"match #{k}: participants must be integers and scores "
+                                 f"finite numbers, got {who!r} and {scores!r}")
+    return MatchData(n, matches)
 
 
 def matches_to_json_dict(data: MatchData) -> dict:
-    return {
-        "n": data.n,
-        "matches": [
-            {"participants": list(m.participants), "scores": list(m.scores)}
-            for m in data.matches
-        ],
-    }
+    """The JSON form, participants of each match in ascending order."""
+    ptr, players = data.hypergraph.indptr.tolist(), (data.hypergraph.indices + 1).tolist()
+    scores = data.scores.tolist()
+    return {"n": data.n, "matches": [{"participants": players[a:b], "scores": scores[a:b]}
+                                     for a, b in zip(ptr, ptr[1:])]}

@@ -196,6 +196,18 @@ def test_non_numeric_weight_is_named_domain_error(tmp_path, capsys, bad):
         assert "NonPositiveWeight: edge #0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [True, "2"])
+def test_weight_must_be_a_json_number(tmp_path, capsys, bad):
+    # float() would read true as 1.0 and "2" as 2.0
+    for edge, named in (({"weight": bad, "members": {"a": 1.0, "b": 1.0}},
+                         f"edge #0: edge weight {bad!r}"),
+                        ({"weight": 1.0, "members": {"a": 1.0, "b": bad}},
+                         f"edge #0: weight {bad!r} of vertex 'b'")):
+        path = _write_json(tmp_path, "h.json", {"vertices": ["a", "b"], "edges": [edge]})
+        assert dispatch(["validate", "--input", path]) == 1
+        assert f"NonPositiveWeight: {named}" in capsys.readouterr().err
+
+
 def test_input_directory_is_named_domain_error(tmp_path, capsys):
     assert dispatch(["validate", "--input", str(tmp_path)]) == 1
     assert "IsADirectoryError" in capsys.readouterr().err
@@ -206,6 +218,75 @@ def test_matches_without_scores_is_named_domain_error(tmp_path, capsys):
     assert dispatch(["rankagg", "--matches", path]) == 1
     err = capsys.readouterr().err
     assert "MalformedInput" in err and "scores" in err
+
+
+MATCH = {"participants": [1, 2], "scores": [0.5, 1.0]}
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 2.9, "matches": [MATCH]},
+    {"n": True, "matches": [MATCH]},
+    {"n": "2", "matches": [MATCH]},
+    {"n": 2, "matches": [dict(MATCH, participants=[1.7, 2])]},
+    {"n": 2, "matches": [dict(MATCH, participants=[True, 2])]},
+    {"n": 2, "matches": [dict(MATCH, participants=["1", 2])]},
+    {"n": 2, "matches": [dict(MATCH, scores=["0.5", 1.0])]},
+    {"n": 2, "matches": [dict(MATCH, scores=[True, 1.0])]},
+    {"n": 2, "matches": [dict(MATCH, scores=[None, 1.0])]},
+    '{"n": 2, "matches": [{"participants": [1, 2], "scores": [NaN, 1.0]}]}',
+    '{"n": 2, "matches": [{"participants": [1, 2], "scores": [0.5, Infinity]}]}',
+    '{"n": 2, "matches": [{"participants": [1, 2], "scores": [0.5, 1e400]}]}',
+    '{"n": 2, "matches": [{"participants": [1, 2], "scores": [0.5, %d]}]}' % 10**400,
+], ids=["n-float", "n-true", "n-string", "player-float", "player-true", "player-string",
+        "score-string", "score-true", "score-null", "score-nan", "score-infinity",
+        "score-overflowing-float", "score-overflowing-int"])
+def test_match_values_must_be_json_numbers(tmp_path, capsys, doc):
+    path = _write_json(tmp_path, "m.json", doc)
+    assert dispatch(["rankagg", "--matches", path]) == 1
+    assert "MalformedInput" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, error", [
+    ({"n": 2, "matches": [MATCH, {"participants": [2, 3], "scores": [0.0, 1.0]}]},
+     "UnknownVertex"),
+    ({"n": 3, "matches": [MATCH, MATCH]}, "DisconnectedHypergraph"),
+    ({"n": 10**12, "matches": [MATCH]}, "DisconnectedHypergraph"),
+    ({"n": 2, "matches": [{"participants": [1, 1], "scores": [0.0, 1.0]}]},
+     "DuplicateVertex"),
+    ({"n": 2, "matches": [{"participants": [1, 2], "scores": [0.0, 701.0]}]},
+     "ScoreOverflow"),
+], ids=["player-out-of-range", "player-in-no-match", "huge-n", "player-twice",
+        "score-overflow"])
+def test_match_file_errors_are_named(tmp_path, capsys, doc, error):
+    path = _write_json(tmp_path, "m.json", doc)
+    assert dispatch(["rankagg", "--matches", path]) == 1
+    assert f"error: {error}:" in capsys.readouterr().err
+
+
+def test_rankagg_out_of_order_participants(tmp_path, capsys):
+    # participants listed out of order rank exactly as when listed in order;
+    # the orders are those of the per-match construction
+    docs = [{"n": 3, "matches": [{"participants": [1, 3], "scores": [2.0, 0.5]},
+                                 {"participants": [1, 2, 3], "scores": [0.25, 1.0, -0.3]}]},
+            {"n": 3, "matches": [{"participants": [3, 1], "scores": [0.5, 2.0]},
+                                 {"participants": [2, 3, 1], "scores": [1.0, -0.3, 0.25]}]}]
+    outputs = []
+    for doc in docs:
+        assert dispatch(["rankagg", "--matches", _write_json(tmp_path, "m.json", doc)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    orders = [r["order"] for r in json.loads(outputs[0])["rankings"]]
+    assert orders == [[1, 2, 3], [1, 2, 3], [2, 1, 3]]
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_rankagg_needs_a_trial(capsys, monkeypatch, trials):
+    def unreachable(*args):
+        raise AssertionError("a match set was drawn")
+
+    monkeypatch.setattr("hyperwalk.rankagg.generate", unreachable)
+    assert dispatch(["rankagg", "--n", "8", "--trials", trials]) == 2
+    assert "trials" in capsys.readouterr().err
 
 
 def test_rankagg_unreachable_coverage_stops(capsys):

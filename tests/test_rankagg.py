@@ -7,20 +7,29 @@ import pytest
 import scipy.stats
 
 from hyperwalk import (
+    DisconnectedHypergraph,
+    DuplicateVertex,
     ElementMismatch,
-    Match,
+    Hypergraph,
+    MalformedInput,
     MatchData,
     ScoreOverflow,
+    TransitionMatrix,
+    UnknownVertex,
     experiment,
     generate,
     kendall_tau,
-    match_hypergraph,
     rank_clique,
     rank_hypergraph,
     rank_mc3,
     to_json_dict,
 )
+from hyperwalk import rankagg
 from hyperwalk.rankagg import matches_from_json_dict, matches_to_json_dict
+
+
+def same(a, b):
+    return a.hypergraph == b.hypergraph and np.array_equal(a.scores, b.scores)
 
 
 # -- generator -------------------------------------------------------------------
@@ -28,22 +37,22 @@ from hyperwalk.rankagg import matches_from_json_dict, matches_to_json_dict
 def test_generate_deterministic():
     a = generate(20, 1.0, 0.2, seed=7)
     b = generate(20, 1.0, 0.2, seed=7)
-    assert a.matches == b.matches
-    assert generate(20, 1.0, 0.2, seed=8).matches != a.matches
+    assert same(a, b)
+    assert not same(generate(20, 1.0, 0.2, seed=8), a)
 
 
 def test_generate_coverage_and_sizes():
     data = generate(100, 1.0, 0.05, seed=7)
-    seen = {i for m in data.matches for i in m.participants}
+    seen = set((data.hypergraph.indices + 1).tolist())
     assert seen == set(range(1, 101))
-    sizes = [len(m.participants) for m in data.matches]
+    sizes = np.diff(data.hypergraph.indptr)
     assert min(sizes) >= 2
     assert 3.0 <= np.mean(sizes) <= 7.0  # expected size about n*p = 5
 
 
 def test_generate_two_players():
     data = generate(2, 1.0, 0.05, seed=1)
-    assert all(m.participants == (1, 2) for m in data.matches)
+    assert all(m["participants"] == [1, 2] for m in matches_to_json_dict(data)["matches"])
 
 
 def test_generate_rejects_bad_params():
@@ -56,26 +65,26 @@ def test_generate_rejects_bad_params():
 
 
 def test_match_validation():
-    with pytest.raises(ValueError):
-        Match((1, 1), (0.0, 1.0))
-    with pytest.raises(ValueError):
-        Match((1,), (0.0,))
-    with pytest.raises(ValueError):
-        MatchData(3, [Match((1, 2), (0.0, 1.0))])  # player 3 never appears
+    with pytest.raises(DuplicateVertex):
+        MatchData(2, [((1, 1), (0.0, 1.0))])
+    with pytest.raises(MalformedInput):
+        MatchData(1, [((1,), (0.0,))])
+    with pytest.raises(DisconnectedHypergraph):
+        MatchData(3, [((1, 2), (0.0, 1.0))])  # player 3 never appears
 
 
 # -- hypergraph construction -----------------------------------------------------------
 
 def test_match_hypergraph_identical_scores():
-    data = MatchData(2, [Match((1, 2), (1.5, 1.5))])
-    (edge,) = to_json_dict(match_hypergraph(data))["edges"]
+    data = MatchData(2, [((1, 2), (1.5, 1.5))])
+    (edge,) = to_json_dict(data.hypergraph)["edges"]
     assert edge["weight"] == 1.0  # zero deviation
     assert edge["members"]["1"] == pytest.approx(math.exp(1.5))
 
 
 def test_match_hypergraph_weights():
-    data = MatchData(2, [Match((1, 2), (0.0, math.log(2.0)))])
-    (edge,) = to_json_dict(match_hypergraph(data))["edges"]
+    data = MatchData(2, [((1, 2), (0.0, math.log(2.0)))])
+    (edge,) = to_json_dict(data.hypergraph)["edges"]
     # population standard deviation of (0, ln 2) is ln(2)/2
     assert edge["weight"] == pytest.approx(1.0 + math.log(2.0) / 2, abs=1e-15)
     assert edge["members"]["1"] == pytest.approx(1.0)
@@ -83,15 +92,144 @@ def test_match_hypergraph_weights():
 
 
 def test_score_overflow():
-    data = MatchData(2, [Match((1, 2), (0.0, 701.0))])
     with pytest.raises(ScoreOverflow, match="player 2"):
-        match_hypergraph(data)
+        MatchData(2, [((1, 2), (0.0, 701.0))])
+
+
+def test_match_data_array_checks():
+    with pytest.raises(MalformedInput, match="match #1"):
+        MatchData(2, [((1, 2), (0.0, 1.0)), ((1, 2), (0.0,))])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ScoreOverflow, match="player 2"):
+            MatchData(2, [((1, 2), (0.0, bad))])
+    with pytest.raises(UnknownVertex, match="'3'"):
+        MatchData(2, [((1, 2), (0.0, 1.0)), ((2, 3), (0.0, 1.0))])
+    with pytest.raises(UnknownVertex):  # players are integers, not 2.0
+        MatchData(2, [((1, 2.0), (0.0, 1.0))])
+    with pytest.raises(DisconnectedHypergraph, match="'3'"):
+        MatchData(3, [((1, 2), (0.0, 1.0)), ((2, 1), (0.5, 1.0))])
+    with pytest.raises(DisconnectedHypergraph):  # no vertex names are allocated
+        MatchData(10**12, [((1, 2), (0.0, 1.0))])
+
+
+# -- bit identity with the per-match construction ------------------------------------
+
+def per_match_hypergraph(n, matches):
+    """The reference recipe: one (np.std(scores) + 1, {player: math.exp(score)})
+    pair per match, scores in the order the match lists them."""
+    edges = [
+        (float(np.std(np.asarray(scores, dtype=float))) + 1.0,
+         {str(i): math.exp(s) for i, s in zip(who, scores)})
+        for who, scores in matches
+    ]
+    return Hypergraph([str(i) for i in range(1, n + 1)], edges)
+
+
+def csr_scores(matches):
+    """Each match's scores ordered by player, matches in order."""
+    return np.array([s for who, scores in matches
+                     for _, s in sorted(zip(who, scores))])
+
+
+def generated_matches(monkeypatch):
+    """Every generate() sweep case as (data, n, matches), matches in the order
+    generate() handed them to MatchData."""
+    seen = []
+
+    def recording(n, matches):
+        seen.append((n, list(matches)))
+        return MatchData(n, seen[-1][1])
+
+    monkeypatch.setattr(rankagg, "MatchData", recording)
+    for n in (2, 10, 100):
+        for p in (0.03, 0.07, 0.5):
+            for seed in (0, 1, 2):
+                data = generate(n, 1.0, p, seed)
+                yield (data,) + seen[-1]
+
+
+def shuffled_match_file():
+    """A match file whose participants are listed out of order."""
+    rng = np.random.default_rng(4)
+    doc = matches_to_json_dict(generate(30, 1.0, 0.3, seed=9))
+    for m in doc["matches"]:
+        perm = rng.permutation(len(m["participants"]))
+        m["participants"] = [m["participants"][k] for k in perm]
+        m["scores"] = [m["scores"][k] for k in perm]
+    assert any(m["participants"] != sorted(m["participants"]) for m in doc["matches"])
+    return doc
+
+
+def test_match_data_equals_per_match_recipe(monkeypatch):
+    cases = list(generated_matches(monkeypatch))
+    doc = shuffled_match_file()
+    matches = [(m["participants"], m["scores"]) for m in doc["matches"]]
+    cases.append((matches_from_json_dict(doc), doc["n"], matches))
+    for data, n, matches in cases:
+        assert data.hypergraph == per_match_hypergraph(n, matches)
+        assert np.array_equal(data.scores, csr_scores(matches))
+
+
+def per_match_mc3_chain(n, matches):
+    """The MC3 chain built match by match, the reference for rank_mc3."""
+    match_count = np.zeros(n)
+    for who, _ in matches:
+        for i in who:
+            match_count[i - 1] += 1
+    P = np.zeros((n, n))
+    for who, scores in matches:
+        size = len(who)
+        score_of = dict(zip(who, scores))
+        for i in who:
+            step = 1.0 / (match_count[i - 1] * size)
+            for j in who:
+                if score_of[j] > score_of[i]:
+                    P[i - 1, j - 1] += step
+                else:
+                    P[i - 1, i - 1] += step
+    return P
+
+
+def test_mc3_chain_equals_per_match_loop(monkeypatch):
+    chains = []
+    real = rankagg.restart_matrix
+
+    def recording(P, beta, restart=None):
+        chains.append(P)
+        return real(P, beta, restart)
+
+    cases = list(generated_matches(monkeypatch))
+    doc = shuffled_match_file()
+    tied = [(m["participants"], [float(round(s)) for s in m["scores"]]) for m in doc["matches"]]
+    for matches in ([(m["participants"], m["scores"]) for m in doc["matches"]], tied):
+        cases.append((MatchData(doc["n"], matches), doc["n"], matches))
+    monkeypatch.setattr(rankagg, "restart_matrix", recording)
+    for data, n, matches in cases:
+        result = rank_mc3(data)
+        expected = per_match_mc3_chain(n, [(np.asarray(w).tolist(), s) for w, s in matches])
+        assert np.array_equal(chains[-1].matrix, expected)
+        reference = rankagg.stationary_direct(real(TransitionMatrix(
+            [str(i) for i in range(1, n + 1)], expected), rankagg.DEFAULT_BETA))
+        assert np.array_equal(result.scores, reference.pi)
+
+
+def test_experiment_builds_one_hypergraph_per_trial(monkeypatch):
+    calls = []
+    real = Hypergraph.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Hypergraph, "__init__", counting)
+    experiment(10, 1.0, [0.3, 0.5], trials=3, seed=5)
+    assert len(calls) == 2 * 3
 
 
 # -- rankers ------------------------------------------------------------------------
 
 def winner_first(ranker):
-    data = MatchData(2, [Match((1, 2), (0.0, 1.0))])
+    data = MatchData(2, [((1, 2), (0.0, 1.0))])
     return ranker(data).order
 
 
@@ -101,27 +239,27 @@ def test_two_player_winner_ranked_first(ranker):
 
 
 def test_tied_scores_rank_by_appearances():
-    data = MatchData(3, [Match((1, 2), (0.0, 0.0)), Match((1, 3), (0.0, 0.0))])
+    data = MatchData(3, [((1, 2), (0.0, 0.0)), ((1, 3), (0.0, 0.0))])
     result = rank_hypergraph(data)
     assert result.order == (1, 2, 3)  # player 1 in both matches; tie 2-3 by id
 
 
 def test_mc3_ties_keep_walker_in_place():
-    data = MatchData(2, [Match((1, 2), (1.0, 1.0))])
+    data = MatchData(2, [((1, 2), (1.0, 1.0))])
     result = rank_mc3(data)
     assert result.order == (1, 2)  # nobody outscores anybody; uniform restart decides
 
 
 def test_single_match_hypergraph_equals_clique():
-    data = MatchData(3, [Match((1, 2, 3), (0.3, -0.2, 1.0))])
+    data = MatchData(3, [((1, 2, 3), (0.3, -0.2, 1.0))])
     assert rank_hypergraph(data).order == rank_clique(data).order
 
 
 def test_shift_invariance_of_hypergraph_ranking():
     data = generate(10, 1.0, 0.4, seed=11)
     shifted = MatchData(10, [
-        Match(m.participants, tuple(s + 2.5 for s in m.scores))
-        for m in data.matches
+        (m["participants"], [s + 2.5 for s in m["scores"]])
+        for m in matches_to_json_dict(data)["matches"]
     ])
     assert rank_hypergraph(data).order == rank_hypergraph(shifted).order
 
@@ -189,5 +327,5 @@ def test_denser_rankings_help_every_method():
 def test_matches_json_round_trip():
     data = generate(6, 1.0, 0.5, seed=3)
     again = matches_from_json_dict(matches_to_json_dict(data))
-    assert again.matches == data.matches
+    assert same(again, data)
     assert again.n == data.n
