@@ -62,6 +62,7 @@ from .stationary import (
     stationary_direct,
     stationary_edge_independent,
     stationary_rho,
+    stationary_walk,
 )
 from .spectral import (
     CheegerCheck,

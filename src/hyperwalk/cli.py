@@ -25,7 +25,7 @@ from .core import (
     graph_to_json_dict,
     read_hypergraph,
 )
-from .errors import HyperwalkError, MalformedInput
+from .errors import ConvergenceFailure, HyperwalkError, MalformedInput
 from .rankagg import experiment, matches_from_json_dict, rank_clique, rank_hypergraph, rank_mc3
 from .reduction import (
     edge_independent_to_graph,
@@ -34,8 +34,14 @@ from .reduction import (
     sandwich_check,
 )
 from .spectral import check_cheeger, eigenvalues_symmetric, laplacian_from_walk, spectral_report
-from .stationary import stationary_direct, stationary_rho
-from .walk import PRNG_ALGORITHM, nonlazy_transition_matrix, restart_matrix, transition_matrix
+from .stationary import stationary_direct, stationary_rho, stationary_walk
+from .walk import (
+    DENSE_SIZE_LIMIT,
+    PRNG_ALGORITHM,
+    nonlazy_transition_matrix,
+    restart_matrix,
+    transition_matrix,
+)
 
 
 # -- reproducibility manifest --------------------------------------------------
@@ -117,12 +123,14 @@ def _cmd_stationary(args, argv) -> int:
         result = stationary_direct(transition_matrix(H))
     elif args.method == "rho":
         result = stationary_rho(H)
-    else:  # auto: prefer the rho route, fall back to the direct solve
+    else:  # auto: the walk iteration; the dense direct solve where it stalls
         try:
-            result = stationary_rho(H)
-        except HyperwalkError as exc:
-            print(f"warning: rho route failed ({type(exc).__name__}: {exc}); "
-                  "using the direct solve", file=sys.stderr)
+            result = stationary_walk(H)
+        except ConvergenceFailure as exc:
+            if H.n_vertices > DENSE_SIZE_LIMIT:
+                raise
+            print(f"warning: {type(exc).__name__}: {exc}; using the direct solve",
+                  file=sys.stderr)
             result = stationary_direct(transition_matrix(H))
     _emit(json.dumps(result.as_dict(), indent=2) + "\n",
           args.out, argv, [args.input], None)
@@ -240,7 +248,8 @@ def _cmd_demo(args, argv) -> int:
 
 # -- parser ----------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and the parser of each subcommand by name."""
     parser = argparse.ArgumentParser(
         prog="hyperwalk",
         description="Random walks, spectra, and rank aggregation on hypergraphs "
@@ -300,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="JSON instead of text")
     p.set_defaults(handler=_cmd_demo)
 
-    return parser
+    return parser, sub.choices
 
 
 def _config_path(argv: list[str]) -> str | None:
@@ -313,17 +322,21 @@ def _config_path(argv: list[str]) -> str | None:
 
 
 def dispatch(argv: list[str]) -> int:
-    parser = _build_parser()
-    # Config values become parser defaults for the optional flags, so
-    # explicitly passed flags still win; required flags stay on the command
-    # line.
+    parser, commands = _build_parser()
+    # Config values become defaults of the subcommand parsers (a subcommand's
+    # own defaults would replace the top parser's), so explicitly passed
+    # flags still win; required flags stay on the command line.
     config = _config_path(argv)
     if config:
         try:
             with open(config, "r", encoding="utf-8") as fh:
-                parser.set_defaults(**json.load(fh))
-        except (OSError, ValueError, TypeError) as exc:  # TypeError: not an object
+                values = json.load(fh)
+        except (OSError, ValueError) as exc:
             parser.error(f"--config {config}: {exc}")
+        if not isinstance(values, dict) or "handler" in values:
+            parser.error(f"--config {config}: expected a JSON object of flag values")
+        for command in commands.values():
+            command.set_defaults(**values)
     args = parser.parse_args(argv)
     try:
         return args.handler(args, argv)

@@ -1,7 +1,12 @@
 """Stationary distributions of hypergraph random walks.
 
-Three routes are provided and cross-checked against each other:
+Four routes are provided and cross-checked against each other:
 
+* ``stationary_walk`` -- power iteration of the lazy walk without forming
+  P: one step pi -> ((pi / d) W) D_E^-1 R is two O(nnz) passes over the
+  CSR arrays, so it has no size limit, and its per-edge sums are the rho
+  route's constants. It gives up after ``WALK_MAX_ITER`` steps, since a
+  slowly mixing walk contracts slowly.
 * ``stationary_rho`` -- the per-edge-constant construction: normalize each
   edge so its degree is 1, build the |E| x |E| coupling matrix A with
   A[e, f] = sum over v in both edges of omega(f) * gamma_f(v) / d(v), solve
@@ -9,13 +14,14 @@ Three routes are provided and cross-checked against each other:
   sum_e rho_e * omega(e) = 1, and assemble
   pi_v = sum over incident e of rho_e * omega(e) * gamma_e(v).
 * ``stationary_direct`` -- solve pi P = pi, sum pi = 1 as a dense linear
-  system (the oracle for the rho route).
+  system (the oracle for the other two).
 * ``stationary_edge_independent`` -- the closed form
   pi_v = d(v) gamma(v) / sum_u d(u) gamma(u) available when vertex weights
   do not depend on the edge.
 
-The first two share one fixed-point solve: the dense system (M - I) x = 0
-with its last equation replaced by sum(x) = 1, on M = A and on M = P^T.
+The rho and direct routes are dense and share one fixed-point solve: the
+system (M - I) x = 0 with its last equation replaced by sum(x) = 1, on M = A
+and on M = P^T.
 
 ``naive_stationary`` is the degree-fraction formula d(v)/sum d(u). It is
 *not* the stationary distribution in general -- it ignores the vertex
@@ -40,7 +46,7 @@ from .core import (
     rescale_edges,
 )
 from .errors import ConvergenceFailure, SingularSystem, NotEdgeIndependent
-from .walk import TransitionMatrix, transition_matrix
+from .walk import TransitionMatrix, _check_size, transition_matrix
 
 __all__ = [
     "StationaryResult",
@@ -50,17 +56,24 @@ __all__ = [
     "stationary_direct",
     "stationary_edge_independent",
     "stationary_rho",
+    "stationary_walk",
 ]
 
 RESIDUAL_TOL = 1e-9
+
+# The walk iteration accepts pi once max|pi P - pi| <= WALK_RTOL * max(pi),
+# and gives up after WALK_MAX_ITER steps. See stationary_walk.
+WALK_RTOL = 1e-13
+WALK_MAX_ITER = 2000
 
 
 @dataclass
 class StationaryResult:
     """A stationary distribution plus how it was obtained.
 
-    ``rho`` holds the per-edge constants (in the delta(e)=1 normalization)
-    when the rho route produced the result, and is None otherwise.
+    ``rho`` holds the per-edge constants (in the delta(e)=1 normalization,
+    summing to 1 against the edge weights) when the rho route or the walk
+    iteration produced the result, and is None otherwise.
     ``residual`` is max |pi P - pi|.
     """
 
@@ -94,6 +107,7 @@ def edge_coupling_matrix(H: Hypergraph) -> np.ndarray:
     Built vertex by vertex: each vertex v adds
     outer(1, omega(f) * gamma_f(v) / d(v)) over the edges e, f holding it.
     """
+    _check_size(H.n_edges, "edges")
     d, _ = degrees(H)
     vptr, order = _vertex_major(H)
     edge = _per_member(H, np.arange(H.n_edges))
@@ -125,8 +139,10 @@ def stationary_rho(H: Hypergraph) -> StationaryResult:
     """Stationary distribution via the per-edge constants rho_e.
 
     The returned ``rho`` refers to the delta(e)=1 normalization of H and
-    satisfies sum_e rho_e * omega(e) = 1.
+    satisfies sum_e rho_e * omega(e) = 1. Both dense matrices, A and the P
+    of the residual check, are size-checked before either is built.
     """
+    _check_size(H.n_vertices)
     Hn = delta_normalized(H)
     rho = _fixed_point(edge_coupling_matrix(Hn))
     if not rho.min() > 0.0:
@@ -155,6 +171,51 @@ def stationary_direct(P: TransitionMatrix) -> StationaryResult:
     return StationaryResult(
         vertices=P.vertices, pi=pi, rho=None, method="direct-solve",
         residual=_residual(pi, P),
+    )
+
+
+def stationary_walk(H: Hypergraph) -> StationaryResult:
+    """Power iteration of the lazy walk from the uniform vector, without
+    forming P.
+
+    One step pi -> pi P sums rho_e = sum over v in e of pi_v / d(v) per
+    edge, then spreads rho_e * omega(e) * gamma_e(w) / delta(e) onto each
+    member w: two O(nnz) bincounts. The lazy walk's diagonal is positive, so
+    the iteration converges at the rate of the second eigenvalue modulus. It
+    stops at the first pi with max|pi P - pi| <= WALK_RTOL * max(pi), and
+    raises ConvergenceFailure naming the iteration count and the residual
+    when WALK_MAX_ITER steps do not get there.
+
+    The returned pi is renormalized to sum 1. Its per-edge sums are the rho
+    route's constants, with sum_e rho_e * omega(e) = sum_v pi_v = 1, and
+    ``residual`` is max|pi P - pi| under the same operator.
+    """
+    d, delta = degrees(H)
+    edge = _per_member(H, np.arange(H.n_edges))
+    spread = _per_member(H, H.omega / delta) * H.gamma
+
+    def step(pi):
+        rho = np.bincount(edge, weights=(pi / d)[H.indices], minlength=H.n_edges)
+        return rho, np.bincount(H.indices, weights=rho[edge] * spread,
+                                minlength=H.n_vertices)
+
+    pi = np.full(H.n_vertices, 1.0 / H.n_vertices)
+    for iterations in range(1, WALK_MAX_ITER + 1):
+        nxt = step(pi)[1]
+        residual = float(np.abs(nxt - pi).max())
+        if residual <= WALK_RTOL * pi.max():
+            break
+        pi = nxt
+    else:
+        raise ConvergenceFailure(
+            f"walk iteration stopped after {iterations} iterations with residual "
+            f"{residual:.3e} > {WALK_RTOL:.0e} * max pi = {WALK_RTOL * pi.max():.3e}"
+        )
+    pi = pi / pi.sum()
+    rho, nxt = step(pi)
+    return StationaryResult(
+        vertices=H.vertices, pi=pi, rho=rho, method="walk-iteration",
+        residual=float(np.abs(nxt - pi).max()),
     )
 
 

@@ -68,9 +68,9 @@ class TransitionMatrix:
         return f"TransitionMatrix(n={self.n})"
 
 
-def _check_size(n: int) -> None:
-    if n > DENSE_SIZE_LIMIT:
-        raise SizeLimit(f"dense walk matrices support at most {DENSE_SIZE_LIMIT} vertices, got {n}")
+def _check_size(count: int, what: str = "vertices") -> None:
+    if count > DENSE_SIZE_LIMIT:
+        raise SizeLimit(f"dense matrices support at most {DENSE_SIZE_LIMIT} {what}, got {count}")
 
 
 def transition_matrix(H: Hypergraph) -> TransitionMatrix:

@@ -3,10 +3,13 @@
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from hyperwalk import ConvergenceFailure, demo_hypergraph, dumps_json
 from hyperwalk.cli import dispatch
+from hyperwalk.stationary import WALK_MAX_ITER
+from hyperwalk.walk import DENSE_SIZE_LIMIT
 
 
 @pytest.fixture
@@ -160,6 +163,24 @@ def test_config_defaults_merged(demo_file, tmp_path, capsys):
                      "--method", "direct"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["method"] == "direct-solve"
+
+
+def test_config_defaults_reach_every_subcommand(demo_file, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kind": "nonlazy", "json": True}))
+    assert dispatch(["--config", str(config), "transition", "--input", demo_file]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["kind"] == "nonlazy"
+    assert payload["matrix"][0][0] == 0.0
+
+
+@pytest.mark.parametrize("values", [[1], {"handler": 1}])
+def test_config_must_be_an_object_of_flag_values(demo_file, tmp_path, values):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["--config", str(config), "stationary", "--input", demo_file])
+    assert exc.value.code == 2
 
 
 def test_missing_input_file_is_domain_error(capsys):
@@ -321,13 +342,13 @@ def test_stationary_auto_reports_fallback(demo_file, tmp_path, capsys, monkeypat
     assert dispatch(["stationary", "--input", demo_file, "--method", "direct",
                      "--out", str(direct)]) == 0
 
-    def failing_rho(H):
-        raise ConvergenceFailure("rho route refused")
+    def failing_walk(H):
+        raise ConvergenceFailure("walk iteration refused")
 
-    monkeypatch.setattr("hyperwalk.cli.stationary_rho", failing_rho)
+    monkeypatch.setattr("hyperwalk.cli.stationary_walk", failing_walk)
     auto = tmp_path / "auto.json"
     assert dispatch(["stationary", "--input", demo_file, "--out", str(auto)]) == 0
-    assert "ConvergenceFailure: rho route refused" in capsys.readouterr().err
+    assert "ConvergenceFailure: walk iteration refused" in capsys.readouterr().err
     assert auto.read_bytes() == direct.read_bytes()
     manifest = json.loads((tmp_path / "auto.json.manifest.json").read_text())
     assert set(manifest) == {"command", "inputs", "seed", "version", "prng", "timestamp"}
@@ -376,3 +397,90 @@ def test_reduce_sandwich_derives_each_walk_once(demo_file, capsys, monkeypatch):
     # the second walk matrix is the one the rho solve checks its residual on
     assert counts == {"stationary_rho": 1, "transition_matrix": 2,
                       "clique_expansion_weights": 1}
+
+
+def _write_edges(tmp_path, n: int, member_lists, seed: int) -> str:
+    """A hypergraph file on vertices v0..v{n-1} with seeded random weights."""
+    rng = np.random.default_rng(seed)
+    names = [f"v{i}" for i in range(n)]
+    edges = [{"weight": float(rng.uniform(0.5, 2.0)),
+              "members": {names[v]: float(rng.uniform(0.25, 4.0)) for v in members}}
+             for members in member_lists]
+    return _write_json(tmp_path, f"h{n}.json", {"vertices": names, "edges": edges})
+
+
+def _path(tmp_path, n: int) -> str:
+    """A path of 2-vertex edges: its spectral gap is about 1/n^2, so the
+    walk iteration cannot converge within its cap."""
+    return _write_edges(tmp_path, n, [(i, i + 1) for i in range(n - 1)], seed=n)
+
+
+def _no_dense_matrix(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a dense matrix was built before the size check")
+
+    monkeypatch.setattr("hyperwalk.stationary._block_scatter", unreachable)
+    monkeypatch.setattr("hyperwalk.walk._block_scatter", unreachable)
+
+
+def test_stationary_rho_too_many_vertices_fails_first(tmp_path, capsys, monkeypatch):
+    path = _path(tmp_path, DENSE_SIZE_LIMIT + 1)
+    _no_dense_matrix(monkeypatch)
+    assert dispatch(["stationary", "--input", path, "--method", "rho"]) == 1
+    assert f"SizeLimit: dense matrices support at most {DENSE_SIZE_LIMIT} vertices, " \
+           f"got {DENSE_SIZE_LIMIT + 1}" in capsys.readouterr().err
+
+
+def test_stationary_rho_too_many_edges_fails_first(tmp_path, capsys, monkeypatch):
+    m = DENSE_SIZE_LIMIT + 1
+    path = _write_edges(tmp_path, 8, [(i % 8, (i + 1) % 8) for i in range(m)], seed=1)
+    _no_dense_matrix(monkeypatch)
+    assert dispatch(["stationary", "--input", path, "--method", "rho"]) == 1
+    assert f"SizeLimit: dense matrices support at most {DENSE_SIZE_LIMIT} edges, " \
+           f"got {m}" in capsys.readouterr().err
+    # auto serves it through the walk iteration, without any dense matrix
+    assert dispatch(["stationary", "--input", path]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["method"] == "walk-iteration"
+    assert captured.err == ""
+
+
+def test_stationary_auto_falls_back_on_a_slowly_mixing_walk(tmp_path, capsys):
+    path = _path(tmp_path, 300)
+    direct = tmp_path / "direct.json"
+    assert dispatch(["stationary", "--input", path, "--method", "direct",
+                     "--out", str(direct)]) == 0
+    auto = tmp_path / "auto.json"
+    assert dispatch(["stationary", "--input", path, "--out", str(auto)]) == 0
+    err = capsys.readouterr().err
+    assert f"warning: ConvergenceFailure: walk iteration stopped after {WALK_MAX_ITER} " \
+           "iterations with residual " in err
+    assert err.rstrip().endswith("using the direct solve")
+    assert json.loads(auto.read_text())["method"] == "direct-solve"
+    assert auto.read_bytes() == direct.read_bytes()
+
+
+def test_stationary_auto_fails_on_a_slowly_mixing_walk_above_the_limit(tmp_path, capsys,
+                                                                       monkeypatch):
+    path = _path(tmp_path, DENSE_SIZE_LIMIT + 1)
+    _no_dense_matrix(monkeypatch)
+    assert dispatch(["stationary", "--input", path]) == 1
+    err = capsys.readouterr().err
+    assert f"error: ConvergenceFailure: walk iteration stopped after {WALK_MAX_ITER} " \
+           "iterations with residual " in err
+
+
+def test_stationary_auto_is_deterministic(tmp_path):
+    n = 500
+    rng = np.random.default_rng(2)
+    chain = [(i, i + 1) for i in range(n - 1)]
+    extra = [tuple(rng.choice(n, size=3, replace=False).tolist()) for _ in range(n)]
+    path = _write_edges(tmp_path, n, chain + extra, seed=2)
+    outputs = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        assert dispatch(["stationary", "--input", path, "--method", "auto",
+                         "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert json.loads(outputs[0])["method"] == "walk-iteration"
+    assert outputs[0] == outputs[1]

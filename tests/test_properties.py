@@ -25,6 +25,7 @@ from hyperwalk import (
     rescale_edges,
     stationary_direct,
     stationary_rho,
+    stationary_walk,
     to_text,
     transition_matrix,
 )
@@ -76,6 +77,17 @@ def test_rho_route_matches_direct_solve(H):
     assert res.rho.min() > 0.0
     direct = stationary_direct(transition_matrix(H))
     assert np.abs(res.pi - direct.pi).max() <= 1e-8
+
+
+@SETTINGS
+@given(hypergraphs())
+def test_walk_iteration_matches_dense_routes(H):
+    res = stationary_walk(H)
+    direct = stationary_direct(transition_matrix(H))
+    rho = stationary_rho(H)
+    # normwise relative; 1,000 examples of this strategy stayed below 1e-11
+    assert np.abs(res.pi - direct.pi).max() <= 1e-10 * direct.pi.max()
+    assert np.abs(res.rho - rho.rho).max() <= 1e-10 * rho.rho.max()
 
 
 @SETTINGS

@@ -8,6 +8,7 @@ from hyperwalk import (
     Hypergraph,
     NotEdgeIndependent,
     SingularSystem,
+    SizeLimit,
     TransitionMatrix,
     degrees,
     naive_stationary,
@@ -17,11 +18,13 @@ from hyperwalk import (
     stationary_direct,
     stationary_edge_independent,
     stationary_rho,
+    stationary_walk,
     to_json_dict,
     transition_matrix,
 )
 from hyperwalk.core import delta_normalized
-from hyperwalk.stationary import edge_coupling_matrix
+from hyperwalk.stationary import WALK_RTOL, edge_coupling_matrix
+from hyperwalk.walk import DENSE_SIZE_LIMIT
 from conftest import sweep
 
 DEMO_PI = np.array([7, 2, 5, 3]) / 17
@@ -58,6 +61,50 @@ def test_rho_matches_direct_on_sweep():
         pi_rho = stationary_rho(H).pi
         pi_direct = stationary_direct(transition_matrix(H)).pi
         assert np.abs(pi_rho - pi_direct).max() <= 1e-8
+
+
+def test_demo_walk_iteration(h_demo):
+    res = stationary_walk(h_demo)
+    np.testing.assert_allclose(res.pi, DEMO_PI, atol=1e-12)
+    np.testing.assert_allclose(res.rho, [8 / 17, 9 / 17], atol=1e-12)
+    assert res.residual <= WALK_RTOL * res.pi.max()
+    assert res.method == "walk-iteration"
+
+
+def test_walk_iteration_above_the_dense_limit():
+    """A well-mixing n=16,384 walk, checked against a residual recomputed
+    here from the test's own incidence arrays in O(nnz)."""
+    n = 4 * DENSE_SIZE_LIMIT
+    rng = np.random.default_rng(307)
+    # a path through a random order keeps it connected; random triples mix it
+    order = rng.permutation(n)
+    members = [order[i:i + 2] for i in range(n - 1)]
+    members += [rng.choice(n, size=3, replace=False) for _ in range(n)]
+    edge = np.repeat(np.arange(len(members)), [len(m) for m in members])
+    vert = np.concatenate(members)
+    gamma = rng.uniform(0.25, 4.0, size=len(vert))
+    omega = rng.uniform(0.5, 2.0, size=len(members))
+    names = [f"v{i}" for i in range(n)]
+    g = iter(gamma.tolist())
+    H = Hypergraph(names, [(w, {names[v]: next(g) for v in m})
+                           for w, m in zip(omega.tolist(), members)])
+
+    res = stationary_walk(H)
+    assert res.method == "walk-iteration"
+    assert res.vertices == tuple(names)
+    pi = res.pi
+    d = np.bincount(vert, weights=omega[edge], minlength=n)
+    delta = np.bincount(edge, weights=gamma)
+    rho = np.bincount(edge, weights=(pi / d)[vert])
+    pi_p = np.bincount(vert, weights=(omega * rho / delta)[edge] * gamma, minlength=n)
+    # WALK_RTOL plus room for this sum's own rounding order
+    assert np.abs(pi_p - pi).max() <= 10 * WALK_RTOL * pi.max()
+    assert pi.min() > 0.0
+    assert abs(pi.sum() - 1.0) <= 1e-12
+    np.testing.assert_allclose(res.rho, rho, rtol=1e-12)
+    assert abs(res.rho @ omega - 1.0) <= 1e-12
+    with pytest.raises(SizeLimit):
+        stationary_rho(H)
 
 
 def test_uniform_chain(triangle):
