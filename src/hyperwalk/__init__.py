@@ -29,10 +29,8 @@ from .errors import (
 )
 from .core import (
     Hypergraph,
-    IncidenceMatrices,
     WeightedGraph,
     build_hypergraph,
-    clique_graph,
     degrees,
     delta_normalized,
     demo_hypergraph,
@@ -40,7 +38,6 @@ from .core import (
     edge_independent_gamma,
     from_text,
     has_trivial_weights,
-    incidence_matrices,
     loads_json,
     read_hypergraph,
     rescale_edges,
@@ -92,7 +89,6 @@ from .reduction import (
     nonlazy_trivial_equivalence,
     reversibility,
     sandwich_check,
-    sandwich_weights,
 )
 from .rankagg import (
     ExperimentResult,

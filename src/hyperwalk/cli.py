@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import json
 import sys
@@ -21,11 +22,12 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    _load_json,
     demo_hypergraph,
     graph_to_json_dict,
     read_hypergraph,
 )
-from .errors import ConvergenceFailure, HyperwalkError, MalformedInput
+from .errors import ConvergenceFailure, HyperwalkError
 from .rankagg import experiment, matches_from_json_dict, rank_clique, rank_hypergraph, rank_mc3
 from .reduction import (
     edge_independent_to_graph,
@@ -180,12 +182,7 @@ def _cmd_reduce(args, argv) -> int:
 
 def _cmd_rankagg(args, argv) -> int:
     if args.matches:
-        with open(args.matches, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except ValueError as exc:  # invalid JSON or not UTF-8
-                raise MalformedInput(f"{args.matches}: {exc}") from None
-        data = matches_from_json_dict(doc)
+        data = matches_from_json_dict(_load_json(args.matches))
         out_rows = []
         for ranker in (rank_hypergraph, rank_clique, rank_mc3):
             r = ranker(data, beta=args.beta)
@@ -248,14 +245,18 @@ def _cmd_demo(args, argv) -> int:
 
 # -- parser ----------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser, and the parser of each subcommand by name."""
+    """The parser, and the parser of each subcommand by name; built once and
+    never changed."""
     parser = argparse.ArgumentParser(
         prog="hyperwalk",
         description="Random walks, spectra, and rank aggregation on hypergraphs "
                     "with per-edge vertex weights.",
+        allow_abbrev=False,  # _with_config finds --config by its full name
     )
-    parser.add_argument("--config", help="JSON file of default flag values (explicit flags win)")
+    parser.add_argument("--config", help="JSON file of flag values for the subcommand "
+                                         "(explicit flags win)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_out(p):
@@ -312,32 +313,44 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
-def _config_path(argv: list[str]) -> str | None:
-    for j, tok in enumerate(argv):
-        if tok == "--config":
-            return argv[j + 1] if j + 1 < len(argv) else None
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
+def _with_config(argv: list[str]) -> list[str]:
+    """`argv` with the entries of its --config file inserted as flags right
+    after the subcommand name, so flags typed after it win: ``true`` becomes
+    ``--flag``, ``false`` adds nothing, any other value ``--flag=value``.
+    A key that is not a flag of the subcommand is a usage error."""
+    parser, commands = _build_parser()
+    path, i = None, 0
+    while i < len(argv) and argv[i] not in commands:  # the top-level options
+        if argv[i].startswith("--config="):
+            path = argv[i].split("=", 1)[1]
+        elif argv[i] == "--config" and i + 1 < len(argv):
+            path = argv[i + 1]
+            i += 1
+        i += 1
+    if path is None or i == len(argv):
+        return argv  # no config, or no subcommand: parse_args reports it
+    try:
+        values = _load_json(path)
+    except (HyperwalkError, OSError) as exc:
+        parser.error(f"--config {path}: {exc}")
+    if not isinstance(values, dict):
+        parser.error(f"--config {path}: expected a JSON object of flag values")
+    command = commands[argv[i]]
+    flags = []
+    for key, value in values.items():
+        flag = "--" + key.replace("_", "-")
+        if flag == "--help" or flag not in command._option_string_actions:
+            command.error(f"--config {path}: {key!r} is not a flag of {argv[i]}")
+        if value is True:
+            flags.append(flag)
+        elif value is not False:
+            flags.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
+    return argv[:i + 1] + flags + argv[i + 1:]
 
 
 def dispatch(argv: list[str]) -> int:
-    parser, commands = _build_parser()
-    # Config values become defaults of the subcommand parsers (a subcommand's
-    # own defaults would replace the top parser's), so explicitly passed
-    # flags still win; required flags stay on the command line.
-    config = _config_path(argv)
-    if config:
-        try:
-            with open(config, "r", encoding="utf-8") as fh:
-                values = json.load(fh)
-        except (OSError, ValueError) as exc:
-            parser.error(f"--config {config}: {exc}")
-        if not isinstance(values, dict) or "handler" in values:
-            parser.error(f"--config {config}: expected a JSON object of flag values")
-        for command in commands.values():
-            command.set_defaults(**values)
-    args = parser.parse_args(argv)
+    argv = _with_config(argv)
+    args = _build_parser()[0].parse_args(argv)
     try:
         return args.handler(args, argv)
     except (HyperwalkError, OSError) as exc:

@@ -1,5 +1,5 @@
-"""Hypergraph data model: validation, degrees, incidence matrices, clique
-graphs, and (de)serialization.
+"""Hypergraph data model: validation, degrees, weight transforms, and
+(de)serialization.
 
 Vertices are opaque strings mapped to dense indices in declaration order, so
 every matrix produced downstream is deterministic for a given input.
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -28,10 +27,8 @@ from .errors import (
 
 __all__ = [
     "Hypergraph",
-    "IncidenceMatrices",
     "WeightedGraph",
     "build_hypergraph",
-    "clique_graph",
     "degrees",
     "delta_normalized",
     "demo_hypergraph",
@@ -40,7 +37,6 @@ __all__ = [
     "from_text",
     "graph_to_json_dict",
     "has_trivial_weights",
-    "incidence_matrices",
     "loads_json",
     "read_hypergraph",
     "rescale_edges",
@@ -246,28 +242,6 @@ def degrees(H: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     return d, np.add.reduceat(H.gamma, H.indptr[:-1])
 
 
-@dataclass
-class IncidenceMatrices:
-    """Dense incidence data: R(e,v) = vertex weight, W(v,e) = edge weight on
-    incidence, plus the two degree vectors."""
-
-    R: np.ndarray      # |E| x |V|
-    W: np.ndarray      # |V| x |E|
-    d: np.ndarray      # vertex degrees
-    delta: np.ndarray  # edge degrees
-
-
-def incidence_matrices(H: Hypergraph) -> IncidenceMatrices:
-    n, m = H.n_vertices, H.n_edges
-    edge = _per_member(H, np.arange(m))
-    R = np.zeros((m, n))
-    R[edge, H.indices] = H.gamma
-    W = np.zeros((n, m))
-    W[H.indices, edge] = H.omega[edge]
-    d, delta = degrees(H)
-    return IncidenceMatrices(R=R, W=W, d=d, delta=delta)
-
-
 class WeightedGraph:
     """Undirected weighted graph over a shared vertex index.
 
@@ -304,16 +278,6 @@ class WeightedGraph:
 
     def __repr__(self) -> str:
         return f"WeightedGraph(|V|={self.n_vertices})"
-
-
-def clique_graph(H: Hypergraph, include_self_loops: bool = True) -> WeightedGraph:
-    """Unweighted clique skeleton: (u,v) has weight 1 iff some edge contains
-    both. Self-loops are the lazy-walk convention; pass False to drop them."""
-    ones = np.ones(len(H.indices))
-    A = (_block_scatter(H.indptr, H.indices, ones, ones, H.n_vertices) > 0.0).astype(float)
-    if not include_self_loops:
-        np.fill_diagonal(A, 0.0)
-    return WeightedGraph(H.vertices, A)
 
 
 # -- weight transforms -------------------------------------------------------
@@ -396,23 +360,45 @@ def build_hypergraph(data: Mapping) -> Hypergraph:
     return Hypergraph(vertices, edges)
 
 
-def _reject_duplicate_keys(pairs):
-    seen = set()
-    out = {}
-    for k, v in pairs:
-        if k in seen:
-            raise DuplicateVertex(f"duplicate key {k!r} in JSON object")
-        seen.add(k)
-        out[k] = v
-    return out
+def _unique_keys(pairs: list) -> dict:
+    """The JSON object of `pairs`; DuplicateVertex if a key repeats."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):  # some key repeats: name the first
+        seen = set()
+        for k, _ in pairs:
+            if k in seen:
+                raise DuplicateVertex(f"duplicate key {k!r} in JSON object")
+            seen.add(k)
+    return obj
+
+
+def _json_value(text: str, source: str):
+    """The value of JSON `text`, the one JSON parser of every input. A key
+    repeated in one object is DuplicateVertex; invalid JSON (syntax, an
+    integer too long to convert, nesting too deep to decode) is
+    MalformedInput naming `source`."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:
+        raise MalformedInput(f"{source}: invalid JSON: {exc}") from None
+
+
+def _read_text(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise MalformedInput(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def _load_json(path: str):
+    """The value of the JSON file at `path`, checked as by `_json_value`;
+    bytes that are not UTF-8 are MalformedInput."""
+    return _json_value(_read_text(path), path)
 
 
 def loads_json(text: str) -> Hypergraph:
-    try:
-        data = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"invalid JSON: {exc}") from None
-    return build_hypergraph(data)
+    return build_hypergraph(_json_value(text, "hypergraph"))
 
 
 def to_json_dict(H: Hypergraph) -> dict:
@@ -488,14 +474,9 @@ def from_text(text: str) -> Hypergraph:
 def read_hypergraph(path: str) -> Hypergraph:
     """Load a hypergraph file; '*.json' uses the JSON format, anything else
     the whitespace text format."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise MalformedInput(f"{path}: not UTF-8 text ({exc})") from None
     if str(path).endswith(".json"):
-        return loads_json(text)
-    return from_text(text)
+        return build_hypergraph(_load_json(path))
+    return from_text(_read_text(path))
 
 
 def graph_to_json_dict(G: WeightedGraph) -> dict:

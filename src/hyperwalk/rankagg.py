@@ -217,7 +217,8 @@ def kendall_tau(order: Sequence, truth: Sequence, weighted: bool = False) -> flo
     """
     order = list(order)
     truth = list(truth)
-    if len(order) != len(truth) or set(order) != set(truth):
+    elements = set(order)
+    if not len(elements) == len(order) == len(truth) or elements != set(truth):
         raise ElementMismatch("rankings must be permutations of the same elements")
     n = len(order)
     if n < 2:

@@ -50,7 +50,6 @@ __all__ = [
     "nonlazy_trivial_equivalence",
     "reversibility",
     "sandwich_check",
-    "sandwich_weights",
 ]
 
 KOLMOGOROV_VERTEX_LIMIT = 12
@@ -88,13 +87,6 @@ def clique_expansion_weights(H: Hypergraph) -> WeightedGraph:
     w(u,v) = sum over shared edges of omega(e) gamma_e(u) gamma_e(v) / delta(e),
     self-loops included."""
     return _clique_weights(H, H.gamma)
-
-
-def sandwich_weights(H: Hypergraph) -> WeightedGraph:
-    """Clique expansion computed after rescaling every edge so its per-edge
-    constant is 1; the resulting graph walk shares H's stationary
-    distribution, and its Laplacian eigenvalue brackets H's."""
-    return clique_expansion_weights(rho_normalized(H))
 
 
 @dataclass
@@ -195,7 +187,7 @@ def nonlazy_trivial_equivalence(H: Hypergraph) -> NonlazyEquivalence:
 
 @dataclass
 class SandwichCheck:
-    graph: WeightedGraph  # the rho-rescaled clique expansion, as sandwich_weights
+    graph: WeightedGraph  # clique expansion of rho_normalized(H); its walk shares H's pi
     lam_h: float
     lam_g: float
     c: float

@@ -183,6 +183,53 @@ def test_config_must_be_an_object_of_flag_values(demo_file, tmp_path, values):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, values, message", [
+    ("spectral", {"eps": [1]}, "argument --eps: invalid float value: '[1]'"),
+    ("rankagg", {"seed": 1.5}, "argument --seed: invalid int value: '1.5'"),
+    ("rankagg", {"n": 7.5}, "argument --n: invalid int value: '7.5'"),
+    ("transition", {"kind": "nope"}, "argument --kind: invalid choice: 'nope'"),
+    ("stationary", {"method": "bogus"}, "argument --method: invalid choice: 'bogus'"),
+    ("transition", {"json": "no"}, "argument --json: ignored explicit argument 'no'"),
+    ("spectral", {"check_cheegr": True}, "'check_cheegr' is not a flag of spectral"),
+    ("stationary", {"eps": 0.5}, "'eps' is not a flag of stationary"),
+    ("stationary", {"help": True}, "'help' is not a flag of stationary"),
+])
+def test_config_values_are_parsed_as_flags(demo_file, tmp_path, capsys, command, values,
+                                           message):
+    # a config value gets the checks of the same flag typed on the command
+    # line; a key that is no flag of the subcommand is a usage error too
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    argv = ["--config", str(config), command]
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv if command == "rankagg" else argv + ["--input", demo_file])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"hyperwalk {command}: error: " in err and message in err
+
+
+@pytest.mark.parametrize("key", ["check_cheeger", "check-cheeger"])
+def test_config_true_adds_a_flag_and_false_adds_none(demo_file, tmp_path, capsys, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: True, "eps": 0.3}))
+    assert dispatch(["--config", str(config), "spectral", "--input", demo_file]) == 0
+    assert "cheeger_inequality" in json.loads(capsys.readouterr().out)
+    config.write_text(json.dumps({key: False}))
+    assert dispatch(["--config", str(config), "spectral", "--input", demo_file]) == 0
+    assert "cheeger_inequality" not in json.loads(capsys.readouterr().out)
+
+
+def test_manifest_command_shows_config_flags(demo_file, tmp_path):
+    out = str(tmp_path / "pi.json")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"method": "rho", "out": out}))
+    argv = ["--config", str(config), "stationary", "--input", demo_file]
+    assert dispatch(argv) == 0
+    manifest = json.loads((tmp_path / "pi.json.manifest.json").read_text())
+    assert manifest["command"] == ["hyperwalk", "--config", str(config), "stationary",
+                                   "--method=rho", f"--out={out}", "--input", demo_file]
+
+
 def test_missing_input_file_is_domain_error(capsys):
     assert dispatch(["validate", "--input", "no-such-file.json"]) == 1
     assert "no-such-file" in capsys.readouterr().err
@@ -239,6 +286,31 @@ def test_matches_without_scores_is_named_domain_error(tmp_path, capsys):
     assert dispatch(["rankagg", "--matches", path]) == 1
     err = capsys.readouterr().err
     assert "MalformedInput" in err and "scores" in err
+
+
+DEEP = ["[" * 200_000 + "]" * 200_000, '{"a": ' * 200_000 + "1" + "}" * 200_000]
+
+
+@pytest.mark.parametrize("doc", DEEP, ids=["arrays", "objects"])
+@pytest.mark.parametrize("flag", ["validate --input", "rankagg --matches"])
+def test_deeply_nested_json_is_malformed_input(tmp_path, capsys, doc, flag):
+    path = _write_json(tmp_path, "deep.json", doc)
+    assert dispatch(flag.split() + [path]) == 1
+    assert "error: MalformedInput: " in capsys.readouterr().err
+
+
+def test_deeply_nested_config_is_usage_error(tmp_path, capsys):
+    path = _write_json(tmp_path, "config.json", DEEP[0])
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["--config", path, "demo"])
+    assert exc.value.code == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_match_file_duplicate_key_is_domain_error(tmp_path, capsys):
+    path = _write_json(tmp_path, "m.json", '{"n": 2, "n": 3, "matches": []}')
+    assert dispatch(["rankagg", "--matches", path]) == 1
+    assert "error: DuplicateVertex: duplicate key 'n'" in capsys.readouterr().err
 
 
 MATCH = {"participants": [1, 2], "scores": [0.5, 1.0]}

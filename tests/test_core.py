@@ -13,14 +13,13 @@ from hyperwalk import (
     NonPositiveWeight,
     UnknownVertex,
     build_hypergraph,
-    clique_graph,
+    clique_expansion_weights,
     degrees,
     delta_normalized,
     dumps_json,
     edge_independent_gamma,
     from_text,
     has_trivial_weights,
-    incidence_matrices,
     loads_json,
     rescale_edges,
     to_json_dict,
@@ -50,35 +49,42 @@ def test_trivial_edge_degree_is_size():
     assert delta[0] == 5.0
 
 
-def test_incidence_matrices(h_demo):
-    inc = incidence_matrices(h_demo)
-    np.testing.assert_array_equal(inc.R, [[2, 1, 1, 0], [1, 0, 1, 1]])
-    np.testing.assert_array_equal(inc.W, [[1, 1], [1, 0], [1, 1], [0, 1]])
-    np.testing.assert_array_equal(inc.delta, [4.0, 3.0])
-    np.testing.assert_array_equal(inc.d, [2.0, 1.0, 2.0, 1.0])
+def test_incidence_layout(h_demo):
+    # the CSR layout holds the dense incidence data R(e,v) = gamma_e(v) and
+    # W(v,e) = omega(e) for v in e
+    edge = np.repeat(np.arange(h_demo.n_edges), np.diff(h_demo.indptr))
+    R = np.zeros((h_demo.n_edges, h_demo.n_vertices))
+    R[edge, h_demo.indices] = h_demo.gamma
+    W = np.zeros((h_demo.n_vertices, h_demo.n_edges))
+    W[h_demo.indices, edge] = h_demo.omega[edge]
+    np.testing.assert_array_equal(R, [[2, 1, 1, 0], [1, 0, 1, 1]])
+    np.testing.assert_array_equal(W, [[1, 1], [1, 0], [1, 1], [0, 1]])
+
+
+def _clique_graph(H):
+    """Unweighted clique skeleton: (u,v) is 1 iff some edge contains both,
+    self-loops included; the support of the weighted clique expansion."""
+    return (clique_expansion_weights(H).weights > 0.0).astype(float)
 
 
 def test_clique_graph_with_loops(h_demo):
-    G = clique_graph(h_demo)
     expected = np.array([
         [1, 1, 1, 1],
         [1, 1, 1, 0],
         [1, 1, 1, 1],
         [1, 0, 1, 1],
     ], dtype=float)
-    np.testing.assert_array_equal(G.weights, expected)
+    np.testing.assert_array_equal(_clique_graph(h_demo), expected)
 
 
 def test_clique_graph_without_loops(h_demo):
-    G = clique_graph(h_demo, include_self_loops=False)
-    assert np.all(np.diag(G.weights) == 0.0)
-    # 5 undirected edges: 12, 13, 23, 14, 34
-    assert int(np.triu(G.weights, k=1).sum()) == 5
+    # 5 undirected edges besides the loops: 12, 13, 23, 14, 34
+    assert np.all(np.diag(_clique_graph(h_demo)) == 1.0)
+    assert int(np.triu(_clique_graph(h_demo), k=1).sum()) == 5
 
 
 def test_clique_graph_triangle(triangle):
-    G = clique_graph(triangle)
-    np.testing.assert_array_equal(G.weights, np.ones((3, 3)))
+    np.testing.assert_array_equal(_clique_graph(triangle), np.ones((3, 3)))
 
 
 # -- validation -----------------------------------------------------------------
@@ -144,7 +150,7 @@ def test_rescale_leaves_degrees_and_clique(h_demo):
     d1, _ = degrees(h_demo)
     d2, delta2 = degrees(H2)
     np.testing.assert_array_equal(d1, d2)
-    np.testing.assert_array_equal(clique_graph(h_demo).weights, clique_graph(H2).weights)
+    np.testing.assert_array_equal(_clique_graph(h_demo), _clique_graph(H2))
     assert delta2[0] == pytest.approx(4 * 7.3)
 
 
@@ -175,10 +181,10 @@ def test_block_scatter_matches_per_group_outer_products():
 def test_block_scatter_chunks_leave_results_unchanged(monkeypatch):
     for H in sweep(103, 10, max_vertices=12, max_edges=10):
         P = transition_matrix(H).matrix
-        G = clique_graph(H).weights
+        G = clique_expansion_weights(H).weights
         monkeypatch.setattr("hyperwalk.core._SCATTER_CHUNK", 1)
         assert np.array_equal(transition_matrix(H).matrix, P)
-        assert np.array_equal(clique_graph(H).weights, G)
+        assert np.array_equal(clique_expansion_weights(H).weights, G)
         monkeypatch.undo()
 
 

@@ -297,6 +297,8 @@ def test_kendall_element_mismatch():
         kendall_tau([1, 2], [1, 3])
     with pytest.raises(ElementMismatch):
         kendall_tau([1, 2], [1, 2, 3])
+    with pytest.raises(ElementMismatch):  # same element set, not permutations
+        kendall_tau([1, 1, 2], [1, 2, 2])
 
 
 # -- experiment --------------------------------------------------------------------------

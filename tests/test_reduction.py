@@ -19,8 +19,8 @@ from hyperwalk import (
     kolmogorov_check,
     nonlazy_trivial_equivalence,
     reversibility,
+    rho_normalized,
     sandwich_check,
-    sandwich_weights,
     stationary_direct,
     stationary_rho,
     transition_matrix,
@@ -199,16 +199,16 @@ def test_expansion_equals_collapse_for_edge_independent():
         assert np.abs(G1.weights - G2.weights).max() <= 1e-12
 
 
-def test_sandwich_weights_trivial_edge(triangle):
+def test_sandwich_graph_trivial_edge(triangle):
     # after the per-edge-constant rescaling each gamma is 1/3 and the edge
     # degree is 1, so every pair weight is 1/9 and row sums reproduce pi
-    G = sandwich_weights(triangle)
+    G = sandwich_check(triangle).graph
     np.testing.assert_allclose(G.weights, 1 / 9, atol=1e-12)
     np.testing.assert_allclose(G.weights.sum(axis=1), 1 / 3, atol=1e-12)
 
 
 def test_sandwich_graph_shares_stationary(h_demo):
-    G = sandwich_weights(h_demo)
+    G = sandwich_check(h_demo).graph
     pi_g = stationary_direct(graph_random_walk(G)).pi
     pi_h = stationary_rho(h_demo).pi
     assert np.abs(pi_g - pi_h).max() <= 1e-9
@@ -234,4 +234,5 @@ def test_sandwich_check_sweep():
     for H in sweep(508, 15):
         chk = sandwich_check(H)
         assert chk.holds
-        assert chk.graph == sandwich_weights(H)  # the graph it checked, bit for bit
+        # the graph it checked: the clique expansion of rho_normalized(H), bit for bit
+        assert chk.graph == clique_expansion_weights(rho_normalized(H))
