@@ -99,6 +99,8 @@ def _cmd_validate(args, argv) -> int:
 
 
 def _cmd_transition(args, argv) -> int:
+    if args.restart_vertex is not None and args.kind != "restart":
+        raise ValueError("--restart-vertex applies only to --kind restart")
     H = read_hypergraph(args.input)
     P = nonlazy_transition_matrix(H) if args.kind == "nonlazy" else transition_matrix(H)
     if args.kind == "restart":

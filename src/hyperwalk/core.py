@@ -10,7 +10,6 @@ across threads.
 from __future__ import annotations
 
 import json
-import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -45,26 +44,12 @@ __all__ = [
 ]
 
 
-def _to_float(value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        return math.nan  # not a number: rejected as not finite
-
-
-def _positive(values, describe) -> np.ndarray:
-    """``values`` as a float array whose entries are all finite and > 0, the
-    one weight check. Otherwise NonPositiveWeight names ``describe(i)`` for
-    the first offending entry i; an entry float() refuses counts as one."""
-    if not isinstance(values, np.ndarray):
-        try:
-            values = np.fromiter(values, dtype=float, count=len(values))
-        except (TypeError, ValueError, OverflowError):
-            values = np.array([_to_float(v) for v in values])
-    bad = np.flatnonzero(~(np.isfinite(values) & (values > 0.0)))
-    if len(bad):
-        raise NonPositiveWeight(f"{describe(int(bad[0]))} must be a finite number > 0")
-    return values
+# A weight is a Python or numpy int or float (not a bool, an int subclass,
+# nor a str: float() would take both) with 0 < w <= _FLOAT_MAX, which also
+# rejects NaN, the infinities and a JSON int too large for a float.
+_REAL = frozenset([int, float] + [np.dtype(c).type for c in np.typecodes["AllInteger"]
+                                  + np.typecodes["Float"]])
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 class Hypergraph:
@@ -74,14 +59,18 @@ class Hypergraph:
     their weights the same slice of ``gamma``, and its weight ``omega[k]``.
 
     Built from ``(weight, members)`` pairs, one per edge, where ``members``
-    maps a vertex name to its weight in that edge. Enforced at construction:
-    declared vertices are unique, every edge has members and they are
-    declared vertices, all weights are finite positives, and the clique
-    graph is connected (a vertex in no edge counts as disconnected).
+    maps a vertex name to its weight in that edge. Enforced at construction,
+    the one place a weight is checked: declared vertices are unique, every
+    edge has members and they are declared vertices, every weight is a
+    Python or numpy int or float (not a bool or a str) that is finite and
+    > 0, and the clique graph is connected (a vertex in no edge counts as
+    disconnected). Edges are read once, in order, so the first fault in
+    that order is the one named.
     """
 
     __slots__ = ("vertices", "indptr", "indices", "gamma", "omega", "_index")
 
+    @np.errstate(over="ignore")  # np.float32(w) <= _FLOAT_MAX casts the bound down
     def __init__(self, vertices: Sequence[str],
                  edges: Iterable[tuple[float, Mapping[str, float]]]):
         names = tuple(str(v) for v in vertices)
@@ -95,28 +84,30 @@ class Hypergraph:
 
         weights, sizes, members_idx, members_gamma = [], [], [], []
         for k, (weight, members) in enumerate(edges):
+            if type(weight) not in _REAL or not 0 < weight <= _FLOAT_MAX:
+                raise NonPositiveWeight(
+                    f"edge #{k}: edge weight {weight!r} must be a finite number > 0")
             if not members:
                 raise EmptyEdge(f"edge #{k} has no members")
-            for v in members:
+            for v, g in members.items():
                 if v not in index:
                     raise UnknownVertex(f"edge #{k} references undeclared vertex {v!r}")
+                if type(g) not in _REAL or not 0 < g <= _FLOAT_MAX:
+                    raise NonPositiveWeight(
+                        f"edge #{k}: weight {g!r} of vertex {v!r} must be a finite number > 0")
                 members_idx.append(index[v])
             weights.append(weight)
             sizes.append(len(members))
             members_gamma.extend(members.values())
 
-        edge = np.repeat(np.arange(len(sizes)), sizes)
-        omega = _positive(weights, lambda k: f"edge #{k}: edge weight {weights[k]!r}")
-        gamma = _positive(members_gamma, lambda i: (
-            f"edge #{edge[i]}: weight {members_gamma[i]!r} of vertex {names[members_idx[i]]!r}"))
         indices = np.array(members_idx, dtype=np.intp)
-        order = np.lexsort((indices, edge))
+        order = np.lexsort((indices, np.repeat(np.arange(len(sizes)), sizes)))
         self.vertices = names
         self._index = index
         self.indptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
         self.indices = indices[order]
-        self.gamma = gamma[order]
-        self.omega = omega
+        self.gamma = np.array(members_gamma, dtype=float)[order]
+        self.omega = np.array(weights, dtype=float)
         for a in self._arrays():  # read-only: rescaled copies share them
             a.flags.writeable = False
         self._check_connected()
@@ -237,9 +228,19 @@ def _block_scatter(indptr, indices, left, right, n: int, scale=None) -> np.ndarr
 
 def degrees(H: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     """Vertex degrees d(v) = sum of incident edge weights, and edge degrees
-    delta(e) = sum of member vertex weights."""
-    d = np.bincount(H.indices, weights=_per_member(H, H.omega), minlength=H.n_vertices)
-    return d, np.add.reduceat(H.gamma, H.indptr[:-1])
+    delta(e) = sum of member vertex weights. A sum that overflows is
+    NonPositiveWeight naming its edge, else its vertex."""
+    with np.errstate(over="ignore"):
+        d = np.bincount(H.indices, weights=_per_member(H, H.omega), minlength=H.n_vertices)
+        delta = np.add.reduceat(H.gamma, H.indptr[:-1])
+    bad = np.flatnonzero(~np.isfinite(delta))
+    if len(bad):
+        raise NonPositiveWeight(f"edge #{bad[0]}: degree delta(e) overflows the float range")
+    bad = np.flatnonzero(~np.isfinite(d))
+    if len(bad):
+        raise NonPositiveWeight(
+            f"vertex {H.vertices[bad[0]]!r}: degree d(v) overflows the float range")
+    return d, delta
 
 
 class WeightedGraph:
@@ -288,12 +289,16 @@ def rescale_edges(H: Hypergraph, factors) -> Hypergraph:
     if factors.shape != (H.n_edges,):
         raise ValueError("need exactly one factor per edge")
 
-    def describe(i: int) -> str:
+    with np.errstate(over="ignore"):  # an overflowing product is named below
+        gamma = H.gamma * _per_member(H, factors)
+    bad = np.flatnonzero(~(np.isfinite(gamma) & (gamma > 0.0)))
+    if len(bad):
+        i = int(bad[0])
         k = int(np.searchsorted(H.indptr, i, side="right")) - 1
-        return (f"edge #{k}: weight of vertex {H.vertices[H.indices[i]]!r} "
-                f"times factor {float(factors[k])!r}")
-
-    return H._with_gamma(_positive(H.gamma * _per_member(H, factors), describe))
+        raise NonPositiveWeight(
+            f"edge #{k}: weight of vertex {H.vertices[H.indices[i]]!r} times factor "
+            f"{float(factors[k])!r} must be a finite number > 0")
+    return H._with_gamma(gamma)
 
 
 def delta_normalized(H: Hypergraph) -> Hypergraph:
@@ -302,23 +307,29 @@ def delta_normalized(H: Hypergraph) -> Hypergraph:
     return rescale_edges(H, 1.0 / delta)
 
 
-def edge_independent_gamma(H: Hypergraph, rtol: float = 1e-12):
+# Vertex weights within this relative tolerance of each other are equal,
+# and within this absolute tolerance of 1 are trivial.
+EDGE_INDEPENDENT_RTOL = 1e-12
+TRIVIAL_ATOL = 1e-12
+
+
+def edge_independent_gamma(H: Hypergraph):
     """Per-vertex weight vector if weights are edge-independent, else None.
 
-    Edge-independent means gamma_e(v) agrees (to relative tolerance) across
-    all edges incident to v; the weight in v's first edge is returned.
+    Edge-independent means gamma_e(v) agrees (to EDGE_INDEPENDENT_RTOL)
+    across all edges incident to v; the weight in v's first edge is returned.
     """
     vptr, order = _vertex_major(H)
     g = H.gamma[order]
     first = g[vptr[:-1]]
     ref = np.repeat(first, np.diff(vptr))
-    if np.any(np.abs(g - ref) > rtol * np.maximum(np.abs(g), np.abs(ref))):
+    if np.any(np.abs(g - ref) > EDGE_INDEPENDENT_RTOL * np.maximum(np.abs(g), np.abs(ref))):
         return None
     return first
 
 
-def has_trivial_weights(H: Hypergraph, atol: float = 1e-12) -> bool:
-    return bool(np.abs(H.gamma - 1.0).max() <= atol)
+def has_trivial_weights(H: Hypergraph) -> bool:
+    return bool(np.abs(H.gamma - 1.0).max() <= TRIVIAL_ATOL)
 
 
 # -- serialization -----------------------------------------------------------
@@ -342,22 +353,17 @@ def build_hypergraph(data: Mapping) -> Hypergraph:
         raise MalformedInput('"vertices" must be a list of vertex names')
     if not isinstance(raw_edges, list):
         raise MalformedInput('"edges" must be a list of edge objects')
-    edges = []
-    for i, entry in enumerate(raw_edges):
-        if not isinstance(entry, Mapping):
-            raise MalformedInput(f"edge #{i} must be an object, got {entry!r}")
-        members = entry.get("members") or {}  # missing or empty: EmptyEdge
-        if not isinstance(members, Mapping):
-            raise MalformedInput(f'edge #{i}: "members" must map vertex names to weights')
-        weight = entry.get("weight")
-        # Only JSON numbers are weights: float() takes true (a bool) and "2".
-        wrong = [f"edge weight {w!r}" for w in [weight] if type(w) not in (int, float)] + [
-            f"weight {g!r} of vertex {v!r}" for v, g in members.items()
-            if type(g) not in (int, float)]
-        if wrong:
-            raise NonPositiveWeight(f"edge #{i}: {wrong[0]} must be a finite number > 0")
-        edges.append((weight, members))
-    return Hypergraph(vertices, edges)
+
+    def edges():  # checked as Hypergraph reads them, so each edge is visited once
+        for i, entry in enumerate(raw_edges):
+            if not isinstance(entry, dict):
+                raise MalformedInput(f"edge #{i} must be an object, got {entry!r}")
+            members = entry.get("members") or {}  # missing or empty: EmptyEdge
+            if not isinstance(members, dict):
+                raise MalformedInput(f'edge #{i}: "members" must map vertex names to weights')
+            yield entry.get("weight"), members
+
+    return Hypergraph(vertices, edges())
 
 
 def _unique_keys(pairs: list) -> dict:

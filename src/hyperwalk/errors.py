@@ -82,6 +82,10 @@ class IsolatedVertex(HyperwalkError):
     """A graph vertex has zero total edge weight."""
 
 
+class BoundOverflow(HyperwalkError):
+    """A computed bound is too large for a float."""
+
+
 class Unmixed(HyperwalkError):
     """The chain did not reach the requested total-variation distance in time."""
 

@@ -54,6 +54,11 @@ __all__ = [
 
 KOLMOGOROV_VERTEX_LIMIT = 12
 KOLMOGOROV_CYCLE_LIMIT = 6
+# Largest |pi_u p_uv - pi_v p_vu| of a reversible chain, largest gap between
+# a cycle's forward and backward products, and slack of the sandwich bracket.
+REVERSIBILITY_TOL = 1e-10
+KOLMOGOROV_TOL = 1e-12
+SANDWICH_TOL = 1e-9
 
 
 def graph_random_walk(G: WeightedGraph) -> TransitionMatrix:
@@ -96,8 +101,7 @@ class ReversibilityVerdict:
     violation: float  # max |pi_u p_uv - pi_v p_vu|
 
 
-def reversibility(P: TransitionMatrix, pi: np.ndarray,
-                  tol: float = 1e-10) -> ReversibilityVerdict:
+def reversibility(P: TransitionMatrix, pi: np.ndarray) -> ReversibilityVerdict:
     """Check pi_u p(u,v) = pi_v p(v,u) for all pairs; pi must actually be
     stationary for P."""
     pi = np.asarray(pi, dtype=float)
@@ -110,7 +114,7 @@ def reversibility(P: TransitionMatrix, pi: np.ndarray,
     if u > v:
         u, v = v, u
     return ReversibilityVerdict(
-        reversible=worst <= tol,
+        reversible=worst <= REVERSIBILITY_TOL,
         worst_pair=(P.vertices[u], P.vertices[v]),
         violation=worst,
     )
@@ -122,8 +126,7 @@ class KolmogorovResult:
     witness_cycle: tuple[str, ...] | None
 
 
-def kolmogorov_check(P: TransitionMatrix, max_cycle_len: int = 5,
-                     tol: float = 1e-12) -> KolmogorovResult:
+def kolmogorov_check(P: TransitionMatrix, max_cycle_len: int = 5) -> KolmogorovResult:
     """Compare transition-probability products around every simple cycle with
     the reversed product; equality for all cycles characterizes reversibility
     without knowing pi.
@@ -154,7 +157,7 @@ def kolmogorov_check(P: TransitionMatrix, max_cycle_len: int = 5,
                 for i in range(k):
                     forward *= M[cycle[i], cycle[(i + 1) % k]]
                     backward *= M[cycle[i], cycle[(i - 1) % k]]
-                if abs(forward - backward) > tol:
+                if abs(forward - backward) > KOLMOGOROV_TOL:
                     return KolmogorovResult(
                         holds=False,
                         witness_cycle=tuple(P.vertices[i] for i in cycle),
@@ -195,7 +198,7 @@ class SandwichCheck:
     pi_dev: float  # max |pi(graph walk) - pi(hypergraph walk)|
 
 
-def sandwich_check(H: Hypergraph, tol: float = 1e-9) -> SandwichCheck:
+def sandwich_check(H: Hypergraph) -> SandwichCheck:
     """Bracket check (1/c) lam_H <= lam_G <= c * lam_H for the second-smallest
     Laplacian eigenvalues of H and of its rho-rescaled clique expansion.
 
@@ -219,6 +222,6 @@ def sandwich_check(H: Hypergraph, tol: float = 1e-9) -> SandwichCheck:
 
     pi_h = stationary_direct(P_h).pi
     pi_dev = float(np.abs(pi_g - pi_h).max())
-    holds = (lam_h / c - tol) <= lam_g <= (c * lam_h + tol)
+    holds = (lam_h / c - SANDWICH_TOL) <= lam_g <= (c * lam_h + SANDWICH_TOL)
     return SandwichCheck(graph=G, lam_h=lam_h, lam_g=lam_g, c=c, holds=holds,
                          pi_dev=pi_dev)

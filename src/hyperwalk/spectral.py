@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Hypergraph, _per_member, degrees
-from .errors import NotSymmetric, SizeLimit, Unmixed
+from .errors import BoundOverflow, NotSymmetric, SizeLimit, Unmixed
 from .stationary import rho_normalized, stationary_rho
 from .walk import TransitionMatrix, transition_matrix
 
@@ -50,6 +50,10 @@ CHEEGER_BLOCK = 1 << 10
 # Both add non-negative terms, so they differ by at most about
 # (n^2 + 4n) 2^-53, which is below 1e-13 up to CHEEGER_SIZE_LIMIT.
 CHEEGER_RTOL = 1e-12
+# Slack of the Cheeger inequality check, and the largest asymmetry
+# eigh_symmetric accepts.
+CHEEGER_TOL = 1e-9
+SYMMETRY_TOL = 1e-10
 
 
 @dataclass
@@ -76,15 +80,15 @@ def laplacian(H: Hypergraph) -> HypergraphLaplacian:
 
 # -- symmetric eigensolver ---------------------------------------------------
 
-def eigh_symmetric(M, sym_tol: float = 1e-10):
+def eigh_symmetric(M):
     """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``)
-    after checking symmetry to ``sym_tol``. Returns (eigenvalues ascending,
+    after checking symmetry to ``SYMMETRY_TOL``. Returns (eigenvalues ascending,
     eigenvector columns in matching order)."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotSymmetric("matrix is not square")
     asym = np.abs(M - M.T).max(initial=0.0)
-    if asym > sym_tol:
+    if asym > SYMMETRY_TOL:
         raise NotSymmetric(f"matrix asymmetric by {asym:.3e}")
     return np.linalg.eigh((M + M.T) / 2.0)
 
@@ -193,14 +197,15 @@ class CheegerCheck:
     holds: bool
 
 
-def check_cheeger(H: Hypergraph, tol: float = 1e-9) -> CheegerCheck:
-    """Verify Phi^2/2 <= lambda <= 2 Phi for the normalized Laplacian."""
+def check_cheeger(H: Hypergraph) -> CheegerCheck:
+    """Verify Phi^2/2 <= lambda <= 2 Phi, to CHEEGER_TOL, for the normalized
+    Laplacian."""
     _require_cheeger_size(H)
     lap = laplacian(H)
     lam = float(eigenvalues_symmetric(lap.normalized)[1])
     lam_plain = float(eigenvalues_symmetric(lap.L)[1])
     phi = cheeger_constant(H).phi
-    holds = (phi * phi / 2.0 - tol) <= lam <= (2.0 * phi + tol)
+    holds = (phi * phi / 2.0 - CHEEGER_TOL) <= lam <= (2.0 * phi + CHEEGER_TOL)
     return CheegerCheck(lam=lam, lam_unnormalized=lam_plain, phi=phi, holds=holds)
 
 
@@ -226,7 +231,12 @@ def _bound_from_components(beta1: float, beta2: float, d_min: float,
     log_term = -math.log(2.0 * eps * math.sqrt(d_min * beta2))
     if log_term <= 0.0:
         return 0, True
-    return math.ceil(8.0 / (beta1 * phi * phi) * log_term), False
+    scale = beta1 * phi * phi
+    bound = 8.0 / scale * log_term if scale > 0.0 else math.inf
+    if bound == math.inf:
+        raise BoundOverflow(f"mixing bound exceeds the float range (beta1 = {beta1:.3e}, "
+                            f"Phi = {phi:.3e})")
+    return math.ceil(bound), False
 
 
 def mixing_time_bound(H: Hypergraph, eps: float) -> MixingBound:

@@ -409,6 +409,53 @@ def test_spectral_too_many_vertices_fails_before_the_laplacian(tmp_path, capsys,
     assert "SizeLimit" in capsys.readouterr().err
 
 
+OVERFLOWING_DEGREE = [
+    ([{"weight": 1, "members": {"a": 1e308, "b": 1e308}}], "edge #0: degree delta(e)"),
+    ([{"weight": 1e308, "members": {"a": 1, "b": 1}}] * 2, "vertex 'a': degree d(v)"),
+]
+
+
+@pytest.mark.parametrize("edges, named", OVERFLOWING_DEGREE, ids=["edge", "vertex"])
+@pytest.mark.parametrize("command", ["stationary", "stationary --method rho", "transition",
+                                     "spectral"])
+def test_overflowing_degree_is_named(tmp_path, capsys, edges, named, command):
+    # each weight is finite, so the file is valid; the walk's degrees are not
+    path = _write_json(tmp_path, "h.json", {"vertices": ["a", "b"], "edges": edges})
+    assert dispatch(["validate", "--input", path]) == 0
+    assert dispatch(command.split() + ["--input", path]) == 1
+    assert f"error: NonPositiveWeight: {named} overflows the float range" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edges", [
+    # 8 / (beta1 Phi^2) overflows to inf
+    [{"weight": 1, "members": {"a": 1e-320, "b": 1}}],
+    # beta1 Phi^2 underflows to 0 (Phi is about 5e-13 on this path)
+    [{"weight": 1, "members": {"a": 1e-320, "b": 1}},
+     {"weight": 1e-12, "members": {"b": 1, "c": 1}}, {"weight": 1, "members": {"c": 1, "d": 1}}],
+], ids=["overflow", "underflow"])
+def test_spectral_mixing_bound_beyond_the_float_range_is_named(tmp_path, capsys, edges):
+    names = sorted({v for e in edges for v in e["members"]})
+    path = _write_json(tmp_path, "h.json", {"vertices": names, "edges": edges})
+    assert dispatch(["spectral", "--input", path]) == 1
+    assert "error: BoundOverflow: mixing bound exceeds the float range" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", [[], ["--kind", "lazy"], ["--kind", "nonlazy"]])
+def test_restart_vertex_needs_the_restart_walk(demo_file, tmp_path, capsys, kind):
+    argv = ["transition", "--input", demo_file] + kind
+    assert dispatch(argv + ["--restart-vertex", "v1"]) == 2
+    assert "usage error: --restart-vertex applies only to --kind restart" in \
+        capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"restart_vertex": "v1"}))
+    assert dispatch(["--config", str(config)] + argv) == 2
+    assert "--restart-vertex" in capsys.readouterr().err
+    assert dispatch(["--config", str(config), "transition", "--input", demo_file,
+                     "--kind", "restart"]) == 0
+
+
 def test_stationary_auto_reports_fallback(demo_file, tmp_path, capsys, monkeypatch):
     direct = tmp_path / "direct.json"
     assert dispatch(["stationary", "--input", demo_file, "--method", "direct",

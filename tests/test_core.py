@@ -10,6 +10,7 @@ from hyperwalk import (
     DuplicateVertex,
     EmptyEdge,
     Hypergraph,
+    MalformedInput,
     NonPositiveWeight,
     UnknownVertex,
     build_hypergraph,
@@ -108,6 +109,65 @@ def test_nonpositive_weights():
             Hypergraph(("a", "b"), [first, (bad, {"a": 1.0})])
         with pytest.raises(NonPositiveWeight, match="edge #1: .* of vertex 'b'"):
             Hypergraph(("a", "b"), [first, (1.0, {"a": 1.0, "b": bad})])
+
+
+@pytest.mark.parametrize("bad", [True, "2", np.True_, 10**400, -10**400])
+def test_weight_must_be_a_real_number(bad):
+    # float() would read True as 1.0 and "2" as 2.0, and refuse 10**400
+    first = (1.0, {"a": 1.0, "b": 1.0})
+    with pytest.raises(NonPositiveWeight, match=rf"^edge #1: edge weight {bad!r} must be"):
+        Hypergraph(("a", "b"), [first, (bad, {"a": 1.0})])
+    with pytest.raises(NonPositiveWeight,
+                       match=rf"^edge #1: weight {bad!r} of vertex 'b' must be a finite"):
+        Hypergraph(("a", "b"), [first, (1.0, {"a": 1.0, "b": bad})])
+
+
+def test_numpy_and_python_numbers_are_weights():
+    plain = Hypergraph(("a", "b"), [(2.0, {"a": 1.0, "b": 3.0})])
+    for w, g in ((2, 3), (np.float64(2.0), np.float32(3.0)), (np.int64(2), np.uint8(3))):
+        assert Hypergraph(("a", "b"), [(w, {"a": 1, "b": g})]) == plain
+
+
+def test_first_fault_in_edge_order_is_named():
+    # the first fault in edge order is named, whatever the kind of a later one
+    later = (True, {"a": 1.0})
+    with pytest.raises(UnknownVertex, match="edge #0"):
+        Hypergraph(("a", "b"), [(1.0, {"a": 1.0, "c": 1.0}), later])
+    with pytest.raises(EmptyEdge, match="edge #0"):
+        Hypergraph(("a", "b"), [(1.0, {}), later])
+    with pytest.raises(NonPositiveWeight, match="edge #0: edge weight -1.0"):
+        Hypergraph(("a", "b"), [(-1.0, {"a": 1.0}), later])
+    # within an edge: its weight, then emptiness, then each member in turn
+    with pytest.raises(NonPositiveWeight, match="edge weight None"):
+        Hypergraph(("a",), [(None, {})])
+    with pytest.raises(UnknownVertex, match="'c'"):
+        Hypergraph(("a", "b"), [(1.0, {"c": 1.0, "a": "x"})])
+    with pytest.raises(NonPositiveWeight, match="weight 'x' of vertex 'a'"):
+        Hypergraph(("a", "b"), [(1.0, {"a": "x", "c": 1.0})])
+
+
+def test_build_hypergraph_names_the_first_fault_in_file_order():
+    # each entry is checked as the hypergraph reads it, so a malformed later
+    # entry is not reached before an earlier fault
+    data = {"vertices": ["a", "b"],
+            "edges": [{"weight": 1.0, "members": {"a": 1.0, "c": 1.0}}, "not an edge"]}
+    with pytest.raises(UnknownVertex, match="edge #0"):
+        build_hypergraph(data)
+    data["edges"][0] = {"members": {}}  # no weight and no members: a bad weight
+    with pytest.raises(NonPositiveWeight, match="edge #0: edge weight None"):
+        build_hypergraph(data)
+    data["edges"][0] = {"weight": 1.0, "members": {"a": 1.0, "b": 1.0}}
+    with pytest.raises(MalformedInput, match="edge #1 must be an object"):
+        build_hypergraph(data)
+
+
+def test_degree_overflow_is_named():
+    edge = Hypergraph(("a", "b"), [(1.0, {"a": 1e308, "b": 1e308})])
+    with pytest.raises(NonPositiveWeight, match=r"^edge #0: degree delta\(e\) overflows"):
+        degrees(edge)
+    vertex = Hypergraph(("a", "b"), [(1e308, {"a": 1.0, "b": 1.0})] * 2)
+    with pytest.raises(NonPositiveWeight, match=r"^vertex 'a': degree d\(v\) overflows"):
+        degrees(vertex)
 
 
 def test_unknown_member():
