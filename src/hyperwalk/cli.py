@@ -1,8 +1,11 @@
 """Command-line interface.
 
 Subcommands: transition, stationary, spectral, reduce, rankagg, validate,
-demo. Every file written with --out gets a companion ``<out>.manifest.json``
-recording the command line, input digests, seed, tool version, and PRNG
+demo. Each handler takes the parsed arguments and returns its output: a dict
+for a JSON payload, or the text of a CSV or report. ``dispatch`` alone
+writes it, to stdout or to the --out file. Every file written with --out
+gets a companion ``<out>.manifest.json`` recording the command line, input
+digests, seed, tool version, numpy version, BLAS thread variables and PRNG
 algorithm, so any seeded run can be reproduced bit-for-bit within one build.
 
 Exit codes: 0 success, 1 domain error (message names the error type),
@@ -16,19 +19,15 @@ import datetime
 import functools
 import hashlib
 import json
+import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .core import (
-    _load_json,
-    demo_hypergraph,
-    graph_to_json_dict,
-    read_hypergraph,
-)
+from .core import _load_json, demo_hypergraph, graph_to_json_dict, read_hypergraph
 from .errors import ConvergenceFailure, HyperwalkError
-from .rankagg import experiment, matches_from_json_dict, rank_clique, rank_hypergraph, rank_mc3
+from .rankagg import _METHODS, experiment, matches_from_json_dict
 from .reduction import (
     edge_independent_to_graph,
     nonlazy_trivial_equivalence,
@@ -65,22 +64,15 @@ def write_manifest(out_path: str, argv: list[str], inputs: list[str],
         "inputs": {p: _sha256(p) for p in inputs},
         "seed": seed,
         "version": __version__,
+        "numpy": np.__version__,
+        # BLAS threads change the last bits of some results; null: the default
+        **{var: os.environ.get(var)
+           for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "prng": PRNG_ALGORITHM,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-
-
-def _emit(text: str, out: str | None, argv: list[str], inputs: list[str],
-          seed: int | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        write_manifest(out, argv, inputs, seed)
-    else:
-        sys.stdout.write(text)
+        fh.write(json.dumps(manifest, indent=2) + "\n")
 
 
 def _matrix_csv(vertices, matrix) -> str:
@@ -92,13 +84,12 @@ def _matrix_csv(vertices, matrix) -> str:
 
 # -- subcommand handlers ---------------------------------------------------------
 
-def _cmd_validate(args, argv) -> int:
+def _cmd_validate(args) -> str:
     read_hypergraph(args.input)
-    print(f"{args.input}: ok")
-    return 0
+    return f"{args.input}: ok\n"
 
 
-def _cmd_transition(args, argv) -> int:
+def _cmd_transition(args) -> dict | str:
     if args.restart_vertex is not None and args.kind != "restart":
         raise ValueError("--restart-vertex applies only to --kind restart")
     H = read_hypergraph(args.input)
@@ -110,41 +101,32 @@ def _cmd_transition(args, argv) -> int:
             restart[H.index(args.restart_vertex)] = 1.0
         P = restart_matrix(P, args.beta, restart)
     if args.json:
-        payload = {
+        return {
             "vertices": list(P.vertices),
             "matrix": [[float(x) for x in row] for row in P.matrix],
             "kind": args.kind,
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out, argv, [args.input], None)
-    else:
-        _emit(_matrix_csv(P.vertices, P.matrix), args.out, argv, [args.input], None)
-    return 0
+    return _matrix_csv(P.vertices, P.matrix)
 
 
-def _cmd_stationary(args, argv) -> int:
+def _cmd_stationary(args) -> dict:
     H = read_hypergraph(args.input)
-    if args.method == "direct":
-        result = stationary_direct(transition_matrix(H))
-    elif args.method == "rho":
-        result = stationary_rho(H)
-    else:  # auto: the walk iteration; the dense direct solve where it stalls
+    if args.method == "rho":
+        return stationary_rho(H).as_dict()
+    if args.method == "auto":  # the walk iteration; the direct solve where it stalls
         try:
-            result = stationary_walk(H)
+            return stationary_walk(H).as_dict()
         except ConvergenceFailure as exc:
             if H.n_vertices > DENSE_SIZE_LIMIT:
                 raise
             print(f"warning: {type(exc).__name__}: {exc}; using the direct solve",
                   file=sys.stderr)
-            result = stationary_direct(transition_matrix(H))
-    _emit(json.dumps(result.as_dict(), indent=2) + "\n",
-          args.out, argv, [args.input], None)
-    return 0
+    return stationary_direct(transition_matrix(H)).as_dict()
 
 
-def _cmd_spectral(args, argv) -> int:
+def _cmd_spectral(args) -> dict:
     H = read_hypergraph(args.input)
-    report = spectral_report(H, eps=args.eps)
-    payload = report.as_dict()
+    payload = spectral_report(H, eps=args.eps).as_dict()
     if args.check_cheeger:
         verdict = check_cheeger(H)
         payload["cheeger_inequality"] = {
@@ -153,11 +135,10 @@ def _cmd_spectral(args, argv) -> int:
             "phi": verdict.phi,
             "holds": verdict.holds,
         }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out, argv, [args.input], None)
-    return 0
+    return payload
 
 
-def _cmd_reduce(args, argv) -> int:
+def _cmd_reduce(args) -> dict:
     H = read_hypergraph(args.input)
     if args.mode == "eqind":
         G = edge_independent_to_graph(H)
@@ -177,39 +158,29 @@ def _cmd_reduce(args, argv) -> int:
             "holds": chk.holds,
             "stationary_deviation": chk.pi_dev,
         }
-    payload = {"graph": graph_to_json_dict(G), "verdict": verdict}
-    _emit(json.dumps(payload, indent=2) + "\n", args.out, argv, [args.input], None)
-    return 0
+    return {"graph": graph_to_json_dict(G), "verdict": verdict}
 
 
-def _cmd_rankagg(args, argv) -> int:
+def _cmd_rankagg(args) -> dict | str:
     if args.matches:
         data = matches_from_json_dict(_load_json(args.matches))
-        out_rows = []
-        for ranker in (rank_hypergraph, rank_clique, rank_mc3):
-            r = ranker(data, beta=args.beta)
-            out_rows.append({"method": r.method, "order": list(r.order)})
-        _emit(json.dumps({"rankings": out_rows}, indent=2) + "\n",
-              args.out, argv, [args.matches], args.seed)
-        return 0
+        rankings = [ranker(data, beta=args.beta) for ranker in _METHODS]
+        return {"rankings": [{"method": r.method, "order": list(r.order)} for r in rankings]}
     p_values = [float(x) for x in args.p.split(",")]
     result = experiment(args.n, args.sigma, p_values, args.trials, args.seed,
                         beta=args.beta)
     if args.json:
-        payload = {"params": result.params, "summary": result.summary,
-                   "trials": result.trials}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out, argv, [], args.seed)
-        return 0
-    _emit(result.to_csv(), args.out, argv, [], args.seed)
+        return {"params": result.params, "summary": result.summary,
+                "trials": result.trials}
     if args.out:
         print(f"{'method':15s} {'p':>6s} {'mean tau_w':>11s} {'std':>8s}")
         for row in result.summary:
             print(f"{row['method']:15s} {row['p']:6.3f} "
                   f"{row['mean_tau_weighted']:11.4f} {row['std_tau_weighted']:8.4f}")
-    return 0
+    return result.to_csv()
 
 
-def _cmd_demo(args, argv) -> int:
+def _cmd_demo(args) -> dict | str:
     H = demo_hypergraph()
     P = transition_matrix(H)
     pi = stationary_rho(H)
@@ -217,7 +188,7 @@ def _cmd_demo(args, argv) -> int:
     evals = eigenvalues_symmetric(laplacian_from_walk(P, pi.pi).L)
     cheeger = check_cheeger(H)
     if args.json:
-        payload = {
+        return {
             "vertices": list(H.vertices),
             "transition_matrix": [[float(x) for x in row] for row in P.matrix],
             "pi": {v: float(x) for v, x in zip(H.vertices, pi.pi)},
@@ -228,21 +199,19 @@ def _cmd_demo(args, argv) -> int:
             "cheeger": cheeger.phi,
             "cheeger_inequality_holds": cheeger.holds,
         }
-        print(json.dumps(payload, indent=2))
-        return 0
-    print("demo hypergraph: 4 vertices, 2 overlapping edges, gamma(v1 in edge 0) = 2")
-    print("\ntransition matrix P:")
-    print(_matrix_csv(P.vertices, P.matrix), end="")
-    print("\nstationary distribution (rho route, residual %.2e):" % pi.residual)
-    for v, x in zip(H.vertices, pi.pi):
-        print(f"  pi({v}) = {x:.12f}")
-    print(f"\nreversible: {verdict.reversible} "
-          f"(worst pair {verdict.worst_pair}, violation {verdict.violation:.6e})")
-    print("\nLaplacian spectrum:", " ".join(f"{x:.10f}" for x in evals))
-    print(f"\nCheeger constant: {cheeger.phi:.10f}")
-    print(f"Cheeger inequality phi^2/2 <= lambda <= 2 phi: "
-          f"lambda={cheeger.lam:.10f}, holds={cheeger.holds}")
-    return 0
+    return "\n".join([
+        "demo hypergraph: 4 vertices, 2 overlapping edges, gamma(v1 in edge 0) = 2",
+        "\ntransition matrix P:",
+        _matrix_csv(P.vertices, P.matrix).rstrip("\n"),
+        f"\nstationary distribution (rho route, residual {pi.residual:.2e}):",
+        *(f"  pi({v}) = {x:.12f}" for v, x in zip(H.vertices, pi.pi)),
+        f"\nreversible: {verdict.reversible} "
+        f"(worst pair {verdict.worst_pair}, violation {verdict.violation:.6e})",
+        "\nLaplacian spectrum: " + " ".join(f"{x:.10f}" for x in evals),
+        f"\nCheeger constant: {cheeger.phi:.10f}",
+        f"Cheeger inequality phi^2/2 <= lambda <= 2 phi: "
+        f"lambda={cheeger.lam:.10f}, holds={cheeger.holds}",
+    ]) + "\n"
 
 
 # -- parser ----------------------------------------------------------------------
@@ -351,16 +320,27 @@ def _with_config(argv: list[str]) -> list[str]:
 
 
 def dispatch(argv: list[str]) -> int:
+    """Run one command line; write its output, and with --out its manifest."""
     argv = _with_config(argv)
     args = _build_parser()[0].parse_args(argv)
     try:
-        return args.handler(args, argv)
+        result = args.handler(args)
+        text = json.dumps(result, indent=2) + "\n" if isinstance(result, dict) else result
+        out = getattr(args, "out", None)
+        if out:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            inputs = [getattr(args, name, None) for name in ("input", "matches")]
+            write_manifest(out, argv, [p for p in inputs if p], getattr(args, "seed", None))
+        else:
+            sys.stdout.write(text)
     except (HyperwalkError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:  # out-of-range parameters are usage errors
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def main() -> None:

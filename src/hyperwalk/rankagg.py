@@ -251,11 +251,7 @@ class ExperimentResult:
         return "\n".join(lines) + "\n"
 
 
-_METHODS = (
-    ("hypergraph-rwr", rank_hypergraph),
-    ("clique-rwr", rank_clique),
-    ("mc3", rank_mc3),
-)
+_METHODS = (rank_hypergraph, rank_clique, rank_mc3)  # each names itself in its result
 
 
 def experiment(n: int, sigma: float, p_values: Iterable[float], trials: int,
@@ -273,17 +269,17 @@ def experiment(n: int, sigma: float, p_values: Iterable[float], trials: int,
     for p in p_values:
         for t in range(trials):
             data = generate(n, sigma, p, seed + t)
-            for method, ranker in _METHODS:
+            for ranker in _METHODS:
                 result = ranker(data, beta=beta)
                 rows.append({
-                    "method": method,
+                    "method": result.method,
                     "p": p,
                     "trial": t,
                     "tau_weighted": kendall_tau(result.order, truth, weighted=True),
                     "tau_unweighted": kendall_tau(result.order, truth, weighted=False),
                 })
     summary: list[dict] = []
-    for method, _ in _METHODS:
+    for method in dict.fromkeys(r["method"] for r in rows):  # in _METHODS order
         for p in p_values:
             taus = [r["tau_weighted"] for r in rows
                     if r["method"] == method and r["p"] == p]

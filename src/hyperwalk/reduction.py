@@ -35,7 +35,7 @@ from .errors import (
     SizeLimit,
 )
 from .spectral import eigenvalues_symmetric, laplacian_from_walk
-from .stationary import rho_normalized, stationary_direct, stationary_rho
+from .stationary import RESIDUAL_TOL, rho_normalized, stationary_direct, stationary_rho
 from .walk import TransitionMatrix, nonlazy_transition_matrix, transition_matrix
 
 __all__ = [
@@ -105,7 +105,7 @@ def reversibility(P: TransitionMatrix, pi: np.ndarray) -> ReversibilityVerdict:
     """Check pi_u p(u,v) = pi_v p(v,u) for all pairs; pi must actually be
     stationary for P."""
     pi = np.asarray(pi, dtype=float)
-    if np.abs(pi @ P.matrix - pi).max() > 1e-9:
+    if np.abs(pi @ P.matrix - pi).max() > RESIDUAL_TOL:
         raise NotStationary("supplied distribution is not stationary for the chain")
     flow = pi[:, None] * P.matrix
     gap = np.abs(flow - flow.T)

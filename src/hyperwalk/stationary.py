@@ -30,6 +30,7 @@ weights entirely -- and is kept as a counterexample generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,7 @@ from .core import (
     has_trivial_weights,
     rescale_edges,
 )
-from .errors import ConvergenceFailure, SingularSystem, NotEdgeIndependent
+from .errors import ConvergenceFailure, NonPositiveWeight, NotEdgeIndependent, SingularSystem
 from .walk import TransitionMatrix, _check_size, transition_matrix
 
 __all__ = [
@@ -150,7 +151,12 @@ def stationary_rho(H: Hypergraph) -> StationaryResult:
             "fixed point for the per-edge constants is not strictly positive "
             f"(min component {rho.min():.3e})"
         )
-    rho = rho / float(rho @ H.omega)
+    with np.errstate(over="ignore", divide="ignore"):  # subnormal edge weights
+        rho = rho / float(rho @ H.omega)
+    bad = np.flatnonzero(~np.isfinite(rho))
+    if len(bad):
+        raise NonPositiveWeight(
+            f"edge #{bad[0]}: per-edge constant rho_e overflows the float range")
     pi = np.bincount(Hn.indices, weights=_per_member(Hn, rho * H.omega) * Hn.gamma,
                      minlength=H.n_vertices)
     residual = _residual(pi, transition_matrix(H))
@@ -184,7 +190,8 @@ def stationary_walk(H: Hypergraph) -> StationaryResult:
     the iteration converges at the rate of the second eigenvalue modulus. It
     stops at the first pi with max|pi P - pi| <= WALK_RTOL * max(pi), and
     raises ConvergenceFailure naming the iteration count and the residual
-    when WALK_MAX_ITER steps do not get there.
+    when WALK_MAX_ITER steps do not get there, or naming the iteration whose
+    pi is not finite (pi / d overflows when a degree is subnormal).
 
     The returned pi is renormalized to sum 1. Its per-edge sums are the rho
     route's constants, with sum_e rho_e * omega(e) = sum_v pi_v = 1, and
@@ -200,17 +207,20 @@ def stationary_walk(H: Hypergraph) -> StationaryResult:
                                 minlength=H.n_vertices)
 
     pi = np.full(H.n_vertices, 1.0 / H.n_vertices)
-    for iterations in range(1, WALK_MAX_ITER + 1):
-        nxt = step(pi)[1]
-        residual = float(np.abs(nxt - pi).max())
-        if residual <= WALK_RTOL * pi.max():
-            break
-        pi = nxt
-    else:
-        raise ConvergenceFailure(
-            f"walk iteration stopped after {iterations} iterations with residual "
-            f"{residual:.3e} > {WALK_RTOL:.0e} * max pi = {WALK_RTOL * pi.max():.3e}"
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, WALK_MAX_ITER + 1):
+            nxt = step(pi)[1]
+            residual = float(np.abs(nxt - pi).max())  # pi is finite: nan or inf iff nxt is
+            if not math.isfinite(residual):
+                raise ConvergenceFailure(f"walk iterate {iterations} is not finite")
+            if residual <= WALK_RTOL * pi.max():
+                break
+            pi = nxt
+        else:
+            raise ConvergenceFailure(
+                f"walk iteration stopped after {iterations} iterations with residual "
+                f"{residual:.3e} > {WALK_RTOL:.0e} * max pi = {WALK_RTOL * pi.max():.3e}"
+            )
     pi = pi / pi.sum()
     rho, nxt = step(pi)
     return StationaryResult(

@@ -1,5 +1,6 @@
 """CLI dispatch, exit codes, output formats, and run manifests."""
 
+import hashlib
 import json
 import sys
 
@@ -27,6 +28,15 @@ def bad_file(tmp_path):
         "edges": [{"weight": -1.0, "members": {"a": 1.0, "b": 1.0}}],
     }))
     return str(path)
+
+
+MATCHES = {
+    "n": 3,
+    "matches": [
+        {"participants": [1, 2], "scores": [0.0, 1.0]},
+        {"participants": [2, 3], "scores": [0.5, 2.0]},
+    ],
+}
 
 
 def test_demo_prints_stationary(capsys):
@@ -138,18 +148,60 @@ def test_rankagg_csv_and_manifest(tmp_path, capsys):
 
 
 def test_rankagg_matches_file(tmp_path, capsys):
-    matches = tmp_path / "matches.json"
-    matches.write_text(json.dumps({
-        "n": 3,
-        "matches": [
-            {"participants": [1, 2], "scores": [0.0, 1.0]},
-            {"participants": [2, 3], "scores": [0.5, 2.0]},
-        ],
-    }))
-    assert dispatch(["rankagg", "--matches", str(matches)]) == 0
+    matches = _write_json(tmp_path, "matches.json", MATCHES)
+    assert dispatch(["rankagg", "--matches", matches]) == 0
     payload = json.loads(capsys.readouterr().out)
     methods = {r["method"] for r in payload["rankings"]}
     assert methods == {"hypergraph-rwr", "clique-rwr", "mc3"}
+
+
+@pytest.mark.parametrize("command, source", [
+    ("transition", "--input"),
+    ("transition --json", "--input"),
+    ("stationary", "--input"),
+    ("spectral", "--input"),
+    ("reduce --mode sandwich", "--input"),
+    ("rankagg --n 8 --p 0.3 --trials 2", None),
+    ("rankagg --n 8 --p 0.3 --trials 2 --json", None),
+    ("rankagg", "--matches"),
+])
+def test_out_file_is_the_stdout_plus_a_manifest(demo_file, tmp_path, capsys, command, source):
+    path = {"--input": demo_file, None: None,
+            "--matches": _write_json(tmp_path, "matches.json", MATCHES)}[source]
+    argv = command.split() + ([source, path] if source else [])
+    assert dispatch(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "out"
+    assert dispatch(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == stdout.encode()
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    digests = {}
+    if path:
+        with open(path, "rb") as fh:
+            digests[path] = hashlib.sha256(fh.read()).hexdigest()
+    assert manifest["inputs"] == digests
+    assert manifest["seed"] == (42 if argv[0] == "rankagg" else None)
+
+
+def test_out_into_a_missing_directory_is_named(demo_file, tmp_path, capsys):
+    out = tmp_path / "missing" / "pi.json"
+    assert dispatch(["stationary", "--input", demo_file, "--out", str(out)]) == 1
+    assert f"error: FileNotFoundError: [Errno 2] No such file or directory: '{out}'" in \
+        capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["demo.json"]  # and no manifest
+
+
+def test_manifest_records_numpy_and_blas_threads(demo_file, tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "pi.json"
+    assert dispatch(["stationary", "--input", demo_file, "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "pi.json.manifest.json").read_text())
+    assert manifest["numpy"] == np.__version__
+    assert manifest["OPENBLAS_NUM_THREADS"] == "3"
+    assert manifest["OMP_NUM_THREADS"] is None
+    assert manifest["MKL_NUM_THREADS"] is None
 
 
 def test_config_defaults_merged(demo_file, tmp_path, capsys):
@@ -442,6 +494,32 @@ def test_spectral_mixing_bound_beyond_the_float_range_is_named(tmp_path, capsys,
         capsys.readouterr().err
 
 
+SUBNORMAL_EDGE = {"vertices": ["a", "b"],
+                  "edges": [{"weight": 1e-320, "members": {"a": 1, "b": 1}}]}
+
+
+def test_subnormal_edge_weight_auto_falls_back_at_once(tmp_path, capsys):
+    # d = 1e-320, so pi / d overflows in the walk's first step
+    path = _write_json(tmp_path, "h.json", SUBNORMAL_EDGE)
+    assert dispatch(["stationary", "--input", path, "--method", "direct"]) == 0
+    direct = capsys.readouterr().out
+    assert json.loads(direct)["pi"] == {"a": 0.5, "b": 0.5}
+    assert dispatch(["stationary", "--input", path]) == 0
+    out, err = capsys.readouterr()
+    assert out == direct
+    assert err == ("warning: ConvergenceFailure: walk iterate 1 is not finite; "
+                   "using the direct solve\n")
+
+
+@pytest.mark.parametrize("command", ["stationary --method rho", "spectral"])
+def test_subnormal_edge_weight_is_named(tmp_path, capsys, command):
+    # sum_e rho_e * omega(e) = 1e-320, so rho_e / that overflows
+    path = _write_json(tmp_path, "h.json", SUBNORMAL_EDGE)
+    assert dispatch(command.split() + ["--input", path]) == 1
+    assert capsys.readouterr().err == ("error: NonPositiveWeight: edge #0: per-edge "
+                                       "constant rho_e overflows the float range\n")
+
+
 @pytest.mark.parametrize("kind", [[], ["--kind", "lazy"], ["--kind", "nonlazy"]])
 def test_restart_vertex_needs_the_restart_walk(demo_file, tmp_path, capsys, kind):
     argv = ["transition", "--input", demo_file] + kind
@@ -470,7 +548,9 @@ def test_stationary_auto_reports_fallback(demo_file, tmp_path, capsys, monkeypat
     assert "ConvergenceFailure: walk iteration refused" in capsys.readouterr().err
     assert auto.read_bytes() == direct.read_bytes()
     manifest = json.loads((tmp_path / "auto.json.manifest.json").read_text())
-    assert set(manifest) == {"command", "inputs", "seed", "version", "prng", "timestamp"}
+    assert set(manifest) == {"command", "inputs", "seed", "version", "numpy",
+                             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                             "prng", "timestamp"}
 
 
 def test_spectral_bad_eps_fails_before_the_laplacian(demo_file, capsys, monkeypatch):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from hyperwalk import (
+    ConvergenceFailure,
     Hypergraph,
+    NonPositiveWeight,
     NotEdgeIndependent,
     SingularSystem,
     SizeLimit,
@@ -69,6 +71,17 @@ def test_demo_walk_iteration(h_demo):
     np.testing.assert_allclose(res.rho, [8 / 17, 9 / 17], atol=1e-12)
     assert res.residual <= WALK_RTOL * res.pi.max()
     assert res.method == "walk-iteration"
+
+
+def test_subnormal_edge_weight_stops_both_rho_routes():
+    """d = omega = 1e-320: the walk's pi / d overflows at once, and so does
+    the rho route's normalization by sum_e rho_e * omega(e)."""
+    H = Hypergraph(("a", "b"), [(1e-320, {"a": 1.0, "b": 1.0})])
+    with pytest.raises(ConvergenceFailure, match="walk iterate 1 is not finite"):
+        stationary_walk(H)
+    with pytest.raises(NonPositiveWeight, match=r"edge #0: per-edge constant rho_e overflows"):
+        stationary_rho(H)
+    np.testing.assert_array_equal(stationary_direct(transition_matrix(H)).pi, [0.5, 0.5])
 
 
 def test_walk_iteration_above_the_dense_limit():
