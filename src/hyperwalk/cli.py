@@ -47,6 +47,13 @@ from .walk import (
 
 # -- reproducibility manifest --------------------------------------------------
 
+# BLAS threads change the last bits of some results, and BLAS fixes its
+# thread count when numpy is imported: so the variables are read once, here,
+# not when a manifest is written. null: unset, the BLAS default.
+_BLAS_THREADS = {var: os.environ.get(var)
+                 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
 def _sha256(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -65,9 +72,7 @@ def write_manifest(out_path: str, argv: list[str], inputs: list[str],
         "seed": seed,
         "version": __version__,
         "numpy": np.__version__,
-        # BLAS threads change the last bits of some results; null: the default
-        **{var: os.environ.get(var)
-           for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        **_BLAS_THREADS,
         "prng": PRNG_ALGORITHM,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }

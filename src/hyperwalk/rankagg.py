@@ -52,6 +52,8 @@ SCORE_LIMIT = 700.0  # exp() overflows just above 709
 DEFAULT_BETA = 0.4
 # generate() gives up after this many match draws (kept or discarded).
 MAX_DRAWS = 100_000
+# Pairs formed per block by rank_mc3 and kendall_tau; bounds their temporaries.
+_PAIR_CHUNK = 1 << 18
 
 
 class MatchData:
@@ -166,8 +168,8 @@ class RankingResult:
 
 
 def _ranking(method: str, n: int, stationary: np.ndarray) -> RankingResult:
-    order = sorted(range(1, n + 1), key=lambda i: (-stationary[i - 1], i))
-    return RankingResult(method=method, scores=stationary, order=tuple(order))
+    order = np.lexsort((np.arange(1, n + 1), -stationary)) + 1  # ties by ascending id
+    return RankingResult(method=method, scores=stationary, order=tuple(order.tolist()))
 
 
 def rank_hypergraph(data: MatchData, beta: float = DEFAULT_BETA) -> RankingResult:
@@ -192,16 +194,21 @@ def rank_mc3(data: MatchData, beta: float = DEFAULT_BETA) -> RankingResult:
     participant j of it uniformly; move to j only if j outscored i there
     (ties keep the walker in place)."""
     H = data.hypergraph
-    n = H.n_vertices
-    count = np.bincount(H.indices, minlength=n)  # matches per player
+    n, who, s = H.n_vertices, H.indices, data.scores
+    sizes = np.diff(H.indptr)
+    width = sizes.repeat(sizes)  # per entry: the size of its match
+    start = H.indptr[:-1].repeat(sizes)  # per entry: the first entry of its match
+    step = 1.0 / (np.bincount(who, minlength=n)[who] * width)  # 1 / (matches * size)
+    first = np.cumsum(width) - width  # per entry: its first (entry, co-member) pair
     P = np.zeros(n * n)
-    ptr = H.indptr.tolist()
-    for a, b in zip(ptr, ptr[1:]):
-        idx, s = H.indices[a:b], data.scores[a:b]
-        # row: each participant; column: whoever outscored them, else themselves
-        to = np.where(s[None, :] > s[:, None], idx[None, :], idx[:, None])
-        step = np.repeat(1.0 / (count[idx] * (b - a)), b - a)
-        np.add.at(P, (idx[:, None] * n + to).ravel(), step)  # in order, as the plain loop adds
+    # Pairs match by match, each match row-major, in blocks of whole rows:
+    # every entry of P receives the per-match loop's terms in the loop's order.
+    for rows in np.split(np.arange(len(who)), np.flatnonzero(np.diff(first // _PAIR_CHUNK)) + 1):
+        row = rows.repeat(width[rows])
+        col = start[row] + np.arange(len(row)) - (first[row] - first[rows[0]])
+        # to whoever outscored the entry, else back to the entry itself
+        to = np.where(s[col] > s[row], who[col], who[row])
+        np.add.at(P, who[row] * n + to, step[row])
     chain = TransitionMatrix(H.vertices, P.reshape(n, n))
     pi = stationary_direct(restart_matrix(chain, beta)).pi
     return _ranking("mc3", n, pi)
@@ -214,6 +221,10 @@ def kendall_tau(order: Sequence, truth: Sequence, weighted: bool = False) -> flo
     at 0-based positions i < j of `truth` carries weight 1/(i+1) + 1/(j+1)
     (disagreements near the top cost more), and the signed total is divided
     by the maximum attainable weighted discordance.
+
+    Pairs are summed in (i, j) row-major order, left to right, in blocks of
+    rows whose temporaries stay bounded, so the result equals the plain
+    double loop over i < j bit for bit.
     """
     order = list(order)
     truth = list(truth)
@@ -224,15 +235,24 @@ def kendall_tau(order: Sequence, truth: Sequence, weighted: bool = False) -> flo
     if n < 2:
         return 1.0
     pos = {item: k for k, item in enumerate(order)}
-    signed = 0.0
-    total = 0.0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            w = 1.0 / (i + 1) + 1.0 / (j + 1) if weighted else 1.0
-            concordant = pos[truth[i]] < pos[truth[j]]
-            signed += w if concordant else -w
-            total += w
-    return signed / total
+    rank = np.array([pos[item] for item in truth])  # position in `order` of truth[i]
+    inv = 1.0 / np.arange(1, n + 1)
+    concordant, signed, total = 0, 0.0, 0.0
+    step = max(1, _PAIR_CHUNK // n)
+    for a in range(0, n - 1, step):
+        i = np.arange(a, min(a + step, n - 1))[:, None]
+        upper = np.arange(n) > i  # the pairs (i, j > i) of these rows, row-major
+        agree = (rank[i] < rank)[upper]
+        concordant += int(np.count_nonzero(agree))  # exact, as the loop's +-1.0 sums are
+        if weighted:
+            w = (inv[i] + inv)[upper]
+            # np.add.accumulate adds left to right like the loop; np.sum would not
+            signed = np.add.accumulate(np.concatenate(([signed], np.where(agree, w, -w))))[-1]
+            total = np.add.accumulate(np.concatenate(([total], w)))[-1]
+    if weighted:
+        return float(signed / total)
+    pairs = n * (n - 1) // 2
+    return (2 * concordant - pairs) / pairs
 
 
 @dataclass

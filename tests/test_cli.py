@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hyperwalk
 from hyperwalk import ConvergenceFailure, demo_hypergraph, dumps_json
 from hyperwalk.cli import dispatch
 from hyperwalk.stationary import WALK_MAX_ITER
@@ -191,15 +195,22 @@ def test_out_into_a_missing_directory_is_named(demo_file, tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["demo.json"]  # and no manifest
 
 
-def test_manifest_records_numpy_and_blas_threads(demo_file, tmp_path, monkeypatch):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+def test_manifest_records_numpy_and_blas_threads(demo_file, tmp_path):
+    # BLAS fixes its thread count when numpy is imported, so the manifest names
+    # the variables as they were then, not as a caller changed them later.
+    script = ("import os, sys\n"
+              "from hyperwalk.cli import dispatch\n"
+              "os.environ['OPENBLAS_NUM_THREADS'] = '2'\n"
+              "os.environ['OMP_NUM_THREADS'] = '2'\n"
+              "sys.exit(dispatch(sys.argv[1:]))\n")
+    env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(Path(hyperwalk.__file__).parents[1]))
     out = tmp_path / "pi.json"
-    assert dispatch(["stationary", "--input", demo_file, "--out", str(out)]) == 0
+    subprocess.run([sys.executable, "-c", script, "stationary", "--input", demo_file,
+                    "--out", str(out)], env=env, check=True)
     manifest = json.loads((tmp_path / "pi.json.manifest.json").read_text())
     assert manifest["numpy"] == np.__version__
-    assert manifest["OPENBLAS_NUM_THREADS"] == "3"
+    assert manifest["OPENBLAS_NUM_THREADS"] == "1"
     assert manifest["OMP_NUM_THREADS"] is None
     assert manifest["MKL_NUM_THREADS"] is None
 

@@ -1,6 +1,7 @@
 """Synthetic rank aggregation: generator, chain builders, Kendall tau."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +214,24 @@ def test_mc3_chain_equals_per_match_loop(monkeypatch):
         assert np.array_equal(result.scores, reference.pi)
 
 
+def test_mc3_blocks_leave_chain_unchanged(monkeypatch):
+    chains = []
+    real = rankagg.restart_matrix
+
+    def recording(P, beta, restart=None):
+        chains.append(P.matrix)
+        return real(P, beta, restart)
+
+    monkeypatch.setattr(rankagg, "restart_matrix", recording)
+    default = rankagg._PAIR_CHUNK
+    for data in (generate(30, 1.0, 0.3, seed=9), generate(100, 1.0, 0.03, seed=1)):
+        for chunk in (default, 1, 7, 100):  # a block per row; blocks splitting matches
+            monkeypatch.setattr(rankagg, "_PAIR_CHUNK", chunk)
+            rank_mc3(data)
+        assert all(np.array_equal(P, chains[0]) for P in chains)
+        chains.clear()
+
+
 def test_experiment_builds_one_hypergraph_per_trial(monkeypatch):
     calls = []
     real = Hypergraph.__init__
@@ -242,6 +261,12 @@ def test_tied_scores_rank_by_appearances():
     data = MatchData(3, [((1, 2), (0.0, 0.0)), ((1, 3), (0.0, 0.0))])
     result = rank_hypergraph(data)
     assert result.order == (1, 2, 3)  # player 1 in both matches; tie 2-3 by id
+
+
+def test_equal_stationary_mass_ranks_by_player_id():
+    result = rankagg._ranking("x", 6, np.array([0.1, 0.3, 0.1, 0.3, 0.2, 0.0]))
+    assert result.order == (2, 4, 5, 1, 3, 6)
+    assert all(type(i) is int for i in result.order)
 
 
 def test_mc3_ties_keep_walker_in_place():
@@ -290,6 +315,59 @@ def test_kendall_unweighted_symmetry_and_scipy_agreement():
         ref, _ = scipy.stats.kendalltau([a.index(i) for i in range(n)],
                                         [b.index(i) for i in range(n)])
         assert mine == pytest.approx(ref, abs=1e-12)
+
+
+def plain_kendall_tau(order, truth, weighted=False):
+    """The double loop over pairs i < j of `truth`, the reference for kendall_tau."""
+    pos = {item: k for k, item in enumerate(order)}
+    n = len(order)
+    signed = 0.0
+    total = 0.0
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            w = 1.0 / (i + 1) + 1.0 / (j + 1) if weighted else 1.0
+            concordant = pos[truth[i]] < pos[truth[j]]
+            signed += w if concordant else -w
+            total += w
+    return signed / total
+
+
+def random_rankings(rng, n):
+    """Two random permutations of 1..n, or of n strings every other n."""
+    elements = [f"p{i}" for i in range(n)] if n % 2 else list(range(1, n + 1))
+    return ([elements[k] for k in rng.permutation(n)],
+            [elements[k] for k in rng.permutation(n)])
+
+
+def test_kendall_equals_plain_loop():
+    rng = np.random.default_rng(13)
+    for n in range(2, 150):
+        order, truth = random_rankings(rng, n)
+        for weighted in (False, True):
+            tau = kendall_tau(order, truth, weighted)
+            assert type(tau) is float
+            assert tau == plain_kendall_tau(order, truth, weighted)
+
+
+def test_kendall_blocks_leave_results_unchanged(monkeypatch):
+    rng = np.random.default_rng(14)
+    cases = [random_rankings(rng, n) for n in (2, 3, 17, 64, 101)]
+    want = [kendall_tau(o, t, w) for o, t in cases for w in (False, True)]
+    for chunk in (1, 1000):  # one row per block; uneven blocks
+        monkeypatch.setattr(rankagg, "_PAIR_CHUNK", chunk)
+        assert [kendall_tau(o, t, w) for o, t in cases for w in (False, True)] == want
+
+
+def test_kendall_memory_is_bounded():
+    n = 4096  # the dense walk limit: 8.4 million pairs, over 200 MB unblocked
+    order = (np.random.default_rng(15).permutation(n) + 1).tolist()
+    tracemalloc.start()
+    try:
+        kendall_tau(order, list(range(n, 0, -1)), weighted=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_kendall_element_mismatch():
