@@ -31,7 +31,7 @@ from .errors import (ConvergenceFailure, DisconnectedHypergraph, DuplicateVertex
                      ElementMismatch, MalformedInput, ScoreOverflow)
 from .reduction import clique_expansion_weights, graph_random_walk
 from .stationary import stationary_direct
-from .walk import TransitionMatrix, restart_matrix, transition_matrix
+from .walk import TransitionMatrix, _check_size, restart_matrix, transition_matrix
 
 __all__ = [
     "ExperimentResult",
@@ -195,6 +195,7 @@ def rank_mc3(data: MatchData, beta: float = DEFAULT_BETA) -> RankingResult:
     (ties keep the walker in place)."""
     H = data.hypergraph
     n, who, s = H.n_vertices, H.indices, data.scores
+    _check_size(n)
     sizes = np.diff(H.indptr)
     width = sizes.repeat(sizes)  # per entry: the size of its match
     start = H.indptr[:-1].repeat(sizes)  # per entry: the first entry of its match

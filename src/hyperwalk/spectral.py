@@ -41,13 +41,13 @@ __all__ = [
 ]
 
 # Exhaustive subset enumeration: 2^24 is the most we are willing to walk.
-# The masks are scored by numpy in blocks of CHEEGER_BLOCK, so the
-# enumeration's memory is bounded by the block size whatever n is, and only
-# the near-minimal candidates are rescored exactly in Python.
+# Subsets are scored by numpy from tables over each half of the vertices, in
+# blocks of CHEEGER_BLOCK subsets, so memory is O(2^(n/2) n) plus one block;
+# only the near-minimal candidates are rescored exactly in Python.
 CHEEGER_SIZE_LIMIT = 24
-CHEEGER_BLOCK = 1 << 10
+CHEEGER_BLOCK = 1 << 16
 # Relative gap between a block's numpy sums and the fixed-order Python sums.
-# Both add non-negative terms, so they differ by at most about
+# Both add the same non-negative terms, so they differ by at most about
 # (n^2 + 4n) 2^-53, which is below 1e-13 up to CHEEGER_SIZE_LIMIT.
 CHEEGER_RTOL = 1e-12
 # Slack of the Cheeger inequality check, and the largest asymmetry
@@ -113,41 +113,50 @@ def _cheeger_enumerate(P: np.ndarray, pi: np.ndarray):
     tuple. The result is that of plain-float accumulation in fixed
     (ascending) order, so independent enumerations can agree bit-for-bit.
 
-    The masks are scored by numpy in blocks of ``CHEEGER_BLOCK``. Block sums
-    and fixed-order sums of the same non-negative terms differ by a relative
-    ``CHEEGER_RTOL`` at most, so a subset can only be feasible if its block
-    pi(S) is at most (1 + RTOL)/2, and can only be minimal if its block ratio
-    is within a factor 1 + 3 RTOL of the least block ratio among the subsets
-    that are surely feasible (block pi(S) <= (1 - RTOL)/2). Only those
-    candidates are rescored in fixed order."""
+    S = A | B, A among the low h = n // 2 vertices and B among the rest. With
+    F = pi[:, None] P, 0/1 rows IA, IB and f_L, f_U the flows inside a half,
+    a block of rows of A against every B is scored by two small products:
+    pi(S) = pi(A) + pi(B), flow(S) = [IA F_LU, f_L(A)] [1 - IB, 1]^T
+    + [1 - IA, 1] [IB F_UL, f_U(B)]^T. These add entries of F times exact
+    0/1 factors and never subtract, so each is within a relative
+    ``CHEEGER_RTOL`` of its fixed-order sum. A subset can then only be
+    feasible if its block pi(S) is at most (1 + RTOL)/2, and only minimal if
+    its block ratio is within a factor 1 + 3 RTOL of that of every surely
+    feasible subset (block pi(S) <= (1 - RTOL)/2). The screen uses the least
+    such ratio seen so far, so the minimizer passes it in any block order.
+    Only the candidates are rescored in fixed order."""
     n = len(pi)
     flow_terms = [[float(pi[x] * P[x, y]) for y in range(n)] for x in range(n)]
     pi_list = [float(x) for x in pi]
     F = pi[:, None] * P
-    ones = np.ones(n)
-    half_hi = 0.5 * (1.0 + CHEEGER_RTOL)
-    half_lo = 0.5 * (1.0 - CHEEGER_RTOL)
+    h = n // 2
+
+    def half(part, rest):  # per subset T of part: pi(T), [T F_part,rest, f(T)], [1 - T, 1]
+        k = part.stop - part.start
+        inside = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(float)
+        stay = ((inside @ F[part, part]) * (1.0 - inside)).sum(axis=1)
+        return (inside @ pi[part], np.column_stack([inside @ F[part, rest], stay]),
+                np.column_stack([1.0 - inside, np.ones(1 << k)]))
+
+    low, high = slice(0, h), slice(h, n)
+    (pi_a, to_a, out_a), (pi_b, to_b, out_b) = half(low, high), half(high, low)
+    half_lo, half_hi = 0.5 * (1.0 - CHEEGER_RTOL), 0.5 * (1.0 + CHEEGER_RTOL)
     bound = math.inf  # least block ratio of a surely feasible subset so far
-    best_ratio = None
-    best_subset = None
-    full = (1 << n) - 1
-    # Reused buffers: fresh block-sized temporaries cost more than the math.
-    rows = min(CHEEGER_BLOCK, full - 1)
-    inside_buf, outside_buf, flow_buf = (np.empty((rows, n)) for _ in range(3))
-    for start in range(1, full, CHEEGER_BLOCK):
-        masks = np.arange(start, min(start + CHEEGER_BLOCK, full))
-        k = len(masks)
-        inside, outside, flow = inside_buf[:k], outside_buf[:k], flow_buf[:k]
-        inside[...] = np.unpackbits(masks.astype("<u4").view(np.uint8).reshape(k, 4),
-                                    axis=1, count=n, bitorder="little")
-        np.subtract(1.0, inside, out=outside)
-        pi_s = inside @ pi
-        np.matmul(inside, F, out=flow)
-        flow *= outside
-        ratio = flow @ ones / pi_s
-        bound = min(bound, float(np.min(ratio, where=pi_s <= half_lo, initial=math.inf)))
+    best_ratio = best_subset = None
+    rows = max(1, CHEEGER_BLOCK >> (n - h))
+    for start in range(0, 1 << h, rows):
+        a = slice(start, start + rows)
+        flow = to_a[a] @ out_b.T
+        flow += out_a[a] @ to_b.T
+        pi_s = pi_a[a, None] + pi_b
+        if start == 0:
+            pi_s[0, 0] = math.inf  # S empty: never feasible, and no 0/0
+        ratio = flow / pi_s
+        bound = min(bound, float(np.where(pi_s <= half_lo, ratio, math.inf).min()))
         candidates = (pi_s <= half_hi) & (ratio <= bound * (1.0 + 3.0 * CHEEGER_RTOL))
-        for mask in masks[candidates].tolist():
+        for cell in np.flatnonzero(candidates).tolist():
+            a_offset, b_mask = divmod(cell, len(pi_b))
+            mask = (start + a_offset) | (b_mask << h)
             members = [i for i in range(n) if mask >> i & 1]
             pi_exact = 0.0
             for i in members:

@@ -15,6 +15,7 @@ from hyperwalk import (
     MalformedInput,
     MatchData,
     ScoreOverflow,
+    SizeLimit,
     TransitionMatrix,
     UnknownVertex,
     experiment,
@@ -230,6 +231,13 @@ def test_mc3_blocks_leave_chain_unchanged(monkeypatch):
             rank_mc3(data)
         assert all(np.array_equal(P, chains[0]) for P in chains)
         chains.clear()
+
+
+@pytest.mark.parametrize("ranker", [rank_hypergraph, rank_mc3])
+def test_rankers_share_the_dense_size_limit(ranker):
+    data = MatchData(4200, [((i, i + 1), (0.0, 1.0)) for i in range(1, 4200)])
+    with pytest.raises(SizeLimit, match="at most 4096 vertices, got 4200"):
+        ranker(data)
 
 
 def test_experiment_builds_one_hypergraph_per_trial(monkeypatch):

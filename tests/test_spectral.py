@@ -18,6 +18,7 @@ from hyperwalk import (
     empirical_mixing_time,
     laplacian,
     mixing_time_bound,
+    rho_normalized,
     spectral_report,
     stationary_direct,
     stationary_rho,
@@ -222,6 +223,60 @@ def test_cheeger_n18_against_numpy_oracle():
         edges.append((float(rng.uniform(0.1, 10.0)),
                                {names[j]: float(rng.uniform(0.1, 10.0)) for j in members}))
     H = Hypergraph(names, edges)
+    res = cheeger_constant(H)
+    masks, pi_s, ratio = _numpy_cheeger_ratios(transition_matrix(H).matrix,
+                                                stationary_rho(H).pi)
+    feasible = (masks > 0) & (masks < (1 << n) - 1) & (pi_s <= 0.5)
+    phi = ratio[feasible].min()
+    assert abs(res.phi - phi) <= 1e-12
+    argmin = sum(1 << H.index(v) for v in res.argmin)
+    assert pi_s[argmin] <= 0.5 + 1e-12
+    assert abs(ratio[argmin] - phi) <= 1e-12
+
+
+def _ring_hypergraph(rng, n, extra):
+    """n vertices on a ring of 2-member edges plus ``extra`` random 4-member
+    edges (fewer members when n < 4), all weights drawn from [0.1, 10]."""
+    names = [f"v{i}" for i in range(n)]
+
+    def draw():
+        return float(rng.uniform(0.1, 10.0))
+
+    edges = [(draw(), {names[i]: draw(), names[(i + 1) % n]: draw()}) for i in range(n)]
+    for _ in range(extra):
+        members = rng.choice(n, size=min(4, n), replace=False)
+        edges.append((draw(), {names[j]: draw() for j in members}))
+    return Hypergraph(names, edges)
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_cheeger_split_halves_match_brute_force(n):
+    # Odd n gives halves of different sizes; n = 2, 3 have a one-vertex half.
+    rng = np.random.default_rng(1000 + n)
+    H = _ring_hypergraph(rng, n, 3)
+    for G in (H, rho_normalized(H), _uniform_complete(n)):
+        _assert_matches_brute_force(G, cheeger_constant(G))
+
+
+def test_cheeger_partial_last_block(monkeypatch):
+    # CHEEGER_BLOCK >> u rows of A per block (u = n - n // 2); an odd count
+    # never divides the 2^(n // 2) rows of A, so the last block is cut short.
+    rng = np.random.default_rng(77)
+    for n in (5, 8, 9, 12):
+        H = _ring_hypergraph(rng, n, 2)
+        u = n - n // 2
+        results = []
+        for rows in (1, 3, 5, 7):
+            monkeypatch.setattr(spectral, "CHEEGER_BLOCK", rows << u)
+            results.append(cheeger_constant(H))
+        assert all(res == results[0] for res in results)
+        _assert_matches_brute_force(H, results[0])
+
+
+def test_cheeger_n19_against_numpy_oracle():
+    rng = np.random.default_rng(19)
+    n = 19
+    H = _ring_hypergraph(rng, n, 6)
     res = cheeger_constant(H)
     masks, pi_s, ratio = _numpy_cheeger_ratios(transition_matrix(H).matrix,
                                                 stationary_rho(H).pi)
