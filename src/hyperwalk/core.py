@@ -198,7 +198,8 @@ def _vertex_major(H: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     return vptr, np.argsort(H.indices, kind="stable")
 
 
-# Block entries formed per pass of _block_scatter; bounds its temporaries.
+# Block entries formed per np.add.at call of _block_scatter; bounds its
+# temporaries.
 _SCATTER_CHUNK = 1 << 18
 
 
@@ -206,23 +207,35 @@ def _block_scatter(indptr, indices, left, right, n: int, scale=None) -> np.ndarr
     """Dense n x n sum over groups k of ``scale[k] * outer(left[g], right[g])``
     placed at rows and columns ``indices[g]``, where g = indptr[k]:indptr[k+1].
 
-    Groups of one size are scattered together, sizes ascending, groups in
-    order within a size, and every term is formed as ``(left * right) *
-    scale``. So when ``left`` is ``right``, entries (u, v) and (v, u) receive
-    equal terms in equal order and the result is exactly symmetric. Work is
+    Groups of one size are formed together, sizes ascending, groups in order
+    within a size, and every term is formed as ``(left * right) * scale``.
+    The terms are added in that order by one np.add.at call per
+    _SCATTER_CHUNK of them (a size with more terms is split across calls).
+    So when ``left`` is ``right``, entries (u, v) and (v, u) receive equal
+    terms in equal order and the result is exactly symmetric. Work is
     O(sum of squared group sizes).
     """
     out = np.zeros(n * n)
     sizes = np.diff(indptr)
+    where, what, held = [], [], 0  # the terms held for the next np.add.at call
     for s in np.flatnonzero(np.bincount(sizes)):  # sizes present, ascending
         groups = np.flatnonzero(sizes == s)
-        for part in np.array_split(groups, -(-len(groups) * s * s // _SCATTER_CHUNK)):
+        step = max(1, _SCATTER_CHUNK // (s * s))  # groups per part
+        for a in range(0, len(groups), step):
+            part = groups[a:a + step]
+            if where and held + len(part) * s * s > _SCATTER_CHUNK:
+                np.add.at(out, np.concatenate(where), np.concatenate(what))
+                where, what, held = [], [], 0
             pos = indptr[part][:, None] + np.arange(s)  # one row of entries per group
             values = left[pos][:, :, None] * right[pos][:, None, :]
             if scale is not None:
                 values *= scale[part][:, None, None]
             idx = indices[pos]
-            np.add.at(out, (idx[:, :, None] * n + idx[:, None, :]).ravel(), values.ravel())
+            where.append((idx[:, :, None] * n + idx[:, None, :]).ravel())
+            what.append(values.ravel())
+            held += values.size
+    if where:
+        np.add.at(out, np.concatenate(where), np.concatenate(what))
     return out.reshape(n, n)
 
 

@@ -118,6 +118,12 @@ def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
     built on a hypergraph, and those are connected by construction; coverage
     alone almost always suffices, so the extra matches are rare. After
     MAX_DRAWS draws without reaching both, ConvergenceFailure is raised.
+
+    Each draw reads the seed's PCG64 stream in this order, and the seeded
+    outputs depend on it: ``random(n)`` for the members, then, for a kept
+    draw of k members, ``random()`` for c and ``standard_normal(k)`` for
+    the scores. A score beyond the float range is left to MatchData to name
+    (ScoreOverflow).
     """
     if n < 2:
         raise ValueError("need at least two players")
@@ -126,6 +132,8 @@ def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     rng = np.random.default_rng(seed)
+    random, standard_normal = rng.random, rng.standard_normal
+    low, span = SCALE_RANGE[0], SCALE_RANGE[1] - SCALE_RANGE[0]
     matches = []
     parent = list(range(n))
 
@@ -137,26 +145,28 @@ def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
 
     components = n  # one set: every player has appeared and all are connected
     draws = 0
-    while components > 1:
-        if draws == MAX_DRAWS:
-            raise ConvergenceFailure(
-                f"{MAX_DRAWS} match draws did not cover all {n} players in one "
-                f"connected set at p={p}; increase p"
-            )
-        draws += 1
-        mask = rng.random(n) < p
-        if mask.sum() < 2:
-            continue
-        players = np.flatnonzero(mask) + 1
-        c = rng.uniform(*SCALE_RANGE)
-        scores = c * rng.normal(0.2 * players, sigma)
-        matches.append((players, scores))
-        root = find(int(players[0]) - 1)
-        for i in players[1:]:
-            r = find(int(i) - 1)
-            if r != root:
-                parent[r] = root
-                components -= 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while components > 1:
+            if draws == MAX_DRAWS:
+                raise ConvergenceFailure(
+                    f"{MAX_DRAWS} match draws did not cover all {n} players in one "
+                    f"connected set at p={p}; increase p"
+                )
+            draws += 1
+            idx = (random(n) < p).nonzero()[0]
+            if len(idx) < 2:
+                continue
+            players = idx + 1
+            # bit for bit rng.uniform(*SCALE_RANGE) and rng.normal(0.2 * players, sigma)
+            c = low + span * random()
+            matches.append((players, c * (0.2 * players + sigma * standard_normal(len(idx)))))
+            members = idx.tolist()
+            root = find(members[0])
+            for i in members[1:]:
+                r = find(i)
+                if r != root:
+                    parent[r] = root
+                    components -= 1
     return MatchData(n, matches)
 
 
@@ -285,6 +295,9 @@ def experiment(n: int, sigma: float, p_values: Iterable[float], trials: int,
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     p_values = [float(p) for p in p_values]
+    for k, p in enumerate(p_values):
+        if p in p_values[:k]:
+            raise ValueError(f"inclusion rate {p!r} is given more than once")
     truth = list(range(n, 0, -1))  # best player first
     rows: list[dict] = []
     for p in p_values:

@@ -451,6 +451,24 @@ def test_rankagg_unreachable_coverage_stops(capsys):
     assert "ConvergenceFailure" in capsys.readouterr().err
 
 
+def test_rankagg_score_overflow_is_named_without_a_warning():
+    # run as a user runs it, under Python's default warning filters
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperwalk.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-m", "hyperwalk.cli", "rankagg", "--n", "5",
+                          "--p", "0.5", "--trials", "1", "--sigma", "1e308"],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 1
+    assert "error: ScoreOverflow" in run.stderr
+    assert "Warning" not in run.stderr
+
+
+def test_rankagg_repeated_rate_is_usage_error(capsys):
+    assert dispatch(["rankagg", "--n", "5", "--p", "0.3,0.30", "--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: inclusion rate 0.3 is given more than once" in captured.err
+
+
 def test_spectral_one_vertex_is_size_limit(tmp_path, capsys):
     path = _write_json(tmp_path, "h.json",
                        {"vertices": ["a"], "edges": [{"weight": 1, "members": {"a": 1}}]})

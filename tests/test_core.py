@@ -1,6 +1,7 @@
 """Data model: validation, degrees, incidence, clique graphs, serialization."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from hyperwalk import (
     to_text,
     transition_matrix,
 )
-from hyperwalk.core import _block_scatter
+from hyperwalk import core
+from hyperwalk.core import _block_scatter, _vertex_major
 from conftest import sweep
 
 
@@ -246,6 +248,71 @@ def test_block_scatter_chunks_leave_results_unchanged(monkeypatch):
         assert np.array_equal(transition_matrix(H).matrix, P)
         assert np.array_equal(clique_expansion_weights(H).weights, G)
         monkeypatch.undo()
+
+
+def per_size_block_scatter(indptr, indices, left, right, n, scale=None):
+    """The reference for _block_scatter: one np.add.at call per size, or per
+    _SCATTER_CHUNK-sized part of a size, sizes ascending."""
+    out = np.zeros(n * n)
+    sizes = np.diff(indptr)
+    for s in np.flatnonzero(np.bincount(sizes)):
+        groups = np.flatnonzero(sizes == s)
+        for part in np.array_split(groups, -(-len(groups) * s * s // core._SCATTER_CHUNK)):
+            pos = indptr[part][:, None] + np.arange(s)
+            values = left[pos][:, :, None] * right[pos][:, None, :]
+            if scale is not None:
+                values *= scale[part][:, None, None]
+            idx = indices[pos]
+            np.add.at(out, (idx[:, :, None] * n + idx[:, None, :]).ravel(), values.ravel())
+    return out.reshape(n, n)
+
+
+def scatter_inputs():
+    """(indptr, indices, n, left, right, scale) cases: the edge-major and the
+    vertex-major layouts of sweep hypergraphs, and 4095 groups of 2 to 4 of
+    2048 vertices, shaped as the benchmark's n=2048 stationary input."""
+    rng = np.random.default_rng(105)
+    layouts = []
+    for H in sweep(105, 12, max_vertices=10, max_edges=8):
+        layouts.append((H.indptr, H.indices, H.n_vertices))
+        vptr, order = _vertex_major(H)
+        edge = np.repeat(np.arange(H.n_edges), np.diff(H.indptr))
+        layouts.append((vptr, edge[order], H.n_edges))
+    sizes = rng.integers(2, 5, size=4095)
+    layouts.append((np.concatenate(([0], np.cumsum(sizes))),
+                    np.concatenate([rng.choice(2048, s, replace=False) for s in sizes]), 2048))
+    for indptr, indices, n in layouts:
+        left, right = rng.uniform(0.25, 4.0, size=(2, len(indices)))
+        yield indptr, indices, n, left, right, rng.uniform(0.5, 2.0, size=len(indptr) - 1)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7, 100])
+def test_block_scatter_equals_per_size_reference(monkeypatch, chunk):
+    # One np.add.at per chunk of terms adds each entry's terms in the order
+    # the per-size calls did, so the sums are equal bit for bit.
+    if chunk is not None:
+        monkeypatch.setattr(core, "_SCATTER_CHUNK", chunk)
+    for indptr, indices, n, left, right, scale in scatter_inputs():
+        for s in (None, scale):
+            got = _block_scatter(indptr, indices, left, right, n, s)
+            assert np.array_equal(got, per_size_block_scatter(indptr, indices, left, right, n, s))
+        sym = _block_scatter(indptr, indices, left, left, n, scale)
+        assert np.array_equal(sym, sym.T)
+
+
+def test_block_scatter_temporaries_are_bounded_by_chunk(monkeypatch):
+    # 1,000 groups of 40: 1.6 million terms, 13 MB per term array if held at once
+    indptr = np.arange(0, 40_001, 40)
+    indices = np.random.default_rng(106).integers(0, 100, size=40_000)
+    values = np.ones(len(indices))
+    monkeypatch.setattr(core, "_SCATTER_CHUNK", 1 << 14)
+    tracemalloc.start()
+    try:
+        _block_scatter(indptr, indices, values, values, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20  # the held terms, their concatenation and their products
 
 
 def test_delta_normalized(h_demo):

@@ -8,6 +8,7 @@ import pytest
 import scipy.stats
 
 from hyperwalk import (
+    ConvergenceFailure,
     DisconnectedHypergraph,
     DuplicateVertex,
     ElementMismatch,
@@ -64,6 +65,99 @@ def test_generate_rejects_bad_params():
         generate(10, 1.0, 0.0, seed=1)
     with pytest.raises(ValueError):
         generate(1, 1.0, 0.5, seed=1)
+
+
+def test_generate_score_beyond_float_range_is_named():
+    # sigma * N(0, 1) overflows: MatchData names the score, and no numpy
+    # RuntimeWarning is raised on the way (tier-1 turns those into errors)
+    for sigma in (1e308, math.inf):
+        for seed in (1, 42):
+            with pytest.raises(ScoreOverflow, match="is not a finite number"):
+                generate(5, sigma, 0.5, seed)
+
+
+def reference_generate(n, sigma, p, seed):
+    """The per-draw loop generate() replaced, kept as its reference: returns
+    the matches it would hand to MatchData."""
+    rng = np.random.default_rng(seed)
+    matches = []
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    components = n
+    draws = 0
+    while components > 1:
+        if draws == rankagg.MAX_DRAWS:
+            raise ConvergenceFailure(
+                f"{rankagg.MAX_DRAWS} match draws did not cover all {n} players in one "
+                f"connected set at p={p}; increase p"
+            )
+        draws += 1
+        mask = rng.random(n) < p
+        if mask.sum() < 2:
+            continue
+        players = np.flatnonzero(mask) + 1
+        c = rng.uniform(*rankagg.SCALE_RANGE)
+        scores = c * rng.normal(0.2 * players, sigma)
+        matches.append((players, scores))
+        root = find(int(players[0]) - 1)
+        for i in players[1:]:
+            r = find(int(i) - 1)
+            if r != root:
+                parent[r] = root
+                components -= 1
+    return matches
+
+
+def bits(matches):
+    return [(who.dtype.str, who.tobytes(), s.dtype.str, s.tobytes()) for who, s in matches]
+
+
+def generate_outcome(make, n, sigma, p, seed):
+    try:
+        return bits(make(n, sigma, p, seed))
+    except ConvergenceFailure as exc:
+        return str(exc)
+
+
+def recorded_generate(monkeypatch):
+    """generate(), returning the matches it hands to MatchData."""
+    seen = []
+    monkeypatch.setattr(rankagg, "MatchData", lambda n, matches: seen.append(list(matches)))
+
+    def run(*args):
+        generate(*args)
+        return seen.pop()
+
+    return run
+
+
+def test_generate_equals_reference_loop_bit_for_bit(monkeypatch):
+    # Same PCG64 stream, read by cheaper calls: the same matches, bit for bit.
+    run = recorded_generate(monkeypatch)
+    for n in (2, 7, 100, 500):
+        for sigma in (0.37, 1.0, 2.5):
+            for p in (0.03, 0.07, 0.5):
+                for seed in (0, 1, 17):
+                    args = (n, sigma, p, seed)
+                    assert bits(run(*args)) == bits(reference_generate(*args)), args
+
+
+def test_generate_gives_up_as_reference_loop(monkeypatch):
+    run = recorded_generate(monkeypatch)
+    outcomes = set()
+    for limit in (1, 3, 20):
+        monkeypatch.setattr(rankagg, "MAX_DRAWS", limit)
+        for args in ((7, 1.0, 0.5, 0), (100, 1.0, 0.07, 1), (500, 2.5, 0.03, 2)):
+            got = generate_outcome(run, *args)
+            assert got == generate_outcome(reference_generate, *args), (limit, args)
+            outcomes.add(type(got))
+    assert outcomes == {str, list}  # some gave up, some finished
 
 
 def test_match_validation():
@@ -395,6 +489,15 @@ def test_experiment_single_trial():
     for row in result.summary:
         assert row["std_tau_weighted"] == 0.0
         assert row["trials"] == 1
+
+
+def test_experiment_rejects_repeated_rate(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a match set was drawn")
+
+    monkeypatch.setattr(rankagg, "generate", unreachable)
+    with pytest.raises(ValueError, match="inclusion rate 0.3 is given more than once"):
+        experiment(10, 1.0, [0.3, 0.5, 0.3], trials=2, seed=5)
 
 
 def test_experiment_deterministic_csv():
