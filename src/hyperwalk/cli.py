@@ -62,13 +62,14 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def write_manifest(out_path: str, argv: list[str], inputs: list[str],
+def write_manifest(out_path: str, argv: list[str], inputs: dict[str, str],
                    seed: int | None) -> None:
     """Record what produced `out_path`: re-running `command` against inputs
-    with these digests reproduces the file byte-for-byte within one build."""
+    with these digests (path -> sha256 as read) reproduces the file
+    byte-for-byte within one build."""
     manifest = {
         "command": ["hyperwalk"] + list(argv),
-        "inputs": {p: _sha256(p) for p in inputs},
+        "inputs": inputs,
         "seed": seed,
         "version": __version__,
         "numpy": np.__version__,
@@ -328,15 +329,17 @@ def dispatch(argv: list[str]) -> int:
     """Run one command line; write its output, and with --out its manifest."""
     argv = _with_config(argv)
     args = _build_parser()[0].parse_args(argv)
+    out = getattr(args, "out", None)
     try:
+        # digests of the inputs as read: the output may overwrite one of them
+        paths = [getattr(args, name, None) for name in ("input", "matches")] if out else []
+        inputs = {p: _sha256(p) for p in paths if p}
         result = args.handler(args)
         text = json.dumps(result, indent=2) + "\n" if isinstance(result, dict) else result
-        out = getattr(args, "out", None)
         if out:
             with open(out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-            inputs = [getattr(args, name, None) for name in ("input", "matches")]
-            write_manifest(out, argv, [p for p in inputs if p], getattr(args, "seed", None))
+            write_manifest(out, argv, inputs, getattr(args, "seed", None))
         else:
             sys.stdout.write(text)
     except (HyperwalkError, OSError) as exc:

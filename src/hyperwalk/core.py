@@ -52,6 +52,27 @@ _REAL = frozenset([int, float] + [np.dtype(c).type for c in np.typecodes["AllInt
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
+def _find(parent: list, x: int) -> int:
+    """Root of x in the union-find forest `parent`, halving its path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent: list, members: list) -> int:
+    """Join the sets of all `members` (at least one); return the number of
+    joins made, so each lowers the count of sets by one."""
+    root = _find(parent, members[0])
+    joins = 0
+    for j in members[1:]:
+        r = _find(parent, j)
+        if r != root:
+            parent[r] = root
+            joins += 1
+    return joins
+
+
 class Hypergraph:
     """Immutable hypergraph with per-edge vertex weights, stored as one CSR
     layout: edge k's members are ``indices[indptr[k]:indptr[k+1]]``
@@ -145,23 +166,9 @@ class Hypergraph:
                 f"vertex {self.vertices[j]!r} is not a member of any hyperedge"
             )
         parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         ptr, ind = self.indptr.tolist(), self.indices.tolist()
-        for a, b in zip(ptr, ptr[1:]):
-            root = find(ind[a])
-            for j in ind[a + 1:b]:
-                r = find(j)
-                if r != root:
-                    parent[r] = root
-        roots = {find(j) for j in range(n)}
-        if len(roots) > 1:
-            a, b = sorted(roots)[:2]
+        if sum(_union(parent, ind[a:b]) for a, b in zip(ptr, ptr[1:])) < n - 1:
+            a, b = sorted({_find(parent, j) for j in range(n)})[:2]
             raise DisconnectedHypergraph(
                 f"vertices {self.vertices[a]!r} and {self.vertices[b]!r} "
                 "are in different components"

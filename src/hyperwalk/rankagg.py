@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Hypergraph, delta_normalized
+from .core import Hypergraph, _union, delta_normalized
 from .errors import (ConvergenceFailure, DisconnectedHypergraph, DuplicateVertex,
                      ElementMismatch, MalformedInput, ScoreOverflow)
 from .reduction import clique_expansion_weights, graph_random_walk
@@ -136,13 +136,6 @@ def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
     low, span = SCALE_RANGE[0], SCALE_RANGE[1] - SCALE_RANGE[0]
     matches = []
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     components = n  # one set: every player has appeared and all are connected
     draws = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -160,13 +153,7 @@ def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
             # bit for bit rng.uniform(*SCALE_RANGE) and rng.normal(0.2 * players, sigma)
             c = low + span * random()
             matches.append((players, c * (0.2 * players + sigma * standard_normal(len(idx)))))
-            members = idx.tolist()
-            root = find(members[0])
-            for i in members[1:]:
-                r = find(i)
-                if r != root:
-                    parent[r] = root
-                    components -= 1
+            components -= _union(parent, idx.tolist())
     return MatchData(n, matches)
 
 

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .spectral import eigenvalues_symmetric, laplacian_from_walk
 from .stationary import RESIDUAL_TOL, rho_normalized, stationary_direct, stationary_rho
-from .walk import TransitionMatrix, nonlazy_transition_matrix, transition_matrix
+from .walk import TransitionMatrix, _check_size, nonlazy_transition_matrix, transition_matrix
 
 __all__ = [
     "KolmogorovResult",
@@ -73,6 +73,7 @@ def graph_random_walk(G: WeightedGraph) -> TransitionMatrix:
 def _clique_weights(H: Hypergraph, gamma: np.ndarray) -> WeightedGraph:
     """w(u,v) = sum over shared edges of omega(e) gamma(u) gamma(v) / delta(e),
     with one gamma value per (edge, member) entry; self-loops included."""
+    _check_size(H.n_vertices)
     _, delta = degrees(H)
     return WeightedGraph(H.vertices, _block_scatter(H.indptr, H.indices, gamma, gamma,
                                                     H.n_vertices, H.omega / delta))

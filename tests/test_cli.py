@@ -187,6 +187,16 @@ def test_out_file_is_the_stdout_plus_a_manifest(demo_file, tmp_path, capsys, com
     assert manifest["seed"] == (42 if argv[0] == "rankagg" else None)
 
 
+def test_manifest_digest_is_of_the_input_as_read(demo_file, capsys):
+    # the output overwrites its own input: the manifest names the bytes read
+    with open(demo_file, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert dispatch(["stationary", "--input", demo_file, "--out", demo_file]) == 0
+    manifest = json.loads(Path(demo_file + ".manifest.json").read_text())
+    assert "pi" in json.loads(Path(demo_file).read_text())
+    assert manifest["inputs"] == {demo_file: digest}
+
+
 def test_out_into_a_missing_directory_is_named(demo_file, tmp_path, capsys):
     out = tmp_path / "missing" / "pi.json"
     assert dispatch(["stationary", "--input", demo_file, "--out", str(out)]) == 1
@@ -649,6 +659,7 @@ def _no_dense_matrix(monkeypatch):
 
     monkeypatch.setattr("hyperwalk.stationary._block_scatter", unreachable)
     monkeypatch.setattr("hyperwalk.walk._block_scatter", unreachable)
+    monkeypatch.setattr("hyperwalk.reduction._block_scatter", unreachable)
 
 
 def test_stationary_rho_too_many_vertices_fails_first(tmp_path, capsys, monkeypatch):
@@ -671,6 +682,18 @@ def test_stationary_rho_too_many_edges_fails_first(tmp_path, capsys, monkeypatch
     captured = capsys.readouterr()
     assert json.loads(captured.out)["method"] == "walk-iteration"
     assert captured.err == ""
+
+
+def test_reduce_eqind_too_many_vertices_fails_first(tmp_path, capsys, monkeypatch):
+    n = DENSE_SIZE_LIMIT + 1
+    names = [f"v{i}" for i in range(n)]
+    edges = [{"weight": 1.0, "members": {names[i]: 1.0, names[i + 1]: 1.0}}
+             for i in range(n - 1)]
+    path = _write_json(tmp_path, "path.json", {"vertices": names, "edges": edges})
+    _no_dense_matrix(monkeypatch)
+    assert dispatch(["reduce", "--input", path, "--mode", "eqind"]) == 1
+    assert f"SizeLimit: dense matrices support at most {DENSE_SIZE_LIMIT} vertices, " \
+           f"got {n}" in capsys.readouterr().err
 
 
 def test_stationary_auto_falls_back_on_a_slowly_mixing_walk(tmp_path, capsys):

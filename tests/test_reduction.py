@@ -157,6 +157,13 @@ def test_kolmogorov_size_limits():
         kolmogorov_check(transition_matrix(H2), 7)
 
 
+def test_clique_expansion_size_limit():
+    names = [f"v{i}" for i in range(4097)]
+    H = Hypergraph(names, [(1.0, {v: 1.0 for v in names})])
+    with pytest.raises(SizeLimit, match="at most 4096 vertices, got 4097"):
+        clique_expansion_weights(H)
+
+
 # -- non-lazy trivial equivalence ----------------------------------------------------------
 
 def test_nonlazy_single_edge(triangle):
