@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import _load_json, demo_hypergraph, graph_to_json_dict, read_hypergraph
+from .core import _json_text, _load_json, demo_hypergraph, graph_to_json_dict, read_hypergraph
 from .errors import ConvergenceFailure, HyperwalkError
 from .rankagg import _METHODS, experiment, matches_from_json_dict
 from .reduction import (
@@ -78,7 +78,7 @@ def write_manifest(out_path: str, argv: list[str], inputs: dict[str, str],
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, indent=2) + "\n")
+        fh.write(_json_text(manifest))
 
 
 def _matrix_csv(vertices, matrix) -> str:
@@ -109,7 +109,7 @@ def _cmd_transition(args) -> dict | str:
     if args.json:
         return {
             "vertices": list(P.vertices),
-            "matrix": [[float(x) for x in row] for row in P.matrix],
+            "matrix": P.matrix.tolist(),
             "kind": args.kind,
         }
     return _matrix_csv(P.vertices, P.matrix)
@@ -196,12 +196,12 @@ def _cmd_demo(args) -> dict | str:
     if args.json:
         return {
             "vertices": list(H.vertices),
-            "transition_matrix": [[float(x) for x in row] for row in P.matrix],
-            "pi": {v: float(x) for v, x in zip(H.vertices, pi.pi)},
+            "transition_matrix": P.matrix.tolist(),
+            "pi": dict(zip(H.vertices, pi.pi.tolist())),
             "reversible": verdict.reversible,
             "worst_pair": list(verdict.worst_pair),
             "violation": verdict.violation,
-            "laplacian_eigenvalues": [float(x) for x in evals],
+            "laplacian_eigenvalues": evals.tolist(),
             "cheeger": cheeger.phi,
             "cheeger_inequality_holds": cheeger.holds,
         }
@@ -335,7 +335,7 @@ def dispatch(argv: list[str]) -> int:
         paths = [getattr(args, name, None) for name in ("input", "matches")] if out else []
         inputs = {p: _sha256(p) for p in paths if p}
         result = args.handler(args)
-        text = json.dumps(result, indent=2) + "\n" if isinstance(result, dict) else result
+        text = _json_text(result) if isinstance(result, dict) else result
         if out:
             with open(out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)

@@ -409,6 +409,62 @@ def _json_value(text: str, source: str):
         raise MalformedInput(f"{source}: invalid JSON: {exc}") from None
 
 
+# Each scalar's text by its exact type; _JSON_SPELLING respells the six
+# words repr writes where json does not (a str's text is quoted, never one).
+_SCALAR_TEXT = {str: json.encoder.encode_basestring_ascii, float: float.__repr__,
+                int: int.__repr__, bool: repr, type(None): repr}
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity",
+                  "True": "true", "False": "false", "None": "null"}
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2) + "\\n"``, byte for byte: the one JSON
+    writer. Non-empty dicts, lists and tuples are walked into one list of
+    text, joined once; json.dumps itself writes each non-str key and each
+    value outside ``_SCALAR_TEXT`` (np.float64, an empty container, an
+    unsupported type), so json's rules and errors hold for them. A container
+    that holds itself raises RecursionError where json raises ValueError."""
+    parts = []
+    append = parts.append
+    scalar_text, spell = _SCALAR_TEXT.get, _JSON_SPELLING.get
+    key_text = json.encoder.encode_basestring_ascii
+
+    def write(value, newline: str) -> None:
+        if isinstance(value, dict) and value:
+            inner, sep = newline + "  ", "{"
+            for key, item in value.items():
+                key = key_text(key) if type(key) is str else json.dumps({key: 0})[1:-4]
+                text = scalar_text(type(item))
+                if text:
+                    text = text(item)
+                    append(sep + inner + key + ": " + spell(text, text))
+                else:
+                    append(sep + inner + key + ": ")
+                    write(item, inner)
+                sep = ","
+            append(newline + "}")
+        elif isinstance(value, (list, tuple)) and value:
+            inner, sep = newline + "  ", "["
+            for item in value:
+                text = scalar_text(type(item))
+                if text:
+                    text = text(item)
+                    append(sep + inner + spell(text, text))
+                else:
+                    append(sep + inner)
+                    write(item, inner)
+                sep = ","
+            append(newline + "]")
+        else:
+            text = scalar_text(type(value))
+            text = text(value) if text else json.dumps(value)
+            append(spell(text, text))
+
+    write(value, "\n")
+    append("\n")
+    return "".join(parts)
+
+
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -439,7 +495,7 @@ def to_json_dict(H: Hypergraph) -> dict:
 
 
 def dumps_json(H: Hypergraph) -> str:
-    return json.dumps(to_json_dict(H), indent=2) + "\n"
+    return _json_text(to_json_dict(H))
 
 
 def to_text(H: Hypergraph) -> str:
@@ -508,10 +564,11 @@ def read_hypergraph(path: str) -> Hypergraph:
 def graph_to_json_dict(G: WeightedGraph) -> dict:
     """Emit a weighted graph in the hypergraph JSON format (pair edges, loops
     as singleton edges)."""
+    u, v = np.nonzero(np.triu(G.weights) > 0.0)
+    names = G.vertices
     edges = [
-        {"weight": float(G.weights[u, v]),
-         "members": {G.vertices[u]: 1.0, G.vertices[v]: 1.0}}  # one key if u == v
-        for u, v in zip(*np.nonzero(np.triu(G.weights) > 0.0))
+        {"weight": w, "members": {names[a]: 1.0, names[b]: 1.0}}  # one key if a == b
+        for w, a, b in zip(G.weights[u, v].tolist(), u.tolist(), v.tolist())
     ]
     return {"vertices": list(G.vertices), "edges": edges}
 

@@ -86,9 +86,9 @@ class StationaryResult:
 
     def as_dict(self) -> dict:
         out = {
-            "pi": {v: float(x) for v, x in zip(self.vertices, self.pi)},
+            "pi": dict(zip(self.vertices, self.pi.tolist())),
             "rho": {} if self.rho is None else {
-                str(k): float(r) for k, r in enumerate(self.rho)
+                str(k): r for k, r in enumerate(self.rho.tolist())
             },
             "method": self.method,
             "residual": float(self.residual),
@@ -173,7 +173,8 @@ def stationary_rho(H: Hypergraph) -> StationaryResult:
 def stationary_direct(P: TransitionMatrix) -> StationaryResult:
     """Solve pi P = pi with sum pi = 1 by dense elimination (partial
     pivoting). The oracle the rho route is checked against."""
-    pi = _fixed_point(P.matrix.T.copy())
+    # P^T as a view of a plain copy is in Fortran order, the layout LAPACK takes
+    pi = _fixed_point(P.matrix.copy().T)
     return StationaryResult(
         vertices=P.vertices, pi=pi, rho=None, method="direct-solve",
         residual=_residual(pi, P),

@@ -1,0 +1,124 @@
+"""The one JSON writer: ``core._json_text`` writes json.dumps(indent=2)'s bytes."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hyperwalk import demo_hypergraph, dumps_json
+from hyperwalk.cli import dispatch
+from hyperwalk.core import _json_text
+from test_cli import MATCHES
+
+
+def reference(value) -> str:
+    return json.dumps(value, indent=2) + "\n"
+
+
+SCALARS = (st.text() | st.integers() | st.floats() | st.booleans() | st.none())
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(VALUES)
+def test_writes_the_bytes_of_json_dumps(value):
+    assert _json_text(value) == reference(value)
+
+
+@pytest.mark.parametrize("value", [
+    float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e16, 5e-324, 1.7976931348623157e308,
+    10**30, -10**30, True, False, None, "",
+    [float("nan"), float("inf"), -float("inf"), -0.0, 1e16, 5e-324, 10**30],
+    {"nan": float("nan"), "inf": "inf", "True": "None", "null": None, "t": True},
+])
+def test_scalars(value):
+    assert _json_text(value) == reference(value)
+
+
+STRINGS = ["grüße π 漢字 \U0001f600", "\x00\x01\x1f\x7f\b\f\n\r\t",
+           'say "hi"', "back\\slash", "</script>", "  "]
+
+
+@pytest.mark.parametrize("text", STRINGS)
+def test_strings_in_values_and_keys(text):
+    value = {text: [text, {text: text}]}
+    assert _json_text(value) == reference(value)
+    assert _json_text(text) == reference(text)
+
+
+def test_non_str_keys():
+    value = {1: "int", 2.5: "float", float("nan"): "nan", -float("inf"): "-inf", True: "bool",
+             None: "null", 10**30: [1, {False: 0.5, 3: []}], "s": {}}
+    assert _json_text(value) == reference(value)
+
+
+def test_empty_containers_at_depth():
+    value = {"a": [], "b": {}, "c": [[], {}, [[]], {"d": {"e": []}}], "f": ()}
+    assert _json_text(value) == reference(value)
+    for empty in ([], {}, ()):
+        assert _json_text(empty) == reference(empty)
+
+
+def test_subclass_leaves_and_containers():
+    class Mapping(dict):
+        pass
+
+    class Text(str):
+        pass
+
+    value = {"pi": [np.float64(0.1), np.float64("nan"), np.float64("-inf")],
+             "x": np.float64(1e16), Text("key"): Text("text"),
+             "nested": Mapping(a=[1, 2], b=Mapping()), "n": [np.float64(-0.0)]}
+    assert _json_text(value) == reference(value)
+    assert _json_text(np.float64(2 / 3)) == reference(np.float64(2 / 3))
+
+
+@pytest.mark.parametrize("value", [np.int64(1), {1, 2}, object(), [1, {"a": {2}}],
+                                   {"k": np.int64(3)}, {(1, 2): "tuple key"}])
+def test_unsupported_values_raise_as_json_does(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as raised:
+        _json_text(value)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_dumps_json_is_the_writer():
+    H = demo_hypergraph()
+    assert dumps_json(H) == reference(json.loads(dumps_json(H)))
+
+
+@pytest.mark.parametrize("command", [
+    "stationary --method auto --input {h}",
+    "stationary --method rho --input {h}",
+    "stationary --method direct --input {h}",
+    "spectral --check-cheeger --input {h}",
+    "reduce --mode sandwich --input {h}",
+    "transition --json --input {h}",
+    "rankagg --n 8 --p 0.3 --trials 2 --json",
+    "rankagg --matches {m}",
+])
+def test_cli_outputs_and_manifests_are_json_indent_2(tmp_path, command):
+    # Floats round-trip exactly, so json re-encodes the parsed text to the
+    # same bytes exactly when the writer wrote what json writes.
+    h, m = tmp_path / "h.json", tmp_path / "m.json"
+    h.write_text(dumps_json(demo_hypergraph()))
+    m.write_text(json.dumps(MATCHES))
+    out = tmp_path / "out.json"
+    assert dispatch(command.format(h=h, m=m).split() + ["--out", str(out)]) == 0
+    for path in (out, tmp_path / "out.json.manifest.json"):
+        text = path.read_text()
+        assert text == reference(json.loads(text))
+
+
+def test_demo_json_is_json_indent_2(capsys):
+    assert dispatch(["demo", "--json"]) == 0
+    text = capsys.readouterr().out
+    assert text == reference(json.loads(text))

@@ -40,6 +40,34 @@ def test_demo_direct(h_demo):
     assert res.method == "direct-solve"
 
 
+def _chain_hypergraph(seed: int, n: int) -> Hypergraph:
+    """Connected: edges of three consecutive vertices of a random order,
+    plus random extra edges, with random weights."""
+    rng = np.random.default_rng(seed)
+    names = [f"v{i}" for i in range(n)]
+    order = rng.permutation(n)
+    groups = [order[i:i + 3] for i in range(0, n - 1, 2)]
+    groups += [rng.choice(n, size=int(rng.integers(2, 6)), replace=False) for _ in range(n // 2)]
+    return Hypergraph(names, [
+        (float(rng.uniform(0.5, 2.0)), {names[j]: float(rng.uniform(0.25, 4.0)) for j in g})
+        for g in groups
+    ])
+
+
+def test_direct_solve_is_bit_identical_to_the_c_ordered_system(h_demo):
+    for H in (h_demo, _chain_hypergraph(11, 301)):
+        P = transition_matrix(H)
+        before = P.matrix.copy()
+        M = P.matrix.T.copy()  # the same system as a C-ordered copy
+        M[np.diag_indices(len(M))] -= 1.0
+        M[-1, :] = 1.0
+        b = np.zeros(len(M))
+        b[-1] = 1.0
+        expected = np.linalg.solve(M, b)
+        assert stationary_direct(P).pi.tobytes() == expected.tobytes()
+        assert P.matrix.tobytes() == before.tobytes()
+
+
 def test_demo_rho(h_demo):
     res = stationary_rho(h_demo)
     np.testing.assert_allclose(res.pi, DEMO_PI, atol=1e-10)
