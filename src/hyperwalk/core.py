@@ -87,9 +87,13 @@ class Hypergraph:
     > 0, and the clique graph is connected (a vertex in no edge counts as
     disconnected). Edges are read once, in order, so the first fault in
     that order is the one named.
+
+    The walk matrix, the rho solve, the Laplacian and the Cheeger
+    enumeration are each computed once per hypergraph and kept, read-only,
+    in ``_memo`` for as long as the hypergraph lives (see ``_memo``).
     """
 
-    __slots__ = ("vertices", "indptr", "indices", "gamma", "omega", "_index")
+    __slots__ = ("vertices", "indptr", "indices", "gamma", "omega", "_index", "_memo")
 
     @np.errstate(over="ignore")  # np.float32(w) <= _FLOAT_MAX casts the bound down
     def __init__(self, vertices: Sequence[str],
@@ -131,6 +135,7 @@ class Hypergraph:
         self.omega = np.array(weights, dtype=float)
         for a in self._arrays():  # read-only: rescaled copies share them
             a.flags.writeable = False
+        self._memo = {}
         self._check_connected()
 
     def _with_gamma(self, gamma: np.ndarray) -> "Hypergraph":
@@ -141,6 +146,7 @@ class Hypergraph:
             setattr(new, attr, getattr(self, attr))
         new.gamma = gamma
         gamma.flags.writeable = False
+        new._memo = {}  # results derived from the old weights do not carry over
         return new
 
     @property
@@ -189,6 +195,18 @@ class Hypergraph:
 
     def __repr__(self) -> str:
         return f"Hypergraph(|V|={self.n_vertices}, |E|={self.n_edges})"
+
+
+def _memo(H: Hypergraph, key: str, compute):
+    """``compute()`` on the first call for H and `key`, and that same object
+    on every later call: H is immutable, so a result derived from it never
+    goes stale. A call that raises stores nothing. Callers make the arrays
+    of what they store read-only, so no caller can change a later one's
+    input."""
+    try:
+        return H._memo[key]
+    except KeyError:
+        return H._memo.setdefault(key, compute())
 
 
 def _per_member(H: Hypergraph, per_edge) -> np.ndarray:

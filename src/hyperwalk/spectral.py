@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hypergraph, _per_member, degrees
+from .core import Hypergraph, _memo, _per_member, degrees
 from .errors import BoundOverflow, NotSymmetric, SizeLimit, Unmixed
 from .stationary import rho_normalized, stationary_rho
 from .walk import TransitionMatrix, transition_matrix
@@ -74,8 +74,15 @@ def laplacian_from_walk(P: TransitionMatrix, pi: np.ndarray) -> HypergraphLaplac
 
 def laplacian(H: Hypergraph) -> HypergraphLaplacian:
     """Laplacian of the lazy walk on H, built from the rho-route stationary
-    distribution."""
-    return laplacian_from_walk(transition_matrix(H), stationary_rho(H).pi)
+    distribution. Built once per hypergraph: every call on H returns the same
+    object, whose arrays are read-only."""
+    P, pi = transition_matrix(H), stationary_rho(H).pi
+    return _memo(H, "laplacian", lambda: _frozen(laplacian_from_walk(P, pi)))
+
+
+def _frozen(lap: HypergraphLaplacian) -> HypergraphLaplacian:
+    lap.L.flags.writeable = lap.normalized.flags.writeable = False
+    return lap
 
 
 # -- symmetric eigensolver ---------------------------------------------------
@@ -190,11 +197,13 @@ def _require_cheeger_size(H: Hypergraph) -> None:
 
 
 def cheeger_constant(H: Hypergraph) -> CheegerResult:
-    """Cheeger constant of the lazy walk on H by exhaustive enumeration."""
+    """Cheeger constant of the lazy walk on H by exhaustive enumeration,
+    which runs once per hypergraph: a later call on H returns the stored
+    (immutable) minimum. The size check comes first and is never stored."""
     _require_cheeger_size(H)
     P = transition_matrix(H)
     pi = stationary_rho(H).pi
-    phi, subset = _cheeger_enumerate(P.matrix, pi)
+    phi, subset = _memo(H, "cheeger", lambda: _cheeger_enumerate(P.matrix, pi))
     return CheegerResult(phi=phi, argmin=tuple(H.vertices[i] for i in subset))
 
 

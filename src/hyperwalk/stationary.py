@@ -38,6 +38,7 @@ import numpy as np
 from .core import (
     Hypergraph,
     _block_scatter,
+    _memo,
     _per_member,
     _vertex_major,
     degrees,
@@ -142,8 +143,15 @@ def stationary_rho(H: Hypergraph) -> StationaryResult:
     The returned ``rho`` refers to the delta(e)=1 normalization of H and
     satisfies sum_e rho_e * omega(e) = 1. Both dense matrices, A and the P
     of the residual check, are size-checked before either is built.
+
+    Solved once per hypergraph: every call on H returns the same object,
+    whose ``pi`` and ``rho`` are read-only. A failure is never stored.
     """
     _check_size(H.n_vertices)
+    return _memo(H, "stationary_rho", lambda: _solve_rho(H))
+
+
+def _solve_rho(H: Hypergraph) -> StationaryResult:
     Hn = delta_normalized(H)
     rho = _fixed_point(edge_coupling_matrix(Hn))
     if not rho.min() > 0.0:
@@ -164,6 +172,7 @@ def stationary_rho(H: Hypergraph) -> StationaryResult:
         raise ConvergenceFailure(
             f"stationary residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}"
         )
+    pi.flags.writeable = rho.flags.writeable = False
     return StationaryResult(
         vertices=H.vertices, pi=pi, rho=rho, method="rho-eigenvector",
         residual=residual,

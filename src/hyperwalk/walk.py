@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Hypergraph, _block_scatter, _per_member, degrees
+from .core import Hypergraph, _block_scatter, _memo, _per_member, degrees
 from .errors import BadBeta, SingletonEdge, SizeLimit, UnknownVertex
 
 __all__ = [
@@ -44,11 +44,13 @@ class TransitionMatrix:
         names = tuple(str(v) for v in vertices)
         if P.ndim != 2 or P.shape != (len(names), len(names)):
             raise ValueError("transition matrix shape does not match vertex list")
-        rows = P.sum(axis=1)
-        worst = np.abs(rows - 1.0).max()
-        if worst > _ROW_SUM_TOL:
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, a sum past max
+            worst = np.abs(P.sum(axis=1) - 1.0).max()  # nan or inf if any entry is
+        if not np.isfinite(worst):
+            raise ValueError("transition probabilities must be finite")
+        if not worst <= _ROW_SUM_TOL:
             raise ValueError(f"rows must sum to 1 (off by {worst:.3e})")
-        if P.min() < -1e-15:
+        if not P.min() >= -1e-15:
             raise ValueError("transition probabilities must be nonnegative")
         self.vertices = names
         self.matrix = P
@@ -75,13 +77,23 @@ def _check_size(count: int, what: str = "vertices") -> None:
 
 def transition_matrix(H: Hypergraph) -> TransitionMatrix:
     """Lazy walk matrix P = D_V^-1 W D_E^-1 R, built edge by edge:
-    P[v, w] = sum over edges e holding both of omega(e)/d(v) * gamma_e(w)/delta(e)."""
+    P[v, w] = sum over edges e holding both of omega(e)/d(v) * gamma_e(w)/delta(e).
+
+    Built once per hypergraph: every call on H returns the same object, whose
+    ``matrix`` is read-only. The size check comes first, so a refusal is
+    never stored."""
     _check_size(H.n_vertices)
+    return _memo(H, "transition_matrix", lambda: _lazy_walk(H))
+
+
+def _lazy_walk(H: Hypergraph) -> TransitionMatrix:
     d, delta = degrees(H)
     left = _per_member(H, H.omega) / d[H.indices]
     right = H.gamma / _per_member(H, delta)
-    return TransitionMatrix(H.vertices, _block_scatter(H.indptr, H.indices, left, right,
-                                                       H.n_vertices))
+    P = TransitionMatrix(H.vertices, _block_scatter(H.indptr, H.indices, left, right,
+                                                    H.n_vertices))
+    P.matrix.flags.writeable = False
+    return P
 
 
 def nonlazy_transition_matrix(H: Hypergraph) -> TransitionMatrix:
@@ -116,7 +128,9 @@ def restart_matrix(P: TransitionMatrix, beta: float, restart=None) -> Transition
         r = np.asarray(restart, dtype=float)
         if r.shape != (n,):
             raise BadBeta("restart distribution length does not match vertex count")
-        if r.min() < 0.0 or abs(r.sum() - 1.0) > 1e-12:
+        if not np.isfinite(r).all():
+            raise BadBeta("restart distribution must be finite")
+        if not (r.min() >= 0.0 and abs(r.sum() - 1.0) <= 1e-12):
             raise BadBeta("restart distribution must be nonnegative and sum to 1")
     mixed = (1.0 - beta) * P.matrix + beta * r[None, :]
     return TransitionMatrix(P.vertices, mixed)

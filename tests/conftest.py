@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hyperwalk import DisconnectedHypergraph, Hypergraph, demo_hypergraph
+from hyperwalk import DisconnectedHypergraph, Hypergraph, demo_hypergraph, dumps_json, loads_json
 
 
 @pytest.fixture
@@ -60,3 +60,10 @@ def sweep(seed, count, **kwargs):
     """A reproducible list of random hypergraphs."""
     rng = np.random.default_rng(seed)
     return [random_hypergraph(rng, **kwargs) for _ in range(count)]
+
+
+def rebuilt(H):
+    """A freshly parsed copy of H: equal to H, with nothing computed for it
+    yet, so a test that changes a module setting between two calls sees the
+    work redone rather than the result stored on H."""
+    return loads_json(dumps_json(H))

@@ -115,6 +115,30 @@ def test_spectral_with_cheeger(demo_file, capsys):
     assert payload["cheeger_inequality"]["holds"] is True
 
 
+def _n16_file(tmp_path) -> str:
+    """A seeded 16-vertex, 16-edge input shaped as the benchmark's: a chain of
+    edges joins a random vertex order, the other edges are random, edges have
+    2 to 4 members."""
+    rng = np.random.default_rng(16)
+    order = rng.permutation(16).tolist()
+    member_lists = [order[i:i + 3] for i in range(0, 15, 2)]
+    while len(member_lists) < 16:
+        member_lists.append(rng.choice(16, size=int(rng.integers(2, 5)), replace=False).tolist())
+    return _write_edges(tmp_path, 16, member_lists, seed=16)
+
+
+@pytest.mark.parametrize("which", ["demo", "n16"])
+def test_spectral_check_cheeger_repeats_its_values_bit_for_bit(demo_file, tmp_path, capsys,
+                                                               which):
+    path = demo_file if which == "demo" else _n16_file(tmp_path)
+    assert dispatch(["spectral", "--input", path, "--check-cheeger"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    repeated = payload["cheeger_inequality"]
+    for key, same in (("lambda", "lambda"), ("lambda_unnormalized", "lambda_unnormalized"),
+                      ("phi", "cheeger")):
+        assert repr(repeated[key]) == repr(payload[same]), key
+
+
 def test_reduce_modes(demo_file, tmp_path, capsys):
     assert dispatch(["reduce", "--input", demo_file, "--mode", "sandwich"]) == 0
     payload = json.loads(capsys.readouterr().out)

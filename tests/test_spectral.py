@@ -26,7 +26,7 @@ from hyperwalk import (
 )
 import hyperwalk.spectral as spectral
 from hyperwalk.spectral import _bound_from_components
-from conftest import sweep
+from conftest import rebuilt, sweep
 
 
 # -- eigensolver -------------------------------------------------------------------
@@ -186,7 +186,8 @@ def test_cheeger_block_size_does_not_matter(monkeypatch):
     results = {}
     for block in (1, 3, spectral.CHEEGER_BLOCK):
         monkeypatch.setattr(spectral, "CHEEGER_BLOCK", block)
-        results[block] = [cheeger_constant(H) for H in instances]
+        # a fresh copy per block size enumerates anew
+        results[block] = [cheeger_constant(rebuilt(H)) for H in instances]
     assert results[1] == results[3] == results[spectral.CHEEGER_BLOCK]
     for H, res in zip(instances, results[1]):
         _assert_matches_brute_force(H, res)
@@ -268,7 +269,7 @@ def test_cheeger_partial_last_block(monkeypatch):
         results = []
         for rows in (1, 3, 5, 7):
             monkeypatch.setattr(spectral, "CHEEGER_BLOCK", rows << u)
-            results.append(cheeger_constant(H))
+            results.append(cheeger_constant(rebuilt(H)))
         assert all(res == results[0] for res in results)
         _assert_matches_brute_force(H, results[0])
 

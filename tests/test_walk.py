@@ -10,6 +10,7 @@ from hyperwalk import (
     Hypergraph,
     SingletonEdge,
     SizeLimit,
+    TransitionMatrix,
     UnknownVertex,
     degrees,
     nonlazy_transition_matrix,
@@ -77,6 +78,17 @@ def test_per_edge_rescaling_invariance():
         assert np.abs(P1 - P2).max() <= 1e-12
 
 
+@pytest.mark.parametrize("rows", [slice(None), slice(1, 2)])  # every row, or one
+@pytest.mark.parametrize("row", [[np.nan] * 4, [np.nan, 0.0, 0.5, 0.5],
+                                 [np.inf, -np.inf, 0.5, 0.5], [np.inf, 0.0, 0.0, 0.0]])
+def test_transition_matrix_rejects_non_finite_entries(rows, row):
+    # NaN fails every comparison, so an ordered check alone lets it through
+    M = DEMO_P.copy()
+    M[rows] = row
+    with pytest.raises(ValueError, match="transition probabilities must be finite"):
+        TransitionMatrix(("v1", "v2", "v3", "v4"), M)
+
+
 def test_size_limit():
     names = [f"v{i}" for i in range(4097)]
     H = Hypergraph(names, [(1.0, {v: 1.0 for v in names})])
@@ -112,6 +124,14 @@ def test_restart_rejects_bad_distribution(h_demo):
         restart_matrix(P, 0.4, [0.5, 0.5, 0.5, 0.5])
     with pytest.raises(BadBeta):
         restart_matrix(P, 0.4, [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("restart", [[np.nan, 0.0, 0.0, 0.0], [1.0, np.nan, 0.0, 0.0],
+                                     [np.inf, 0.0, 0.0, 0.0]])
+def test_restart_rejects_non_finite_distribution(h_demo, restart):
+    # NaN fails every comparison, so an ordered check alone lets it through
+    with pytest.raises(BadBeta, match="restart distribution must be finite"):
+        restart_matrix(transition_matrix(h_demo), 0.5, restart)
 
 
 def test_restart_custom_distribution(h_demo):
