@@ -34,7 +34,7 @@ from .reduction import (
     reversibility,
     sandwich_check,
 )
-from .spectral import check_cheeger, eigenvalues_symmetric, laplacian, spectral_report
+from .spectral import _spectra, check_cheeger, spectral_report
 from .stationary import stationary_direct, stationary_rho, stationary_walk
 from .walk import (
     DENSE_SIZE_LIMIT,
@@ -191,7 +191,7 @@ def _cmd_demo(args) -> dict | str:
     P = transition_matrix(H)
     pi = stationary_rho(H)
     verdict = reversibility(P, pi.pi)
-    evals = eigenvalues_symmetric(laplacian(H).L)
+    evals = _spectra(H)[0]
     cheeger = check_cheeger(H)
     if args.json:
         return {

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Hypergraph, _memo, _per_member, degrees
-from .errors import BoundOverflow, NotSymmetric, SizeLimit, Unmixed
+from .errors import BoundOverflow, ConvergenceFailure, NotSymmetric, SizeLimit, Unmixed
 from .stationary import rho_normalized, stationary_rho
 from .walk import TransitionMatrix, transition_matrix
 
@@ -50,13 +50,14 @@ CHEEGER_BLOCK = 1 << 16
 # Both add the same non-negative terms, so they differ by at most about
 # (n^2 + 4n) 2^-53, which is below 1e-13 up to CHEEGER_SIZE_LIMIT.
 CHEEGER_RTOL = 1e-12
-# Slack of the Cheeger inequality check, and the largest asymmetry
-# eigh_symmetric accepts.
+# Slack of the Cheeger inequality check, the largest asymmetry eigh_symmetric
+# accepts, and its largest max|MV - V Lambda| relative to max(1, max|M|).
 CHEEGER_TOL = 1e-9
 SYMMETRY_TOL = 1e-10
+EIGEN_RESIDUAL_TOL = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class HypergraphLaplacian:
     vertices: tuple[str, ...]
     L: np.ndarray
@@ -90,14 +91,21 @@ def _frozen(lap: HypergraphLaplacian) -> HypergraphLaplacian:
 def eigh_symmetric(M):
     """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``)
     after checking symmetry to ``SYMMETRY_TOL``. Returns (eigenvalues ascending,
-    eigenvector columns in matching order)."""
+    eigenvector columns in matching order), after checking the residual
+    max|MV - V Lambda| to ``EIGEN_RESIDUAL_TOL`` * max(1, max|M|)."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotSymmetric("matrix is not square")
     asym = np.abs(M - M.T).max(initial=0.0)
     if asym > SYMMETRY_TOL:
         raise NotSymmetric(f"matrix asymmetric by {asym:.3e}")
-    return np.linalg.eigh((M + M.T) / 2.0)
+    M = (M + M.T) / 2.0
+    evals, vecs = result = np.linalg.eigh(M)
+    residual = np.abs(M @ vecs - vecs * evals).max(initial=0.0)
+    if not residual <= EIGEN_RESIDUAL_TOL * max(1.0, np.abs(M).max(initial=0.0)):
+        raise ConvergenceFailure(f"eigendecomposition residual {residual:.3e} exceeds "
+                                 f"{EIGEN_RESIDUAL_TOL:.0e} * max(1, max|M|)")
+    return result
 
 
 def eigenvalues_symmetric(M) -> np.ndarray:
@@ -106,9 +114,23 @@ def eigenvalues_symmetric(M) -> np.ndarray:
     return evals
 
 
+def _spectra(H: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of ``laplacian(H).L`` and of its normalized variant,
+    ascending; solved once per hypergraph, both read-only."""
+    lap = laplacian(H)
+
+    def solve():
+        evals = eigenvalues_symmetric(lap.L), eigenvalues_symmetric(lap.normalized)
+        for e in evals:
+            e.flags.writeable = False
+        return evals
+
+    return _memo(H, "spectra", solve)
+
+
 # -- Cheeger constant ----------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class CheegerResult:
     phi: float
     argmin: tuple[str, ...]
@@ -219,9 +241,8 @@ def check_cheeger(H: Hypergraph) -> CheegerCheck:
     """Verify Phi^2/2 <= lambda <= 2 Phi, to CHEEGER_TOL, for the normalized
     Laplacian."""
     _require_cheeger_size(H)
-    lap = laplacian(H)
-    lam = float(eigenvalues_symmetric(lap.normalized)[1])
-    lam_plain = float(eigenvalues_symmetric(lap.L)[1])
+    plain, normalized = _spectra(H)
+    lam, lam_plain = float(normalized[1]), float(plain[1])
     phi = cheeger_constant(H).phi
     holds = (phi * phi / 2.0 - CHEEGER_TOL) <= lam <= (2.0 * phi + CHEEGER_TOL)
     return CheegerCheck(lam=lam, lam_unnormalized=lam_plain, phi=phi, holds=holds)
@@ -229,7 +250,7 @@ def check_cheeger(H: Hypergraph) -> CheegerCheck:
 
 # -- mixing time ----------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class MixingBound:
     bound: int
     beta1: float
@@ -264,7 +285,11 @@ def mixing_time_bound(H: Hypergraph, eps: float) -> MixingBound:
     The vertex weights are first rescaled per edge so every per-edge constant
     is 1; beta1 = min gamma_e(v)/delta(e) (invariant under that rescaling),
     beta2 = min gamma_e(v) (not invariant, hence the rescaling matters).
-    A nonpositive logarithm clamps the bound to 0 and sets the vacuous flag.
+    Phi is taken on H itself: scaling an edge's weights by one factor leaves
+    every gamma_e(v)/delta(e), hence P, pi and Phi, unchanged, so the copy
+    is used only for its degrees and weights (its Phi could differ from
+    H's in the last bits). A nonpositive logarithm clamps the bound to 0
+    and sets the vacuous flag.
 
     Derivation: P(v,v) = sum_e omega(e)/d(v) * gamma_e(v)/delta(e) >= beta1,
     so P = beta1 I + (1 - beta1) Q with Q stochastic, and since Q* contracts
@@ -285,7 +310,7 @@ def mixing_time_bound(H: Hypergraph, eps: float) -> MixingBound:
     beta1 = float((Hn.gamma / _per_member(Hn, delta)).min())
     beta2 = float(Hn.gamma.min())
     d_min = float(d.min())
-    phi = cheeger_constant(Hn).phi
+    phi = cheeger_constant(H).phi
     bound, vacuous = _bound_from_components(beta1, beta2, d_min, phi, eps)
     return MixingBound(
         bound=bound, beta1=beta1, beta2=beta2, d_min=d_min, phi=phi, vacuous=vacuous
@@ -339,9 +364,8 @@ class SpectralReport:
 def spectral_report(H: Hypergraph, eps: float = 0.25) -> SpectralReport:
     _require_eps(eps)
     _require_cheeger_size(H)
-    lap = laplacian(H)
-    evals = eigenvalues_symmetric(lap.L)
-    lam_norm = float(eigenvalues_symmetric(lap.normalized)[1])
+    evals, normalized = _spectra(H)
+    lam_norm = float(normalized[1])
     cheeger = cheeger_constant(H)
     mix = mixing_time_bound(H, eps)
     return SpectralReport(

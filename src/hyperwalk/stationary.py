@@ -69,7 +69,7 @@ WALK_RTOL = 1e-13
 WALK_MAX_ITER = 2000
 
 
-@dataclass
+@dataclass(frozen=True)
 class StationaryResult:
     """A stationary distribution plus how it was obtained.
 

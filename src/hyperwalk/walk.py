@@ -35,7 +35,7 @@ _ROW_SUM_TOL = 1e-12
 
 class TransitionMatrix:
     """Row-stochastic |V| x |V| matrix sharing its vertex index with the
-    hypergraph (or graph) it came from."""
+    hypergraph (or graph) it came from; immutable, as the memo shares it."""
 
     __slots__ = ("vertices", "matrix", "_index")
 
@@ -52,9 +52,12 @@ class TransitionMatrix:
             raise ValueError(f"rows must sum to 1 (off by {worst:.3e})")
         if not P.min() >= -1e-15:
             raise ValueError("transition probabilities must be nonnegative")
-        self.vertices = names
-        self.matrix = P
-        self._index = {v: i for i, v in enumerate(names)}
+        object.__setattr__(self, "vertices", names)
+        object.__setattr__(self, "matrix", P)
+        object.__setattr__(self, "_index", {v: i for i, v in enumerate(names)})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TransitionMatrix is immutable: cannot set {name!r}")
 
     @property
     def n(self) -> int:

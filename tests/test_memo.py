@@ -1,6 +1,6 @@
 """Results computed once per hypergraph: the walk matrix, the rho solve, the
-Laplacian and the Cheeger enumeration are stored on the immutable
-Hypergraph, read-only, and never carried over to a rescaled copy."""
+Laplacian, its spectra and the Cheeger enumeration are stored on the
+immutable Hypergraph, read-only, and never carried over to a rescaled copy."""
 
 import contextlib
 import dataclasses
@@ -46,6 +46,18 @@ def test_memoized_arrays_are_read_only(h_demo):
         with pytest.raises(ValueError):
             a *= 2.0
     assert np.array_equal(transition_matrix(h_demo).matrix, before)
+
+
+def test_memoized_results_cannot_be_reassigned(h_demo):
+    fresh = cheeger_constant(rebuilt(h_demo)).phi
+    with pytest.raises(AttributeError):
+        transition_matrix(h_demo).matrix = np.eye(4)
+    assert np.float64(cheeger_constant(h_demo).phi).tobytes() == np.float64(fresh).tobytes()
+    frozen = [(stationary_rho(h_demo), "pi"), (laplacian(h_demo), "L"),
+              (cheeger_constant(h_demo), "phi"), (mixing_time_bound(h_demo, 0.25), "phi")]
+    for result, field in frozen:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(result, field, getattr(result, field))
 
 
 def test_threads_sharing_a_hypergraph_get_one_result():
@@ -137,15 +149,16 @@ def test_report_after_other_calls_equals_a_fresh_report(h_demo, seed):
 
 
 def test_spectral_command_does_each_piece_of_work_once(h_demo, tmp_path, monkeypatch):
-    # P and the rho solve of H and of its rho-rescaled copy; one Laplacian;
-    # the enumerations of H and of that copy
+    # the rho-rescaled copy is read only for its degrees and weights, so no
+    # P, rho solve or enumeration of its own; one eigensolve per spectrum
     path = tmp_path / "demo.json"
     path.write_text(dumps_json(h_demo))
     counts = {name: _counting(monkeypatch, module, name)
               for module, name in ((walk, "_lazy_walk"), (stationary, "_solve_rho"),
                                    (spectral, "laplacian_from_walk"),
-                                   (spectral, "_cheeger_enumerate"))}
+                                   (spectral, "_cheeger_enumerate"), (np.linalg, "eigh"))}
     with contextlib.redirect_stdout(io.StringIO()):
         assert dispatch(["spectral", "--input", str(path), "--check-cheeger"]) == 0
     assert {name: len(calls) for name, calls in counts.items()} == {
-        "_lazy_walk": 2, "_solve_rho": 2, "laplacian_from_walk": 1, "_cheeger_enumerate": 2}
+        "_lazy_walk": 1, "_solve_rho": 1, "laplacian_from_walk": 1, "_cheeger_enumerate": 1,
+        "eigh": 2}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hyperwalk import (
+    ConvergenceFailure,
     Hypergraph,
     NotSymmetric,
     SizeLimit,
@@ -13,6 +14,7 @@ from hyperwalk import (
     TransitionMatrix,
     check_cheeger,
     cheeger_constant,
+    dumps_json,
     eigenvalues_symmetric,
     eigh_symmetric,
     empirical_mixing_time,
@@ -26,6 +28,7 @@ from hyperwalk import (
 )
 import hyperwalk.spectral as spectral
 from hyperwalk.spectral import _bound_from_components
+from hyperwalk.cli import dispatch
 from conftest import rebuilt, sweep
 
 
@@ -62,6 +65,35 @@ def test_eigensolver_residuals():
     norm = np.linalg.norm(A, 2)
     for lam, x in zip(evals, vecs.T):
         assert np.linalg.norm(A @ x - lam * x) <= 1e-8 * norm
+
+
+def _perturbing_eigh(monkeypatch):
+    real = np.linalg.eigh
+
+    def perturbed(M):
+        evals, vecs = real(M)
+        vecs = vecs.copy()
+        vecs[0, 0] += 1e-6  # one entry of one vector
+        return evals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+
+
+def test_eigensolver_checks_its_residual(monkeypatch):
+    _perturbing_eigh(monkeypatch)
+    with pytest.raises(ConvergenceFailure, match="eigendecomposition residual"):
+        eigh_symmetric(np.diag([3.0, 1.0, 2.0]))
+
+
+def test_spectral_command_names_a_bad_eigensolve(h_demo, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "demo.json"
+    path.write_text(dumps_json(h_demo))
+    _perturbing_eigh(monkeypatch)
+    assert dispatch(["spectral", "--input", str(path), "--check-cheeger"]) == 1
+    captured = capsys.readouterr()
+    assert "ConvergenceFailure" in captured.err
+    assert "eigendecomposition residual" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_eigensolver_rejects_asymmetric():
@@ -322,6 +354,33 @@ def test_demo_mixing_components(h_demo):
     assert mb.phi == pytest.approx(89 / 192, abs=1e-12)
     assert mb.bound == 263
     assert not mb.vacuous
+
+
+@pytest.fixture(scope="module")
+def criterion_6_sweep():
+    """The 50 instances of acceptance criteria 4-7."""
+    return sweep(42, 50)
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def test_mixing_bound_takes_phi_of_the_hypergraph(criterion_6_sweep):
+    for H in criterion_6_sweep:
+        assert _bits(mixing_time_bound(H, 0.25).phi) == _bits(cheeger_constant(H).phi)
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.05, 0.1, 0.25, 0.4, 0.49])
+def test_mixing_bound_equals_the_bound_from_phi_of_the_rescaled_copy(criterion_6_sweep, eps):
+    # Phi is invariant under per-edge rescaling; the two floats may differ in
+    # their last bits, but not the integer bound they give
+    for H in criterion_6_sweep:
+        mb = mixing_time_bound(H, eps)
+        phi_rescaled = cheeger_constant(rho_normalized(H)).phi
+        assert phi_rescaled == pytest.approx(mb.phi, rel=1e-12)
+        assert _bound_from_components(mb.beta1, mb.beta2, mb.d_min, phi_rescaled, eps) == (
+            mb.bound, mb.vacuous)
 
 
 def test_bound_clamps_to_zero_when_log_nonpositive():
