@@ -125,14 +125,24 @@ class Hypergraph:
             sizes.append(len(members))
             members_gamma.extend(members.values())
 
-        indices = np.array(members_idx, dtype=np.intp)
+        self._build(names, index, np.array(sizes, dtype=np.intp),
+                    np.array(members_idx, dtype=np.intp),
+                    np.array(members_gamma, dtype=float), np.array(weights, dtype=float))
+
+    def _build(self, names: tuple, index: dict, sizes, indices, gamma, omega) -> None:
+        """Fill self from checked arrays: the vertex `names` and their
+        `index`, per edge its size and weight `omega`, and per (edge, member)
+        entry, edge by edge, its vertex index and weight, members in any
+        order within an edge. The one array-level builder: it sorts each
+        edge's members, makes the arrays read-only (`omega` in place) and
+        checks connectivity."""
         order = np.lexsort((indices, np.repeat(np.arange(len(sizes)), sizes)))
         self.vertices = names
         self._index = index
         self.indptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
         self.indices = indices[order]
-        self.gamma = np.array(members_gamma, dtype=float)[order]
-        self.omega = np.array(weights, dtype=float)
+        self.gamma = gamma[order]
+        self.omega = omega
         for a in self._arrays():  # read-only: rescaled copies share them
             a.flags.writeable = False
         self._memo = {}
@@ -232,35 +242,32 @@ def _block_scatter(indptr, indices, left, right, n: int, scale=None) -> np.ndarr
     """Dense n x n sum over groups k of ``scale[k] * outer(left[g], right[g])``
     placed at rows and columns ``indices[g]``, where g = indptr[k]:indptr[k+1].
 
-    Groups of one size are formed together, sizes ascending, groups in order
-    within a size, and every term is formed as ``(left * right) * scale``.
-    The terms are added in that order by one np.add.at call per
-    _SCATTER_CHUNK of them (a size with more terms is split across calls).
-    So when ``left`` is ``right``, entries (u, v) and (v, u) receive equal
-    terms in equal order and the result is exactly symmetric. Work is
-    O(sum of squared group sizes).
+    The terms are formed and added in one order: sizes ascending, groups in
+    order within a size, each group row-major, every term formed as
+    ``(left * right) * scale``. One np.add.at call takes the groups whose
+    first term falls in one _SCATTER_CHUNK of that order, so no call holds
+    more than _SCATTER_CHUNK terms plus one group's. Every entry receives
+    its terms in that order, so when ``left`` is ``right``, entries (u, v)
+    and (v, u) receive equal terms in equal order and the result is exactly
+    symmetric. Work is O(sum of squared group sizes).
     """
     out = np.zeros(n * n)
     sizes = np.diff(indptr)
-    where, what, held = [], [], 0  # the terms held for the next np.add.at call
-    for s in np.flatnonzero(np.bincount(sizes)):  # sizes present, ascending
-        groups = np.flatnonzero(sizes == s)
-        step = max(1, _SCATTER_CHUNK // (s * s))  # groups per part
-        for a in range(0, len(groups), step):
-            part = groups[a:a + step]
-            if where and held + len(part) * s * s > _SCATTER_CHUNK:
-                np.add.at(out, np.concatenate(where), np.concatenate(what))
-                where, what, held = [], [], 0
-            pos = indptr[part][:, None] + np.arange(s)  # one row of entries per group
-            values = left[pos][:, :, None] * right[pos][:, None, :]
-            if scale is not None:
-                values *= scale[part][:, None, None]
-            idx = indices[pos]
-            where.append((idx[:, :, None] * n + idx[:, None, :]).ravel())
-            what.append(values.ravel())
-            held += values.size
-    if where:
-        np.add.at(out, np.concatenate(where), np.concatenate(what))
+    groups = np.argsort(sizes, kind="stable")  # sizes ascending, in order within one
+    terms = sizes[groups] ** 2
+    first = np.cumsum(terms) - terms  # each group's first term in that order
+    for part in np.split(groups, np.flatnonzero(np.diff(first // _SCATTER_CHUNK)) + 1):
+        s, base = sizes[part], indptr[part]
+        # per member row: its width and its entry; per term: its row's entry
+        # and its column's (the rows' terms laid end to end)
+        width = np.repeat(s, s)
+        start = np.cumsum(width) - width
+        row = np.repeat(np.repeat(base - (np.cumsum(s) - s), s) + np.arange(len(width)), width)
+        col = np.repeat(np.repeat(base, s) - start, width) + np.arange(len(row))
+        values = left[row] * right[col]
+        if scale is not None:
+            values *= np.repeat(scale[part], s * s)
+        np.add.at(out, indices[row] * n + indices[col], values)
     return out.reshape(n, n)
 
 

@@ -26,9 +26,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Hypergraph, _union, delta_normalized
+from .core import _FLOAT_MAX, Hypergraph, _union, delta_normalized
 from .errors import (ConvergenceFailure, DisconnectedHypergraph, DuplicateVertex,
-                     ElementMismatch, MalformedInput, ScoreOverflow)
+                     ElementMismatch, MalformedInput, NonPositiveWeight, ScoreOverflow,
+                     UnknownVertex)
 from .reduction import clique_expansion_weights, graph_random_walk
 from .stationary import stationary_direct
 from .walk import TransitionMatrix, _check_size, restart_matrix, transition_matrix
@@ -57,12 +58,20 @@ _PAIR_CHUNK = 1 << 18
 
 
 class MatchData:
-    """Matches among players 1..n, built from ``(participants, scores)``
-    pairs: the one hypergraph the rankers read (see the module docstring) and
-    each entry's raw score in its CSR order (players ascending in a match). A
-    match needs two or more distinct participants with one finite score of at
-    most SCORE_LIMIT (else ScoreOverflow) each; the hypergraph rejects a player
-    outside 1..n (UnknownVertex) or in no match (DisconnectedHypergraph)."""
+    """Matches among players 1..n: the one hypergraph the rankers read (see
+    the module docstring) and each entry's raw score in its CSR order
+    (players ascending in a match).
+
+    Built from ``(participants, scores)`` pairs, flattened once into the
+    arrays `generate` builds directly: per match its size, per entry, match
+    by match, its player and its score. A match needs two or more distinct
+    participants (else MalformedInput, DuplicateVertex) with one finite
+    score of at most SCORE_LIMIT each (else ScoreOverflow). A player outside
+    1..n (UnknownVertex), a weight that is not a finite number > 0
+    (NonPositiveWeight) and a player in no match (DisconnectedHypergraph)
+    are named as Hypergraph names them: the first in match order, a match's
+    weight before its entries, entries in the order given. No per-match
+    object is made."""
 
     __slots__ = ("hypergraph", "scores")
 
@@ -72,10 +81,14 @@ class MatchData:
         bad = (sizes < 2) | (sizes != [len(s) for _, s in pairs])
         if bad.any():
             raise MalformedInput(f"match #{bad.argmax()}: needs 2+ participants, one score each")
+        self._build(n, sizes, np.concatenate([np.empty(0, dtype=np.intp)] + [w for w, _ in pairs]),
+                    np.concatenate([np.empty(0)] + [s for _, s in pairs]))
+
+    def _build(self, n: int, sizes, players, scores) -> None:
+        """Fill self from flat arrays: per match its size (at least 2), per
+        entry, match by match, its player and its score."""
         if n > sizes.sum():  # some player is in no match; found before n names are made
             raise DisconnectedHypergraph(f"{n} players but only {sizes.sum()} match entries")
-        players = np.concatenate([np.empty(0, dtype=np.intp)] + [who for who, _ in pairs])
-        scores = np.concatenate([np.empty(0)] + [s for _, s in pairs])
         edge = np.repeat(np.arange(len(sizes)), sizes)
         order = np.lexsort((players, edge))  # the hypergraph's CSR order
         p, e = players[order], edge[order]
@@ -87,18 +100,44 @@ class MatchData:
             i = bad[0]
             raise ScoreOverflow(f"match #{edge[i]}: score {float(scores[i])!r} of player "
                                 f"{players[i]} is not a finite number <= {SCORE_LIMIT}")
-        # np.std per match, scores in input order: np.std over the rows of a
-        # block gives the bits of np.std of each row (np.add.reduceat does not).
+        # omega = np.std per match + 1, scores in input order: np.std over the
+        # rows of a block gives the bits of np.std of each row (np.add.reduceat
+        # does not). A spread past the float range gives inf, named below.
         omega = np.empty(len(sizes))
         ptr = np.concatenate(([0], np.cumsum(sizes)))
-        for s in np.flatnonzero(np.bincount(sizes)):
-            rows = np.flatnonzero(sizes == s)
-            omega[rows] = np.std(scores[ptr[rows][:, None] + np.arange(s)], axis=1) + 1.0
-        names = [str(i) for i in players.tolist()]
-        gamma = [math.exp(s) for s in scores.tolist()]  # np.exp differs in the last bit
-        edges = [(w, dict(zip(names[a:b], gamma[a:b])))
-                 for w, a, b in zip(omega.tolist(), ptr.tolist(), ptr[1:].tolist())]
-        self.hypergraph = Hypergraph([str(i) for i in range(1, n + 1)], edges)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in np.flatnonzero(np.bincount(sizes)):
+                rows = np.flatnonzero(sizes == s)
+                omega[rows] = np.std(scores[ptr[rows][:, None] + np.arange(s)], axis=1) + 1.0
+        # math.exp per score: np.exp differs in the last bit
+        gamma = np.fromiter(map(math.exp, scores.tolist()), float, len(scores))
+        names = tuple(str(i) for i in range(1, n + 1))
+        if not names:
+            raise DisconnectedHypergraph("hypergraph has no vertices")
+        index = {v: k for k, v in enumerate(names)}
+        if players.dtype.kind == "i":
+            known = (players >= 1) & (players <= n)
+        else:  # a float or an object player is known by its name: 2.0 is not '2'
+            known = np.array([str(v) in index for v in players.tolist()], dtype=bool)
+        # The first fault as Hypergraph reads the matches: a match's weight
+        # (omega >= 1 unless it is inf), then its entries; exp of a score at
+        # most SCORE_LIMIT is finite, and 0.0 below about -745.
+        bad_omega = np.flatnonzero(~(omega <= _FLOAT_MAX))
+        bad_entry = np.flatnonzero(~known | (gamma == 0.0))
+        k = edge[bad_entry[0]] if len(bad_entry) else len(sizes)
+        if len(bad_omega) and bad_omega[0] <= k:
+            k = bad_omega[0]
+            raise NonPositiveWeight(
+                f"edge #{k}: edge weight {omega[k].item()!r} must be a finite number > 0")
+        if len(bad_entry):
+            i = bad_entry[0]
+            v = str(players.tolist()[i])
+            if not known[i]:
+                raise UnknownVertex(f"edge #{k} references undeclared vertex {v!r}")
+            raise NonPositiveWeight(f"edge #{k}: weight {gamma[i].item()!r} of vertex {v!r} "
+                                    "must be a finite number > 0")
+        self.hypergraph = object.__new__(Hypergraph)
+        self.hypergraph._build(names, index, sizes, p.astype(np.intp) - 1, gamma[order], omega)
         self.scores = scores[order]
         self.scores.flags.writeable = False
 
@@ -134,27 +173,34 @@ def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
     rng = np.random.default_rng(seed)
     random, standard_normal = rng.random, rng.standard_normal
     low, span = SCALE_RANGE[0], SCALE_RANGE[1] - SCALE_RANGE[0]
-    matches = []
+    members, scale, normal = [], [], []  # per kept draw
     parent = list(range(n))
     components = n  # one set: every player has appeared and all are connected
     draws = 0
+    while components > 1:
+        if draws == MAX_DRAWS:
+            raise ConvergenceFailure(
+                f"{MAX_DRAWS} match draws did not cover all {n} players in one "
+                f"connected set at p={p}; increase p"
+            )
+        draws += 1
+        idx = (random(n) < p).nonzero()[0]
+        if len(idx) < 2:
+            continue
+        members.append(idx)
+        scale.append(random())
+        normal.append(standard_normal(len(idx)))
+        components -= _union(parent, idx.tolist())
+    sizes = np.array([len(idx) for idx in members], dtype=np.intp)
+    players = np.concatenate(members) + 1
     with np.errstate(over="ignore", invalid="ignore"):
-        while components > 1:
-            if draws == MAX_DRAWS:
-                raise ConvergenceFailure(
-                    f"{MAX_DRAWS} match draws did not cover all {n} players in one "
-                    f"connected set at p={p}; increase p"
-                )
-            draws += 1
-            idx = (random(n) < p).nonzero()[0]
-            if len(idx) < 2:
-                continue
-            players = idx + 1
-            # bit for bit rng.uniform(*SCALE_RANGE) and rng.normal(0.2 * players, sigma)
-            c = low + span * random()
-            matches.append((players, c * (0.2 * players + sigma * standard_normal(len(idx)))))
-            components -= _union(parent, idx.tolist())
-    return MatchData(n, matches)
+        # bit for bit rng.uniform(*SCALE_RANGE) and rng.normal(0.2 * players,
+        # sigma) of each draw: the same IEEE operations, elementwise
+        c = np.repeat(low + span * np.array(scale), sizes)
+        scores = c * (0.2 * players + sigma * np.concatenate(normal))
+    data = object.__new__(MatchData)
+    data._build(n, sizes, players, scores)
+    return data
 
 
 @dataclass
@@ -234,23 +280,45 @@ def kendall_tau(order: Sequence, truth: Sequence, weighted: bool = False) -> flo
         return 1.0
     pos = {item: k for k, item in enumerate(order)}
     rank = np.array([pos[item] for item in truth])  # position in `order` of truth[i]
+    tau_weighted, tau = _taus(rank, _pair_blocks(n))
+    return tau_weighted if weighted else tau
+
+
+def _pair_blocks(n: int):
+    """The pairs (i, j > i) of n >= 2 positions in row-major order, in blocks
+    of whole rows of at most about _PAIR_CHUNK pairs: per block its rows i
+    (a column), the mask of its pairs among all (i, j), their weights
+    1/(i+1) + 1/(j+1), and the total weight of the pairs so far, summed in
+    order. These depend on n alone."""
     inv = 1.0 / np.arange(1, n + 1)
-    concordant, signed, total = 0, 0.0, 0.0
     step = max(1, _PAIR_CHUNK // n)
+    total = 0.0
     for a in range(0, n - 1, step):
         i = np.arange(a, min(a + step, n - 1))[:, None]
-        upper = np.arange(n) > i  # the pairs (i, j > i) of these rows, row-major
+        upper = np.arange(n) > i
+        w = (inv[i] + inv)[upper]
+        total = _add_in_order(total, w)
+        yield i, upper, w, total
+
+
+def _add_in_order(start, values):
+    """start + values[0] + values[1] + ..., left to right like a loop;
+    np.sum would not add in that order."""
+    return np.add.accumulate(np.concatenate(([start], values)))[-1]
+
+
+def _taus(rank: np.ndarray, blocks) -> tuple[float, float]:
+    """The weighted and the unweighted Kendall tau, in one pass over the
+    pair `blocks` of n = len(rank), of truth against an order in which
+    truth's i-th element is at position rank[i]."""
+    n = len(rank)
+    concordant, signed = 0, 0.0
+    for i, upper, w, total in blocks:
         agree = (rank[i] < rank)[upper]
         concordant += int(np.count_nonzero(agree))  # exact, as the loop's +-1.0 sums are
-        if weighted:
-            w = (inv[i] + inv)[upper]
-            # np.add.accumulate adds left to right like the loop; np.sum would not
-            signed = np.add.accumulate(np.concatenate(([signed], np.where(agree, w, -w))))[-1]
-            total = np.add.accumulate(np.concatenate(([total], w)))[-1]
-    if weighted:
-        return float(signed / total)
+        signed = _add_in_order(signed, np.where(agree, w, -w))
     pairs = n * (n - 1) // 2
-    return (2 * concordant - pairs) / pairs
+    return float(signed / total), (2 * concordant - pairs) / pairs
 
 
 @dataclass
@@ -285,20 +353,21 @@ def experiment(n: int, sigma: float, p_values: Iterable[float], trials: int,
     for k, p in enumerate(p_values):
         if p in p_values[:k]:
             raise ValueError(f"inclusion rate {p!r} is given more than once")
-    truth = list(range(n, 0, -1))  # best player first
-    rows: list[dict] = []
+    results = []
     for p in p_values:
         for t in range(trials):
             data = generate(n, sigma, p, seed + t)
-            for ranker in _METHODS:
-                result = ranker(data, beta=beta)
-                rows.append({
-                    "method": result.method,
-                    "p": p,
-                    "trial": t,
-                    "tau_weighted": kendall_tau(result.order, truth, weighted=True),
-                    "tau_unweighted": kendall_tau(result.order, truth, weighted=False),
-                })
+            results += [(p, t, ranker(data, beta=beta)) for ranker in _METHODS]
+    # Against the truth n, n-1, ..., 1 (best player first), with the pairs
+    # of n held once: the rankers have accepted n, so they fit beside a chain.
+    blocks = list(_pair_blocks(n)) if results else []
+    rows: list[dict] = []
+    for p, t, result in results:
+        rank = np.empty(n, dtype=np.intp)
+        rank[n - np.array(result.order)] = np.arange(n)  # truth's i-th player is n - i
+        tau_weighted, tau = _taus(rank, blocks)
+        rows.append({"method": result.method, "p": p, "trial": t,
+                     "tau_weighted": tau_weighted, "tau_unweighted": tau})
     summary: list[dict] = []
     for method in dict.fromkeys(r["method"] for r in rows):  # in _METHODS order
         for p in p_values:

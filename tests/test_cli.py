@@ -496,6 +496,19 @@ def test_rankagg_score_overflow_is_named_without_a_warning():
     assert "Warning" not in run.stderr
 
 
+def test_rankagg_huge_score_spread_is_named_without_a_warning(tmp_path):
+    # np.std of the scores overflows: the edge weight inf is named, and numpy
+    # prints no RuntimeWarning on the way
+    path = _write_json(tmp_path, "m.json", {"n": 2, "matches": [
+        {"participants": [1, 2], "scores": [-1e308, 700.0]}]})
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperwalk.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-m", "hyperwalk.cli", "rankagg", "--matches", path],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 1
+    assert run.stderr == ("error: NonPositiveWeight: edge #0: edge weight inf "
+                          "must be a finite number > 0\n")
+
+
 def test_rankagg_repeated_rate_is_usage_error(capsys):
     assert dispatch(["rankagg", "--n", "5", "--p", "0.3,0.30", "--trials", "2"]) == 2
     captured = capsys.readouterr()

@@ -15,6 +15,7 @@ from hyperwalk import (
     Hypergraph,
     MalformedInput,
     MatchData,
+    NonPositiveWeight,
     ScoreOverflow,
     SizeLimit,
     TransitionMatrix,
@@ -114,48 +115,50 @@ def reference_generate(n, sigma, p, seed):
     return matches
 
 
-def bits(matches):
-    return [(who.dtype.str, who.tobytes(), s.dtype.str, s.tobytes()) for who, s in matches]
+def flat_bits(indptr, players, scores):
+    return [(a.dtype.str, a.tobytes()) for a in (indptr, players, scores)]
 
 
-def generate_outcome(make, n, sigma, p, seed):
+def data_bits(data):
+    """The bits of what MatchData holds: CSR pointers, players, scores."""
+    H = data.hypergraph
+    return flat_bits(H.indptr, H.indices + 1, data.scores)
+
+
+def reference_bits(matches):
+    """The same for the reference matches, each listing its players ascending
+    (the CSR order): the pairs laid end to end."""
+    sizes = [len(who) for who, _ in matches]
+    return flat_bits(np.concatenate(([0], np.cumsum(sizes))),
+                     np.concatenate([who for who, _ in matches]),
+                     np.concatenate([s for _, s in matches]))
+
+
+def outcome(bits_of, make, *args):
     try:
-        return bits(make(n, sigma, p, seed))
+        return bits_of(make(*args))
     except ConvergenceFailure as exc:
         return str(exc)
 
 
-def recorded_generate(monkeypatch):
-    """generate(), returning the matches it hands to MatchData."""
-    seen = []
-    monkeypatch.setattr(rankagg, "MatchData", lambda n, matches: seen.append(list(matches)))
-
-    def run(*args):
-        generate(*args)
-        return seen.pop()
-
-    return run
-
-
-def test_generate_equals_reference_loop_bit_for_bit(monkeypatch):
+def test_generate_equals_reference_loop_bit_for_bit():
     # Same PCG64 stream, read by cheaper calls: the same matches, bit for bit.
-    run = recorded_generate(monkeypatch)
     for n in (2, 7, 100, 500):
         for sigma in (0.37, 1.0, 2.5):
             for p in (0.03, 0.07, 0.5):
                 for seed in (0, 1, 17):
                     args = (n, sigma, p, seed)
-                    assert bits(run(*args)) == bits(reference_generate(*args)), args
+                    assert data_bits(generate(*args)) == reference_bits(
+                        reference_generate(*args)), args
 
 
 def test_generate_gives_up_as_reference_loop(monkeypatch):
-    run = recorded_generate(monkeypatch)
     outcomes = set()
     for limit in (1, 3, 20):
         monkeypatch.setattr(rankagg, "MAX_DRAWS", limit)
         for args in ((7, 1.0, 0.5, 0), (100, 1.0, 0.07, 1), (500, 2.5, 0.03, 2)):
-            got = generate_outcome(run, *args)
-            assert got == generate_outcome(reference_generate, *args), (limit, args)
+            got = outcome(data_bits, generate, *args)
+            assert got == outcome(reference_bits, reference_generate, *args), (limit, args)
             outcomes.add(type(got))
     assert outcomes == {str, list}  # some gave up, some finished
 
@@ -208,6 +211,32 @@ def test_match_data_array_checks():
         MatchData(10**12, [((1, 2), (0.0, 1.0))])
 
 
+@pytest.mark.parametrize("matches, error, message", [
+    ([{"participants": [1, 10**30], "scores": [0.0, 1.0]}], UnknownVertex,
+     "edge #0 references undeclared vertex '1000000000000000000000000000000'"),
+    ([{"participants": [1, -1], "scores": [0.0, 1.0]}], UnknownVertex,
+     "edge #0 references undeclared vertex '-1'"),
+    ([{"participants": [0, 1], "scores": [0.0, 1.0]}], UnknownVertex,
+     "edge #0 references undeclared vertex '0'"),
+    # both weights are exp(score) = 0.0: the first in input order is named,
+    # not the first in CSR order
+    ([{"participants": [2, 1], "scores": [-800.0, -900.0]}], NonPositiveWeight,
+     "edge #0: weight 0.0 of vertex '2' must be a finite number > 0"),
+    ([], DisconnectedHypergraph, "2 players but only 0 match entries"),
+], ids=["player-huge", "player-negative", "player-zero", "zero-weights", "no-matches"])
+def test_match_data_fault_messages(matches, error, message):
+    with pytest.raises(error) as info:
+        matches_from_json_dict({"n": 2, "matches": matches})
+    assert str(info.value) == message
+
+
+def test_huge_score_spread_is_named_without_a_warning():
+    # np.std overflows to inf; tier-1 turns RuntimeWarnings into errors
+    with pytest.raises(NonPositiveWeight) as info:
+        MatchData(2, [((1, 2), (-1e308, 700.0))])
+    assert str(info.value) == "edge #0: edge weight inf must be a finite number > 0"
+
+
 # -- bit identity with the per-match construction ------------------------------------
 
 def per_match_hypergraph(n, matches):
@@ -227,21 +256,13 @@ def csr_scores(matches):
                      for _, s in sorted(zip(who, scores))])
 
 
-def generated_matches(monkeypatch):
-    """Every generate() sweep case as (data, n, matches), matches in the order
-    generate() handed them to MatchData."""
-    seen = []
-
-    def recording(n, matches):
-        seen.append((n, list(matches)))
-        return MatchData(n, seen[-1][1])
-
-    monkeypatch.setattr(rankagg, "MatchData", recording)
+def generated_matches():
+    """Every generate() sweep case as (data, n, matches), matches as the
+    reference loop draws them (the ones generate() draws, bit for bit)."""
     for n in (2, 10, 100):
         for p in (0.03, 0.07, 0.5):
             for seed in (0, 1, 2):
-                data = generate(n, 1.0, p, seed)
-                yield (data,) + seen[-1]
+                yield generate(n, 1.0, p, seed), n, reference_generate(n, 1.0, p, seed)
 
 
 def shuffled_match_file():
@@ -256,14 +277,15 @@ def shuffled_match_file():
     return doc
 
 
-def test_match_data_equals_per_match_recipe(monkeypatch):
-    cases = list(generated_matches(monkeypatch))
+def test_match_data_equals_per_match_recipe():
+    cases = list(generated_matches())
     doc = shuffled_match_file()
     matches = [(m["participants"], m["scores"]) for m in doc["matches"]]
     cases.append((matches_from_json_dict(doc), doc["n"], matches))
     for data, n, matches in cases:
-        assert data.hypergraph == per_match_hypergraph(n, matches)
-        assert np.array_equal(data.scores, csr_scores(matches))
+        for built in (data, MatchData(n, matches)):  # and the public constructor
+            assert built.hypergraph == per_match_hypergraph(n, matches)
+            assert np.array_equal(built.scores, csr_scores(matches))
 
 
 def per_match_mc3_chain(n, matches):
@@ -294,7 +316,7 @@ def test_mc3_chain_equals_per_match_loop(monkeypatch):
         chains.append(P)
         return real(P, beta, restart)
 
-    cases = list(generated_matches(monkeypatch))
+    cases = list(generated_matches())
     doc = shuffled_match_file()
     tied = [(m["participants"], [float(round(s)) for s in m["scores"]]) for m in doc["matches"]]
     for matches in ([(m["participants"], m["scores"]) for m in doc["matches"]], tied):
@@ -336,13 +358,13 @@ def test_rankers_share_the_dense_size_limit(ranker):
 
 def test_experiment_builds_one_hypergraph_per_trial(monkeypatch):
     calls = []
-    real = Hypergraph.__init__
+    real = Hypergraph._build
 
     def counting(self, *args, **kwargs):
         calls.append(1)
         real(self, *args, **kwargs)
 
-    monkeypatch.setattr(Hypergraph, "__init__", counting)
+    monkeypatch.setattr(Hypergraph, "_build", counting)
     experiment(10, 1.0, [0.3, 0.5], trials=3, seed=5)
     assert len(calls) == 2 * 3
 
@@ -470,6 +492,34 @@ def test_kendall_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+def test_experiment_taus_equal_kendall_tau(monkeypatch, chunk):
+    # both taus of a ranking come from one pass over pairs held once per
+    # experiment; each equals the public function's, bit for bit
+    orders = []
+
+    def recording(ranker):
+        def rank(data, beta):
+            result = ranker(data, beta=beta)
+            orders.append(result.order)
+            return result
+        return rank
+
+    monkeypatch.setattr(rankagg, "_METHODS", tuple(map(recording, rankagg._METHODS)))
+    if chunk is not None:  # rows of pairs split across blocks
+        monkeypatch.setattr(rankagg, "_PAIR_CHUNK", chunk)
+    for n in (2, 7, 100):
+        orders.clear()
+        rows = experiment(n, 1.0, [0.05, 0.3], trials=2, seed=11).trials
+        truth = list(range(n, 0, -1))
+        assert len(rows) == len(orders) == 12
+        for row, order in zip(rows, orders):
+            for weighted, key in ((True, "tau_weighted"), (False, "tau_unweighted")):
+                tau = kendall_tau(order, truth, weighted=weighted)
+                assert type(row[key]) is float
+                assert row[key].hex() == tau.hex(), (n, row)
 
 
 def test_kendall_element_mismatch():
