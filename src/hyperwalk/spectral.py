@@ -41,11 +41,13 @@ __all__ = [
 ]
 
 # Exhaustive subset enumeration: 2^24 is the most we are willing to walk.
-# Subsets are scored by numpy from tables over each half of the vertices, in
-# blocks of CHEEGER_BLOCK subsets, so memory is O(2^(n/2) n) plus one block;
-# only the near-minimal candidates are rescored exactly in Python.
+# Subsets are scored by numpy from tables over each half of the vertices, so
+# memory is O(2^(n/2) n) plus one block of at most CHEEGER_BLOCK subsets,
+# whose buffers are allocated once per enumeration and refilled in place: a
+# fresh block-sized temporary per step would cost a page fault per 4 KiB.
+# Only the near-minimal candidates are rescored exactly in Python.
 CHEEGER_SIZE_LIMIT = 24
-CHEEGER_BLOCK = 1 << 16
+CHEEGER_BLOCK = 1 << 14
 # Relative gap between a block's numpy sums and the fixed-order Python sums.
 # Both add the same non-negative terms, so they differ by at most about
 # (n^2 + 4n) 2^-53, which is below 1e-13 up to CHEEGER_SIZE_LIMIT.
@@ -137,27 +139,36 @@ class CheegerResult:
 
 
 def _cheeger_enumerate(P: np.ndarray, pi: np.ndarray):
-    """Exact minimum of boundary flow over pi(S), over all S with
-    0 < pi(S) <= 1/2; ties broken by lexicographically smallest sorted index
-    tuple. The result is that of plain-float accumulation in fixed
-    (ascending) order, so independent enumerations can agree bit-for-bit.
+    """Exact minimum of boundary flow over pi(S), over all nonempty proper
+    subsets S with pi(S) <= 1/2; ties broken by lexicographically smallest
+    sorted index tuple. The result is that of plain-float accumulation in
+    fixed (ascending) order, so independent enumerations can agree
+    bit-for-bit.
 
     S = A | B, A among the low h = n // 2 vertices and B among the rest. With
     F = pi[:, None] P, 0/1 rows IA, IB and f_L, f_U the flows inside a half,
-    a block of rows of A against every B is scored by two small products:
-    pi(S) = pi(A) + pi(B), flow(S) = [IA F_LU, f_L(A)] [1 - IB, 1]^T
-    + [1 - IA, 1] [IB F_UL, f_U(B)]^T. These add entries of F times exact
-    0/1 factors and never subtract, so each is within a relative
-    ``CHEEGER_RTOL`` of its fixed-order sum. A subset can then only be
-    feasible if its block pi(S) is at most (1 + RTOL)/2, and only minimal if
-    its block ratio is within a factor 1 + 3 RTOL of that of every surely
-    feasible subset (block pi(S) <= (1 - RTOL)/2). The screen uses the least
-    such ratio seen so far, so the minimizer passes it in any block order.
-    Only the candidates are rescored in fixed order."""
+    a block of rows of A against a prefix of the B is scored by one small
+    product: pi(S) = pi(A) + pi(B), flow(S) = [IA F_LU, f_L(A), 1 - IA, 1]
+    [1 - IB, 1, IB F_UL, f_U(B)]^T. This adds entries of F times exact 0/1
+    factors and never subtracts, so it is within a relative
+    ``CHEEGER_RTOL`` of the fixed-order sum. A subset can then only be
+    feasible if its block pi(S) is at most half_hi = (1 + RTOL)/2, and only
+    minimal if its block ratio is within a factor 1 + 3 RTOL of that of
+    every surely feasible subset (block pi(S) <= (1 - RTOL)/2). The screen
+    uses the least such ratio seen so far, so the minimizer passes it in any
+    block order. Only the candidates are rescored in fixed order.
+
+    The rows of A are taken by pi(A) descending and the B by pi(B)
+    ascending. A float sum is monotone in each term, so the cells of a row
+    with block pi(S) <= half_hi are a prefix of it, and each block scores
+    only the columns of its last (lightest, widest) row's prefix: about half
+    of all cells, and never a feasible one left out. The ratio, pi(S) and
+    mask buffers are allocated once and refilled in place, so the working
+    set stays the size of one block and no block-sized temporary is handed
+    back to the system and faulted in again, page by page, at every step."""
     n = len(pi)
-    flow_terms = [[float(pi[x] * P[x, y]) for y in range(n)] for x in range(n)]
-    pi_list = [float(x) for x in pi]
     F = pi[:, None] * P
+    flow_terms, pi_list = F.tolist(), pi.tolist()  # the products pi[x] * P[x, y]
     h = n // 2
 
     def half(part, rest):  # per subset T of part: pi(T), [T F_part,rest, f(T)], [1 - T, 1]
@@ -169,23 +180,40 @@ def _cheeger_enumerate(P: np.ndarray, pi: np.ndarray):
 
     low, high = slice(0, h), slice(h, n)
     (pi_a, to_a, out_a), (pi_b, to_b, out_b) = half(low, high), half(high, low)
+    order_a = np.argsort(pi_a, kind="stable")[::-1]
+    order_b = np.argsort(pi_b, kind="stable")
+    pi_a, left = pi_a[order_a], np.hstack([to_a, out_a])[order_a]
+    # one column per B, so that BLAS reads a prefix of them untransposed
+    pi_b, right = pi_b[order_b], np.vstack([out_b.T, to_b.T])[:, order_b]
+    masks_a, masks_b = order_a.tolist(), order_b.tolist()
+    never = [(masks_a.index(0), masks_b.index(0)),  # S empty and S full
+             (masks_a.index(len(pi_a) - 1), masks_b.index(len(pi_b) - 1))]
     half_lo, half_hi = 0.5 * (1.0 - CHEEGER_RTOL), 0.5 * (1.0 + CHEEGER_RTOL)
     bound = math.inf  # least block ratio of a surely feasible subset so far
     best_ratio = best_subset = None
     rows = max(1, CHEEGER_BLOCK >> (n - h))
-    for start in range(0, 1 << h, rows):
-        a = slice(start, start + rows)
-        flow = to_a[a] @ out_b.T
-        flow += out_a[a] @ to_b.T
-        pi_s = pi_a[a, None] + pi_b
-        if start == 0:
-            pi_s[0, 0] = math.inf  # S empty: never feasible, and no 0/0
-        ratio = flow / pi_s
-        bound = min(bound, float(np.where(pi_s <= half_lo, ratio, math.inf).min()))
-        candidates = (pi_s <= half_hi) & (ratio <= bound * (1.0 + 3.0 * CHEEGER_RTOL))
+    cells = min(rows, len(pi_a)) * len(pi_b)
+    values, masks = np.empty((2, cells)), np.empty((2, cells), dtype=bool)
+    for start in range(0, len(pi_a), rows):
+        stop = min(start + rows, len(pi_a))
+        # the feasible prefix of the block's last (lightest, widest) row
+        cols = int(np.searchsorted(pi_a[stop - 1] + pi_b, half_hi, side="right"))
+        size = (stop - start) * cols
+        ratio, pi_s = values[0, :size], values[1, :size]
+        np.matmul(left[start:stop], right[:, :cols], out=ratio.reshape(stop - start, cols))
+        np.add(pi_a[start:stop, None], pi_b[:cols], out=pi_s.reshape(stop - start, cols))
+        for a_row, b_col in never:
+            if start <= a_row < stop and b_col < cols:
+                pi_s[(a_row - start) * cols + b_col] = math.inf  # and no 0/0
+        np.divide(ratio, pi_s, out=ratio)
+        surely = np.less_equal(pi_s, half_lo, out=masks[0, :size])
+        bound = min(bound, float(np.min(ratio, where=surely, initial=math.inf)))
+        candidates = np.less_equal(ratio, bound * (1.0 + 3.0 * CHEEGER_RTOL),
+                                   out=masks[1, :size])
+        candidates &= np.less_equal(pi_s, half_hi, out=surely)
         for cell in np.flatnonzero(candidates).tolist():
-            a_offset, b_mask = divmod(cell, len(pi_b))
-            mask = (start + a_offset) | (b_mask << h)
+            a_row, b_col = divmod(cell, cols)
+            mask = masks_a[start + a_row] | (masks_b[b_col] << h)
             members = [i for i in range(n) if mask >> i & 1]
             pi_exact = 0.0
             for i in members:

@@ -40,8 +40,11 @@ class TransitionMatrix:
     __slots__ = ("vertices", "matrix", "_index")
 
     def __init__(self, vertices, matrix):
-        P = np.asarray(matrix, dtype=float)
         names = tuple(str(v) for v in vertices)
+        self._fill(names, {v: i for i, v in enumerate(names)}, matrix)
+
+    def _fill(self, names, index, matrix):
+        P = np.asarray(matrix, dtype=float)
         if P.ndim != 2 or P.shape != (len(names), len(names)):
             raise ValueError("transition matrix shape does not match vertex list")
         with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, a sum past max
@@ -54,7 +57,14 @@ class TransitionMatrix:
             raise ValueError("transition probabilities must be nonnegative")
         object.__setattr__(self, "vertices", names)
         object.__setattr__(self, "matrix", P)
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(names)})
+        object.__setattr__(self, "_index", index)
+
+    def _same_vertices(self, matrix) -> TransitionMatrix:
+        """A checked matrix over this one's vertices, sharing their tuple and
+        index (both immutable) instead of rebuilding them."""
+        other = object.__new__(TransitionMatrix)
+        other._fill(self.vertices, self._index, matrix)
+        return other
 
     def __setattr__(self, name, value):
         raise AttributeError(f"TransitionMatrix is immutable: cannot set {name!r}")
@@ -136,7 +146,7 @@ def restart_matrix(P: TransitionMatrix, beta: float, restart=None) -> Transition
         if not (r.min() >= 0.0 and abs(r.sum() - 1.0) <= 1e-12):
             raise BadBeta("restart distribution must be nonnegative and sum to 1")
     mixed = (1.0 - beta) * P.matrix + beta * r[None, :]
-    return TransitionMatrix(P.vertices, mixed)
+    return P._same_vertices(mixed)
 
 
 def simulate(P: TransitionMatrix, start: str, steps: int, seed: int) -> list[str]:

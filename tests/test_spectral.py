@@ -1,6 +1,7 @@
 """Laplacian, eigensolver, Cheeger constant, and mixing-time machinery."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,13 +283,31 @@ def _ring_hypergraph(rng, n, extra):
     return Hypergraph(names, edges)
 
 
+def _blocks(n):
+    """CHEEGER_BLOCK values giving 1 and 3 rows of A per block, and the default."""
+    u = n - n // 2
+    return (1 << u, 3 << u, spectral.CHEEGER_BLOCK)
+
+
 @pytest.mark.parametrize("n", range(2, 14))
-def test_cheeger_split_halves_match_brute_force(n):
+def test_cheeger_split_halves_match_brute_force(monkeypatch, n):
     # Odd n gives halves of different sizes; n = 2, 3 have a one-vertex half.
+    # For even n the uniform complete hypergraph puts the subsets of n/2
+    # vertices at pi(S) = 1/2 (exactly when n is a power of 2), the last
+    # column of a feasible prefix. The star has pi(v0) > 1/2, so no A holding
+    # v0 (the heavier half of the rows, taken first) has a feasible column.
     rng = np.random.default_rng(1000 + n)
     H = _ring_hypergraph(rng, n, 3)
-    for G in (H, rho_normalized(H), _uniform_complete(n)):
-        _assert_matches_brute_force(G, cheeger_constant(G))
+    names = [f"v{i}" for i in range(n)]
+    star = Hypergraph(names, [(1.0, {names[0]: 50.0, v: 1.0}) for v in names[1:]])
+    assert stationary_rho(star).pi[0] > 0.5
+    for G in (H, rho_normalized(H), _uniform_complete(n), star):
+        results = []
+        for block in _blocks(n):
+            monkeypatch.setattr(spectral, "CHEEGER_BLOCK", block)
+            results.append(cheeger_constant(rebuilt(G)))
+        assert all(res == results[0] for res in results)
+        _assert_matches_brute_force(G, results[0])
 
 
 def test_cheeger_partial_last_block(monkeypatch):
@@ -304,6 +323,36 @@ def test_cheeger_partial_last_block(monkeypatch):
             results.append(cheeger_constant(rebuilt(H)))
         assert all(res == results[0] for res in results)
         _assert_matches_brute_force(H, results[0])
+
+
+def test_cheeger_never_scores_the_empty_or_full_set(monkeypatch):
+    # With pi scaled to sum to 1/4 every subset passes pi(S) <= 1/2, the full
+    # set included, and the full set's flow is 0: scored, it would win. The
+    # empty set's ratio is 0/0, which raises under errstate(all="raise").
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 6, 9):
+        H = _ring_hypergraph(rng, n, 2)
+        P, pi = transition_matrix(H).matrix, stationary_rho(H).pi / 4.0
+        want = brute_force_cheeger(P, pi)
+        for block in _blocks(n):
+            monkeypatch.setattr(spectral, "CHEEGER_BLOCK", block)
+            with np.errstate(all="raise"):
+                assert spectral._cheeger_enumerate(P, pi) == want
+
+
+def test_cheeger_working_set_is_bounded():
+    # One block of buffers, allocated once per enumeration, and tables over
+    # each half: at n=16 well under the 2^16 subsets' 512 KiB per array.
+    H = _ring_hypergraph(np.random.default_rng(16), 16, 4)
+    P, pi = transition_matrix(H).matrix, stationary_rho(H).pi
+    spectral._cheeger_enumerate(P, pi)
+    tracemalloc.start()
+    try:
+        spectral._cheeger_enumerate(P, pi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
 
 
 def test_cheeger_n19_against_numpy_oracle():

@@ -141,6 +141,27 @@ def test_restart_custom_distribution(h_demo):
     np.testing.assert_allclose(Pr.matrix[:, 0], 0.6 * P.matrix[:, 0] + 0.4)
 
 
+def test_restart_shares_the_vertex_index(h_demo):
+    # A restart mix is over P's own vertices: it shares their tuple and index
+    # instead of rebuilding them.
+    P = transition_matrix(h_demo)
+    Pr = restart_matrix(P, 0.4)
+    assert Pr.vertices is P.vertices and Pr._index is P._index
+    assert [Pr.index(v) for v in h_demo.vertices] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("row, message", [([np.nan, 1.0, 0.0, 0.0], "must be finite"),
+                                          ([np.inf, 0.0, 0.0, 0.0], "must be finite"),
+                                          ([0.5, 0.0, 0.0, 0.0], "rows must sum to 1"),
+                                          ([-0.25, 1.25, 0.0, 0.0], "must be nonnegative")])
+def test_same_vertices_keeps_every_check(h_demo, row, message):
+    P = transition_matrix(h_demo)
+    bad = P.matrix.copy()
+    bad[0] = row
+    with pytest.raises(ValueError, match=message):
+        P._same_vertices(bad)
+
+
 # -- non-lazy -------------------------------------------------------------------
 
 def test_nonlazy_triangle(triangle):
