@@ -35,7 +35,7 @@ from .reduction import (
     sandwich_check,
 )
 from .spectral import _spectra, check_cheeger, spectral_report
-from .stationary import stationary_direct, stationary_rho, stationary_walk
+from .stationary import _stationary_direct_of, stationary_rho, stationary_walk
 from .walk import (
     DENSE_SIZE_LIMIT,
     PRNG_ALGORITHM,
@@ -127,7 +127,7 @@ def _cmd_stationary(args) -> dict:
                 raise
             print(f"warning: {type(exc).__name__}: {exc}; using the direct solve",
                   file=sys.stderr)
-    return stationary_direct(transition_matrix(H)).as_dict()
+    return _stationary_direct_of(H).as_dict()
 
 
 def _cmd_spectral(args) -> dict:

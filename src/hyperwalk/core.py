@@ -73,6 +73,31 @@ def _union(parent: list, members: list) -> int:
     return joins
 
 
+def _single_component(indptr, indices, n: int) -> bool:
+    """Whether the edges (non-empty, members ``indices[indptr[k]:indptr[k+1]]``)
+    join all n vertices into one component.
+
+    Min-label propagation with pointer jumping, in numpy: label[v] points at
+    a vertex of v's component no higher than v. Each round hooks the vertex
+    each member points at onto the least label in the member's edge, then
+    halves every path with label[label]. Labels only fall, so the sum stops
+    falling only at the fixed point, where each edge's members share one
+    root; vertex 0 keeps label 0, so the vertices form one component exactly
+    when every label reaches 0. A few rounds suffice in practice."""
+    starts, sizes = indptr[:-1], np.diff(indptr)
+    label = np.arange(n)
+    total = -1
+    while True:
+        member = label[indices]
+        np.minimum.at(label, member, np.minimum.reduceat(member, starts).repeat(sizes))
+        label = label[label]
+        if not label.any():
+            return True
+        total, last = int(label.sum()), total
+        if total == last:
+            return False
+
+
 class Hypergraph:
     """Immutable hypergraph with per-edge vertex weights, stored as one CSR
     layout: edge k's members are ``indices[indptr[k]:indptr[k+1]]``
@@ -181,6 +206,9 @@ class Hypergraph:
             raise DisconnectedHypergraph(
                 f"vertex {self.vertices[j]!r} is not a member of any hyperedge"
             )
+        if _single_component(self.indptr, self.indices, n):
+            return
+        # disconnected: the union-find's two smallest roots name the error
         parent = list(range(n))
         ptr, ind = self.indptr.tolist(), self.indices.tolist()
         if sum(_union(parent, ind[a:b]) for a, b in zip(ptr, ptr[1:])) < n - 1:

@@ -42,12 +42,16 @@ __all__ = [
 
 # Exhaustive subset enumeration: 2^24 is the most we are willing to walk.
 # Subsets are scored by numpy from tables over each half of the vertices, so
-# memory is O(2^(n/2) n) plus one block of at most CHEEGER_BLOCK subsets,
-# whose buffers are allocated once per enumeration and refilled in place: a
-# fresh block-sized temporary per step would cost a page fault per 4 KiB.
-# Only the near-minimal candidates are rescored exactly in Python.
+# memory is O(2^(n/2) n) plus one block of CHEEGER_BLOCK subsets, or of
+# ROWS_FLOOR rows of the A half where that is more (n >= 21: at most 2^16
+# subsets at n = 24), whose buffers are allocated once per enumeration and
+# refilled in place: a fresh block-sized temporary per step would cost a
+# page fault per 4 KiB. The floor keeps a block from shrinking to a few rows,
+# where per-block numpy overhead dominates. Only the near-minimal candidates
+# are rescored exactly in Python.
 CHEEGER_SIZE_LIMIT = 24
 CHEEGER_BLOCK = 1 << 14
+ROWS_FLOOR = 16
 # Relative gap between a block's numpy sums and the fixed-order Python sums.
 # Both add the same non-negative terms, so they differ by at most about
 # (n^2 + 4n) 2^-53, which is below 1e-13 up to CHEEGER_SIZE_LIMIT.
@@ -191,7 +195,7 @@ def _cheeger_enumerate(P: np.ndarray, pi: np.ndarray):
     half_lo, half_hi = 0.5 * (1.0 - CHEEGER_RTOL), 0.5 * (1.0 + CHEEGER_RTOL)
     bound = math.inf  # least block ratio of a surely feasible subset so far
     best_ratio = best_subset = None
-    rows = max(1, CHEEGER_BLOCK >> (n - h))
+    rows = max(ROWS_FLOOR, CHEEGER_BLOCK >> (n - h))
     cells = min(rows, len(pi_a)) * len(pi_b)
     values, masks = np.empty((2, cells)), np.empty((2, cells), dtype=bool)
     for start in range(0, len(pi_a), rows):

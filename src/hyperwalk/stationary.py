@@ -14,14 +14,18 @@ Four routes are provided and cross-checked against each other:
   sum_e rho_e * omega(e) = 1, and assemble
   pi_v = sum over incident e of rho_e * omega(e) * gamma_e(v).
 * ``stationary_direct`` -- solve pi P = pi, sum pi = 1 as a dense linear
-  system (the oracle for the other two).
+  system (the oracle for the other two). P may be shared, so it solves in
+  a copy of P; the CLI's direct route (``_stationary_direct_of``) builds P
+  itself, solves in P's own buffer and only then stores P on the
+  hypergraph, so one command holds two n x n matrices at its peak: P and
+  LAPACK's working copy.
 * ``stationary_edge_independent`` -- the closed form
   pi_v = d(v) gamma(v) / sum_u d(u) gamma(u) available when vertex weights
   do not depend on the edge.
 
 The rho and direct routes are dense and share one fixed-point solve: the
 system (M - I) x = 0 with its last equation replaced by sum(x) = 1, on M = A
-and on M = P^T.
+and on M = P^T, set up in M's own buffer and undone after the solve.
 
 ``naive_stationary`` is the degree-fraction formula d(v)/sum d(u). It is
 *not* the stationary distribution in general -- it ignores the vertex
@@ -48,7 +52,7 @@ from .core import (
     rescale_edges,
 )
 from .errors import ConvergenceFailure, NonPositiveWeight, NotEdgeIndependent, SingularSystem
-from .walk import TransitionMatrix, _check_size, transition_matrix
+from .walk import TransitionMatrix, _check_size, _lazy_walk, _published, transition_matrix
 
 __all__ = [
     "StationaryResult",
@@ -119,22 +123,31 @@ def edge_coupling_matrix(H: Hypergraph) -> np.ndarray:
 
 
 def _fixed_point(M: np.ndarray) -> np.ndarray:
-    """The x with M x = x and sum(x) = 1, overwriting M.
+    """The x with M x = x and sum(x) = 1.
 
     Solves (M - I) x = 0 with its last equation replaced by sum(x) = 1, by
     LU with partial pivoting. When the fixed point is unique the replaced
     equation is redundant (the rows of M - I are dependent) and the system
     is nonsingular.
+
+    The system is set up in M itself, which LAPACK then copies, so no other
+    n x n buffer is needed. M's diagonal and last row are saved first and
+    put back afterwards (O(n)), so M holds its own bits again on return and
+    when the solve raises SingularSystem. M must not be read meanwhile.
     """
     n = M.shape[0]
-    M[np.diag_indices(n)] -= 1.0
-    M[-1, :] = 1.0
+    diagonal, last = M.diagonal().copy(), M[-1].copy()
     b = np.zeros(n)
     b[-1] = 1.0
     try:
+        M[np.diag_indices(n)] -= 1.0
+        M[-1, :] = 1.0
         return np.linalg.solve(M, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"stationary solve failed: {exc}") from None
+    finally:
+        M[-1, :] = last
+        M[np.diag_indices(n)] = diagonal
 
 
 def stationary_rho(H: Hypergraph) -> StationaryResult:
@@ -181,13 +194,41 @@ def _solve_rho(H: Hypergraph) -> StationaryResult:
 
 def stationary_direct(P: TransitionMatrix) -> StationaryResult:
     """Solve pi P = pi with sum pi = 1 by dense elimination (partial
-    pivoting). The oracle the rho route is checked against."""
-    # P^T as a view of a plain copy is in Fortran order, the layout LAPACK takes
-    pi = _fixed_point(P.matrix.copy().T)
+    pivoting). The oracle the rho route is checked against.
+
+    P may be shared (a memoized walk matrix is read-only and other callers
+    read it), so the system is set up in one copy of P and P is never
+    touched."""
+    return _direct(P, P.matrix.copy().T)
+
+
+def _direct(P: TransitionMatrix, M: np.ndarray) -> StationaryResult:
+    """The direct solve on M = P^T, a buffer no one else reads meanwhile.
+    P^T as a view of a C-ordered matrix is in Fortran order, the layout
+    LAPACK takes."""
+    pi = _fixed_point(M)
     return StationaryResult(
         vertices=P.vertices, pi=pi, rho=None, method="direct-solve",
         residual=_residual(pi, P),
     )
+
+
+def _stationary_direct_of(H: Hypergraph) -> StationaryResult:
+    """``stationary_direct(transition_matrix(H))`` bit for bit, copying only
+    what someone else holds.
+
+    When H's memo already holds P, that is shared, and it is solved in a
+    copy. Otherwise P is built here, solved in its own buffer (the residual
+    reads the restored bits), and then made read-only and stored, so P is
+    still built once per hypergraph: one n x n matrix fewer at the peak."""
+    P = H._memo.get("transition_matrix")
+    if P is not None:
+        return stationary_direct(P)
+    _check_size(H.n_vertices)
+    P = _lazy_walk(H)
+    result = _direct(P, P.matrix.T)
+    _memo(H, "transition_matrix", lambda: _published(P))
+    return result
 
 
 def stationary_walk(H: Hypergraph) -> StationaryResult:

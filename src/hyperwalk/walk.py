@@ -93,18 +93,24 @@ def transition_matrix(H: Hypergraph) -> TransitionMatrix:
     P[v, w] = sum over edges e holding both of omega(e)/d(v) * gamma_e(w)/delta(e).
 
     Built once per hypergraph: every call on H returns the same object, whose
-    ``matrix`` is read-only. The size check comes first, so a refusal is
-    never stored."""
+    ``matrix`` is read-only, also when the CLI's direct solve built and stored
+    it. The size check comes first, so a refusal is never stored."""
     _check_size(H.n_vertices)
-    return _memo(H, "transition_matrix", lambda: _lazy_walk(H))
+    return _memo(H, "transition_matrix", lambda: _published(_lazy_walk(H)))
 
 
 def _lazy_walk(H: Hypergraph) -> TransitionMatrix:
+    """A fresh, writable P that nothing else holds; whoever stores it in H's
+    memo makes it read-only first (``_published``)."""
     d, delta = degrees(H)
     left = _per_member(H, H.omega) / d[H.indices]
     right = H.gamma / _per_member(H, delta)
-    P = TransitionMatrix(H.vertices, _block_scatter(H.indptr, H.indices, left, right,
-                                                    H.n_vertices))
+    return TransitionMatrix(H.vertices, _block_scatter(H.indptr, H.indices, left, right,
+                                                       H.n_vertices))
+
+
+def _published(P: TransitionMatrix) -> TransitionMatrix:
+    """P with its matrix made read-only, the form in which a memo holds it."""
     P.matrix.flags.writeable = False
     return P
 

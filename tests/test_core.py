@@ -185,6 +185,32 @@ def test_disconnected_two_edges():
         )
 
 
+def test_disconnected_error_names_the_union_find_roots():
+    with pytest.raises(DisconnectedHypergraph, match="^vertices 'a' and 'd' are in different"):
+        Hypergraph(("a", "b", "c", "d", "e"),
+                   [(1.0, {"b": 1.0, "a": 1.0}), (1.0, {"c": 1.0, "e": 1.0}),
+                    (1.0, {"d": 1.0, "e": 1.0})])
+
+
+def test_single_component_agrees_with_union_find():
+    # random edge lists, most of them disconnected, some long chains
+    rng = np.random.default_rng(177)
+    verdicts = set()
+    for trial in range(3000):
+        n = int(rng.integers(1, 40))
+        sizes = rng.integers(1, min(n, 5) + 1, size=int(rng.integers(1, 40)))
+        members = [np.sort(rng.choice(n, size=s, replace=False)) for s in sizes]
+        if trial % 10 == 0:  # a path through a random order of the vertices
+            order = rng.permutation(n)
+            members = [np.sort(order[i:i + 2]) for i in range(n - 1)] or members
+        parent = list(range(n))
+        want = sum(core._union(parent, m.tolist()) for m in members) == n - 1
+        indptr = np.concatenate(([0], np.cumsum([len(m) for m in members])))
+        assert core._single_component(indptr, np.concatenate(members), n) == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
 def test_isolated_vertex_is_disconnected():
     with pytest.raises(DisconnectedHypergraph, match="'c'"):
         Hypergraph(("a", "b", "c"), [(1.0, {"a": 1.0, "b": 1.0})])

@@ -217,6 +217,7 @@ def test_cheeger_near_ties_match_brute_force():
 def test_cheeger_block_size_does_not_matter(monkeypatch):
     instances = sweep(405, 15)
     results = {}
+    monkeypatch.setattr(spectral, "ROWS_FLOOR", 1)  # blocks of single rows too
     for block in (1, 3, spectral.CHEEGER_BLOCK):
         monkeypatch.setattr(spectral, "CHEEGER_BLOCK", block)
         # a fresh copy per block size enumerates anew
@@ -284,7 +285,8 @@ def _ring_hypergraph(rng, n, extra):
 
 
 def _blocks(n):
-    """CHEEGER_BLOCK values giving 1 and 3 rows of A per block, and the default."""
+    """CHEEGER_BLOCK values giving 1 and 3 rows of A per block (once the
+    ROWS_FLOOR is patched to 1), and the default."""
     u = n - n // 2
     return (1 << u, 3 << u, spectral.CHEEGER_BLOCK)
 
@@ -301,6 +303,7 @@ def test_cheeger_split_halves_match_brute_force(monkeypatch, n):
     names = [f"v{i}" for i in range(n)]
     star = Hypergraph(names, [(1.0, {names[0]: 50.0, v: 1.0}) for v in names[1:]])
     assert stationary_rho(star).pi[0] > 0.5
+    monkeypatch.setattr(spectral, "ROWS_FLOOR", 1)
     for G in (H, rho_normalized(H), _uniform_complete(n), star):
         results = []
         for block in _blocks(n):
@@ -314,6 +317,7 @@ def test_cheeger_partial_last_block(monkeypatch):
     # CHEEGER_BLOCK >> u rows of A per block (u = n - n // 2); an odd count
     # never divides the 2^(n // 2) rows of A, so the last block is cut short.
     rng = np.random.default_rng(77)
+    monkeypatch.setattr(spectral, "ROWS_FLOOR", 1)
     for n in (5, 8, 9, 12):
         H = _ring_hypergraph(rng, n, 2)
         u = n - n // 2
@@ -330,6 +334,7 @@ def test_cheeger_never_scores_the_empty_or_full_set(monkeypatch):
     # set included, and the full set's flow is 0: scored, it would win. The
     # empty set's ratio is 0/0, which raises under errstate(all="raise").
     rng = np.random.default_rng(31)
+    monkeypatch.setattr(spectral, "ROWS_FLOOR", 1)
     for n in (2, 3, 6, 9):
         H = _ring_hypergraph(rng, n, 2)
         P, pi = transition_matrix(H).matrix, stationary_rho(H).pi / 4.0
@@ -338,6 +343,21 @@ def test_cheeger_never_scores_the_empty_or_full_set(monkeypatch):
             monkeypatch.setattr(spectral, "CHEEGER_BLOCK", block)
             with np.errstate(all="raise"):
                 assert spectral._cheeger_enumerate(P, pi) == want
+
+
+def test_cheeger_blocks_keep_a_floor_of_rows(monkeypatch):
+    # n = 12: 64 rows of A. A CHEEGER_BLOCK of one subset still gives blocks
+    # of ROWS_FLOOR rows, so four block products, and the same result.
+    H = _ring_hypergraph(np.random.default_rng(12), 12, 3)
+    P, pi = transition_matrix(H).matrix, stationary_rho(H).pi
+    want = spectral._cheeger_enumerate(P, pi)
+    products = []
+    real = np.matmul
+    monkeypatch.setattr(spectral, "CHEEGER_BLOCK", 1)
+    monkeypatch.setattr(np, "matmul", lambda *a, **k: products.append(1) or real(*a, **k))
+    assert spectral._cheeger_enumerate(P, pi) == want
+    monkeypatch.undo()
+    assert len(products) == 64 // spectral.ROWS_FLOOR
 
 
 def test_cheeger_working_set_is_bounded():

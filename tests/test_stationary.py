@@ -1,8 +1,13 @@
 """Stationary distributions: rho route, direct solve, closed forms, and the
 degree-fraction counterexample."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+
+import hyperwalk.stationary as stationary
+import hyperwalk.walk as walk
 
 from hyperwalk import (
     ConvergenceFailure,
@@ -13,6 +18,7 @@ from hyperwalk import (
     SizeLimit,
     TransitionMatrix,
     degrees,
+    dumps_json,
     naive_stationary,
     rescale_edges,
     restart_matrix,
@@ -24,10 +30,16 @@ from hyperwalk import (
     to_json_dict,
     transition_matrix,
 )
+from hyperwalk.cli import dispatch
 from hyperwalk.core import delta_normalized
-from hyperwalk.stationary import WALK_RTOL, edge_coupling_matrix
+from hyperwalk.stationary import (
+    WALK_RTOL,
+    _fixed_point,
+    _stationary_direct_of,
+    edge_coupling_matrix,
+)
 from hyperwalk.walk import DENSE_SIZE_LIMIT
-from conftest import sweep
+from conftest import rebuilt, sweep
 
 DEMO_PI = np.array([7, 2, 5, 3]) / 17
 
@@ -164,6 +176,68 @@ def test_singular_system():
     P = TransitionMatrix(("a", "b"), np.eye(2))
     with pytest.raises(SingularSystem):
         stationary_direct(P)
+
+
+def test_fixed_point_restores_its_buffer(h_demo):
+    # the system is set up in M and undone: M holds its own bits afterwards,
+    # also when the solve fails
+    for P in (transition_matrix(h_demo), transition_matrix(_chain_hypergraph(12, 57)),
+              TransitionMatrix(["a", "b"], np.eye(2))):
+        M = P.matrix.copy().T
+        before = M.copy()
+        if P.n == 2:
+            with pytest.raises(SingularSystem):
+                _fixed_point(M)
+        else:
+            _fixed_point(M)
+        assert M.tobytes() == before.tobytes()
+        assert M.flags.f_contiguous
+
+
+def test_direct_in_the_walk_matrix_buffer_equals_the_public_solve(h_demo):
+    # a fresh hypergraph: P is built, solved in its own buffer and stored;
+    # a hypergraph that already holds P: its shared P is solved in a copy
+    for H in [h_demo, _chain_hypergraph(13, 64)] + sweep(304, 15):
+        want = stationary_direct(transition_matrix(rebuilt(H)))
+        for got in (_stationary_direct_of(rebuilt(H)), _stationary_direct_of(H),
+                    _stationary_direct_of(H)):
+            assert got.pi.tobytes() == want.pi.tobytes()
+            assert np.float64(got.residual).tobytes() == np.float64(want.residual).tobytes()
+            assert (got.vertices, got.rho, got.method) == (want.vertices, None, "direct-solve")
+
+
+def test_direct_stores_the_walk_matrix_it_solved_in(h_demo, monkeypatch):
+    builds = []
+    real = stationary._lazy_walk
+    monkeypatch.setattr(stationary, "_lazy_walk", lambda H: builds.append(1) or real(H))
+    H = rebuilt(h_demo)
+    _stationary_direct_of(H)
+    P = transition_matrix(H)
+    assert P is H._memo["transition_matrix"] and not P.matrix.flags.writeable
+    assert P.matrix.tobytes() == transition_matrix(rebuilt(h_demo)).matrix.tobytes()
+    _stationary_direct_of(H)  # solved in a copy of the stored P, which stays
+    assert transition_matrix(H) is P and len(builds) == 1
+
+
+def test_direct_command_holds_one_walk_matrix(tmp_path, monkeypatch):
+    # P is solved in its own buffer, so the traced peak is P plus the input's
+    # parse, not P and a copy of it (LAPACK's own working copy is not traced)
+    n = 1024
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    path.write_text(dumps_json(_chain_hypergraph(14, n)))
+    builds = []
+    real = walk._lazy_walk
+    for module in (walk, stationary):
+        monkeypatch.setattr(module, "_lazy_walk", lambda H: builds.append(1) or real(H))
+    tracemalloc.start()
+    try:
+        assert dispatch(["stationary", "--input", str(path), "--method", "direct",
+                         "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * n * n
+    assert len(builds) == 1
 
 
 # -- closed forms ------------------------------------------------------------------
