@@ -113,9 +113,9 @@ class Hypergraph:
     disconnected). Edges are read once, in order, so the first fault in
     that order is the one named.
 
-    The walk matrix, the rho solve, the Laplacian and the Cheeger
+    The degrees, the walk, the rho solve, the Laplacian and the Cheeger
     enumeration are each computed once per hypergraph and kept, read-only,
-    in ``_memo`` for as long as the hypergraph lives (see ``_memo``).
+    in ``_memo``; none refers back to H, so they go when H goes.
     """
 
     __slots__ = ("vertices", "indptr", "indices", "gamma", "omega", "_index", "_memo")
@@ -247,8 +247,8 @@ def _memo(H: Hypergraph, key: str, compute):
         return H._memo.setdefault(key, compute())
 
 
-def _per_member(H: Hypergraph, per_edge) -> np.ndarray:
-    """Expand one value per edge to one value per (edge, member) entry."""
+def _per_member(H, per_edge) -> np.ndarray:
+    """Expand one value per edge to one per (edge, member) entry of H's indptr."""
     return np.repeat(per_edge, np.diff(H.indptr))
 
 
@@ -302,7 +302,12 @@ def _block_scatter(indptr, indices, left, right, n: int, scale=None) -> np.ndarr
 def degrees(H: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     """Vertex degrees d(v) = sum of incident edge weights, and edge degrees
     delta(e) = sum of member vertex weights. A sum that overflows is
-    NonPositiveWeight naming its edge, else its vertex."""
+    NonPositiveWeight naming its edge, else its vertex. Computed once per
+    hypergraph: every call on H returns the same two read-only arrays."""
+    return _memo(H, "degrees", lambda: _degrees(H))
+
+
+def _degrees(H: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore"):
         d = np.bincount(H.indices, weights=_per_member(H, H.omega), minlength=H.n_vertices)
         delta = np.add.reduceat(H.gamma, H.indptr[:-1])
@@ -313,6 +318,7 @@ def degrees(H: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     if len(bad):
         raise NonPositiveWeight(
             f"vertex {H.vertices[bad[0]]!r}: degree d(v) overflows the float range")
+    d.flags.writeable = delta.flags.writeable = False
     return d, delta
 
 
@@ -476,46 +482,47 @@ def _json_text(value) -> str:
     text, joined once; json.dumps itself writes each non-str key and each
     value outside ``_SCALAR_TEXT`` (np.float64, an empty container, an
     unsupported type), so json's rules and errors hold for them. A container
-    that holds itself raises RecursionError where json raises ValueError."""
+    that holds itself raises RecursionError where json raises ValueError.
+    ``_write_json`` walks it: a nested writer would be a reference cycle."""
     parts = []
-    append = parts.append
-    scalar_text, spell = _SCALAR_TEXT.get, _JSON_SPELLING.get
-    key_text = json.encoder.encode_basestring_ascii
-
-    def write(value, newline: str) -> None:
-        if isinstance(value, dict) and value:
-            inner, sep = newline + "  ", "{"
-            for key, item in value.items():
-                key = key_text(key) if type(key) is str else json.dumps({key: 0})[1:-4]
-                text = scalar_text(type(item))
-                if text:
-                    text = text(item)
-                    append(sep + inner + key + ": " + spell(text, text))
-                else:
-                    append(sep + inner + key + ": ")
-                    write(item, inner)
-                sep = ","
-            append(newline + "}")
-        elif isinstance(value, (list, tuple)) and value:
-            inner, sep = newline + "  ", "["
-            for item in value:
-                text = scalar_text(type(item))
-                if text:
-                    text = text(item)
-                    append(sep + inner + spell(text, text))
-                else:
-                    append(sep + inner)
-                    write(item, inner)
-                sep = ","
-            append(newline + "]")
-        else:
-            text = scalar_text(type(value))
-            text = text(value) if text else json.dumps(value)
-            append(spell(text, text))
-
-    write(value, "\n")
-    append("\n")
+    _write_json(value, "\n", parts.append)
+    parts.append("\n")
     return "".join(parts)
+
+
+def _write_json(value, newline: str, append, scalar_text=_SCALAR_TEXT.get,
+                spell=_JSON_SPELLING.get,
+                key_text=json.encoder.encode_basestring_ascii) -> None:
+    # each line after the first opens with `newline`; defaults are locals, for speed
+    if isinstance(value, dict) and value:
+        inner, sep = newline + "  ", "{"
+        for key, item in value.items():
+            key = key_text(key) if type(key) is str else json.dumps({key: 0})[1:-4]
+            text = scalar_text(type(item))
+            if text:
+                text = text(item)
+                append(sep + inner + key + ": " + spell(text, text))
+            else:
+                append(sep + inner + key + ": ")
+                _write_json(item, inner, append)
+            sep = ","
+        append(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner, sep = newline + "  ", "["
+        for item in value:
+            text = scalar_text(type(item))
+            if text:
+                text = text(item)
+                append(sep + inner + spell(text, text))
+            else:
+                append(sep + inner)
+                _write_json(item, inner, append)
+            sep = ","
+        append(newline + "]")
+    else:
+        text = scalar_text(type(value))
+        text = text(value) if text else json.dumps(value)
+        append(spell(text, text))
 
 
 def _read_text(path: str) -> str:

@@ -3,10 +3,11 @@
 Four routes are provided and cross-checked against each other:
 
 * ``stationary_walk`` -- power iteration of the lazy walk without forming
-  P: one step pi -> ((pi / d) W) D_E^-1 R is two O(nnz) passes over the
-  CSR arrays, so it has no size limit, and its per-edge sums are the rho
-  route's constants. It gives up after ``WALK_MAX_ITER`` steps, since a
-  slowly mixing walk contracts slowly.
+  P: one step pi -> ((pi / d) W) D_E^-1 R of the walk operator
+  (``walk.WalkOperator``) is two O(nnz) passes over the CSR arrays, so it
+  has no size limit, and its per-edge sums are the rho route's constants.
+  It gives up after ``WALK_MAX_ITER`` steps, since a slowly mixing walk
+  contracts slowly.
 * ``stationary_rho`` -- the per-edge-constant construction: normalize each
   edge so its degree is 1, build the |E| x |E| coupling matrix A with
   A[e, f] = sum over v in both edges of omega(f) * gamma_f(v) / d(v), solve
@@ -52,7 +53,8 @@ from .core import (
     rescale_edges,
 )
 from .errors import ConvergenceFailure, NonPositiveWeight, NotEdgeIndependent, SingularSystem
-from .walk import TransitionMatrix, _check_size, _lazy_walk, _published, transition_matrix
+from .walk import (TransitionMatrix, _check_size, _lazy_walk, _operator, _published,
+                   transition_matrix)
 
 __all__ = [
     "StationaryResult",
@@ -114,11 +116,10 @@ def edge_coupling_matrix(H: Hypergraph) -> np.ndarray:
     outer(1, omega(f) * gamma_f(v) / d(v)) over the edges e, f holding it.
     """
     _check_size(H.n_edges, "edges")
-    d, _ = degrees(H)
+    op = _operator(H)
     vptr, order = _vertex_major(H)
-    edge = _per_member(H, np.arange(H.n_edges))
-    contrib = _per_member(H, H.omega) * H.gamma / d[H.indices]
-    return _block_scatter(vptr, edge[order], np.ones(len(order)), contrib[order],
+    contrib = _per_member(H, H.omega) * H.gamma / op.d[H.indices]
+    return _block_scatter(vptr, op.edge[order], np.ones(len(order)), contrib[order],
                           H.n_edges)
 
 
@@ -235,32 +236,26 @@ def stationary_walk(H: Hypergraph) -> StationaryResult:
     """Power iteration of the lazy walk from the uniform vector, without
     forming P.
 
-    One step pi -> pi P sums rho_e = sum over v in e of pi_v / d(v) per
-    edge, then spreads rho_e * omega(e) * gamma_e(w) / delta(e) onto each
-    member w: two O(nnz) bincounts. The lazy walk's diagonal is positive, so
-    the iteration converges at the rate of the second eigenvalue modulus. It
-    stops at the first pi with max|pi P - pi| <= WALK_RTOL * max(pi), and
-    raises ConvergenceFailure naming the iteration count and the residual
-    when WALK_MAX_ITER steps do not get there, or naming the iteration whose
-    pi is not finite (pi / d overflows when a degree is subnormal).
+    One step pi -> pi P is ``WalkOperator.rstep``: it sums rho_e = sum over
+    v in e of pi_v / d(v) per edge, then spreads rho_e * ((omega(e) /
+    delta(e)) * gamma_e(w)) onto each member w, two O(nnz) bincounts; that
+    order, not the dense build's, keeps the bits of ``--method auto``. The
+    lazy walk's diagonal is positive, so the iteration converges at the rate
+    of the second eigenvalue modulus. It stops at the first pi with
+    max|pi P - pi| <= WALK_RTOL * max(pi), and raises ConvergenceFailure
+    naming the iteration count and the residual when WALK_MAX_ITER steps do
+    not get there, or naming the iteration whose pi is not finite (pi / d
+    overflows when a degree is subnormal).
 
     The returned pi is renormalized to sum 1. Its per-edge sums are the rho
     route's constants, with sum_e rho_e * omega(e) = sum_v pi_v = 1, and
     ``residual`` is max|pi P - pi| under the same operator.
     """
-    d, delta = degrees(H)
-    edge = _per_member(H, np.arange(H.n_edges))
-    spread = _per_member(H, H.omega / delta) * H.gamma
-
-    def step(pi):
-        rho = np.bincount(edge, weights=(pi / d)[H.indices], minlength=H.n_edges)
-        return rho, np.bincount(H.indices, weights=rho[edge] * spread,
-                                minlength=H.n_vertices)
-
+    op = _operator(H)
     pi = np.full(H.n_vertices, 1.0 / H.n_vertices)
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, WALK_MAX_ITER + 1):
-            nxt = step(pi)[1]
+            nxt = op.rstep(pi)[1]
             residual = float(np.abs(nxt - pi).max())  # pi is finite: nan or inf iff nxt is
             if not math.isfinite(residual):
                 raise ConvergenceFailure(f"walk iterate {iterations} is not finite")
@@ -273,7 +268,7 @@ def stationary_walk(H: Hypergraph) -> StationaryResult:
                 f"{residual:.3e} > {WALK_RTOL:.0e} * max pi = {WALK_RTOL * pi.max():.3e}"
             )
     pi = pi / pi.sum()
-    rho, nxt = step(pi)
+    rho, nxt = op.rstep(pi)
     return StationaryResult(
         vertices=H.vertices, pi=pi, rho=rho, method="walk-iteration",
         residual=float(np.abs(nxt - pi).max()),

@@ -1,5 +1,5 @@
-"""Random-walk transition matrices (lazy, non-lazy, with restart) and
-trajectory simulation.
+"""Random-walk transition matrices (lazy, non-lazy, with restart), the lazy
+walk's factored operator, and trajectory simulation.
 
 The walker at vertex v picks an incident edge e with probability
 omega(e)/d(v), then a member w of e with probability gamma_e(w)/delta(e);
@@ -9,9 +9,11 @@ members. All matrices are dense and row-stochastic.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .core import Hypergraph, _block_scatter, _memo, _per_member, degrees
+from .core import _REAL, Hypergraph, _block_scatter, _memo, _per_member, degrees
 from .errors import BadBeta, SingletonEdge, SizeLimit, UnknownVertex
 
 __all__ = [
@@ -102,11 +104,53 @@ def transition_matrix(H: Hypergraph) -> TransitionMatrix:
 def _lazy_walk(H: Hypergraph) -> TransitionMatrix:
     """A fresh, writable P that nothing else holds; whoever stores it in H's
     memo makes it read-only first (``_published``)."""
-    d, delta = degrees(H)
-    left = _per_member(H, H.omega) / d[H.indices]
-    right = H.gamma / _per_member(H, delta)
-    return TransitionMatrix(H.vertices, _block_scatter(H.indptr, H.indices, left, right,
-                                                       H.n_vertices))
+    return TransitionMatrix(H.vertices, _operator(H).dense())
+
+
+class WalkOperator:
+    """The lazy walk P = D_V^-1 W D_E^-1 R of one hypergraph, factored: d and
+    delta (``degrees``), the edge id of each CSR entry and per-entry factors,
+    each formed when first read, in the product order of the caller that
+    reads it, so every result keeps its bits. H's memo holds it
+    (``_operator``), so it holds H's arrays but never H: no cycle."""
+
+    def __init__(self, H: Hypergraph):
+        self.n, self.indptr, self.indices = H.n_vertices, H.indptr, H.indices
+        self.gamma, self.omega = H.gamma, H.omega
+        self.d, self.delta = degrees(H)
+
+    @cached_property
+    def edge(self) -> np.ndarray:
+        return _per_member(self, np.arange(len(self.omega)))
+
+    @cached_property
+    def left(self) -> np.ndarray:  # omega(e) / d(v): leave v by e
+        return _per_member(self, self.omega) / self.d[self.indices]
+
+    @cached_property
+    def right(self) -> np.ndarray:  # gamma_e(w) / delta(e): land on w from e
+        return self.gamma / _per_member(self, self.delta)
+
+    @cached_property
+    def spread(self) -> np.ndarray:  # (omega(e) / delta(e)) * gamma_e(w), rstep's order
+        return _per_member(self, self.omega / self.delta) * self.gamma
+
+    def dense(self) -> np.ndarray:
+        """P, fresh and writable: P[v, w] sums left * right over edges holding both."""
+        return _block_scatter(self.indptr, self.indices, self.left, self.right, self.n)
+
+    def rstep(self, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(rho, pi P)``: rho_e sums pi_v / d(v) over e's members, then
+        rho_e * spread goes to each member. Two O(nnz) bincounts."""
+        rho = np.bincount(self.edge, weights=(pi / self.d)[self.indices],
+                          minlength=len(self.omega))
+        return rho, np.bincount(self.indices, weights=rho[self.edge] * self.spread,
+                                minlength=self.n)
+
+
+def _operator(H: Hypergraph) -> WalkOperator:
+    """H's walk operator, built once per hypergraph."""
+    return _memo(H, "walk_operator", lambda: WalkOperator(H))
 
 
 def _published(P: TransitionMatrix) -> TransitionMatrix:
@@ -138,8 +182,9 @@ def restart_matrix(P: TransitionMatrix, beta: float, restart=None) -> Transition
     beta must lie strictly inside (0, 1); the restart distribution defaults
     to uniform over the vertices.
     """
-    if not (isinstance(beta, (int, float)) and 0.0 < beta < 1.0):
+    if not (type(beta) in _REAL and 0.0 < beta < 1.0):
         raise BadBeta(f"restart probability must lie in (0, 1), got {beta!r}")
+    beta = float(beta)  # a float32 beta would round 1 - beta to float32
     n = P.n
     if restart is None:
         r = np.full(n, 1.0 / n)

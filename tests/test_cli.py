@@ -1,5 +1,6 @@
 """CLI dispatch, exit codes, output formats, and run manifests."""
 
+import gc
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 import hyperwalk
 from hyperwalk import ConvergenceFailure, demo_hypergraph, dumps_json
 from hyperwalk.cli import dispatch
+from hyperwalk.core import _json_text
 from hyperwalk.stationary import WALK_MAX_ITER
 from hyperwalk.walk import DENSE_SIZE_LIMIT
 
@@ -209,6 +211,36 @@ def test_out_file_is_the_stdout_plus_a_manifest(demo_file, tmp_path, capsys, com
             digests[path] = hashlib.sha256(fh.read()).hexdigest()
     assert manifest["inputs"] == digests
     assert manifest["seed"] == (42 if argv[0] == "rankagg" else None)
+
+
+@pytest.mark.parametrize("command, source", [
+    ("transition --json", "--input"),
+    ("stationary", "--input"),
+    ("stationary --method rho", "--input"),
+    ("spectral --check-cheeger", "--input"),
+    ("reduce --mode sandwich", "--input"),
+    ("rankagg --n 8 --p 0.3 --trials 2 --json", None),
+    ("rankagg", "--matches"),
+])
+def test_json_output_leaves_no_reference_cycle(demo_file, tmp_path, capsys, command, source):
+    # With the cyclic collector off, everything a JSON-writing command and
+    # the JSON writer make must be freed by reference counting alone, so the
+    # collector finds nothing: no output text waits for it.
+    path = {"--input": demo_file, None: None,
+            "--matches": _write_json(tmp_path, "matches.json", MATCHES)}[source]
+    argv = command.split() + ([source, path] if source else [])
+    assert dispatch(argv) == 0  # builds the parser, which lives as long as the program
+    gc.collect()
+    gc.disable()
+    try:
+        assert _json_text({"a": [1, {"b": [2.0, None, []]}], "c": ("d",)})
+        assert gc.collect() == 0
+        assert dispatch(argv) == 0
+        assert dispatch(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert dispatch(["demo", "--json"]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_manifest_digest_is_of_the_input_as_read(demo_file, capsys):

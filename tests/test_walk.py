@@ -105,11 +105,20 @@ def test_restart_demo_entry(h_demo):
     np.testing.assert_allclose(Pr.matrix.sum(axis=1), 1.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("beta", [0.0, 1.0, -0.1, 1.5])
+@pytest.mark.parametrize("beta", [0.0, 1.0, -0.1, 1.5, True, np.True_, "0.4", None])
 def test_restart_rejects_bad_beta(h_demo, beta):
     P = transition_matrix(h_demo)
     with pytest.raises(BadBeta):
         restart_matrix(P, beta)
+
+
+@pytest.mark.parametrize("beta", [np.float32(0.4), np.float64(0.4)])
+def test_restart_accepts_a_numpy_beta(h_demo, beta):
+    # mixed in double precision: a float32 1 - beta would throw the row sums
+    # off by about 3e-8
+    P = transition_matrix(h_demo)
+    want = restart_matrix(P, float(beta)).matrix
+    assert restart_matrix(P, beta).matrix.tobytes() == want.tobytes()
 
 
 def test_restart_near_one_is_near_uniform(h_demo):
