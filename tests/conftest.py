@@ -1,5 +1,8 @@
 """Shared fixtures and seeded random-instance generators."""
 
+import contextlib
+import gc
+
 import numpy as np
 import pytest
 
@@ -67,3 +70,16 @@ def rebuilt(H):
     yet, so a test that changes a module setting between two calls sees the
     work redone rather than the result stored on H."""
     return loads_json(dumps_json(H))
+
+
+@contextlib.contextmanager
+def gc_off():
+    """The cyclic collector off, after one full collection: what is made
+    meanwhile is freed by reference counting alone, or gc.collect() finds
+    it."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()

@@ -17,6 +17,7 @@ from hyperwalk.cli import dispatch
 from hyperwalk.core import _json_text
 from hyperwalk.stationary import WALK_MAX_ITER
 from hyperwalk.walk import DENSE_SIZE_LIMIT
+from conftest import gc_off
 
 
 @pytest.fixture
@@ -230,17 +231,13 @@ def test_json_output_leaves_no_reference_cycle(demo_file, tmp_path, capsys, comm
             "--matches": _write_json(tmp_path, "matches.json", MATCHES)}[source]
     argv = command.split() + ([source, path] if source else [])
     assert dispatch(argv) == 0  # builds the parser, which lives as long as the program
-    gc.collect()
-    gc.disable()
-    try:
+    with gc_off():
         assert _json_text({"a": [1, {"b": [2.0, None, []]}], "c": ("d",)})
         assert gc.collect() == 0
         assert dispatch(argv) == 0
         assert dispatch(argv + ["--out", str(tmp_path / "out")]) == 0
         assert dispatch(["demo", "--json"]) == 0
         assert gc.collect() == 0
-    finally:
-        gc.enable()
 
 
 def test_manifest_digest_is_of_the_input_as_read(demo_file, capsys):

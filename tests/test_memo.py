@@ -35,7 +35,7 @@ from hyperwalk import (
     transition_matrix,
 )
 from hyperwalk.cli import dispatch
-from conftest import rebuilt, sweep
+from conftest import gc_off, rebuilt, sweep
 
 
 @pytest.mark.parametrize("compute", [degrees, walk._operator, transition_matrix,
@@ -204,23 +204,13 @@ def test_walk_iteration_forms_only_the_factors_it_reads(h_demo, monkeypatch):
     assert not {"left", "right"} & vars(walk._operator(h_demo)).keys()
 
 
-@contextlib.contextmanager
-def _gc_off():
-    gc.collect()
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
-
-
 def test_memoized_results_are_freed_by_reference_counting():
     # Nothing the memo holds refers back to its hypergraph, so there is no
     # cycle: with the cyclic collector off, dropping the hypergraph frees
     # every result at once, and nothing is left for the collector.
     H = sweep(37, 1)[0]
     data = generate(12, 1.0, 0.5, 37)
-    with _gc_off():
+    with gc_off():
         matrix = weakref.ref(transition_matrix(H).matrix)
         stationary_rho(H), stationary_walk(H), spectral_report(H)
         ranked = weakref.ref(transition_matrix(data.hypergraph).matrix)
