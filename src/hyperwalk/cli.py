@@ -25,7 +25,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import _json_text, _load_json, demo_hypergraph, graph_to_json_dict, read_hypergraph
+from .core import (
+    _graph_edges,
+    _hypergraph_json,
+    _json_text,
+    _load_json,
+    demo_hypergraph,
+    read_hypergraph,
+)
 from .errors import ConvergenceFailure, HyperwalkError
 from .rankagg import _METHODS, experiment, matches_from_json_dict
 from .reduction import (
@@ -164,7 +171,7 @@ def _cmd_reduce(args) -> dict:
             "holds": chk.holds,
             "stationary_deviation": chk.pi_dev,
         }
-    return {"graph": graph_to_json_dict(G), "verdict": verdict}
+    return {"graph": _hypergraph_json(G.vertices, *_graph_edges(G)), "verdict": verdict}
 
 
 def _cmd_rankagg(args) -> dict | str:

@@ -344,8 +344,12 @@ class WeightedGraph:
             raise NotSymmetric(
                 f"graph weight matrix asymmetric by {np.abs(W - W.T).max():.3e}"
             )
+        # the mean of each pair, exactly symmetric; for symmetric input
+        # exactly W, and never above the larger of the pair, so 1e308 stays finite
+        mean = np.minimum(W, W.T)
+        mean += (np.maximum(W, W.T) - mean) / 2.0
         self.vertices = names
-        self.weights = (W + W.T) / 2.0  # exact no-op for symmetric input
+        self.weights = mean
 
     @property
     def n_vertices(self) -> int:
@@ -476,14 +480,22 @@ _JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity",
                   "True": "true", "False": "false", "None": "null"}
 
 
+class _JSONText(str):
+    """JSON text that json.dumps(indent=2) would write for some value at
+    column 0; the writer indents its lines after the first to its depth."""
+
+    __slots__ = ()
+
+
 def _json_text(value) -> str:
     """``json.dumps(value, indent=2) + "\\n"``, byte for byte: the one JSON
     writer. Non-empty dicts, lists and tuples are walked into one list of
-    text, joined once; json.dumps itself writes each non-str key and each
-    value outside ``_SCALAR_TEXT`` (np.float64, an empty container, an
-    unsupported type), so json's rules and errors hold for them. A container
-    that holds itself raises RecursionError where json raises ValueError.
-    ``_write_json`` walks it: a nested writer would be a reference cycle."""
+    text, joined once; a ``_JSONText`` is spliced in as written; json.dumps
+    itself writes each non-str key and each value outside ``_SCALAR_TEXT``
+    (np.float64, an empty container, an unsupported type), so json's rules
+    and errors hold for them. A container that holds itself raises
+    RecursionError where json raises ValueError. ``_write_json`` walks it:
+    a nested writer would be a reference cycle."""
     parts = []
     _write_json(value, "\n", parts.append)
     parts.append("\n")
@@ -519,6 +531,8 @@ def _write_json(value, newline: str, append, scalar_text=_SCALAR_TEXT.get,
                 _write_json(item, inner, append)
             sep = ","
         append(newline + "]")
+    elif type(value) is _JSONText:  # JSON text holds no raw newline but its line breaks
+        append(value.replace("\n", newline))
     else:
         text = scalar_text(type(value))
         text = text(value) if text else json.dumps(value)
@@ -543,19 +557,54 @@ def loads_json(text: str) -> Hypergraph:
     return build_hypergraph(_json_value(text, "hypergraph"))
 
 
+def _json_dict(names, indptr, indices, gamma, omega) -> dict:
+    """The hypergraph JSON form of a CSR layout, members in CSR order."""
+    ptr, ind, gam = indptr.tolist(), indices.tolist(), gamma.tolist()
+    edges = [
+        {"weight": w, "members": {names[j]: g for j, g in zip(ind[a:b], gam[a:b])}}
+        for w, a, b in zip(omega.tolist(), ptr, ptr[1:])
+    ]
+    return {"vertices": list(names), "edges": edges}
+
+
+# One edge of the hypergraph JSON form as json.dumps(indent=2) writes it in
+# the "edges" list: its weight and its "name: gamma" lines, joined. Names
+# are only ever arguments of it, so a "%" in one is written as it is.
+_EDGE_TEXT = '{\n      "weight": %r,\n      "members": {\n        %s\n      }\n    }'
+
+
+def _hypergraph_json(names, indptr, indices, gamma, omega) -> _JSONText:
+    """``json.dumps(_json_dict(...), indent=2)``, byte for byte, rendered
+    from the arrays: one escape per name, one repr per float, one
+    ``"name: gamma"`` string per entry and one join per edge. repr is json's
+    text of a finite float, and Hypergraph and WeightedGraph hold no other.
+    Every edge has members."""
+    quoted = list(map(json.encoder.encode_basestring_ascii, names))
+    keys = [q + ": " for q in quoted]
+    entries = list(map(str.__add__, map(keys.__getitem__, indices.tolist()),
+                       map(float.__repr__, gamma.tolist())))
+    ptr = indptr.tolist()
+    edges = [_EDGE_TEXT % (w, ",\n        ".join(entries[a:b]))
+             for w, a, b in zip(omega.tolist(), ptr, ptr[1:])]
+    return _JSONText('{\n  "vertices": ' + _list_text(quoted)
+                     + ',\n  "edges": ' + _list_text(edges) + "\n}")
+
+
+def _list_text(items: list) -> str:
+    """A list of JSON texts in a member of a top-level object."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
 def to_json_dict(H: Hypergraph) -> dict:
     """The JSON form, the one per-edge view of H: members in ascending vertex
     index order."""
-    ptr, ind, gam = H.indptr.tolist(), H.indices.tolist(), H.gamma.tolist()
-    edges = [
-        {"weight": w, "members": {H.vertices[j]: g for j, g in zip(ind[a:b], gam[a:b])}}
-        for w, a, b in zip(H.omega.tolist(), ptr, ptr[1:])
-    ]
-    return {"vertices": list(H.vertices), "edges": edges}
+    return _json_dict(H.vertices, *H._arrays())
 
 
 def dumps_json(H: Hypergraph) -> str:
-    return _json_text(to_json_dict(H))
+    """``json.dumps(to_json_dict(H), indent=2) + "\\n"``, rendered from H's
+    arrays."""
+    return _json_text(_hypergraph_json(H.vertices, *H._arrays()))
 
 
 def to_text(H: Hypergraph) -> str:
@@ -621,16 +670,23 @@ def read_hypergraph(path: str) -> Hypergraph:
     return from_text(_read_text(path))
 
 
+def _graph_edges(G: WeightedGraph) -> tuple:
+    """G's pairs as a hypergraph's ``(indptr, indices, gamma, omega)``: one
+    edge per pair u <= v of positive weight, row-major, members u and v
+    (only u for a loop u == v), every gamma 1.0."""
+    u, v = np.nonzero(np.triu(G.weights) > 0.0)
+    pair = u != v
+    keep = np.ones(2 * len(u), dtype=bool)
+    keep[1::2] = pair
+    indptr = np.concatenate(([0], np.cumsum(1 + pair)))
+    indices = np.stack((u, v), axis=1).ravel()[keep]
+    return indptr, indices, np.ones(len(indices)), G.weights[u, v]
+
+
 def graph_to_json_dict(G: WeightedGraph) -> dict:
     """Emit a weighted graph in the hypergraph JSON format (pair edges, loops
     as singleton edges)."""
-    u, v = np.nonzero(np.triu(G.weights) > 0.0)
-    names = G.vertices
-    edges = [
-        {"weight": w, "members": {names[a]: 1.0, names[b]: 1.0}}  # one key if a == b
-        for w, a, b in zip(G.weights[u, v].tolist(), u.tolist(), v.tolist())
-    ]
-    return {"vertices": list(G.vertices), "edges": edges}
+    return _json_dict(G.vertices, *_graph_edges(G))
 
 
 def demo_hypergraph() -> Hypergraph:

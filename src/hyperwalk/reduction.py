@@ -103,10 +103,21 @@ class ReversibilityVerdict:
 
 
 def reversibility(P: TransitionMatrix, pi: np.ndarray) -> ReversibilityVerdict:
-    """Check pi_u p(u,v) = pi_v p(v,u) for all pairs; pi must actually be
-    stationary for P."""
+    """Check pi_u p(u,v) = pi_v p(v,u) for all pairs. pi must have one entry
+    per vertex (else ValueError) and be a stationary distribution of P: finite,
+    nonnegative, summing to 1 and with max|pi P - pi| at most RESIDUAL_TOL
+    (else NotStationary, naming which)."""
     pi = np.asarray(pi, dtype=float)
-    if np.abs(pi @ P.matrix - pi).max() > RESIDUAL_TOL:
+    if pi.shape != (P.n,):
+        raise ValueError(f"pi has shape {pi.shape}; the chain has {P.n} vertices")
+    if not np.isfinite(pi).all():
+        raise NotStationary("supplied distribution is not finite")
+    if pi.min() < 0.0:
+        raise NotStationary("supplied distribution has a negative entry")
+    total = float(pi.sum())
+    if not abs(total - 1.0) <= RESIDUAL_TOL:
+        raise NotStationary(f"supplied distribution sums to {total!r}, not 1")
+    if not np.abs(pi @ P.matrix - pi).max() <= RESIDUAL_TOL:
         raise NotStationary("supplied distribution is not stationary for the chain")
     flow = pi[:, None] * P.matrix
     gap = np.abs(flow - flow.T)

@@ -168,12 +168,29 @@ def nonlazy_transition_matrix(H: Hypergraph) -> TransitionMatrix:
         raise SingletonEdge(
             f"edge #{singletons[0]} has a single member; non-lazy walk undefined"
         )
-    d, delta = degrees(H)
-    # P[v, w] += (omega / d(v)) * gamma(w) / (delta - gamma(v)) for w != v
-    coeff = _per_member(H, H.omega) / (d[H.indices] * (_per_member(H, delta) - H.gamma))
+    d, _ = degrees(H)
+    # P[v, w] += (omega / d(v)) * gamma(w) / (sum of the other members' gamma) for w != v
+    coeff = _per_member(H, H.omega) / (d[H.indices] * _others(H.indptr, H.gamma))
     P = _block_scatter(H.indptr, H.indices, coeff, H.gamma, H.n_vertices)
     np.fill_diagonal(P, 0.0)
     return TransitionMatrix(H.vertices, P)
+
+
+def _others(indptr, gamma) -> np.ndarray:
+    """Per CSR entry, the sum of gamma over the other members of its edge,
+    formed without a subtraction (delta(e) - gamma_e(v) cancels to 0 when v
+    dominates e): the members before it summed forward plus those after it
+    summed backward, one block of equal-size edges at a time."""
+    out = np.empty_like(gamma)
+    sizes = np.diff(indptr)
+    for s in np.flatnonzero(np.bincount(sizes)):
+        entries = indptr[:-1][sizes == s, None] + np.arange(s)
+        block = gamma[entries]
+        before, after = np.zeros_like(block), np.zeros_like(block)
+        np.cumsum(block[:, :-1], axis=1, out=before[:, 1:])
+        np.cumsum(block[:, :0:-1], axis=1, out=after[:, -2::-1])
+        out[entries] = before + after
+    return out
 
 
 def restart_matrix(P: TransitionMatrix, beta: float, restart=None) -> TransitionMatrix:

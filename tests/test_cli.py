@@ -160,6 +160,69 @@ def test_reduce_modes(demo_file, tmp_path, capsys):
     assert payload["verdict"]["max_dev"] <= 1e-12
 
 
+# all-ones weights, so every mode applies: its clique expansion has loops
+# (eqind) and each edge has two or more members (nonlazy)
+ALL_ONES = {"vertices": ["a", "b", "c", "d"], "edges": [
+    {"weight": 1.0, "members": {"a": 1.0, "b": 1.0, "c": 1.0}},
+    {"weight": 2.0, "members": {"c": 1.0, "d": 1.0}},
+]}
+
+
+def _reduce_input(mode, demo_file, tmp_path) -> str:
+    return demo_file if mode == "sandwich" else _write_json(tmp_path, "ones.json", ALL_ONES)
+
+
+def _reduced_graph(H, mode):
+    if mode == "eqind":
+        return hyperwalk.edge_independent_to_graph(H)
+    if mode == "nonlazy":
+        return hyperwalk.nonlazy_trivial_equivalence(H).graph
+    return hyperwalk.sandwich_check(H).graph
+
+
+@pytest.mark.parametrize("mode", ["sandwich", "eqind", "nonlazy"])
+def test_reduce_writes_its_graph_in_the_hypergraph_format(demo_file, tmp_path, capsys, mode):
+    path = _reduce_input(mode, demo_file, tmp_path)
+    assert dispatch(["reduce", "--input", path, "--mode", mode]) == 0
+    text = capsys.readouterr().out
+    doc = json.loads(text)
+    H = hyperwalk.read_hypergraph(path)
+    G = _reduced_graph(H, mode)
+    assert text == _json_text({"graph": hyperwalk.graph_to_json_dict(G),
+                               "verdict": doc["verdict"]})
+    written = hyperwalk.build_hypergraph(doc["graph"])
+    u, v = (a.tolist() for a in np.nonzero(np.triu(G.weights) > 0.0))
+    ptr = written.indptr.tolist()
+    # each pair u < v is an edge, row-major, and a loop a one-member edge
+    assert [written.indices[a:b].tolist() for a, b in zip(ptr, ptr[1:])] == \
+        [[a] if a == b else [a, b] for a, b in zip(u, v)]
+    # loops are covered; the non-lazy graph has none
+    assert any(a == b for a, b in zip(u, v)) == (mode != "nonlazy")
+    assert written.vertices == G.vertices
+    assert np.all(written.gamma == 1.0)
+    assert written.omega.tobytes() == G.weights[u, v].tobytes()
+
+
+@pytest.mark.parametrize("mode", ["sandwich", "eqind", "nonlazy"])
+def test_reduce_builds_no_per_edge_dict(demo_file, tmp_path, capsys, monkeypatch, mode):
+    counts = _count_calls(monkeypatch, "graph_to_json_dict", "to_json_dict", "_json_dict")
+    assert dispatch(["reduce", "--input", _reduce_input(mode, demo_file, tmp_path),
+                     "--mode", mode]) == 0
+    assert counts == {"graph_to_json_dict": 0, "to_json_dict": 0, "_json_dict": 0}
+
+
+def test_nonlazy_transition_of_a_dominated_member(tmp_path, capsys):
+    # delta - gamma(a) cancels to 0 in the first edge; the walk from a moves to b
+    path = _write_json(tmp_path, "h.json", {"vertices": ["a", "b", "c"], "edges": [
+        {"weight": 1.0, "members": {"a": 1.0, "b": 1e-20}},
+        {"weight": 1.0, "members": {"b": 1.0, "c": 1.0}},
+    ]})
+    assert dispatch(["transition", "--input", path, "--kind", "nonlazy"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[1] == "a,0.0,1.0,0.0"
+
+
 def test_reduce_eqind_rejects_edge_dependent(demo_file, capsys):
     assert dispatch(["reduce", "--input", demo_file, "--mode", "eqind"]) == 1
     assert "NotEdgeIndependent" in capsys.readouterr().err

@@ -1,4 +1,5 @@
-"""The one JSON writer: ``core._json_text`` writes json.dumps(indent=2)'s bytes."""
+"""The one JSON writer: ``core._json_text`` writes json.dumps(indent=2)'s
+bytes, with the hypergraph JSON format rendered from arrays and spliced in."""
 
 import json
 
@@ -7,10 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperwalk import demo_hypergraph, dumps_json
+from hyperwalk import (
+    Hypergraph,
+    NonPositiveWeight,
+    WeightedGraph,
+    demo_hypergraph,
+    dumps_json,
+    graph_to_json_dict,
+    to_json_dict,
+)
 from hyperwalk.cli import dispatch
-from hyperwalk.core import _json_text
+from hyperwalk.core import _graph_edges, _hypergraph_json, _json_text
 from test_cli import MATCHES
+from test_properties import hypergraphs
 
 
 def reference(value) -> str:
@@ -90,9 +100,66 @@ def test_unsupported_values_raise_as_json_does(value):
     assert str(raised.value) == str(expected.value)
 
 
-def test_dumps_json_is_the_writer():
+def test_dumps_json_renders_to_json_dict():
     H = demo_hypergraph()
-    assert dumps_json(H) == reference(json.loads(dumps_json(H)))
+    assert dumps_json(H) == reference(to_json_dict(H))
+
+
+# -- the hypergraph JSON format, rendered from arrays --------------------------
+
+AWKWARD = ['"', "\\", "%", "%s", "%(x)s", "{", "}", "{0}", "{}", "\x00\n\t\x7f", "π漢\U0001f600"]
+NAMES = st.sampled_from(AWKWARD) | st.text(max_size=6)
+WEIGHTS = (st.sampled_from([5e-324, 1 / 3, 1e308, 1.7976931348623157e308, 1.0, 0.1, 1e16])
+           | st.floats(min_value=5e-324, max_value=1e308))
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Symmetric weights with zeros and loops, on 0 to 6 vertices."""
+    n = draw(st.integers(0, 6))
+    names = draw(st.lists(NAMES, min_size=n, max_size=n, unique=True))
+    W = np.zeros((n, n))
+    for u in range(n):
+        for v in range(u, n):
+            W[u, v] = W[v, u] = draw(st.just(0.0) | WEIGHTS)
+    return WeightedGraph(names, W)
+
+
+def spliced(rendered, form) -> None:
+    """The rendered text at column 0 and spliced at two depths equals
+    json.dumps of the dict form."""
+    assert _json_text(rendered) == reference(form)
+    assert _json_text({"graph": rendered, "at": [rendered], "n": 1.0}) == \
+        reference({"graph": form, "at": [form], "n": 1.0})
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(hypergraphs(weights=WEIGHTS, names=NAMES))
+def test_hypergraph_rendered_from_arrays(H):
+    spliced(_hypergraph_json(H.vertices, H.indptr, H.indices, H.gamma, H.omega),
+            to_json_dict(H))
+    assert dumps_json(H) == reference(to_json_dict(H))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(weighted_graphs())
+def test_graph_rendered_from_its_pairs(G):
+    spliced(_hypergraph_json(G.vertices, *_graph_edges(G)), graph_to_json_dict(G))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_no_non_finite_weight_reaches_the_renderer(bad):
+    # repr is json's text only for finite floats: both forms refuse the rest
+    with pytest.raises(NonPositiveWeight):
+        Hypergraph(("a", "b"), [(bad, {"a": 1.0, "b": 1.0})])
+    with pytest.raises(NonPositiveWeight):
+        Hypergraph(("a", "b"), [(1.0, {"a": bad, "b": 1.0})])
+    with pytest.raises(NonPositiveWeight):
+        WeightedGraph(("a", "b"), [[0.0, bad], [bad, 0.0]])
+    # and the symmetric mean of the largest finite weights stays finite
+    big = float(np.finfo(float).max)
+    G = WeightedGraph(("a", "b"), [[big, 1e308], [1e308, 0.0]])
+    assert G.weights.tolist() == [[big, 1e308], [1e308, 0.0]]
 
 
 @pytest.mark.parametrize("command", [

@@ -117,6 +117,22 @@ def test_reversibility_rejects_nonstationary(h_demo):
         reversibility(P, np.array([0.25, 0.25, 0.25, 0.25]))
 
 
+@pytest.mark.parametrize("pi, message", [
+    (np.zeros(4), "sums to 0.0"),
+    (np.full(4, np.nan), "not finite"),
+    (np.array([7.0, 2.0, 5.0, 3.0]) / 17 * 2, "sums to 2.0"),
+    (np.array([0.5, 0.5, 0.5, -0.5]), "negative"),
+])
+def test_reversibility_rejects_a_non_distribution(h_demo, pi, message):
+    with pytest.raises(NotStationary, match=message):
+        reversibility(transition_matrix(h_demo), pi)
+
+
+def test_reversibility_rejects_a_pi_of_the_wrong_length(h_demo):
+    with pytest.raises(ValueError, match=r"shape \(3,\); the chain has 4 vertices"):
+        reversibility(transition_matrix(h_demo), np.full(3, 1 / 3))
+
+
 # -- Kolmogorov cycle products ----------------------------------------------------------
 
 def test_kolmogorov_demo_witness(h_demo):

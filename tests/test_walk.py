@@ -21,6 +21,7 @@ from hyperwalk import (
     to_json_dict,
     transition_matrix,
 )
+from hyperwalk.core import _block_scatter
 from conftest import sweep
 
 DEMO_P = np.array([
@@ -196,6 +197,55 @@ def test_nonlazy_diagonal_zero_on_sweeps():
         P = nonlazy_transition_matrix(H).matrix
         assert np.all(np.diag(P) == 0.0)
         np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
+
+
+def nonlazy_summation(H):
+    """Entrywise evaluation of the non-lazy walk from the member dicts, each
+    member's normalizer the plain sum of the other members' weights; oracle
+    for the scatter-built matrix."""
+    n = H.n_vertices
+    d, _ = degrees(H)
+    P = np.zeros((n, n))
+    for e in to_json_dict(H)["edges"]:
+        members = e["members"]
+        for v in members:
+            others = sum(g for w, g in members.items() if w != v)
+            for w, gw in members.items():
+                if w != v:
+                    P[H.index(v), H.index(w)] += (e["weight"] / d[H.index(v)]) * (gw / others)
+    return P
+
+
+@pytest.mark.parametrize("weight_range", [(0.1, 10.0), (1e-20, 1.0), (1e-60, 1e60)])
+def test_nonlazy_equals_summation(weight_range):
+    # wide weight ranges make some member dominate its edge, where
+    # delta(e) - gamma_e(v) would lose every bit of the other members' sum
+    for H in sweep(206, 40, weight_range=weight_range, min_edge_size=2):
+        P = nonlazy_transition_matrix(H).matrix
+        ref = nonlazy_summation(H)
+        assert np.array_equal(P == 0.0, ref == 0.0)
+        assert np.all(np.abs(P - ref) <= 1e-15 * ref)
+
+
+def test_nonlazy_dominated_member_is_exact():
+    # delta - gamma(a) = (1 + 1e-20) - 1 = 0: the walk from a still moves to b
+    H = Hypergraph(("a", "b", "c"), [(1.0, {"a": 1.0, "b": 1e-20}),
+                                     (1.0, {"b": 1.0, "c": 1.0})])
+    P = nonlazy_transition_matrix(H).matrix
+    assert P[0].tolist() == [0.0, 1.0, 0.0]
+    assert P[1].tolist() == [0.5, 0.0, 0.5]
+
+
+def test_nonlazy_trivial_weights_keep_their_bits():
+    # with all-ones weights each normalizer is |e| - 1 exactly, as delta -
+    # gamma gave it: the matrices behind criterion 8 keep every bit
+    for H in sweep(8, 100, trivial=True, min_edge_size=2):
+        d, _ = degrees(H)
+        sizes = np.diff(H.indptr)
+        coeff = np.repeat(H.omega, sizes) / (d[H.indices] * np.repeat(sizes - 1.0, sizes))
+        P = _block_scatter(H.indptr, H.indices, coeff, H.gamma, H.n_vertices)
+        np.fill_diagonal(P, 0.0)
+        assert np.array_equal(nonlazy_transition_matrix(H).matrix, P)
 
 
 # -- simulation -------------------------------------------------------------------
