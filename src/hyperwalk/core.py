@@ -98,6 +98,17 @@ def _single_component(indptr, indices, n: int) -> bool:
             return False
 
 
+def _index_of(names: tuple[str, ...]) -> dict[str, int]:
+    """Each name's position; a repeated name is DuplicateVertex, the first
+    repeat named."""
+    index = dict(zip(names, range(len(names))))
+    if len(index) < len(names):
+        seen: set[str] = set()
+        v = next(v for v in names if v in seen or seen.add(v))
+        raise DuplicateVertex(f"vertex {v!r} declared more than once")
+    return index
+
+
 class Hypergraph:
     """Immutable hypergraph with per-edge vertex weights, stored as one CSR
     layout: edge k's members are ``indices[indptr[k]:indptr[k+1]]``
@@ -124,11 +135,7 @@ class Hypergraph:
     def __init__(self, vertices: Sequence[str],
                  edges: Iterable[tuple[float, Mapping[str, float]]]):
         names = tuple(str(v) for v in vertices)
-        index: dict[str, int] = {}
-        for v in names:
-            if v in index:
-                raise DuplicateVertex(f"vertex {v!r} declared more than once")
-            index[v] = len(index)
+        index = _index_of(names)
         if not names:
             raise DisconnectedHypergraph("hypergraph has no vertices")
 
@@ -325,8 +332,8 @@ def _degrees(H: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
 class WeightedGraph:
     """Undirected weighted graph over a shared vertex index.
 
-    The weight matrix is symmetric and nonnegative; the diagonal holds
-    self-loop weights.
+    The vertex names are unique (else DuplicateVertex). The weight matrix is
+    symmetric and nonnegative; the diagonal holds self-loop weights.
     """
 
     __slots__ = ("vertices", "weights")
@@ -334,6 +341,7 @@ class WeightedGraph:
     def __init__(self, vertices: Sequence[str], weights):
         W = np.asarray(weights, dtype=float)
         names = tuple(str(v) for v in vertices)
+        _index_of(names)
         if W.ndim != 2 or W.shape[0] != W.shape[1] or W.shape[0] != len(names):
             raise ValueError("weight matrix shape does not match the vertex list")
         if not np.all(np.isfinite(W)):

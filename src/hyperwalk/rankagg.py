@@ -26,10 +26,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import _FLOAT_MAX, Hypergraph, _union, delta_normalized
+from .core import Hypergraph, _union, delta_normalized
 from .errors import (ConvergenceFailure, DisconnectedHypergraph, DuplicateVertex,
-                     ElementMismatch, MalformedInput, NonPositiveWeight, ScoreOverflow,
-                     UnknownVertex)
+                     ElementMismatch, MalformedInput, ScoreOverflow)
 from .reduction import clique_expansion_weights, graph_random_walk
 from .stationary import stationary_direct
 from .walk import TransitionMatrix, _check_size, restart_matrix, transition_matrix
@@ -66,23 +65,26 @@ class MatchData:
     arrays `generate` builds directly: per match its size, per entry, match
     by match, its player and its score. A match needs two or more distinct
     participants (else MalformedInput, DuplicateVertex) with one finite
-    score of at most SCORE_LIMIT each (else ScoreOverflow). A player outside
-    1..n (UnknownVertex), a weight that is not a finite number > 0
-    (NonPositiveWeight) and a player in no match (DisconnectedHypergraph)
-    are named as Hypergraph names them: the first in match order, a match's
-    weight before its entries, entries in the order given. No per-match
-    object is made."""
+    score of at most SCORE_LIMIT each (else ScoreOverflow). More players
+    than match entries is a DisconnectedHypergraph. Every other fault (a
+    player outside 1..n, a weight that is not finite and positive, a player
+    in no match) is named by Hypergraph, the one place a weight is checked:
+    when one array test fails, the same matches go to it as ``(omega,
+    {player name: gamma})`` pairs in input order. No per-match object is
+    made on the success path."""
 
     __slots__ = ("hypergraph", "scores")
 
     def __init__(self, n: int, matches: Iterable[tuple[Sequence[int], Sequence[float]]]):
-        pairs = [(np.asarray(who), np.asarray(s, dtype=float)) for who, s in matches]
+        pairs = [(who, np.asarray(s, dtype=float)) for who, s in matches]
         sizes = np.array([len(who) for who, _ in pairs], dtype=np.intp)
         bad = (sizes < 2) | (sizes != [len(s) for _, s in pairs])
         if bad.any():
             raise MalformedInput(f"match #{bad.argmax()}: needs 2+ participants, one score each")
-        self._build(n, sizes, np.concatenate([np.empty(0, dtype=np.intp)] + [w for w, _ in pairs]),
-                    np.concatenate([np.empty(0)] + [s for _, s in pairs]))
+        players = np.concatenate([np.empty(0, dtype=np.intp)] + [np.asarray(w) for w, _ in pairs])
+        if players.dtype.kind != "i":  # as given, not cast to float: 2.0 is '2.0', 1 is '1'
+            players = np.array([v for who, _ in pairs for v in who], dtype=object)
+        self._build(n, sizes, players, np.concatenate([np.empty(0)] + [s for _, s in pairs]))
 
     def _build(self, n: int, sizes, players, scores) -> None:
         """Fill self from flat arrays: per match its size (at least 2), per
@@ -102,7 +104,7 @@ class MatchData:
                                 f"{players[i]} is not a finite number <= {SCORE_LIMIT}")
         # omega = np.std per match + 1, scores in input order: np.std over the
         # rows of a block gives the bits of np.std of each row (np.add.reduceat
-        # does not). A spread past the float range gives inf, named below.
+        # does not). A spread past the float range gives inf.
         omega = np.empty(len(sizes))
         ptr = np.concatenate(([0], np.cumsum(sizes)))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -112,30 +114,14 @@ class MatchData:
         # math.exp per score: np.exp differs in the last bit
         gamma = np.fromiter(map(math.exp, scores.tolist()), float, len(scores))
         names = tuple(str(i) for i in range(1, n + 1))
-        if not names:
-            raise DisconnectedHypergraph("hypergraph has no vertices")
+        if not (n >= 1 and players.dtype.kind in "iu" and 1 <= players.min()
+                and players.max() <= n and np.isfinite(omega).all() and gamma.min() > 0.0):
+            # a fault: Hypergraph, reading the same matches, names the first. Players
+            # given as objects that it knows by name (np.uint64(2)) build on below.
+            who, g = players.tolist(), gamma.tolist()
+            Hypergraph(names, [(w, dict(zip(map(str, who[a:b]), g[a:b])))
+                               for w, a, b in zip(omega.tolist(), ptr.tolist(), ptr[1:].tolist())])
         index = {v: k for k, v in enumerate(names)}
-        if players.dtype.kind == "i":
-            known = (players >= 1) & (players <= n)
-        else:  # a float or an object player is known by its name: 2.0 is not '2'
-            known = np.array([str(v) in index for v in players.tolist()], dtype=bool)
-        # The first fault as Hypergraph reads the matches: a match's weight
-        # (omega >= 1 unless it is inf), then its entries; exp of a score at
-        # most SCORE_LIMIT is finite, and 0.0 below about -745.
-        bad_omega = np.flatnonzero(~(omega <= _FLOAT_MAX))
-        bad_entry = np.flatnonzero(~known | (gamma == 0.0))
-        k = edge[bad_entry[0]] if len(bad_entry) else len(sizes)
-        if len(bad_omega) and bad_omega[0] <= k:
-            k = bad_omega[0]
-            raise NonPositiveWeight(
-                f"edge #{k}: edge weight {omega[k].item()!r} must be a finite number > 0")
-        if len(bad_entry):
-            i = bad_entry[0]
-            v = str(players.tolist()[i])
-            if not known[i]:
-                raise UnknownVertex(f"edge #{k} references undeclared vertex {v!r}")
-            raise NonPositiveWeight(f"edge #{k}: weight {gamma[i].item()!r} of vertex {v!r} "
-                                    "must be a finite number > 0")
         self.hypergraph = object.__new__(Hypergraph)
         self.hypergraph._build(names, index, sizes, p.astype(np.intp) - 1, gamma[order], omega)
         self.scores = scores[order]

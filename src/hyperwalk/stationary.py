@@ -206,8 +206,16 @@ def stationary_direct(P: TransitionMatrix) -> StationaryResult:
 def _direct(P: TransitionMatrix, M: np.ndarray) -> StationaryResult:
     """The direct solve on M = P^T, a buffer no one else reads meanwhile.
     P^T as a view of a C-ordered matrix is in Fortran order, the layout
-    LAPACK takes."""
+    LAPACK takes. Rounding can leave an entry of a (near-)zero mass just
+    below 0: one within RESIDUAL_TOL of it becomes +0.0, and one further
+    below raises ConvergenceFailure naming its vertex."""
     pi = _fixed_point(M)
+    low = np.flatnonzero(pi < -RESIDUAL_TOL)
+    if len(low):
+        raise ConvergenceFailure(
+            f"stationary probability {pi[low[0]]:.3e} of vertex {P.vertices[low[0]]!r} "
+            f"is below -{RESIDUAL_TOL:.0e}")
+    pi[pi <= 0.0] = 0.0  # -0.0 as well
     return StationaryResult(
         vertices=P.vertices, pi=pi, rho=None, method="direct-solve",
         residual=_residual(pi, P),

@@ -14,6 +14,7 @@ from hyperwalk import (
     MalformedInput,
     NonPositiveWeight,
     UnknownVertex,
+    WeightedGraph,
     build_hypergraph,
     clique_expansion_weights,
     degrees,
@@ -95,6 +96,17 @@ def test_clique_graph_triangle(triangle):
 def test_duplicate_vertex_declaration():
     with pytest.raises(DuplicateVertex, match="'a'"):
         Hypergraph(("a", "a"), [(1.0, {"a": 1.0})])
+
+
+def test_graph_names_its_first_repeated_vertex():
+    # its JSON text would repeat the name, which loads_json rejects
+    for vertices, repeat in ((["a", "a"], "a"), (["b", "c", "c", "b"], "c")):
+        n = len(vertices)
+        with pytest.raises(DuplicateVertex) as info:
+            WeightedGraph(vertices, np.ones((n, n)) - np.eye(n))
+        assert str(info.value) == f"vertex {repeat!r} declared more than once"
+    with pytest.raises(DuplicateVertex, match="vertex 'c' declared more than once"):
+        Hypergraph(["b", "c", "c", "b"], [(1.0, {"b": 1.0, "c": 1.0})])
 
 
 def test_empty_edge():

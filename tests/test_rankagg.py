@@ -13,6 +13,7 @@ from hyperwalk import (
     DuplicateVertex,
     ElementMismatch,
     Hypergraph,
+    HyperwalkError,
     MalformedInput,
     MatchData,
     NonPositiveWeight,
@@ -286,6 +287,73 @@ def test_match_data_equals_per_match_recipe():
         for built in (data, MatchData(n, matches)):  # and the public constructor
             assert built.hypergraph == per_match_hypergraph(n, matches)
             assert np.array_equal(built.scores, csr_scores(matches))
+
+
+def random_matches(rng):
+    """A connected match set on players 1..n, n in 2..12: a path of pairs and
+    a few larger matches, in random order, participants in random order."""
+    n = int(rng.integers(2, 13))
+    groups = [[i, i + 1] for i in range(1, n)]
+    groups += [list(rng.choice(np.arange(1, n + 1), int(rng.integers(2, min(n, 5) + 1)),
+                               replace=False)) for _ in range(int(rng.integers(0, 4)))]
+    matches = []
+    for k in rng.permutation(len(groups)):
+        who = [int(i) for i in rng.permutation(groups[k])]
+        matches.append((who, [float(s) for s in rng.normal(0.0, 3.0, len(who))]))
+    return n, matches
+
+
+def inject(rng, n, match, fault):
+    """Plant `fault` in one random entry of `match`, in place."""
+    who, scores = match
+    j = int(rng.integers(len(who)))
+    if fault == "spread":  # np.std overflows: the edge weight is inf
+        scores[j] = -1e308
+    elif fault == "underflow":  # exp(score) is 0.0
+        scores[j] = float(rng.uniform(-1000.0, -746.0))
+    else:
+        who[j] = {"zero": 0, "above": n + 1, "huge": 10**30, "float": float(who[j])}[fault]
+
+
+def built_or_fault(build, n, matches):
+    """The hypergraph `build` returns, or the type and message it raises."""
+    try:
+        return build(n, matches)
+    except HyperwalkError as exc:
+        return type(exc), str(exc)
+
+
+def test_match_data_names_the_fault_the_per_match_recipe_names():
+    # MatchData hands a faulty match set to Hypergraph: the first fault in
+    # match order, and its message, are the ones the per-match recipe gets
+    rng = np.random.default_rng(22)
+    faults = ["zero", "above", "huge", "float", "spread", "underflow"]
+    named = set()
+    for case in range(300):
+        n, matches = random_matches(rng)
+        if case % 7 == 0:  # two faults, in different matches
+            for m in rng.choice(len(matches), min(2, len(matches)), replace=False):
+                inject(rng, n, matches[m], faults[int(rng.integers(len(faults)))])
+        else:
+            inject(rng, n, matches[int(rng.integers(len(matches)))], faults[case % len(faults)])
+        with np.errstate(over="ignore", invalid="ignore"):  # the spread overflows np.std
+            want = built_or_fault(per_match_hypergraph, n, matches)
+        assert isinstance(want, tuple), (n, matches)
+        assert built_or_fault(MatchData, n, matches) == want, (n, matches)
+        named.add(want[0])
+    assert named == {UnknownVertex, NonPositiveWeight}
+
+
+@pytest.mark.parametrize("dtype", [None, np.uint8, np.int32, np.uint64])
+def test_valid_match_sets_build_the_per_match_hypergraph(dtype):
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        n, matches = random_matches(rng)
+        if dtype is not None:
+            matches = [(np.array(who, dtype=dtype), scores) for who, scores in matches]
+        data = MatchData(n, matches)
+        assert data.hypergraph == per_match_hypergraph(n, matches)
+        assert np.array_equal(data.scores, csr_scores(matches))
 
 
 def per_match_mc3_chain(n, matches):

@@ -1,6 +1,7 @@
 """Stationary distributions: rho route, direct solve, closed forms, and the
 degree-fraction counterexample."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -33,6 +34,7 @@ from hyperwalk import (
 from hyperwalk.cli import dispatch
 from hyperwalk.core import delta_normalized
 from hyperwalk.stationary import (
+    RESIDUAL_TOL,
     WALK_RTOL,
     _fixed_point,
     _stationary_direct_of,
@@ -176,6 +178,41 @@ def test_singular_system():
     P = TransitionMatrix(("a", "b"), np.eye(2))
     with pytest.raises(SingularSystem):
         stationary_direct(P)
+
+
+# b's weight is 1e-20 of a's in their edge: the walk's mass sits on a, and
+# the solve leaves -0.0 and -2e-20 for b and c
+DOMINATED = {"vertices": ["a", "b", "c"], "edges": [
+    {"weight": 1.0, "members": {"a": 1.0, "b": 1e-20}},
+    {"weight": 1.0, "members": {"b": 1.0, "c": 1.0}},
+]}
+
+
+def test_direct_writes_no_negative_probability(tmp_path, capsys):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(DOMINATED))
+    assert dispatch(["stationary", "--input", str(path), "--method", "direct"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["pi"] == {"a": 1.0, "b": 0.0, "c": 0.0}
+    assert "-" not in out[:out.index('"rho"')]  # no -0.0 and no -2e-20
+    H = Hypergraph(DOMINATED["vertices"],
+                   [(e["weight"], e["members"]) for e in DOMINATED["edges"]])
+    res = _stationary_direct_of(H)
+    assert not np.signbit(res.pi).any()
+    # the residual is the corrected vector's
+    P = transition_matrix(H).matrix
+    assert res.residual == float(np.abs(res.pi @ P - res.pi).max())
+
+
+def test_direct_names_a_negative_probability(h_demo, monkeypatch):
+    # beyond RESIDUAL_TOL below 0 an entry is no rounding of a zero mass
+    monkeypatch.setattr(stationary, "_fixed_point", lambda M: np.array([0.5, 0.5, 0.5, -0.5]))
+    with pytest.raises(ConvergenceFailure, match="-5.000e-01 of vertex 'v4'"):
+        stationary_direct(transition_matrix(h_demo))
+    monkeypatch.setattr(stationary, "_fixed_point",
+                        lambda M: np.array([1.0, -0.0, -RESIDUAL_TOL, 0.25]))
+    res = stationary_direct(transition_matrix(h_demo))
+    assert res.pi.tolist() == [1.0, 0.0, 0.0, 0.25] and not np.signbit(res.pi).any()
 
 
 def test_fixed_point_restores_its_buffer(h_demo):
