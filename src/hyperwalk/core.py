@@ -268,40 +268,47 @@ def _vertex_major(H: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     return vptr, np.argsort(H.indices, kind="stable")
 
 
-# Block entries formed per np.add.at call of _block_scatter; bounds its
-# temporaries.
-_SCATTER_CHUNK = 1 << 18
+# Pairs per chunk of _entry_pairs and Kendall tau's blocks; bounds their temporaries.
+_PAIR_CHUNK = 1 << 18
+
+
+def _entry_pairs(indptr, groups):
+    """The entry pairs of each group k, entries indptr[k]:indptr[k+1], groups
+    in the given order and each row-major, as ``(row, col, group)`` arrays of
+    one value per pair, in chunks of whole rows: a chunk starts at the first
+    row at or after a multiple of _PAIR_CHUNK pairs, so it holds at most
+    _PAIR_CHUNK pairs plus one row's. Beyond it, only per-group values are held."""
+    base = indptr[groups]  # per group: its first entry, its size, and where
+    sizes = indptr[groups + 1] - base  # its rows and its pairs end in the walk
+    row_end, pair_end = np.cumsum(sizes), np.cumsum(sizes * sizes)
+    cut = np.arange(0, sizes @ sizes, _PAIR_CHUNK)
+    k = np.searchsorted(pair_end, cut, side="right")  # the group holding each cut
+    start = row_end[k] - (pair_end[k] - cut) // sizes[k]  # a cut in a row moves to its end
+    bounds = sorted(set(start.tolist() + row_end[-1:].tolist()))  # no empty chunk
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        r = np.arange(a, b)
+        k = np.searchsorted(row_end, r, side="right")  # each row's group
+        s, ends = sizes[k], np.cumsum(sizes[k])  # and the end of its pairs in the chunk
+        col = np.repeat(base[k] + s - ends, s) + np.arange(ends[-1])
+        yield np.repeat(base[k] + s - row_end[k] + r, s), col, np.repeat(groups[k], s)
 
 
 def _block_scatter(indptr, indices, left, right, n: int, scale=None) -> np.ndarray:
     """Dense n x n sum over groups k of ``scale[k] * outer(left[g], right[g])``
     placed at rows and columns ``indices[g]``, where g = indptr[k]:indptr[k+1].
 
-    The terms are formed and added in one order: sizes ascending, groups in
-    order within a size, each group row-major, every term formed as
-    ``(left * right) * scale``. One np.add.at call takes the groups whose
-    first term falls in one _SCATTER_CHUNK of that order, so no call holds
-    more than _SCATTER_CHUNK terms plus one group's. Every entry receives
-    its terms in that order, so when ``left`` is ``right``, entries (u, v)
-    and (v, u) receive equal terms in equal order and the result is exactly
-    symmetric. Work is O(sum of squared group sizes).
-    """
+    Terms ``(left * right) * scale`` are added in one order, sizes ascending,
+    groups in order within a size, each group row-major, by one np.add.at
+    call per chunk of _entry_pairs: no call holds more than _PAIR_CHUNK
+    terms plus one row's. Every entry receives its terms in that order, so
+    when ``left`` is ``right``, entries (u, v) and (v, u) receive equal terms
+    in equal order and the result is exactly symmetric. Work is O(sum of
+    squared group sizes)."""
     out = np.zeros(n * n)
-    sizes = np.diff(indptr)
-    groups = np.argsort(sizes, kind="stable")  # sizes ascending, in order within one
-    terms = sizes[groups] ** 2
-    first = np.cumsum(terms) - terms  # each group's first term in that order
-    for part in np.split(groups, np.flatnonzero(np.diff(first // _SCATTER_CHUNK)) + 1):
-        s, base = sizes[part], indptr[part]
-        # per member row: its width and its entry; per term: its row's entry
-        # and its column's (the rows' terms laid end to end)
-        width = np.repeat(s, s)
-        start = np.cumsum(width) - width
-        row = np.repeat(np.repeat(base - (np.cumsum(s) - s), s) + np.arange(len(width)), width)
-        col = np.repeat(np.repeat(base, s) - start, width) + np.arange(len(row))
+    for row, col, group in _entry_pairs(indptr, np.argsort(np.diff(indptr), kind="stable")):
         values = left[row] * right[col]
         if scale is not None:
-            values *= np.repeat(scale[part], s * s)
+            values *= scale[group]
         np.add.at(out, indices[row] * n + indices[col], values)
     return out.reshape(n, n)
 

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Hypergraph, _union, delta_normalized
+from .core import _PAIR_CHUNK, Hypergraph, _entry_pairs, _per_member, _union, delta_normalized
 from .errors import (ConvergenceFailure, DisconnectedHypergraph, DuplicateVertex,
                      ElementMismatch, MalformedInput, ScoreOverflow)
 from .reduction import clique_expansion_weights, graph_random_walk
@@ -52,8 +52,6 @@ SCORE_LIMIT = 700.0  # exp() overflows just above 709
 DEFAULT_BETA = 0.4
 # generate() gives up after this many match draws (kept or discarded).
 MAX_DRAWS = 100_000
-# Pairs formed per block by rank_mc3 and kendall_tau; bounds their temporaries.
-_PAIR_CHUNK = 1 << 18
 
 
 class MatchData:
@@ -82,7 +80,9 @@ class MatchData:
         if bad.any():
             raise MalformedInput(f"match #{bad.argmax()}: needs 2+ participants, one score each")
         players = np.concatenate([np.empty(0, dtype=np.intp)] + [np.asarray(w) for w, _ in pairs])
-        if players.dtype.kind != "i":  # as given, not cast to float: 2.0 is '2.0', 1 is '1'
+        # as given, not cast to a number: 2.0 is '2.0', True is 'True', 1 is '1'
+        if players.dtype.kind != "i" or any(isinstance(v, (bool, np.bool_))
+                                            for who, _ in pairs for v in who):
             players = np.array([v for who, _ in pairs for v in who], dtype=object)
         self._build(n, sizes, players, np.concatenate([np.empty(0)] + [s for _, s in pairs]))
 
@@ -92,8 +92,10 @@ class MatchData:
         if n > sizes.sum():  # some player is in no match; found before n names are made
             raise DisconnectedHypergraph(f"{n} players but only {sizes.sum()} match entries")
         edge = np.repeat(np.arange(len(sizes)), sizes)
-        order = np.lexsort((players, edge))  # the hypergraph's CSR order
-        p, e = players[order], edge[order]
+        # a player is its name, as Hypergraph reads it: True and 1.0 are not player 1
+        name = players if players.dtype.kind in "iu" else players.astype(str)
+        order = np.lexsort((name, edge))  # for integer players, the hypergraph's CSR order
+        p, e = name[order], edge[order]
         twice = np.flatnonzero((p[1:] == p[:-1]) & (e[1:] == e[:-1]))
         if len(twice):
             raise DuplicateVertex(f"match #{e[twice[0]]}: player {p[twice[0]]} takes part twice")
@@ -121,6 +123,8 @@ class MatchData:
             who, g = players.tolist(), gamma.tolist()
             Hypergraph(names, [(w, dict(zip(map(str, who[a:b]), g[a:b])))
                                for w, a, b in zip(omega.tolist(), ptr.tolist(), ptr[1:].tolist())])
+            order = np.lexsort((players, edge))  # by number: player 9 before player 10
+            p = players[order]
         index = {v: k for k, v in enumerate(names)}
         self.hypergraph = object.__new__(Hypergraph)
         self.hypergraph._build(names, index, sizes, p.astype(np.intp) - 1, gamma[order], omega)
@@ -225,17 +229,12 @@ def rank_mc3(data: MatchData, beta: float = DEFAULT_BETA) -> RankingResult:
     H = data.hypergraph
     n, who, s = H.n_vertices, H.indices, data.scores
     _check_size(n)
-    sizes = np.diff(H.indptr)
-    width = sizes.repeat(sizes)  # per entry: the size of its match
-    start = H.indptr[:-1].repeat(sizes)  # per entry: the first entry of its match
-    step = 1.0 / (np.bincount(who, minlength=n)[who] * width)  # 1 / (matches * size)
-    first = np.cumsum(width) - width  # per entry: its first (entry, co-member) pair
+    # per entry: 1 / (its player's matches * its match's size)
+    step = 1.0 / (np.bincount(who, minlength=n)[who] * _per_member(H, np.diff(H.indptr)))
     P = np.zeros(n * n)
-    # Pairs match by match, each match row-major, in blocks of whole rows:
+    # Pairs match by match, each match row-major, in chunks of whole rows:
     # every entry of P receives the per-match loop's terms in the loop's order.
-    for rows in np.split(np.arange(len(who)), np.flatnonzero(np.diff(first // _PAIR_CHUNK)) + 1):
-        row = rows.repeat(width[rows])
-        col = start[row] + np.arange(len(row)) - (first[row] - first[rows[0]])
+    for row, col, _ in _entry_pairs(H.indptr, np.arange(H.n_edges)):
         # to whoever outscored the entry, else back to the entry itself
         to = np.where(s[col] > s[row], who[col], who[row])
         np.add.at(P, who[row] * n + to, step[row])

@@ -219,7 +219,7 @@ def sandwich_check(H: Hypergraph) -> SandwichCheck:
     rho solve and the walk matrix of H are each computed once and shared.
     """
     rho = stationary_rho(H)
-    Hn = rho_normalized(H, rho)
+    Hn = rho_normalized(H)
     P_h = transition_matrix(H)
     lam_h = float(eigenvalues_symmetric(laplacian_from_walk(P_h, rho.pi).L)[1])
 

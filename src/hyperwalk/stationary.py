@@ -312,12 +312,9 @@ def naive_stationary(H: Hypergraph) -> np.ndarray:
     return d / d.sum()
 
 
-def rho_normalized(H: Hypergraph, result: StationaryResult | None = None) -> Hypergraph:
+def rho_normalized(H: Hypergraph) -> Hypergraph:
     """Rescale each edge's vertex weights so its own per-edge constant
     becomes 1; afterwards pi_v = sum of omega(e) * gamma_e(v) over incident
-    edges, already summing to 1 over V. ``result`` is ``stationary_rho(H)``,
-    solved here when not given."""
-    if result is None:
-        result = stationary_rho(H)
+    edges, already summing to 1 over V."""
     _, delta = degrees(H)
-    return rescale_edges(H, result.rho / delta)
+    return rescale_edges(H, stationary_rho(H).rho / delta)

@@ -107,33 +107,42 @@ def _lazy_walk(H: Hypergraph) -> TransitionMatrix:
     return TransitionMatrix(H.vertices, _operator(H).dense())
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class WalkOperator:
     """The lazy walk P = D_V^-1 W D_E^-1 R of one hypergraph, factored: d and
     delta (``degrees``), the edge id of each CSR entry and per-entry factors,
     each formed when first read, in the product order of the caller that
     reads it, so every result keeps its bits. H's memo holds it
-    (``_operator``), so it holds H's arrays but never H: no cycle."""
+    (``_operator``), so it holds H's arrays but never H: no cycle. Its
+    arrays are read-only and its attributes cannot be set."""
 
     def __init__(self, H: Hypergraph):
-        self.n, self.indptr, self.indices = H.n_vertices, H.indptr, H.indices
-        self.gamma, self.omega = H.gamma, H.omega
-        self.d, self.delta = degrees(H)
+        d, delta = degrees(H)
+        vars(self).update(n=H.n_vertices, indptr=H.indptr, indices=H.indices,
+                          gamma=H.gamma, omega=H.omega, d=d, delta=delta)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"WalkOperator is immutable: cannot set {name!r}")
 
     @cached_property
     def edge(self) -> np.ndarray:
-        return _per_member(self, np.arange(len(self.omega)))
+        return _read_only(_per_member(self, np.arange(len(self.omega))))
 
     @cached_property
     def left(self) -> np.ndarray:  # omega(e) / d(v): leave v by e
-        return _per_member(self, self.omega) / self.d[self.indices]
+        return _read_only(_per_member(self, self.omega) / self.d[self.indices])
 
     @cached_property
     def right(self) -> np.ndarray:  # gamma_e(w) / delta(e): land on w from e
-        return self.gamma / _per_member(self, self.delta)
+        return _read_only(self.gamma / _per_member(self, self.delta))
 
     @cached_property
     def spread(self) -> np.ndarray:  # (omega(e) / delta(e)) * gamma_e(w), rstep's order
-        return _per_member(self, self.omega / self.delta) * self.gamma
+        return _read_only(_per_member(self, self.omega / self.delta) * self.gamma)
 
     def dense(self) -> np.ndarray:
         """P, fresh and writable: P[v, w] sums left * right over edges holding both."""

@@ -758,11 +758,12 @@ def _count_calls(monkeypatch, *names) -> dict:
 
 
 def test_reduce_sandwich_derives_each_walk_once(demo_file, capsys, monkeypatch):
-    counts = _count_calls(monkeypatch, "stationary_rho", "transition_matrix",
+    counts = _count_calls(monkeypatch, "stationary_rho", "_solve_rho", "transition_matrix",
                           "clique_expansion_weights")
     assert dispatch(["reduce", "--input", demo_file, "--mode", "sandwich"]) == 0
-    # the second walk matrix is the one the rho solve checks its residual on
-    assert counts == {"stationary_rho": 1, "transition_matrix": 2,
+    # the second walk matrix is the one the rho solve checks its residual on;
+    # the check and rho_normalized each read the one rho solve
+    assert counts == {"stationary_rho": 2, "_solve_rho": 1, "transition_matrix": 2,
                       "clique_expansion_weights": 1}
 
 

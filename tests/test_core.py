@@ -282,7 +282,7 @@ def test_block_scatter_chunks_leave_results_unchanged(monkeypatch):
     for H in sweep(103, 10, max_vertices=12, max_edges=10):
         P = transition_matrix(H).matrix
         G = clique_expansion_weights(H).weights
-        monkeypatch.setattr("hyperwalk.core._SCATTER_CHUNK", 1)
+        monkeypatch.setattr("hyperwalk.core._PAIR_CHUNK", 1)
         assert np.array_equal(transition_matrix(rebuilt(H)).matrix, P)
         assert np.array_equal(clique_expansion_weights(H).weights, G)
         monkeypatch.undo()
@@ -290,12 +290,12 @@ def test_block_scatter_chunks_leave_results_unchanged(monkeypatch):
 
 def per_size_block_scatter(indptr, indices, left, right, n, scale=None):
     """The reference for _block_scatter: one np.add.at call per size, or per
-    _SCATTER_CHUNK-sized part of a size, sizes ascending."""
+    _PAIR_CHUNK-sized part of a size, sizes ascending."""
     out = np.zeros(n * n)
     sizes = np.diff(indptr)
     for s in np.flatnonzero(np.bincount(sizes)):
         groups = np.flatnonzero(sizes == s)
-        for part in np.array_split(groups, -(-len(groups) * s * s // core._SCATTER_CHUNK)):
+        for part in np.array_split(groups, -(-len(groups) * s * s // core._PAIR_CHUNK)):
             pos = indptr[part][:, None] + np.arange(s)
             values = left[pos][:, :, None] * right[pos][:, None, :]
             if scale is not None:
@@ -307,8 +307,9 @@ def per_size_block_scatter(indptr, indices, left, right, n, scale=None):
 
 def scatter_inputs():
     """(indptr, indices, n, left, right, scale) cases: the edge-major and the
-    vertex-major layouts of sweep hypergraphs, and 4095 groups of 2 to 4 of
-    2048 vertices, shaped as the benchmark's n=2048 stationary input."""
+    vertex-major layouts of sweep hypergraphs, 4095 groups of 2 to 4 of 2048
+    vertices, shaped as the benchmark's n=2048 stationary input, and a group
+    of 300 of 320 vertices among small ones."""
     rng = np.random.default_rng(105)
     layouts = []
     for H in sweep(105, 12, max_vertices=10, max_edges=8):
@@ -319,6 +320,10 @@ def scatter_inputs():
     sizes = rng.integers(2, 5, size=4095)
     layouts.append((np.concatenate(([0], np.cumsum(sizes))),
                     np.concatenate([rng.choice(2048, s, replace=False) for s in sizes]), 2048))
+    # a group of 300, its rows longer than the chunks the tests set, among small ones
+    sizes = np.array([3, 2, 300, 5, 2, 3])
+    layouts.append((np.concatenate(([0], np.cumsum(sizes))),
+                    np.concatenate([rng.choice(320, s, replace=False) for s in sizes]), 320))
     for indptr, indices, n in layouts:
         left, right = rng.uniform(0.25, 4.0, size=(2, len(indices)))
         yield indptr, indices, n, left, right, rng.uniform(0.5, 2.0, size=len(indptr) - 1)
@@ -329,7 +334,7 @@ def test_block_scatter_equals_per_size_reference(monkeypatch, chunk):
     # One np.add.at per chunk of terms adds each entry's terms in the order
     # the per-size calls did, so the sums are equal bit for bit.
     if chunk is not None:
-        monkeypatch.setattr(core, "_SCATTER_CHUNK", chunk)
+        monkeypatch.setattr(core, "_PAIR_CHUNK", chunk)
     for indptr, indices, n, left, right, scale in scatter_inputs():
         for s in (None, scale):
             got = _block_scatter(indptr, indices, left, right, n, s)
@@ -343,7 +348,7 @@ def test_block_scatter_temporaries_are_bounded_by_chunk(monkeypatch):
     indptr = np.arange(0, 40_001, 40)
     indices = np.random.default_rng(106).integers(0, 100, size=40_000)
     values = np.ones(len(indices))
-    monkeypatch.setattr(core, "_SCATTER_CHUNK", 1 << 14)
+    monkeypatch.setattr(core, "_PAIR_CHUNK", 1 << 14)
     tracemalloc.start()
     try:
         _block_scatter(indptr, indices, values, values, 100)
@@ -351,6 +356,21 @@ def test_block_scatter_temporaries_are_bounded_by_chunk(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20  # the held terms, their concatenation and their products
+
+
+def test_block_scatter_temporaries_are_bounded_for_a_big_group(monkeypatch):
+    # one group of 2048: 4.2 million terms, 32 MB per term array if held at once
+    indptr = np.array([0, 2048])
+    indices = np.random.default_rng(107).permutation(2048)
+    values = np.ones(2048)
+    monkeypatch.setattr(core, "_PAIR_CHUNK", 1 << 14)
+    tracemalloc.start()
+    try:
+        _block_scatter(indptr, indices, values, values, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2048**2 + 2 * 2**20  # the output and whole rows of terms
 
 
 def test_delta_normalized(h_demo):

@@ -49,7 +49,9 @@ def test_memoized_arrays_are_read_only(h_demo):
     before = P.matrix.copy()
     rho = stationary_rho(h_demo)
     lap = laplacian(h_demo)
-    for a in (P.matrix, rho.pi, rho.rho, lap.L, lap.normalized, lap.pi, *degrees(h_demo)):
+    op = walk._operator(h_demo)
+    for a in (P.matrix, rho.pi, rho.rho, lap.L, lap.normalized, lap.pi, *degrees(h_demo),
+              op.edge, op.left, op.right, op.spread):
         with pytest.raises(ValueError):
             a[0] = 0.0
         with pytest.raises(ValueError):
@@ -61,6 +63,8 @@ def test_memoized_results_cannot_be_reassigned(h_demo):
     fresh = cheeger_constant(rebuilt(h_demo)).phi
     with pytest.raises(AttributeError):
         transition_matrix(h_demo).matrix = np.eye(4)
+    with pytest.raises(AttributeError):
+        walk._operator(h_demo).d = None
     assert np.float64(cheeger_constant(h_demo).phi).tobytes() == np.float64(fresh).tobytes()
     frozen = [(stationary_rho(h_demo), "pi"), (laplacian(h_demo), "L"),
               (cheeger_constant(h_demo), "phi"), (mixing_time_bound(h_demo, 0.25), "phi")]

@@ -29,7 +29,7 @@ from hyperwalk import (
     rank_mc3,
     to_json_dict,
 )
-from hyperwalk import rankagg
+from hyperwalk import core, rankagg
 from hyperwalk.rankagg import matches_from_json_dict, matches_to_json_dict
 
 
@@ -344,6 +344,21 @@ def test_match_data_names_the_fault_the_per_match_recipe_names():
     assert named == {UnknownVertex, NonPositiveWeight}
 
 
+@pytest.mark.parametrize("matches, name", [
+    ([((True, 2), (0.0, 0.0))], "True"),
+    ([((np.True_, 2), (0.0, 0.0))], "True"),
+    ([((1, 2, True), (0.0, 0.0, 1.0))], "True"),
+    ([((1, 2, np.True_), (0.0, 0.0, 1.0))], "True"),
+    ([((1, 2, 1.0), (0.0, 0.0, 1.0))], "1.0"),
+], ids=["bool", "numpy-bool", "bool-beside-1", "numpy-bool-beside-1", "float-beside-1"])
+def test_a_player_equal_to_player_1_is_named_as_given(matches, name):
+    # True and 1.0 equal 1 as numbers, but Hypergraph reads a player by its
+    # name: each is an undeclared vertex, not player 1 (nor player 1 twice)
+    want = built_or_fault(per_match_hypergraph, 2, matches)
+    assert want == (UnknownVertex, f"edge #0 references undeclared vertex '{name}'")
+    assert built_or_fault(MatchData, 2, matches) == want
+
+
 @pytest.mark.parametrize("dtype", [None, np.uint8, np.int32, np.uint64])
 def test_valid_match_sets_build_the_per_match_hypergraph(dtype):
     rng = np.random.default_rng(23)
@@ -408,10 +423,10 @@ def test_mc3_blocks_leave_chain_unchanged(monkeypatch):
         return real(P, beta, restart)
 
     monkeypatch.setattr(rankagg, "restart_matrix", recording)
-    default = rankagg._PAIR_CHUNK
+    default = core._PAIR_CHUNK
     for data in (generate(30, 1.0, 0.3, seed=9), generate(100, 1.0, 0.03, seed=1)):
         for chunk in (default, 1, 7, 100):  # a block per row; blocks splitting matches
-            monkeypatch.setattr(rankagg, "_PAIR_CHUNK", chunk)
+            monkeypatch.setattr(core, "_PAIR_CHUNK", chunk)
             rank_mc3(data)
         assert all(np.array_equal(P, chains[0]) for P in chains)
         chains.clear()
