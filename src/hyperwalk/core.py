@@ -98,15 +98,36 @@ def _single_component(indptr, indices, n: int) -> bool:
             return False
 
 
-def _index_of(names: tuple[str, ...]) -> dict[str, int]:
-    """Each name's position; a repeated name is DuplicateVertex, the first
-    repeat named."""
+def _vertex_index(vertices) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The vertex names, each as str, and each name's position: the one
+    place a vertex list becomes names. A repeated name is DuplicateVertex,
+    the first repeat named."""
+    names = tuple(str(v) for v in vertices)
     index = dict(zip(names, range(len(names))))
     if len(index) < len(names):
         seen: set[str] = set()
         v = next(v for v in names if v in seen or seen.add(v))
         raise DuplicateVertex(f"vertex {v!r} declared more than once")
-    return index
+    return names, index
+
+
+def _frozen(value):
+    """`value`, with every array in it made read-only: `value` itself if it
+    is an array, else a tuple's items or an object's attributes (slots and
+    ``__dict__``) that are arrays. Nothing is walked deeper, so a tuple of
+    vertex names costs one type check. The one place an array is made
+    read-only: whatever the memo stores, and the arrays shared outside it."""
+    if isinstance(value, np.ndarray):
+        items = (value,)
+    elif isinstance(value, tuple):
+        items = value
+    else:
+        items = [getattr(value, s) for s in getattr(type(value), "__slots__", ())]
+        items += getattr(value, "__dict__", {}).values()
+    for a in items:
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    return value
 
 
 class Hypergraph:
@@ -134,8 +155,7 @@ class Hypergraph:
     @np.errstate(over="ignore")  # np.float32(w) <= _FLOAT_MAX casts the bound down
     def __init__(self, vertices: Sequence[str],
                  edges: Iterable[tuple[float, Mapping[str, float]]]):
-        names = tuple(str(v) for v in vertices)
-        index = _index_of(names)
+        names, index = _vertex_index(vertices)
         if not names:
             raise DisconnectedHypergraph("hypergraph has no vertices")
 
@@ -175,8 +195,7 @@ class Hypergraph:
         self.indices = indices[order]
         self.gamma = gamma[order]
         self.omega = omega
-        for a in self._arrays():  # read-only: rescaled copies share them
-            a.flags.writeable = False
+        _frozen(self._arrays())  # rescaled copies share them
         self._memo = {}
         self._check_connected()
 
@@ -186,8 +205,7 @@ class Hypergraph:
         new = object.__new__(Hypergraph)
         for attr in ("vertices", "_index", "indptr", "indices", "omega"):
             setattr(new, attr, getattr(self, attr))
-        new.gamma = gamma
-        gamma.flags.writeable = False
+        new.gamma = _frozen(gamma)
         new._memo = {}  # results derived from the old weights do not carry over
         return new
 
@@ -245,13 +263,12 @@ class Hypergraph:
 def _memo(H: Hypergraph, key: str, compute):
     """``compute()`` on the first call for H and `key`, and that same object
     on every later call: H is immutable, so a result derived from it never
-    goes stale. A call that raises stores nothing. Callers make the arrays
-    of what they store read-only, so no caller can change a later one's
-    input."""
+    goes stale. A call that raises stores nothing. What it stores is
+    ``_frozen`` first, so no caller can change a later one's input."""
     try:
         return H._memo[key]
     except KeyError:
-        return H._memo.setdefault(key, compute())
+        return H._memo.setdefault(key, _frozen(compute()))
 
 
 def _per_member(H, per_edge) -> np.ndarray:
@@ -332,7 +349,6 @@ def _degrees(H: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     if len(bad):
         raise NonPositiveWeight(
             f"vertex {H.vertices[bad[0]]!r}: degree d(v) overflows the float range")
-    d.flags.writeable = delta.flags.writeable = False
     return d, delta
 
 
@@ -347,8 +363,7 @@ class WeightedGraph:
 
     def __init__(self, vertices: Sequence[str], weights):
         W = np.asarray(weights, dtype=float)
-        names = tuple(str(v) for v in vertices)
-        _index_of(names)
+        names, _ = _vertex_index(vertices)
         if W.ndim != 2 or W.shape[0] != W.shape[1] or W.shape[0] != len(names):
             raise ValueError("weight matrix shape does not match the vertex list")
         if not np.all(np.isfinite(W)):

@@ -26,7 +26,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import _PAIR_CHUNK, Hypergraph, _entry_pairs, _per_member, _union, delta_normalized
+from .core import (_PAIR_CHUNK, Hypergraph, _entry_pairs, _frozen, _per_member, _union,
+                   _vertex_index, delta_normalized)
 from .errors import (ConvergenceFailure, DisconnectedHypergraph, DuplicateVertex,
                      ElementMismatch, MalformedInput, ScoreOverflow)
 from .reduction import clique_expansion_weights, graph_random_walk
@@ -115,7 +116,7 @@ class MatchData:
                 omega[rows] = np.std(scores[ptr[rows][:, None] + np.arange(s)], axis=1) + 1.0
         # math.exp per score: np.exp differs in the last bit
         gamma = np.fromiter(map(math.exp, scores.tolist()), float, len(scores))
-        names = tuple(str(i) for i in range(1, n + 1))
+        names, index = _vertex_index(range(1, n + 1))
         if not (n >= 1 and players.dtype.kind in "iu" and 1 <= players.min()
                 and players.max() <= n and np.isfinite(omega).all() and gamma.min() > 0.0):
             # a fault: Hypergraph, reading the same matches, names the first. Players
@@ -125,11 +126,9 @@ class MatchData:
                                for w, a, b in zip(omega.tolist(), ptr.tolist(), ptr[1:].tolist())])
             order = np.lexsort((players, edge))  # by number: player 9 before player 10
             p = players[order]
-        index = {v: k for k, v in enumerate(names)}
         self.hypergraph = object.__new__(Hypergraph)
         self.hypergraph._build(names, index, sizes, p.astype(np.intp) - 1, gamma[order], omega)
-        self.scores = scores[order]
-        self.scores.flags.writeable = False
+        self.scores = _frozen(scores[order])
 
     @property
     def n(self) -> int:

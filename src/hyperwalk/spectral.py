@@ -84,12 +84,7 @@ def laplacian(H: Hypergraph) -> HypergraphLaplacian:
     distribution. Built once per hypergraph: every call on H returns the same
     object, whose arrays are read-only."""
     P, pi = transition_matrix(H), stationary_rho(H).pi
-    return _memo(H, "laplacian", lambda: _frozen(laplacian_from_walk(P, pi)))
-
-
-def _frozen(lap: HypergraphLaplacian) -> HypergraphLaplacian:
-    lap.L.flags.writeable = lap.normalized.flags.writeable = False
-    return lap
+    return _memo(H, "laplacian", lambda: laplacian_from_walk(P, pi))
 
 
 # -- symmetric eigensolver ---------------------------------------------------
@@ -124,14 +119,8 @@ def _spectra(H: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of ``laplacian(H).L`` and of its normalized variant,
     ascending; solved once per hypergraph, both read-only."""
     lap = laplacian(H)
-
-    def solve():
-        evals = eigenvalues_symmetric(lap.L), eigenvalues_symmetric(lap.normalized)
-        for e in evals:
-            e.flags.writeable = False
-        return evals
-
-    return _memo(H, "spectra", solve)
+    return _memo(H, "spectra", lambda: (eigenvalues_symmetric(lap.L),
+                                        eigenvalues_symmetric(lap.normalized)))
 
 
 # -- Cheeger constant ----------------------------------------------------------

@@ -53,8 +53,7 @@ from .core import (
     rescale_edges,
 )
 from .errors import ConvergenceFailure, NonPositiveWeight, NotEdgeIndependent, SingularSystem
-from .walk import (TransitionMatrix, _check_size, _lazy_walk, _operator, _published,
-                   transition_matrix)
+from .walk import TransitionMatrix, _check_size, _lazy_walk, _operator, transition_matrix
 
 __all__ = [
     "StationaryResult",
@@ -69,8 +68,9 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-9
 
-# The walk iteration accepts pi once max|pi P - pi| <= WALK_RTOL * max(pi),
-# and gives up after WALK_MAX_ITER steps. See stationary_walk.
+# The walk iteration accepts pi once max|pi P - pi| <= WALK_RTOL * max(pi)
+# and each vertex's change is at most RESIDUAL_TOL of its own mass, and gives
+# up after WALK_MAX_ITER steps. See stationary_walk.
 WALK_RTOL = 1e-13
 WALK_MAX_ITER = 2000
 
@@ -186,7 +186,6 @@ def _solve_rho(H: Hypergraph) -> StationaryResult:
         raise ConvergenceFailure(
             f"stationary residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}"
         )
-    pi.flags.writeable = rho.flags.writeable = False
     return StationaryResult(
         vertices=H.vertices, pi=pi, rho=rho, method="rho-eigenvector",
         residual=residual,
@@ -228,15 +227,15 @@ def _stationary_direct_of(H: Hypergraph) -> StationaryResult:
 
     When H's memo already holds P, that is shared, and it is solved in a
     copy. Otherwise P is built here, solved in its own buffer (the residual
-    reads the restored bits), and then made read-only and stored, so P is
-    still built once per hypergraph: one n x n matrix fewer at the peak."""
+    reads the restored bits), and then stored, which makes it read-only, so
+    P is still built once per hypergraph: one n x n matrix fewer at the peak."""
     P = H._memo.get("transition_matrix")
     if P is not None:
         return stationary_direct(P)
     _check_size(H.n_vertices)
     P = _lazy_walk(H)
     result = _direct(P, P.matrix.T)
-    _memo(H, "transition_matrix", lambda: _published(P))
+    _memo(H, "transition_matrix", lambda: P)
     return result
 
 
@@ -250,10 +249,13 @@ def stationary_walk(H: Hypergraph) -> StationaryResult:
     order, not the dense build's, keeps the bits of ``--method auto``. The
     lazy walk's diagonal is positive, so the iteration converges at the rate
     of the second eigenvalue modulus. It stops at the first pi with
-    max|pi P - pi| <= WALK_RTOL * max(pi), and raises ConvergenceFailure
-    naming the iteration count and the residual when WALK_MAX_ITER steps do
-    not get there, or naming the iteration whose pi is not finite (pi / d
-    overflows when a degree is subnormal).
+    max|pi P - pi| <= WALK_RTOL * max(pi) whose every vertex also changes
+    by at most RESIDUAL_TOL of its own mass: a vertex whose mass is far
+    below max(pi) may still be far from its limit when the largest change
+    is not. It raises ConvergenceFailure naming the iteration count and the
+    residual when WALK_MAX_ITER steps do not get there, or naming the
+    iteration whose pi is not finite (pi / d overflows when a degree is
+    subnormal).
 
     The returned pi is renormalized to sum 1. Its per-edge sums are the rho
     route's constants, with sum_e rho_e * omega(e) = sum_v pi_v = 1, and
@@ -264,16 +266,19 @@ def stationary_walk(H: Hypergraph) -> StationaryResult:
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, WALK_MAX_ITER + 1):
             nxt = op.rstep(pi)[1]
-            residual = float(np.abs(nxt - pi).max())  # pi is finite: nan or inf iff nxt is
+            change = np.abs(nxt - pi)
+            residual = float(change.max())  # pi is finite: nan or inf iff nxt is
             if not math.isfinite(residual):
                 raise ConvergenceFailure(f"walk iterate {iterations} is not finite")
-            if residual <= WALK_RTOL * pi.max():
+            if residual <= WALK_RTOL * pi.max() and (change <= RESIDUAL_TOL * pi).all():
                 break
             pi = nxt
         else:
             raise ConvergenceFailure(
                 f"walk iteration stopped after {iterations} iterations with residual "
-                f"{residual:.3e} > {WALK_RTOL:.0e} * max pi = {WALK_RTOL * pi.max():.3e}"
+                f"{residual:.3e}; it needs at most {WALK_RTOL:.0e} * max pi = "
+                f"{WALK_RTOL * pi.max():.3e}, and each vertex's change at most "
+                f"{RESIDUAL_TOL:.0e} of its mass"
             )
     pi = pi / pi.sum()
     rho, nxt = op.rstep(pi)

@@ -13,7 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import _REAL, Hypergraph, _block_scatter, _memo, _per_member, degrees
+from .core import (_REAL, Hypergraph, _block_scatter, _frozen, _memo, _per_member,
+                   _vertex_index, degrees)
 from .errors import BadBeta, SingletonEdge, SizeLimit, UnknownVertex
 
 __all__ = [
@@ -42,8 +43,7 @@ class TransitionMatrix:
     __slots__ = ("vertices", "matrix", "_index")
 
     def __init__(self, vertices, matrix):
-        names = tuple(str(v) for v in vertices)
-        self._fill(names, {v: i for i, v in enumerate(names)}, matrix)
+        self._fill(*_vertex_index(vertices), matrix)
 
     def _fill(self, names, index, matrix):
         P = np.asarray(matrix, dtype=float)
@@ -98,18 +98,13 @@ def transition_matrix(H: Hypergraph) -> TransitionMatrix:
     ``matrix`` is read-only, also when the CLI's direct solve built and stored
     it. The size check comes first, so a refusal is never stored."""
     _check_size(H.n_vertices)
-    return _memo(H, "transition_matrix", lambda: _published(_lazy_walk(H)))
+    return _memo(H, "transition_matrix", lambda: _lazy_walk(H))
 
 
 def _lazy_walk(H: Hypergraph) -> TransitionMatrix:
-    """A fresh, writable P that nothing else holds; whoever stores it in H's
-    memo makes it read-only first (``_published``)."""
+    """A fresh, writable P that nothing else holds; H's memo makes it
+    read-only when it stores it."""
     return TransitionMatrix(H.vertices, _operator(H).dense())
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 class WalkOperator:
@@ -130,19 +125,19 @@ class WalkOperator:
 
     @cached_property
     def edge(self) -> np.ndarray:
-        return _read_only(_per_member(self, np.arange(len(self.omega))))
+        return _frozen(_per_member(self, np.arange(len(self.omega))))
 
     @cached_property
     def left(self) -> np.ndarray:  # omega(e) / d(v): leave v by e
-        return _read_only(_per_member(self, self.omega) / self.d[self.indices])
+        return _frozen(_per_member(self, self.omega) / self.d[self.indices])
 
     @cached_property
     def right(self) -> np.ndarray:  # gamma_e(w) / delta(e): land on w from e
-        return _read_only(self.gamma / _per_member(self, self.delta))
+        return _frozen(self.gamma / _per_member(self, self.delta))
 
     @cached_property
     def spread(self) -> np.ndarray:  # (omega(e) / delta(e)) * gamma_e(w), rstep's order
-        return _read_only(_per_member(self, self.omega / self.delta) * self.gamma)
+        return _frozen(_per_member(self, self.omega / self.delta) * self.gamma)
 
     def dense(self) -> np.ndarray:
         """P, fresh and writable: P[v, w] sums left * right over edges holding both."""
@@ -160,12 +155,6 @@ class WalkOperator:
 def _operator(H: Hypergraph) -> WalkOperator:
     """H's walk operator, built once per hypergraph."""
     return _memo(H, "walk_operator", lambda: WalkOperator(H))
-
-
-def _published(P: TransitionMatrix) -> TransitionMatrix:
-    """P with its matrix made read-only, the form in which a memo holds it."""
-    P.matrix.flags.writeable = False
-    return P
 
 
 def nonlazy_transition_matrix(H: Hypergraph) -> TransitionMatrix:

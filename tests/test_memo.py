@@ -16,6 +16,7 @@ import pytest
 
 import hyperwalk.core as core
 import hyperwalk.rankagg as rankagg
+import hyperwalk.reduction as reduction
 import hyperwalk.spectral as spectral
 import hyperwalk.stationary as stationary
 import hyperwalk.walk as walk
@@ -57,6 +58,46 @@ def test_memoized_arrays_are_read_only(h_demo):
         with pytest.raises(ValueError):
             a *= 2.0
     assert np.array_equal(transition_matrix(h_demo).matrix, before)
+
+
+def _reachable_arrays(value, seen):
+    """Every ndarray reachable from `value` through tuples, lists, dicts,
+    slots and instance attributes (a dataclass's fields among them)."""
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        yield value
+        return
+    if isinstance(value, (tuple, list)):
+        items = list(value)
+    elif isinstance(value, dict):
+        items = list(value.values())
+    else:
+        items = [getattr(value, slot) for slot in getattr(type(value), "__slots__", ())]
+        items += getattr(value, "__dict__", {}).values()
+    for item in items:
+        yield from _reachable_arrays(item, seen)
+
+
+def test_nothing_the_memo_holds_is_writeable():
+    # every piece of work that stores on H, the walk operator's lazily
+    # formed factors included; then no array reachable from the memo, at
+    # any depth, can be written
+    H = sweep(38, 1, max_vertices=10)[0]
+    stationary._stationary_direct_of(H)
+    walk._operator(H).rstep(np.full(H.n_vertices, 1.0 / H.n_vertices))
+    spectral_report(H)
+    check_cheeger(H)
+    reduction.sandwich_check(H)
+    assert {"edge", "spread", "left", "right"} <= vars(walk._operator(H)).keys()
+    assert {"degrees", "walk_operator", "transition_matrix", "stationary_rho", "laplacian",
+            "spectra", "cheeger"} <= H._memo.keys()
+    arrays = list(_reachable_arrays(H._memo, set()))
+    # d, delta, H's four CSR arrays, four factors, P, pi, rho, L, its
+    # normalized form and the two spectra
+    assert len(arrays) >= 17
+    assert not [a for a in arrays if a.flags.writeable]
 
 
 def test_memoized_results_cannot_be_reassigned(h_demo):

@@ -115,6 +115,20 @@ def test_demo_walk_iteration(h_demo):
     assert res.method == "walk-iteration"
 
 
+def test_walk_iteration_converges_on_a_dominated_member():
+    """b holds 1e-20 of edge {a, b} and half of {b, c}, so pi is proportional
+    to (1, 2e-20, 1e-20). Long before b and c get there the largest change
+    is below WALK_RTOL * max(pi), while theirs is still a quarter of their
+    mass per step; the iteration runs on until it is not."""
+    H = Hypergraph(("a", "b", "c"), [(1.0, {"a": 1.0, "b": 1e-20}),
+                                     (1.0, {"b": 1.0, "c": 1.0})])
+    res = stationary_walk(H)
+    assert res.method == "walk-iteration"
+    np.testing.assert_allclose(res.pi, [1.0, 2e-20, 1e-20], rtol=1e-6, atol=0.0)
+    nxt = walk._operator(H).rstep(res.pi)[1]
+    assert (np.abs(nxt - res.pi) <= RESIDUAL_TOL * res.pi).all()
+
+
 def test_subnormal_edge_weight_stops_both_rho_routes():
     """d = omega = 1e-320: the walk's pi / d overflows at once, and so does
     the rho route's normalization by sum_e rho_e * omega(e)."""

@@ -7,6 +7,7 @@ import pytest
 
 from hyperwalk import (
     BadBeta,
+    DuplicateVertex,
     Hypergraph,
     SingletonEdge,
     SizeLimit,
@@ -158,6 +159,13 @@ def test_restart_shares_the_vertex_index(h_demo):
     Pr = restart_matrix(P, 0.4)
     assert Pr.vertices is P.vertices and Pr._index is P._index
     assert [Pr.index(v) for v in h_demo.vertices] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("vertices, name", [(["a", "a"], "a"), ([1, "1"], "1")])
+def test_transition_matrix_rejects_a_repeated_vertex(vertices, name):
+    # names are compared as str, as Hypergraph and WeightedGraph compare them
+    with pytest.raises(DuplicateVertex, match=f"vertex '{name}' declared more than once"):
+        TransitionMatrix(vertices, np.full((2, 2), 0.5))
 
 
 @pytest.mark.parametrize("row, message", [([np.nan, 1.0, 0.0, 0.0], "must be finite"),
