@@ -3,8 +3,8 @@
 
 Vertices are opaque strings mapped to dense indices in declaration order, so
 every matrix produced downstream is deterministic for a given input.
-Hypergraphs and graphs are immutable after construction and safe to share
-across threads.
+Every shared object is immutable after construction, by one rule (`_Frozen`),
+and safe to share across threads; a derived matrix shares its source's index.
 """
 
 from __future__ import annotations
@@ -130,7 +130,53 @@ def _frozen(value):
     return value
 
 
-class Hypergraph:
+class _Frozen:
+    """The one rule of every shared object: each attribute is set once, and a
+    later assignment or a deletion raises AttributeError; pickle and copy work."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            setattr(self, name, value)
+
+
+class _Indexed(_Frozen):
+    """An object over str ``vertices`` and their ``_index``; its matrix
+    (``_fill``) comes with a vertex list, or with a source's (``_over``)."""
+
+    __slots__ = ()
+
+    def __init__(self, vertices, matrix):
+        self._fill(*_vertex_index(vertices), matrix)
+
+    @classmethod
+    def _over(cls, source: "_Indexed", matrix):
+        """A `cls` of `matrix` sharing `source`'s vertices and index; checks all but names."""
+        new = object.__new__(cls)
+        new._fill(source.vertices, source._index, matrix)
+        return new
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.vertices)
+
+    def index(self, vertex: str) -> int:
+        try:
+            return self._index[vertex]
+        except KeyError:
+            raise UnknownVertex(f"unknown vertex {vertex!r}") from None
+
+
+class Hypergraph(_Indexed):
     """Immutable hypergraph with per-edge vertex weights, stored as one CSR
     layout: edge k's members are ``indices[indptr[k]:indptr[k+1]]``
     (ascending vertex indices, the order every matrix construction uses),
@@ -189,39 +235,24 @@ class Hypergraph:
         edge's members, makes the arrays read-only (`omega` in place) and
         checks connectivity."""
         order = np.lexsort((indices, np.repeat(np.arange(len(sizes)), sizes)))
-        self.vertices = names
-        self._index = index
-        self.indptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
-        self.indices = indices[order]
-        self.gamma = gamma[order]
-        self.omega = omega
-        _frozen(self._arrays())  # rescaled copies share them
-        self._memo = {}
+        self._set(vertices=names, _index=index,
+                  indptr=np.concatenate(([0], np.cumsum(sizes, dtype=np.intp))),
+                  indices=indices[order], gamma=gamma[order], omega=omega, _memo={})
+        _frozen(self)  # rescaled copies share its arrays
         self._check_connected()
 
     def _with_gamma(self, gamma: np.ndarray) -> "Hypergraph":
         """Same vertices, edges and edge weights with new (already validated)
         vertex weights; connectivity cannot change, so it is not rechecked."""
         new = object.__new__(Hypergraph)
-        for attr in ("vertices", "_index", "indptr", "indices", "omega"):
-            setattr(new, attr, getattr(self, attr))
-        new.gamma = _frozen(gamma)
-        new._memo = {}  # results derived from the old weights do not carry over
+        new._set(vertices=self.vertices, _index=self._index, indptr=self.indptr,
+                 indices=self.indices, gamma=_frozen(gamma), omega=self.omega,
+                 _memo={})  # results derived from the old weights do not carry over
         return new
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
 
     @property
     def n_edges(self) -> int:
         return len(self.omega)
-
-    def index(self, vertex: str) -> int:
-        try:
-            return self._index[vertex]
-        except KeyError:
-            raise UnknownVertex(f"unknown vertex {vertex!r}") from None
 
     def _check_connected(self) -> None:
         n = len(self.vertices)
@@ -352,18 +383,17 @@ def _degrees(H: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     return d, delta
 
 
-class WeightedGraph:
+class WeightedGraph(_Indexed):
     """Undirected weighted graph over a shared vertex index.
 
     The vertex names are unique (else DuplicateVertex). The weight matrix is
-    symmetric and nonnegative; the diagonal holds self-loop weights.
+    symmetric, nonnegative and read-only; the diagonal holds self-loop weights.
     """
 
-    __slots__ = ("vertices", "weights")
+    __slots__ = ("vertices", "weights", "_index")
 
-    def __init__(self, vertices: Sequence[str], weights):
+    def _fill(self, names: tuple, index: dict, weights) -> None:
         W = np.asarray(weights, dtype=float)
-        names, _ = _vertex_index(vertices)
         if W.ndim != 2 or W.shape[0] != W.shape[1] or W.shape[0] != len(names):
             raise ValueError("weight matrix shape does not match the vertex list")
         if not np.all(np.isfinite(W)):
@@ -378,12 +408,7 @@ class WeightedGraph:
         # exactly W, and never above the larger of the pair, so 1e308 stays finite
         mean = np.minimum(W, W.T)
         mean += (np.maximum(W, W.T) - mean) / 2.0
-        self.vertices = names
-        self.weights = mean
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
+        self._set(vertices=names, _index=index, weights=_frozen(mean))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):

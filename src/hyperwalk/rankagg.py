@@ -26,8 +26,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import (_PAIR_CHUNK, Hypergraph, _entry_pairs, _frozen, _per_member, _union,
-                   _vertex_index, delta_normalized)
+from .core import (_PAIR_CHUNK, Hypergraph, _entry_pairs, _Frozen, _frozen, _per_member,
+                   _union, _vertex_index, delta_normalized)
 from .errors import (ConvergenceFailure, DisconnectedHypergraph, DuplicateVertex,
                      ElementMismatch, MalformedInput, ScoreOverflow)
 from .reduction import clique_expansion_weights, graph_random_walk
@@ -55,7 +55,7 @@ DEFAULT_BETA = 0.4
 MAX_DRAWS = 100_000
 
 
-class MatchData:
+class MatchData(_Frozen):
     """Matches among players 1..n: the one hypergraph the rankers read (see
     the module docstring) and each entry's raw score in its CSR order
     (players ascending in a match).
@@ -126,9 +126,9 @@ class MatchData:
                                for w, a, b in zip(omega.tolist(), ptr.tolist(), ptr[1:].tolist())])
             order = np.lexsort((players, edge))  # by number: player 9 before player 10
             p = players[order]
-        self.hypergraph = object.__new__(Hypergraph)
-        self.hypergraph._build(names, index, sizes, p.astype(np.intp) - 1, gamma[order], omega)
-        self.scores = _frozen(scores[order])
+        H = object.__new__(Hypergraph)
+        H._build(names, index, sizes, p.astype(np.intp) - 1, gamma[order], omega)
+        self._set(hypergraph=H, scores=_frozen(scores[order]))
 
     @property
     def n(self) -> int:
@@ -192,7 +192,7 @@ def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
     return data
 
 
-@dataclass
+@dataclass(frozen=True)
 class RankingResult:
     method: str
     scores: np.ndarray            # stationary value per player, index = id - 1
@@ -237,7 +237,7 @@ def rank_mc3(data: MatchData, beta: float = DEFAULT_BETA) -> RankingResult:
         # to whoever outscored the entry, else back to the entry itself
         to = np.where(s[col] > s[row], who[col], who[row])
         np.add.at(P, who[row] * n + to, step[row])
-    chain = TransitionMatrix(H.vertices, P.reshape(n, n))
+    chain = TransitionMatrix._over(H, P.reshape(n, n))
     pi = stationary_direct(restart_matrix(chain, beta)).pi
     return _ranking("mc3", n, pi)
 
@@ -305,7 +305,7 @@ def _taus(rank: np.ndarray, blocks) -> tuple[float, float]:
     return float(signed / total), (2 * concordant - pairs) / pairs
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentResult:
     params: dict
     trials: list[dict]   # method, p, trial, tau_weighted, tau_unweighted

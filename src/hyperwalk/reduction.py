@@ -34,7 +34,7 @@ from .errors import (
     NotTrivialWeights,
     SizeLimit,
 )
-from .spectral import eigenvalues_symmetric, laplacian_from_walk
+from .spectral import _walk_laplacian, eigenvalues_symmetric
 from .stationary import RESIDUAL_TOL, rho_normalized, stationary_direct, stationary_rho
 from .walk import TransitionMatrix, _check_size, nonlazy_transition_matrix, transition_matrix
 
@@ -67,7 +67,7 @@ def graph_random_walk(G: WeightedGraph) -> TransitionMatrix:
     sums = G.weights.sum(axis=1)
     if not sums.min() > 0.0:
         raise IsolatedVertex(f"vertex {G.vertices[int(np.argmin(sums))]!r} has zero total weight")
-    return TransitionMatrix(G.vertices, G.weights / sums[:, None])
+    return TransitionMatrix._over(G, G.weights / sums[:, None])
 
 
 def _clique_weights(H: Hypergraph, gamma: np.ndarray) -> WeightedGraph:
@@ -75,8 +75,8 @@ def _clique_weights(H: Hypergraph, gamma: np.ndarray) -> WeightedGraph:
     with one gamma value per (edge, member) entry; self-loops included."""
     _check_size(H.n_vertices)
     _, delta = degrees(H)
-    return WeightedGraph(H.vertices, _block_scatter(H.indptr, H.indices, gamma, gamma,
-                                                    H.n_vertices, H.omega / delta))
+    return WeightedGraph._over(H, _block_scatter(H.indptr, H.indices, gamma, gamma,
+                                                 H.n_vertices, H.omega / delta))
 
 
 def edge_independent_to_graph(H: Hypergraph) -> WeightedGraph:
@@ -95,7 +95,7 @@ def clique_expansion_weights(H: Hypergraph) -> WeightedGraph:
     return _clique_weights(H, H.gamma)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReversibilityVerdict:
     reversible: bool
     worst_pair: tuple[str, str]
@@ -132,7 +132,7 @@ def reversibility(P: TransitionMatrix, pi: np.ndarray) -> ReversibilityVerdict:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class KolmogorovResult:
     holds: bool
     witness_cycle: tuple[str, ...] | None
@@ -177,7 +177,7 @@ def kolmogorov_check(P: TransitionMatrix, max_cycle_len: int = 5) -> KolmogorovR
     return KolmogorovResult(holds=True, witness_cycle=None)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NonlazyEquivalence:
     graph: WeightedGraph
     max_dev: float
@@ -195,12 +195,12 @@ def nonlazy_trivial_equivalence(H: Hypergraph) -> NonlazyEquivalence:
     W = _block_scatter(H.indptr, H.indices, ones, ones, H.n_vertices,
                        H.omega / (np.diff(H.indptr) - 1))
     np.fill_diagonal(W, 0.0)  # no self-loops
-    G = WeightedGraph(H.vertices, W)
+    G = WeightedGraph._over(H, W)
     dev = float(np.abs(P.matrix - graph_random_walk(G).matrix).max())
     return NonlazyEquivalence(graph=G, max_dev=dev)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SandwichCheck:
     graph: WeightedGraph  # clique expansion of rho_normalized(H); its walk shares H's pi
     lam_h: float
@@ -217,16 +217,21 @@ def sandwich_check(H: Hypergraph) -> SandwichCheck:
     c is the worst per-vertex spread of the rescaled weights over *incident*
     edges (weights of edges not containing v are zero and excluded). The
     rho solve and the walk matrix of H are each computed once and shared.
+    Fewer than 2 vertices have no second eigenvalue: SizeLimit, before any
+    solve. Only the plain Laplacians are formed, so a graph vertex whose
+    stationary mass rounds to 0 causes no division by 0.
     """
+    if H.n_vertices < 2:
+        raise SizeLimit(f"the sandwich check needs at least 2 vertices, got {H.n_vertices}")
     rho = stationary_rho(H)
     Hn = rho_normalized(H)
     P_h = transition_matrix(H)
-    lam_h = float(eigenvalues_symmetric(laplacian_from_walk(P_h, rho.pi).L)[1])
+    lam_h = float(eigenvalues_symmetric(_walk_laplacian(P_h, rho.pi))[1])
 
     G = clique_expansion_weights(Hn)
     P_g = graph_random_walk(G)
     pi_g = stationary_direct(P_g).pi
-    lam_g = float(eigenvalues_symmetric(laplacian_from_walk(P_g, pi_g).L)[1])
+    lam_g = float(eigenvalues_symmetric(_walk_laplacian(P_g, pi_g))[1])
 
     vptr, order = _vertex_major(Hn)
     g = Hn.gamma[order]

@@ -71,9 +71,14 @@ class HypergraphLaplacian:
     normalized: np.ndarray  # Pi^{-1/2} L Pi^{-1/2}
 
 
-def laplacian_from_walk(P: TransitionMatrix, pi: np.ndarray) -> HypergraphLaplacian:
+def _walk_laplacian(P: TransitionMatrix, pi: np.ndarray) -> np.ndarray:
+    """L = Pi - (Pi P + P^T Pi) / 2 alone, defined also where a pi is 0."""
     PiP = pi[:, None] * P.matrix
-    L = np.diag(pi) - (PiP + PiP.T) / 2.0
+    return np.diag(pi) - (PiP + PiP.T) / 2.0
+
+
+def laplacian_from_walk(P: TransitionMatrix, pi: np.ndarray) -> HypergraphLaplacian:
+    L = _walk_laplacian(P, pi)
     inv_sqrt = 1.0 / np.sqrt(pi)
     normalized = L * inv_sqrt[:, None] * inv_sqrt[None, :]
     return HypergraphLaplacian(vertices=P.vertices, L=L, pi=pi, normalized=normalized)
@@ -250,7 +255,7 @@ def cheeger_constant(H: Hypergraph) -> CheegerResult:
     return CheegerResult(phi=phi, argmin=tuple(H.vertices[i] for i in subset))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheegerCheck:
     lam: float              # smallest nonzero eigenvalue, normalized Laplacian
     lam_unnormalized: float
@@ -353,7 +358,7 @@ def empirical_mixing_time(P: TransitionMatrix, pi: np.ndarray, eps: float,
 
 # -- aggregate report -------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralReport:
     vertices: tuple[str, ...]
     eigenvalues: np.ndarray       # of the (unnormalized) Laplacian, ascending

@@ -13,9 +13,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (_REAL, Hypergraph, _block_scatter, _frozen, _memo, _per_member,
-                   _vertex_index, degrees)
-from .errors import BadBeta, SingletonEdge, SizeLimit, UnknownVertex
+from .core import (_REAL, Hypergraph, _block_scatter, _Frozen, _frozen, _Indexed, _memo,
+                   _per_member, degrees)
+from .errors import BadBeta, SingletonEdge, SizeLimit
 
 __all__ = [
     "DENSE_SIZE_LIMIT",
@@ -36,16 +36,13 @@ PRNG_ALGORITHM = "numpy:pcg64"
 _ROW_SUM_TOL = 1e-12
 
 
-class TransitionMatrix:
+class TransitionMatrix(_Indexed):
     """Row-stochastic |V| x |V| matrix sharing its vertex index with the
     hypergraph (or graph) it came from; immutable, as the memo shares it."""
 
     __slots__ = ("vertices", "matrix", "_index")
 
-    def __init__(self, vertices, matrix):
-        self._fill(*_vertex_index(vertices), matrix)
-
-    def _fill(self, names, index, matrix):
+    def _fill(self, names: tuple, index: dict, matrix) -> None:
         P = np.asarray(matrix, dtype=float)
         if P.ndim != 2 or P.shape != (len(names), len(names)):
             raise ValueError("transition matrix shape does not match vertex list")
@@ -57,29 +54,9 @@ class TransitionMatrix:
             raise ValueError(f"rows must sum to 1 (off by {worst:.3e})")
         if not P.min() >= -1e-15:
             raise ValueError("transition probabilities must be nonnegative")
-        object.__setattr__(self, "vertices", names)
-        object.__setattr__(self, "matrix", P)
-        object.__setattr__(self, "_index", index)
+        self._set(vertices=names, matrix=P, _index=index)
 
-    def _same_vertices(self, matrix) -> TransitionMatrix:
-        """A checked matrix over this one's vertices, sharing their tuple and
-        index (both immutable) instead of rebuilding them."""
-        other = object.__new__(TransitionMatrix)
-        other._fill(self.vertices, self._index, matrix)
-        return other
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"TransitionMatrix is immutable: cannot set {name!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.vertices)
-
-    def index(self, vertex: str) -> int:
-        try:
-            return self._index[vertex]
-        except KeyError:
-            raise UnknownVertex(f"unknown vertex {vertex!r}") from None
+    n = _Indexed.n_vertices
 
     def __repr__(self) -> str:
         return f"TransitionMatrix(n={self.n})"
@@ -104,10 +81,10 @@ def transition_matrix(H: Hypergraph) -> TransitionMatrix:
 def _lazy_walk(H: Hypergraph) -> TransitionMatrix:
     """A fresh, writable P that nothing else holds; H's memo makes it
     read-only when it stores it."""
-    return TransitionMatrix(H.vertices, _operator(H).dense())
+    return TransitionMatrix._over(H, _operator(H).dense())
 
 
-class WalkOperator:
+class WalkOperator(_Frozen):
     """The lazy walk P = D_V^-1 W D_E^-1 R of one hypergraph, factored: d and
     delta (``degrees``), the edge id of each CSR entry and per-entry factors,
     each formed when first read, in the product order of the caller that
@@ -117,11 +94,8 @@ class WalkOperator:
 
     def __init__(self, H: Hypergraph):
         d, delta = degrees(H)
-        vars(self).update(n=H.n_vertices, indptr=H.indptr, indices=H.indices,
-                          gamma=H.gamma, omega=H.omega, d=d, delta=delta)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"WalkOperator is immutable: cannot set {name!r}")
+        self._set(n=H.n_vertices, indptr=H.indptr, indices=H.indices,
+                  gamma=H.gamma, omega=H.omega, d=d, delta=delta)
 
     @cached_property
     def edge(self) -> np.ndarray:
@@ -171,7 +145,7 @@ def nonlazy_transition_matrix(H: Hypergraph) -> TransitionMatrix:
     coeff = _per_member(H, H.omega) / (d[H.indices] * _others(H.indptr, H.gamma))
     P = _block_scatter(H.indptr, H.indices, coeff, H.gamma, H.n_vertices)
     np.fill_diagonal(P, 0.0)
-    return TransitionMatrix(H.vertices, P)
+    return TransitionMatrix._over(H, P)
 
 
 def _others(indptr, gamma) -> np.ndarray:
@@ -212,7 +186,7 @@ def restart_matrix(P: TransitionMatrix, beta: float, restart=None) -> Transition
         if not (r.min() >= 0.0 and abs(r.sum() - 1.0) <= 1e-12):
             raise BadBeta("restart distribution must be nonnegative and sum to 1")
     mixed = (1.0 - beta) * P.matrix + beta * r[None, :]
-    return P._same_vertices(mixed)
+    return TransitionMatrix._over(P, mixed)
 
 
 def simulate(P: TransitionMatrix, start: str, steps: int, seed: int) -> list[str]:

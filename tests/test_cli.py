@@ -465,6 +465,51 @@ def test_weight_must_be_a_json_number(tmp_path, capsys, bad):
         assert f"NonPositiveWeight: {named}" in capsys.readouterr().err
 
 
+ONE_VERTEX = {"vertices": ["a"], "edges": [{"weight": 1, "members": {"a": 1}}]}
+
+# Small valid inputs at the edges of what the commands can take.
+SMALL_INPUTS = {
+    "one-vertex": ONE_VERTEX,
+    "two-vertices": {"vertices": ["a", "b"],
+                     "edges": [{"weight": 1, "members": {"a": 1, "b": 2}}]},
+    "dominated-member": {"vertices": ["a", "b", "c"],
+                         "edges": [{"weight": 1.0, "members": {"a": 1.0, "b": 1e-20}},
+                                   {"weight": 1.0, "members": {"b": 1.0, "c": 1.0}}]},
+    "subnormal-edge-weight": {"vertices": ["a", "b"],
+                              "edges": [{"weight": 1e-320, "members": {"a": 1.0, "b": 1.0}}]},
+    # the sandwich graph's walk gives vertex 'a' a stationary mass of 0.0
+    "subnormal-beside-a-normal-edge": {
+        "vertices": ["a", "b", "c"],
+        "edges": [{"weight": 1e-320, "members": {"a": 1.0, "b": 1.0}},
+                  {"weight": 1.0, "members": {"b": 1.0, "c": 1.0}}]},
+}
+EVERY_MODE = ([["validate"]] + [["transition", "--kind", k] for k in ("lazy", "nonlazy", "restart")]
+              + [["stationary", "--method", m] for m in ("rho", "direct", "auto")]
+              + [["spectral", "--check-cheeger"]]
+              + [["reduce", "--mode", m] for m in ("eqind", "sandwich", "nonlazy")])
+
+
+@pytest.mark.parametrize("command", EVERY_MODE, ids="_".join)
+@pytest.mark.parametrize("name", SMALL_INPUTS)
+def test_small_valid_inputs_give_an_exit_code_not_a_traceback(tmp_path, capsys, name, command):
+    path = _write_json(tmp_path, "h.json", SMALL_INPUTS[name])
+    try:  # an exception out of dispatch is the traceback a user would see
+        code = dispatch(command[:1] + ["--input", path] + command[1:])
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_reduce_sandwich_refuses_one_vertex(tmp_path, capsys):
+    path = _write_json(tmp_path, "h.json", ONE_VERTEX)
+    assert dispatch(["reduce", "--input", path, "--mode", "sandwich"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: SizeLimit: the sandwich check needs at least 2 vertices, "
+                            "got 1\n")
+
+
 def test_input_directory_is_named_domain_error(tmp_path, capsys):
     assert dispatch(["validate", "--input", str(tmp_path)]) == 1
     assert "IsADirectoryError" in capsys.readouterr().err

@@ -245,6 +245,25 @@ def test_sandwich_check_demo(h_demo):
     assert chk.pi_dev <= 1e-9
 
 
+def test_sandwich_check_refuses_one_vertex():
+    # a 1 x 1 Laplacian has no second eigenvalue; refused before any solve
+    H = Hypergraph(("a",), [(1.0, {"a": 1.0})])
+    with pytest.raises(SizeLimit, match="needs at least 2 vertices, got 1"):
+        sandwich_check(H)
+    assert not H._memo
+
+
+def test_sandwich_check_with_a_zero_graph_mass():
+    # the graph walk's stationary mass of a rounds to 0.0; the check forms
+    # no normalized Laplacian, so nothing divides by it (a RuntimeWarning
+    # is an error here)
+    H = Hypergraph(("a", "b", "c"), [(1e-320, {"a": 1.0, "b": 1.0}),
+                                     (1.0, {"b": 1.0, "c": 1.0})])
+    chk = sandwich_check(H)
+    assert stationary_direct(graph_random_walk(chk.graph)).pi[0] == 0.0
+    assert chk.holds and chk.c == 1.0
+
+
 def test_sandwich_check_edge_independent_collapses_to_equality():
     for H in sweep(507, 10, edge_independent=True):
         chk = sandwich_check(H)

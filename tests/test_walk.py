@@ -173,11 +173,12 @@ def test_transition_matrix_rejects_a_repeated_vertex(vertices, name):
                                           ([0.5, 0.0, 0.0, 0.0], "rows must sum to 1"),
                                           ([-0.25, 1.25, 0.0, 0.0], "must be nonnegative")])
 def test_same_vertices_keeps_every_check(h_demo, row, message):
+    # the shared constructor skips only the names' check
     P = transition_matrix(h_demo)
     bad = P.matrix.copy()
     bad[0] = row
     with pytest.raises(ValueError, match=message):
-        P._same_vertices(bad)
+        TransitionMatrix._over(P, bad)
 
 
 # -- non-lazy -------------------------------------------------------------------
