@@ -3,7 +3,7 @@
 
 Vertices are opaque strings mapped to dense indices in declaration order, so
 every matrix produced downstream is deterministic for a given input.
-Every shared object is immutable after construction, by one rule (`_Frozen`),
+Every shared object is immutable, arrays included, by one rule (`_Frozen`),
 and safe to share across threads; a derived matrix shares its source's index.
 """
 
@@ -73,17 +73,17 @@ def _union(parent: list, members: list) -> int:
     return joins
 
 
-def _single_component(indptr, indices, n: int) -> bool:
-    """Whether the edges (non-empty, members ``indices[indptr[k]:indptr[k+1]]``)
-    join all n vertices into one component.
+def _component_labels(indptr, indices, n: int) -> np.ndarray:
+    """Per vertex, the smallest vertex of its component, where the edges
+    (non-empty, members ``indices[indptr[k]:indptr[k+1]]``) join vertices.
 
     Min-label propagation with pointer jumping, in numpy: label[v] points at
     a vertex of v's component no higher than v. Each round hooks the vertex
     each member points at onto the least label in the member's edge, then
     halves every path with label[label]. Labels only fall, so the sum stops
-    falling only at the fixed point, where each edge's members share one
-    root; vertex 0 keeps label 0, so the vertices form one component exactly
-    when every label reaches 0. A few rounds suffice in practice."""
+    falling only at the fixed point, where every label is a root and each
+    edge's members share one: its component's smallest vertex. A sum of 0
+    is that point for one component. A few rounds suffice in practice."""
     starts, sizes = indptr[:-1], np.diff(indptr)
     label = np.arange(n)
     total = -1
@@ -91,11 +91,9 @@ def _single_component(indptr, indices, n: int) -> bool:
         member = label[indices]
         np.minimum.at(label, member, np.minimum.reduceat(member, starts).repeat(sizes))
         label = label[label]
-        if not label.any():
-            return True
         total, last = int(label.sum()), total
-        if total == last:
-            return False
+        if total in (0, last):
+            return label
 
 
 def _vertex_index(vertices) -> tuple[tuple[str, ...], dict[str, int]]:
@@ -113,33 +111,27 @@ def _vertex_index(vertices) -> tuple[tuple[str, ...], dict[str, int]]:
 
 def _frozen(value):
     """`value`, with every array in it made read-only: `value` itself if it
-    is an array, else a tuple's items or an object's attributes (slots and
-    ``__dict__``) that are arrays. Nothing is walked deeper, so a tuple of
-    vertex names costs one type check. The one place an array is made
-    read-only: whatever the memo stores, and the arrays shared outside it."""
-    if isinstance(value, np.ndarray):
-        items = (value,)
-    elif isinstance(value, tuple):
-        items = value
-    else:
-        items = [getattr(value, s) for s in getattr(type(value), "__slots__", ())]
-        items += getattr(value, "__dict__", {}).values()
-    for a in items:
+    is an array, else a record's ``__dict__`` fields that are arrays.
+    Nothing is walked deeper, so a tuple of vertex names costs one type
+    check. The one place an array is made read-only: as `_Frozen` sets an
+    attribute, and in each result the memo stores."""
+    for a in vars(value).values() if hasattr(value, "__dict__") else (value,):
         if isinstance(a, np.ndarray):
             a.setflags(write=False)
     return value
 
 
 class _Frozen:
-    """The one rule of every shared object: each attribute is set once, and a
-    later assignment or a deletion raises AttributeError; pickle and copy work."""
+    """The one rule of every shared object: each attribute is set once, an
+    array read-only as it is set, and a later assignment or a deletion
+    raises AttributeError; pickle and copy fill a new object by this rule."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
         if hasattr(self, name):
             raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
-        object.__setattr__(self, name, value)
+        object.__setattr__(self, name, _frozen(value))
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
@@ -151,12 +143,13 @@ class _Frozen:
 
 class _Indexed(_Frozen):
     """An object over str ``vertices`` and their ``_index``; its matrix
-    (``_fill``) comes with a vertex list, or with a source's (``_over``)."""
+    (``_fill``) comes with a vertex list, copied from the caller's, or with
+    a source's (``_over``), a fresh array that it keeps."""
 
     __slots__ = ()
 
     def __init__(self, vertices, matrix):
-        self._fill(*_vertex_index(vertices), matrix)
+        self._fill(*_vertex_index(vertices), np.array(matrix, dtype=float))
 
     @classmethod
     def _over(cls, source: "_Indexed", matrix):
@@ -193,7 +186,8 @@ class Hypergraph(_Indexed):
 
     The degrees, the walk, the rho solve, the Laplacian and the Cheeger
     enumeration are each computed once per hypergraph and kept, read-only,
-    in ``_memo``; none refers back to H, so they go when H goes.
+    in ``_memo``; none refers back to H, so they go when H goes, and a
+    pickled or copied H starts with an empty memo, which equality ignores.
     """
 
     __slots__ = ("vertices", "indptr", "indices", "gamma", "omega", "_index", "_memo")
@@ -232,13 +226,11 @@ class Hypergraph(_Indexed):
         `index`, per edge its size and weight `omega`, and per (edge, member)
         entry, edge by edge, its vertex index and weight, members in any
         order within an edge. The one array-level builder: it sorts each
-        edge's members, makes the arrays read-only (`omega` in place) and
-        checks connectivity."""
+        edge's members, keeps `omega` itself and checks connectivity."""
         order = np.lexsort((indices, np.repeat(np.arange(len(sizes)), sizes)))
         self._set(vertices=names, _index=index,
                   indptr=np.concatenate(([0], np.cumsum(sizes, dtype=np.intp))),
                   indices=indices[order], gamma=gamma[order], omega=omega, _memo={})
-        _frozen(self)  # rescaled copies share its arrays
         self._check_connected()
 
     def _with_gamma(self, gamma: np.ndarray) -> "Hypergraph":
@@ -246,7 +238,7 @@ class Hypergraph(_Indexed):
         vertex weights; connectivity cannot change, so it is not rechecked."""
         new = object.__new__(Hypergraph)
         new._set(vertices=self.vertices, _index=self._index, indptr=self.indptr,
-                 indices=self.indices, gamma=_frozen(gamma), omega=self.omega,
+                 indices=self.indices, gamma=gamma, omega=self.omega,
                  _memo={})  # results derived from the old weights do not carry over
         return new
 
@@ -262,15 +254,11 @@ class Hypergraph(_Indexed):
             raise DisconnectedHypergraph(
                 f"vertex {self.vertices[j]!r} is not a member of any hyperedge"
             )
-        if _single_component(self.indptr, self.indices, n):
-            return
-        # disconnected: the union-find's two smallest roots name the error
-        parent = list(range(n))
-        ptr, ind = self.indptr.tolist(), self.indices.tolist()
-        if sum(_union(parent, ind[a:b]) for a, b in zip(ptr, ptr[1:])) < n - 1:
-            a, b = sorted({_find(parent, j) for j in range(n)})[:2]
+        outside = np.flatnonzero(_component_labels(self.indptr, self.indices, n))
+        if len(outside):
+            # vertex 0's component and the next, each named by its smallest vertex
             raise DisconnectedHypergraph(
-                f"vertices {self.vertices[a]!r} and {self.vertices[b]!r} "
+                f"vertices {self.vertices[0]!r} and {self.vertices[outside[0]]!r} "
                 "are in different components"
             )
 
@@ -287,6 +275,9 @@ class Hypergraph(_Indexed):
     def __hash__(self):
         return hash((self.vertices,) + tuple(a.tobytes() for a in self._arrays()))
 
+    def __getstate__(self):
+        return None, {**{s: getattr(self, s) for s in self.__slots__}, "_memo": {}}
+
     def __repr__(self) -> str:
         return f"Hypergraph(|V|={self.n_vertices}, |E|={self.n_edges})"
 
@@ -294,12 +285,16 @@ class Hypergraph(_Indexed):
 def _memo(H: Hypergraph, key: str, compute):
     """``compute()`` on the first call for H and `key`, and that same object
     on every later call: H is immutable, so a result derived from it never
-    goes stale. A call that raises stores nothing. What it stores is
-    ``_frozen`` first, so no caller can change a later one's input."""
+    goes stale. A call that raises stores nothing. What it stores, a result
+    or a tuple of results, is ``_frozen`` first, so no caller can change a
+    later one's input."""
     try:
         return H._memo[key]
     except KeyError:
-        return H._memo.setdefault(key, _frozen(compute()))
+        value = compute()
+        for result in value if isinstance(value, tuple) else (value,):
+            _frozen(result)
+        return H._memo.setdefault(key, value)
 
 
 def _per_member(H, per_edge) -> np.ndarray:
@@ -408,7 +403,7 @@ class WeightedGraph(_Indexed):
         # exactly W, and never above the larger of the pair, so 1e308 stays finite
         mean = np.minimum(W, W.T)
         mean += (np.maximum(W, W.T) - mean) / 2.0
-        self._set(vertices=names, _index=index, weights=_frozen(mean))
+        self._set(vertices=names, _index=index, weights=mean)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):

@@ -26,8 +26,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import (_PAIR_CHUNK, Hypergraph, _entry_pairs, _Frozen, _frozen, _per_member,
-                   _union, _vertex_index, delta_normalized)
+from .core import (_PAIR_CHUNK, Hypergraph, _entry_pairs, _Frozen, _per_member, _union,
+                   _vertex_index, delta_normalized)
 from .errors import (ConvergenceFailure, DisconnectedHypergraph, DuplicateVertex,
                      ElementMismatch, MalformedInput, ScoreOverflow)
 from .reduction import clique_expansion_weights, graph_random_walk
@@ -128,7 +128,7 @@ class MatchData(_Frozen):
             p = players[order]
         H = object.__new__(Hypergraph)
         H._build(names, index, sizes, p.astype(np.intp) - 1, gamma[order], omega)
-        self._set(hypergraph=H, scores=_frozen(scores[order]))
+        self._set(hypergraph=H, scores=scores[order])
 
     @property
     def n(self) -> int:

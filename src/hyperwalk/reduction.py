@@ -75,8 +75,9 @@ def _clique_weights(H: Hypergraph, gamma: np.ndarray) -> WeightedGraph:
     with one gamma value per (edge, member) entry; self-loops included."""
     _check_size(H.n_vertices)
     _, delta = degrees(H)
-    return WeightedGraph._over(H, _block_scatter(H.indptr, H.indices, gamma, gamma,
-                                                 H.n_vertices, H.omega / delta))
+    with np.errstate(over="ignore"):  # a weight past the float range: WeightedGraph names it
+        W = _block_scatter(H.indptr, H.indices, gamma, gamma, H.n_vertices, H.omega / delta)
+    return WeightedGraph._over(H, W)
 
 
 def edge_independent_to_graph(H: Hypergraph) -> WeightedGraph:

@@ -16,10 +16,10 @@ Four routes are provided and cross-checked against each other:
   pi_v = sum over incident e of rho_e * omega(e) * gamma_e(v).
 * ``stationary_direct`` -- solve pi P = pi, sum pi = 1 as a dense linear
   system (the oracle for the other two). P may be shared, so it solves in
-  a copy of P; the CLI's direct route (``_stationary_direct_of``) builds P
-  itself, solves in P's own buffer and only then stores P on the
-  hypergraph, so one command holds two n x n matrices at its peak: P and
-  LAPACK's working copy.
+  a copy of P; the CLI's direct route (``_stationary_direct_of``) builds
+  P's array itself, solves in that buffer and only then makes P of it and
+  stores P on the hypergraph, so one command holds two n x n matrices at
+  its peak: P and LAPACK's working copy.
 * ``stationary_edge_independent`` -- the closed form
   pi_v = d(v) gamma(v) / sum_u d(u) gamma(u) available when vertex weights
   do not depend on the edge.
@@ -196,19 +196,17 @@ def stationary_direct(P: TransitionMatrix) -> StationaryResult:
     """Solve pi P = pi with sum pi = 1 by dense elimination (partial
     pivoting). The oracle the rho route is checked against.
 
-    P may be shared (a memoized walk matrix is read-only and other callers
-    read it), so the system is set up in one copy of P and P is never
-    touched."""
-    return _direct(P, P.matrix.copy().T)
+    P is read-only and may be shared, so the system is set up in one copy
+    of P. P^T as a view of a C-ordered matrix is in Fortran order, the
+    layout LAPACK takes."""
+    return _direct(P, _fixed_point(P.matrix.copy().T))
 
 
-def _direct(P: TransitionMatrix, M: np.ndarray) -> StationaryResult:
-    """The direct solve on M = P^T, a buffer no one else reads meanwhile.
-    P^T as a view of a C-ordered matrix is in Fortran order, the layout
-    LAPACK takes. Rounding can leave an entry of a (near-)zero mass just
-    below 0: one within RESIDUAL_TOL of it becomes +0.0, and one further
-    below raises ConvergenceFailure naming its vertex."""
-    pi = _fixed_point(M)
+def _direct(P: TransitionMatrix, pi: np.ndarray) -> StationaryResult:
+    """The result of pi, solved for P by ``_fixed_point`` on P^T. Rounding
+    can leave an entry of a (near-)zero mass just below 0: one within
+    RESIDUAL_TOL of it becomes +0.0, and one further below raises
+    ConvergenceFailure naming its vertex."""
     low = np.flatnonzero(pi < -RESIDUAL_TOL)
     if len(low):
         raise ConvergenceFailure(
@@ -226,15 +224,17 @@ def _stationary_direct_of(H: Hypergraph) -> StationaryResult:
     what someone else holds.
 
     When H's memo already holds P, that is shared, and it is solved in a
-    copy. Otherwise P is built here, solved in its own buffer (the residual
-    reads the restored bits), and then stored, which makes it read-only, so
-    P is still built once per hypergraph: one n x n matrix fewer at the peak."""
+    copy. Otherwise P's array is built here, solved in its own buffer, then
+    checked as P and stored, so P is still built once per hypergraph: one
+    n x n matrix fewer at the peak."""
     P = H._memo.get("transition_matrix")
     if P is not None:
         return stationary_direct(P)
     _check_size(H.n_vertices)
-    P = _lazy_walk(H)
-    result = _direct(P, P.matrix.T)
+    M = _lazy_walk(H)
+    pi = _fixed_point(M.T)
+    P = TransitionMatrix._over(H, M)
+    result = _direct(P, pi)
     _memo(H, "transition_matrix", lambda: P)
     return result
 

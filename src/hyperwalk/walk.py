@@ -9,12 +9,10 @@ members. All matrices are dense and row-stochastic.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
-from .core import (_REAL, Hypergraph, _block_scatter, _Frozen, _frozen, _Indexed, _memo,
-                   _per_member, degrees)
+from .core import (_REAL, Hypergraph, _block_scatter, _Frozen, _Indexed, _memo, _per_member,
+                   degrees)
 from .errors import BadBeta, SingletonEdge, SizeLimit
 
 __all__ = [
@@ -71,47 +69,36 @@ def transition_matrix(H: Hypergraph) -> TransitionMatrix:
     """Lazy walk matrix P = D_V^-1 W D_E^-1 R, built edge by edge:
     P[v, w] = sum over edges e holding both of omega(e)/d(v) * gamma_e(w)/delta(e).
 
-    Built once per hypergraph: every call on H returns the same object, whose
-    ``matrix`` is read-only, also when the CLI's direct solve built and stored
-    it. The size check comes first, so a refusal is never stored."""
+    Built once per hypergraph: every call on H returns the same object. The
+    size check comes first, so a refusal is never stored."""
     _check_size(H.n_vertices)
-    return _memo(H, "transition_matrix", lambda: _lazy_walk(H))
+    return _memo(H, "transition_matrix", lambda: TransitionMatrix._over(H, _lazy_walk(H)))
 
 
-def _lazy_walk(H: Hypergraph) -> TransitionMatrix:
-    """A fresh, writable P that nothing else holds; H's memo makes it
-    read-only when it stores it."""
-    return TransitionMatrix._over(H, _operator(H).dense())
+def _lazy_walk(H: Hypergraph) -> np.ndarray:
+    """P's dense array, fresh and writable: nothing else holds it."""
+    return _operator(H).dense()
 
 
 class WalkOperator(_Frozen):
     """The lazy walk P = D_V^-1 W D_E^-1 R of one hypergraph, factored: d and
     delta (``degrees``), the edge id of each CSR entry and per-entry factors,
-    each formed when first read, in the product order of the caller that
-    reads it, so every result keeps its bits. H's memo holds it
+    formed when the operator is built, each in the product order of the
+    caller that reads it, so every result keeps its bits. H's memo holds it
     (``_operator``), so it holds H's arrays but never H: no cycle. Its
     arrays are read-only and its attributes cannot be set."""
+
+    __slots__ = ("n", "indptr", "indices", "gamma", "omega", "d", "delta",
+                 "edge", "left", "right", "spread")
 
     def __init__(self, H: Hypergraph):
         d, delta = degrees(H)
         self._set(n=H.n_vertices, indptr=H.indptr, indices=H.indices,
-                  gamma=H.gamma, omega=H.omega, d=d, delta=delta)
-
-    @cached_property
-    def edge(self) -> np.ndarray:
-        return _frozen(_per_member(self, np.arange(len(self.omega))))
-
-    @cached_property
-    def left(self) -> np.ndarray:  # omega(e) / d(v): leave v by e
-        return _frozen(_per_member(self, self.omega) / self.d[self.indices])
-
-    @cached_property
-    def right(self) -> np.ndarray:  # gamma_e(w) / delta(e): land on w from e
-        return _frozen(self.gamma / _per_member(self, self.delta))
-
-    @cached_property
-    def spread(self) -> np.ndarray:  # (omega(e) / delta(e)) * gamma_e(w), rstep's order
-        return _frozen(_per_member(self, self.omega / self.delta) * self.gamma)
+                  gamma=H.gamma, omega=H.omega, d=d, delta=delta,
+                  edge=_per_member(H, np.arange(H.n_edges)),
+                  left=_per_member(H, H.omega) / d[H.indices],  # omega(e) / d(v): leave v by e
+                  right=H.gamma / _per_member(H, delta),  # gamma_e(w) / delta(e): land on w
+                  spread=_per_member(H, H.omega / delta) * H.gamma)  # rstep's order
 
     def dense(self) -> np.ndarray:
         """P, fresh and writable: P[v, w] sums left * right over edges holding both."""

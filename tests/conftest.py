@@ -83,3 +83,23 @@ def gc_off():
         yield
     finally:
         gc.enable()
+
+
+def reachable_arrays(value, seen):
+    """Every ndarray reachable from `value` through tuples, lists, dicts,
+    slots and instance attributes (a dataclass's fields among them)."""
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        yield value
+        return
+    if isinstance(value, (tuple, list)):
+        items = list(value)
+    elif isinstance(value, dict):
+        items = list(value.values())
+    else:
+        items = [getattr(value, slot) for slot in getattr(type(value), "__slots__", ())]
+        items += getattr(value, "__dict__", {}).values()
+    for item in items:
+        yield from reachable_arrays(item, seen)

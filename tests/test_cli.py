@@ -646,6 +646,19 @@ def test_rankagg_huge_score_spread_is_named_without_a_warning(tmp_path):
                           "must be a finite number > 0\n")
 
 
+def test_reduce_eqind_weight_past_the_float_range_is_named_without_a_warning(tmp_path):
+    # w(a, a) is about 1e600; run as a user runs it, under Python's default
+    # warning filters, so numpy would print its overflow warning on stderr
+    path = _write_json(tmp_path, "h.json", {"vertices": ["a", "b", "c"], "edges": [
+        {"weight": 1e300, "members": {"a": 1e300, "b": 1}},
+        {"weight": 1, "members": {"b": 1, "c": 1e-300}}]})
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperwalk.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-m", "hyperwalk.cli", "reduce", "--input", path,
+                          "--mode", "eqind"], env=env, capture_output=True, text=True)
+    assert run.returncode == 1
+    assert run.stderr == "error: NonPositiveWeight: graph weights must be finite\n"
+
+
 def test_rankagg_repeated_rate_is_usage_error(capsys):
     assert dispatch(["rankagg", "--n", "5", "--p", "0.3,0.30", "--trials", "2"]) == 2
     captured = capsys.readouterr()

@@ -197,8 +197,10 @@ def test_disconnected_two_edges():
         )
 
 
-def test_disconnected_error_names_the_union_find_roots():
-    with pytest.raises(DisconnectedHypergraph, match="^vertices 'a' and 'd' are in different"):
+def test_disconnected_error_names_two_components_by_their_smallest_vertices():
+    # {a, b} and {c, d, e}: vertex 0's component and the one of the smallest
+    # vertex outside it
+    with pytest.raises(DisconnectedHypergraph, match="^vertices 'a' and 'c' are in different"):
         Hypergraph(("a", "b", "c", "d", "e"),
                    [(1.0, {"b": 1.0, "a": 1.0}), (1.0, {"c": 1.0, "e": 1.0}),
                     (1.0, {"d": 1.0, "e": 1.0})])
@@ -216,10 +218,16 @@ def test_single_component_agrees_with_union_find():
             order = rng.permutation(n)
             members = [np.sort(order[i:i + 2]) for i in range(n - 1)] or members
         parent = list(range(n))
-        want = sum(core._union(parent, m.tolist()) for m in members) == n - 1
+        for m in members:
+            core._union(parent, m.tolist())
+        roots = [core._find(parent, v) for v in range(n)]
+        smallest = {}  # per union-find root, the smallest vertex of its set
+        for v in range(n):
+            smallest.setdefault(roots[v], v)
         indptr = np.concatenate(([0], np.cumsum([len(m) for m in members])))
-        assert core._single_component(indptr, np.concatenate(members), n) == want
-        verdicts.add(want)
+        labels = core._component_labels(indptr, np.concatenate(members), n)
+        assert labels.tolist() == [smallest[r] for r in roots]
+        verdicts.add(not labels.any())
     assert verdicts == {True, False}
 
 

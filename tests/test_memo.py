@@ -36,7 +36,7 @@ from hyperwalk import (
     transition_matrix,
 )
 from hyperwalk.cli import dispatch
-from conftest import gc_off, rebuilt, sweep
+from conftest import gc_off, reachable_arrays, rebuilt, sweep
 
 
 @pytest.mark.parametrize("compute", [degrees, walk._operator, transition_matrix,
@@ -60,40 +60,21 @@ def test_memoized_arrays_are_read_only(h_demo):
     assert np.array_equal(transition_matrix(h_demo).matrix, before)
 
 
-def _reachable_arrays(value, seen):
-    """Every ndarray reachable from `value` through tuples, lists, dicts,
-    slots and instance attributes (a dataclass's fields among them)."""
-    if id(value) in seen:
-        return
-    seen.add(id(value))
-    if isinstance(value, np.ndarray):
-        yield value
-        return
-    if isinstance(value, (tuple, list)):
-        items = list(value)
-    elif isinstance(value, dict):
-        items = list(value.values())
-    else:
-        items = [getattr(value, slot) for slot in getattr(type(value), "__slots__", ())]
-        items += getattr(value, "__dict__", {}).values()
-    for item in items:
-        yield from _reachable_arrays(item, seen)
-
-
 def test_nothing_the_memo_holds_is_writeable():
-    # every piece of work that stores on H, the walk operator's lazily
-    # formed factors included; then no array reachable from the memo, at
-    # any depth, can be written
+    # every piece of work that stores on H, the walk operator's factors
+    # included; then no array reachable from the memo, at any depth, can be
+    # written
     H = sweep(38, 1, max_vertices=10)[0]
     stationary._stationary_direct_of(H)
     walk._operator(H).rstep(np.full(H.n_vertices, 1.0 / H.n_vertices))
     spectral_report(H)
     check_cheeger(H)
     reduction.sandwich_check(H)
-    assert {"edge", "spread", "left", "right"} <= vars(walk._operator(H)).keys()
+    op = walk._operator(H)
+    assert all(isinstance(getattr(op, f), np.ndarray) for f in ("edge", "spread", "left", "right"))
     assert {"degrees", "walk_operator", "transition_matrix", "stationary_rho", "laplacian",
             "spectra", "cheeger"} <= H._memo.keys()
-    arrays = list(_reachable_arrays(H._memo, set()))
+    arrays = list(reachable_arrays(H._memo, set()))
     # d, delta, H's four CSR arrays, four factors, P, pi, rho, L, its
     # normalized form and the two spectra
     assert len(arrays) >= 17
@@ -106,6 +87,8 @@ def test_memoized_results_cannot_be_reassigned(h_demo):
         transition_matrix(h_demo).matrix = np.eye(4)
     with pytest.raises(AttributeError):
         walk._operator(h_demo).d = None
+    with pytest.raises(AttributeError):  # nor does it take a new name
+        walk._operator(h_demo).foo = 1
     assert np.float64(cheeger_constant(h_demo).phi).tobytes() == np.float64(fresh).tobytes()
     frozen = [(stationary_rho(h_demo), "pi"), (laplacian(h_demo), "L"),
               (cheeger_constant(h_demo), "phi"), (mixing_time_bound(h_demo, 0.25), "phi")]
@@ -235,18 +218,6 @@ def test_sandwich_command_does_each_piece_of_work_once(h_demo, tmp_path, monkeyp
               (core, "_degrees"))
     assert _command_counts(h_demo, tmp_path, monkeypatch, "reduce --mode sandwich",
                            pieces) == {"_lazy_walk": 1, "_solve_rho": 1, "eigh": 2, "_degrees": 3}
-
-
-def test_walk_iteration_forms_only_the_factors_it_reads(h_demo, monkeypatch):
-    # the walk step reads d, the edge ids and (omega / delta) * gamma: three
-    # per-entry expansions in all, and none of the dense build's factors
-    calls = _counting(monkeypatch, core, "_per_member")
-    for module in (walk, stationary):  # their imported name, now the counting one
-        monkeypatch.setattr(module, "_per_member", core._per_member)
-    stationary_walk(h_demo)
-    assert len(calls) == 3
-    assert {"edge", "spread"} <= vars(walk._operator(h_demo)).keys()
-    assert not {"left", "right"} & vars(walk._operator(h_demo)).keys()
 
 
 def test_memoized_results_are_freed_by_reference_counting():

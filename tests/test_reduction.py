@@ -7,6 +7,7 @@ import pytest
 from hyperwalk import (
     Hypergraph,
     IsolatedVertex,
+    NonPositiveWeight,
     NotEdgeIndependent,
     NotStationary,
     NotTrivialWeights,
@@ -178,6 +179,16 @@ def test_clique_expansion_size_limit():
     H = Hypergraph(names, [(1.0, {v: 1.0 for v in names})])
     with pytest.raises(SizeLimit, match="at most 4096 vertices, got 4097"):
         clique_expansion_weights(H)
+
+
+def test_clique_weight_past_the_float_range_is_named_without_a_warning():
+    # every weight is finite and the weights are edge-independent, but
+    # w(a, a) = 1e300 * 1e300 * 1e300 / (1e300 + 1) is about 1e600: the graph
+    # names it, and the scatter's overflow raises no RuntimeWarning first
+    H = Hypergraph(("a", "b", "c"), [(1e300, {"a": 1e300, "b": 1.0}),
+                                     (1.0, {"b": 1.0, "c": 1e-300})])
+    with pytest.raises(NonPositiveWeight, match="^graph weights must be finite$"):
+        edge_independent_to_graph(H)
 
 
 # -- non-lazy trivial equivalence ----------------------------------------------------------

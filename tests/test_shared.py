@@ -34,6 +34,7 @@ from hyperwalk import (
     stationary_rho,
     transition_matrix,
 )
+from conftest import reachable_arrays
 
 
 def test_hypergraph_attributes_cannot_be_set(h_demo):
@@ -56,34 +57,56 @@ def test_each_attribute_is_set_once(h_demo):
 
 
 def test_shared_objects_survive_pickle_and_copy(h_demo):
-    # each attribute of the new object is set once, through the same rule
+    # each attribute of the new object is set once, through the same rule,
+    # and each array it holds is read-only, as in the original
     spectral_report(h_demo)  # H's memo holds P, the walk operator and more
     objects = [(h_demo, "omega"), (transition_matrix(h_demo), "matrix"),
                (walk._operator(h_demo), "d"), (clique_expansion_weights(h_demo), "weights"),
                (generate(6, 1.0, 0.5, 1), "scores")]
     for obj, name in objects:
+        assert not hasattr(obj, "__dict__")  # slots only: no attribute under a new name
         for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj)):
             assert type(twin) is type(obj)
             assert np.array_equal(getattr(twin, name), getattr(obj, name))
             with pytest.raises(AttributeError):
                 setattr(twin, name, None)
-    assert pickle.loads(pickle.dumps(h_demo)) == h_demo
+            arrays = list(reachable_arrays(twin, set()))
+            assert len(arrays) >= 1 and not [a for a in arrays if a.flags.writeable]
+    # the memo is a cache: a twin starts with an empty one, the original keeps its own
+    for twin in (pickle.loads(pickle.dumps(h_demo)), copy.copy(h_demo)):
+        assert twin == h_demo and twin._memo == {}
+    assert "transition_matrix" in h_demo._memo
 
 
-def test_graph_is_read_only(h_demo):
-    for G in (WeightedGraph(["a", "b", "c"], np.ones((3, 3))), clique_expansion_weights(h_demo)):
+def test_graph_is_read_only(h_demo, monkeypatch):
+    G = clique_expansion_weights(h_demo)
+    for graph in (WeightedGraph(["a", "b", "c"], np.ones((3, 3))), G):
         with pytest.raises(ValueError, match="read-only"):
-            G.weights[0, 1] = 5.0
+            graph.weights[0, 1] = 5.0
         for name in ("weights", "vertices"):
             with pytest.raises(AttributeError):
-                setattr(G, name, getattr(G, name))
-        assert np.array_equal(G.weights, G.weights.T)
+                setattr(graph, name, getattr(graph, name))
+        assert np.array_equal(graph.weights, graph.weights.T)
+    # and so is every walk matrix, from the moment it is made
+    chains = []
+    real = rankagg.restart_matrix
+    monkeypatch.setattr(rankagg, "restart_matrix",
+                        lambda P, beta: chains.append(P) or real(P, beta))
+    rankagg.rank_mc3(generate(8, 1.0, 0.4, 3))
+    P = transition_matrix(h_demo)
+    for M in (P, nonlazy_transition_matrix(h_demo), restart_matrix(P, 0.4),
+              graph_random_walk(G), chains[0], walk.TransitionMatrix(["a", "b"], np.eye(2))):
+        with pytest.raises(ValueError, match="read-only"):
+            M.matrix[0, 0] = 5.0
 
 
 def test_graph_keeps_its_callers_array():
-    W = np.ones((2, 2))
-    WeightedGraph(["a", "b"], W)
-    assert W.flags.writeable
+    # a public constructor copies: the caller's array is neither frozen nor shared
+    W, M = np.ones((2, 2)), np.eye(2)
+    G, P = WeightedGraph(["a", "b"], W), walk.TransitionMatrix(["a", "b"], M)
+    assert W.flags.writeable and M.flags.writeable
+    assert P.matrix is not M and not np.shares_memory(P.matrix, M)
+    assert not np.shares_memory(G.weights, W)
 
 
 def test_match_data_attributes_cannot_be_set():
