@@ -52,27 +52,6 @@ _REAL = frozenset([int, float] + [np.dtype(c).type for c in np.typecodes["AllInt
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
-def _find(parent: list, x: int) -> int:
-    """Root of x in the union-find forest `parent`, halving its path."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _union(parent: list, members: list) -> int:
-    """Join the sets of all `members` (at least one); return the number of
-    joins made, so each lowers the count of sets by one."""
-    root = _find(parent, members[0])
-    joins = 0
-    for j in members[1:]:
-        r = _find(parent, j)
-        if r != root:
-            parent[r] = root
-            joins += 1
-    return joins
-
-
 def _component_labels(indptr, indices, n: int) -> np.ndarray:
     """Per vertex, the smallest vertex of its component, where the edges
     (non-empty, members ``indices[indptr[k]:indptr[k+1]]``) join vertices.

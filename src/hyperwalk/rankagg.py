@@ -26,8 +26,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import (_PAIR_CHUNK, Hypergraph, _entry_pairs, _Frozen, _per_member, _union,
-                   _vertex_index, delta_normalized)
+from .core import (_PAIR_CHUNK, Hypergraph, _component_labels, _entry_pairs, _Frozen,
+                   _per_member, _vertex_index, delta_normalized)
 from .errors import (ConvergenceFailure, DisconnectedHypergraph, DuplicateVertex,
                      ElementMismatch, MalformedInput, ScoreOverflow)
 from .reduction import clique_expansion_weights, graph_random_walk
@@ -143,9 +143,11 @@ def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
     fewer than two members are discarded; a scale factor c is uniform on
     [1/3, 3]; player i's score is c * N(0.2 * i, sigma). Deterministic for a
     fixed seed. Connectivity is required because every downstream chain is
-    built on a hypergraph, and those are connected by construction; coverage
-    alone almost always suffices, so the extra matches are rare. After
-    MAX_DRAWS draws without reaching both, ConvergenceFailure is raised.
+    built on a hypergraph, and those are connected by construction. Once every
+    player has appeared, each kept draw checks connectivity by the label
+    propagation Hypergraph checks with (``_component_labels``); coverage alone
+    almost always suffices, so the extra matches are rare. After MAX_DRAWS
+    draws without reaching both, ConvergenceFailure is raised.
 
     Each draw reads the seed's PCG64 stream in this order, and the seeded
     outputs depend on it: ``random(n)`` for the members, then, for a kept
@@ -162,11 +164,11 @@ def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
     rng = np.random.default_rng(seed)
     random, standard_normal = rng.random, rng.standard_normal
     low, span = SCALE_RANGE[0], SCALE_RANGE[1] - SCALE_RANGE[0]
-    members, scale, normal = [], [], []  # per kept draw
-    parent = list(range(n))
-    components = n  # one set: every player has appeared and all are connected
+    members, sizes, scale, normal = [], [], [], []  # per kept draw
+    unseen = set(range(n))  # the players no kept draw has held yet
+    connected = False
     draws = 0
-    while components > 1:
+    while not connected:
         if draws == MAX_DRAWS:
             raise ConvergenceFailure(
                 f"{MAX_DRAWS} match draws did not cover all {n} players in one "
@@ -177,10 +179,14 @@ def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
         if len(idx) < 2:
             continue
         members.append(idx)
+        sizes.append(len(idx))
         scale.append(random())
         normal.append(standard_normal(len(idx)))
-        components -= _union(parent, idx.tolist())
-    sizes = np.array([len(idx) for idx in members], dtype=np.intp)
+        unseen.difference_update(idx.tolist())
+        if not unseen:  # every label 0: one component
+            connected = not _component_labels(np.cumsum([0, *sizes]), np.concatenate(members),
+                                              n).any()
+    sizes = np.array(sizes, dtype=np.intp)
     players = np.concatenate(members) + 1
     with np.errstate(over="ignore", invalid="ignore"):
         # bit for bit rng.uniform(*SCALE_RANGE) and rng.normal(0.2 * players,

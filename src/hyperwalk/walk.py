@@ -93,12 +93,16 @@ class WalkOperator(_Frozen):
 
     def __init__(self, H: Hypergraph):
         d, delta = degrees(H)
+        # omega/delta may pass the float range (a subnormal delta): only rstep
+        # reads spread, and stationary_walk names a non-finite iterate
+        with np.errstate(over="ignore"):
+            spread = _per_member(H, H.omega / delta) * H.gamma  # rstep's order
         self._set(n=H.n_vertices, indptr=H.indptr, indices=H.indices,
                   gamma=H.gamma, omega=H.omega, d=d, delta=delta,
                   edge=_per_member(H, np.arange(H.n_edges)),
                   left=_per_member(H, H.omega) / d[H.indices],  # omega(e) / d(v): leave v by e
                   right=H.gamma / _per_member(H, delta),  # gamma_e(w) / delta(e): land on w
-                  spread=_per_member(H, H.omega / delta) * H.gamma)  # rstep's order
+                  spread=spread)
 
     def dense(self) -> np.ndarray:
         """P, fresh and writable: P[v, w] sums left * right over edges holding both."""

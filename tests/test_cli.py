@@ -737,6 +737,23 @@ def test_subnormal_edge_weight_auto_falls_back_at_once(tmp_path, capsys):
                    "using the direct solve\n")
 
 
+SUBNORMAL_DELTA = {"vertices": ["a", "b"],
+                   "edges": [{"weight": 1.0, "members": {"a": 5e-324, "b": 5e-324}}]}
+
+
+@pytest.mark.parametrize("command", ["transition", "transition --kind restart",
+                                     "stationary --method direct", "stationary --method auto"])
+def test_subnormal_delta_builds_the_walk_operator_without_a_warning(tmp_path, command):
+    # delta = 1e-323, so omega / delta overflows in the operator's spread; run
+    # as a user runs it, under Python's default warning filters
+    path = _write_json(tmp_path, "h.json", SUBNORMAL_DELTA)
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperwalk.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-m", "hyperwalk.cli", *command.split(),
+                          "--input", path], env=env, capture_output=True, text=True)
+    assert run.returncode == 0
+    assert "RuntimeWarning" not in run.stderr
+
+
 @pytest.mark.parametrize("command", ["stationary --method rho", "spectral"])
 def test_subnormal_edge_weight_is_named(tmp_path, capsys, command):
     # sum_e rho_e * omega(e) = 1e-320, so rho_e / that overflows

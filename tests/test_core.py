@@ -206,6 +206,23 @@ def test_disconnected_error_names_two_components_by_their_smallest_vertices():
                     (1.0, {"d": 1.0, "e": 1.0})])
 
 
+def _find(parent, x):
+    """Root of x in the union-find forest `parent`, halving its path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent, members):
+    """Join the sets of all `members` (at least one)."""
+    root = _find(parent, members[0])
+    for j in members[1:]:
+        r = _find(parent, j)
+        if r != root:
+            parent[r] = root
+
+
 def test_single_component_agrees_with_union_find():
     # random edge lists, most of them disconnected, some long chains
     rng = np.random.default_rng(177)
@@ -219,8 +236,8 @@ def test_single_component_agrees_with_union_find():
             members = [np.sort(order[i:i + 2]) for i in range(n - 1)] or members
         parent = list(range(n))
         for m in members:
-            core._union(parent, m.tolist())
-        roots = [core._find(parent, v) for v in range(n)]
+            _union(parent, m.tolist())
+        roots = [_find(parent, v) for v in range(n)]
         smallest = {}  # per union-find root, the smallest vertex of its set
         for v in range(n):
             smallest.setdefault(roots[v], v)

@@ -151,6 +151,10 @@ def test_generate_equals_reference_loop_bit_for_bit():
                     args = (n, sigma, p, seed)
                     assert data_bits(generate(*args)) == reference_bits(
                         reference_generate(*args)), args
+    # covered before connected: the connectivity check runs on more than one draw
+    for seed in (6, 8, 11):
+        args = (4, 1.0, 0.03, seed)
+        assert data_bits(generate(*args)) == reference_bits(reference_generate(*args)), args
 
 
 def test_generate_gives_up_as_reference_loop(monkeypatch):

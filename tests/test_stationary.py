@@ -218,6 +218,12 @@ def test_direct_writes_no_negative_probability(tmp_path, capsys):
     assert res.residual == float(np.abs(res.pi @ P - res.pi).max())
 
 
+def test_direct_of_a_subnormal_delta_builds_without_a_warning():
+    # delta = 1e-323: building the walk operator forms omega / delta = inf
+    H = Hypergraph(("a", "b"), [(1.0, {"a": 5e-324, "b": 5e-324})])
+    assert _stationary_direct_of(H).pi.tolist() == [0.5, 0.5]
+
+
 def test_direct_names_a_negative_probability(h_demo, monkeypatch):
     # beyond RESIDUAL_TOL below 0 an entry is no rounding of a zero mass
     monkeypatch.setattr(stationary, "_fixed_point", lambda M: np.array([0.5, 0.5, 0.5, -0.5]))

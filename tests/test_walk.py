@@ -63,6 +63,12 @@ def test_factored_equals_summation():
         np.testing.assert_allclose(P.matrix, summation_transition(H), atol=1e-13)
 
 
+def test_subnormal_delta_builds_without_a_warning():
+    # delta = 1e-323: omega / delta overflows, but only the walk step reads it
+    H = Hypergraph(("a", "b"), [(1.0, {"a": 5e-324, "b": 5e-324})])
+    assert transition_matrix(H).matrix.tolist() == [[0.5, 0.5], [0.5, 0.5]]
+
+
 def test_row_stochastic_and_lazy_diagonal():
     for H in sweep(202, 20):
         P = transition_matrix(H).matrix
