@@ -93,6 +93,9 @@ class Unmixed(HyperwalkError):
         super().__init__(f"chain not mixed within {cap} steps")
         self.cap = cap
 
+    def __reduce__(self):  # rebuilt from cap: the default would pass the message as cap
+        return Unmixed, (self.cap,)
+
 
 # -- rank aggregation ---------------------------------------------------------
 

@@ -20,7 +20,10 @@ unweighted and top-weighted (hyperbolic position weights) variants.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -135,6 +138,16 @@ class MatchData(_Frozen):
         return self.hypergraph.n_vertices
 
 
+def _check_draw(n: int, sigma: float, p: float) -> None:
+    """The usage errors of generate(n, sigma, p, seed), as ValueError."""
+    if n < 2:
+        raise ValueError("need at least two players")
+    if not sigma > 0.0:
+        raise ValueError("sigma must be positive")
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie in (0, 1)")
+
+
 def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
     """Draw matches until every player has appeared at least once and the
     matches overlap into a single connected component.
@@ -155,12 +168,7 @@ def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
     the scores. A score beyond the float range is left to MatchData to name
     (ScoreOverflow).
     """
-    if n < 2:
-        raise ValueError("need at least two players")
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
+    _check_draw(n, sigma, p)
     rng = np.random.default_rng(seed)
     random, standard_normal = rng.random, rng.standard_normal
     low, span = SCALE_RANGE[0], SCALE_RANGE[1] - SCALE_RANGE[0]
@@ -330,12 +338,77 @@ class ExperimentResult:
 _METHODS = (rank_hypergraph, rank_clique, rank_mc3)  # each names itself in its result
 
 
+def _shares(tasks: int) -> int:
+    """How many processes run `tasks` trials: one per CPU this process may
+    run on, at most one per trial; one where the CPUs cannot be counted (as
+    where os.fork is missing) or a fork is unsafe (another thread runs)."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), tasks))
+
+
+def _in_shares(run, tasks: list) -> list:
+    """[run(*task) for task in tasks] in k = _shares(len(tasks)) interleaved
+    shares (task j in share j mod k): share 0 runs here, each other one in a
+    forked child that sends its results back pickled through a pipe. Each
+    share stops at its first error; once all have ended, the error of the
+    lowest-index failing task is raised, as the plain loop would raise it.
+    No child outlives the call."""
+    k = _shares(len(tasks))
+
+    def share(i):  # its results up to its first error, and (index, error) or None
+        done = []
+        for j in range(i, len(tasks), k):
+            try:
+                done.append(run(*tasks[j]))
+            except Exception as exc:
+                return done, (j, exc)
+        return done, None
+
+    children = []  # (pid, read end of its pipe) of each child not yet reaped
+    try:
+        for i in range(1, k):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # leaves by os._exit: no exit handler or stdio flush of the parent runs
+                try:
+                    os.close(r)
+                    payload = pickle.dumps(share(i))  # whole, or nothing is sent
+                    with open(w, "wb") as fh:
+                        fh.write(payload)
+                finally:
+                    os._exit(0)  # the parent reads the pipe, not the exit status
+            os.close(w)
+            children.append((pid, r))
+        shares = [share(0)]
+        while children:
+            pid, r = children[0]
+            with open(r, "rb", closefd=False) as fh:
+                payload = fh.read()
+            os.waitpid(pid, 0)
+            os.close(children.pop(0)[1])
+            if not payload:
+                raise ChildProcessError(f"trial process {pid} sent no trials")
+            shares.append(pickle.loads(payload))
+    finally:
+        for pid, r in children:  # still running after an error or an interrupt here
+            from signal import SIGKILL
+            os.close(r)
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+    failures = [error for _, error in shares if error]
+    if failures:
+        raise min(failures, key=lambda error: error[0])[1]
+    return [shares[j % k][0][j // k] for j in range(len(tasks))]
+
+
 def experiment(n: int, sigma: float, p_values: Iterable[float], trials: int,
                seed: int, beta: float = DEFAULT_BETA) -> ExperimentResult:
     """Run all three rankers over seeded trials for each subsampling rate.
 
     Trial t uses seed + t, so trials are independent given the base seed and
-    the whole table is reproducible byte-for-byte.
+    the whole table is reproducible byte-for-byte, however many processes
+    run the trials (one per available CPU, see _in_shares).
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -343,11 +416,15 @@ def experiment(n: int, sigma: float, p_values: Iterable[float], trials: int,
     for k, p in enumerate(p_values):
         if p in p_values[:k]:
             raise ValueError(f"inclusion rate {p!r} is given more than once")
-    results = []
-    for p in p_values:
-        for t in range(trials):
-            data = generate(n, sigma, p, seed + t)
-            results += [(p, t, ranker(data, beta=beta)) for ranker in _METHODS]
+        _check_draw(n, sigma, p)
+
+    def trial(p, t):
+        data = generate(n, sigma, p, seed + t)
+        return [ranker(data, beta=beta) for ranker in _METHODS]
+
+    tasks = [(p, t) for p in p_values for t in range(trials)]
+    results = [(p, t, result) for (p, t), ranked in zip(tasks, _in_shares(trial, tasks))
+               for result in ranked]
     # Against the truth n, n-1, ..., 1 (best player first), with the pairs
     # of n held once: the rankers have accepted n, so they fit beside a chain.
     blocks = list(_pair_blocks(n)) if results else []

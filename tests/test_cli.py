@@ -622,6 +622,34 @@ def test_rankagg_unreachable_coverage_stops(capsys):
     assert "ConvergenceFailure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rankagg_trial_error_is_reported_alike_in_any_number_of_processes(capsys, monkeypatch,
+                                                                          k):
+    monkeypatch.setattr("hyperwalk.rankagg._shares", lambda tasks: k)
+    argv = ["rankagg", "--n", "5", "--p", "0.0001", "--trials", "3", "--seed", "1"]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: ConvergenceFailure: 100000 match draws did not cover all 5 players in one "
+        "connected set at p=0.0001; increase p\n")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--p", "1.5"], "p must lie in (0, 1)"),
+    (["--p", "0.3,1.5"], "p must lie in (0, 1)"),
+    (["--sigma", "0"], "sigma must be positive"),
+    (["--n", "1"], "need at least two players"),
+])
+def test_rankagg_out_of_range_parameter_starts_no_process(capsys, monkeypatch, flags, message):
+    def unreachable(*args):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr("hyperwalk.rankagg._shares", lambda tasks: 2)
+    monkeypatch.setattr(os, "fork", unreachable)
+    assert dispatch(["rankagg", "--trials", "2", *flags]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"usage error: {message}\n")
+
+
 def test_rankagg_score_overflow_is_named_without_a_warning():
     # run as a user runs it, under Python's default warning filters
     env = dict(os.environ, PYTHONPATH=str(Path(hyperwalk.__file__).parents[1]))

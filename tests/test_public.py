@@ -2,6 +2,7 @@
 exception classes of `errors`, and nothing else."""
 
 import inspect
+import pickle
 import types
 
 import pytest
@@ -34,3 +35,15 @@ def test_every_top_level_name_has_one_record():
     extra = {name for name, value in vars(hyperwalk).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert extra - recorded == set()
+
+
+@pytest.mark.parametrize("cls", [value for value in vars(errors).values()
+                                 if inspect.isclass(value) and issubclass(value, Exception)],
+                         ids=lambda cls: cls.__name__)
+def test_every_error_keeps_its_type_and_message_through_pickle(cls):
+    # a trial's error reaches the experiment's parent process pickled
+    for error in (cls("a message"), cls(7)):
+        again = pickle.loads(pickle.dumps(error))
+        assert type(again) is cls
+        assert str(again) == str(error)
+        assert vars(again) == vars(error)

@@ -1,6 +1,9 @@
 """Synthetic rank aggregation: generator, chain builders, Kendall tau."""
 
 import math
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -452,6 +455,7 @@ def test_experiment_builds_one_hypergraph_per_trial(monkeypatch):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(Hypergraph, "_build", counting)
+    monkeypatch.setattr(rankagg, "_shares", lambda tasks: 1)  # every trial counted here
     experiment(10, 1.0, [0.3, 0.5], trials=3, seed=5)
     assert len(calls) == 2 * 3
 
@@ -595,6 +599,7 @@ def test_experiment_taus_equal_kendall_tau(monkeypatch, chunk):
         return rank
 
     monkeypatch.setattr(rankagg, "_METHODS", tuple(map(recording, rankagg._METHODS)))
+    monkeypatch.setattr(rankagg, "_shares", lambda tasks: 1)  # every order recorded here
     if chunk is not None:  # rows of pairs split across blocks
         monkeypatch.setattr(rankagg, "_PAIR_CHUNK", chunk)
     for n in (2, 7, 100):
@@ -643,6 +648,109 @@ def test_experiment_deterministic_csv():
     assert r1.to_csv() == r2.to_csv()
     header = r1.to_csv().splitlines()[0]
     assert header == "method,p,trial,tau_weighted,tau_unweighted"
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_trials_share_the_available_cpus_unless_another_thread_runs():
+    assert threading.active_count() == 1
+    assert rankagg._shares(1) == 1
+    assert rankagg._shares(1000) == min(len(os.sched_getaffinity(0)), 1000)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:  # a fork copies one thread of several: the trials stay in this process
+        assert rankagg._shares(1000) == 1
+    finally:
+        release.set()
+        thread.join()
+
+
+def rows(result):
+    return [(r["method"], r["p"], r["trial"], r["tau_weighted"].hex(),
+             r["tau_unweighted"].hex()) for r in result.trials]
+
+
+@pytest.mark.parametrize("args", [(30, 1.0, [0.05, 0.3], 5, 11), (100, 1.0, [0.05], 4, 42)])
+def test_experiment_bits_do_not_depend_on_the_process_count(monkeypatch, args):
+    # 10 trials at k = 3 split 4, 3, 3; the 4 trials at n = 100 split 2, 1, 1
+    runs = []
+    for k in (1, 2, 3):
+        monkeypatch.setattr(rankagg, "_shares", lambda tasks, k=k: k)
+        runs.append(experiment(*args))
+        no_child_left()
+    for run in runs[1:]:
+        assert rows(run) == rows(runs[0])
+        assert run.summary == runs[0].summary
+        assert run.to_csv() == runs[0].to_csv()
+
+
+def test_experiment_raises_the_lowest_failing_trials_error(monkeypatch):
+    # trial j of 10 is (p, t) in order with seed 11 + t; j = 3 and j = 4 fail.
+    # At k = 2 the parent's share fails at 4 and a child's at 3; at k = 3 the
+    # parent's fails at 3 and a child's at 4.
+    real = rankagg.generate
+
+    def planted(n, sigma, p, seed):
+        if p == 0.05 and seed == 14:
+            raise ConvergenceFailure("planted at trial 3")
+        if seed == 15:
+            raise ScoreOverflow("planted at trial 4")
+        return real(n, sigma, p, seed)
+
+    monkeypatch.setattr(rankagg, "generate", planted)
+    raised = []
+    for k in (1, 2, 3):
+        monkeypatch.setattr(rankagg, "_shares", lambda tasks, k=k: k)
+        with pytest.raises(HyperwalkError) as info:
+            experiment(30, 1.0, [0.05, 0.3], trials=5, seed=11)
+        raised.append((type(info.value), str(info.value)))
+        no_child_left()
+    assert raised == [(ConvergenceFailure, "planted at trial 3")] * 3
+
+
+def test_experiment_kills_its_children_on_interrupt(monkeypatch):
+    parent = os.getpid()
+
+    def planted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)  # the children are still running when the parent stops
+
+    monkeypatch.setattr(rankagg, "generate", planted)
+    monkeypatch.setattr(rankagg, "_shares", lambda tasks: 3)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        experiment(10, 1.0, [0.3], trials=3, seed=5)
+    assert time.monotonic() - start < 30
+    no_child_left()
+
+
+def unpicklable_error():
+    error = ConvergenceFailure("planted")
+    error.hook = lambda: None
+    raise error
+
+
+@pytest.mark.parametrize("fault", [lambda: os._exit(3), unpicklable_error],
+                         ids=["exits", "unpicklable-error"])
+def test_experiment_names_a_child_that_sends_nothing(monkeypatch, fault):
+    parent = os.getpid()
+    real = rankagg.generate
+
+    def planted(*args):
+        if os.getpid() != parent:
+            fault()
+        return real(*args)
+
+    monkeypatch.setattr(rankagg, "generate", planted)
+    monkeypatch.setattr(rankagg, "_shares", lambda tasks: 2)
+    with pytest.raises(ChildProcessError, match="sent no trials"):
+        experiment(10, 1.0, [0.3], trials=2, seed=5)
+    no_child_left()
 
 
 def test_denser_rankings_help_every_method():

@@ -176,5 +176,6 @@ def test_one_rankagg_trial_indexes_its_players_once(monkeypatch):
     for module in (core, walk, stationary, spectral, reduction, rankagg):
         if hasattr(module, "_vertex_index"):
             monkeypatch.setattr(module, "_vertex_index", counted)
+    monkeypatch.setattr(rankagg, "_shares", lambda tasks: 1)  # every call counted here
     experiment(20, 1.0, [0.3], 1, 7)
     assert len(calls) == 1
