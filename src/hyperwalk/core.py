@@ -416,7 +416,9 @@ def rescale_edges(H: Hypergraph, factors) -> Hypergraph:
 def delta_normalized(H: Hypergraph) -> Hypergraph:
     """Rescale every edge's vertex weights so each edge degree delta(e) is 1."""
     _, delta = degrees(H)
-    return rescale_edges(H, 1.0 / delta)
+    with np.errstate(over="ignore"):  # a subnormal delta: rescale_edges names the factor
+        factors = 1.0 / delta
+    return rescale_edges(H, factors)
 
 
 # Vertex weights within this relative tolerance of each other are equal,

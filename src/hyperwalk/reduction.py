@@ -75,7 +75,7 @@ def _clique_weights(H: Hypergraph, gamma: np.ndarray) -> WeightedGraph:
     with one gamma value per (edge, member) entry; self-loops included."""
     _check_size(H.n_vertices)
     _, delta = degrees(H)
-    with np.errstate(over="ignore"):  # a weight past the float range: WeightedGraph names it
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or inf * 0: WeightedGraph names it
         W = _block_scatter(H.indptr, H.indices, gamma, gamma, H.n_vertices, H.omega / delta)
     return WeightedGraph._over(H, W)
 

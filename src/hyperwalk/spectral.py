@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hypergraph, _memo
+from .core import Hypergraph, _memo, _per_member, degrees
 from .errors import BoundOverflow, ConvergenceFailure, NotSymmetric, SizeLimit, Unmixed
 from .stationary import rho_normalized, stationary_rho
-from .walk import TransitionMatrix, _operator, transition_matrix
+from .walk import TransitionMatrix, transition_matrix
 
 __all__ = [
     "CHEEGER_SIZE_LIMIT",
@@ -332,10 +332,10 @@ def mixing_time_bound(H: Hypergraph, eps: float) -> MixingBound:
     """
     _require_eps(eps)
     Hn = rho_normalized(H)
-    op = _operator(Hn)
-    beta1 = float(op.right.min())
+    d, delta = degrees(Hn)
+    beta1 = float((Hn.gamma / _per_member(Hn, delta)).min())
     beta2 = float(Hn.gamma.min())
-    d_min = float(op.d.min())
+    d_min = float(d.min())
     phi = cheeger_constant(H).phi
     bound, vacuous = _bound_from_components(beta1, beta2, d_min, phi, eps)
     return MixingBound(

@@ -3,9 +3,9 @@
 Four routes are provided and cross-checked against each other:
 
 * ``stationary_walk`` -- power iteration of the lazy walk without forming
-  P: one step pi -> ((pi / d) W) D_E^-1 R of the walk operator
-  (``walk.WalkOperator``) is two O(nnz) passes over the CSR arrays, so it
-  has no size limit, and its per-edge sums are the rho route's constants.
+  P: one step pi -> ((pi / d) W) D_E^-1 R is two O(nnz) passes over the
+  CSR arrays, so it has no size limit, and its per-edge sums are the rho
+  route's constants.
   It gives up after ``WALK_MAX_ITER`` steps, since a slowly mixing walk
   contracts slowly.
 * ``stationary_rho`` -- the per-edge-constant construction: normalize each
@@ -53,7 +53,7 @@ from .core import (
     rescale_edges,
 )
 from .errors import ConvergenceFailure, NonPositiveWeight, NotEdgeIndependent, SingularSystem
-from .walk import TransitionMatrix, _check_size, _lazy_walk, _operator, transition_matrix
+from .walk import TransitionMatrix, _check_size, _lazy_walk, transition_matrix
 
 __all__ = [
     "StationaryResult",
@@ -116,11 +116,11 @@ def edge_coupling_matrix(H: Hypergraph) -> np.ndarray:
     outer(1, omega(f) * gamma_f(v) / d(v)) over the edges e, f holding it.
     """
     _check_size(H.n_edges, "edges")
-    op = _operator(H)
+    d, _ = degrees(H)
     vptr, order = _vertex_major(H)
-    contrib = _per_member(H, H.omega) * H.gamma / op.d[H.indices]
-    return _block_scatter(vptr, op.edge[order], np.ones(len(order)), contrib[order],
-                          H.n_edges)
+    contrib = _per_member(H, H.omega) * H.gamma / d[H.indices]
+    edge = _per_member(H, np.arange(H.n_edges))
+    return _block_scatter(vptr, edge[order], np.ones(len(order)), contrib[order], H.n_edges)
 
 
 def _fixed_point(M: np.ndarray) -> np.ndarray:
@@ -243,12 +243,12 @@ def stationary_walk(H: Hypergraph) -> StationaryResult:
     """Power iteration of the lazy walk from the uniform vector, without
     forming P.
 
-    One step pi -> pi P is ``WalkOperator.rstep``: it sums rho_e = sum over
-    v in e of pi_v / d(v) per edge, then spreads rho_e * ((omega(e) /
-    delta(e)) * gamma_e(w)) onto each member w, two O(nnz) bincounts; that
-    order, not the dense build's, keeps the bits of ``--method auto``. The
-    lazy walk's diagonal is positive, so the iteration converges at the rate
-    of the second eigenvalue modulus. It stops at the first pi with
+    One step pi -> pi P sums rho_e = sum over v in e of pi_v / d(v) per
+    edge, then spreads rho_e * ((omega(e) / delta(e)) * gamma_e(w)) onto
+    each member w, two O(nnz) bincounts; that order, not the dense build's,
+    keeps the bits of ``--method auto``. The lazy walk's diagonal is
+    positive, so the iteration converges at the rate of the second
+    eigenvalue modulus. It stops at the first pi with
     max|pi P - pi| <= WALK_RTOL * max(pi) whose every vertex also changes
     by at most RESIDUAL_TOL of its own mass: a vertex whose mass is far
     below max(pi) may still be far from its limit when the largest change
@@ -259,13 +259,23 @@ def stationary_walk(H: Hypergraph) -> StationaryResult:
 
     The returned pi is renormalized to sum 1. Its per-edge sums are the rho
     route's constants, with sum_e rho_e * omega(e) = sum_v pi_v = 1, and
-    ``residual`` is max|pi P - pi| under the same operator.
+    ``residual`` is max|pi P - pi| under the same step.
     """
-    op = _operator(H)
+    d, delta = degrees(H)
+    edge = _per_member(H, np.arange(H.n_edges))
+    # omega/delta may pass the float range (a subnormal delta): the iterate
+    # is then not finite, and the loop names it
+    with np.errstate(over="ignore"):
+        spread = _per_member(H, H.omega / delta) * H.gamma
+
+    def step(pi):  # (rho, pi P)
+        rho = np.bincount(edge, weights=(pi / d)[H.indices], minlength=H.n_edges)
+        return rho, np.bincount(H.indices, weights=rho[edge] * spread, minlength=H.n_vertices)
+
     pi = np.full(H.n_vertices, 1.0 / H.n_vertices)
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, WALK_MAX_ITER + 1):
-            nxt = op.rstep(pi)[1]
+            nxt = step(pi)[1]
             change = np.abs(nxt - pi)
             residual = float(change.max())  # pi is finite: nan or inf iff nxt is
             if not math.isfinite(residual):
@@ -281,7 +291,7 @@ def stationary_walk(H: Hypergraph) -> StationaryResult:
                 f"{RESIDUAL_TOL:.0e} of its mass"
             )
     pi = pi / pi.sum()
-    rho, nxt = op.rstep(pi)
+    rho, nxt = step(pi)
     return StationaryResult(
         vertices=H.vertices, pi=pi, rho=rho, method="walk-iteration",
         residual=float(np.abs(nxt - pi).max()),

@@ -1,5 +1,5 @@
-"""Random-walk transition matrices (lazy, non-lazy, with restart), the lazy
-walk's factored operator, and trajectory simulation.
+"""Random-walk transition matrices (lazy, non-lazy, with restart) and
+trajectory simulation.
 
 The walker at vertex v picks an incident edge e with probability
 omega(e)/d(v), then a member w of e with probability gamma_e(w)/delta(e);
@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (_REAL, Hypergraph, _block_scatter, _Frozen, _Indexed, _memo, _per_member,
-                   degrees)
+from .core import _REAL, Hypergraph, _block_scatter, _Indexed, _memo, _per_member, degrees
 from .errors import BadBeta, SingletonEdge, SizeLimit
 
 __all__ = [
@@ -76,50 +75,12 @@ def transition_matrix(H: Hypergraph) -> TransitionMatrix:
 
 
 def _lazy_walk(H: Hypergraph) -> np.ndarray:
-    """P's dense array, fresh and writable: nothing else holds it."""
-    return _operator(H).dense()
-
-
-class WalkOperator(_Frozen):
-    """The lazy walk P = D_V^-1 W D_E^-1 R of one hypergraph, factored: d and
-    delta (``degrees``), the edge id of each CSR entry and per-entry factors,
-    formed when the operator is built, each in the product order of the
-    caller that reads it, so every result keeps its bits. H's memo holds it
-    (``_operator``), so it holds H's arrays but never H: no cycle. Its
-    arrays are read-only and its attributes cannot be set."""
-
-    __slots__ = ("n", "indptr", "indices", "gamma", "omega", "d", "delta",
-                 "edge", "left", "right", "spread")
-
-    def __init__(self, H: Hypergraph):
-        d, delta = degrees(H)
-        # omega/delta may pass the float range (a subnormal delta): only rstep
-        # reads spread, and stationary_walk names a non-finite iterate
-        with np.errstate(over="ignore"):
-            spread = _per_member(H, H.omega / delta) * H.gamma  # rstep's order
-        self._set(n=H.n_vertices, indptr=H.indptr, indices=H.indices,
-                  gamma=H.gamma, omega=H.omega, d=d, delta=delta,
-                  edge=_per_member(H, np.arange(H.n_edges)),
-                  left=_per_member(H, H.omega) / d[H.indices],  # omega(e) / d(v): leave v by e
-                  right=H.gamma / _per_member(H, delta),  # gamma_e(w) / delta(e): land on w
-                  spread=spread)
-
-    def dense(self) -> np.ndarray:
-        """P, fresh and writable: P[v, w] sums left * right over edges holding both."""
-        return _block_scatter(self.indptr, self.indices, self.left, self.right, self.n)
-
-    def rstep(self, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(rho, pi P)``: rho_e sums pi_v / d(v) over e's members, then
-        rho_e * spread goes to each member. Two O(nnz) bincounts."""
-        rho = np.bincount(self.edge, weights=(pi / self.d)[self.indices],
-                          minlength=len(self.omega))
-        return rho, np.bincount(self.indices, weights=rho[self.edge] * self.spread,
-                                minlength=self.n)
-
-
-def _operator(H: Hypergraph) -> WalkOperator:
-    """H's walk operator, built once per hypergraph."""
-    return _memo(H, "walk_operator", lambda: WalkOperator(H))
+    """P's dense array, fresh and writable: nothing else holds it. Each term
+    is (omega(e) / d(v)) * (gamma_e(w) / delta(e)), leaving v by e, then
+    landing on w."""
+    d, delta = degrees(H)
+    return _block_scatter(H.indptr, H.indices, _per_member(H, H.omega) / d[H.indices],
+                          H.gamma / _per_member(H, delta), H.n_vertices)
 
 
 def nonlazy_transition_matrix(H: Hypergraph) -> TransitionMatrix:

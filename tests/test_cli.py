@@ -767,19 +767,38 @@ def test_subnormal_edge_weight_auto_falls_back_at_once(tmp_path, capsys):
 
 SUBNORMAL_DELTA = {"vertices": ["a", "b"],
                    "edges": [{"weight": 1.0, "members": {"a": 5e-324, "b": 5e-324}}]}
+_TIMES_INF = "edge #0: weight of vertex 'a' times factor inf must be a finite number > 0"
+
+
+def _run_on_subnormal_delta(tmp_path, command: str) -> subprocess.CompletedProcess:
+    """`command` on SUBNORMAL_DELTA as a user runs it: in its own process,
+    under Python's default warning filters."""
+    path = _write_json(tmp_path, "h.json", SUBNORMAL_DELTA)
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperwalk.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "hyperwalk.cli", *command.split(),
+                           "--input", path], env=env, capture_output=True, text=True)
 
 
 @pytest.mark.parametrize("command", ["transition", "transition --kind restart",
                                      "stationary --method direct", "stationary --method auto"])
-def test_subnormal_delta_builds_the_walk_operator_without_a_warning(tmp_path, command):
-    # delta = 1e-323, so omega / delta overflows in the operator's spread; run
-    # as a user runs it, under Python's default warning filters
-    path = _write_json(tmp_path, "h.json", SUBNORMAL_DELTA)
-    env = dict(os.environ, PYTHONPATH=str(Path(hyperwalk.__file__).parents[1]))
-    run = subprocess.run([sys.executable, "-m", "hyperwalk.cli", *command.split(),
-                          "--input", path], env=env, capture_output=True, text=True)
+def test_subnormal_delta_walks_without_a_warning(tmp_path, command):
+    # delta = 1e-323, so omega / delta overflows in the walk step's factor
+    run = _run_on_subnormal_delta(tmp_path, command)
     assert run.returncode == 0
     assert "RuntimeWarning" not in run.stderr
+
+
+@pytest.mark.parametrize("command, message", [
+    ("stationary --method rho", _TIMES_INF),
+    ("spectral", _TIMES_INF),
+    ("reduce --mode sandwich", _TIMES_INF),
+    ("reduce --mode eqind", "graph weights must be finite"),
+], ids=["rho", "spectral", "sandwich", "eqind"])
+def test_subnormal_delta_is_refused_without_a_warning(tmp_path, command, message):
+    # 1 / delta and omega / delta overflow, and the clique weights take inf * 0
+    run = _run_on_subnormal_delta(tmp_path, command)
+    assert run.returncode == 1
+    assert run.stderr == f"error: NonPositiveWeight: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["stationary --method rho", "spectral"])

@@ -1,7 +1,7 @@
-"""Results computed once per hypergraph: the degrees, the walk operator and
-matrix, the rho solve, the Laplacian, its spectra and the Cheeger
-enumeration are stored on the immutable Hypergraph, read-only, never
-carried over to a rescaled copy, and freed with it by reference counting."""
+"""Results computed once per hypergraph: the degrees, the walk matrix, the
+rho solve, the Laplacian, its spectra and the Cheeger enumeration are
+stored on the immutable Hypergraph, read-only, never carried over to a
+rescaled copy, and freed with it by reference counting."""
 
 import contextlib
 import dataclasses
@@ -39,8 +39,7 @@ from hyperwalk.cli import dispatch
 from conftest import gc_off, reachable_arrays, rebuilt, sweep
 
 
-@pytest.mark.parametrize("compute", [degrees, walk._operator, transition_matrix,
-                                     stationary_rho, laplacian])
+@pytest.mark.parametrize("compute", [degrees, transition_matrix, stationary_rho, laplacian])
 def test_a_second_call_returns_the_same_object(h_demo, compute):
     assert compute(h_demo) is compute(h_demo)
 
@@ -50,9 +49,7 @@ def test_memoized_arrays_are_read_only(h_demo):
     before = P.matrix.copy()
     rho = stationary_rho(h_demo)
     lap = laplacian(h_demo)
-    op = walk._operator(h_demo)
-    for a in (P.matrix, rho.pi, rho.rho, lap.L, lap.normalized, lap.pi, *degrees(h_demo),
-              op.edge, op.left, op.right, op.spread):
+    for a in (P.matrix, rho.pi, rho.rho, lap.L, lap.normalized, lap.pi, *degrees(h_demo)):
         with pytest.raises(ValueError):
             a[0] = 0.0
         with pytest.raises(ValueError):
@@ -61,34 +58,36 @@ def test_memoized_arrays_are_read_only(h_demo):
 
 
 def test_nothing_the_memo_holds_is_writeable():
-    # every piece of work that stores on H, the walk operator's factors
-    # included; then no array reachable from the memo, at any depth, can be
-    # written
+    # every piece of work that stores on H; then no array reachable from the
+    # memo, at any depth, can be written
     H = sweep(38, 1, max_vertices=10)[0]
     stationary._stationary_direct_of(H)
-    walk._operator(H).rstep(np.full(H.n_vertices, 1.0 / H.n_vertices))
+    stationary_walk(H)
     spectral_report(H)
     check_cheeger(H)
     reduction.sandwich_check(H)
-    op = walk._operator(H)
-    assert all(isinstance(getattr(op, f), np.ndarray) for f in ("edge", "spread", "left", "right"))
-    assert {"degrees", "walk_operator", "transition_matrix", "stationary_rho", "laplacian",
-            "spectra", "cheeger"} <= H._memo.keys()
+    assert {"degrees", "transition_matrix", "stationary_rho", "laplacian", "spectra",
+            "cheeger"} <= H._memo.keys()
     arrays = list(reachable_arrays(H._memo, set()))
-    # d, delta, H's four CSR arrays, four factors, P, pi, rho, L, its
-    # normalized form and the two spectra
-    assert len(arrays) >= 17
+    # d, delta, P, pi, rho, L, its normalized form and the two spectra
+    assert len(arrays) >= 9
     assert not [a for a in arrays if a.flags.writeable]
+
+
+def test_each_walk_stores_only_what_it_returns(h_demo):
+    # P with the degrees it reads; the walk iteration only the degrees: no
+    # factor of either is kept on H
+    transition_matrix(h_demo)
+    assert h_demo._memo.keys() == {"degrees", "transition_matrix"}
+    H = rebuilt(h_demo)
+    stationary_walk(H)
+    assert H._memo.keys() == {"degrees"}
 
 
 def test_memoized_results_cannot_be_reassigned(h_demo):
     fresh = cheeger_constant(rebuilt(h_demo)).phi
     with pytest.raises(AttributeError):
         transition_matrix(h_demo).matrix = np.eye(4)
-    with pytest.raises(AttributeError):
-        walk._operator(h_demo).d = None
-    with pytest.raises(AttributeError):  # nor does it take a new name
-        walk._operator(h_demo).foo = 1
     assert np.float64(cheeger_constant(h_demo).phi).tobytes() == np.float64(fresh).tobytes()
     frozen = [(stationary_rho(h_demo), "pi"), (laplacian(h_demo), "L"),
               (cheeger_constant(h_demo), "phi"), (mixing_time_bound(h_demo, 0.25), "phi")]

@@ -1,6 +1,6 @@
-"""Shared objects: one rule makes every hypergraph, graph, walk matrix and
-operator, match set and result record immutable once built, and a matrix
-derived from a hypergraph or graph shares its vertex names and index."""
+"""Shared objects: one rule makes every hypergraph, graph, walk matrix, match
+set and result record immutable once built, and a matrix derived from a
+hypergraph or graph shares its vertex names and index."""
 
 import copy
 import dataclasses
@@ -59,10 +59,9 @@ def test_each_attribute_is_set_once(h_demo):
 def test_shared_objects_survive_pickle_and_copy(h_demo):
     # each attribute of the new object is set once, through the same rule,
     # and each array it holds is read-only, as in the original
-    spectral_report(h_demo)  # H's memo holds P, the walk operator and more
+    spectral_report(h_demo)  # H's memo holds P and more
     objects = [(h_demo, "omega"), (transition_matrix(h_demo), "matrix"),
-               (walk._operator(h_demo), "d"), (clique_expansion_weights(h_demo), "weights"),
-               (generate(6, 1.0, 0.5, 1), "scores")]
+               (clique_expansion_weights(h_demo), "weights"), (generate(6, 1.0, 0.5, 1), "scores")]
     for obj, name in objects:
         assert not hasattr(obj, "__dict__")  # slots only: no attribute under a new name
         for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj)):

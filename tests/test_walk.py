@@ -1,28 +1,35 @@
 """Transition matrices and trajectory simulation."""
 
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from hyperwalk import (
     BadBeta,
+    ConvergenceFailure,
     DuplicateVertex,
     Hypergraph,
+    NonPositiveWeight,
     SingletonEdge,
     SizeLimit,
     TransitionMatrix,
     UnknownVertex,
     degrees,
+    mixing_time_bound,
     nonlazy_transition_matrix,
     rescale_edges,
     restart_matrix,
+    rho_normalized,
     simulate,
     stationary_direct,
+    stationary_walk,
     to_json_dict,
     transition_matrix,
 )
-from hyperwalk.core import _block_scatter
+from hyperwalk.core import _block_scatter, _vertex_major, delta_normalized
+from hyperwalk.stationary import RESIDUAL_TOL, WALK_MAX_ITER, WALK_RTOL, edge_coupling_matrix
 from conftest import sweep
 
 DEMO_P = np.array([
@@ -67,6 +74,77 @@ def test_subnormal_delta_builds_without_a_warning():
     # delta = 1e-323: omega / delta overflows, but only the walk step reads it
     H = Hypergraph(("a", "b"), [(1.0, {"a": 5e-324, "b": 5e-324})])
     assert transition_matrix(H).matrix.tolist() == [[0.5, 0.5], [0.5, 0.5]]
+
+
+def factored_walk(H):
+    """The lazy walk's factors, formed here as the reference: d and delta,
+    each CSR entry's edge id, (omega(e) / d(v), gamma_e(w) / delta(e)) for
+    the dense build and (omega(e) / delta(e)) * gamma_e(w) for the walk step."""
+    d, delta = degrees(H)
+    sizes = np.diff(H.indptr)
+    with np.errstate(over="ignore"):
+        spread = np.repeat(H.omega / delta, sizes) * H.gamma
+    return SimpleNamespace(d=d, edge=np.repeat(np.arange(H.n_edges), sizes),
+                           left=np.repeat(H.omega, sizes) / d[H.indices],
+                           right=H.gamma / np.repeat(delta, sizes), spread=spread)
+
+
+def factored_iteration(H):
+    """stationary_walk's (pi, rho, residual) by the reference factors, or
+    None where it must raise ConvergenceFailure."""
+    f = factored_walk(H)
+
+    def step(pi):
+        rho = np.bincount(f.edge, weights=(pi / f.d)[H.indices], minlength=H.n_edges)
+        return rho, np.bincount(H.indices, weights=rho[f.edge] * f.spread, minlength=H.n_vertices)
+
+    pi = np.full(H.n_vertices, 1.0 / H.n_vertices)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(WALK_MAX_ITER):
+            nxt = step(pi)[1]
+            change = np.abs(nxt - pi)
+            if not np.isfinite(change).all():
+                return None
+            if change.max() <= WALK_RTOL * pi.max() and (change <= RESIDUAL_TOL * pi).all():
+                break
+            pi = nxt
+        else:
+            return None
+    pi = pi / pi.sum()
+    rho, nxt = step(pi)
+    return pi, rho, float(np.abs(nxt - pi).max())
+
+
+@pytest.mark.parametrize("H", sweep(205, 20, max_vertices=10) + [
+    Hypergraph(("a", "b"), [(1.0, {"a": 5e-324, "b": 5e-324})])],
+    ids=[f"sweep-{k}" for k in range(20)] + ["subnormal-delta"])
+def test_each_walk_keeps_the_bits_of_its_factors(H):
+    # every reader forms its own factors, in the product order it has always had
+    f = factored_walk(H)
+    P = _block_scatter(H.indptr, H.indices, f.left, f.right, H.n_vertices)
+    assert transition_matrix(H).matrix.tobytes() == P.tobytes()
+    want = factored_iteration(H)
+    if want is None:
+        with pytest.raises(ConvergenceFailure):
+            stationary_walk(H)
+    else:
+        got = stationary_walk(H)
+        assert (got.pi.tobytes(), got.rho.tobytes(), got.residual) == \
+            (want[0].tobytes(), want[1].tobytes(), want[2])
+    try:
+        Hn = delta_normalized(H)
+    except NonPositiveWeight:  # a subnormal delta: 1 / delta overflows
+        with pytest.raises(NonPositiveWeight):
+            mixing_time_bound(H, 0.25)
+        return
+    f = factored_walk(Hn)
+    vptr, order = _vertex_major(Hn)
+    contrib = np.repeat(Hn.omega, np.diff(Hn.indptr)) * Hn.gamma / f.d[Hn.indices]
+    A = _block_scatter(vptr, f.edge[order], np.ones(len(order)), contrib[order], Hn.n_edges)
+    assert edge_coupling_matrix(Hn).tobytes() == A.tobytes()
+    f = factored_walk(rho_normalized(H))
+    bound = mixing_time_bound(H, 0.25)
+    assert (bound.beta1, bound.d_min) == (float(f.right.min()), float(f.d.min()))
 
 
 def test_row_stochastic_and_lazy_diagonal():
