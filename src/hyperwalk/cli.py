@@ -34,7 +34,7 @@ from .core import (
     read_hypergraph,
 )
 from .errors import ConvergenceFailure, HyperwalkError
-from .rankagg import _METHODS, experiment, matches_from_json_dict
+from .rankagg import _rankings, experiment, matches_from_json_dict
 from .reduction import (
     edge_independent_to_graph,
     nonlazy_trivial_equivalence,
@@ -177,7 +177,7 @@ def _cmd_reduce(args) -> dict:
 def _cmd_rankagg(args) -> dict | str:
     if args.matches:
         data = matches_from_json_dict(_load_json(args.matches))
-        rankings = [ranker(data, beta=args.beta) for ranker in _METHODS]
+        rankings = _rankings(data, args.beta)
         return {"rankings": [{"method": r.method, "order": list(r.order)} for r in rankings]}
     p_values = [float(x) for x in args.p.split(",")]
     result = experiment(args.n, args.sigma, p_values, args.trials, args.seed,

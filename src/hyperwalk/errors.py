@@ -86,6 +86,11 @@ class BoundOverflow(HyperwalkError):
     """A computed bound is too large for a float."""
 
 
+class MassUnderflow(HyperwalkError):
+    """A stationary probability is too small for a float (it is 0.0), so a
+    quantity that divides by it cannot be formed."""
+
+
 class Unmixed(HyperwalkError):
     """The chain did not reach the requested total-variation distance in time."""
 

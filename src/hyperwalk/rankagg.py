@@ -13,8 +13,15 @@ chains built from the matches:
 * mc3        -- the classic pairwise chain: pick one of your matches, pick a
   participant uniformly, move only if they outscored you.
 
+A trial builds its three chains as one (3, n, n) stack, then mixes in the
+restart, checks and solves the stack once; each ranker is the same step on a
+stack of its one chain, and each chain keeps the bits of its own build and
+solve.
+
 Quality is measured by Kendall tau against the true skill order, in both the
-unweighted and top-weighted (hyperbolic position weights) variants.
+unweighted and top-weighted (hyperbolic position weights) variants. The
+experiment runs its trials in one process per CPU, and each process scores
+the taus of its own trials.
 """
 
 from __future__ import annotations
@@ -29,13 +36,13 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import (_PAIR_CHUNK, Hypergraph, _component_labels, _entry_pairs, _Frozen,
-                   _per_member, _vertex_index, delta_normalized)
+from .core import (_PAIR_CHUNK, Hypergraph, _block_terms, _component_labels, _entry_pairs,
+                   _Frozen, _per_member, _scatter, _vertex_index, delta_normalized)
 from .errors import (ConvergenceFailure, DisconnectedHypergraph, DuplicateVertex,
                      ElementMismatch, MalformedInput, ScoreOverflow)
-from .reduction import clique_expansion_weights, graph_random_walk
-from .stationary import stationary_direct
-from .walk import TransitionMatrix, _check_size, restart_matrix, transition_matrix
+from .reduction import _clique_scale, _row_normalized
+from .stationary import _fixed_point, _nonnegative
+from .walk import _check_beta, _check_size, _check_stochastic, _lazy_factors, _restart
 
 __all__ = [
     "ExperimentResult",
@@ -108,15 +115,20 @@ class MatchData(_Frozen):
             i = bad[0]
             raise ScoreOverflow(f"match #{edge[i]}: score {float(scores[i])!r} of player "
                                 f"{players[i]} is not a finite number <= {SCORE_LIMIT}")
-        # omega = np.std per match + 1, scores in input order: np.std over the
-        # rows of a block gives the bits of np.std of each row (np.add.reduceat
-        # does not). A spread past the float range gives inf.
+        # omega = np.std per match + 1, scores in input order, formed by
+        # np.std's own ufuncs over the rows of each block of equal-size
+        # matches (sum, divide, subtract, square, sum, divide, sqrt): the bits
+        # of np.std of each row (np.add.reduceat does not give them), without
+        # its per-call overhead. A spread past the float range gives inf.
         omega = np.empty(len(sizes))
         ptr = np.concatenate(([0], np.cumsum(sizes)))
         with np.errstate(over="ignore", invalid="ignore"):
             for s in np.flatnonzero(np.bincount(sizes)):
                 rows = np.flatnonzero(sizes == s)
-                omega[rows] = np.std(scores[ptr[rows][:, None] + np.arange(s)], axis=1) + 1.0
+                x = scores[ptr[rows][:, None] + np.arange(s)]
+                x -= np.add.reduce(x, axis=1, keepdims=True) / s
+                np.multiply(x, x, out=x)
+                omega[rows] = np.sqrt(np.add.reduce(x, axis=1) / s) + 1.0
         # math.exp per score: np.exp differs in the last bit
         gamma = np.fromiter(map(math.exp, scores.tolist()), float, len(scores))
         names, index = _vertex_index(range(1, n + 1))
@@ -213,47 +225,93 @@ class RankingResult:
     order: tuple[int, ...]        # best first, ties by ascending player id
 
 
-def _ranking(method: str, n: int, stationary: np.ndarray) -> RankingResult:
-    order = np.lexsort((np.arange(1, n + 1), -stationary)) + 1  # ties by ascending id
-    return RankingResult(method=method, scores=stationary, order=tuple(order.tolist()))
+def _ranking(method: str, stationary: np.ndarray) -> RankingResult:
+    return RankingResult(method=method, scores=stationary,
+                         order=tuple(_order(stationary).tolist()))
+
+
+def _order(stationary: np.ndarray) -> np.ndarray:
+    """Players best first, ties by ascending id."""
+    return np.lexsort((np.arange(1, len(stationary) + 1), -stationary)) + 1
 
 
 def rank_hypergraph(data: MatchData, beta: float = DEFAULT_BETA) -> RankingResult:
     """Restart walk on the match hypergraph, players sorted by stationary mass."""
-    P = transition_matrix(data.hypergraph)
-    pi = stationary_direct(restart_matrix(P, beta)).pi
-    return _ranking("hypergraph-rwr", data.n, pi)
+    return _rankings(data, beta, ("hypergraph-rwr",))[0]
 
 
 def rank_clique(data: MatchData, beta: float = DEFAULT_BETA) -> RankingResult:
     """Restart walk on the weighted clique expansion, built after normalizing
     each edge degree to 1 (the cheap stand-in for the per-edge-constant
     rescaling)."""
-    H = delta_normalized(data.hypergraph)
-    P = graph_random_walk(clique_expansion_weights(H))
-    pi = stationary_direct(restart_matrix(P, beta)).pi
-    return _ranking("clique-rwr", data.n, pi)
+    return _rankings(data, beta, ("clique-rwr",))[0]
 
 
 def rank_mc3(data: MatchData, beta: float = DEFAULT_BETA) -> RankingResult:
     """MC3 chain: from player i, pick one of i's matches uniformly, then a
     participant j of it uniformly; move to j only if j outscored i there
     (ties keep the walker in place)."""
+    return _rankings(data, beta, ("mc3",))[0]
+
+
+# the chains of the rankers, in the order the stacked step builds them
+_METHODS = ("hypergraph-rwr", "clique-rwr", "mc3")
+
+
+def _rankings(data: MatchData, beta: float, methods=_METHODS) -> list[RankingResult]:
+    """The ranking of each chain of `methods`, a subsequence of _METHODS."""
+    return [_ranking(method, pi) for method, pi in zip(methods, _stationary(data, beta, methods))]
+
+
+def _stationary(data: MatchData, beta: float, methods=_METHODS) -> np.ndarray:
+    """The step of every ranker: the stationary distribution of the restart
+    walk (uniform restart with probability beta) on each chain of `methods`,
+    a subsequence of _METHODS, as the rows of one array.
+
+    The chains are one (len(methods), n, n) stack: one _entry_pairs walk in
+    size order adds the terms of the lazy walk and of the clique expansion
+    of ``delta_normalized(H)``, one in match order adds MC3's, each term in
+    the order its own construction adds it, so each row has the bits of
+    ``stationary_direct(restart_matrix(chain, beta)).pi``. The row sums,
+    restart mix, checks, solve and nonnegativity each run once on the
+    stack. Size and beta are checked first, then each chain's faults in
+    stack order."""
+    H = data.hypergraph
+    n = H.n_vertices
+    _check_size(n)
+    beta = _check_beta(beta)
+    factors = []
+    if "hypergraph-rwr" in methods:
+        factors.append((*_lazy_factors(H), None))
+    if "clique-rwr" in methods:
+        Hn = delta_normalized(H)
+        factors.append((Hn.gamma, Hn.gamma, _clique_scale(Hn)))
+    streams = [_block_terms(H.indptr, H.indices, factors, n)] if factors else []
+    if "mc3" in methods:
+        streams.append(_mc3_terms(data, first=len(factors)))
+    stack = _scatter(len(methods) * n * n, *streams).reshape(len(methods), n, n)
+    if "clique-rwr" in methods:
+        weights = stack[len(factors) - 1]
+        _row_normalized(weights, H.vertices, out=weights)
+    _check_stochastic(stack)
+    _restart(stack, beta, out=stack)
+    _check_stochastic(stack)
+    return _nonnegative(_fixed_point(stack.transpose(0, 2, 1)), H.vertices)
+
+
+def _mc3_terms(data: MatchData, first: int):
+    """The MC3 chain's terms for matrix `first` of a stack, per chunk as
+    ``core._block_terms`` yields them: pairs match by match, each match
+    row-major, in chunks of whole rows, so every entry of the chain receives
+    the per-match loop's terms in the loop's order."""
     H = data.hypergraph
     n, who, s = H.n_vertices, H.indices, data.scores
-    _check_size(n)
     # per entry: 1 / (its player's matches * its match's size)
     step = 1.0 / (np.bincount(who, minlength=n)[who] * _per_member(H, np.diff(H.indptr)))
-    P = np.zeros(n * n)
-    # Pairs match by match, each match row-major, in chunks of whole rows:
-    # every entry of P receives the per-match loop's terms in the loop's order.
     for row, col, _ in _entry_pairs(H.indptr, np.arange(H.n_edges)):
         # to whoever outscored the entry, else back to the entry itself
         to = np.where(s[col] > s[row], who[col], who[row])
-        np.add.at(P, who[row] * n + to, step[row])
-    chain = TransitionMatrix._over(H, P.reshape(n, n))
-    pi = stationary_direct(restart_matrix(chain, beta)).pi
-    return _ranking("mc3", n, pi)
+        yield [(first * n * n + who[row] * n + to, step[row])]
 
 
 def kendall_tau(order: Sequence, truth: Sequence, weighted: bool = False) -> float:
@@ -333,9 +391,6 @@ class ExperimentResult:
                 f"{row['tau_weighted']!r},{row['tau_unweighted']!r}"
             )
         return "\n".join(lines) + "\n"
-
-
-_METHODS = (rank_hypergraph, rank_clique, rank_mc3)  # each names itself in its result
 
 
 def _shares(tasks: int) -> int:
@@ -418,25 +473,25 @@ def experiment(n: int, sigma: float, p_values: Iterable[float], trials: int,
             raise ValueError(f"inclusion rate {p!r} is given more than once")
         _check_draw(n, sigma, p)
 
-    def trial(p, t):
-        data = generate(n, sigma, p, seed + t)
-        return [ranker(data, beta=beta) for ranker in _METHODS]
-
     tasks = [(p, t) for p in p_values for t in range(trials)]
-    results = [(p, t, result) for (p, t), ranked in zip(tasks, _in_shares(trial, tasks))
-               for result in ranked]
-    # Against the truth n, n-1, ..., 1 (best player first), with the pairs
-    # of n held once: the rankers have accepted n, so they fit beside a chain.
-    blocks = list(_pair_blocks(n)) if results else []
-    rows: list[dict] = []
-    for p, t, result in results:
-        rank = np.empty(n, dtype=np.intp)
-        rank[n - np.array(result.order)] = np.arange(n)  # truth's i-th player is n - i
-        tau_weighted, tau = _taus(rank, blocks)
-        rows.append({"method": result.method, "p": p, "trial": t,
-                     "tau_weighted": tau_weighted, "tau_unweighted": tau})
+    # The pairs of n, held once and built before any share forks; n >= 2
+    # once a rate is checked, and with no trial nothing is scored.
+    blocks = list(_pair_blocks(n)) if tasks else []
+
+    def trial(p, t):  # its (method, tau_weighted, tau_unweighted) per chain
+        scored = []
+        for method, pi in zip(_METHODS, _stationary(generate(n, sigma, p, seed + t), beta)):
+            rank = np.empty(n, dtype=np.intp)  # against the truth n, n-1, ..., 1
+            rank[n - _order(pi)] = np.arange(n)  # truth's i-th player is n - i
+            scored.append((method, *_taus(rank, blocks)))
+        return scored
+
+    rows = [{"method": method, "p": p, "trial": t, "tau_weighted": tau_weighted,
+             "tau_unweighted": tau}
+            for (p, t), scored in zip(tasks, _in_shares(trial, tasks))
+            for method, tau_weighted, tau in scored]
     summary: list[dict] = []
-    for method in dict.fromkeys(r["method"] for r in rows):  # in _METHODS order
+    for method in _METHODS:
         for p in p_values:
             taus = [r["tau_weighted"] for r in rows
                     if r["method"] == method and r["p"] == p]

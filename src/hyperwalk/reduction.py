@@ -64,20 +64,33 @@ SANDWICH_TOL = 1e-9
 def graph_random_walk(G: WeightedGraph) -> TransitionMatrix:
     """Row-normalize the weight matrix: from u, move to v with probability
     w(u,v) / sum_z w(u,z)."""
-    sums = G.weights.sum(axis=1)
+    return TransitionMatrix._over(G, _row_normalized(G.weights, G.vertices))
+
+
+def _row_normalized(W: np.ndarray, vertices: tuple, out=None) -> np.ndarray:
+    """W divided by its row sums, into `out` when given; a row that sums to
+    0 is IsolatedVertex, naming its vertex."""
+    sums = W.sum(axis=1)
     if not sums.min() > 0.0:
-        raise IsolatedVertex(f"vertex {G.vertices[int(np.argmin(sums))]!r} has zero total weight")
-    return TransitionMatrix._over(G, G.weights / sums[:, None])
+        raise IsolatedVertex(f"vertex {vertices[int(np.argmin(sums))]!r} has zero total weight")
+    return np.divide(W, sums[:, None], out=out)
 
 
 def _clique_weights(H: Hypergraph, gamma: np.ndarray) -> WeightedGraph:
     """w(u,v) = sum over shared edges of omega(e) gamma(u) gamma(v) / delta(e),
     with one gamma value per (edge, member) entry; self-loops included."""
     _check_size(H.n_vertices)
-    _, delta = degrees(H)
+    scale = _clique_scale(H)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or inf * 0: WeightedGraph names it
-        W = _block_scatter(H.indptr, H.indices, gamma, gamma, H.n_vertices, H.omega / delta)
+        W = _block_scatter(H.indptr, H.indices, gamma, gamma, H.n_vertices, scale)
     return WeightedGraph._over(H, W)
+
+
+def _clique_scale(H: Hypergraph) -> np.ndarray:
+    """Per edge, the scale omega(e) / delta(e) of its clique weight terms."""
+    _, delta = degrees(H)
+    with np.errstate(over="ignore"):  # a subnormal delta: the weights are not finite
+        return H.omega / delta
 
 
 def edge_independent_to_graph(H: Hypergraph) -> WeightedGraph:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Hypergraph, _memo, _per_member, degrees
-from .errors import BoundOverflow, ConvergenceFailure, NotSymmetric, SizeLimit, Unmixed
+from .errors import (BoundOverflow, ConvergenceFailure, MassUnderflow, NotSymmetric,
+                     SizeLimit, Unmixed)
 from .stationary import rho_normalized, stationary_rho
 from .walk import TransitionMatrix, transition_matrix
 
@@ -78,6 +79,14 @@ def _walk_laplacian(P: TransitionMatrix, pi: np.ndarray) -> np.ndarray:
 
 
 def laplacian_from_walk(P: TransitionMatrix, pi: np.ndarray) -> HypergraphLaplacian:
+    """L and its normalized variant. The normalized one divides by sqrt(pi),
+    so a vertex whose mass is 0.0 is MassUnderflow, named before either is
+    formed."""
+    zero = np.flatnonzero(pi == 0.0)
+    if len(zero):
+        raise MassUnderflow(
+            f"stationary probability of vertex {P.vertices[zero[0]]!r} is 0.0, below the "
+            "float range: the normalized Laplacian divides by its square root")
     L = _walk_laplacian(P, pi)
     inv_sqrt = 1.0 / np.sqrt(pi)
     normalized = L * inv_sqrt[:, None] * inv_sqrt[None, :]
@@ -98,7 +107,8 @@ def eigh_symmetric(M):
     """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``)
     after checking symmetry to ``SYMMETRY_TOL``. Returns (eigenvalues ascending,
     eigenvector columns in matching order), after checking the residual
-    max|MV - V Lambda| to ``EIGEN_RESIDUAL_TOL`` * max(1, max|M|)."""
+    max|MV - V Lambda| to ``EIGEN_RESIDUAL_TOL`` * max(1, max|M|). A solve
+    that LAPACK gives up on is ConvergenceFailure too."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotSymmetric("matrix is not square")
@@ -106,7 +116,10 @@ def eigh_symmetric(M):
     if asym > SYMMETRY_TOL:
         raise NotSymmetric(f"matrix asymmetric by {asym:.3e}")
     M = (M + M.T) / 2.0
-    evals, vecs = result = np.linalg.eigh(M)
+    try:
+        evals, vecs = result = np.linalg.eigh(M)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from None
     residual = np.abs(M @ vecs - vecs * evals).max(initial=0.0)
     if not residual <= EIGEN_RESIDUAL_TOL * max(1.0, np.abs(M).max(initial=0.0)):
         raise ConvergenceFailure(f"eigendecomposition residual {residual:.3e} exceeds "

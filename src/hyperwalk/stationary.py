@@ -26,7 +26,8 @@ Four routes are provided and cross-checked against each other:
 
 The rho and direct routes are dense and share one fixed-point solve: the
 system (M - I) x = 0 with its last equation replaced by sum(x) = 1, on M = A
-and on M = P^T, set up in M's own buffer and undone after the solve.
+and on M = P^T, set up in M's own buffer and undone after the solve. The
+rank-aggregation step solves a stack of restart chains by the same solve.
 
 ``naive_stationary`` is the degree-fraction formula d(v)/sum d(u). It is
 *not* the stationary distribution in general -- it ignores the vertex
@@ -124,31 +125,34 @@ def edge_coupling_matrix(H: Hypergraph) -> np.ndarray:
 
 
 def _fixed_point(M: np.ndarray) -> np.ndarray:
-    """The x with M x = x and sum(x) = 1.
+    """The x with M x = x and sum(x) = 1, of an n x n M, or of each matrix
+    of a stack (..., n, n) as the rows of x (..., n).
 
     Solves (M - I) x = 0 with its last equation replaced by sum(x) = 1, by
     LU with partial pivoting. When the fixed point is unique the replaced
     equation is redundant (the rows of M - I are dependent) and the system
-    is nonsingular.
+    is nonsingular. A stack is one batched np.linalg.solve, which calls
+    LAPACK's dgesv on each matrix as a solve of that matrix alone does, so
+    each x has the same bits.
 
     The system is set up in M itself, which LAPACK then copies, so no other
     n x n buffer is needed. M's diagonal and last row are saved first and
     put back afterwards (O(n)), so M holds its own bits again on return and
     when the solve raises SingularSystem. M must not be read meanwhile.
     """
-    n = M.shape[0]
-    diagonal, last = M.diagonal().copy(), M[-1].copy()
-    b = np.zeros(n)
-    b[-1] = 1.0
+    i = np.arange(M.shape[-1])
+    diagonal, last = M[..., i, i], M[..., -1, :].copy()
+    b = np.zeros(M.shape[:-1] + (1,))
+    b[..., -1, 0] = 1.0
     try:
-        M[np.diag_indices(n)] -= 1.0
-        M[-1, :] = 1.0
-        return np.linalg.solve(M, b)
+        M[..., i, i] -= 1.0
+        M[..., -1, :] = 1.0
+        return np.linalg.solve(M, b)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"stationary solve failed: {exc}") from None
     finally:
-        M[-1, :] = last
-        M[np.diag_indices(n)] = diagonal
+        M[..., -1, :] = last
+        M[..., i, i] = diagonal
 
 
 def stationary_rho(H: Hypergraph) -> StationaryResult:
@@ -203,20 +207,27 @@ def stationary_direct(P: TransitionMatrix) -> StationaryResult:
 
 
 def _direct(P: TransitionMatrix, pi: np.ndarray) -> StationaryResult:
-    """The result of pi, solved for P by ``_fixed_point`` on P^T. Rounding
-    can leave an entry of a (near-)zero mass just below 0: one within
-    RESIDUAL_TOL of it becomes +0.0, and one further below raises
-    ConvergenceFailure naming its vertex."""
-    low = np.flatnonzero(pi < -RESIDUAL_TOL)
-    if len(low):
-        raise ConvergenceFailure(
-            f"stationary probability {pi[low[0]]:.3e} of vertex {P.vertices[low[0]]!r} "
-            f"is below -{RESIDUAL_TOL:.0e}")
-    pi[pi <= 0.0] = 0.0  # -0.0 as well
+    """The result of pi, solved for P by ``_fixed_point`` on P^T."""
+    _nonnegative(pi, P.vertices)
     return StationaryResult(
         vertices=P.vertices, pi=pi, rho=None, method="direct-solve",
         residual=_residual(pi, P),
     )
+
+
+def _nonnegative(pi: np.ndarray, vertices: tuple) -> np.ndarray:
+    """pi, one solved distribution over `vertices` or a stack of them as
+    rows, cleared of rounding's negatives in place. Rounding can leave an
+    entry of a (near-)zero mass just below 0: one within RESIDUAL_TOL of it
+    becomes +0.0, and the first one further below raises ConvergenceFailure
+    naming its vertex."""
+    low = np.flatnonzero(pi < -RESIDUAL_TOL)
+    if len(low):
+        raise ConvergenceFailure(
+            f"stationary probability {pi.flat[low[0]]:.3e} of vertex "
+            f"{vertices[low[0] % len(vertices)]!r} is below -{RESIDUAL_TOL:.0e}")
+    pi[pi <= 0.0] = 0.0  # -0.0 as well
+    return pi
 
 
 def _stationary_direct_of(H: Hypergraph) -> StationaryResult:

@@ -9,6 +9,8 @@ members. All matrices are dense and row-stochastic.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import _REAL, Hypergraph, _block_scatter, _Indexed, _memo, _per_member, degrees
@@ -43,20 +45,29 @@ class TransitionMatrix(_Indexed):
         P = np.asarray(matrix, dtype=float)
         if P.ndim != 2 or P.shape != (len(names), len(names)):
             raise ValueError("transition matrix shape does not match vertex list")
-        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, a sum past max
-            worst = np.abs(P.sum(axis=1) - 1.0).max()  # nan or inf if any entry is
-        if not np.isfinite(worst):
-            raise ValueError("transition probabilities must be finite")
-        if not worst <= _ROW_SUM_TOL:
-            raise ValueError(f"rows must sum to 1 (off by {worst:.3e})")
-        if not P.min() >= -1e-15:
-            raise ValueError("transition probabilities must be nonnegative")
+        _check_stochastic(P)
         self._set(vertices=names, matrix=P, _index=index)
 
     n = _Indexed.n_vertices
 
     def __repr__(self) -> str:
         return f"TransitionMatrix(n={self.n})"
+
+
+def _check_stochastic(P: np.ndarray) -> None:
+    """Refuse an n x n matrix, or any of a stack of them, that is not
+    row-stochastic. Matrix by matrix, in stack order: an entry that is not
+    finite, then a row sum more than _ROW_SUM_TOL from 1, then an entry
+    below -1e-15 is a ValueError."""
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, a sum past max
+        worst = np.abs(P.sum(axis=-1) - 1.0).max(axis=-1)  # nan or inf if any entry is
+    for off, low in zip(np.ravel(worst).tolist(), np.ravel(P.min(axis=(-2, -1))).tolist()):
+        if not math.isfinite(off):
+            raise ValueError("transition probabilities must be finite")
+        if not off <= _ROW_SUM_TOL:
+            raise ValueError(f"rows must sum to 1 (off by {off:.3e})")
+        if not low >= -1e-15:
+            raise ValueError("transition probabilities must be nonnegative")
 
 
 def _check_size(count: int, what: str = "vertices") -> None:
@@ -75,12 +86,16 @@ def transition_matrix(H: Hypergraph) -> TransitionMatrix:
 
 
 def _lazy_walk(H: Hypergraph) -> np.ndarray:
-    """P's dense array, fresh and writable: nothing else holds it. Each term
-    is (omega(e) / d(v)) * (gamma_e(w) / delta(e)), leaving v by e, then
-    landing on w."""
+    """P's dense array, fresh and writable: nothing else holds it."""
+    return _block_scatter(H.indptr, H.indices, *_lazy_factors(H), H.n_vertices)
+
+
+def _lazy_factors(H: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """P's terms as ``_block_scatter``'s ``left`` and ``right`` factors: each
+    term is (omega(e) / d(v)) * (gamma_e(w) / delta(e)), leaving v by e,
+    then landing on w."""
     d, delta = degrees(H)
-    return _block_scatter(H.indptr, H.indices, _per_member(H, H.omega) / d[H.indices],
-                          H.gamma / _per_member(H, delta), H.n_vertices)
+    return _per_member(H, H.omega) / d[H.indices], H.gamma / _per_member(H, delta)
 
 
 def nonlazy_transition_matrix(H: Hypergraph) -> TransitionMatrix:
@@ -123,22 +138,35 @@ def restart_matrix(P: TransitionMatrix, beta: float, restart=None) -> Transition
     beta must lie strictly inside (0, 1); the restart distribution defaults
     to uniform over the vertices.
     """
-    if not (type(beta) in _REAL and 0.0 < beta < 1.0):
-        raise BadBeta(f"restart probability must lie in (0, 1), got {beta!r}")
-    beta = float(beta)  # a float32 beta would round 1 - beta to float32
-    n = P.n
-    if restart is None:
-        r = np.full(n, 1.0 / n)
-    else:
-        r = np.asarray(restart, dtype=float)
-        if r.shape != (n,):
+    beta = _check_beta(beta)
+    r = None if restart is None else np.asarray(restart, dtype=float)
+    if r is not None:
+        if r.shape != (P.n,):
             raise BadBeta("restart distribution length does not match vertex count")
         if not np.isfinite(r).all():
             raise BadBeta("restart distribution must be finite")
         if not (r.min() >= 0.0 and abs(r.sum() - 1.0) <= 1e-12):
             raise BadBeta("restart distribution must be nonnegative and sum to 1")
-    mixed = (1.0 - beta) * P.matrix + beta * r[None, :]
-    return TransitionMatrix._over(P, mixed)
+    return TransitionMatrix._over(P, _restart(P.matrix, beta, r))
+
+
+def _check_beta(beta) -> float:
+    """A restart probability, as a float: a real number strictly inside
+    (0, 1), else BadBeta."""
+    if not (type(beta) in _REAL and 0.0 < beta < 1.0):
+        raise BadBeta(f"restart probability must lie in (0, 1), got {beta!r}")
+    return float(beta)  # a float32 beta would round 1 - beta to float32
+
+
+def _restart(M: np.ndarray, beta: float, r=None, out=None) -> np.ndarray:
+    """The one restart formula, (1 - beta) M + beta 1 r^T, of an n x n M or
+    of each matrix of a stack, into `out` when given; r defaults to
+    uniform."""
+    if r is None:
+        r = np.full(M.shape[-1], 1.0 / M.shape[-1])
+    mixed = np.multiply(1.0 - beta, M, out=out)
+    mixed += beta * r
+    return mixed
 
 
 def simulate(P: TransitionMatrix, start: str, steps: int, seed: int) -> list[str]:

@@ -229,7 +229,7 @@ def test_memoized_results_are_freed_by_reference_counting():
         matrix = weakref.ref(transition_matrix(H).matrix)
         stationary_rho(H), stationary_walk(H), spectral_report(H)
         ranked = weakref.ref(transition_matrix(data.hypergraph).matrix)
-        for ranker in rankagg._METHODS:
+        for ranker in (rankagg.rank_hypergraph, rankagg.rank_clique, rankagg.rank_mc3):
             ranker(data)
         assert matrix() is not None and ranked() is not None
         del H, data

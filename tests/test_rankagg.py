@@ -30,9 +30,14 @@ from hyperwalk import (
     rank_clique,
     rank_hypergraph,
     rank_mc3,
+    restart_matrix,
+    stationary_direct,
     to_json_dict,
+    transition_matrix,
 )
 from hyperwalk import core, rankagg
+from hyperwalk.core import delta_normalized
+from hyperwalk.reduction import clique_expansion_weights, graph_random_walk
 from hyperwalk.rankagg import matches_from_json_dict, matches_to_json_dict
 
 
@@ -398,45 +403,87 @@ def per_match_mc3_chain(n, matches):
     return P
 
 
+def recorded_stacks(monkeypatch):
+    """A list that gets a copy of each stack of chains the rankers' step
+    builds, as its restart mix receives it."""
+    stacks = []
+    real = rankagg._restart
+
+    def recording(M, beta, r=None, out=None):
+        stacks.append(M.copy())
+        return real(M, beta, r, out)
+
+    monkeypatch.setattr(rankagg, "_restart", recording)
+    return stacks
+
+
 def test_mc3_chain_equals_per_match_loop(monkeypatch):
-    chains = []
-    real = rankagg.restart_matrix
-
-    def recording(P, beta, restart=None):
-        chains.append(P)
-        return real(P, beta, restart)
-
+    stacks = recorded_stacks(monkeypatch)
     cases = list(generated_matches())
     doc = shuffled_match_file()
     tied = [(m["participants"], [float(round(s)) for s in m["scores"]]) for m in doc["matches"]]
     for matches in ([(m["participants"], m["scores"]) for m in doc["matches"]], tied):
         cases.append((MatchData(doc["n"], matches), doc["n"], matches))
-    monkeypatch.setattr(rankagg, "restart_matrix", recording)
     for data, n, matches in cases:
-        result = rank_mc3(data)
         expected = per_match_mc3_chain(n, [(np.asarray(w).tolist(), s) for w, s in matches])
-        assert np.array_equal(chains[-1].matrix, expected)
-        reference = rankagg.stationary_direct(real(TransitionMatrix(
+        reference = stationary_direct(restart_matrix(TransitionMatrix(
             [str(i) for i in range(1, n + 1)], expected), rankagg.DEFAULT_BETA))
-        assert np.array_equal(result.scores, reference.pi)
+        # alone, and as the last chain of a trial's stack
+        for rank in (rank_mc3, lambda data: rankagg._rankings(data, rankagg.DEFAULT_BETA)[2]):
+            result = rank(data)
+            assert np.array_equal(stacks[-1][-1], expected)
+            assert np.array_equal(result.scores, reference.pi)
 
 
 def test_mc3_blocks_leave_chain_unchanged(monkeypatch):
-    chains = []
-    real = rankagg.restart_matrix
-
-    def recording(P, beta, restart=None):
-        chains.append(P.matrix)
-        return real(P, beta, restart)
-
-    monkeypatch.setattr(rankagg, "restart_matrix", recording)
+    stacks = recorded_stacks(monkeypatch)
     default = core._PAIR_CHUNK
     for data in (generate(30, 1.0, 0.3, seed=9), generate(100, 1.0, 0.03, seed=1)):
-        for chunk in (default, 1, 7, 100):  # a block per row; blocks splitting matches
+        # a block per row; blocks splitting matches, so the size-order walk
+        # and MC3's match-order walk yield different numbers of chunks
+        for chunk in (default, 1, 7, 100):
             monkeypatch.setattr(core, "_PAIR_CHUNK", chunk)
             rank_mc3(data)
-        assert all(np.array_equal(P, chains[0]) for P in chains)
-        chains.clear()
+            rankagg._rankings(data, rankagg.DEFAULT_BETA)
+        assert all(np.array_equal(P, stacks[0]) for P in stacks[::2])
+        assert all(np.array_equal(P, stacks[1]) for P in stacks[1::2])
+        assert np.array_equal(stacks[1][2], stacks[0][0])
+        stacks.clear()
+
+
+def stacked_match_sets():
+    """generate() at n in {2, 7, 100} and p in {0.03, 0.05, 0.3}, three
+    seeds each, then the shuffled match file with its scores rounded, so
+    that players tie within matches."""
+    for n in (2, 7, 100):
+        for p in (0.03, 0.05, 0.3):
+            for seed in (0, 1, 2):
+                yield generate(n, 1.0, p, seed)
+    doc = shuffled_match_file()
+    yield MatchData(doc["n"], [(m["participants"], [float(round(s)) for s in m["scores"]])
+                               for m in doc["matches"]])
+
+
+def test_stacked_step_equals_each_chain_solved_alone():
+    # every chain's pi and order equal restart_matrix -> stationary_direct ->
+    # _ranking of the chain as its own function makes it, bit for bit, in the stack
+    # of a trial and as a ranker's one-chain stack
+    beta = rankagg.DEFAULT_BETA
+    for data in stacked_match_sets():
+        H, n = data.hypergraph, data.n
+        doc = matches_to_json_dict(data)
+        chains = [transition_matrix(H),
+                  graph_random_walk(clique_expansion_weights(delta_normalized(H))),
+                  TransitionMatrix(H.vertices, per_match_mc3_chain(
+                      n, [(m["participants"], m["scores"]) for m in doc["matches"]]))]
+        stacked = rankagg._rankings(data, beta)
+        alone = [ranker(data, beta) for ranker in (rank_hypergraph, rank_clique, rank_mc3)]
+        for method, chain, *results in zip(rankagg._METHODS, chains, stacked, alone):
+            want = rankagg._ranking(method, stationary_direct(restart_matrix(chain, beta)).pi)
+            for result in results:
+                assert result.method == method
+                assert result.scores.tobytes() == want.scores.tobytes(), (n, method)
+                assert result.order == want.order
 
 
 @pytest.mark.parametrize("ranker", [rank_hypergraph, rank_mc3])
@@ -479,7 +526,7 @@ def test_tied_scores_rank_by_appearances():
 
 
 def test_equal_stationary_mass_ranks_by_player_id():
-    result = rankagg._ranking("x", 6, np.array([0.1, 0.3, 0.1, 0.3, 0.2, 0.0]))
+    result = rankagg._ranking("x", np.array([0.1, 0.3, 0.1, 0.3, 0.2, 0.0]))
     assert result.order == (2, 4, 5, 1, 3, 6)
     assert all(type(i) is int for i in result.order)
 
@@ -590,15 +637,14 @@ def test_experiment_taus_equal_kendall_tau(monkeypatch, chunk):
     # both taus of a ranking come from one pass over pairs held once per
     # experiment; each equals the public function's, bit for bit
     orders = []
+    real = rankagg._stationary
 
-    def recording(ranker):
-        def rank(data, beta):
-            result = ranker(data, beta=beta)
-            orders.append(result.order)
-            return result
-        return rank
+    def recording(data, beta, methods=rankagg._METHODS):
+        pis = real(data, beta, methods)
+        orders.extend(rankagg._ranking(m, pi).order for m, pi in zip(methods, pis))
+        return pis
 
-    monkeypatch.setattr(rankagg, "_METHODS", tuple(map(recording, rankagg._METHODS)))
+    monkeypatch.setattr(rankagg, "_stationary", recording)
     monkeypatch.setattr(rankagg, "_shares", lambda tasks: 1)  # every order recorded here
     if chunk is not None:  # rows of pairs split across blocks
         monkeypatch.setattr(rankagg, "_PAIR_CHUNK", chunk)

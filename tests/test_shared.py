@@ -77,7 +77,7 @@ def test_shared_objects_survive_pickle_and_copy(h_demo):
     assert "transition_matrix" in h_demo._memo
 
 
-def test_graph_is_read_only(h_demo, monkeypatch):
+def test_graph_is_read_only(h_demo):
     G = clique_expansion_weights(h_demo)
     for graph in (WeightedGraph(["a", "b", "c"], np.ones((3, 3))), G):
         with pytest.raises(ValueError, match="read-only"):
@@ -87,14 +87,9 @@ def test_graph_is_read_only(h_demo, monkeypatch):
                 setattr(graph, name, getattr(graph, name))
         assert np.array_equal(graph.weights, graph.weights.T)
     # and so is every walk matrix, from the moment it is made
-    chains = []
-    real = rankagg.restart_matrix
-    monkeypatch.setattr(rankagg, "restart_matrix",
-                        lambda P, beta: chains.append(P) or real(P, beta))
-    rankagg.rank_mc3(generate(8, 1.0, 0.4, 3))
     P = transition_matrix(h_demo)
     for M in (P, nonlazy_transition_matrix(h_demo), restart_matrix(P, 0.4),
-              graph_random_walk(G), chains[0], walk.TransitionMatrix(["a", "b"], np.eye(2))):
+              graph_random_walk(G), walk.TransitionMatrix(["a", "b"], np.eye(2))):
         with pytest.raises(ValueError, match="read-only"):
             M.matrix[0, 0] = 5.0
 
@@ -150,16 +145,6 @@ def test_derived_matrices_share_their_source_index(h_demo, triangle):
                (nonlazy_transition_matrix(triangle), triangle),
                (nonlazy_trivial_equivalence(triangle).graph, triangle)]
     assert all(_shares_index(d, s) for d, s in derived)
-
-
-def test_mc3_chain_shares_the_match_index(monkeypatch):
-    data = generate(8, 1.0, 0.4, 3)
-    chains = []
-    real = rankagg.restart_matrix
-    monkeypatch.setattr(rankagg, "restart_matrix",
-                        lambda P, beta: chains.append(P) or real(P, beta))
-    rankagg.rank_mc3(data)
-    assert len(chains) == 1 and _shares_index(chains[0], data.hypergraph)
 
 
 def test_one_rankagg_trial_indexes_its_players_once(monkeypatch):

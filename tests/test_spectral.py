@@ -9,6 +9,7 @@ import pytest
 from hyperwalk import (
     ConvergenceFailure,
     Hypergraph,
+    MassUnderflow,
     NotSymmetric,
     SizeLimit,
     Unmixed,
@@ -20,6 +21,7 @@ from hyperwalk import (
     eigh_symmetric,
     empirical_mixing_time,
     laplacian,
+    loads_json,
     mixing_time_bound,
     rho_normalized,
     spectral_report,
@@ -97,6 +99,22 @@ def test_spectral_command_names_a_bad_eigensolve(h_demo, tmp_path, monkeypatch, 
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+def test_failed_eigensolve_is_a_domain_error(h_demo, tmp_path, monkeypatch, capsys):
+    def failing(M):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(ConvergenceFailure, match="eigendecomposition failed: Eigenvalues did"):
+        eigh_symmetric(np.diag([3.0, 1.0, 2.0]))
+    path = tmp_path / "demo.json"
+    path.write_text(dumps_json(h_demo))
+    assert dispatch(["spectral", "--input", str(path)]) == 1  # not a usage error (2)
+    captured = capsys.readouterr()
+    assert captured.err == ("error: ConvergenceFailure: eigendecomposition failed: "
+                            "Eigenvalues did not converge\n")
+    assert captured.out == ""
+
+
 def test_eigensolver_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
         eigenvalues_symmetric(np.array([[0.0, 1.0], [0.5, 0.0]]))
@@ -105,6 +123,30 @@ def test_eigensolver_rejects_asymmetric():
 
 
 # -- Laplacian ------------------------------------------------------------------------
+
+SUBNORMAL_EDGE = ('{"vertices": ["v1", "v2", "v3", "v4"], "edges": ['
+                  '{"weight": 5e-324, "members": {"v1": 2.0, "v2": 1.0, "v3": 1.0}}, '
+                  '{"weight": 1.0, "members": {"v1": 1.0, "v3": 1.0, "v4": 1.0}}]}')
+
+
+@pytest.mark.parametrize("flags", [[], ["--check-cheeger"]])
+def test_zero_stationary_mass_is_named(tmp_path, capsys, flags):
+    # v2 lies only in the edge of weight 5e-324, so its mass is 0.0: the
+    # normalized Laplacian's 1/sqrt(pi) cannot be formed (no numpy warning,
+    # which tier-1 turns into an error, may come first)
+    path = tmp_path / "subnormal_edge.json"
+    path.write_text(SUBNORMAL_EDGE)
+    H = loads_json(SUBNORMAL_EDGE)
+    assert stationary_rho(H).pi[1] == 0.0
+    with pytest.raises(MassUnderflow, match="vertex 'v2' is 0.0"):
+        laplacian(H)
+    assert dispatch(["spectral", "--input", str(path), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: MassUnderflow: stationary probability of vertex 'v2' is "
+                            "0.0, below the float range: the normalized Laplacian divides by "
+                            "its square root\n")
+    assert captured.out == ""
+
 
 def test_demo_laplacian_entry(h_demo):
     lap = laplacian(h_demo)
