@@ -10,7 +10,6 @@ and safe to share across threads; a derived matrix shares its source's index.
 from __future__ import annotations
 
 import json
-from itertools import zip_longest
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -327,39 +326,23 @@ def _block_scatter(indptr, indices, left, right, n: int, scale=None) -> np.ndarr
     when ``left`` is ``right``, entries (u, v) and (v, u) receive equal terms
     in equal order and the result is exactly symmetric. Work is O(sum of
     squared group sizes)."""
-    terms = _block_terms(indptr, indices, [(left, right, scale)], n)
-    return _scatter(n * n, terms).reshape(n, n)
+    out = np.zeros((1, n * n))
+    _block_add(out, indptr, indices, [(left, right, scale)], n)
+    return out.reshape(n, n)
 
 
-def _block_terms(indptr, indices, factors, n: int):
-    """The terms of ``_block_scatter`` for each ``(left, right, scale)`` of
-    `factors`, the i-th sum being matrix i of a stack of n x n matrices: per
-    chunk of one _entry_pairs walk in size order, a list of one ``(position
-    in the flat stack, value)`` pair of arrays per factor."""
+def _block_add(out: np.ndarray, indptr, indices, factors, n: int) -> None:
+    """Add to row i of `out`, a stack of flat n x n matrices, the sum
+    ``_block_scatter`` forms from the i-th ``(left, right, scale)`` of
+    `factors`, every sum by the chunks of one _entry_pairs walk in size
+    order."""
     for row, col, group in _entry_pairs(indptr, np.argsort(np.diff(indptr), kind="stable")):
         at = indices[row] * n + indices[col]
-        chunk = []
-        for i, (left, right, scale) in enumerate(factors):
+        for matrix, (left, right, scale) in zip(out, factors):
             values = left[row] * right[col]
             if scale is not None:
                 values *= scale[group]
-            chunk.append((at + i * n * n if i else at, values))
-        yield chunk
-
-
-def _scatter(size: int, *streams) -> np.ndarray:
-    """`size` zeros plus the terms of `streams`, each yielding, chunk by
-    chunk, a list of ``(position, value)`` pairs of arrays (as _block_terms
-    does): one np.add.at per step, over the chunks that every stream yields
-    at that step. No two streams or pairs of a chunk may reach the same
-    position, so each position receives its terms in the order its own
-    stream yields them, however the streams' chunks line up."""
-    out = np.zeros(size)
-    for chunks in zip_longest(*streams, fillvalue=()):
-        terms = [pair for chunk in chunks for pair in chunk]
-        at, values = terms[0] if len(terms) == 1 else map(np.concatenate, zip(*terms))
-        np.add.at(out, at, values)
-    return out
+            np.add.at(matrix, at, values)
 
 
 def degrees(H: Hypergraph) -> tuple[np.ndarray, np.ndarray]:

@@ -36,10 +36,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import (_PAIR_CHUNK, Hypergraph, _block_terms, _component_labels, _entry_pairs,
-                   _Frozen, _per_member, _scatter, _vertex_index, delta_normalized)
+from .core import (_PAIR_CHUNK, Hypergraph, _block_add, _component_labels, _entry_pairs,
+                   _Frozen, _per_member, _vertex_index, delta_normalized)
 from .errors import (ConvergenceFailure, DisconnectedHypergraph, DuplicateVertex,
-                     ElementMismatch, MalformedInput, ScoreOverflow)
+                     ElementMismatch, MalformedInput, NonPositiveWeight, ScoreOverflow)
 from .reduction import _clique_scale, _row_normalized
 from .stationary import _fixed_point, _nonnegative
 from .walk import _check_beta, _check_size, _check_stochastic, _lazy_factors, _restart
@@ -280,18 +280,23 @@ def _stationary(data: MatchData, beta: float, methods=_METHODS) -> np.ndarray:
     n = H.n_vertices
     _check_size(n)
     beta = _check_beta(beta)
+    stack = np.zeros((len(methods), n * n))
     factors = []
     if "hypergraph-rwr" in methods:
         factors.append((*_lazy_factors(H), None))
     if "clique-rwr" in methods:
         Hn = delta_normalized(H)
         factors.append((Hn.gamma, Hn.gamma, _clique_scale(Hn)))
-    streams = [_block_terms(H.indptr, H.indices, factors, n)] if factors else []
+    if factors:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or inf * 0: named below
+            _block_add(stack, H.indptr, H.indices, factors, n)
     if "mc3" in methods:
-        streams.append(_mc3_terms(data, first=len(factors)))
-    stack = _scatter(len(methods) * n * n, *streams).reshape(len(methods), n, n)
+        _mc3_add(stack[-1], data)
+    stack = stack.reshape(len(methods), n, n)
     if "clique-rwr" in methods:
         weights = stack[len(factors) - 1]
+        if not np.isfinite(weights).all():  # as WeightedGraph names it; each term is > 0
+            raise NonPositiveWeight("graph weights must be finite")
         _row_normalized(weights, H.vertices, out=weights)
     _check_stochastic(stack)
     _restart(stack, beta, out=stack)
@@ -299,11 +304,11 @@ def _stationary(data: MatchData, beta: float, methods=_METHODS) -> np.ndarray:
     return _nonnegative(_fixed_point(stack.transpose(0, 2, 1)), H.vertices)
 
 
-def _mc3_terms(data: MatchData, first: int):
-    """The MC3 chain's terms for matrix `first` of a stack, per chunk as
-    ``core._block_terms`` yields them: pairs match by match, each match
-    row-major, in chunks of whole rows, so every entry of the chain receives
-    the per-match loop's terms in the loop's order."""
+def _mc3_add(out: np.ndarray, data: MatchData) -> None:
+    """Add the MC3 chain to `out`, a flat n x n matrix of zeros: pairs match
+    by match, each match row-major, in the chunks of one _entry_pairs walk,
+    so every entry receives the per-match loop's terms in the loop's
+    order."""
     H = data.hypergraph
     n, who, s = H.n_vertices, H.indices, data.scores
     # per entry: 1 / (its player's matches * its match's size)
@@ -311,7 +316,7 @@ def _mc3_terms(data: MatchData, first: int):
     for row, col, _ in _entry_pairs(H.indptr, np.arange(H.n_edges)):
         # to whoever outscored the entry, else back to the entry itself
         to = np.where(s[col] > s[row], who[col], who[row])
-        yield [(first * n * n + who[row] * n + to, step[row])]
+        np.add.at(out, who[row] * n + to, step[row])
 
 
 def kendall_tau(order: Sequence, truth: Sequence, weighted: bool = False) -> float:
@@ -463,7 +468,8 @@ def experiment(n: int, sigma: float, p_values: Iterable[float], trials: int,
 
     Trial t uses seed + t, so trials are independent given the base seed and
     the whole table is reproducible byte-for-byte, however many processes
-    run the trials (one per available CPU, see _in_shares).
+    run the trials (one per available CPU, see _in_shares). More players
+    than a dense chain holds is SizeLimit before any trial is drawn.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -474,9 +480,13 @@ def experiment(n: int, sigma: float, p_values: Iterable[float], trials: int,
         _check_draw(n, sigma, p)
 
     tasks = [(p, t) for p in p_values for t in range(trials)]
-    # The pairs of n, held once and built before any share forks; n >= 2
-    # once a rate is checked, and with no trial nothing is scored.
-    blocks = list(_pair_blocks(n)) if tasks else []
+    # The pairs of n, held once and built before any share forks, once a
+    # trial's chains of n players are known to fit beside them (n >= 2 once
+    # a rate is checked); with no trial nothing is scored.
+    blocks = []
+    if tasks:
+        _check_size(n)
+        blocks = list(_pair_blocks(n))
 
     def trial(p, t):  # its (method, tau_weighted, tau_unweighted) per chain
         scored = []

@@ -650,6 +650,33 @@ def test_rankagg_out_of_range_parameter_starts_no_process(capsys, monkeypatch, f
     assert (captured.out, captured.err) == ("", f"usage error: {message}\n")
 
 
+def test_rankagg_too_many_players_is_size_limit_before_any_work(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("work was done before the size check")
+
+    for name in ("generate", "_pair_blocks", "_shares"):
+        monkeypatch.setattr(f"hyperwalk.rankagg.{name}", unreachable)
+    monkeypatch.setattr(os, "fork", unreachable)
+    assert dispatch(["rankagg", "--n", str(DENSE_SIZE_LIMIT + 1), "--trials", "1"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: SizeLimit: dense matrices support at "
+                                            f"most {DENSE_SIZE_LIMIT} vertices, got "
+                                            f"{DENSE_SIZE_LIMIT + 1}\n")
+
+
+def test_rankagg_clique_weight_past_the_float_range_is_named(tmp_path, capsys, monkeypatch):
+    # no match file reaches it (each clique term is at most about 724): a
+    # scale of inf stands in for a clique weight past the float range
+    monkeypatch.setattr("hyperwalk.rankagg._clique_scale", lambda H: np.full(H.n_edges, np.inf))
+    path = _write_json(tmp_path, "m.json", {"n": 3, "matches": [
+        {"participants": [1, 2], "scores": [0.5, 1.0]},
+        {"participants": [2, 3], "scores": [0.0, 2.0]}]})
+    assert dispatch(["rankagg", "--matches", path]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: NonPositiveWeight: graph weights must be finite\n")
+
+
 def test_rankagg_score_overflow_is_named_without_a_warning():
     # run as a user runs it, under Python's default warning filters
     env = dict(os.environ, PYTHONPATH=str(Path(hyperwalk.__file__).parents[1]))
