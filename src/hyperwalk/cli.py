@@ -88,9 +88,20 @@ def write_manifest(out_path: str, argv: list[str], inputs: dict[str, str],
         fh.write(_json_text(manifest))
 
 
+def _csv_field(name: str) -> str:
+    """`name` as one CSV field: quoted, with each quote doubled, where it
+    holds a comma, a quote, a carriage return or a newline. (On Python 3.11,
+    csv.writer with a "\n" line terminator leaves a carriage return unquoted,
+    and csv.reader refuses the row.)"""
+    if any(c in name for c in ',"\r\n'):
+        return '"' + name.replace('"', '""') + '"'
+    return name
+
+
 def _matrix_csv(vertices, matrix) -> str:
-    lines = ["vertex," + ",".join(vertices)]
-    for v, row in zip(vertices, matrix):
+    names = list(map(_csv_field, vertices))
+    lines = ["vertex," + ",".join(names)]
+    for v, row in zip(names, matrix):
         lines.append(v + "," + ",".join(repr(float(x)) for x in row))
     return "\n".join(lines) + "\n"
 

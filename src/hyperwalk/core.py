@@ -33,14 +33,12 @@ __all__ = [
     "demo_hypergraph",
     "dumps_json",
     "edge_independent_gamma",
-    "from_text",
     "graph_to_json_dict",
     "has_trivial_weights",
     "loads_json",
     "read_hypergraph",
     "rescale_edges",
     "to_json_dict",
-    "to_text",
 ]
 
 
@@ -580,18 +578,16 @@ def _write_json(value, newline: str, append, scalar_text=_SCALAR_TEXT.get,
         append(spell(text, text))
 
 
-def _read_text(path: str) -> str:
+def _load_json(path: str):
+    """The value of the JSON file at `path`, whatever its name, checked as by
+    `_json_value`: the one reader of every input file. Bytes that are not
+    UTF-8 are MalformedInput."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return fh.read()
+            text = fh.read()
         except UnicodeDecodeError as exc:
             raise MalformedInput(f"{path}: not UTF-8 text ({exc})") from None
-
-
-def _load_json(path: str):
-    """The value of the JSON file at `path`, checked as by `_json_value`;
-    bytes that are not UTF-8 are MalformedInput."""
-    return _json_value(_read_text(path), path)
+    return _json_value(text, path)
 
 
 def loads_json(text: str) -> Hypergraph:
@@ -648,67 +644,9 @@ def dumps_json(H: Hypergraph) -> str:
     return _json_text(_hypergraph_json(H.vertices, *H._arrays()))
 
 
-def to_text(H: Hypergraph) -> str:
-    """Whitespace format: one edge per line, ``weight v1:g1 v2:g2 ...``.
-
-    A ``# vertices:`` header preserves declaration order across a round trip.
-    Vertex names must not contain whitespace or ':'.
-    """
-    for v in H.vertices:
-        if ":" in v or any(c.isspace() for c in v):
-            raise ValueError(f"vertex name {v!r} cannot be written in text format")
-    lines = ["# vertices: " + " ".join(H.vertices)]
-    for e in to_json_dict(H)["edges"]:
-        parts = [repr(e["weight"])] + [f"{v}:{g!r}" for v, g in e["members"].items()]
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
-def from_text(text: str) -> Hypergraph:
-    declared: list[str] | None = None
-    order: list[str] = []
-    seen: set[str] = set()
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("vertices:"):
-                declared = body[len("vertices:"):].split()
-            continue
-        tokens = line.split()
-        try:
-            weight = float(tokens[0])
-        except ValueError:
-            raise NonPositiveWeight(f"line {lineno}: bad edge weight {tokens[0]!r}") from None
-        members: dict[str, float] = {}
-        for tok in tokens[1:]:
-            name, _, gtext = tok.rpartition(":")
-            if not name:
-                raise MalformedInput(f"line {lineno}: expected 'vertex:weight', got {tok!r}")
-            if name in members:
-                raise DuplicateVertex(f"line {lineno}: vertex {name!r} listed twice in one edge")
-            try:
-                members[name] = float(gtext)
-            except ValueError:
-                raise NonPositiveWeight(f"line {lineno}: bad vertex weight {gtext!r}") from None
-            if name not in seen:
-                seen.add(name)
-                order.append(name)
-        if not members:
-            raise EmptyEdge(f"line {lineno}: edge has no members")
-        edges.append((weight, members))
-    return Hypergraph(declared if declared is not None else order, edges)
-
-
 def read_hypergraph(path: str) -> Hypergraph:
-    """Load a hypergraph file; '*.json' uses the JSON format, anything else
-    the whitespace text format."""
-    if str(path).endswith(".json"):
-        return build_hypergraph(_load_json(path))
-    return from_text(_read_text(path))
+    """Load a hypergraph from the JSON file at `path`, whatever its name."""
+    return build_hypergraph(_load_json(path))
 
 
 def _graph_edges(G: WeightedGraph) -> tuple:

@@ -1,7 +1,9 @@
 """CLI dispatch, exit codes, output formats, and run manifests."""
 
+import csv
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -84,6 +86,21 @@ def test_transition_csv(demo_file, capsys):
     row_v2 = lines[2].split(",")
     assert row_v2[0] == "v2"
     assert float(row_v2[1]) == 0.5
+
+
+def test_transition_csv_reads_back_any_vertex_name(tmp_path, capsys):
+    # vertex names are opaque strings: a comma, a quote or a line break in
+    # one is quoted, so each row still has n + 1 fields
+    names = ["a,b", 'c"d', "e\nf", "g\rh", " i", "j"]
+    path = _write_json(tmp_path, "h.json", {"vertices": names, "edges": [
+        {"weight": 1.0, "members": {v: float(k + 1) for k, v in enumerate(names)}}]})
+    assert dispatch(["transition", "--input", path, "--json"]) == 0
+    matrix = json.loads(capsys.readouterr().out)["matrix"]
+    assert dispatch(["transition", "--input", path]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["vertex", *names]
+    assert [row[0] for row in rows[1:]] == names
+    assert [[float(x) for x in row[1:]] for row in rows[1:]] == matrix
 
 
 def test_transition_kinds(demo_file, capsys):
@@ -430,6 +447,34 @@ def _write_json(tmp_path, name, doc) -> str:
     path = tmp_path / name
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
+
+
+def test_any_file_name_is_read_as_json(demo_file, tmp_path, capsys):
+    dat = tmp_path / "h.dat"
+    dat.write_bytes(Path(demo_file).read_bytes())
+    assert dispatch(["validate", "--input", str(dat)]) == 0
+    assert capsys.readouterr().out == f"{dat}: ok\n"
+    for command in ("stationary", "spectral"):
+        outs = []
+        for path in (demo_file, str(dat)):
+            assert dispatch([command, "--input", path]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("text", [
+    "# vertices: a b c\n1.0 a:1.0 b:2.0\n1.0 b:1.0 c:1.0\n",
+    "1 a:1_0 b:\u0661\n",            # an underscore and an Arabic-Indic digit
+    "1 a:1 b:1\x1c1 b:1 c:1\n",      # a file separator inside one line
+])
+def test_text_format_file_is_malformed_json(tmp_path, capsys, text):
+    # every input file is JSON, whatever its name
+    path = tmp_path / "h.txt"
+    path.write_text(text, encoding="utf-8")
+    assert dispatch(["validate", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: MalformedInput: {path}: invalid JSON: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 @pytest.mark.parametrize("doc", [

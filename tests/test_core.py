@@ -21,12 +21,10 @@ from hyperwalk import (
     delta_normalized,
     dumps_json,
     edge_independent_gamma,
-    from_text,
     has_trivial_weights,
     loads_json,
     rescale_edges,
     to_json_dict,
-    to_text,
     transition_matrix,
 )
 from hyperwalk import core
@@ -417,14 +415,9 @@ def test_json_round_trip(h_demo):
     assert loads_json(dumps_json(h_demo)) == h_demo
 
 
-def test_text_round_trip(h_demo):
-    assert from_text(to_text(h_demo)) == h_demo
-
-
 def test_round_trip_random():
     for H in sweep(102, 10):
         assert loads_json(dumps_json(H)) == H
-        assert from_text(to_text(H)) == H
 
 
 def test_build_hypergraph_names_bad_edge():
@@ -442,18 +435,3 @@ def test_json_duplicate_member_key_rejected():
     with pytest.raises(DuplicateVertex):
         loads_json(text)
 
-
-def test_text_duplicate_member_rejected():
-    with pytest.raises(DuplicateVertex):
-        from_text("1.0 a:1.0 a:2.0\n")
-
-
-def test_text_declaration_order_preserved():
-    text = "# vertices: z y x\n1.0 x:1.0 y:2.0\n2.0 y:1.0 z:1.0\n"
-    H = from_text(text)
-    assert H.vertices == ("z", "y", "x")
-
-
-def test_text_without_header_uses_appearance_order():
-    H = from_text("1.0 b:1.0 c:1.0\n1.0 a:1.0 b:1.0\n")
-    assert H.vertices == ("b", "c", "a")

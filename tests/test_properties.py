@@ -19,14 +19,12 @@ from hyperwalk import (
     clique_expansion_weights,
     dumps_json,
     eigenvalues_symmetric,
-    from_text,
     laplacian,
     loads_json,
     rescale_edges,
     stationary_direct,
     stationary_rho,
     stationary_walk,
-    to_text,
     transition_matrix,
 )
 from hyperwalk.cli import dispatch
@@ -106,14 +104,10 @@ def test_clique_expansion_exactly_symmetric(H):
     assert np.array_equal(W, W.T)
 
 
-NAME = st.text(string.ascii_letters + string.digits + "_-.", min_size=1, max_size=6)
-
-
 @SETTINGS
-@given(hypergraphs(weights=ANY_POSITIVE, names=NAME))
-def test_json_and_text_round_trips_are_lossless(H):
+@given(hypergraphs(weights=ANY_POSITIVE, names=st.text(max_size=6)))
+def test_json_round_trip_is_lossless(H):
     assert loads_json(dumps_json(H)) == H
-    assert from_text(to_text(H)) == H
 
 
 # -- fuzzed files: validate exits 0, 1 or 2, never with a traceback -----------------
@@ -134,6 +128,8 @@ HYPERGRAPH_DOC = st.fixed_dictionaries({
     "vertices": st.lists(VERTEX | JSON_VALUES, max_size=4) | JSON_VALUES,
     "edges": st.lists(EDGE, max_size=3) | JSON_VALUES,
 }) | JSON_VALUES
+# Whitespace text (`weight v:g ...`): its alphabet has no "{", so no such file
+# spells a hypergraph's JSON object, and each is refused (exit 1).
 TEXT_FILE = st.text(string.ascii_letters[:4] + string.digits + ".:-# \n\t", max_size=40)
 
 
@@ -149,9 +145,10 @@ def _validate(name: str, content: bytes) -> int:
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(st.one_of(
-    HYPERGRAPH_DOC.map(lambda doc: ("h.json", json.dumps(doc).encode())),
-    TEXT_FILE.map(lambda text: ("h.txt", text.encode())),
-    st.tuples(st.sampled_from(["h.json", "h.txt"]), st.binary(max_size=24)),
+    HYPERGRAPH_DOC.map(lambda doc: ("h.json", json.dumps(doc).encode(), (0, 1, 2))),
+    TEXT_FILE.map(lambda text: ("h.txt", text.encode(), (1,))),
+    st.tuples(st.sampled_from(["h.json", "h.txt"]), st.binary(max_size=24), st.just((0, 1, 2))),
 ))
 def test_validate_exit_code_on_fuzzed_files(case):
-    assert _validate(*case) in (0, 1, 2)
+    name, content, allowed = case
+    assert _validate(name, content) in allowed
