@@ -194,29 +194,30 @@ class Hypergraph(_Indexed):
             sizes.append(len(members))
             members_gamma.extend(members.values())
 
-        self._build(names, index, np.array(sizes, dtype=np.intp),
-                    np.array(members_idx, dtype=np.intp),
-                    np.array(members_gamma, dtype=float), np.array(weights, dtype=float))
-
-    def _build(self, names: tuple, index: dict, sizes, indices, gamma, omega) -> None:
-        """Fill self from checked arrays: the vertex `names` and their
-        `index`, per edge its size and weight `omega`, and per (edge, member)
-        entry, edge by edge, its vertex index and weight, members in any
-        order within an edge. The one array-level builder: it sorts each
-        edge's members, keeps `omega` itself and checks connectivity."""
-        order = np.lexsort((indices, np.repeat(np.arange(len(sizes)), sizes)))
-        self._set(vertices=names, _index=index,
-                  indptr=np.concatenate(([0], np.cumsum(sizes, dtype=np.intp))),
-                  indices=indices[order], gamma=gamma[order], omega=omega, _memo={})
+        sizes, members_idx = np.array(sizes, dtype=np.intp), np.array(members_idx, dtype=np.intp)
+        # each edge's members ascending: one stable argsort of edge * |V| + vertex,
+        # the permutation np.lexsort((vertex, edge)) gives, as no edge holds a vertex twice
+        order = np.argsort(np.repeat(np.arange(len(sizes)), sizes) * len(names) + members_idx,
+                           kind="stable")
+        self._build(names, index, np.concatenate(([0], np.cumsum(sizes, dtype=np.intp))),
+                    members_idx[order], np.array(members_gamma, dtype=float)[order],
+                    np.array(weights, dtype=float))
         self._check_connected()
+
+    def _build(self, names: tuple, index: dict, indptr, indices, gamma, omega) -> None:
+        """Fill self from checked arrays: the vertex `names` and their
+        `index`, and the CSR layout, each edge's members ascending. The one
+        array-level builder; a caller that can disconnect the vertices checks
+        connectivity (``_check_connected``)."""
+        self._set(vertices=names, _index=index, indptr=indptr, indices=indices, gamma=gamma,
+                  omega=omega, _memo={})
 
     def _with_gamma(self, gamma: np.ndarray) -> "Hypergraph":
         """Same vertices, edges and edge weights with new (already validated)
-        vertex weights; connectivity cannot change, so it is not rechecked."""
+        vertex weights and an empty memo: results derived from the old
+        weights do not carry over, and connectivity cannot change."""
         new = object.__new__(Hypergraph)
-        new._set(vertices=self.vertices, _index=self._index, indptr=self.indptr,
-                 indices=self.indices, gamma=gamma, omega=self.omega,
-                 _memo={})  # results derived from the old weights do not carry over
+        new._build(self.vertices, self._index, self.indptr, self.indices, gamma, self.omega)
         return new
 
     @property
@@ -300,11 +301,17 @@ def _entry_pairs(indptr, groups):
     _PAIR_CHUNK pairs plus one row's. Beyond it, only per-group values are held."""
     base = indptr[groups]  # per group: its first entry, its size, and where
     sizes = indptr[groups + 1] - base  # its rows and its pairs end in the walk
-    row_end, pair_end = np.cumsum(sizes), np.cumsum(sizes * sizes)
-    cut = np.arange(0, sizes @ sizes, _PAIR_CHUNK)
-    k = np.searchsorted(pair_end, cut, side="right")  # the group holding each cut
-    start = row_end[k] - (pair_end[k] - cut) // sizes[k]  # a cut in a row moves to its end
-    bounds = sorted(set(start.tolist() + row_end[-1:].tolist()))  # no empty chunk
+    row_end, total = np.cumsum(sizes), sizes @ sizes
+    if not total:  # no group, or only empty ones
+        return
+    if total <= _PAIR_CHUNK:  # one chunk holds every pair
+        bounds = [0, row_end[-1]]
+    else:
+        pair_end = np.cumsum(sizes * sizes)
+        cut = np.arange(0, total, _PAIR_CHUNK)
+        k = np.searchsorted(pair_end, cut, side="right")  # the group holding each cut
+        start = row_end[k] - (pair_end[k] - cut) // sizes[k]  # a cut in a row moves to its end
+        bounds = sorted(set(start.tolist() + row_end[-1:].tolist()))  # no empty chunk
     for a, b in zip(bounds[:-1], bounds[1:]):
         r = np.arange(a, b)
         k = np.searchsorted(row_end, r, side="right")  # each row's group

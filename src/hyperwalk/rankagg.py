@@ -20,7 +20,8 @@ solve.
 
 Quality is measured by Kendall tau against the true skill order, in both the
 unweighted and top-weighted (hyperbolic position weights) variants. The
-experiment runs its trials in one process per CPU, and each process scores
+experiment runs its trials in one process per CPU; each process builds the
+match sets of its trials in batches, one array pass per batch, and scores
 the taus of its own trials.
 """
 
@@ -36,13 +37,14 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import (_PAIR_CHUNK, Hypergraph, _block_add, _component_labels, _entry_pairs,
-                   _Frozen, _per_member, _vertex_index, delta_normalized)
+from .core import (_PAIR_CHUNK, _REAL, Hypergraph, _block_add, _component_labels,
+                   _entry_pairs, _Frozen, _vertex_index, delta_normalized)
 from .errors import (ConvergenceFailure, DisconnectedHypergraph, DuplicateVertex,
-                     ElementMismatch, MalformedInput, NonPositiveWeight, ScoreOverflow)
+                     ElementMismatch, HyperwalkError, MalformedInput, NonPositiveWeight,
+                     ScoreOverflow)
 from .reduction import _clique_scale, _row_normalized
 from .stationary import _fixed_point, _nonnegative
-from .walk import _check_beta, _check_size, _check_stochastic, _lazy_factors, _restart
+from .walk import _check_beta, _check_size, _check_stochastic, _restart
 
 __all__ = [
     "ExperimentResult",
@@ -67,25 +69,31 @@ MAX_DRAWS = 100_000
 
 class MatchData(_Frozen):
     """Matches among players 1..n: the one hypergraph the rankers read (see
-    the module docstring) and each entry's raw score in its CSR order
-    (players ascending in a match).
+    the module docstring), each entry's raw score in its CSR order (players
+    ascending in a match), and the factors of the three chains that
+    `_stationary` scatters: per entry the lazy walk's omega/d and gamma/delta,
+    the clique chain's delta-normalized gamma (None if normalizing takes a
+    weight to 0 or inf) and MC3's step, and per match the clique scale.
 
     Built from ``(participants, scores)`` pairs, flattened once into the
-    arrays `generate` builds directly: per match its size, per entry, match
-    by match, its player and its score. A match needs two or more distinct
-    participants (else MalformedInput, DuplicateVertex) with one finite
-    score of at most SCORE_LIMIT each (else ScoreOverflow). More players
-    than match entries is a DisconnectedHypergraph. Every other fault (a
-    player outside 1..n, a weight that is not finite and positive, a player
-    in no match) is named by Hypergraph, the one place a weight is checked:
-    when one array test fails, the same matches go to it as ``(omega,
-    {player name: gamma})`` pairs in input order. No per-match object is
-    made on the success path."""
+    arrays `generate` draws and built by `_match_sets`, as every match set
+    is. A match needs two or more distinct participants (else
+    MalformedInput, DuplicateVertex) with one score each, a real number by
+    the type rule of a Hypergraph weight (not a bool, a str or None) that a
+    float holds (else MalformedInput naming the match), finite and at most
+    SCORE_LIMIT (else ScoreOverflow). More players than match entries is a
+    DisconnectedHypergraph. Every other fault (a player outside 1..n, a
+    weight that is not finite and positive, a player in no match) is named
+    by Hypergraph, the one place a weight is checked: when one array test
+    fails, the same matches go to it as ``(omega, {player name: gamma})``
+    pairs in input order. No per-match object is made on the success
+    path."""
 
-    __slots__ = ("hypergraph", "scores")
+    __slots__ = ("hypergraph", "scores", "_left", "_right", "_clique", "_scale", "_step")
 
     def __init__(self, n: int, matches: Iterable[tuple[Sequence[int], Sequence[float]]]):
-        pairs = [(who, np.asarray(s, dtype=float)) for who, s in matches]
+        with np.errstate(over="ignore"):  # a numpy float past the float range: ScoreOverflow
+            pairs = [(who, _match_scores(k, s)) for k, (who, s) in enumerate(matches)]
         sizes = np.array([len(who) for who, _ in pairs], dtype=np.intp)
         bad = (sizes < 2) | (sizes != [len(s) for _, s in pairs])
         if bad.any():
@@ -95,59 +103,125 @@ class MatchData(_Frozen):
         if players.dtype.kind != "i" or any(isinstance(v, (bool, np.bool_))
                                             for who, _ in pairs for v in who):
             players = np.array([v for who, _ in pairs for v in who], dtype=object)
-        self._build(n, sizes, players, np.concatenate([np.empty(0)] + [s for _, s in pairs]))
-
-    def _build(self, n: int, sizes, players, scores) -> None:
-        """Fill self from flat arrays: per match its size (at least 2), per
-        entry, match by match, its player and its score."""
-        if n > sizes.sum():  # some player is in no match; found before n names are made
-            raise DisconnectedHypergraph(f"{n} players but only {sizes.sum()} match entries")
-        edge = np.repeat(np.arange(len(sizes)), sizes)
-        # a player is its name, as Hypergraph reads it: True and 1.0 are not player 1
-        name = players if players.dtype.kind in "iu" else players.astype(str)
-        order = np.lexsort((name, edge))  # for integer players, the hypergraph's CSR order
-        p, e = name[order], edge[order]
-        twice = np.flatnonzero((p[1:] == p[:-1]) & (e[1:] == e[:-1]))
-        if len(twice):
-            raise DuplicateVertex(f"match #{e[twice[0]]}: player {p[twice[0]]} takes part twice")
-        bad = np.flatnonzero(~(np.isfinite(scores) & (scores <= SCORE_LIMIT)))
-        if len(bad):
-            i = bad[0]
-            raise ScoreOverflow(f"match #{edge[i]}: score {float(scores[i])!r} of player "
-                                f"{players[i]} is not a finite number <= {SCORE_LIMIT}")
-        # omega = np.std per match + 1, scores in input order, formed by
-        # np.std's own ufuncs over the rows of each block of equal-size
-        # matches (sum, divide, subtract, square, sum, divide, sqrt): the bits
-        # of np.std of each row (np.add.reduceat does not give them), without
-        # its per-call overhead. A spread past the float range gives inf.
-        omega = np.empty(len(sizes))
-        ptr = np.concatenate(([0], np.cumsum(sizes)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for s in np.flatnonzero(np.bincount(sizes)):
-                rows = np.flatnonzero(sizes == s)
-                x = scores[ptr[rows][:, None] + np.arange(s)]
-                x -= np.add.reduce(x, axis=1, keepdims=True) / s
-                np.multiply(x, x, out=x)
-                omega[rows] = np.sqrt(np.add.reduce(x, axis=1) / s) + 1.0
-        # math.exp per score: np.exp differs in the last bit
-        gamma = np.fromiter(map(math.exp, scores.tolist()), float, len(scores))
-        names, index = _vertex_index(range(1, n + 1))
-        if not (n >= 1 and players.dtype.kind in "iu" and 1 <= players.min()
-                and players.max() <= n and np.isfinite(omega).all() and gamma.min() > 0.0):
-            # a fault: Hypergraph, reading the same matches, names the first. Players
-            # given as objects that it knows by name (np.uint64(2)) build on below.
-            who, g = players.tolist(), gamma.tolist()
-            Hypergraph(names, [(w, dict(zip(map(str, who[a:b]), g[a:b])))
-                               for w, a, b in zip(omega.tolist(), ptr.tolist(), ptr[1:].tolist())])
-            order = np.lexsort((players, edge))  # by number: player 9 before player 10
-            p = players[order]
-        H = object.__new__(Hypergraph)
-        H._build(names, index, sizes, p.astype(np.intp) - 1, gamma[order], omega)
-        self._set(hypergraph=H, scores=scores[order])
+        scores = np.concatenate([np.empty(0)] + [s for _, s in pairs])
+        (data,) = _match_sets(n, [(sizes, players, scores)])
+        self._set(**{name: getattr(data, name) for name in MatchData.__slots__})
 
     @property
     def n(self) -> int:
         return self.hypergraph.n_vertices
+
+
+def _match_scores(k: int, scores) -> np.ndarray:
+    """Match k's scores as floats, or MalformedInput if one is not a real
+    number a float holds (see MatchData)."""
+    try:
+        if set(map(type, scores)) <= _REAL:
+            return np.array(scores, dtype=float)
+    except (TypeError, OverflowError):  # not a sequence; an int past the float range
+        pass
+    raise MalformedInput(f"match #{k}: scores must be real numbers, got {scores!r}")
+
+
+# A batch of trials (see _trials) holds at most this many match entries, or
+# one trial's: all its per-entry arrays hold fewer values than one chunk of
+# pairs. Batches four times as large were no faster and held 3 MB more.
+_BATCH_ENTRIES = _PAIR_CHUNK // 64
+
+
+def _match_sets(n: int, draws: list) -> list[MatchData]:
+    """The MatchData of each match set among players 1..n in `draws`, each
+    a ``(sizes, players, scores)`` triple of flat arrays: per match its size
+    (at least 2), per entry, match by match, its player and its score.
+
+    One pass over the sets' concatenated arrays forms every set's CSR order
+    (one stable argsort on (match, player)), omega, gamma, fault tests,
+    connectivity (one _component_labels call, each set's players offset)
+    and chain factors, each by the operations, in the order, that form it
+    for one set alone, so each set gets the bits it would get alone. The
+    faults are MatchData's, in its order, named as for one set alone: a
+    caller with several sets rebuilds them one at a time (`_built`)."""
+    counts = [len(sizes) for sizes, _, _ in draws]
+    sizes = np.concatenate([sizes for sizes, _, _ in draws])
+    players = np.concatenate([players for _, players, _ in draws])
+    scores = np.concatenate([scores for _, _, scores in draws])
+    mptr = np.concatenate(([0], np.cumsum(counts)))  # per set: its first match
+    eptr = np.concatenate(([0], np.cumsum(sizes)))  # per match: its first entry
+    first = eptr[mptr]  # per set: its first entry
+    entries = np.diff(first)
+    if n > entries.min():  # some player is in no match; found before n names are made
+        raise DisconnectedHypergraph(f"{n} players but only {entries.min()} match entries")
+    edge = np.repeat(np.arange(len(sizes)), sizes)
+    # a player is its name, as Hypergraph reads it: True and 1.0 are not player 1
+    name = players if players.dtype.kind in "iu" else players.astype(str)
+    ints = n >= 1 and players.dtype.kind in "iu" and 1 <= players.min() and players.max() <= n
+    # the hypergraph's CSR order for players 1..n, else the order of the names
+    key, span = (players - 1, n) if ints else (np.unique(name, return_inverse=True)[1], len(name))
+    entry = edge * span + key
+    order = np.argsort(entry, kind="stable")
+    twice = np.flatnonzero(np.diff(entry[order]) == 0)
+    if len(twice):
+        i = order[twice[0]]
+        raise DuplicateVertex(f"match #{edge[i]}: player {name[i]} takes part twice")
+    bad = np.flatnonzero(~(np.isfinite(scores) & (scores <= SCORE_LIMIT)))
+    if len(bad):
+        i = bad[0]
+        raise ScoreOverflow(f"match #{edge[i]}: score {float(scores[i])!r} of player "
+                            f"{players[i]} is not a finite number <= {SCORE_LIMIT}")
+    # omega = np.std per match + 1, scores in input order, formed by
+    # np.std's own ufuncs over the rows of each block of equal-size
+    # matches (sum, divide, subtract, square, sum, divide, sqrt): the bits
+    # of np.std of each row (np.add.reduceat does not give them), without
+    # its per-call overhead. A spread past the float range gives inf.
+    omega = np.empty(len(sizes))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in np.flatnonzero(np.bincount(sizes)):
+            rows = np.flatnonzero(sizes == s)
+            x = scores[eptr[rows][:, None] + np.arange(s)]
+            x -= np.add.reduce(x, axis=1, keepdims=True) / s
+            np.multiply(x, x, out=x)
+            omega[rows] = np.sqrt(np.add.reduce(x, axis=1) / s) + 1.0
+    # math.exp per score: np.exp differs in the last bit
+    gamma = np.fromiter(map(math.exp, scores.tolist()), float, len(scores))
+    names, index = _vertex_index(range(1, n + 1))
+    if not (ints and np.isfinite(omega).all() and gamma.min() > 0.0):
+        # a fault: Hypergraph, reading the same matches, names the first. Players
+        # given as objects that it knows by name (np.uint64(2)) build on below.
+        who, g = players.tolist(), gamma.tolist()
+        Hypergraph(names, [(w, dict(zip(map(str, who[a:b]), g[a:b])))
+                           for w, a, b in zip(omega.tolist(), eptr.tolist(), eptr[1:].tolist())])
+        key = players.astype(np.intp) - 1  # by number: player 9 before player 10
+        order = np.argsort(edge * n + key, kind="stable")
+    who, gamma, scores = key[order], gamma[order], scores[order]
+    # the sets as one hypergraph over len(draws) * n vertices, set j's players offset by j * n
+    offset = np.arange(0, len(draws) * n, n)
+    vertex = who + np.repeat(offset, entries)
+    labels = _component_labels(eptr, vertex, len(draws) * n)
+    # The chains' factors as _lazy_factors, delta_normalized and _clique_scale
+    # form them from the degrees d and delta, and MC3's step. d and delta are
+    # finite for n <= 4096, which _stationary checks first.
+    per_member = np.repeat(omega, sizes)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d = np.bincount(vertex, weights=per_member, minlength=len(draws) * n)
+        delta = np.add.reduceat(gamma, eptr[:-1])
+        left, right = per_member / d[vertex], gamma / np.repeat(delta, sizes)
+        clique = gamma * np.repeat(1.0 / delta, sizes)
+        scale = _clique_scale(omega, np.add.reduceat(clique, eptr[:-1]))
+    step = 1.0 / (np.bincount(vertex, minlength=len(draws) * n)[vertex] * np.repeat(sizes, sizes))
+    normalized = np.logical_and.reduceat(np.isfinite(clique) & (clique > 0.0), first[:-1])
+    out = []
+    for a, b, ma, mb, ok in zip(first[:-1].tolist(), first[1:].tolist(),
+                                mptr[:-1].tolist(), mptr[1:].tolist(), normalized.tolist()):
+        H = object.__new__(Hypergraph)
+        H._build(names, index, eptr[ma:mb + 1] - a, who[a:b], gamma[a:b], omega[ma:mb])
+        data = object.__new__(MatchData)
+        data._set(hypergraph=H, scores=scores[a:b], _left=left[a:b], _right=right[a:b],
+                  _clique=clique[a:b] if ok else None, _scale=scale[ma:mb], _step=step[a:b])
+        out.append(data)
+    if (labels != np.repeat(offset, n)).any():
+        for data in out:  # the first set in pieces names its fault
+            data.hypergraph._check_connected()
+    return out
 
 
 def _check_draw(n: int, sigma: float, p: float) -> None:
@@ -181,6 +255,12 @@ def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
     (ScoreOverflow).
     """
     _check_draw(n, sigma, p)
+    return _match_sets(n, [_draw(n, sigma, p, seed)])[0]
+
+
+def _draw(n: int, sigma: float, p: float, seed: int) -> tuple:
+    """generate's matches, unchecked, as _match_sets reads a match set:
+    ``(sizes, players, scores)``."""
     rng = np.random.default_rng(seed)
     random, standard_normal = rng.random, rng.standard_normal
     low, span = SCALE_RANGE[0], SCALE_RANGE[1] - SCALE_RANGE[0]
@@ -213,9 +293,44 @@ def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
         # sigma) of each draw: the same IEEE operations, elementwise
         c = np.repeat(low + span * np.array(scale), sizes)
         scores = c * (0.2 * players + sigma * np.concatenate(normal))
-    data = object.__new__(MatchData)
-    data._build(n, sizes, players, scores)
-    return data
+    return sizes, players, scores
+
+
+def _trials(n: int, sigma: float, seed: int, tasks: list):
+    """The MatchData of each ``(p, t)`` of `tasks`, in order, drawn from
+    seed + t (see generate) and built in batches of consecutive trials whose
+    match entries stay within _BATCH_ENTRIES, one trial at least. A trial's
+    error is raised once every trial before it has been yielded, as a loop
+    over generate would raise it."""
+    batch, entries, error = [], 0, None
+    for p, t in tasks:
+        try:
+            draw = _draw(n, sigma, p, seed + t)
+        except Exception as exc:  # raised after the trials drawn before it
+            error = exc
+            break
+        if batch and entries + len(draw[1]) > _BATCH_ENTRIES:
+            yield from _built(n, batch)
+            batch, entries = [], 0
+        batch.append(draw)
+        entries += len(draw[1])
+    if batch:
+        yield from _built(n, batch)
+    if error is not None:
+        raise error
+
+
+def _built(n: int, draws: list):
+    """The MatchData of each of `draws`, in order: built together, or, if
+    any has a fault, one at a time, so that the first fault is raised, by
+    its own message, after the sets before it."""
+    try:
+        sets = _match_sets(n, draws)
+    except HyperwalkError:
+        if len(draws) == 1:
+            raise
+        sets = (_match_sets(n, [draw])[0] for draw in draws)
+    yield from sets
 
 
 @dataclass(frozen=True)
@@ -268,9 +383,10 @@ def _stationary(data: MatchData, beta: float, methods=_METHODS) -> np.ndarray:
     walk (uniform restart with probability beta) on each chain of `methods`,
     a subsequence of _METHODS, as the rows of one array.
 
-    The chains are one (len(methods), n, n) stack: one _entry_pairs walk in
-    size order adds the terms of the lazy walk and of the clique expansion
-    of ``delta_normalized(H)``, one in match order adds MC3's, each term in
+    The chains are one (len(methods), n, n) stack, scattered from the
+    factors `data` holds: one _entry_pairs walk in size order adds the terms
+    of the lazy walk and of the clique expansion of ``delta_normalized(H)``,
+    one in match order adds MC3's, each term in
     the order its own construction adds it, so each row has the bits of
     ``stationary_direct(restart_matrix(chain, beta)).pi``. The row sums,
     restart mix, checks, solve and nonnegativity each run once on the
@@ -283,10 +399,11 @@ def _stationary(data: MatchData, beta: float, methods=_METHODS) -> np.ndarray:
     stack = np.zeros((len(methods), n * n))
     factors = []
     if "hypergraph-rwr" in methods:
-        factors.append((*_lazy_factors(H), None))
+        factors.append((data._left, data._right, None))
     if "clique-rwr" in methods:
-        Hn = delta_normalized(H)
-        factors.append((Hn.gamma, Hn.gamma, _clique_scale(Hn)))
+        if data._clique is None:  # normalizing took a weight to 0 or inf
+            delta_normalized(H)  # names the first
+        factors.append((data._clique, data._clique, data._scale))
     if factors:
         with np.errstate(over="ignore", invalid="ignore"):  # inf or inf * 0: named below
             _block_add(stack, H.indptr, H.indices, factors, n)
@@ -311,12 +428,10 @@ def _mc3_add(out: np.ndarray, data: MatchData) -> None:
     order."""
     H = data.hypergraph
     n, who, s = H.n_vertices, H.indices, data.scores
-    # per entry: 1 / (its player's matches * its match's size)
-    step = 1.0 / (np.bincount(who, minlength=n)[who] * _per_member(H, np.diff(H.indptr)))
     for row, col, _ in _entry_pairs(H.indptr, np.arange(H.n_edges)):
         # to whoever outscored the entry, else back to the entry itself
         to = np.where(s[col] > s[row], who[col], who[row])
-        np.add.at(out, who[row] * n + to, step[row])
+        np.add.at(out, who[row] * n + to, data._step[row])
 
 
 def kendall_tau(order: Sequence, truth: Sequence, weighted: bool = False) -> float:
@@ -408,21 +523,22 @@ def _shares(tasks: int) -> int:
 
 
 def _in_shares(run, tasks: list) -> list:
-    """[run(*task) for task in tasks] in k = _shares(len(tasks)) interleaved
-    shares (task j in share j mod k): share 0 runs here, each other one in a
-    forked child that sends its results back pickled through a pipe. Each
-    share stops at its first error; once all have ended, the error of the
-    lowest-index failing task is raised, as the plain loop would raise it.
-    No child outlives the call."""
+    """list(run(tasks)), where run yields one result per task in order, in
+    k = _shares(len(tasks)) interleaved shares: share i is run(tasks[i::k]),
+    share 0 runs here, each other one in a forked child that sends its
+    results back pickled through a pipe. Each share stops at its first
+    error; once all have ended, the error of the lowest-index failing task
+    is raised, as one run over all tasks would raise it. No child outlives
+    the call."""
     k = _shares(len(tasks))
 
-    def share(i):  # its results up to its first error, and (index, error) or None
+    def share(i):  # its results up to its first error, and that error or None
         done = []
-        for j in range(i, len(tasks), k):
-            try:
-                done.append(run(*tasks[j]))
-            except Exception as exc:
-                return done, (j, exc)
+        try:
+            for result in run(tasks[i::k]):
+                done.append(result)
+        except Exception as exc:
+            return done, exc
         return done, None
 
     children = []  # (pid, read end of its pipe) of each child not yet reaped
@@ -456,9 +572,11 @@ def _in_shares(run, tasks: list) -> list:
             os.close(r)
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
-    failures = [error for _, error in shares if error]
+    # share i's error stopped its task len(done), which is task i + k * len(done)
+    failures = [(i + k * len(done), error) for i, (done, error) in enumerate(shares)
+                if error is not None]
     if failures:
-        raise min(failures, key=lambda error: error[0])[1]
+        raise min(failures, key=lambda failure: failure[0])[1]
     return [shares[j % k][0][j // k] for j in range(len(tasks))]
 
 
@@ -488,18 +606,19 @@ def experiment(n: int, sigma: float, p_values: Iterable[float], trials: int,
         _check_size(n)
         blocks = list(_pair_blocks(n))
 
-    def trial(p, t):  # its (method, tau_weighted, tau_unweighted) per chain
-        scored = []
-        for method, pi in zip(_METHODS, _stationary(generate(n, sigma, p, seed + t), beta)):
-            rank = np.empty(n, dtype=np.intp)  # against the truth n, n-1, ..., 1
-            rank[n - _order(pi)] = np.arange(n)  # truth's i-th player is n - i
-            scored.append((method, *_taus(rank, blocks)))
-        return scored
+    def scored(share):  # per trial of the share: its (method, tau_weighted, tau_unweighted) per chain
+        for data in _trials(n, sigma, seed, share):
+            taus = []
+            for method, pi in zip(_METHODS, _stationary(data, beta)):
+                rank = np.empty(n, dtype=np.intp)  # against the truth n, n-1, ..., 1
+                rank[n - _order(pi)] = np.arange(n)  # truth's i-th player is n - i
+                taus.append((method, *_taus(rank, blocks)))
+            yield taus
 
     rows = [{"method": method, "p": p, "trial": t, "tau_weighted": tau_weighted,
              "tau_unweighted": tau}
-            for (p, t), scored in zip(tasks, _in_shares(trial, tasks))
-            for method, tau_weighted, tau in scored]
+            for (p, t), taus in zip(tasks, _in_shares(scored, tasks))
+            for method, tau_weighted, tau in taus]
     summary: list[dict] = []
     for method in _METHODS:
         for p in p_values:

@@ -80,17 +80,16 @@ def _clique_weights(H: Hypergraph, gamma: np.ndarray) -> WeightedGraph:
     """w(u,v) = sum over shared edges of omega(e) gamma(u) gamma(v) / delta(e),
     with one gamma value per (edge, member) entry; self-loops included."""
     _check_size(H.n_vertices)
-    scale = _clique_scale(H)
+    scale = _clique_scale(H.omega, degrees(H)[1])
     with np.errstate(over="ignore", invalid="ignore"):  # inf or inf * 0: WeightedGraph names it
         W = _block_scatter(H.indptr, H.indices, gamma, gamma, H.n_vertices, scale)
     return WeightedGraph._over(H, W)
 
 
-def _clique_scale(H: Hypergraph) -> np.ndarray:
+def _clique_scale(omega: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Per edge, the scale omega(e) / delta(e) of its clique weight terms."""
-    _, delta = degrees(H)
     with np.errstate(over="ignore"):  # a subnormal delta: the weights are not finite
-        return H.omega / delta
+        return omega / delta
 
 
 def edge_independent_to_graph(H: Hypergraph) -> WeightedGraph:

@@ -656,7 +656,7 @@ def test_rankagg_needs_a_trial(capsys, monkeypatch, trials):
     def unreachable(*args):
         raise AssertionError("a match set was drawn")
 
-    monkeypatch.setattr("hyperwalk.rankagg.generate", unreachable)
+    monkeypatch.setattr("hyperwalk.rankagg._draw", unreachable)
     assert dispatch(["rankagg", "--n", "8", "--trials", trials]) == 2
     assert "trials" in capsys.readouterr().err
 
@@ -699,7 +699,7 @@ def test_rankagg_too_many_players_is_size_limit_before_any_work(capsys, monkeypa
     def unreachable(*args):
         raise AssertionError("work was done before the size check")
 
-    for name in ("generate", "_pair_blocks", "_shares"):
+    for name in ("_draw", "_pair_blocks", "_shares"):
         monkeypatch.setattr(f"hyperwalk.rankagg.{name}", unreachable)
     monkeypatch.setattr(os, "fork", unreachable)
     assert dispatch(["rankagg", "--n", str(DENSE_SIZE_LIMIT + 1), "--trials", "1"]) == 1
@@ -712,7 +712,8 @@ def test_rankagg_too_many_players_is_size_limit_before_any_work(capsys, monkeypa
 def test_rankagg_clique_weight_past_the_float_range_is_named(tmp_path, capsys, monkeypatch):
     # no match file reaches it (each clique term is at most about 724): a
     # scale of inf stands in for a clique weight past the float range
-    monkeypatch.setattr("hyperwalk.rankagg._clique_scale", lambda H: np.full(H.n_edges, np.inf))
+    monkeypatch.setattr("hyperwalk.rankagg._clique_scale",
+                        lambda omega, delta: np.full(len(omega), np.inf))
     path = _write_json(tmp_path, "m.json", {"n": 3, "matches": [
         {"participants": [1, 2], "scores": [0.5, 1.0]},
         {"participants": [2, 3], "scores": [0.0, 2.0]}]})

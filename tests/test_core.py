@@ -331,8 +331,8 @@ def per_size_block_scatter(indptr, indices, left, right, n, scale=None):
 def scatter_inputs():
     """(indptr, indices, n, left, right, scale) cases: the edge-major and the
     vertex-major layouts of sweep hypergraphs, 4095 groups of 2 to 4 of 2048
-    vertices, shaped as the benchmark's n=2048 stationary input, and a group
-    of 300 of 320 vertices among small ones."""
+    vertices, shaped as the benchmark's n=2048 stationary input, a group of
+    300 of 320 vertices among small ones, and no group at all."""
     rng = np.random.default_rng(105)
     layouts = []
     for H in sweep(105, 12, max_vertices=10, max_edges=8):
@@ -347,6 +347,7 @@ def scatter_inputs():
     sizes = np.array([3, 2, 300, 5, 2, 3])
     layouts.append((np.concatenate(([0], np.cumsum(sizes))),
                     np.concatenate([rng.choice(320, s, replace=False) for s in sizes]), 320))
+    layouts.append((np.zeros(1, dtype=np.intp), np.zeros(0, dtype=np.intp), 3))  # no group
     for indptr, indices, n in layouts:
         left, right = rng.uniform(0.25, 4.0, size=(2, len(indices)))
         yield indptr, indices, n, left, right, rng.uniform(0.5, 2.0, size=len(indptr) - 1)

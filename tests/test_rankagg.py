@@ -208,10 +208,25 @@ def test_score_overflow():
         MatchData(2, [((1, 2), (0.0, 701.0))])
 
 
+@pytest.mark.parametrize("scores", [(True, 1.0), ("a", 1.0), (10**400, 1.0), (None, 1.0), 1.0,
+                                    "ab", ((0.0,), (1.0,))],
+                         ids=["bool", "str", "int-past-float", "none", "scalar", "string",
+                              "nested"])
+def test_match_scores_are_real_numbers(scores):
+    with pytest.raises(MalformedInput, match="^match #1: scores must be real numbers"):
+        MatchData(2, [((1, 2), (0.0, 1.0)), ((1, 2), scores)])
+
+
+def test_match_scores_of_numpy_types_are_read_as_floats():
+    want = MatchData(2, [((1, 2), (0.5, 2.0))])
+    for scores in ((np.float32(0.5), np.int64(2)), np.array([0.5, 2.0]), [0.5, 2]):
+        assert same(MatchData(2, [((1, 2), scores)]), want)
+
+
 def test_match_data_array_checks():
     with pytest.raises(MalformedInput, match="match #1"):
         MatchData(2, [((1, 2), (0.0, 1.0)), ((1, 2), (0.0,))])
-    for bad in (math.nan, math.inf, -math.inf):
+    for bad in (math.nan, math.inf, -math.inf, np.longdouble("1e400")):  # no cast warning
         with pytest.raises(ScoreOverflow, match="player 2"):
             MatchData(2, [((1, 2), (0.0, bad))])
     with pytest.raises(UnknownVertex, match="'3'"):
@@ -248,6 +263,21 @@ def test_huge_score_spread_is_named_without_a_warning():
     with pytest.raises(NonPositiveWeight) as info:
         MatchData(2, [((1, 2), (-1e308, 700.0))])
     assert str(info.value) == "edge #0: edge weight inf must be a finite number > 0"
+
+
+@pytest.mark.parametrize("scores, named", [
+    ((700.0, -740.0), "vertex '2' times factor 9.85967654375977e-305"),  # gamma / delta is 0
+    ((-740.0, -745.0), "vertex '1' times factor inf"),  # delta is subnormal
+])
+def test_clique_normalization_fault_is_named_by_the_clique_chain_alone(scores, named):
+    # the match set builds and the other chains rank it; the clique chain's
+    # delta normalization names the weight it takes to 0 or inf
+    data = MatchData(2, [((1, 2), scores)])
+    assert rank_hypergraph(data).order == rank_mc3(data).order == (1, 2)
+    for rank in (rank_clique, lambda data: rankagg._rankings(data, rankagg.DEFAULT_BETA)):
+        with pytest.raises(NonPositiveWeight) as info:
+            rank(data)
+        assert str(info.value) == f"edge #0: weight of {named} must be a finite number > 0"
 
 
 # -- bit identity with the per-match construction ------------------------------------
@@ -683,7 +713,7 @@ def test_experiment_rejects_repeated_rate(monkeypatch):
     def unreachable(*args):
         raise AssertionError("a match set was drawn")
 
-    monkeypatch.setattr(rankagg, "generate", unreachable)
+    monkeypatch.setattr(rankagg, "_draw", unreachable)
     with pytest.raises(ValueError, match="inclusion rate 0.3 is given more than once"):
         experiment(10, 1.0, [0.3, 0.5, 0.3], trials=2, seed=5)
 
@@ -734,11 +764,107 @@ def test_experiment_bits_do_not_depend_on_the_process_count(monkeypatch, args):
         assert run.to_csv() == runs[0].to_csv()
 
 
+def reference_rows(n, sigma, p_values, trials, seed):
+    """The per-trial loop the batches replaced: generate, then _stationary,
+    then both Kendall taus of each chain's order, as hex."""
+    truth = list(range(n, 0, -1))
+    out = []
+    for p in p_values:
+        for t in range(trials):
+            pis = rankagg._stationary(generate(n, sigma, p, seed + t), rankagg.DEFAULT_BETA)
+            for method, pi in zip(rankagg._METHODS, pis):
+                order = rankagg._ranking(method, pi).order
+                out.append((method, p, t, kendall_tau(order, truth, weighted=True).hex(),
+                            kendall_tau(order, truth).hex()))
+    return out
+
+
+def recording_batches(monkeypatch):
+    """Patch _match_sets to record each batch it builds as (trials, entries)."""
+    batches = []
+    real = rankagg._match_sets
+
+    def recording(n, draws):
+        batches.append((len(draws), sum(len(players) for _, players, _ in draws)))
+        return real(n, draws)
+
+    monkeypatch.setattr(rankagg, "_match_sets", recording)
+    return batches
+
+
+@pytest.mark.parametrize("args", [(2, 1.0, [0.3, 0.7], 5, 3), (3, 1.0, [0.5, 0.2], 4, 8),
+                                  (7, 1.0, [0.05, 0.3, 0.6], 3, 11), (100, 1.0, [0.03, 0.07], 3, 42)])
+def test_experiment_batches_equal_the_per_trial_loop(monkeypatch, args):
+    # every trial built in one batch, or in batches of one or two trials, in
+    # one to three shares, gives the rows of the per-trial loop bit for bit
+    want = reference_rows(*args)
+    n, sigma, p_values, trials, seed = args
+    entries = [len(rankagg._draw(n, sigma, p, seed + t)[1]) for p in p_values for t in range(trials)]
+    batches = recording_batches(monkeypatch)
+    sizes = set()
+    # a bound under two trials' entries makes one-trial batches, one under three two-trial ones
+    for bound in (rankagg._BATCH_ENTRIES, 1, 3 * min(entries) - 1):
+        monkeypatch.setattr(rankagg, "_BATCH_ENTRIES", bound)
+        for k in (1, 2, 3):
+            monkeypatch.setattr(rankagg, "_shares", lambda tasks, k=k: k)
+            batches.clear()
+            assert rows(experiment(*args)) == want, (bound, k)
+            no_child_left()
+            sizes.update(size for size, _ in batches)
+            if bound == 1:
+                assert {size for size, _ in batches} <= {1}
+    assert {1, 2} <= sizes
+
+
+def test_batches_hold_at_most_the_bound_of_entries(monkeypatch):
+    # a batch takes consecutive trials while their entries stay within the
+    # bound; a trial above it is a batch of its own
+    batches = recording_batches(monkeypatch)
+    monkeypatch.setattr(rankagg, "_shares", lambda tasks: 1)  # every batch recorded here
+    for bound in (1, 40, 150, 1000, rankagg._BATCH_ENTRIES):
+        monkeypatch.setattr(rankagg, "_BATCH_ENTRIES", bound)
+        batches.clear()
+        experiment(20, 1.0, [0.1, 0.3], trials=6, seed=2)
+        assert sum(size for size, _ in batches) == 12
+        assert all(entries <= bound or size == 1 for size, entries in batches), (bound, batches)
+    assert batches == [(12, sum(entries for _, entries in batches))]  # the default: one batch
+
+
+def test_a_build_fault_before_a_draw_give_up_in_one_batch_is_raised(monkeypatch):
+    # trials 1 and 7 of 9 fall in one share's batch at k = 1, 2 and 3: the
+    # draw of trial 7 gives up, and trial 1's scores overflow when its batch,
+    # the trials drawn before 7, is built; trial 1's error is raised
+    real = rankagg._draw
+
+    def planted(n, sigma, p, seed):
+        if seed == 7 + 7:
+            raise ConvergenceFailure("planted at trial 7")
+        sizes, players, scores = real(n, sigma, p, seed)
+        if seed == 7 + 1:
+            scores = scores.copy()
+            scores[2] = 701.0
+        return sizes, players, scores
+
+    with pytest.raises(ScoreOverflow) as alone:
+        rankagg._match_sets(10, [planted(10, 1.0, 0.3, 8)])
+    monkeypatch.setattr(rankagg, "_draw", planted)
+    batches = recording_batches(monkeypatch)
+    for k in (1, 2, 3):
+        monkeypatch.setattr(rankagg, "_shares", lambda tasks, k=k: k)
+        batches.clear()
+        with pytest.raises(HyperwalkError) as info:
+            experiment(10, 1.0, [0.3], trials=9, seed=7)
+        assert (type(info.value), str(info.value)) == (ScoreOverflow, str(alone.value)), k
+        no_child_left()
+        if k == 1:  # trials 0 to 6 as one batch, then trials 0 and 1 alone
+            assert [size for size, _ in batches] == [7, 1, 1]
+
+
 def test_experiment_raises_the_lowest_failing_trials_error(monkeypatch):
     # trial j of 10 is (p, t) in order with seed 11 + t; j = 3 and j = 4 fail.
     # At k = 2 the parent's share fails at 4 and a child's at 3; at k = 3 the
     # parent's fails at 3 and a child's at 4.
-    real = rankagg.generate
+    real = rankagg._draw
 
     def planted(n, sigma, p, seed):
         if p == 0.05 and seed == 14:
@@ -747,7 +873,7 @@ def test_experiment_raises_the_lowest_failing_trials_error(monkeypatch):
             raise ScoreOverflow("planted at trial 4")
         return real(n, sigma, p, seed)
 
-    monkeypatch.setattr(rankagg, "generate", planted)
+    monkeypatch.setattr(rankagg, "_draw", planted)
     raised = []
     for k in (1, 2, 3):
         monkeypatch.setattr(rankagg, "_shares", lambda tasks, k=k: k)
@@ -766,7 +892,7 @@ def test_experiment_kills_its_children_on_interrupt(monkeypatch):
             raise KeyboardInterrupt
         time.sleep(60)  # the children are still running when the parent stops
 
-    monkeypatch.setattr(rankagg, "generate", planted)
+    monkeypatch.setattr(rankagg, "_draw", planted)
     monkeypatch.setattr(rankagg, "_shares", lambda tasks: 3)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
@@ -785,14 +911,14 @@ def unpicklable_error():
                          ids=["exits", "unpicklable-error"])
 def test_experiment_names_a_child_that_sends_nothing(monkeypatch, fault):
     parent = os.getpid()
-    real = rankagg.generate
+    real = rankagg._draw
 
     def planted(*args):
         if os.getpid() != parent:
             fault()
         return real(*args)
 
-    monkeypatch.setattr(rankagg, "generate", planted)
+    monkeypatch.setattr(rankagg, "_draw", planted)
     monkeypatch.setattr(rankagg, "_shares", lambda tasks: 2)
     with pytest.raises(ChildProcessError, match="sent no trials"):
         experiment(10, 1.0, [0.3], trials=2, seed=5)
