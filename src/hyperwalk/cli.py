@@ -185,11 +185,21 @@ def _cmd_reduce(args) -> dict:
     return {"graph": _hypergraph_json(G.vertices, *_graph_edges(G)), "verdict": verdict}
 
 
+# The experiment's flags and their defaults. They are unset (None) when not
+# given, so that --matches, which draws nothing, can refuse them.
+_EXPERIMENT_FLAGS = {"n": 100, "sigma": 1.0, "p": "0.03,0.05,0.07", "trials": 30, "seed": 42}
+
+
 def _cmd_rankagg(args) -> dict | str:
+    given = [name for name in _EXPERIMENT_FLAGS if getattr(args, name) is not None]
     if args.matches:
+        if given:
+            raise ValueError(f"--{given[0]} applies only to the experiment, not to --matches")
         data = matches_from_json_dict(_load_json(args.matches))
         rankings = _rankings(data, args.beta)
         return {"rankings": [{"method": r.method, "order": list(r.order)} for r in rankings]}
+    for name in _EXPERIMENT_FLAGS.keys() - given:  # the manifest records the seed used
+        setattr(args, name, _EXPERIMENT_FLAGS[name])
     p_values = [float(x) for x in args.p.split(",")]
     result = experiment(args.n, args.sigma, p_values, args.trials, args.seed,
                         beta=args.beta)
@@ -290,11 +300,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(handler=_cmd_reduce)
 
     p = sub.add_parser("rankagg", help="synthetic rank-aggregation experiment")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--p", default="0.03,0.05,0.07", help="comma-separated inclusion rates")
-    p.add_argument("--trials", type=int, default=30)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--n", type=int)
+    p.add_argument("--sigma", type=float)
+    p.add_argument("--p", help="comma-separated inclusion rates")
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--beta", type=float, default=0.4)
     p.add_argument("--matches", help="rank externally supplied matches (JSON) instead")
     p.add_argument("--json", action="store_true", help="JSON instead of CSV")

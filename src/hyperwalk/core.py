@@ -42,11 +42,11 @@ __all__ = [
 ]
 
 
-# A weight is a Python or numpy int or float (not a bool, an int subclass,
-# nor a str: float() would take both) with 0 < w <= _FLOAT_MAX, which also
-# rejects NaN, the infinities and a JSON int too large for a float.
-_REAL = frozenset([int, float] + [np.dtype(c).type for c in np.typecodes["AllInteger"]
-                                  + np.typecodes["Float"]])
+# An integer is a Python or numpy int, a real number one or a float, never a bool
+# (an int subclass) or a str. A weight is a real number with 0 < w <= _FLOAT_MAX,
+# which also rejects NaN, the infinities and a JSON int too large for a float.
+_INTEGER = frozenset([int] + [np.dtype(c).type for c in np.typecodes["AllInteger"]])
+_REAL = _INTEGER | {float} | {np.dtype(c).type for c in np.typecodes["Float"]}
 _FLOAT_MAX = float(np.finfo(float).max)
 
 

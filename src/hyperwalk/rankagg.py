@@ -30,14 +30,13 @@ from __future__ import annotations
 import math
 import os
 import pickle
-import sys
 import threading
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import (_PAIR_CHUNK, _REAL, Hypergraph, _block_add, _component_labels,
+from .core import (_INTEGER, _PAIR_CHUNK, _REAL, Hypergraph, _block_add, _component_labels,
                    _entry_pairs, _Frozen, _vertex_index, delta_normalized)
 from .errors import (ConvergenceFailure, DisconnectedHypergraph, DuplicateVertex,
                      ElementMismatch, HyperwalkError, MalformedInput, NonPositiveWeight,
@@ -77,11 +76,13 @@ class MatchData(_Frozen):
 
     Built from ``(participants, scores)`` pairs, flattened once into the
     arrays `generate` draws and built by `_match_sets`, as every match set
-    is. A match needs two or more distinct participants (else
-    MalformedInput, DuplicateVertex) with one score each, a real number by
-    the type rule of a Hypergraph weight (not a bool, a str or None) that a
-    float holds (else MalformedInput naming the match), finite and at most
-    SCORE_LIMIT (else ScoreOverflow). More players than match entries is a
+    is. Each value is checked once, by type: n must be an integer and each
+    match a pair of sized sequences, its participants integers and its
+    scores real numbers that a float holds (core._INTEGER and core._REAL,
+    never a bool or a str), else MalformedInput naming the match. A match
+    needs two or more distinct participants (else MalformedInput,
+    DuplicateVertex) with one score each, finite and at most SCORE_LIMIT
+    (else ScoreOverflow). More players than match entries is a
     DisconnectedHypergraph. Every other fault (a player outside 1..n, a
     weight that is not finite and positive, a player in no match) is named
     by Hypergraph, the one place a weight is checked: when one array test
@@ -92,19 +93,21 @@ class MatchData(_Frozen):
     __slots__ = ("hypergraph", "scores", "_left", "_right", "_clique", "_scale", "_step")
 
     def __init__(self, n: int, matches: Iterable[tuple[Sequence[int], Sequence[float]]]):
+        if type(n) not in _INTEGER:
+            raise MalformedInput(f'match data: "n" must be an integer, got {n!r}')
         with np.errstate(over="ignore"):  # a numpy float past the float range: ScoreOverflow
-            pairs = [(who, _match_scores(k, s)) for k, (who, s) in enumerate(matches)]
+            pairs = [_match(k, match) for k, match in enumerate(matches)]
         sizes = np.array([len(who) for who, _ in pairs], dtype=np.intp)
         bad = (sizes < 2) | (sizes != [len(s) for _, s in pairs])
         if bad.any():
             raise MalformedInput(f"match #{bad.argmax()}: needs 2+ participants, one score each")
-        players = np.concatenate([np.empty(0, dtype=np.intp)] + [np.asarray(w) for w, _ in pairs])
-        # as given, not cast to a number: 2.0 is '2.0', True is 'True', 1 is '1'
-        if players.dtype.kind != "i" or any(isinstance(v, (bool, np.bool_))
-                                            for who, _ in pairs for v in who):
-            players = np.array([v for who, _ in pairs for v in who], dtype=object)
+        players = [i for who, _ in pairs for i in who]
+        try:
+            players = np.array(players, dtype=np.intp)
+        except OverflowError:  # outside 1..n: Hypergraph names it as given
+            players = np.array(players, dtype=object)
         scores = np.concatenate([np.empty(0)] + [s for _, s in pairs])
-        (data,) = _match_sets(n, [(sizes, players, scores)])
+        (data,) = _match_sets(int(n), [(sizes, players, scores)])
         self._set(**{name: getattr(data, name) for name in MatchData.__slots__})
 
     @property
@@ -112,15 +115,20 @@ class MatchData(_Frozen):
         return self.hypergraph.n_vertices
 
 
-def _match_scores(k: int, scores) -> np.ndarray:
-    """Match k's scores as floats, or MalformedInput if one is not a real
-    number a float holds (see MatchData)."""
+def _match(k: int, match) -> tuple:
+    """Match k as its participants and its scores as floats, or
+    MalformedInput naming it and its first faulty value (see MatchData)."""
+    what, got = "expected a (participants, scores) pair", match
     try:
-        if set(map(type, scores)) <= _REAL:
-            return np.array(scores, dtype=float)
-    except (TypeError, OverflowError):  # not a sequence; an int past the float range
+        who, scores = match
+        what, got = "participants must be integers", who
+        if hasattr(who, "__len__") and set(map(type, who)) <= _INTEGER:  # not a generator
+            what, got = "scores must be real numbers", scores
+            if set(map(type, scores)) <= _REAL:
+                return who, np.array(scores, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # not a pair, a sequence; past 1e308
         pass
-    raise MalformedInput(f"match #{k}: scores must be real numbers, got {scores!r}")
+    raise MalformedInput(f"match #{k}: {what}, got {got!r}")
 
 
 # A batch of trials (see _trials) holds at most this many match entries, or
@@ -152,17 +160,16 @@ def _match_sets(n: int, draws: list) -> list[MatchData]:
     if n > entries.min():  # some player is in no match; found before n names are made
         raise DisconnectedHypergraph(f"{n} players but only {entries.min()} match entries")
     edge = np.repeat(np.arange(len(sizes)), sizes)
-    # a player is its name, as Hypergraph reads it: True and 1.0 are not player 1
-    name = players if players.dtype.kind in "iu" else players.astype(str)
-    ints = n >= 1 and players.dtype.kind in "iu" and 1 <= players.min() and players.max() <= n
-    # the hypergraph's CSR order for players 1..n, else the order of the names
-    key, span = (players - 1, n) if ints else (np.unique(name, return_inverse=True)[1], len(name))
+    # the CSR order of players 1..n, else of the players; n >= 1: no min() of none
+    ints = n >= 1 and players.dtype.kind == "i" and 1 <= players.min() and players.max() <= n
+    key, span = (players - 1, n) if ints else (np.unique(players, return_inverse=True)[1],
+                                               len(players))
     entry = edge * span + key
     order = np.argsort(entry, kind="stable")
     twice = np.flatnonzero(np.diff(entry[order]) == 0)
     if len(twice):
         i = order[twice[0]]
-        raise DuplicateVertex(f"match #{edge[i]}: player {name[i]} takes part twice")
+        raise DuplicateVertex(f"match #{edge[i]}: player {players[i]} takes part twice")
     bad = np.flatnonzero(~(np.isfinite(scores) & (scores <= SCORE_LIMIT)))
     if len(bad):
         i = bad[0]
@@ -185,13 +192,10 @@ def _match_sets(n: int, draws: list) -> list[MatchData]:
     gamma = np.fromiter(map(math.exp, scores.tolist()), float, len(scores))
     names, index = _vertex_index(range(1, n + 1))
     if not (ints and np.isfinite(omega).all() and gamma.min() > 0.0):
-        # a fault: Hypergraph, reading the same matches, names the first. Players
-        # given as objects that it knows by name (np.uint64(2)) build on below.
+        # a fault: Hypergraph, reading the same matches, names the first
         who, g = players.tolist(), gamma.tolist()
         Hypergraph(names, [(w, dict(zip(map(str, who[a:b]), g[a:b])))
                            for w, a, b in zip(omega.tolist(), eptr.tolist(), eptr[1:].tolist())])
-        key = players.astype(np.intp) - 1  # by number: player 9 before player 10
-        order = np.argsort(edge * n + key, kind="stable")
     who, gamma, scores = key[order], gamma[order], scores[order]
     # the sets as one hypergraph over len(draws) * n vertices, set j's players offset by j * n
     offset = np.arange(0, len(draws) * n, n)
@@ -224,8 +228,20 @@ def _match_sets(n: int, draws: list) -> list[MatchData]:
     return out
 
 
+def _check_types(**values) -> None:
+    """ValueError naming the first of `values` of the wrong type: n, trials
+    and seed must be integers (core._INTEGER), sigma and p real numbers
+    (core._REAL), so a bool or a str is neither."""
+    for name, value in values.items():
+        integer = name in ("n", "trials", "seed")
+        if type(value) not in (_INTEGER if integer else _REAL):
+            raise ValueError(f"{name} must be {'an integer' if integer else 'a real number'}, "
+                             f"got {value!r}")
+
+
 def _check_draw(n: int, sigma: float, p: float) -> None:
-    """The usage errors of generate(n, sigma, p, seed), as ValueError."""
+    """The usage errors of the values of generate(n, sigma, p, seed), as
+    ValueError."""
     if n < 2:
         raise ValueError("need at least two players")
     if not sigma > 0.0:
@@ -254,7 +270,9 @@ def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
     the scores. A score beyond the float range is left to MatchData to name
     (ScoreOverflow).
     """
+    _check_types(n=n, sigma=sigma, p=p, seed=seed)
     _check_draw(n, sigma, p)
+    n = int(n)  # a numpy unsigned n would make every index a float
     return _match_sets(n, [_draw(n, sigma, p, seed)])[0]
 
 
@@ -589,9 +607,13 @@ def experiment(n: int, sigma: float, p_values: Iterable[float], trials: int,
     run the trials (one per available CPU, see _in_shares). More players
     than a dense chain holds is SizeLimit before any trial is drawn.
     """
+    _check_types(n=n, sigma=sigma, trials=trials, seed=seed)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    p_values = [float(p) for p in p_values]
+    p_values = list(p_values)
+    for p in p_values:
+        _check_types(p=p)
+    n, p_values = int(n), [float(p) for p in p_values]
     for k, p in enumerate(p_values):
         if p in p_values[:k]:
             raise ValueError(f"inclusion rate {p!r} is given more than once")
@@ -645,22 +667,15 @@ def matches_from_json_dict(data: Mapping) -> MatchData:
 
         {"n": 4, "matches": [{"participants": [1, 3], "scores": [0.5, 1.25]}]}
 
-    ``n`` and the participants must be JSON integers and the scores finite
-    JSON numbers (not ``true``, ``"0.5"`` or ``NaN``), else MalformedInput.
+    The document's shape is checked here (a missing key is MalformedInput);
+    MatchData checks its values, so ``true``, ``1.7`` or ``"1"`` as a player
+    is MalformedInput and a ``NaN`` or ``Infinity`` score ScoreOverflow.
     """
     try:
         n = data["n"]
         matches = [(m["participants"], m["scores"]) for m in data["matches"]]
     except (KeyError, TypeError) as exc:
         raise MalformedInput(f"match data: {type(exc).__name__}: {exc}") from None
-    if type(n) is not int:  # JSON true/false load as bool, a subclass of int
-        raise MalformedInput(f'match data: "n" must be an integer, got {n!r}')
-    for k, (who, scores) in enumerate(matches):
-        if not (isinstance(who, list) and all(type(i) is int for i in who)
-                and isinstance(scores, list) and all(
-                    type(s) in (int, float) and abs(s) <= sys.float_info.max for s in scores)):
-            raise MalformedInput(f"match #{k}: participants must be integers and scores "
-                                 f"finite numbers, got {who!r} and {scores!r}")
     return MatchData(n, matches)
 
 

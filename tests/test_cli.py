@@ -266,6 +266,30 @@ def test_rankagg_matches_file(tmp_path, capsys):
     assert methods == {"hypergraph-rwr", "clique-rwr", "mc3"}
 
 
+@pytest.mark.parametrize("flags, flag", [
+    (["--n", "9"], "--n"),
+    (["--sigma", "2"], "--sigma"),
+    (["--p", "0.5"], "--p"),
+    (["--trials", "7", "--seed", "5", "--n", "9"], "--n"),
+    (["--seed", "42"], "--seed"),
+    (["--config", {"trials": 30}], "--trials"),
+], ids=["n", "sigma", "p", "three", "seed-default", "config"])
+def test_rankagg_matches_refuses_the_experiment_flags(tmp_path, capsys, flags, flag):
+    # --matches draws nothing: a flag of the experiment is a usage error, not
+    # ignored, even at its default value or from a config file
+    matches = _write_json(tmp_path, "matches.json", MATCHES)
+    argv = ["rankagg", "--matches", matches]
+    if flags[0] == "--config":
+        argv = ["--config", _write_json(tmp_path, "config.json", flags[1])] + argv
+    else:
+        argv += flags
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"usage error: {flag} applies only to the experiment, not to --matches\n")
+    assert dispatch(["rankagg", "--matches", matches, "--beta", "0.3"]) == 0  # beta applies
+
+
 @pytest.mark.parametrize("command, source", [
     ("transition", "--input"),
     ("transition --json", "--input"),
@@ -291,7 +315,7 @@ def test_out_file_is_the_stdout_plus_a_manifest(demo_file, tmp_path, capsys, com
         with open(path, "rb") as fh:
             digests[path] = hashlib.sha256(fh.read()).hexdigest()
     assert manifest["inputs"] == digests
-    assert manifest["seed"] == (42 if argv[0] == "rankagg" else None)
+    assert manifest["seed"] == (42 if argv[0] == "rankagg" and not source else None)
 
 
 @pytest.mark.parametrize("command, source", [
@@ -595,27 +619,31 @@ def test_match_file_duplicate_key_is_domain_error(tmp_path, capsys):
 MATCH = {"participants": [1, 2], "scores": [0.5, 1.0]}
 
 
-@pytest.mark.parametrize("doc", [
-    {"n": 2.9, "matches": [MATCH]},
-    {"n": True, "matches": [MATCH]},
-    {"n": "2", "matches": [MATCH]},
-    {"n": 2, "matches": [dict(MATCH, participants=[1.7, 2])]},
-    {"n": 2, "matches": [dict(MATCH, participants=[True, 2])]},
-    {"n": 2, "matches": [dict(MATCH, participants=["1", 2])]},
-    {"n": 2, "matches": [dict(MATCH, scores=["0.5", 1.0])]},
-    {"n": 2, "matches": [dict(MATCH, scores=[True, 1.0])]},
-    {"n": 2, "matches": [dict(MATCH, scores=[None, 1.0])]},
-    '{"n": 2, "matches": [{"participants": [1, 2], "scores": [NaN, 1.0]}]}',
-    '{"n": 2, "matches": [{"participants": [1, 2], "scores": [0.5, Infinity]}]}',
-    '{"n": 2, "matches": [{"participants": [1, 2], "scores": [0.5, 1e400]}]}',
-    '{"n": 2, "matches": [{"participants": [1, 2], "scores": [0.5, %d]}]}' % 10**400,
+@pytest.mark.parametrize("doc, error", [
+    ({"n": 2.9, "matches": [MATCH]}, "MalformedInput"),
+    ({"n": True, "matches": [MATCH]}, "MalformedInput"),
+    ({"n": "2", "matches": [MATCH]}, "MalformedInput"),
+    ({"n": 2, "matches": [dict(MATCH, participants=[1.7, 2])]}, "MalformedInput"),
+    ({"n": 2, "matches": [dict(MATCH, participants=[True, 2])]}, "MalformedInput"),
+    ({"n": 2, "matches": [dict(MATCH, participants=["1", 2])]}, "MalformedInput"),
+    ({"n": 2, "matches": [dict(MATCH, scores=["0.5", 1.0])]}, "MalformedInput"),
+    ({"n": 2, "matches": [dict(MATCH, scores=[True, 1.0])]}, "MalformedInput"),
+    ({"n": 2, "matches": [dict(MATCH, scores=[None, 1.0])]}, "MalformedInput"),
+    # a float that is not finite is a score MatchData names with its player
+    ('{"n": 2, "matches": [{"participants": [1, 2], "scores": [NaN, 1.0]}]}', "ScoreOverflow"),
+    ('{"n": 2, "matches": [{"participants": [1, 2], "scores": [0.5, Infinity]}]}',
+     "ScoreOverflow"),
+    ('{"n": 2, "matches": [{"participants": [1, 2], "scores": [0.5, 1e400]}]}',
+     "ScoreOverflow"),
+    ('{"n": 2, "matches": [{"participants": [1, 2], "scores": [0.5, %d]}]}' % 10**400,
+     "MalformedInput"),
 ], ids=["n-float", "n-true", "n-string", "player-float", "player-true", "player-string",
         "score-string", "score-true", "score-null", "score-nan", "score-infinity",
         "score-overflowing-float", "score-overflowing-int"])
-def test_match_values_must_be_json_numbers(tmp_path, capsys, doc):
+def test_match_values_must_be_json_numbers(tmp_path, capsys, doc, error):
     path = _write_json(tmp_path, "m.json", doc)
     assert dispatch(["rankagg", "--matches", path]) == 1
-    assert "MalformedInput" in capsys.readouterr().err
+    assert f"error: {error}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doc, error", [

@@ -77,6 +77,42 @@ def test_generate_rejects_bad_params():
         generate(1, 1.0, 0.5, seed=1)
 
 
+def unreachable(*args):
+    raise AssertionError("a match set was drawn")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: generate(2.5, 1.0, 0.5, 1), "n must be an integer, got 2.5"),
+    (lambda: generate(True, 1.0, 0.5, 1), "n must be an integer, got True"),
+    (lambda: generate(5, True, 0.5, 1), "sigma must be a real number, got True"),
+    (lambda: generate(5, 1.0, "0.5", 1), "p must be a real number, got '0.5'"),
+    (lambda: generate(5, 1.0, 0.5, 1.5), "seed must be an integer, got 1.5"),
+    (lambda: generate(5, 1.0, 0.5, True), "seed must be an integer, got True"),
+    (lambda: experiment(2.5, 1.0, [0.5], 2, 1), "n must be an integer, got 2.5"),
+    (lambda: experiment(5, True, [0.5], 2, 1), "sigma must be a real number, got True"),
+    (lambda: experiment(5, 1.0, ["0.5"], 2, 1), "p must be a real number, got '0.5'"),
+    (lambda: experiment(5, 1.0, [0.5], 2.5, 1), "trials must be an integer, got 2.5"),
+    (lambda: experiment(5, 1.0, [0.5], True, 1), "trials must be an integer, got True"),
+    (lambda: experiment(5, 1.0, [0.5], 2, 1.5), "seed must be an integer, got 1.5"),
+    (lambda: experiment(5, 1.0, [], 2, True), "seed must be an integer, got True"),
+], ids=["generate-n-float", "generate-n-true", "generate-sigma-true", "generate-p-str",
+        "generate-seed-float", "generate-seed-true", "experiment-n-float",
+        "experiment-sigma-true", "experiment-p-str", "experiment-trials-float",
+        "experiment-trials-true", "experiment-seed-float", "experiment-seed-true-no-rate"])
+def test_counts_seeds_and_rates_are_checked_by_type(monkeypatch, call, message):
+    monkeypatch.setattr(rankagg, "_draw", unreachable)
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_numpy_counts_seeds_and_rates_are_read_as_numbers():
+    want = generate(5, 1.0, 0.5, 1)
+    assert same(generate(np.uint64(5), np.float32(1.0), np.float64(0.5), np.int8(1)), want)
+    got = experiment(np.uint64(6), np.float32(1.0), [np.float32(0.5)], np.int8(2), np.uint64(3))
+    assert got.to_csv() == experiment(6, 1.0, [0.5], 2, 3).to_csv()
+
+
 def test_generate_score_beyond_float_range_is_named():
     # sigma * N(0, 1) overflows: MatchData names the score, and no numpy
     # RuntimeWarning is raised on the way (tier-1 turns those into errors)
@@ -231,8 +267,8 @@ def test_match_data_array_checks():
             MatchData(2, [((1, 2), (0.0, bad))])
     with pytest.raises(UnknownVertex, match="'3'"):
         MatchData(2, [((1, 2), (0.0, 1.0)), ((2, 3), (0.0, 1.0))])
-    with pytest.raises(UnknownVertex):  # players are integers, not 2.0
-        MatchData(2, [((1, 2.0), (0.0, 1.0))])
+    with pytest.raises(MalformedInput, match="^match #0: participants must be integers"):
+        MatchData(2, [((1, 2.0), (0.0, 1.0))])  # players are integers, not 2.0
     with pytest.raises(DisconnectedHypergraph, match="'3'"):
         MatchData(3, [((1, 2), (0.0, 1.0)), ((2, 1), (0.5, 1.0))])
     with pytest.raises(DisconnectedHypergraph):  # no vertex names are allocated
@@ -367,7 +403,8 @@ def built_or_fault(build, n, matches):
 
 def test_match_data_names_the_fault_the_per_match_recipe_names():
     # MatchData hands a faulty match set to Hypergraph: the first fault in
-    # match order, and its message, are the ones the per-match recipe gets
+    # match order, and its message, are the ones the per-match recipe gets;
+    # a float player is refused first, by the type rule, naming its match
     rng = np.random.default_rng(22)
     faults = ["zero", "above", "huge", "float", "spread", "underflow"]
     named = set()
@@ -378,27 +415,102 @@ def test_match_data_names_the_fault_the_per_match_recipe_names():
                 inject(rng, n, matches[m], faults[int(rng.integers(len(faults)))])
         else:
             inject(rng, n, matches[int(rng.integers(len(matches)))], faults[case % len(faults)])
-        with np.errstate(over="ignore", invalid="ignore"):  # the spread overflows np.std
-            want = built_or_fault(per_match_hypergraph, n, matches)
+        floats = [k for k, (who, _) in enumerate(matches) if float in map(type, who)]
+        if floats:
+            k = floats[0]
+            want = (MalformedInput, f"match #{k}: participants must be integers, "
+                                    f"got {matches[k][0]!r}")
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):  # the spread overflows np.std
+                want = built_or_fault(per_match_hypergraph, n, matches)
         assert isinstance(want, tuple), (n, matches)
         assert built_or_fault(MatchData, n, matches) == want, (n, matches)
         named.add(want[0])
-    assert named == {UnknownVertex, NonPositiveWeight}
+    assert named == {UnknownVertex, NonPositiveWeight, MalformedInput}
 
 
 @pytest.mark.parametrize("matches, name", [
-    ([((True, 2), (0.0, 0.0))], "True"),
-    ([((np.True_, 2), (0.0, 0.0))], "True"),
-    ([((1, 2, True), (0.0, 0.0, 1.0))], "True"),
-    ([((1, 2, np.True_), (0.0, 0.0, 1.0))], "True"),
-    ([((1, 2, 1.0), (0.0, 0.0, 1.0))], "1.0"),
+    ([((True, 2), (0.0, 0.0))], "(True, 2)"),
+    ([((np.True_, 2), (0.0, 0.0))], "(np.True_, 2)"),
+    ([((1, 2, True), (0.0, 0.0, 1.0))], "(1, 2, True)"),
+    ([((1, 2, np.True_), (0.0, 0.0, 1.0))], "(1, 2, np.True_)"),
+    ([((1, 2, 1.0), (0.0, 0.0, 1.0))], "(1, 2, 1.0)"),
 ], ids=["bool", "numpy-bool", "bool-beside-1", "numpy-bool-beside-1", "float-beside-1"])
 def test_a_player_equal_to_player_1_is_named_as_given(matches, name):
-    # True and 1.0 equal 1 as numbers, but Hypergraph reads a player by its
-    # name: each is an undeclared vertex, not player 1 (nor player 1 twice)
-    want = built_or_fault(per_match_hypergraph, 2, matches)
-    assert want == (UnknownVertex, f"edge #0 references undeclared vertex '{name}'")
-    assert built_or_fault(MatchData, 2, matches) == want
+    # True and 1.0 equal 1 as numbers, but a player is an integer by type:
+    # each is refused as given, not read as player 1 (nor player 1 twice)
+    assert built_or_fault(MatchData, 2, matches) == (
+        MalformedInput, f"match #0: participants must be integers, got {name}")
+
+
+def from_json(n, matches):
+    """The match set as a match document, read by the JSON adapter."""
+    return matches_from_json_dict({"n": n, "matches": [
+        {"participants": who, "scores": scores} for who, scores in matches]})
+
+
+INTEGER_TYPES = [int] + sorted({np.dtype(c).type for c in np.typecodes["AllInteger"]},
+                               key=lambda t: t.__name__)
+
+
+@pytest.mark.parametrize("build", [MatchData, from_json], ids=["MatchData", "json"])
+@pytest.mark.parametrize("kind", INTEGER_TYPES, ids=lambda t: t.__name__)
+def test_players_of_any_integer_type_build_the_per_match_hypergraph(build, kind):
+    rng = np.random.default_rng(35)
+    for _ in range(10):
+        n, matches = random_matches(rng)
+        matches = [([kind(i) for i in who], scores) for who, scores in matches]
+        data = build(n, matches)
+        assert data.hypergraph == per_match_hypergraph(n, matches)
+        assert np.array_equal(data.scores, csr_scores(matches))
+
+
+MATCH = ((1, 2), (0.0, 1.0))
+PLAYERS = "^match #1: participants must be integers, got "
+N = '^match data: "n" must be an integer, got '
+
+
+@pytest.mark.parametrize("build", [MatchData, from_json], ids=["MatchData", "json"])
+@pytest.mark.parametrize("n, matches, error, message", [
+    # matches is a function: a generator is read once
+    (2, lambda: [MATCH, ((True, 2), (0.0, 1.0))], MalformedInput, PLAYERS + r"\(True, 2\)$"),
+    (2, lambda: [MATCH, ((np.True_, 2), (0.0, 1.0))], MalformedInput, PLAYERS),
+    (2, lambda: [MATCH, ((1.0, 2), (0.0, 1.0))], MalformedInput, PLAYERS),
+    (2, lambda: [MATCH, (("1", 2), (0.0, 1.0))], MalformedInput, PLAYERS),
+    (2, lambda: [MATCH, ((None, 2), (0.0, 1.0))], MalformedInput, PLAYERS),
+    (2, lambda: [MATCH, (1, (0.0, 1.0))], MalformedInput, PLAYERS + "1$"),
+    (2, lambda: [MATCH, ((i for i in (1, 2)), (0.0, 1.0))], MalformedInput, PLAYERS),
+    (True, lambda: [MATCH], MalformedInput, N + "True$"),
+    (2.0, lambda: [MATCH], MalformedInput, N + "2.0$"),
+    ("2", lambda: [MATCH], MalformedInput, N + "'2'$"),
+    (0, lambda: [], DisconnectedHypergraph, "^hypergraph has no vertices$"),
+], ids=["player-true", "player-numpy-true", "player-float", "player-str", "player-none",
+        "participants-scalar", "participants-generator", "n-true", "n-float", "n-str",
+        "no-players"])
+def test_each_match_value_is_checked_by_type(build, n, matches, error, message):
+    # a document and the same matches as pairs give one error: the one the
+    # type rule gives, naming the match (never player 1, never a bare error)
+    with pytest.raises(error, match=message):
+        build(n, matches())
+
+
+@pytest.mark.parametrize("match", [((1, 2),), ((1, 2), (0.0, 1.0), 5), 5],
+                         ids=["1-tuple", "3-tuple", "scalar"])
+def test_a_match_that_is_not_a_pair_is_named(match):
+    with pytest.raises(MalformedInput, match=r"^match #1: expected a \(participants, scores\) "
+                                             "pair, got "):
+        MatchData(2, [MATCH, match])
+
+
+def test_a_match_document_and_its_pairs_give_one_outcome():
+    rng = np.random.default_rng(35)
+    faults = [None, "zero", "above", "huge", "float", "spread", "underflow"]
+    for case in range(70):
+        n, matches = random_matches(rng)
+        if faults[case % len(faults)]:
+            inject(rng, n, matches[int(rng.integers(len(matches)))], faults[case % len(faults)])
+        data, doc = (built_or_fault(build, n, matches) for build in (MatchData, from_json))
+        assert same(data, doc) if isinstance(data, MatchData) else data == doc, (n, matches)
 
 
 @pytest.mark.parametrize("dtype", [None, np.uint8, np.int32, np.uint64])
