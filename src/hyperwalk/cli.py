@@ -34,7 +34,7 @@ from .core import (
     read_hypergraph,
 )
 from .errors import ConvergenceFailure, HyperwalkError
-from .rankagg import _rankings, experiment, matches_from_json_dict
+from .rankagg import DEFAULT_BETA, _rankings, experiment, matches_from_json_dict
 from .reduction import (
     edge_independent_to_graph,
     nonlazy_trivial_equivalence,
@@ -114,8 +114,9 @@ def _cmd_validate(args) -> str:
 
 
 def _cmd_transition(args) -> dict | str:
-    if args.restart_vertex is not None and args.kind != "restart":
-        raise ValueError("--restart-vertex applies only to --kind restart")
+    for flag, value in (("--beta", args.beta), ("--restart-vertex", args.restart_vertex)):
+        if value is not None and args.kind != "restart":
+            raise ValueError(f"{flag} applies only to --kind restart")
     H = read_hypergraph(args.input)
     P = nonlazy_transition_matrix(H) if args.kind == "nonlazy" else transition_matrix(H)
     if args.kind == "restart":
@@ -123,7 +124,7 @@ def _cmd_transition(args) -> dict | str:
         if args.restart_vertex is not None:
             restart = np.zeros(H.n_vertices)
             restart[H.index(args.restart_vertex)] = 1.0
-        P = restart_matrix(P, args.beta, restart)
+        P = restart_matrix(P, DEFAULT_BETA if args.beta is None else args.beta, restart)
     if args.json:
         return {
             "vertices": list(P.vertices),
@@ -274,7 +275,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("transition", help="emit a walk transition matrix as CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--kind", choices=["lazy", "nonlazy", "restart"], default="lazy")
-    p.add_argument("--beta", type=float, default=0.4)
+    p.add_argument("--beta", type=float)  # DEFAULT_BETA with --kind restart, else refused
     p.add_argument("--restart-vertex", help="restart to this vertex instead of uniform")
     p.add_argument("--json", action="store_true", help="JSON instead of CSV")
     add_out(p)

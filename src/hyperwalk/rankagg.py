@@ -87,14 +87,17 @@ class MatchData(_Frozen):
     weight that is not finite and positive, a player in no match) is named
     by Hypergraph, the one place a weight is checked: when one array test
     fails, the same matches go to it as ``(omega, {player name: gamma})``
-    pairs in input order. No per-match object is made on the success
-    path."""
+    pairs in input order. Matches that are not iterable are MalformedInput
+    naming "matches". No per-match object is made on the success path."""
 
     __slots__ = ("hypergraph", "scores", "_left", "_right", "_clique", "_scale", "_step")
 
     def __init__(self, n: int, matches: Iterable[tuple[Sequence[int], Sequence[float]]]):
         if type(n) not in _INTEGER:
             raise MalformedInput(f'match data: "n" must be an integer, got {n!r}')
+        if not isinstance(matches, Iterable):
+            raise MalformedInput(
+                f'match data: "matches" must be an iterable of pairs, got {matches!r}')
         with np.errstate(over="ignore"):  # a numpy float past the float range: ScoreOverflow
             pairs = [_match(k, match) for k, match in enumerate(matches)]
         sizes = np.array([len(who) for who, _ in pairs], dtype=np.intp)

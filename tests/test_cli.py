@@ -911,16 +911,20 @@ def test_subnormal_edge_weight_is_named(tmp_path, capsys, command):
                                        "constant rho_e overflows the float range\n")
 
 
-@pytest.mark.parametrize("kind", [[], ["--kind", "lazy"], ["--kind", "nonlazy"]])
-def test_restart_vertex_needs_the_restart_walk(demo_file, tmp_path, capsys, kind):
+@pytest.mark.parametrize("kind, flag, value", [
+    (kind, flag, value) for flag, value in (("--restart-vertex", "v1"), ("--beta", 0.9))
+    for kind in ([], ["--kind", "lazy"], ["--kind", "nonlazy"])
+], ids=["kind0", "kind1", "kind2", "beta-kind0", "beta-kind1", "beta-kind2"])
+def test_restart_vertex_needs_the_restart_walk(demo_file, tmp_path, capsys, kind, flag, value):
+    # --beta, like --restart-vertex, is refused from the command line and
+    # from --config unless the walk is the restart walk
     argv = ["transition", "--input", demo_file] + kind
-    assert dispatch(argv + ["--restart-vertex", "v1"]) == 2
-    assert "usage error: --restart-vertex applies only to --kind restart" in \
-        capsys.readouterr().err
+    assert dispatch(argv + [flag, str(value)]) == 2
+    assert f"usage error: {flag} applies only to --kind restart" in capsys.readouterr().err
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"restart_vertex": "v1"}))
+    config.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
     assert dispatch(["--config", str(config)] + argv) == 2
-    assert "--restart-vertex" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
     assert dispatch(["--config", str(config), "transition", "--input", demo_file,
                      "--kind", "restart"]) == 0
 

@@ -502,6 +502,13 @@ def test_a_match_that_is_not_a_pair_is_named(match):
         MatchData(2, [MATCH, match])
 
 
+@pytest.mark.parametrize("matches", [None, 5], ids=["none", "int"])
+def test_matches_that_are_not_iterable_are_named(matches):
+    with pytest.raises(MalformedInput, match=r'^match data: "matches" must be an iterable of '
+                                             f"pairs, got {matches}$"):
+        MatchData(2, matches)
+
+
 def test_a_match_document_and_its_pairs_give_one_outcome():
     rng = np.random.default_rng(35)
     faults = [None, "zero", "above", "huge", "float", "spread", "underflow"]

@@ -13,6 +13,7 @@ from hyperwalk import (
     NotTrivialWeights,
     SingletonEdge,
     SizeLimit,
+    TransitionMatrix,
     WeightedGraph,
     clique_expansion_weights,
     edge_independent_to_graph,
@@ -154,6 +155,24 @@ def test_kolmogorov_agrees_with_reversibility():
         P = transition_matrix(H)
         pi = stationary_direct(P).pi
         assert kolmogorov_check(P, 5).holds == reversibility(P, pi).reversible
+
+
+def _cycle_walk(k: int) -> TransitionMatrix:
+    """A walk on a k-cycle that steps forward with 0.7 and back with 0.3."""
+    M = np.zeros((k, k))
+    for i in range(k):
+        M[i, (i + 1) % k], M[i, (i - 1) % k] = 0.7, 0.3
+    return TransitionMatrix(list("abcde"[:k]), M)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_kolmogorov_finds_a_violation_only_on_a_long_cycle(k):
+    # the walk's one cycle of length 3 or more is the whole k-cycle, 0.7^k
+    # one way and 0.3^k the other: cycles up to length 5 find it, cycles up
+    # to length k - 1 do not
+    P = _cycle_walk(k)
+    assert kolmogorov_check(P, 5).witness_cycle == tuple("abcde"[:k])
+    assert kolmogorov_check(P, k - 1).holds
 
 
 def test_kolmogorov_two_vertices_trivially_holds(two_vertex_edge):
