@@ -306,7 +306,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--p", help="comma-separated inclusion rates")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--beta", type=float, default=0.4)
+    p.add_argument("--beta", type=float, default=DEFAULT_BETA)
     p.add_argument("--matches", help="rank externally supplied matches (JSON) instead")
     p.add_argument("--json", action="store_true", help="JSON instead of CSV")
     add_out(p)

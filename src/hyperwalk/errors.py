@@ -32,7 +32,7 @@ class UnknownVertex(HyperwalkError):
 
 
 class MalformedInput(HyperwalkError, ValueError):
-    """An input file is not valid JSON or text, or does not have the expected
+    """An input file is not valid JSON, or does not have the expected
     structure (e.g. an edge that is not an object)."""
 
 

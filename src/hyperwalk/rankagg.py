@@ -242,15 +242,19 @@ def _check_types(**values) -> None:
                              f"got {value!r}")
 
 
-def _check_draw(n: int, sigma: float, p: float) -> None:
+def _check_draw(n: int, sigma: float, p: float, seed: int) -> None:
     """The usage errors of the values of generate(n, sigma, p, seed), as
     ValueError."""
     if n < 2:
         raise ValueError("need at least two players")
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
 
 
 def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
@@ -274,7 +278,7 @@ def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
     (ScoreOverflow).
     """
     _check_types(n=n, sigma=sigma, p=p, seed=seed)
-    _check_draw(n, sigma, p)
+    _check_draw(n, sigma, p, seed)
     n = int(n)  # a numpy unsigned n would make every index a float
     return _match_sets(n, [_draw(n, sigma, p, seed)])[0]
 
@@ -620,7 +624,7 @@ def experiment(n: int, sigma: float, p_values: Iterable[float], trials: int,
     for k, p in enumerate(p_values):
         if p in p_values[:k]:
             raise ValueError(f"inclusion rate {p!r} is given more than once")
-        _check_draw(n, sigma, p)
+        _check_draw(n, sigma, p, seed)
 
     tasks = [(p, t) for p in p_values for t in range(trials)]
     # The pairs of n, held once and built before any share forks, once a

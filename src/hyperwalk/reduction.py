@@ -134,10 +134,10 @@ def reversibility(P: TransitionMatrix, pi: np.ndarray) -> ReversibilityVerdict:
         raise NotStationary("supplied distribution is not stationary for the chain")
     flow = pi[:, None] * P.matrix
     gap = np.abs(flow - flow.T)
+    # gap is exactly symmetric and argmax takes the first maximum in row-major
+    # order, so u <= v
     u, v = np.unravel_index(np.argmax(gap), gap.shape)
     worst = float(gap[u, v])
-    if u > v:
-        u, v = v, u
     return ReversibilityVerdict(
         reversible=worst <= REVERSIBILITY_TOL,
         worst_pair=(P.vertices[u], P.vertices[v]),

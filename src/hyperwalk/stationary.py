@@ -17,9 +17,9 @@ Four routes are provided and cross-checked against each other:
 * ``stationary_direct`` -- solve pi P = pi, sum pi = 1 as a dense linear
   system (the oracle for the other two). P may be shared, so it solves in
   a copy of P; the CLI's direct route (``_stationary_direct_of``) builds
-  P's array itself, solves in that buffer and only then makes P of it and
-  stores P on the hypergraph, so one command holds two n x n matrices at
-  its peak: P and LAPACK's working copy.
+  P's array itself and solves in that buffer, so one command holds two
+  n x n matrices at its peak: P and LAPACK's working copy. It makes P of
+  the array only after the solve, and stores nothing on the hypergraph.
 * ``stationary_edge_independent`` -- the closed form
   pi_v = d(v) gamma(v) / sum_u d(u) gamma(u) available when vertex weights
   do not depend on the edge.
@@ -231,23 +231,14 @@ def _nonnegative(pi: np.ndarray, vertices: tuple) -> np.ndarray:
 
 
 def _stationary_direct_of(H: Hypergraph) -> StationaryResult:
-    """``stationary_direct(transition_matrix(H))`` bit for bit, copying only
-    what someone else holds.
-
-    When H's memo already holds P, that is shared, and it is solved in a
-    copy. Otherwise P's array is built here, solved in its own buffer, then
-    checked as P and stored, so P is still built once per hypergraph: one
-    n x n matrix fewer at the peak."""
-    P = H._memo.get("transition_matrix")
-    if P is not None:
-        return stationary_direct(P)
+    """``stationary_direct(transition_matrix(H))`` bit for bit, without the
+    copy: P's array is built here and solved in its own buffer, so one n x n
+    matrix fewer is held at the peak. Nothing is stored on H, so a later
+    ``transition_matrix(H)`` builds P again."""
     _check_size(H.n_vertices)
     M = _lazy_walk(H)
     pi = _fixed_point(M.T)
-    P = TransitionMatrix._over(H, M)
-    result = _direct(P, pi)
-    _memo(H, "transition_matrix", lambda: P)
-    return result
+    return _direct(TransitionMatrix._over(H, M), pi)
 
 
 def stationary_walk(H: Hypergraph) -> StationaryResult:

@@ -273,7 +273,8 @@ def test_rankagg_matches_file(tmp_path, capsys):
     (["--trials", "7", "--seed", "5", "--n", "9"], "--n"),
     (["--seed", "42"], "--seed"),
     (["--config", {"trials": 30}], "--trials"),
-], ids=["n", "sigma", "p", "three", "seed-default", "config"])
+    (["--config=", {"seed": 3}], "--seed"),
+], ids=["n", "sigma", "p", "three", "seed-default", "config", "config-equals"])
 def test_rankagg_matches_refuses_the_experiment_flags(tmp_path, capsys, flags, flag):
     # --matches draws nothing: a flag of the experiment is a usage error, not
     # ignored, even at its default value or from a config file
@@ -281,6 +282,8 @@ def test_rankagg_matches_refuses_the_experiment_flags(tmp_path, capsys, flags, f
     argv = ["rankagg", "--matches", matches]
     if flags[0] == "--config":
         argv = ["--config", _write_json(tmp_path, "config.json", flags[1])] + argv
+    elif flags[0] == "--config=":
+        argv = ["--config=" + _write_json(tmp_path, "config.json", flags[1])] + argv
     else:
         argv += flags
     assert dispatch(argv) == 2
@@ -506,6 +509,8 @@ def test_text_format_file_is_malformed_json(tmp_path, capsys, text):
     {"vertices": ["a", "b"], "edges": ["a"]},                       # edge is not an object
     {"vertices": "ab",                                              # vertices is a string
      "edges": [{"weight": 1.0, "members": {"a": 1.0, "b": 1.0}}]},
+    {"vertices": ["a", "b"],                                        # members is a list
+     "edges": [{"weight": 1.0, "members": ["a", "b"]}]},
 ])
 def test_malformed_hypergraph_is_named_domain_error(tmp_path, capsys, doc):
     path = _write_json(tmp_path, "h.json", doc)
@@ -711,6 +716,8 @@ def test_rankagg_trial_error_is_reported_alike_in_any_number_of_processes(capsys
     (["--p", "0.3,1.5"], "p must lie in (0, 1)"),
     (["--sigma", "0"], "sigma must be positive"),
     (["--n", "1"], "need at least two players"),
+    (["--sigma", "inf"], "sigma must be finite, got inf"),
+    (["--seed", "-1"], "seed must be nonnegative, got -1"),
 ])
 def test_rankagg_out_of_range_parameter_starts_no_process(capsys, monkeypatch, flags, message):
     def unreachable(*args):

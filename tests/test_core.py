@@ -13,6 +13,7 @@ from hyperwalk import (
     Hypergraph,
     MalformedInput,
     NonPositiveWeight,
+    NotSymmetric,
     UnknownVertex,
     WeightedGraph,
     build_hypergraph,
@@ -107,6 +108,18 @@ def test_graph_names_its_first_repeated_vertex():
         Hypergraph(["b", "c", "c", "b"], [(1.0, {"b": 1.0, "c": 1.0})])
 
 
+@pytest.mark.parametrize("W, error, message", [
+    (np.ones((2, 3)), ValueError, "weight matrix shape does not match the vertex list"),
+    (np.ones((3, 3)), ValueError, "weight matrix shape does not match the vertex list"),
+    ([[0.0, -1.0], [-1.0, 0.0]], NonPositiveWeight, "graph weights must be nonnegative"),
+    ([[0.0, 2.0], [1.0, 0.0]], NotSymmetric, "graph weight matrix asymmetric by 1.000e+00"),
+], ids=["not-square", "not-the-vertex-count", "negative", "asymmetric"])
+def test_graph_refuses_a_malformed_weight_matrix(W, error, message):
+    with pytest.raises(error) as info:
+        WeightedGraph(("a", "b"), W)
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_empty_edge():
     with pytest.raises(EmptyEdge, match="edge #1"):
         Hypergraph(("a", "b"), [(1.0, {"a": 1.0, "b": 1.0}), (1.0, {})])
@@ -170,6 +183,10 @@ def test_build_hypergraph_names_the_first_fault_in_file_order():
         build_hypergraph(data)
     data["edges"][0] = {"weight": 1.0, "members": {"a": 1.0, "b": 1.0}}
     with pytest.raises(MalformedInput, match="edge #1 must be an object"):
+        build_hypergraph(data)
+    data["edges"][1] = {"weight": 1.0, "members": ["a", "b"]}
+    with pytest.raises(MalformedInput,
+                       match='^edge #1: "members" must map vertex names to weights$'):
         build_hypergraph(data)
 
 
@@ -282,6 +299,11 @@ def test_rescale_rejects_bad_factor(h_demo, bad):
     # 1e308 is finite but overflows against the vertex weight 2 in edge #0
     with pytest.raises(NonPositiveWeight, match="edge #0"):
         rescale_edges(h_demo, [bad, 1.0])
+
+
+def test_rescale_needs_one_factor_per_edge(h_demo):
+    with pytest.raises(ValueError, match="^need exactly one factor per edge$"):
+        rescale_edges(h_demo, [1.0])
 
 
 def test_block_scatter_matches_per_group_outer_products():

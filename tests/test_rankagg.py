@@ -95,10 +95,16 @@ def unreachable(*args):
     (lambda: experiment(5, 1.0, [0.5], True, 1), "trials must be an integer, got True"),
     (lambda: experiment(5, 1.0, [0.5], 2, 1.5), "seed must be an integer, got 1.5"),
     (lambda: experiment(5, 1.0, [], 2, True), "seed must be an integer, got True"),
+    (lambda: generate(5, 1.0, 0.5, -1), "seed must be nonnegative, got -1"),
+    (lambda: generate(5, math.inf, 0.5, 1), "sigma must be finite, got inf"),
+    (lambda: experiment(20, 1.0, [0.3, 0.5], 1, -1), "seed must be nonnegative, got -1"),
+    (lambda: experiment(5, math.inf, [0.5], 2, 1), "sigma must be finite, got inf"),
 ], ids=["generate-n-float", "generate-n-true", "generate-sigma-true", "generate-p-str",
         "generate-seed-float", "generate-seed-true", "experiment-n-float",
         "experiment-sigma-true", "experiment-p-str", "experiment-trials-float",
-        "experiment-trials-true", "experiment-seed-float", "experiment-seed-true-no-rate"])
+        "experiment-trials-true", "experiment-seed-float", "experiment-seed-true-no-rate",
+        "generate-seed-negative", "generate-sigma-inf", "experiment-seed-negative",
+        "experiment-sigma-inf"])
 def test_counts_seeds_and_rates_are_checked_by_type(monkeypatch, call, message):
     monkeypatch.setattr(rankagg, "_draw", unreachable)
     with pytest.raises(ValueError) as info:
@@ -114,12 +120,12 @@ def test_numpy_counts_seeds_and_rates_are_read_as_numbers():
 
 
 def test_generate_score_beyond_float_range_is_named():
-    # sigma * N(0, 1) overflows: MatchData names the score, and no numpy
-    # RuntimeWarning is raised on the way (tier-1 turns those into errors)
-    for sigma in (1e308, math.inf):
-        for seed in (1, 42):
-            with pytest.raises(ScoreOverflow, match="is not a finite number"):
-                generate(5, sigma, 0.5, seed)
+    # a finite sigma * N(0, 1) overflows: MatchData names the score, and no
+    # numpy RuntimeWarning is raised on the way (tier-1 turns those into
+    # errors); an infinite sigma is refused before any draw
+    for seed in (1, 42):
+        with pytest.raises(ScoreOverflow, match="is not a finite number"):
+            generate(5, 1e308, 0.5, seed)
 
 
 def reference_generate(n, sigma, p, seed):

@@ -252,28 +252,33 @@ def test_fixed_point_restores_its_buffer(h_demo):
 
 
 def test_direct_in_the_walk_matrix_buffer_equals_the_public_solve(h_demo):
-    # a fresh hypergraph: P is built, solved in its own buffer and stored;
-    # a hypergraph that already holds P: its shared P is solved in a copy
+    # a fresh hypergraph, and one that already holds P: either way P's array
+    # is built afresh and solved in its own buffer, and a held P is left as
+    # it was
     for H in [h_demo, _chain_hypergraph(13, 64)] + sweep(304, 15):
         want = stationary_direct(transition_matrix(rebuilt(H)))
-        for got in (_stationary_direct_of(rebuilt(H)), _stationary_direct_of(H),
-                    _stationary_direct_of(H)):
+        P = transition_matrix(H)
+        before = P.matrix.tobytes()
+        for got in (_stationary_direct_of(rebuilt(H)), _stationary_direct_of(H)):
             assert got.pi.tobytes() == want.pi.tobytes()
             assert np.float64(got.residual).tobytes() == np.float64(want.residual).tobytes()
             assert (got.vertices, got.rho, got.method) == (want.vertices, None, "direct-solve")
+        assert transition_matrix(H) is P and P.matrix.tobytes() == before
 
 
-def test_direct_stores_the_walk_matrix_it_solved_in(h_demo, monkeypatch):
+def test_direct_stores_nothing_on_the_hypergraph(h_demo, monkeypatch):
+    # each call builds P's array once, solves in it and drops it: H's memo
+    # keeps only the degrees the build reads
     builds = []
     real = stationary._lazy_walk
     monkeypatch.setattr(stationary, "_lazy_walk", lambda H: builds.append(1) or real(H))
+    want = stationary_direct(transition_matrix(rebuilt(h_demo)))
     H = rebuilt(h_demo)
-    _stationary_direct_of(H)
-    P = transition_matrix(H)
-    assert P is H._memo["transition_matrix"] and not P.matrix.flags.writeable
-    assert P.matrix.tobytes() == transition_matrix(rebuilt(h_demo)).matrix.tobytes()
-    _stationary_direct_of(H)  # solved in a copy of the stored P, which stays
-    assert transition_matrix(H) is P and len(builds) == 1
+    for calls in (1, 2):
+        got = _stationary_direct_of(H)
+        assert H._memo.keys() == {"degrees"} and len(builds) == calls
+        assert got.pi.tobytes() == want.pi.tobytes()
+        assert np.float64(got.residual).tobytes() == np.float64(want.residual).tobytes()
 
 
 def test_direct_command_holds_one_walk_matrix(tmp_path, monkeypatch):

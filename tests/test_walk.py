@@ -175,6 +175,13 @@ def test_transition_matrix_rejects_non_finite_entries(rows, row):
         TransitionMatrix(("v1", "v2", "v3", "v4"), M)
 
 
+def test_transition_matrix_rejects_a_wrong_shape():
+    # not square, square but not one row per vertex, and one row alone
+    for M in (np.full((4, 2), 0.5), np.full((2, 2), 0.5), np.full(4, 0.25)):
+        with pytest.raises(ValueError, match="^transition matrix shape does not match"):
+            TransitionMatrix(("v1", "v2", "v3", "v4"), M)
+
+
 def test_size_limit():
     names = [f"v{i}" for i in range(4097)]
     H = Hypergraph(names, [(1.0, {v: 1.0 for v in names})])
@@ -346,6 +353,11 @@ def test_nonlazy_trivial_weights_keep_their_bits():
 def test_simulate_zero_steps(h_demo):
     P = transition_matrix(h_demo)
     assert simulate(P, "v2", 0, seed=1) == ["v2"]
+
+
+def test_simulate_refuses_negative_steps(h_demo):
+    with pytest.raises(ValueError, match="^steps must be nonnegative$"):
+        simulate(transition_matrix(h_demo), "v1", -1, 0)
 
 
 def test_simulate_unknown_start(h_demo):
