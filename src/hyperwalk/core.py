@@ -87,14 +87,12 @@ def _vertex_index(vertices) -> tuple[tuple[str, ...], dict[str, int]]:
 
 
 def _frozen(value):
-    """`value`, with every array in it made read-only: `value` itself if it
-    is an array, else a record's ``__dict__`` fields that are arrays.
-    Nothing is walked deeper, so a tuple of vertex names costs one type
-    check. The one place an array is made read-only: as `_Frozen` sets an
-    attribute, and in each result the memo stores."""
-    for a in vars(value).values() if hasattr(value, "__dict__") else (value,):
-        if isinstance(a, np.ndarray):
-            a.setflags(write=False)
+    """`value`, made read-only if it is an array; anything else as it is.
+    The one place an array is made read-only: as `_Frozen` sets an
+    attribute (so a record's or a matrix's arrays as it is built), and in
+    each array the memo stores."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
     return value
 
 
@@ -116,6 +114,38 @@ class _Frozen:
     def _set(self, **values) -> None:
         for name, value in values.items():
             setattr(self, name, value)
+
+
+class _Record(_Frozen):
+    """A result record. A subclass declares its fields once, as annotations,
+    followed by ``__slots__ = tuple(__annotations__)``. It is built by
+    keyword, each field exactly once (else TypeError), and keeps each array
+    it is given, made read-only. Equality (of records of one class), hash
+    and repr go over the fields in order; no method is generated, so a
+    record class costs nothing to build at import."""
+
+    __slots__ = ()
+
+    def __init__(self, **fields):
+        if fields.keys() != set(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}, "
+                            f"got {tuple(fields)}")
+        self._set(**fields)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
 
 
 class _Indexed(_Frozen):
@@ -264,8 +294,9 @@ def _memo(H: Hypergraph, key: str, compute):
     """``compute()`` on the first call for H and `key`, and that same object
     on every later call: H is immutable, so a result derived from it never
     goes stale. A call that raises stores nothing. What it stores, a result
-    or a tuple of results, is ``_frozen`` first, so no caller can change a
-    later one's input."""
+    or a tuple of results, is ``_frozen`` first, an array made read-only (a
+    record or a matrix object already is), so no caller can change a later
+    one's input."""
     try:
         return H._memo[key]
     except KeyError:

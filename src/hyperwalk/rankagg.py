@@ -31,13 +31,12 @@ import math
 import os
 import pickle
 import threading
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .core import (_INTEGER, _PAIR_CHUNK, _REAL, Hypergraph, _block_add, _component_labels,
-                   _entry_pairs, _Frozen, _vertex_index, delta_normalized)
+                   _entry_pairs, _Frozen, _Record, _vertex_index, delta_normalized)
 from .errors import (ConvergenceFailure, DisconnectedHypergraph, DuplicateVertex,
                      ElementMismatch, HyperwalkError, MalformedInput, NonPositiveWeight,
                      ScoreOverflow)
@@ -242,17 +241,21 @@ def _check_types(**values) -> None:
                              f"got {value!r}")
 
 
-def _check_draw(n: int, sigma: float, p: float, seed: int) -> None:
-    """The usage errors of the values of generate(n, sigma, p, seed), as
-    ValueError."""
+def _check_draw(n: int, sigma: float, p_values: list, seed: int) -> None:
+    """The usage errors of the values of generate(n, sigma, p, seed) for
+    each p of `p_values`, as ValueError: n, sigma and seed are checked once,
+    however many rates there are, and a rate given twice is refused."""
     if n < 2:
         raise ValueError("need at least two players")
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
+    for k, p in enumerate(p_values):
+        if not 0.0 < p < 1.0:
+            raise ValueError("p must lie in (0, 1)")
+        if p in p_values[:k]:
+            raise ValueError(f"inclusion rate {p!r} is given more than once")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
 
@@ -278,7 +281,7 @@ def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
     (ScoreOverflow).
     """
     _check_types(n=n, sigma=sigma, p=p, seed=seed)
-    _check_draw(n, sigma, p, seed)
+    _check_draw(n, sigma, [p], seed)
     n = int(n)  # a numpy unsigned n would make every index a float
     return _match_sets(n, [_draw(n, sigma, p, seed)])[0]
 
@@ -358,11 +361,11 @@ def _built(n: int, draws: list):
     yield from sets
 
 
-@dataclass(frozen=True)
-class RankingResult:
+class RankingResult(_Record):
     method: str
     scores: np.ndarray            # stationary value per player, index = id - 1
     order: tuple[int, ...]        # best first, ties by ascending player id
+    __slots__ = tuple(__annotations__)
 
 
 def _ranking(method: str, stationary: np.ndarray) -> RankingResult:
@@ -522,11 +525,11 @@ def _taus(rank: np.ndarray, blocks) -> tuple[float, float]:
     return float(signed / total), (2 * concordant - pairs) / pairs
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(_Record):
     params: dict
     trials: list[dict]   # method, p, trial, tau_weighted, tau_unweighted
     summary: list[dict]  # method, p, mean_tau_weighted, std_tau_weighted, trials
+    __slots__ = tuple(__annotations__)
 
     def to_csv(self) -> str:
         lines = ["method,p,trial,tau_weighted,tau_unweighted"]
@@ -621,15 +624,12 @@ def experiment(n: int, sigma: float, p_values: Iterable[float], trials: int,
     for p in p_values:
         _check_types(p=p)
     n, p_values = int(n), [float(p) for p in p_values]
-    for k, p in enumerate(p_values):
-        if p in p_values[:k]:
-            raise ValueError(f"inclusion rate {p!r} is given more than once")
-        _check_draw(n, sigma, p, seed)
+    _check_draw(n, sigma, p_values, seed)
 
     tasks = [(p, t) for p in p_values for t in range(trials)]
     # The pairs of n, held once and built before any share forks, once a
-    # trial's chains of n players are known to fit beside them (n >= 2 once
-    # a rate is checked); with no trial nothing is scored.
+    # trial's chains of n players are known to fit beside them (n >= 2 is
+    # checked); with no trial nothing is scored.
     blocks = []
     if tasks:
         _check_size(n)

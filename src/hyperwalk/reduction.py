@@ -14,7 +14,6 @@ Laplacian eigenvalue brackets the hypergraph's within a weight-spread factor.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .core import (
     Hypergraph,
     WeightedGraph,
     _block_scatter,
+    _Record,
     _vertex_major,
     degrees,
     edge_independent_gamma,
@@ -108,11 +108,11 @@ def clique_expansion_weights(H: Hypergraph) -> WeightedGraph:
     return _clique_weights(H, H.gamma)
 
 
-@dataclass(frozen=True)
-class ReversibilityVerdict:
+class ReversibilityVerdict(_Record):
     reversible: bool
     worst_pair: tuple[str, str]
     violation: float  # max |pi_u p_uv - pi_v p_vu|
+    __slots__ = tuple(__annotations__)
 
 
 def reversibility(P: TransitionMatrix, pi: np.ndarray) -> ReversibilityVerdict:
@@ -145,10 +145,10 @@ def reversibility(P: TransitionMatrix, pi: np.ndarray) -> ReversibilityVerdict:
     )
 
 
-@dataclass(frozen=True)
-class KolmogorovResult:
+class KolmogorovResult(_Record):
     holds: bool
     witness_cycle: tuple[str, ...] | None
+    __slots__ = tuple(__annotations__)
 
 
 def kolmogorov_check(P: TransitionMatrix, max_cycle_len: int = 5) -> KolmogorovResult:
@@ -190,10 +190,10 @@ def kolmogorov_check(P: TransitionMatrix, max_cycle_len: int = 5) -> KolmogorovR
     return KolmogorovResult(holds=True, witness_cycle=None)
 
 
-@dataclass(frozen=True)
-class NonlazyEquivalence:
+class NonlazyEquivalence(_Record):
     graph: WeightedGraph
     max_dev: float
+    __slots__ = tuple(__annotations__)
 
 
 def nonlazy_trivial_equivalence(H: Hypergraph) -> NonlazyEquivalence:
@@ -213,14 +213,14 @@ def nonlazy_trivial_equivalence(H: Hypergraph) -> NonlazyEquivalence:
     return NonlazyEquivalence(graph=G, max_dev=dev)
 
 
-@dataclass(frozen=True)
-class SandwichCheck:
+class SandwichCheck(_Record):
     graph: WeightedGraph  # clique expansion of rho_normalized(H); its walk shares H's pi
     lam_h: float
     lam_g: float
     c: float
     holds: bool
     pi_dev: float  # max |pi(graph walk) - pi(hypergraph walk)|
+    __slots__ = tuple(__annotations__)
 
 
 def sandwich_check(H: Hypergraph) -> SandwichCheck:

@@ -13,11 +13,10 @@ eigenvalue (the unnormalized one is reported too).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hypergraph, _memo, _per_member, degrees
+from .core import Hypergraph, _memo, _per_member, _Record, degrees
 from .errors import (BoundOverflow, ConvergenceFailure, MassUnderflow, NotSymmetric,
                      SizeLimit, Unmixed)
 from .stationary import rho_normalized, stationary_rho
@@ -64,12 +63,12 @@ SYMMETRY_TOL = 1e-10
 EIGEN_RESIDUAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class HypergraphLaplacian:
+class HypergraphLaplacian(_Record):
     vertices: tuple[str, ...]
     L: np.ndarray
     pi: np.ndarray
     normalized: np.ndarray  # Pi^{-1/2} L Pi^{-1/2}
+    __slots__ = tuple(__annotations__)
 
 
 def _walk_laplacian(P: TransitionMatrix, pi: np.ndarray) -> np.ndarray:
@@ -81,7 +80,7 @@ def _walk_laplacian(P: TransitionMatrix, pi: np.ndarray) -> np.ndarray:
 def laplacian_from_walk(P: TransitionMatrix, pi: np.ndarray) -> HypergraphLaplacian:
     """L and its normalized variant. The normalized one divides by sqrt(pi),
     so a vertex whose mass is 0.0 is MassUnderflow, named before either is
-    formed."""
+    formed. The record keeps `pi` itself, made read-only."""
     zero = np.flatnonzero(pi == 0.0)
     if len(zero):
         raise MassUnderflow(
@@ -143,10 +142,10 @@ def _spectra(H: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
 
 # -- Cheeger constant ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheegerResult:
+class CheegerResult(_Record):
     phi: float
     argmin: tuple[str, ...]
+    __slots__ = tuple(__annotations__)
 
 
 def _cheeger_enumerate(P: np.ndarray, pi: np.ndarray):
@@ -268,12 +267,12 @@ def cheeger_constant(H: Hypergraph) -> CheegerResult:
     return CheegerResult(phi=phi, argmin=tuple(H.vertices[i] for i in subset))
 
 
-@dataclass(frozen=True)
-class CheegerCheck:
+class CheegerCheck(_Record):
     lam: float              # smallest nonzero eigenvalue, normalized Laplacian
     lam_unnormalized: float
     phi: float
     holds: bool
+    __slots__ = tuple(__annotations__)
 
 
 def check_cheeger(H: Hypergraph) -> CheegerCheck:
@@ -289,14 +288,14 @@ def check_cheeger(H: Hypergraph) -> CheegerCheck:
 
 # -- mixing time ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MixingBound:
+class MixingBound(_Record):
     bound: int
     beta1: float
     beta2: float
     d_min: float
     phi: float
     vacuous: bool
+    __slots__ = tuple(__annotations__)
 
 
 def _require_eps(eps: float) -> None:
@@ -371,8 +370,7 @@ def empirical_mixing_time(P: TransitionMatrix, pi: np.ndarray, eps: float,
 
 # -- aggregate report -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpectralReport:
+class SpectralReport(_Record):
     vertices: tuple[str, ...]
     eigenvalues: np.ndarray       # of the (unnormalized) Laplacian, ascending
     lam: float                    # smallest nonzero eigenvalue, normalized variant
@@ -384,6 +382,7 @@ class SpectralReport:
     beta2: float
     d_min: float
     vacuous_bound: bool
+    __slots__ = tuple(__annotations__)
 
     def as_dict(self) -> dict:
         return {

@@ -37,8 +37,6 @@ weights entirely -- and is kept as a counterexample generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -46,6 +44,7 @@ from .core import (
     _block_scatter,
     _memo,
     _per_member,
+    _Record,
     _vertex_major,
     degrees,
     delta_normalized,
@@ -76,8 +75,7 @@ WALK_RTOL = 1e-13
 WALK_MAX_ITER = 2000
 
 
-@dataclass(frozen=True)
-class StationaryResult:
+class StationaryResult(_Record):
     """A stationary distribution plus how it was obtained.
 
     ``rho`` holds the per-edge constants (in the delta(e)=1 normalization,
@@ -91,6 +89,7 @@ class StationaryResult:
     rho: np.ndarray | None
     method: str
     residual: float
+    __slots__ = tuple(__annotations__)
 
     def as_dict(self) -> dict:
         out = {

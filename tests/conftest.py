@@ -87,7 +87,7 @@ def gc_off():
 
 def reachable_arrays(value, seen):
     """Every ndarray reachable from `value` through tuples, lists, dicts,
-    slots and instance attributes (a dataclass's fields among them)."""
+    slots (a result record's fields among them) and instance attributes."""
     if id(value) in seen:
         return
     seen.add(id(value))

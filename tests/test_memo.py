@@ -4,7 +4,6 @@ stored on the immutable Hypergraph, read-only, never carried over to a
 rescaled copy, and freed with it by reference counting."""
 
 import contextlib
-import dataclasses
 import gc
 import io
 import sys
@@ -92,7 +91,7 @@ def test_memoized_results_cannot_be_reassigned(h_demo):
     frozen = [(stationary_rho(h_demo), "pi"), (laplacian(h_demo), "L"),
               (cheeger_constant(h_demo), "phi"), (mixing_time_bound(h_demo, 0.25), "phi")]
     for result, field in frozen:
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="is immutable"):
             setattr(result, field, getattr(result, field))
 
 
@@ -180,8 +179,8 @@ def test_report_after_other_calls_equals_a_fresh_report(h_demo, seed):
     check_cheeger(H)
     mixing_time_bound(H, 0.25)
     got, want = spectral_report(H), spectral_report(rebuilt(H))
-    for field in dataclasses.fields(got):
-        assert _bits(getattr(got, field.name)) == _bits(getattr(want, field.name)), field.name
+    for field in type(got).__slots__:
+        assert _bits(getattr(got, field)) == _bits(getattr(want, field)), field
 
 
 def _command_counts(h_demo, tmp_path, monkeypatch, command: str, pieces) -> dict:

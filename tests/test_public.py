@@ -2,8 +2,12 @@
 exception classes of `errors`, and nothing else."""
 
 import inspect
+import os
 import pickle
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -47,3 +51,14 @@ def test_every_error_keeps_its_type_and_message_through_pickle(cls):
         assert type(again) is cls
         assert str(again) == str(error)
         assert vars(again) == vars(error)
+
+
+def test_importing_the_cli_generates_no_code():
+    # the result records are plain slotted classes, so a fresh interpreter
+    # builds no dataclass at start-up; numpy alone does not import dataclasses
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperwalk.__file__).parents[1]))
+    script = ("import sys, numpy; print('dataclasses' in sys.modules); "
+              "import hyperwalk.cli; print('dataclasses' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert (run.returncode, run.stdout.split(), run.stderr) == (0, ["False", "False"], "")

@@ -112,6 +112,21 @@ def test_counts_seeds_and_rates_are_checked_by_type(monkeypatch, call, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("n, sigma, seed, message", [
+    (1, math.inf, -1, "need at least two players"),
+    (5, 0.0, 1, "sigma must be positive"),
+    (5, math.inf, 1, "sigma must be finite, got inf"),
+    (5, 1.0, -1, "seed must be nonnegative, got -1"),
+])
+def test_experiment_checks_its_values_with_or_without_a_rate(n, sigma, seed, message):
+    for rates in ([], [0.5]):
+        with pytest.raises(ValueError) as info:
+            experiment(n, sigma, rates, 2, seed)
+        assert str(info.value) == message
+    empty = experiment(5, 1.0, [], 2, 1)
+    assert (empty.trials, empty.summary) == ([], [])
+
+
 def test_numpy_counts_seeds_and_rates_are_read_as_numbers():
     want = generate(5, 1.0, 0.5, 1)
     assert same(generate(np.uint64(5), np.float32(1.0), np.float64(0.5), np.int8(1)), want)

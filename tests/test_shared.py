@@ -3,7 +3,6 @@ set and result record immutable once built, and a matrix derived from a
 hypergraph or graph shares its vertex names and index."""
 
 import copy
-import dataclasses
 import pickle
 
 import numpy as np
@@ -127,9 +126,46 @@ RECORDS = {
 def test_result_records_are_frozen(h_demo, triangle, record):
     result = RECORDS[record](h_demo, triangle)
     assert type(result).__name__ == record
-    for field in dataclasses.fields(result):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(result, field.name, getattr(result, field.name))
+    for field in type(result).__slots__:
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(result, field, getattr(result, field))
+
+
+def test_record_arrays_are_read_only_from_construction(h_demo):
+    # as built, whether or not the memo stores the record
+    walked = stationary.stationary_walk(h_demo)
+    arrays = [walked.pi, walked.rho, stationary._stationary_direct_of(h_demo).pi,
+              rank_hypergraph(generate(6, 1.0, 0.5, 1)).scores]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 5.0
+
+
+def test_copied_records_keep_read_only_arrays(h_demo):
+    result = stationary_rho(h_demo)  # stored on H
+    for twin in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
+        assert type(twin) is type(result) and twin.method == result.method
+        assert np.array_equal(twin.pi, result.pi)
+        with pytest.raises(ValueError, match="read-only"):
+            twin.pi[0] = 5.0
+    assert not result.pi.flags.writeable
+
+
+def test_records_compare_hash_and_show_their_fields_in_order():
+    a, b = (spectral.CheegerResult(phi=0.5, argmin=("a",)) for _ in range(2))
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != spectral.CheegerResult(phi=0.5, argmin=("b",))
+    assert a != spectral.CheegerCheck(lam=0.5, lam_unnormalized=0.5, phi=0.5, holds=True)
+    assert repr(a) == "CheegerResult(phi=0.5, argmin=('a',))"
+    assert type(a).__slots__ == ("phi", "argmin")
+
+
+def test_a_record_needs_each_field_once_by_name():
+    for make in (lambda: spectral.CheegerResult(phi=0.5),
+                 lambda: spectral.CheegerResult(phi=0.5, argmin=(), lam=1.0),
+                 lambda: spectral.CheegerResult(0.5, ("a",))):
+        with pytest.raises(TypeError):
+            make()
 
 
 def _shares_index(derived, source) -> bool:
