@@ -97,23 +97,23 @@ def _frozen(value):
 
 
 class _Frozen:
-    """The one rule of every shared object: each attribute is set once, an
-    array read-only as it is set, and a later assignment or a deletion
-    raises AttributeError; pickle and copy fill a new object by this rule."""
+    """The one rule of every shared object: `_set`, the one writer, which an
+    assignment, pickle and copy go through, sets each attribute once, an
+    array read-only as it is set; a later write or a deletion raises AttributeError."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
-        if hasattr(self, name):
-            raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
-        object.__setattr__(self, name, _frozen(value))
+        self._set(**{name: value})
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
     def _set(self, **values) -> None:
         for name, value in values.items():
-            setattr(self, name, value)
+            if hasattr(self, name):
+                raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+            object.__setattr__(self, name, _frozen(value))
 
 
 class _Record(_Frozen):

@@ -402,7 +402,10 @@ _METHODS = ("hypergraph-rwr", "clique-rwr", "mc3")
 
 
 def _rankings(data: MatchData, beta: float, methods=_METHODS) -> list[RankingResult]:
-    """The ranking of each chain of `methods`, a subsequence of _METHODS."""
+    """The ranking of each chain of `methods`, a subsequence of _METHODS.
+    Size and beta are checked first, once."""
+    _check_size(data.n)
+    beta = _check_beta(beta)
     return [_ranking(method, pi) for method, pi in zip(methods, _stationary(data, beta, methods))]
 
 
@@ -414,16 +417,14 @@ def _stationary(data: MatchData, beta: float, methods=_METHODS) -> np.ndarray:
     The chains are one (len(methods), n, n) stack, scattered from the
     factors `data` holds: one _entry_pairs walk in size order adds the terms
     of the lazy walk and of the clique expansion of ``delta_normalized(H)``,
-    one in match order adds MC3's, each term in
-    the order its own construction adds it, so each row has the bits of
+    one in match order adds MC3's, each term in the order its own
+    construction adds it, so each row has the bits of
     ``stationary_direct(restart_matrix(chain, beta)).pi``. The row sums,
     restart mix, checks, solve and nonnegativity each run once on the
-    stack. Size and beta are checked first, then each chain's faults in
-    stack order."""
+    stack. Its input is checked: n fits a dense chain and beta is a float
+    in (0, 1). Each chain's faults are raised in stack order."""
     H = data.hypergraph
     n = H.n_vertices
-    _check_size(n)
-    beta = _check_beta(beta)
     stack = np.zeros((len(methods), n * n))
     factors = []
     if "hypergraph-rwr" in methods:
@@ -615,7 +616,8 @@ def experiment(n: int, sigma: float, p_values: Iterable[float], trials: int,
     Trial t uses seed + t, so trials are independent given the base seed and
     the whole table is reproducible byte-for-byte, however many processes
     run the trials (one per available CPU, see _in_shares). More players
-    than a dense chain holds is SizeLimit before any trial is drawn.
+    than a dense chain holds is SizeLimit, and a restart probability
+    outside (0, 1) BadBeta, whatever the rates, before any trial is drawn.
     """
     _check_types(n=n, sigma=sigma, trials=trials, seed=seed)
     if trials < 1:
@@ -625,20 +627,18 @@ def experiment(n: int, sigma: float, p_values: Iterable[float], trials: int,
         _check_types(p=p)
     n, p_values = int(n), [float(p) for p in p_values]
     _check_draw(n, sigma, p_values, seed)
+    _check_size(n)
+    restart = _check_beta(beta)
 
     tasks = [(p, t) for p in p_values for t in range(trials)]
-    # The pairs of n, held once and built before any share forks, once a
-    # trial's chains of n players are known to fit beside them (n >= 2 is
-    # checked); with no trial nothing is scored.
-    blocks = []
-    if tasks:
-        _check_size(n)
-        blocks = list(_pair_blocks(n))
+    # The pairs of n, held once and built before any share forks (n >= 2
+    # and its chains' size are checked); with no trial nothing is scored.
+    blocks = list(_pair_blocks(n)) if tasks else []
 
     def scored(share):  # per trial of the share: its (method, tau_weighted, tau_unweighted) per chain
         for data in _trials(n, sigma, seed, share):
             taus = []
-            for method, pi in zip(_METHODS, _stationary(data, beta)):
+            for method, pi in zip(_METHODS, _stationary(data, restart)):
                 rank = np.empty(n, dtype=np.intp)  # against the truth n, n-1, ..., 1
                 rank[n - _order(pi)] = np.arange(n)  # truth's i-th player is n - i
                 taus.append((method, *_taus(rank, blocks)))

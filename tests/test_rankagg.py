@@ -11,6 +11,7 @@ import pytest
 import scipy.stats
 
 from hyperwalk import (
+    BadBeta,
     ConvergenceFailure,
     DisconnectedHypergraph,
     DuplicateVertex,
@@ -112,16 +113,25 @@ def test_counts_seeds_and_rates_are_checked_by_type(monkeypatch, call, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("n, sigma, seed, message", [
-    (1, math.inf, -1, "need at least two players"),
-    (5, 0.0, 1, "sigma must be positive"),
-    (5, math.inf, 1, "sigma must be finite, got inf"),
-    (5, 1.0, -1, "seed must be nonnegative, got -1"),
+def unforked():
+    raise AssertionError("a process was forked")
+
+
+@pytest.mark.parametrize("n, sigma, seed, beta, error, message", [
+    (1, math.inf, -1, 0.4, ValueError, "need at least two players"),
+    (5, 0.0, 1, 0.4, ValueError, "sigma must be positive"),
+    (5, math.inf, 1, 0.4, ValueError, "sigma must be finite, got inf"),
+    (5, 1.0, -1, 0.4, ValueError, "seed must be nonnegative, got -1"),
+    (5000, 1.0, 1, 0.4, SizeLimit, "dense matrices support at most 4096 vertices, got 5000"),
+    (5, 1.0, 1, 1.5, BadBeta, "restart probability must lie in (0, 1), got 1.5"),
 ])
-def test_experiment_checks_its_values_with_or_without_a_rate(n, sigma, seed, message):
+def test_experiment_checks_its_values_with_or_without_a_rate(monkeypatch, n, sigma, seed, beta,
+                                                             error, message):
+    monkeypatch.setattr(rankagg, "_draw", unreachable)
+    monkeypatch.setattr(os, "fork", unforked)
     for rates in ([], [0.5]):
-        with pytest.raises(ValueError) as info:
-            experiment(n, sigma, rates, 2, seed)
+        with pytest.raises(error) as info:
+            experiment(n, sigma, rates, 2, seed, beta=beta)
         assert str(info.value) == message
     empty = experiment(5, 1.0, [], 2, 1)
     assert (empty.trials, empty.summary) == ([], [])
@@ -661,6 +671,16 @@ def test_rankers_share_the_dense_size_limit(ranker):
     data = MatchData(4200, [((i, i + 1), (0.0, 1.0)) for i in range(1, 4200)])
     with pytest.raises(SizeLimit, match="at most 4096 vertices, got 4200"):
         ranker(data)
+
+
+@pytest.mark.parametrize("ranker", [rank_hypergraph, rank_clique, rank_mc3, rankagg._rankings],
+                         ids=lambda ranker: ranker.__name__)
+@pytest.mark.parametrize("beta", [0, 1, 1.5, math.nan, True], ids=repr)
+def test_rankers_refuse_a_restart_probability_outside_0_1(ranker, beta):
+    data = MatchData(3, [((1, 2), (0.0, 1.0)), ((2, 3), (1.0, 0.5))])
+    with pytest.raises(BadBeta) as info:
+        ranker(data, beta)
+    assert str(info.value) == f"restart probability must lie in (0, 1), got {beta!r}"
 
 
 def test_experiment_builds_one_hypergraph_per_trial(monkeypatch):
