@@ -121,8 +121,9 @@ class _Record(_Frozen):
     followed by ``__slots__ = tuple(__annotations__)``. It is built by
     keyword, each field exactly once (else TypeError), and keeps each array
     it is given, made read-only. Equality (of records of one class), hash
-    and repr go over the fields in order; no method is generated, so a
-    record class costs nothing to build at import."""
+    and repr go over the fields in order, an array field equal by
+    ``np.array_equal`` (so a record holding one is unhashable); no method
+    is generated, so a record class costs nothing to build at import."""
 
     __slots__ = ()
 
@@ -138,7 +139,8 @@ class _Record(_Frozen):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+                   else a == b for a, b in zip(self._fields(), other._fields()))
 
     def __hash__(self):
         return hash(self._fields())

@@ -16,11 +16,11 @@ import math
 
 import numpy as np
 
-from .core import Hypergraph, _memo, _per_member, _Record, degrees
+from .core import Hypergraph, _memo, _Record, degrees
 from .errors import (BoundOverflow, ConvergenceFailure, MassUnderflow, NotSymmetric,
                      SizeLimit, Unmixed)
 from .stationary import rho_normalized, stationary_rho
-from .walk import TransitionMatrix, transition_matrix
+from .walk import TransitionMatrix, _lazy_factors, transition_matrix
 
 __all__ = [
     "CHEEGER_SIZE_LIMIT",
@@ -320,14 +320,14 @@ def mixing_time_bound(H: Hypergraph, eps: float) -> MixingBound:
     """The bound ceil(8 / (beta1 Phi^2) * log(1 / (2 eps sqrt(d_min beta2))))
     on the eps-mixing time of the lazy walk.
 
-    The vertex weights are first rescaled per edge so every per-edge constant
-    is 1; beta1 = min gamma_e(v)/delta(e) (invariant under that rescaling),
-    beta2 = min gamma_e(v) (not invariant, hence the rescaling matters).
-    Phi is taken on H itself: scaling an edge's weights by one factor leaves
-    every gamma_e(v)/delta(e), hence P, pi and Phi, unchanged, so the copy
-    is used only for its degrees and weights (its Phi could differ from
-    H's in the last bits). A nonpositive logarithm clamps the bound to 0
-    and sets the vacuous flag.
+    beta2 = min gamma_e(v) once the vertex weights are rescaled per edge so
+    every per-edge constant is 1 (``rho_normalized``, whose factor past the
+    float range is NonPositiveWeight). Scaling an edge's weights by one
+    factor leaves every gamma_e(v)/delta(e), hence P, pi and Phi, and every
+    d(v) unchanged, so beta1 = min gamma_e(v)/delta(e) is the lazy walk's
+    own factor, and beta1, d_min and Phi are all read from H; the copy gives
+    beta2 alone. A nonpositive logarithm clamps the bound to 0 and sets the
+    vacuous flag.
 
     Derivation: P(v,v) = sum_e omega(e)/d(v) * gamma_e(v)/delta(e) >= beta1,
     so P = beta1 I + (1 - beta1) Q with Q stochastic, and since Q* contracts
@@ -343,11 +343,9 @@ def mixing_time_bound(H: Hypergraph, eps: float) -> MixingBound:
     a weaker guarantee that the walk holds, so it gives a larger bound.
     """
     _require_eps(eps)
-    Hn = rho_normalized(H)
-    d, delta = degrees(Hn)
-    beta1 = float((Hn.gamma / _per_member(Hn, delta)).min())
-    beta2 = float(Hn.gamma.min())
-    d_min = float(d.min())
+    beta2 = float(rho_normalized(H).gamma.min())
+    beta1 = float(_lazy_factors(H)[1].min())
+    d_min = float(degrees(H)[0].min())
     phi = cheeger_constant(H).phi
     bound, vacuous = _bound_from_components(beta1, beta2, d_min, phi, eps)
     return MixingBound(

@@ -8,12 +8,12 @@ Four routes are provided and cross-checked against each other:
   route's constants.
   It gives up after ``WALK_MAX_ITER`` steps, since a slowly mixing walk
   contracts slowly.
-* ``stationary_rho`` -- the per-edge-constant construction: normalize each
-  edge so its degree is 1, build the |E| x |E| coupling matrix A with
-  A[e, f] = sum over v in both edges of omega(f) * gamma_f(v) / d(v), solve
-  for its positive fixed point A rho = rho, rescale so
-  sum_e rho_e * omega(e) = 1, and assemble
-  pi_v = sum over incident e of rho_e * omega(e) * gamma_e(v).
+* ``stationary_rho`` -- the per-edge-constant construction, on the lazy
+  walk's factor g = gamma / delta (the delta(e) = 1 normalization): build
+  the |E| x |E| coupling matrix A with A[e, f] = sum over v in both edges
+  of omega(f) * g_f(v) / d(v), solve for its positive fixed point
+  A rho = rho, rescale so sum_e rho_e * omega(e) = 1, and assemble
+  pi_v = sum over incident e of rho_e * omega(e) * g_e(v).
 * ``stationary_direct`` -- solve pi P = pi, sum pi = 1 as a dense linear
   system (the oracle for the other two). P may be shared, so it solves in
   a copy of P; the CLI's direct route (``_stationary_direct_of``) builds
@@ -47,13 +47,12 @@ from .core import (
     _Record,
     _vertex_major,
     degrees,
-    delta_normalized,
     edge_independent_gamma,
     has_trivial_weights,
     rescale_edges,
 )
 from .errors import ConvergenceFailure, NonPositiveWeight, NotEdgeIndependent, SingularSystem
-from .walk import TransitionMatrix, _check_size, _lazy_walk, transition_matrix
+from .walk import TransitionMatrix, _check_size, _lazy_factors, _lazy_walk, transition_matrix
 
 __all__ = [
     "StationaryResult",
@@ -109,16 +108,17 @@ def _residual(pi: np.ndarray, P: TransitionMatrix) -> float:
 
 def edge_coupling_matrix(H: Hypergraph) -> np.ndarray:
     """The |E| x |E| matrix whose eigenvalue-1 eigenvector gives the per-edge
-    constants. Expects H already normalized to delta(e) = 1; its column sums,
-    weighted by the edge weights, reproduce the edge weights exactly.
+    constants, in the delta(e) = 1 normalization of any H: its column sums,
+    weighted by the edge weights, reproduce the edge weights.
 
     Built vertex by vertex: each vertex v adds
-    outer(1, omega(f) * gamma_f(v) / d(v)) over the edges e, f holding it.
+    outer(1, omega(f) * g_f(v) / d(v)) over the edges e, f holding it, with
+    g = gamma / delta the lazy walk's own factor.
     """
     _check_size(H.n_edges, "edges")
     d, _ = degrees(H)
     vptr, order = _vertex_major(H)
-    contrib = _per_member(H, H.omega) * H.gamma / d[H.indices]
+    contrib = _per_member(H, H.omega) * _lazy_factors(H)[1] / d[H.indices]
     edge = _per_member(H, np.arange(H.n_edges))
     return _block_scatter(vptr, edge[order], np.ones(len(order)), contrib[order], H.n_edges)
 
@@ -169,8 +169,7 @@ def stationary_rho(H: Hypergraph) -> StationaryResult:
 
 
 def _solve_rho(H: Hypergraph) -> StationaryResult:
-    Hn = delta_normalized(H)
-    rho = _fixed_point(edge_coupling_matrix(Hn))
+    rho = _fixed_point(edge_coupling_matrix(H))
     if not rho.min() > 0.0:
         raise ConvergenceFailure(
             "fixed point for the per-edge constants is not strictly positive "
@@ -182,7 +181,7 @@ def _solve_rho(H: Hypergraph) -> StationaryResult:
     if len(bad):
         raise NonPositiveWeight(
             f"edge #{bad[0]}: per-edge constant rho_e overflows the float range")
-    pi = np.bincount(Hn.indices, weights=_per_member(Hn, rho * H.omega) * Hn.gamma,
+    pi = np.bincount(H.indices, weights=_per_member(H, rho * H.omega) * _lazy_factors(H)[1],
                      minlength=H.n_vertices)
     residual = _residual(pi, transition_matrix(H))
     if not residual <= RESIDUAL_TOL:
@@ -245,11 +244,10 @@ def stationary_walk(H: Hypergraph) -> StationaryResult:
     forming P.
 
     One step pi -> pi P sums rho_e = sum over v in e of pi_v / d(v) per
-    edge, then spreads rho_e * ((omega(e) / delta(e)) * gamma_e(w)) onto
-    each member w, two O(nnz) bincounts; that order, not the dense build's,
-    keeps the bits of ``--method auto``. The lazy walk's diagonal is
-    positive, so the iteration converges at the rate of the second
-    eigenvalue modulus. It stops at the first pi with
+    edge, then spreads rho_e * (omega(e) * (gamma_e(w) / delta(e))) onto
+    each member w (gamma / delta the lazy walk's own factor), two O(nnz)
+    bincounts. The lazy walk's diagonal is positive, so the iteration
+    converges at the rate of the second eigenvalue modulus. It stops at the first pi with
     max|pi P - pi| <= WALK_RTOL * max(pi) whose every vertex also changes
     by at most RESIDUAL_TOL of its own mass: a vertex whose mass is far
     below max(pi) may still be far from its limit when the largest change
@@ -262,12 +260,9 @@ def stationary_walk(H: Hypergraph) -> StationaryResult:
     route's constants, with sum_e rho_e * omega(e) = sum_v pi_v = 1, and
     ``residual`` is max|pi P - pi| under the same step.
     """
-    d, delta = degrees(H)
+    d, _ = degrees(H)
     edge = _per_member(H, np.arange(H.n_edges))
-    # omega/delta may pass the float range (a subnormal delta): the iterate
-    # is then not finite, and the loop names it
-    with np.errstate(over="ignore"):
-        spread = _per_member(H, H.omega / delta) * H.gamma
+    spread = _per_member(H, H.omega) * _lazy_factors(H)[1]
 
     def step(pi):  # (rho, pi P)
         rho = np.bincount(edge, weights=(pi / d)[H.indices], minlength=H.n_edges)
@@ -333,4 +328,6 @@ def rho_normalized(H: Hypergraph) -> Hypergraph:
     becomes 1; afterwards pi_v = sum of omega(e) * gamma_e(v) over incident
     edges, already summing to 1 over V."""
     _, delta = degrees(H)
-    return rescale_edges(H, stationary_rho(H).rho / delta)
+    rho = stationary_rho(H).rho
+    with np.errstate(over="ignore"):  # a factor past the float range: rescale_edges names it
+        return rescale_edges(H, rho / delta)

@@ -878,35 +878,54 @@ SUBNORMAL_DELTA = {"vertices": ["a", "b"],
 _TIMES_INF = "edge #0: weight of vertex 'a' times factor inf must be a finite number > 0"
 
 
-def _run_on_subnormal_delta(tmp_path, command: str) -> subprocess.CompletedProcess:
-    """`command` on SUBNORMAL_DELTA as a user runs it: in its own process,
-    under Python's default warning filters."""
-    path = _write_json(tmp_path, "h.json", SUBNORMAL_DELTA)
+def _run_as_a_user(tmp_path, command: str, doc=SUBNORMAL_DELTA) -> subprocess.CompletedProcess:
+    """`command` on `doc` as a user runs it: in its own process, under
+    Python's default warning filters."""
+    path = _write_json(tmp_path, "h.json", doc)
     env = dict(os.environ, PYTHONPATH=str(Path(hyperwalk.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "hyperwalk.cli", *command.split(),
                            "--input", path], env=env, capture_output=True, text=True)
 
 
 @pytest.mark.parametrize("command", ["transition", "transition --kind restart",
-                                     "stationary --method direct", "stationary --method auto"])
+                                     "stationary --method direct", "stationary --method rho",
+                                     "stationary --method auto"])
 def test_subnormal_delta_walks_without_a_warning(tmp_path, command):
-    # delta = 1e-323, so omega / delta overflows in the walk step's factor
-    run = _run_on_subnormal_delta(tmp_path, command)
-    assert run.returncode == 0
-    assert "RuntimeWarning" not in run.stderr
+    # delta = 1e-323, so 1 / delta and omega / delta pass the float range, but
+    # gamma / delta = 0.5, the one factor the walk, its iteration and the rho
+    # solve read, does not
+    run = _run_as_a_user(tmp_path, command)
+    assert (run.returncode, run.stderr) == (0, "")
+    if command.startswith("stationary"):
+        result = json.loads(run.stdout)
+        assert result["pi"] == {"a": 0.5, "b": 0.5}
+        assert result["method"] == {"direct": "direct-solve", "rho": "rho-eigenvector",
+                                    "auto": "walk-iteration"}[command.split()[-1]]
 
 
 @pytest.mark.parametrize("command, message", [
-    ("stationary --method rho", _TIMES_INF),
     ("spectral", _TIMES_INF),
     ("reduce --mode sandwich", _TIMES_INF),
     ("reduce --mode eqind", "graph weights must be finite"),
-], ids=["rho", "spectral", "sandwich", "eqind"])
+], ids=["spectral", "sandwich", "eqind"])
 def test_subnormal_delta_is_refused_without_a_warning(tmp_path, command, message):
-    # 1 / delta and omega / delta overflow, and the clique weights take inf * 0
-    run = _run_on_subnormal_delta(tmp_path, command)
+    # rho_e / delta(e) passes the float range in the rho-rescaled copy, and
+    # the clique weights take inf * 0
+    run = _run_as_a_user(tmp_path, command)
     assert run.returncode == 1
     assert run.stderr == f"error: NonPositiveWeight: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["spectral", "reduce --mode sandwich"])
+def test_rho_rescaling_past_the_float_range_is_refused_without_a_warning(tmp_path, command):
+    # delta(e) = 2e-308 is a normal number, yet rho_e / delta(e) of the first
+    # edge (about 2.5e312) passes the float range in the rho-rescaled copy
+    doc = {"vertices": ["a", "b", "c"],
+           "edges": [{"weight": 1e-5, "members": {"a": 1e-308, "b": 1e-308}},
+                     {"weight": 1e-5, "members": {"b": 1.0, "c": 1.0}}]}
+    run = _run_as_a_user(tmp_path, command, doc)
+    assert run.returncode == 1
+    assert run.stderr == f"error: NonPositiveWeight: {_TIMES_INF}\n"
 
 
 @pytest.mark.parametrize("command", ["stationary --method rho", "spectral"])
@@ -1083,6 +1102,23 @@ def test_stationary_auto_fails_on_a_slowly_mixing_walk_above_the_limit(tmp_path,
     err = capsys.readouterr().err
     assert f"error: ConvergenceFailure: walk iteration stopped after {WALK_MAX_ITER} " \
            "iterations with residual " in err
+
+
+def test_stationary_auto_answers_a_subnormal_edge_degree_above_the_dense_limit(
+        tmp_path, capsys, monkeypatch):
+    # past the dense limit there is no direct solve to fall back on, so the
+    # walk iteration itself must read gamma / delta = 0.5, not omega / delta = inf
+    n, rng = 5000, np.random.default_rng(3)
+    order = rng.permutation(n).tolist()
+    chain = [order[i:i + 2] for i in range(n - 1)]
+    extra = [rng.choice(n, size=3, replace=False).tolist() for _ in range(10_000 - (n - 1))]
+    doc = json.loads(Path(_write_edges(tmp_path, n, chain + extra, seed=3)).read_text())
+    doc["edges"].append({"weight": 1.0, "members": {"v0": 5e-324, "v1": 5e-324}})
+    path = _write_json(tmp_path, "h.json", doc)
+    _no_dense_matrix(monkeypatch)
+    assert dispatch(["stationary", "--input", path]) == 0
+    out, err = capsys.readouterr()
+    assert (json.loads(out)["method"], err) == ("walk-iteration", "")
 
 
 def test_stationary_auto_is_deterministic(tmp_path):

@@ -33,6 +33,12 @@ from hyperwalk.core import _block_scatter, _vertex_major
 from conftest import rebuilt, sweep
 
 
+def test_equal_hypergraphs_hash_equal(h_demo):
+    for H in [h_demo] + sweep(101, 5):
+        twin = rebuilt(H)
+        assert twin == H and twin is not H and hash(twin) == hash(H)
+
+
 def test_demo_fixture_degrees(h_demo):
     d, delta = degrees(h_demo)
     np.testing.assert_array_equal(d, [2.0, 1.0, 2.0, 1.0])

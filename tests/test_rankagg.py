@@ -750,6 +750,11 @@ def test_kendall_identity_and_reversal():
         assert kendall_tau(list(reversed(perm)), perm, weighted) == pytest.approx(-1.0)
 
 
+def test_kendall_of_one_element_is_one():
+    for weighted in (False, True):
+        assert kendall_tau(["x"], ["x"], weighted) == 1.0
+
+
 def test_kendall_hand_example():
     assert kendall_tau([2, 1, 3], [1, 2, 3]) == pytest.approx(1 / 3, abs=1e-15)
     # one discordant pair at truth positions (0,1): (-3/2 + 4/3 + 5/6) / (11/3)
@@ -1018,6 +1023,12 @@ def test_a_build_fault_before_a_draw_give_up_in_one_batch_is_raised(monkeypatch)
         no_child_left()
         if k == 1:  # trials 0 to 6 as one batch, then trials 0 and 1 alone
             assert [size for size, _ in batches] == [7, 1, 1]
+
+
+def test_a_fault_in_a_batch_of_one_draw_is_raised_by_its_own_message():
+    # one trial, so its batch is one draw, and its fault is raised as built
+    with pytest.raises(ScoreOverflow, match=r"^match #0: score .* is not a finite number"):
+        experiment(100, 1e308, [0.5], 1, 1)
 
 
 def test_experiment_raises_the_lowest_failing_trials_error(monkeypatch):

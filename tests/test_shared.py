@@ -33,7 +33,7 @@ from hyperwalk import (
     stationary_rho,
     transition_matrix,
 )
-from conftest import reachable_arrays
+from conftest import reachable_arrays, rebuilt
 
 
 def test_hypergraph_attributes_cannot_be_set(h_demo):
@@ -158,6 +158,24 @@ def test_records_compare_hash_and_show_their_fields_in_order():
     assert a != spectral.CheegerCheck(lam=0.5, lam_unnormalized=0.5, phi=0.5, holds=True)
     assert repr(a) == "CheegerResult(phi=0.5, argmin=('a',))"
     assert type(a).__slots__ == ("phi", "argmin")
+
+
+@pytest.mark.parametrize("make", [stationary.stationary_walk, spectral_report],
+                         ids=["StationaryResult", "SpectralReport"])
+def test_records_holding_arrays_compare_by_value(h_demo, make):
+    # a pickled, a copied and a recomputed record each hold arrays of their own
+    result = make(h_demo)
+    for twin in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result), make(rebuilt(h_demo))):
+        assert twin == result and not twin != result
+    fields = dict(zip(type(result).__slots__, result._fields()))
+    name = next(k for k, v in fields.items() if isinstance(v, np.ndarray))  # pi, eigenvalues
+    changed = fields[name].copy()
+    changed[0] += 1.0
+    assert type(result)(**{**fields, name: changed}) != result
+    if "rho" in fields:  # None against an array
+        assert type(result)(**{**fields, "rho": None}) != result
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(result)
 
 
 def test_a_record_needs_each_field_once_by_name():

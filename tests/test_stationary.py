@@ -94,10 +94,20 @@ def test_demo_rho(h_demo):
 
 
 def test_rho_fixed_point_identity():
+    # the coupling matrix reads gamma / delta, so H need not be normalized first
     for H in sweep(301, 40):
         res = stationary_rho(H)
-        A = edge_coupling_matrix(delta_normalized(H))
-        assert np.abs(A @ res.rho - res.rho).max() <= 1e-10
+        for A in (edge_coupling_matrix(delta_normalized(H)), edge_coupling_matrix(H)):
+            assert np.abs(A @ res.rho - res.rho).max() <= 1e-10
+
+
+def test_rho_route_refuses_a_residual_above_the_tolerance(h_demo, monkeypatch):
+    monkeypatch.setattr(stationary, "_residual", lambda pi, P: 1.0)
+    H = rebuilt(h_demo)
+    with pytest.raises(ConvergenceFailure,
+                       match=r"^stationary residual 1\.000e\+00 exceeds 1e-09$"):
+        stationary_rho(H)
+    assert "stationary_rho" not in H._memo
 
 
 def test_rho_matches_direct_on_sweep():

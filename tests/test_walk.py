@@ -24,11 +24,12 @@ from hyperwalk import (
     rho_normalized,
     simulate,
     stationary_direct,
+    stationary_rho,
     stationary_walk,
     to_json_dict,
     transition_matrix,
 )
-from hyperwalk.core import _block_scatter, _vertex_major, delta_normalized
+from hyperwalk.core import _block_scatter, _vertex_major
 from hyperwalk.stationary import RESIDUAL_TOL, WALK_MAX_ITER, WALK_RTOL, edge_coupling_matrix
 from conftest import sweep
 
@@ -79,14 +80,13 @@ def test_subnormal_delta_builds_without_a_warning():
 def factored_walk(H):
     """The lazy walk's factors, formed here as the reference: d and delta,
     each CSR entry's edge id, (omega(e) / d(v), gamma_e(w) / delta(e)) for
-    the dense build and (omega(e) / delta(e)) * gamma_e(w) for the walk step."""
+    the dense build and omega(e) * (gamma_e(w) / delta(e)) for the walk step."""
     d, delta = degrees(H)
     sizes = np.diff(H.indptr)
-    with np.errstate(over="ignore"):
-        spread = np.repeat(H.omega / delta, sizes) * H.gamma
+    right = H.gamma / np.repeat(delta, sizes)
     return SimpleNamespace(d=d, edge=np.repeat(np.arange(H.n_edges), sizes),
                            left=np.repeat(H.omega, sizes) / d[H.indices],
-                           right=H.gamma / np.repeat(delta, sizes), spread=spread)
+                           right=right, spread=np.repeat(H.omega, sizes) * right)
 
 
 def factored_iteration(H):
@@ -119,7 +119,7 @@ def factored_iteration(H):
     Hypergraph(("a", "b"), [(1.0, {"a": 5e-324, "b": 5e-324})])],
     ids=[f"sweep-{k}" for k in range(20)] + ["subnormal-delta"])
 def test_each_walk_keeps_the_bits_of_its_factors(H):
-    # every reader forms its own factors, in the product order it has always had
+    # every reader reads the lazy walk's own factors, each in its own product order
     f = factored_walk(H)
     P = _block_scatter(H.indptr, H.indices, f.left, f.right, H.n_vertices)
     assert transition_matrix(H).matrix.tobytes() == P.tobytes()
@@ -131,20 +131,26 @@ def test_each_walk_keeps_the_bits_of_its_factors(H):
         got = stationary_walk(H)
         assert (got.pi.tobytes(), got.rho.tobytes(), got.residual) == \
             (want[0].tobytes(), want[1].tobytes(), want[2])
+    # the coupling matrix, the rho solve's pi and the mixing bound's beta1
+    # read H's own gamma / delta, so no delta(e) = 1 copy is built
+    sizes = np.diff(H.indptr)
+    vptr, order = _vertex_major(H)
+    contrib = np.repeat(H.omega, sizes) * f.right / f.d[H.indices]
+    A = _block_scatter(vptr, f.edge[order], np.ones(len(order)), contrib[order], H.n_edges)
+    assert edge_coupling_matrix(H).tobytes() == A.tobytes()
+    res = stationary_rho(H)
+    pi = np.bincount(H.indices, weights=np.repeat(res.rho * H.omega, sizes) * f.right,
+                     minlength=H.n_vertices)
+    assert res.pi.tobytes() == pi.tobytes()
     try:
-        Hn = delta_normalized(H)
-    except NonPositiveWeight:  # a subnormal delta: 1 / delta overflows
+        Hn = rho_normalized(H)
+    except NonPositiveWeight:  # a subnormal delta: rho_e / delta(e) overflows
         with pytest.raises(NonPositiveWeight):
             mixing_time_bound(H, 0.25)
         return
-    f = factored_walk(Hn)
-    vptr, order = _vertex_major(Hn)
-    contrib = np.repeat(Hn.omega, np.diff(Hn.indptr)) * Hn.gamma / f.d[Hn.indices]
-    A = _block_scatter(vptr, f.edge[order], np.ones(len(order)), contrib[order], Hn.n_edges)
-    assert edge_coupling_matrix(Hn).tobytes() == A.tobytes()
-    f = factored_walk(rho_normalized(H))
     bound = mixing_time_bound(H, 0.25)
-    assert (bound.beta1, bound.d_min) == (float(f.right.min()), float(f.d.min()))
+    assert (bound.beta1, bound.beta2, bound.d_min) == \
+        (float(f.right.min()), float(Hn.gamma.min()), float(f.d.min()))
 
 
 def test_row_stochastic_and_lazy_diagonal():
