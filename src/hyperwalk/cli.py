@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import errno
 import functools
 import hashlib
 import json
@@ -363,6 +364,8 @@ def dispatch(argv: list[str]) -> int:
         # digests of the inputs as read: the output may overwrite one of them
         paths = [getattr(args, name, None) for name in ("input", "matches")] if out else []
         inputs = {p: _sha256(p) for p in paths if p}
+        if out and not os.path.isdir(os.path.dirname(out) or "."):  # open's error, before the work
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
         result = args.handler(args)
         text = _json_text(result) if isinstance(result, dict) else result
         if out:

@@ -35,8 +35,9 @@ from .errors import (
     SizeLimit,
 )
 from .spectral import _walk_laplacian, eigenvalues_symmetric
-from .stationary import RESIDUAL_TOL, rho_normalized, stationary_rho
-from .walk import TransitionMatrix, _check_size, nonlazy_transition_matrix, transition_matrix
+from .stationary import RESIDUAL_TOL, _rho_scaled, stationary_rho
+from .walk import (TransitionMatrix, _check_size, _lazy_factors, nonlazy_transition_matrix,
+                   transition_matrix)
 
 __all__ = [
     "KolmogorovResult",
@@ -76,11 +77,12 @@ def _row_normalized(W: np.ndarray, vertices: tuple, out=None) -> np.ndarray:
     return np.divide(W, sums[:, None], out=out)
 
 
-def _clique_weights(H: Hypergraph, gamma: np.ndarray) -> WeightedGraph:
-    """w(u,v) = sum over shared edges of omega(e) gamma(u) gamma(v) / delta(e),
-    with one gamma value per (edge, member) entry; self-loops included."""
+def _clique_weights(H: Hypergraph, gamma: np.ndarray, scale=None) -> WeightedGraph:
+    """w(u,v) = sum over shared edges of scale(e) gamma(u) gamma(v), one gamma per
+    (edge, member) entry, scale omega(e) / delta(e) by default; self-loops included."""
     _check_size(H.n_vertices)
-    scale = _clique_scale(H.omega, degrees(H)[1])
+    if scale is None:
+        scale = _clique_scale(H.omega, degrees(H)[1])
     with np.errstate(over="ignore", invalid="ignore"):  # inf or inf * 0: WeightedGraph names it
         W = _block_scatter(H.indptr, H.indices, gamma, gamma, H.n_vertices, scale)
     return WeightedGraph._over(H, W)
@@ -214,7 +216,7 @@ def nonlazy_trivial_equivalence(H: Hypergraph) -> NonlazyEquivalence:
 
 
 class SandwichCheck(_Record):
-    graph: WeightedGraph  # clique expansion of rho_normalized(H); its walk shares H's pi
+    graph: WeightedGraph  # sum of omega(e) rho_e g_e(u) g_e(v), g = gamma / delta; shares H's pi
     lam_h: float
     lam_g: float
     c: float
@@ -227,29 +229,28 @@ def sandwich_check(H: Hypergraph) -> SandwichCheck:
     """Bracket check (1/c) lam_H <= lam_G <= c * lam_H for the second-smallest
     Laplacian eigenvalues of H and of its rho-rescaled clique expansion.
 
-    c is the worst per-vertex spread of the rescaled weights over *incident*
-    edges (weights of edges not containing v are zero and excluded). The
-    rho solve and the walk matrix of H are each computed once and shared.
-    Fewer than 2 vertices have no second eigenvalue: SizeLimit, before any
-    solve. Only the plain Laplacians are formed, so a graph vertex whose
-    stationary mass rounds to 0 causes no division by 0.
+    c is the worst per-vertex spread of the rescaled weights
+    (``stationary._rho_scaled``) over *incident* edges. The rho solve and
+    the walk matrix of H are each computed once and shared. Fewer than 2
+    vertices have no second eigenvalue: SizeLimit, before any solve. Only
+    the plain Laplacians are formed, so a graph vertex whose stationary mass
+    rounds to 0 causes no division by 0.
     """
     if H.n_vertices < 2:
         raise SizeLimit(f"the sandwich check needs at least 2 vertices, got {H.n_vertices}")
     rho = stationary_rho(H)
-    Hn = rho_normalized(H)
     P_h = transition_matrix(H)
     lam_h = float(eigenvalues_symmetric(_walk_laplacian(P_h, rho.pi))[1])
 
-    G = clique_expansion_weights(Hn)
+    G = _clique_weights(H, _lazy_factors(H)[1], H.omega * rho.rho)
     P_g = graph_random_walk(G)
     degree = G.weights.sum(axis=1)  # a graph walk is reversible: pi is degree / volume
     pi_g = degree / degree.sum()
     lam_g = float(eigenvalues_symmetric(_walk_laplacian(P_g, pi_g))[1])
 
-    vptr, order = _vertex_major(Hn)
-    g = Hn.gamma[order]
-    c = float((np.maximum.reduceat(g, vptr[:-1]) / np.minimum.reduceat(g, vptr[:-1])).max())
+    vptr, order = _vertex_major(H)
+    r = _rho_scaled(H)[order]
+    c = float((np.maximum.reduceat(r, vptr[:-1]) / np.minimum.reduceat(r, vptr[:-1])).max())
 
     pi_dev = float(np.abs(pi_g - rho.pi).max())
     holds = (lam_h / c - SANDWICH_TOL) <= lam_g <= (c * lam_h + SANDWICH_TOL)

@@ -19,7 +19,7 @@ import numpy as np
 from .core import Hypergraph, _memo, _Record, degrees
 from .errors import (BoundOverflow, ConvergenceFailure, MassUnderflow, NotSymmetric,
                      SizeLimit, Unmixed)
-from .stationary import rho_normalized, stationary_rho
+from .stationary import _rho_scaled, stationary_rho
 from .walk import TransitionMatrix, _lazy_factors, transition_matrix
 
 __all__ = [
@@ -320,14 +320,12 @@ def mixing_time_bound(H: Hypergraph, eps: float) -> MixingBound:
     """The bound ceil(8 / (beta1 Phi^2) * log(1 / (2 eps sqrt(d_min beta2))))
     on the eps-mixing time of the lazy walk.
 
-    beta2 = min gamma_e(v) once the vertex weights are rescaled per edge so
-    every per-edge constant is 1 (``rho_normalized``, whose factor past the
-    float range is NonPositiveWeight). Scaling an edge's weights by one
-    factor leaves every gamma_e(v)/delta(e), hence P, pi and Phi, and every
-    d(v) unchanged, so beta1 = min gamma_e(v)/delta(e) is the lazy walk's
-    own factor, and beta1, d_min and Phi are all read from H; the copy gives
-    beta2 alone. A nonpositive logarithm clamps the bound to 0 and sets the
-    vacuous flag.
+    beta2 = min rho_e * gamma_e(v) / delta(e) (``stationary._rho_scaled``),
+    the least vertex weight once each edge is rescaled so its per-edge
+    constant is 1. Rescaling leaves every gamma_e(v)/delta(e), hence P, pi
+    and Phi, and every d(v) unchanged, so beta1 = min gamma_e(v)/delta(e) is
+    the lazy walk's own factor, and beta1, d_min and Phi are read from H. A
+    nonpositive logarithm clamps the bound to 0 and sets the vacuous flag.
 
     Derivation: P(v,v) = sum_e omega(e)/d(v) * gamma_e(v)/delta(e) >= beta1,
     so P = beta1 I + (1 - beta1) Q with Q stochastic, and since Q* contracts
@@ -337,13 +335,13 @@ def mixing_time_bound(H: Hypergraph, eps: float) -> MixingBound:
     inequality that ``check_cheeger`` verifies). Fill's bound for
     non-reversible chains, 4 ||P^t(x,.) - pi||_TV^2 <= (1 - gap(PP*))^t / pi(x),
     puts the distance below eps once
-    t >= 2 / (beta1 Phi^2) * log(1 / (2 eps sqrt(pi_min))), and after the
-    rescaling pi(v) = sum_e omega(e) gamma_e(v) >= d(v) beta2 >= d_min beta2.
+    t >= 2 / (beta1 Phi^2) * log(1 / (2 eps sqrt(pi_min))), and
+    pi(v) = sum_e omega(e) rho_e gamma_e(v) / delta(e) >= d(v) beta2 >= d_min beta2.
     The prefactor 8 leaves a factor-4 margin over that 2. A smaller beta1 is
     a weaker guarantee that the walk holds, so it gives a larger bound.
     """
     _require_eps(eps)
-    beta2 = float(rho_normalized(H).gamma.min())
+    beta2 = float(_rho_scaled(H).min())
     beta1 = float(_lazy_factors(H)[1].min())
     d_min = float(degrees(H)[0].min())
     phi = cheeger_constant(H).phi

@@ -49,7 +49,6 @@ from .core import (
     degrees,
     edge_independent_gamma,
     has_trivial_weights,
-    rescale_edges,
 )
 from .errors import ConvergenceFailure, NonPositiveWeight, NotEdgeIndependent, SingularSystem
 from .walk import TransitionMatrix, _check_size, _lazy_factors, _lazy_walk, transition_matrix
@@ -58,7 +57,6 @@ __all__ = [
     "StationaryResult",
     "edge_coupling_matrix",
     "naive_stationary",
-    "rho_normalized",
     "stationary_direct",
     "stationary_edge_independent",
     "stationary_rho",
@@ -323,11 +321,13 @@ def naive_stationary(H: Hypergraph) -> np.ndarray:
     return d / d.sum()
 
 
-def rho_normalized(H: Hypergraph) -> Hypergraph:
-    """Rescale each edge's vertex weights so its own per-edge constant
-    becomes 1; afterwards pi_v = sum of omega(e) * gamma_e(v) over incident
-    edges, already summing to 1 over V."""
-    _, delta = degrees(H)
-    rho = stationary_rho(H).rho
-    with np.errstate(over="ignore"):  # a factor past the float range: rescale_edges names it
-        return rescale_edges(H, rho / delta)
+def _rho_scaled(H: Hypergraph) -> np.ndarray:
+    """Per CSR entry, rho_e * (gamma_e(v) / delta(e)): H's vertex weights
+    rescaled per edge so every per-edge constant is 1, formed from the rho
+    solve and the lazy walk's factor, never from rho_e / delta(e), which can
+    overflow. One that rounds to 0.0 is NonPositiveWeight."""
+    scaled = _per_member(H, stationary_rho(H).rho) * _lazy_factors(H)[1]
+    if not scaled.min() > 0.0:
+        vertex = H.vertices[H.indices[np.argmin(scaled)]]
+        raise NonPositiveWeight(f"vertex {vertex!r}: a weight rescaled so rho_e = 1 rounds to 0.0")
+    return scaled

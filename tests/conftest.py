@@ -6,7 +6,8 @@ import gc
 import numpy as np
 import pytest
 
-from hyperwalk import DisconnectedHypergraph, Hypergraph, demo_hypergraph, dumps_json, loads_json
+from hyperwalk import (DisconnectedHypergraph, Hypergraph, degrees, demo_hypergraph, dumps_json,
+                       loads_json, rescale_edges, stationary_rho)
 
 
 @pytest.fixture
@@ -70,6 +71,13 @@ def rebuilt(H):
     yet, so a test that changes a module setting between two calls sees the
     work redone rather than the result stored on H."""
     return loads_json(dumps_json(H))
+
+
+def rho_normalized(H):
+    """H with each edge's vertex weights rescaled so its own per-edge
+    constant becomes 1: a hypergraph copy whose vertex weights are the
+    library's per-entry rho_e * gamma_e(v) / delta(e), up to rounding."""
+    return rescale_edges(H, stationary_rho(H).rho / degrees(H)[1])
 
 
 @contextlib.contextmanager

@@ -365,6 +365,21 @@ def test_out_into_a_missing_directory_is_named(demo_file, tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["demo.json"]  # and no manifest
 
 
+def test_out_into_a_missing_directory_is_refused_before_the_work(tmp_path, capsys,
+                                                                monkeypatch):
+    # the error open gives, with its exit code and text, but before the
+    # experiment draws a match or prints its summary table
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr("hyperwalk.rankagg._draw", unreachable)
+    out = tmp_path / "missing" / "x.csv"
+    assert dispatch(["rankagg", "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: FileNotFoundError: [Errno 2] No such file or directory: '{out}'\n")
+    assert not list(tmp_path.iterdir())
+
+
 def test_manifest_records_numpy_and_blas_threads(demo_file, tmp_path):
     # BLAS fixes its thread count when numpy is imported, so the manifest names
     # the variables as they were then, not as a caller changed them later.
@@ -875,7 +890,6 @@ def test_subnormal_edge_weight_auto_falls_back_at_once(tmp_path, capsys):
 
 SUBNORMAL_DELTA = {"vertices": ["a", "b"],
                    "edges": [{"weight": 1.0, "members": {"a": 5e-324, "b": 5e-324}}]}
-_TIMES_INF = "edge #0: weight of vertex 'a' times factor inf must be a finite number > 0"
 
 
 def _run_as_a_user(tmp_path, command: str, doc=SUBNORMAL_DELTA) -> subprocess.CompletedProcess:
@@ -904,28 +918,51 @@ def test_subnormal_delta_walks_without_a_warning(tmp_path, command):
 
 
 @pytest.mark.parametrize("command, message", [
-    ("spectral", _TIMES_INF),
-    ("reduce --mode sandwich", _TIMES_INF),
     ("reduce --mode eqind", "graph weights must be finite"),
-], ids=["spectral", "sandwich", "eqind"])
+], ids=["eqind"])
 def test_subnormal_delta_is_refused_without_a_warning(tmp_path, command, message):
-    # rho_e / delta(e) passes the float range in the rho-rescaled copy, and
     # the clique weights take inf * 0
     run = _run_as_a_user(tmp_path, command)
     assert run.returncode == 1
     assert run.stderr == f"error: NonPositiveWeight: {message}\n"
 
 
+# delta(e) = 2e-308 is a normal number, yet rho_e / delta(e) of the first
+# edge is about 2.5e312
+RHO_OVER_DELTA_PAST_RANGE = {
+    "vertices": ["a", "b", "c"],
+    "edges": [{"weight": 1e-5, "members": {"a": 1e-308, "b": 1e-308}},
+              {"weight": 1e-5, "members": {"b": 1.0, "c": 1.0}}]}
+
+
+@pytest.mark.parametrize("doc, beta2", [(SUBNORMAL_DELTA, 0.5),
+                                        (RHO_OVER_DELTA_PAST_RANGE, 24999.999999999996)],
+                         ids=["subnormal-delta", "rho-over-delta-past-range"])
 @pytest.mark.parametrize("command", ["spectral", "reduce --mode sandwich"])
-def test_rho_rescaling_past_the_float_range_is_refused_without_a_warning(tmp_path, command):
-    # delta(e) = 2e-308 is a normal number, yet rho_e / delta(e) of the first
-    # edge (about 2.5e312) passes the float range in the rho-rescaled copy
-    doc = {"vertices": ["a", "b", "c"],
-           "edges": [{"weight": 1e-5, "members": {"a": 1e-308, "b": 1e-308}},
-                     {"weight": 1e-5, "members": {"b": 1.0, "c": 1.0}}]}
+def test_rho_rescaled_weights_answer_without_a_warning(tmp_path, command, doc, beta2):
+    # rho_e / delta(e) passes the float range on both inputs, but the
+    # rescaled weights rho_e * (gamma_e(v) / delta(e)) that beta2 and c read
+    # do not: beta2 is their minimum, and each vertex's are equal, so c = 1
     run = _run_as_a_user(tmp_path, command, doc)
-    assert run.returncode == 1
-    assert run.stderr == f"error: NonPositiveWeight: {_TIMES_INF}\n"
+    assert (run.returncode, run.stderr) == (0, "")
+    out = json.loads(run.stdout)
+    if command == "spectral":
+        assert out["beta2"] == beta2
+    else:
+        assert (out["verdict"]["c"], out["verdict"]["holds"]) == (1.0, True)
+
+
+@pytest.mark.parametrize("command", ["spectral", "reduce --mode sandwich"])
+def test_a_rescaled_weight_that_rounds_to_zero_is_named(tmp_path, command):
+    # gamma / delta of a in the first edge, 5e-324 / 10, rounds to 0.0, so
+    # beta2 would be 0 and c infinite
+    doc = {"vertices": ["a", "b", "c"],
+           "edges": [{"weight": 1.0, "members": {"a": 5e-324, "b": 10.0}},
+                     {"weight": 1.0, "members": {"a": 1.0, "b": 1.0}},
+                     {"weight": 1.0, "members": {"b": 1.0, "c": 1.0}}]}
+    run = _run_as_a_user(tmp_path, command, doc)
+    assert (run.returncode, run.stderr) == (1, "error: NonPositiveWeight: vertex 'a': a weight "
+                                               "rescaled so rho_e = 1 rounds to 0.0\n")
 
 
 @pytest.mark.parametrize("command", ["stationary --method rho", "spectral"])
@@ -1012,12 +1049,13 @@ def _count_calls(monkeypatch, *names) -> dict:
 
 def test_reduce_sandwich_derives_each_walk_once(demo_file, capsys, monkeypatch):
     counts = _count_calls(monkeypatch, "stationary_rho", "_solve_rho", "transition_matrix",
-                          "clique_expansion_weights")
+                          "clique_expansion_weights", "_clique_weights")
     assert dispatch(["reduce", "--input", demo_file, "--mode", "sandwich"]) == 0
     # the second walk matrix is the one the rho solve checks its residual on;
-    # the check and rho_normalized each read the one rho solve
+    # the check and its rescaled weights each read the one rho solve, and the
+    # graph is one scatter of gamma / delta, not a rescaled copy's expansion
     assert counts == {"stationary_rho": 2, "_solve_rho": 1, "transition_matrix": 2,
-                      "clique_expansion_weights": 1}
+                      "clique_expansion_weights": 0, "_clique_weights": 1}
 
 
 def _write_edges(tmp_path, n: int, member_lists, seed: int) -> str:

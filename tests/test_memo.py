@@ -28,14 +28,13 @@ from hyperwalk import (
     laplacian,
     mixing_time_bound,
     rescale_edges,
-    rho_normalized,
     spectral_report,
     stationary_rho,
     stationary_walk,
     transition_matrix,
 )
 from hyperwalk.cli import dispatch
-from conftest import gc_off, reachable_arrays, rebuilt, sweep
+from conftest import gc_off, reachable_arrays, rebuilt, rho_normalized, sweep
 
 
 @pytest.mark.parametrize("compute", [degrees, transition_matrix, stationary_rho, laplacian])
@@ -195,29 +194,32 @@ def _command_counts(h_demo, tmp_path, monkeypatch, command: str, pieces) -> dict
 
 
 def test_spectral_command_does_each_piece_of_work_once(h_demo, tmp_path, monkeypatch):
-    # the rho-rescaled copy is read only for its weights, so no P, rho
-    # solve, enumeration or degrees of its own; one dense solve (the rho
-    # route's) and one eigensolve per spectrum; degrees once, of H alone:
-    # the rho solve and the mixing bound read H's own gamma / delta
+    # one dense solve (the rho route's) and one eigensolve per spectrum;
+    # degrees once, of H alone: the rho solve and the mixing bound read H's
+    # own gamma / delta, and beta2 the rho-rescaled weights per entry, so no
+    # rescaled copy of H is built
     pieces = ((walk, "_lazy_walk"), (stationary, "_solve_rho"),
               (spectral, "laplacian_from_walk"), (spectral, "_cheeger_enumerate"),
-              (np.linalg, "solve"), (np.linalg, "eigh"), (core, "_degrees"))
+              (np.linalg, "solve"), (np.linalg, "eigh"), (core, "_degrees"),
+              (core, "rescale_edges"), (core.Hypergraph, "_with_gamma"))
     assert _command_counts(h_demo, tmp_path, monkeypatch, "spectral --check-cheeger",
                            pieces) == {
         "_lazy_walk": 1, "_solve_rho": 1, "laplacian_from_walk": 1, "_cheeger_enumerate": 1,
-        "solve": 1, "eigh": 2, "_degrees": 1}
+        "solve": 1, "eigh": 2, "_degrees": 1, "rescale_edges": 0, "_with_gamma": 0}
 
 
 def test_sandwich_command_does_each_piece_of_work_once(h_demo, tmp_path, monkeypatch):
     # one P and one rho solve of H, the command's only dense solve: the
     # clique graph's pi is its degree over its volume; one eigensolve each
-    # for H and for the clique graph; degrees once for each of H and its
-    # rho-rescaled copy (whose clique expansion is the graph)
+    # for H and for the clique graph; degrees once, of H alone: the graph
+    # and c read the rho-rescaled weights per entry, so no rescaled copy of
+    # H is built
     pieces = ((walk, "_lazy_walk"), (stationary, "_solve_rho"), (np.linalg, "solve"),
-              (np.linalg, "eigh"), (core, "_degrees"))
+              (np.linalg, "eigh"), (core, "_degrees"), (core, "rescale_edges"),
+              (core.Hypergraph, "_with_gamma"))
     assert _command_counts(h_demo, tmp_path, monkeypatch, "reduce --mode sandwich",
                            pieces) == {"_lazy_walk": 1, "_solve_rho": 1, "solve": 1, "eigh": 2,
-                                       "_degrees": 2}
+                                       "_degrees": 1, "rescale_edges": 0, "_with_gamma": 0}
 
 
 @pytest.mark.parametrize("method, solves", [("rho", 1), ("direct", 1), ("auto", 0)])

@@ -16,18 +16,19 @@ from hyperwalk import (
     TransitionMatrix,
     WeightedGraph,
     clique_expansion_weights,
+    degrees,
     edge_independent_to_graph,
     graph_random_walk,
     kolmogorov_check,
     nonlazy_trivial_equivalence,
     reversibility,
-    rho_normalized,
     sandwich_check,
     stationary_direct,
     stationary_rho,
     transition_matrix,
 )
-from conftest import sweep
+from hyperwalk.core import _block_scatter
+from conftest import rho_normalized, sweep
 
 
 # -- graph walks ---------------------------------------------------------------
@@ -306,5 +307,13 @@ def test_sandwich_check_sweep():
     for H in sweep(508, 15):
         chk = sandwich_check(H)
         assert chk.holds
-        # the graph it checked: the clique expansion of rho_normalized(H), bit for bit
-        assert chk.graph == clique_expansion_weights(rho_normalized(H))
+        # the graph it checked: one scatter of g = gamma / delta scaled by
+        # omega(e) rho_e, bit for bit
+        g = H.gamma / np.repeat(degrees(H)[1], np.diff(H.indptr))
+        W = _block_scatter(H.indptr, H.indices, g, g, H.n_vertices,
+                           H.omega * stationary_rho(H).rho)
+        assert chk.graph.weights.tobytes() == W.tobytes()
+        # the clique expansion of the rho-rescaled copy, up to rounding: at
+        # most 3.2e-16 of the largest weight on this sweep
+        copy = clique_expansion_weights(rho_normalized(H)).weights
+        assert np.abs(W - copy).max() <= 5e-16 * W.max()

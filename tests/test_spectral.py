@@ -23,7 +23,6 @@ from hyperwalk import (
     laplacian,
     loads_json,
     mixing_time_bound,
-    rho_normalized,
     spectral_report,
     stationary_direct,
     stationary_rho,
@@ -32,7 +31,7 @@ from hyperwalk import (
 import hyperwalk.spectral as spectral
 from hyperwalk.spectral import _bound_from_components
 from hyperwalk.cli import dispatch
-from conftest import rebuilt, sweep
+from conftest import rebuilt, rho_normalized, sweep
 
 
 # -- eigensolver -------------------------------------------------------------------

@@ -23,7 +23,6 @@ from hyperwalk import (
     naive_stationary,
     rescale_edges,
     restart_matrix,
-    rho_normalized,
     stationary_direct,
     stationary_edge_independent,
     stationary_rho,
@@ -41,7 +40,7 @@ from hyperwalk.stationary import (
     edge_coupling_matrix,
 )
 from hyperwalk.walk import DENSE_SIZE_LIMIT
-from conftest import rebuilt, sweep
+from conftest import rebuilt, rho_normalized, sweep
 
 DEMO_PI = np.array([7, 2, 5, 3]) / 17
 
