@@ -364,8 +364,13 @@ def dispatch(argv: list[str]) -> int:
         # digests of the inputs as read: the output may overwrite one of them
         paths = [getattr(args, name, None) for name in ("input", "matches")] if out else []
         inputs = {p: _sha256(p) for p in paths if p}
-        if out and not os.path.isdir(os.path.dirname(out) or "."):  # open's error, before the work
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+        if out and not os.path.isdir(parent := os.path.dirname(out) or "."):
+            try:  # open's own error, before the work: the directory's lookup fails,
+                os.stat(parent)
+                code = errno.ENOTDIR  # or it is a file
+            except OSError as exc:
+                code = exc.errno
+            raise OSError(code, os.strerror(code), out)
         result = args.handler(args)
         text = _json_text(result) if isinstance(result, dict) else result
         if out:

@@ -652,19 +652,14 @@ _EDGE_TEXT = '{\n      "weight": %s,\n      "members": {\n        %s\n      }\n 
 
 def _hypergraph_json(names, indptr, indices, gamma, omega) -> _JSONText:
     """``json.dumps(_json_dict(...), indent=2)``, byte for byte, rendered
-    from the arrays: one escape per name, one repr per float and one
-    ``"name: gamma"`` string per entry (per vertex where every gamma is one
-    value), and each edge's text by one map over slices of them. repr is
-    json's text of a finite float, and Hypergraph and WeightedGraph hold no
-    other. Every edge has members."""
+    from the arrays: one escape per name, one repr per float, one
+    ``"name: gamma"`` string per entry, and each edge's text by one map over
+    slices of them. repr is json's text of a finite float, and Hypergraph
+    and WeightedGraph hold no other. Every edge has members."""
     quoted = list(map(json.encoder.encode_basestring_ascii, names))
     keys = [q + ": " for q in quoted]
-    ind = indices.tolist()
-    if len(gamma) and (gamma == gamma[0]).all():  # as in a graph: one text per vertex
-        entries = list(map([k + repr(float(gamma[0])) for k in keys].__getitem__, ind))
-    else:
-        entries = list(map(str.__add__, map(keys.__getitem__, ind),
-                           map(float.__repr__, gamma.tolist())))
+    entries = list(map(str.__add__, map(keys.__getitem__, indices.tolist()),
+                       map(float.__repr__, gamma.tolist())))
     ptr = indptr.tolist()
     members = map(",\n        ".join, map(entries.__getitem__, map(slice, ptr, ptr[1:])))
     edges = list(map(_EDGE_TEXT.__mod__, zip(map(float.__repr__, omega.tolist()), members)))

@@ -378,6 +378,14 @@ def test_out_into_a_missing_directory_is_refused_before_the_work(tmp_path, capsy
     assert capsys.readouterr() == (
         "", f"error: FileNotFoundError: [Errno 2] No such file or directory: '{out}'\n")
     assert not list(tmp_path.iterdir())
+    # a directory that is a file, or runs through one: open's NotADirectoryError
+    (tmp_path / "file").write_text("")
+    for out in (tmp_path / "file" / "x.csv", tmp_path / "file" / "sub" / "x.csv"):
+        with pytest.raises(NotADirectoryError) as opened:
+            open(out, "w")
+        assert dispatch(["rankagg", "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: NotADirectoryError: {opened.value}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
 def test_manifest_records_numpy_and_blas_threads(demo_file, tmp_path):

@@ -29,7 +29,7 @@ from hyperwalk import (
 )
 from hyperwalk.core import _block_scatter, _vertex_major
 from hyperwalk.stationary import RESIDUAL_TOL, WALK_MAX_ITER, WALK_RTOL, edge_coupling_matrix
-from conftest import sweep
+from conftest import rho_normalized, sweep
 
 DEMO_P = np.array([
     [5 / 12, 1 / 8, 7 / 24, 1 / 6],
@@ -148,6 +148,9 @@ def test_each_walk_keeps_the_bits_of_its_factors(H):
          float(f.d.min()))
     if H.vertices == ("a", "b"):  # the subnormal delta: rho = 1 and gamma / delta = 0.5
         assert bound.beta2 == 0.5
+    else:  # the paper's beta2, the least weight of the rho-rescaled copy: 1 ulp apart at most here
+        want = rho_normalized(H).gamma.min()
+        assert abs(bound.beta2 - want) <= 2 * np.spacing(want)
 
 
 def test_row_stochastic_and_lazy_diagonal():
