@@ -232,12 +232,14 @@ def sandwich_check(H: Hypergraph) -> SandwichCheck:
     c is the worst per-vertex spread of the rescaled weights
     (``stationary._rho_scaled``) over *incident* edges. The rho solve and
     the walk matrix of H are each computed once and shared. Fewer than 2
-    vertices have no second eigenvalue: SizeLimit, before any solve. Only
+    vertices have no second eigenvalue, and more than DENSE_SIZE_LIMIT no
+    dense walk matrix: SizeLimit, before any solve. Only
     the plain Laplacians are formed, so a graph vertex whose stationary mass
     rounds to 0 causes no division by 0.
     """
     if H.n_vertices < 2:
         raise SizeLimit(f"the sandwich check needs at least 2 vertices, got {H.n_vertices}")
+    _check_size(H.n_vertices)
     rho = stationary_rho(H)
     P_h = transition_matrix(H)
     lam_h = float(eigenvalues_symmetric(_walk_laplacian(P_h, rho.pi))[1])

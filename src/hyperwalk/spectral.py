@@ -77,15 +77,20 @@ def _walk_laplacian(P: TransitionMatrix, pi: np.ndarray) -> np.ndarray:
     return np.diag(pi) - (PiP + PiP.T) / 2.0
 
 
+def _positive_mass(pi: np.ndarray, vertices: tuple, reason: str) -> None:
+    """Refuse a pi that divides (`reason`) where a vertex's mass is 0.0:
+    MassUnderflow naming the first such vertex."""
+    zero = np.flatnonzero(pi == 0.0)
+    if len(zero):
+        raise MassUnderflow(f"stationary probability of vertex {vertices[zero[0]]!r} is 0.0, "
+                            f"below the float range: {reason}")
+
+
 def laplacian_from_walk(P: TransitionMatrix, pi: np.ndarray) -> HypergraphLaplacian:
     """L and its normalized variant. The normalized one divides by sqrt(pi),
     so a vertex whose mass is 0.0 is MassUnderflow, named before either is
     formed. The record keeps `pi` itself, made read-only."""
-    zero = np.flatnonzero(pi == 0.0)
-    if len(zero):
-        raise MassUnderflow(
-            f"stationary probability of vertex {P.vertices[zero[0]]!r} is 0.0, below the "
-            "float range: the normalized Laplacian divides by its square root")
+    _positive_mass(pi, P.vertices, "the normalized Laplacian divides by its square root")
     L = _walk_laplacian(P, pi)
     inv_sqrt = 1.0 / np.sqrt(pi)
     normalized = L * inv_sqrt[:, None] * inv_sqrt[None, :]
@@ -259,10 +264,13 @@ def _require_cheeger_size(H: Hypergraph) -> None:
 def cheeger_constant(H: Hypergraph) -> CheegerResult:
     """Cheeger constant of the lazy walk on H by exhaustive enumeration,
     which runs once per hypergraph: a later call on H returns the stored
-    (immutable) minimum. The size check comes first and is never stored."""
+    (immutable) minimum. The size check comes first and is never stored. A
+    vertex whose mass is 0.0 makes a subset's ratio 0/0: MassUnderflow,
+    named before the enumeration."""
     _require_cheeger_size(H)
     P = transition_matrix(H)
     pi = stationary_rho(H).pi
+    _positive_mass(pi, H.vertices, "the Cheeger ratio divides by the mass of a subset")
     phi, subset = _memo(H, "cheeger", lambda: _cheeger_enumerate(P.matrix, pi))
     return CheegerResult(phi=phi, argmin=tuple(H.vertices[i] for i in subset))
 
@@ -305,7 +313,7 @@ def _require_eps(eps: float) -> None:
 
 def _bound_from_components(beta1: float, beta2: float, d_min: float,
                            phi: float, eps: float) -> tuple[int, bool]:
-    log_term = -math.log(2.0 * eps * math.sqrt(d_min * beta2))
+    log_term = -(math.log(2.0 * eps) + (math.log(d_min) + math.log(beta2)) / 2.0)
     if log_term <= 0.0:
         return 0, True
     scale = beta1 * phi * phi

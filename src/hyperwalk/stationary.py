@@ -2,10 +2,9 @@
 
 Four routes are provided and cross-checked against each other:
 
-* ``stationary_walk`` -- power iteration of the lazy walk without forming
-  P: one step pi -> ((pi / d) W) D_E^-1 R is two O(nnz) passes over the
-  CSR arrays, so it has no size limit, and its per-edge sums are the rho
-  route's constants.
+* ``stationary_walk`` -- power iteration of ``_walk_product``, pi P
+  without P in two O(nnz) passes over the CSR arrays, so it has no size
+  limit; its per-edge sums are the rho route's constants.
   It gives up after ``WALK_MAX_ITER`` steps, since a slowly mixing walk
   contracts slowly.
 * ``stationary_rho`` -- the per-edge-constant construction, on the lazy
@@ -17,16 +16,16 @@ Four routes are provided and cross-checked against each other:
 * ``stationary_direct`` -- solve pi P = pi, sum pi = 1 as a dense linear
   system (the oracle for the other two). P may be shared, so it solves in
   a copy of P; the CLI's direct route (``_stationary_direct_of``) builds
-  P's array itself and solves in that buffer, so one command holds two
-  n x n matrices at its peak: P and LAPACK's working copy. It makes P of
-  the array only after the solve, and stores nothing on the hypergraph.
+  and checks P's array itself and solves in that buffer, so one command
+  holds two n x n matrices at its peak: P and LAPACK's working copy.
 * ``stationary_edge_independent`` -- the closed form
   pi_v = d(v) gamma(v) / sum_u d(u) gamma(u) available when vertex weights
   do not depend on the edge.
 
+Each route given H checks max|pi P - pi| by ``_walk_product``, not on P.
 The rho and direct routes are dense and share one fixed-point solve: the
 system (M - I) x = 0 with its last equation replaced by sum(x) = 1, on M = A
-and on M = P^T, set up in M's own buffer and undone after the solve. The
+and on M = P^T, set up in M's own buffer, which it leaves overwritten. The
 rank-aggregation step solves a stack of restart chains by the same solve.
 
 ``naive_stationary`` is the degree-fraction formula d(v)/sum d(u). It is
@@ -36,7 +35,6 @@ weights entirely -- and is kept as a counterexample generator.
 
 from __future__ import annotations
 
-import math
 import numpy as np
 
 from .core import (
@@ -51,7 +49,7 @@ from .core import (
     has_trivial_weights,
 )
 from .errors import ConvergenceFailure, NonPositiveWeight, NotEdgeIndependent, SingularSystem
-from .walk import TransitionMatrix, _check_size, _lazy_factors, _lazy_walk, transition_matrix
+from .walk import TransitionMatrix, _check_size, _check_stochastic, _lazy_factors, _lazy_walk
 
 __all__ = [
     "StationaryResult",
@@ -104,6 +102,21 @@ def _residual(pi: np.ndarray, P: TransitionMatrix) -> float:
     return float(np.abs(pi @ P.matrix - pi).max())
 
 
+def _walk_product(H: Hypergraph):
+    """pi -> pi P without P, from ``walk._lazy_factors``: per edge the flow
+    sum over v in e of pi_v * (omega(e) / d(v)), then per member w the flow
+    times gamma_e(w) / delta(e), two O(nnz) bincounts. Both factors lie in
+    [0, 1], so a pi in [0, 1] cannot overflow."""
+    edge = _per_member(H, np.arange(H.n_edges))
+    leave, land = _lazy_factors(H)
+
+    def product(pi: np.ndarray) -> np.ndarray:
+        flow = np.bincount(edge, weights=pi[H.indices] * leave, minlength=H.n_edges)
+        return np.bincount(H.indices, weights=flow[edge] * land, minlength=H.n_vertices)
+
+    return product
+
+
 def edge_coupling_matrix(H: Hypergraph) -> np.ndarray:
     """The |E| x |E| matrix whose eigenvalue-1 eigenvector gives the per-edge
     constants, in the delta(e) = 1 normalization of any H: its column sums,
@@ -133,36 +146,31 @@ def _fixed_point(M: np.ndarray) -> np.ndarray:
     each x has the same bits.
 
     The system is set up in M itself, which LAPACK then copies, so no other
-    n x n buffer is needed. M's diagonal and last row are saved first and
-    put back afterwards (O(n)), so M holds its own bits again on return and
-    when the solve raises SingularSystem. M must not be read meanwhile.
+    n x n buffer is needed. M is left holding the system: each caller's M
+    is a buffer it never reads again (the rho route's A, the direct route's
+    fresh P, ``stationary_direct``'s copy, the ranking step's stack).
     """
     i = np.arange(M.shape[-1])
-    diagonal, last = M[..., i, i], M[..., -1, :].copy()
     b = np.zeros(M.shape[:-1] + (1,))
     b[..., -1, 0] = 1.0
+    M[..., i, i] -= 1.0
+    M[..., -1, :] = 1.0
     try:
-        M[..., i, i] -= 1.0
-        M[..., -1, :] = 1.0
         return np.linalg.solve(M, b)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"stationary solve failed: {exc}") from None
-    finally:
-        M[..., -1, :] = last
-        M[..., i, i] = diagonal
 
 
 def stationary_rho(H: Hypergraph) -> StationaryResult:
     """Stationary distribution via the per-edge constants rho_e.
 
     The returned ``rho`` refers to the delta(e)=1 normalization of H and
-    satisfies sum_e rho_e * omega(e) = 1. Both dense matrices, A and the P
-    of the residual check, are size-checked before either is built.
+    satisfies sum_e rho_e * omega(e) = 1. Its one dense matrix, A, is
+    size-checked (edges only) before it is built.
 
     Solved once per hypergraph: every call on H returns the same object,
     whose ``pi`` and ``rho`` are read-only. A failure is never stored.
     """
-    _check_size(H.n_vertices)
     return _memo(H, "stationary_rho", lambda: _solve_rho(H))
 
 
@@ -181,7 +189,7 @@ def _solve_rho(H: Hypergraph) -> StationaryResult:
             f"edge #{bad[0]}: per-edge constant rho_e overflows the float range")
     pi = np.bincount(H.indices, weights=_per_member(H, rho * H.omega) * _lazy_factors(H)[1],
                      minlength=H.n_vertices)
-    residual = _residual(pi, transition_matrix(H))
+    residual = float(np.abs(_walk_product(H)(pi) - pi).max())
     if not residual <= RESIDUAL_TOL:
         raise ConvergenceFailure(
             f"stationary residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}"
@@ -199,16 +207,9 @@ def stationary_direct(P: TransitionMatrix) -> StationaryResult:
     P is read-only and may be shared, so the system is set up in one copy
     of P. P^T as a view of a C-ordered matrix is in Fortran order, the
     layout LAPACK takes."""
-    return _direct(P, _fixed_point(P.matrix.copy().T))
-
-
-def _direct(P: TransitionMatrix, pi: np.ndarray) -> StationaryResult:
-    """The result of pi, solved for P by ``_fixed_point`` on P^T."""
-    _nonnegative(pi, P.vertices)
-    return StationaryResult(
-        vertices=P.vertices, pi=pi, rho=None, method="direct-solve",
-        residual=_residual(pi, P),
-    )
+    pi = _nonnegative(_fixed_point(P.matrix.copy().T), P.vertices)
+    return StationaryResult(vertices=P.vertices, pi=pi, rho=None, method="direct-solve",
+                            residual=_residual(pi, P))
 
 
 def _nonnegative(pi: np.ndarray, vertices: tuple) -> np.ndarray:
@@ -227,68 +228,63 @@ def _nonnegative(pi: np.ndarray, vertices: tuple) -> np.ndarray:
 
 
 def _stationary_direct_of(H: Hypergraph) -> StationaryResult:
-    """``stationary_direct(transition_matrix(H))`` bit for bit, without the
-    copy: P's array is built here and solved in its own buffer, so one n x n
-    matrix fewer is held at the peak. Nothing is stored on H, so a later
-    ``transition_matrix(H)`` builds P again."""
+    """``stationary_direct(transition_matrix(H)).pi`` bit for bit, without
+    the copy: P's array is built, checked and solved in its own buffer, so
+    one n x n matrix fewer is held at the peak. Nothing is stored on H."""
     _check_size(H.n_vertices)
     M = _lazy_walk(H)
-    pi = _fixed_point(M.T)
-    return _direct(TransitionMatrix._over(H, M), pi)
+    _check_stochastic(M)
+    pi = _nonnegative(_fixed_point(M.T), H.vertices)
+    return StationaryResult(vertices=H.vertices, pi=pi, rho=None, method="direct-solve",
+                            residual=float(np.abs(_walk_product(H)(pi) - pi).max()))
 
 
 def stationary_walk(H: Hypergraph) -> StationaryResult:
     """Power iteration of the lazy walk from the uniform vector, without
     forming P.
 
-    One step pi -> pi P sums rho_e = sum over v in e of pi_v / d(v) per
-    edge, then spreads rho_e * (omega(e) * (gamma_e(w) / delta(e))) onto
-    each member w (gamma / delta the lazy walk's own factor), two O(nnz)
-    bincounts. The lazy walk's diagonal is positive, so the iteration
-    converges at the rate of the second eigenvalue modulus. It stops at the first pi with
+    Each step is ``_walk_product``, which cannot overflow. The lazy walk's
+    diagonal is positive, so the iteration converges at the rate of the
+    second eigenvalue modulus. It stops at the first pi with
     max|pi P - pi| <= WALK_RTOL * max(pi) whose every vertex also changes
     by at most RESIDUAL_TOL of its own mass: a vertex whose mass is far
     below max(pi) may still be far from its limit when the largest change
     is not. It raises ConvergenceFailure naming the iteration count and the
-    residual when WALK_MAX_ITER steps do not get there, or naming the
-    iteration whose pi is not finite (pi / d overflows when a degree is
-    subnormal).
+    residual when WALK_MAX_ITER steps do not get there.
 
-    The returned pi is renormalized to sum 1. Its per-edge sums are the rho
-    route's constants, with sum_e rho_e * omega(e) = sum_v pi_v = 1, and
-    ``residual`` is max|pi P - pi| under the same step.
+    The returned pi is renormalized to sum 1, and ``residual`` is
+    max|pi P - pi| by the same product. Its per-edge sums
+    rho_e = sum over v in e of pi_v / d(v) are the rho route's constants,
+    with sum_e rho_e * omega(e) = sum_v pi_v = 1; one that overflows (a
+    subnormal degree) is ConvergenceFailure naming its edge.
     """
-    d, _ = degrees(H)
-    edge = _per_member(H, np.arange(H.n_edges))
-    spread = _per_member(H, H.omega) * _lazy_factors(H)[1]
-
-    def step(pi):  # (rho, pi P)
-        rho = np.bincount(edge, weights=(pi / d)[H.indices], minlength=H.n_edges)
-        return rho, np.bincount(H.indices, weights=rho[edge] * spread, minlength=H.n_vertices)
-
+    product = _walk_product(H)
     pi = np.full(H.n_vertices, 1.0 / H.n_vertices)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for iterations in range(1, WALK_MAX_ITER + 1):
-            nxt = step(pi)[1]
-            change = np.abs(nxt - pi)
-            residual = float(change.max())  # pi is finite: nan or inf iff nxt is
-            if not math.isfinite(residual):
-                raise ConvergenceFailure(f"walk iterate {iterations} is not finite")
-            if residual <= WALK_RTOL * pi.max() and (change <= RESIDUAL_TOL * pi).all():
-                break
-            pi = nxt
-        else:
-            raise ConvergenceFailure(
-                f"walk iteration stopped after {iterations} iterations with residual "
-                f"{residual:.3e}; it needs at most {WALK_RTOL:.0e} * max pi = "
-                f"{WALK_RTOL * pi.max():.3e}, and each vertex's change at most "
-                f"{RESIDUAL_TOL:.0e} of its mass"
-            )
+    for iterations in range(1, WALK_MAX_ITER + 1):
+        nxt = product(pi)
+        change = np.abs(nxt - pi)
+        residual = float(change.max())
+        if residual <= WALK_RTOL * pi.max() and (change <= RESIDUAL_TOL * pi).all():
+            break
+        pi = nxt
+    else:
+        raise ConvergenceFailure(
+            f"walk iteration stopped after {iterations} iterations with residual "
+            f"{residual:.3e}; it needs at most {WALK_RTOL:.0e} * max pi = "
+            f"{WALK_RTOL * pi.max():.3e}, and each vertex's change at most "
+            f"{RESIDUAL_TOL:.0e} of its mass"
+        )
     pi = pi / pi.sum()
-    rho, nxt = step(pi)
+    with np.errstate(over="ignore"):  # a subnormal degree: named below
+        rho = np.bincount(_per_member(H, np.arange(H.n_edges)),
+                          (pi / degrees(H)[0])[H.indices], H.n_edges)
+    bad = np.flatnonzero(~np.isfinite(rho))
+    if len(bad):
+        raise ConvergenceFailure(
+            f"edge #{bad[0]}: per-edge constant rho_e overflows the float range")
     return StationaryResult(
         vertices=H.vertices, pi=pi, rho=rho, method="walk-iteration",
-        residual=float(np.abs(nxt - pi).max()),
+        residual=float(np.abs(product(pi) - pi).max()),
     )
 
 
@@ -306,7 +302,7 @@ def stationary_edge_independent(H: Hypergraph) -> StationaryResult:
     method = "closed-form-trivial" if has_trivial_weights(H) else "closed-form-edge-independent"
     return StationaryResult(
         vertices=H.vertices, pi=pi, rho=None, method=method,
-        residual=_residual(pi, transition_matrix(H)),
+        residual=float(np.abs(_walk_product(H)(pi) - pi).max()),
     )
 
 

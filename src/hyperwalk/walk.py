@@ -93,8 +93,10 @@ def _lazy_walk(H: Hypergraph) -> np.ndarray:
 def _lazy_factors(H: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     """P's terms as ``_block_scatter``'s ``left`` and ``right`` factors: each
     term is (omega(e) / d(v)) * (gamma_e(w) / delta(e)), leaving v by e,
-    then landing on w. The walk iteration, the rho solve and the mixing bound
-    read ``right`` too: it is in [0, 1] even where delta is subnormal."""
+    then landing on w, each in [0, 1] even where d or delta is subnormal.
+    ``_lazy_walk`` and ``stationary._walk_product`` read both; the coupling
+    matrix, the rho solve's pi, ``stationary._rho_scaled``, the sandwich
+    graph and the mixing bound's beta1 read ``right``."""
     d, delta = degrees(H)
     return _per_member(H, H.omega) / d[H.indices], H.gamma / _per_member(H, delta)
 

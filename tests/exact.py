@@ -1,0 +1,71 @@
+"""Exact walk matrices and stationary distributions in rational arithmetic:
+the reference that tests/test_exact.py checks every float route against.
+
+Every float is an exact rational, so the lazy walk of a hypergraph has an
+exact P[v, w] = sum over edges e holding both of
+(omega(e) / d(v)) * (gamma_e(w) / delta(e)), and an exact pi, the solution
+of pi P = pi with sum pi = 1. Both are formed here from the ``Fraction`` of
+each omega and gamma, pi by Gauss-Jordan elimination. The numbers grow with
+each elimination step, so this is meant for n <= 12.
+"""
+
+from fractions import Fraction
+
+MAX_VERTICES = 12
+
+
+def exact_transition(H) -> list[list[Fraction]]:
+    """P of H's lazy walk, entry by entry, as Fractions."""
+    n = H.n_vertices
+    if n > MAX_VERTICES:
+        raise ValueError(f"exact arithmetic is meant for at most {MAX_VERTICES} vertices")
+    indptr, indices = H.indptr.tolist(), H.indices.tolist()
+    omega = [Fraction(w) for w in H.omega.tolist()]
+    gamma = [Fraction(g) for g in H.gamma.tolist()]
+    edges = [range(indptr[e], indptr[e + 1]) for e in range(H.n_edges)]
+    d = [Fraction(0)] * n
+    for e, entries in enumerate(edges):
+        for k in entries:
+            d[indices[k]] += omega[e]
+    P = [[Fraction(0)] * n for _ in range(n)]
+    for e, entries in enumerate(edges):
+        delta = sum(gamma[k] for k in entries)
+        for k in entries:
+            leave = omega[e] / d[indices[k]]
+            row = P[indices[k]]
+            for j in entries:
+                row[indices[j]] += leave * gamma[j] / delta
+    return P
+
+
+def exact_stationary(H) -> list[Fraction]:
+    """The pi with pi P = pi and sum pi = 1, as Fractions: the system
+    (P^T - I) pi = 0 with its last equation replaced by sum pi = 1, solved
+    by Gauss-Jordan elimination. A connected hypergraph's lazy walk is
+    irreducible, so the solution is unique."""
+    P = exact_transition(H)
+    n = len(P)
+    rows = [[P[j][i] - (i == j) for j in range(n)] + [Fraction(0)] for i in range(n - 1)]
+    rows.append([Fraction(1)] * (n + 1))
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col]
+        scale = head[col]
+        head[:] = [x / scale for x in head]
+        for r in range(n):
+            factor = rows[r][col]
+            if r != col and factor != 0:
+                rows[r] = [x - factor * y for x, y in zip(rows[r], head)]
+    return [row[n] for row in rows]
+
+
+def entrywise_error(pi, exact: list[Fraction]) -> float:
+    """max over v of |pi_v - exact_v| / exact_v, formed exactly and rounded
+    once; every exact_v of a connected hypergraph's walk is positive."""
+    return float(max(abs(Fraction(p) - x) / x for p, x in zip(pi.tolist(), exact)))
+
+
+def normwise_error(pi, exact: list[Fraction]) -> float:
+    """max over v of |pi_v - exact_v|, over max exact_v."""
+    return float(max(abs(Fraction(p) - x) for p, x in zip(pi.tolist(), exact)) / max(exact))

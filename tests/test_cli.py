@@ -17,7 +17,7 @@ import hyperwalk
 from hyperwalk import ConvergenceFailure, demo_hypergraph, dumps_json
 from hyperwalk.cli import dispatch
 from hyperwalk.core import _json_text
-from hyperwalk.stationary import WALK_MAX_ITER
+from hyperwalk.stationary import RESIDUAL_TOL, WALK_MAX_ITER
 from hyperwalk.walk import DENSE_SIZE_LIMIT
 from conftest import gc_off
 
@@ -884,7 +884,8 @@ SUBNORMAL_EDGE = {"vertices": ["a", "b"],
 
 
 def test_subnormal_edge_weight_auto_falls_back_at_once(tmp_path, capsys):
-    # d = 1e-320, so pi / d overflows in the walk's first step
+    # d = 1e-320: the walk converges at once, but its per-edge constant
+    # sum of pi / d overflows
     path = _write_json(tmp_path, "h.json", SUBNORMAL_EDGE)
     assert dispatch(["stationary", "--input", path, "--method", "direct"]) == 0
     direct = capsys.readouterr().out
@@ -892,8 +893,8 @@ def test_subnormal_edge_weight_auto_falls_back_at_once(tmp_path, capsys):
     assert dispatch(["stationary", "--input", path]) == 0
     out, err = capsys.readouterr()
     assert out == direct
-    assert err == ("warning: ConvergenceFailure: walk iterate 1 is not finite; "
-                   "using the direct solve\n")
+    assert err == ("warning: ConvergenceFailure: edge #0: per-edge constant rho_e overflows "
+                   "the float range; using the direct solve\n")
 
 
 SUBNORMAL_DELTA = {"vertices": ["a", "b"],
@@ -971,6 +972,34 @@ def test_a_rescaled_weight_that_rounds_to_zero_is_named(tmp_path, command):
     run = _run_as_a_user(tmp_path, command, doc)
     assert (run.returncode, run.stderr) == (1, "error: NonPositiveWeight: vertex 'a': a weight "
                                                "rescaled so rho_e = 1 rounds to 0.0\n")
+
+
+# an edge of weight 5e-324 beside one of weight 1: v2 lies only in the first
+SUBNORMAL_EDGE_BESIDE = {"vertices": ["v1", "v2", "v3", "v4"], "edges": [
+    {"weight": 5e-324, "members": {"v1": 2.0, "v2": 1.0, "v3": 1.0}},
+    {"weight": 1.0, "members": {"v1": 1.0, "v3": 1.0, "v4": 1.0}}]}
+
+
+def test_subnormal_edge_beside_a_normal_one_is_answered_by_the_walk(tmp_path):
+    # d(v2) = 5e-324, so pi / d would overflow; the walk product's
+    # factors stay in [0, 1], and v2's mass decays to 0.0
+    run = _run_as_a_user(tmp_path, "stationary", SUBNORMAL_EDGE_BESIDE)
+    assert (run.returncode, run.stderr) == (0, "")
+    result = json.loads(run.stdout)
+    assert (result["method"], result["pi"]["v2"]) == ("walk-iteration", 0.0)
+
+
+def test_mixing_bound_in_log_space(tmp_path):
+    # d_min * beta2 = 1e-200 * 1e-200 underflows to 0.0, but its logarithm
+    # does not
+    doc = {"vertices": ["a", "b", "c"],
+           "edges": [{"weight": 1e-200, "members": {"a": 1.0, "b": 1.0}},
+                     {"weight": 1.0, "members": {"b": 1.0, "c": 1e-200}}]}
+    run = _run_as_a_user(tmp_path, "spectral", doc)
+    assert (run.returncode, run.stderr) == (0, "")
+    result = json.loads(run.stdout)
+    assert (result["d_min"], result["vacuous_bound"]) == (1e-200, False)
+    assert len(str(result["mixing_bound"])) > 200
 
 
 @pytest.mark.parametrize("command", ["stationary --method rho", "spectral"])
@@ -1059,10 +1088,10 @@ def test_reduce_sandwich_derives_each_walk_once(demo_file, capsys, monkeypatch):
     counts = _count_calls(monkeypatch, "stationary_rho", "_solve_rho", "transition_matrix",
                           "clique_expansion_weights", "_clique_weights")
     assert dispatch(["reduce", "--input", demo_file, "--mode", "sandwich"]) == 0
-    # the second walk matrix is the one the rho solve checks its residual on;
-    # the check and its rescaled weights each read the one rho solve, and the
+    # the rho solve checks its residual by the walk product, not on P; the
+    # check and its rescaled weights each read the one rho solve, and the
     # graph is one scatter of gamma / delta, not a rescaled copy's expansion
-    assert counts == {"stationary_rho": 2, "_solve_rho": 1, "transition_matrix": 2,
+    assert counts == {"stationary_rho": 2, "_solve_rho": 1, "transition_matrix": 1,
                       "clique_expansion_weights": 0, "_clique_weights": 1}
 
 
@@ -1082,21 +1111,37 @@ def _path(tmp_path, n: int) -> str:
     return _write_edges(tmp_path, n, [(i, i + 1) for i in range(n - 1)], seed=n)
 
 
-def _no_dense_matrix(monkeypatch):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("a dense matrix was built before the size check")
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a dense matrix was built before the size check")
 
-    monkeypatch.setattr("hyperwalk.stationary._block_scatter", unreachable)
-    monkeypatch.setattr("hyperwalk.walk._block_scatter", unreachable)
-    monkeypatch.setattr("hyperwalk.reduction._block_scatter", unreachable)
+
+def _no_dense_matrix(monkeypatch):
+    monkeypatch.setattr("hyperwalk.stationary._block_scatter", _unreachable)
+    monkeypatch.setattr("hyperwalk.walk._block_scatter", _unreachable)
+    monkeypatch.setattr("hyperwalk.reduction._block_scatter", _unreachable)
 
 
 def test_stationary_rho_too_many_vertices_fails_first(tmp_path, capsys, monkeypatch):
-    path = _path(tmp_path, DENSE_SIZE_LIMIT + 1)
+    # the rho route's one dense matrix is |E| x |E|: past the limit in edges
+    # as well as vertices, the edge count is refused before it is built
+    path = _path(tmp_path, DENSE_SIZE_LIMIT + 2)
     _no_dense_matrix(monkeypatch)
     assert dispatch(["stationary", "--input", path, "--method", "rho"]) == 1
-    assert f"SizeLimit: dense matrices support at most {DENSE_SIZE_LIMIT} vertices, " \
+    assert f"SizeLimit: dense matrices support at most {DENSE_SIZE_LIMIT} edges, " \
            f"got {DENSE_SIZE_LIMIT + 1}" in capsys.readouterr().err
+
+
+def test_stationary_rho_answers_above_the_vertex_limit(tmp_path, capsys, monkeypatch):
+    # 4,101 vertices in 1,025 edges of 5 that overlap in one vertex: A is
+    # 1,025 x 1,025, and the residual is checked without P
+    n = 4 * 1025 + 1
+    path = _write_edges(tmp_path, n, [range(4 * k, 4 * k + 5) for k in range(1025)], seed=5)
+    monkeypatch.setattr("hyperwalk.walk._block_scatter", _unreachable)
+    assert dispatch(["stationary", "--input", path, "--method", "rho"]) == 0
+    out, err = capsys.readouterr()
+    result = json.loads(out)
+    assert (result["method"], len(result["pi"]), err) == ("rho-eigenvector", n, "")
+    assert result["residual"] <= RESIDUAL_TOL
 
 
 def test_stationary_rho_too_many_edges_fails_first(tmp_path, capsys, monkeypatch):
@@ -1113,14 +1158,17 @@ def test_stationary_rho_too_many_edges_fails_first(tmp_path, capsys, monkeypatch
     assert captured.err == ""
 
 
-def test_reduce_eqind_too_many_vertices_fails_first(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("mode", ["eqind", "sandwich"])
+def test_reduce_too_many_vertices_fails_first(tmp_path, capsys, monkeypatch, mode):
+    # the sandwich check's rho solve would take these 4096 edges, so the
+    # vertex count is refused before it
     n = DENSE_SIZE_LIMIT + 1
     names = [f"v{i}" for i in range(n)]
     edges = [{"weight": 1.0, "members": {names[i]: 1.0, names[i + 1]: 1.0}}
              for i in range(n - 1)]
     path = _write_json(tmp_path, "path.json", {"vertices": names, "edges": edges})
     _no_dense_matrix(monkeypatch)
-    assert dispatch(["reduce", "--input", path, "--mode", "eqind"]) == 1
+    assert dispatch(["reduce", "--input", path, "--mode", mode]) == 1
     assert f"SizeLimit: dense matrices support at most {DENSE_SIZE_LIMIT} vertices, " \
            f"got {n}" in capsys.readouterr().err
 
@@ -1165,6 +1213,27 @@ def test_stationary_auto_answers_a_subnormal_edge_degree_above_the_dense_limit(
     assert dispatch(["stationary", "--input", path]) == 0
     out, err = capsys.readouterr()
     assert (json.loads(out)["method"], err) == ("walk-iteration", "")
+
+
+def test_stationary_auto_answers_a_subnormal_vertex_degree_above_the_dense_limit(
+        tmp_path, capsys, monkeypatch):
+    # x lies only in an edge of weight 5e-324, so d(x) = 5e-324 and pi / d
+    # would overflow; the walk product reads omega / d and gamma / delta,
+    # both in [0, 1], and x's mass underflows to 0.0
+    n, rng = 5000, np.random.default_rng(3)
+    order = rng.permutation(n).tolist()
+    chain = [order[i:i + 2] for i in range(n - 1)]
+    extra = [rng.choice(n, size=3, replace=False).tolist() for _ in range(10_000 - (n - 1))]
+    doc = json.loads(Path(_write_edges(tmp_path, n, chain + extra, seed=3)).read_text())
+    doc["vertices"].append("x")
+    doc["edges"].append({"weight": 5e-324, "members": {"v0": 1.0, "v1": 1.0, "x": 1.0}})
+    path = _write_json(tmp_path, "h.json", doc)
+    _no_dense_matrix(monkeypatch)
+    assert dispatch(["stationary", "--input", path]) == 0
+    out, err = capsys.readouterr()
+    result = json.loads(out)
+    assert (result["method"], result["pi"]["x"], err) == ("walk-iteration", 0.0, "")
+    assert abs(sum(result["pi"].values()) - 1.0) <= 1e-12
 
 
 def test_stationary_auto_is_deterministic(tmp_path):

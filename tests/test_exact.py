@@ -1,0 +1,79 @@
+"""Every stationary route against the exact pi of rational arithmetic
+(tests/exact.py), with one stated tolerance per route.
+
+The tolerances are the worst errors measured on criterion 2's inputs,
+``sweep(2, 200)`` (2 to 8 vertices), rounded up in their third digit: a
+route that drifts past one has lost accuracy, and the fix is in the route,
+not here."""
+
+import numpy as np
+import pytest
+
+from hyperwalk import (
+    ConvergenceFailure,
+    Hypergraph,
+    stationary_direct,
+    stationary_edge_independent,
+    stationary_rho,
+    stationary_walk,
+    transition_matrix,
+)
+from hyperwalk.stationary import _stationary_direct_of
+from conftest import sweep
+from exact import entrywise_error, exact_stationary, exact_transition, normwise_error
+
+# Entrywise relative: max |pi_v - exact_v| / exact_v. The walk stops on its
+# last step's change, not on its error: measured 1.637e-12.
+WALK_ENTRYWISE = 1.64e-12
+# Entrywise relative: measured 4.61e-15.
+RHO_ENTRYWISE = 4.62e-15
+# LU is stable in norm only, so relative to max pi: measured 1.71e-15 for
+# both direct routes (entrywise relative, 3.81e-14).
+DIRECT_NORMWISE = 1.72e-15
+# Entrywise relative, on sweep(2, 50, edge_independent=True): measured 3.46e-16.
+CLOSED_FORM_ENTRYWISE = 3.47e-16
+# The walk on the dominated-member input below: measured 3.44e-9, since its
+# stopping rule allows each vertex a last change of 1e-9 of its mass.
+WALK_DOMINATED_ENTRYWISE = 3.45e-9
+
+
+@pytest.fixture(scope="module")
+def criterion_2():
+    return [(H, exact_stationary(H)) for H in sweep(2, 200)]
+
+
+def test_exact_walk_matrix_is_the_float_one_to_rounding(criterion_2):
+    for H, _ in criterion_2[:20]:
+        exact = np.array([[float(x) for x in row] for row in exact_transition(H)])
+        assert np.abs(transition_matrix(H).matrix - exact).max() <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("route, error, tolerance", [
+    (stationary_walk, entrywise_error, WALK_ENTRYWISE),
+    (stationary_rho, entrywise_error, RHO_ENTRYWISE),
+    (lambda H: stationary_direct(transition_matrix(H)), normwise_error, DIRECT_NORMWISE),
+    (_stationary_direct_of, normwise_error, DIRECT_NORMWISE),
+], ids=["walk", "rho", "direct", "direct-in-its-buffer"])
+def test_each_route_within_its_tolerance(criterion_2, route, error, tolerance):
+    worst = max(error(route(H).pi, exact) for H, exact in criterion_2)
+    assert worst <= tolerance
+
+
+def test_closed_form_within_its_tolerance():
+    for H in sweep(2, 50, edge_independent=True):
+        pi = stationary_edge_independent(H).pi
+        assert entrywise_error(pi, exact_stationary(H)) <= CLOSED_FORM_ENTRYWISE
+
+
+def test_dominated_member_per_route():
+    # exact pi = (1, 2e-20, 1e-20) / (1 + 3e-20): the walk keeps both small
+    # masses, the direct solve loses them within its norm-wise tolerance,
+    # and the rho route refuses the input
+    H = Hypergraph(("a", "b", "c"), [(1.0, {"a": 1.0, "b": 1e-20}),
+                                     (1.0, {"b": 1.0, "c": 1.0})])
+    exact = exact_stationary(H)
+    assert entrywise_error(stationary_walk(H).pi, exact) <= WALK_DOMINATED_ENTRYWISE
+    assert stationary_direct(transition_matrix(H)).pi.tolist() == [1.0, 0.0, 0.0]
+    assert normwise_error(_stationary_direct_of(H).pi, exact) <= DIRECT_NORMWISE
+    with pytest.raises(ConvergenceFailure, match="not strictly positive"):
+        stationary_rho(H)

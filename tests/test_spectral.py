@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from hyperwalk import (
     ConvergenceFailure,
     Hypergraph,
+    HyperwalkError,
     MassUnderflow,
     NotSymmetric,
     SizeLimit,
@@ -498,6 +500,35 @@ def test_bound_clamps_to_zero_when_log_nonpositive():
     assert bound == 0 and vacuous
     bound, vacuous = _bound_from_components(0.5, 0.01, 1.0, 0.5, 0.25)
     assert bound > 0 and not vacuous
+
+
+@pytest.mark.parametrize("omega, g_a, g_c", itertools.product(
+    [1e-300, 1e-200, 1e-150], [1.0, 1e-100, 1e-200], [1.0, 1e-100, 1e-200]))
+def test_tiny_weights_get_a_bound_or_a_named_refusal(omega, g_a, g_c):
+    # d_min * beta2 underflows to 0.0 on some of these (1e-200 * 1e-200),
+    # but the bound takes their logarithms one by one; a mass that rounds
+    # to 0.0 is refused by name, never as a ValueError or a numpy warning
+    H = Hypergraph(("a", "b", "c"), [(omega, {"a": g_a, "b": 1.0}),
+                                     (1.0, {"b": 1.0, "c": g_c})])
+    try:
+        bound = mixing_time_bound(H, 0.25)
+    except HyperwalkError as exc:
+        assert not isinstance(exc, ValueError)
+    else:
+        assert bound.bound > 0 and not bound.vacuous
+
+
+def test_cheeger_names_a_zero_mass_before_it_divides():
+    # pi = (0, 0.5, 0.5): a's mass rounds to 0.0, so a subset of a alone
+    # would score 0/0
+    H = Hypergraph(("a", "b", "c"), [(1e-300, {"a": 1e-100, "b": 1.0}),
+                                     (1.0, {"b": 1.0, "c": 1.0})])
+    assert stationary_rho(H).pi.tolist() == [0.0, 0.5, 0.5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MassUnderflow, match=r"^stationary probability of vertex 'a' is 0\.0, "
+                           r"below the float range: the Cheeger ratio divides"):
+            cheeger_constant(H)
 
 
 def test_mixing_bound_rejects_bad_eps(h_demo):

@@ -37,6 +37,7 @@ from hyperwalk.stationary import (
     WALK_RTOL,
     _fixed_point,
     _stationary_direct_of,
+    _walk_product,
     edge_coupling_matrix,
 )
 from hyperwalk.walk import DENSE_SIZE_LIMIT
@@ -101,7 +102,7 @@ def test_rho_fixed_point_identity():
 
 
 def test_rho_route_refuses_a_residual_above_the_tolerance(h_demo, monkeypatch):
-    monkeypatch.setattr(stationary, "_residual", lambda pi, P: 1.0)
+    monkeypatch.setattr(stationary, "_walk_product", lambda H: lambda pi: pi + 1.0)
     H = rebuilt(h_demo)
     with pytest.raises(ConvergenceFailure,
                        match=r"^stationary residual 1\.000e\+00 exceeds 1e-09$"):
@@ -139,10 +140,12 @@ def test_walk_iteration_converges_on_a_dominated_member():
 
 
 def test_subnormal_edge_weight_stops_both_rho_routes():
-    """d = omega = 1e-320: the walk's pi / d overflows at once, and so does
-    the rho route's normalization by sum_e rho_e * omega(e)."""
+    """d = omega = 1e-320: the walk converges, but its per-edge constant
+    sum of pi / d overflows, and so does the rho route's normalization by
+    sum_e rho_e * omega(e)."""
     H = Hypergraph(("a", "b"), [(1e-320, {"a": 1.0, "b": 1.0})])
-    with pytest.raises(ConvergenceFailure, match="walk iterate 1 is not finite"):
+    with pytest.raises(ConvergenceFailure,
+                       match=r"^edge #0: per-edge constant rho_e overflows the float range$"):
         stationary_walk(H)
     with pytest.raises(NonPositiveWeight, match=r"edge #0: per-edge constant rho_e overflows"):
         stationary_rho(H)
@@ -222,9 +225,8 @@ def test_direct_writes_no_negative_probability(tmp_path, capsys):
                    [(e["weight"], e["members"]) for e in DOMINATED["edges"]])
     res = _stationary_direct_of(H)
     assert not np.signbit(res.pi).any()
-    # the residual is the corrected vector's
-    P = transition_matrix(H).matrix
-    assert res.residual == float(np.abs(res.pi @ P - res.pi).max())
+    # the residual is the corrected vector's, by the walk product
+    assert res.residual == float(np.abs(_walk_product(H)(res.pi) - res.pi).max())
 
 
 def test_direct_of_a_subnormal_delta_builds_without_a_warning():
@@ -244,33 +246,23 @@ def test_direct_names_a_negative_probability(h_demo, monkeypatch):
     assert res.pi.tolist() == [1.0, 0.0, 0.0, 0.25] and not np.signbit(res.pi).any()
 
 
-def test_fixed_point_restores_its_buffer(h_demo):
-    # the system is set up in M and undone: M holds its own bits afterwards,
-    # also when the solve fails
-    for P in (transition_matrix(h_demo), transition_matrix(_chain_hypergraph(12, 57)),
-              TransitionMatrix(["a", "b"], np.eye(2))):
-        M = P.matrix.copy().T
-        before = M.copy()
-        if P.n == 2:
-            with pytest.raises(SingularSystem):
-                _fixed_point(M)
-        else:
-            _fixed_point(M)
-        assert M.tobytes() == before.tobytes()
-        assert M.flags.f_contiguous
+def test_fixed_point_names_a_singular_system():
+    with pytest.raises(SingularSystem, match="^stationary solve failed: "):
+        _fixed_point(np.eye(2).T)
 
 
 def test_direct_in_the_walk_matrix_buffer_equals_the_public_solve(h_demo):
     # a fresh hypergraph, and one that already holds P: either way P's array
     # is built afresh and solved in its own buffer, and a held P is left as
-    # it was
+    # it was; the residual is the walk product's, not P's
     for H in [h_demo, _chain_hypergraph(13, 64)] + sweep(304, 15):
         want = stationary_direct(transition_matrix(rebuilt(H)))
+        residual = float(np.abs(_walk_product(H)(want.pi) - want.pi).max())
         P = transition_matrix(H)
         before = P.matrix.tobytes()
         for got in (_stationary_direct_of(rebuilt(H)), _stationary_direct_of(H)):
             assert got.pi.tobytes() == want.pi.tobytes()
-            assert np.float64(got.residual).tobytes() == np.float64(want.residual).tobytes()
+            assert np.float64(got.residual).tobytes() == np.float64(residual).tobytes()
             assert (got.vertices, got.rho, got.method) == (want.vertices, None, "direct-solve")
         assert transition_matrix(H) is P and P.matrix.tobytes() == before
 
@@ -281,13 +273,14 @@ def test_direct_stores_nothing_on_the_hypergraph(h_demo, monkeypatch):
     builds = []
     real = stationary._lazy_walk
     monkeypatch.setattr(stationary, "_lazy_walk", lambda H: builds.append(1) or real(H))
-    want = stationary_direct(transition_matrix(rebuilt(h_demo)))
+    want = stationary_direct(transition_matrix(rebuilt(h_demo))).pi
+    residual = float(np.abs(_walk_product(h_demo)(want) - want).max())
     H = rebuilt(h_demo)
     for calls in (1, 2):
         got = _stationary_direct_of(H)
         assert H._memo.keys() == {"degrees"} and len(builds) == calls
-        assert got.pi.tobytes() == want.pi.tobytes()
-        assert np.float64(got.residual).tobytes() == np.float64(want.residual).tobytes()
+        assert got.pi.tobytes() == want.tobytes()
+        assert np.float64(got.residual).tobytes() == np.float64(residual).tobytes()
 
 
 def test_direct_command_holds_one_walk_matrix(tmp_path, monkeypatch):
@@ -338,6 +331,24 @@ def test_edge_independent_matches_direct():
         res = stationary_edge_independent(H)
         direct = stationary_direct(transition_matrix(H))
         assert np.abs(res.pi - direct.pi).max() <= 1e-10
+
+
+def test_closed_form_and_rho_build_no_walk_matrix(monkeypatch):
+    # their residual is the walk product's, so neither builds P, and the
+    # closed form answers past the dense limit; the rho route's one dense
+    # matrix is |E| x |E|
+    def unreachable(*args, **kwargs):
+        raise AssertionError("P was built")
+
+    n = DENSE_SIZE_LIMIT + 1
+    names = [f"v{i}" for i in range(n)]
+    H = Hypergraph(names, [(1.0 + i % 3, {names[i]: 1.0 + i % 5, names[i + 1]: 1.0 + (i + 1) % 5})
+                           for i in range(n - 1)])
+    monkeypatch.setattr(walk, "_block_scatter", unreachable)
+    res = stationary_edge_independent(H)
+    assert res.residual <= 1e-15 and abs(res.pi.sum() - 1.0) <= 1e-12
+    for H in sweep(305, 10):
+        assert stationary_rho(H).residual <= RESIDUAL_TOL
 
 
 def test_edge_independent_rejects_demo(h_demo):

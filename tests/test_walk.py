@@ -77,14 +77,13 @@ def test_subnormal_delta_builds_without_a_warning():
 
 def factored_walk(H):
     """The lazy walk's factors, formed here as the reference: d and delta,
-    each CSR entry's edge id, (omega(e) / d(v), gamma_e(w) / delta(e)) for
-    the dense build and omega(e) * (gamma_e(w) / delta(e)) for the walk step."""
+    each CSR entry's edge id, and (omega(e) / d(v), gamma_e(w) / delta(e)),
+    which both the dense build and the walk product read."""
     d, delta = degrees(H)
     sizes = np.diff(H.indptr)
-    right = H.gamma / np.repeat(delta, sizes)
     return SimpleNamespace(d=d, edge=np.repeat(np.arange(H.n_edges), sizes),
                            left=np.repeat(H.omega, sizes) / d[H.indices],
-                           right=right, spread=np.repeat(H.omega, sizes) * right)
+                           right=H.gamma / np.repeat(delta, sizes))
 
 
 def factored_iteration(H):
@@ -92,25 +91,25 @@ def factored_iteration(H):
     None where it must raise ConvergenceFailure."""
     f = factored_walk(H)
 
-    def step(pi):
-        rho = np.bincount(f.edge, weights=(pi / f.d)[H.indices], minlength=H.n_edges)
-        return rho, np.bincount(H.indices, weights=rho[f.edge] * f.spread, minlength=H.n_vertices)
+    def step(pi):  # per edge the flow of pi * (omega / d), per member times gamma / delta
+        flow = np.bincount(f.edge, weights=pi[H.indices] * f.left, minlength=H.n_edges)
+        return np.bincount(H.indices, weights=flow[f.edge] * f.right, minlength=H.n_vertices)
 
     pi = np.full(H.n_vertices, 1.0 / H.n_vertices)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(WALK_MAX_ITER):
-            nxt = step(pi)[1]
-            change = np.abs(nxt - pi)
-            if not np.isfinite(change).all():
-                return None
-            if change.max() <= WALK_RTOL * pi.max() and (change <= RESIDUAL_TOL * pi).all():
-                break
-            pi = nxt
-        else:
-            return None
+    for _ in range(WALK_MAX_ITER):
+        nxt = step(pi)
+        change = np.abs(nxt - pi)
+        if change.max() <= WALK_RTOL * pi.max() and (change <= RESIDUAL_TOL * pi).all():
+            break
+        pi = nxt
+    else:
+        return None
     pi = pi / pi.sum()
-    rho, nxt = step(pi)
-    return pi, rho, float(np.abs(nxt - pi).max())
+    with np.errstate(over="ignore"):  # pi / d past the float range: refused
+        rho = np.bincount(f.edge, weights=(pi / f.d)[H.indices], minlength=H.n_edges)
+    if not np.isfinite(rho).all():
+        return None
+    return pi, rho, float(np.abs(step(pi) - pi).max())
 
 
 @pytest.mark.parametrize("H", sweep(205, 20, max_vertices=10) + [
