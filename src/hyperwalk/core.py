@@ -43,11 +43,20 @@ __all__ = [
 
 
 # An integer is a Python or numpy int, a real number one or a float, never a bool
-# (an int subclass) or a str. A weight is a real number with 0 < w <= _FLOAT_MAX,
-# which also rejects NaN, the infinities and a JSON int too large for a float.
+# (an int subclass) or a str. A weight is a real number w with 0 < _real(w) <= _FLOAT_MAX,
+# which also rejects NaN, the infinities, a JSON int too large for a float and a
+# numpy float that the float64 cast takes to 0 or inf.
 _INTEGER = frozenset([int] + [np.dtype(c).type for c in np.typecodes["AllInteger"]])
 _REAL = _INTEGER | {float} | {np.dtype(c).type for c in np.typecodes["Float"]}
 _FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _real(x) -> float:
+    """A real number (`_REAL`) as the float64 that is stored and computed
+    with, an int past _FLOAT_MAX (compared exactly) as +-inf; else NaN."""
+    if type(x) is int and abs(x) > _FLOAT_MAX:
+        return np.inf if x > 0 else -np.inf
+    return float(x) if type(x) in _REAL else np.nan
 
 
 def _component_labels(indptr, indices, n: int) -> np.ndarray:
@@ -201,7 +210,6 @@ class Hypergraph(_Indexed):
 
     __slots__ = ("vertices", "indptr", "indices", "gamma", "omega", "_index", "_memo")
 
-    @np.errstate(over="ignore")  # np.float32(w) <= _FLOAT_MAX casts the bound down
     def __init__(self, vertices: Sequence[str],
                  edges: Iterable[tuple[float, Mapping[str, float]]]):
         names, index = _vertex_index(vertices)
@@ -210,7 +218,7 @@ class Hypergraph(_Indexed):
 
         weights, sizes, members_idx, members_gamma = [], [], [], []
         for k, (weight, members) in enumerate(edges):
-            if type(weight) not in _REAL or not 0 < weight <= _FLOAT_MAX:
+            if not 0 < _real(weight) <= _FLOAT_MAX:
                 raise NonPositiveWeight(
                     f"edge #{k}: edge weight {weight!r} must be a finite number > 0")
             if not members:
@@ -218,7 +226,7 @@ class Hypergraph(_Indexed):
             for v, g in members.items():
                 if v not in index:
                     raise UnknownVertex(f"edge #{k} references undeclared vertex {v!r}")
-                if type(g) not in _REAL or not 0 < g <= _FLOAT_MAX:
+                if not 0 < _real(g) <= _FLOAT_MAX:
                     raise NonPositiveWeight(
                         f"edge #{k}: weight {g!r} of vertex {v!r} must be a finite number > 0")
                 members_idx.append(index[v])

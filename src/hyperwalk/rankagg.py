@@ -36,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import (_INTEGER, _PAIR_CHUNK, _REAL, Hypergraph, _block_add, _component_labels,
-                   _entry_pairs, _Frozen, _Record, _vertex_index, delta_normalized)
+                   _entry_pairs, _Frozen, _real, _Record, _vertex_index, delta_normalized)
 from .errors import (ConvergenceFailure, DisconnectedHypergraph, DuplicateVertex,
                      ElementMismatch, HyperwalkError, MalformedInput, NonPositiveWeight,
                      ScoreOverflow)
@@ -281,8 +281,8 @@ def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
     (ScoreOverflow).
     """
     _check_types(n=n, sigma=sigma, p=p, seed=seed)
+    n, sigma, p = int(n), _real(sigma), _real(p)  # not a numpy uint n or longdouble sigma
     _check_draw(n, sigma, [p], seed)
-    n = int(n)  # a numpy unsigned n would make every index a float
     return _match_sets(n, [_draw(n, sigma, p, seed)])[0]
 
 
@@ -625,7 +625,7 @@ def experiment(n: int, sigma: float, p_values: Iterable[float], trials: int,
     p_values = list(p_values)
     for p in p_values:
         _check_types(p=p)
-    n, p_values = int(n), [float(p) for p in p_values]
+    n, sigma, p_values = int(n), _real(sigma), [_real(p) for p in p_values]
     _check_draw(n, sigma, p_values, seed)
     _check_size(n)
     restart = _check_beta(beta)

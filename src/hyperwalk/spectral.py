@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .core import Hypergraph, _memo, _Record, degrees
+from .core import Hypergraph, _memo, _real, _Record, degrees
 from .errors import (BoundOverflow, ConvergenceFailure, MassUnderflow, NotSymmetric,
                      SizeLimit, Unmixed)
 from .stationary import _rho_scaled, stationary_rho
@@ -306,9 +306,10 @@ class MixingBound(_Record):
     __slots__ = tuple(__annotations__)
 
 
-def _require_eps(eps: float) -> None:
-    if not 0.0 < eps < 0.5:
+def _require_eps(eps: float) -> float:  # eps as the float the bound is taken with
+    if not 0.0 < (value := _real(eps)) < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps!r}")
+    return value
 
 
 def _bound_from_components(beta1: float, beta2: float, d_min: float,
@@ -348,7 +349,7 @@ def mixing_time_bound(H: Hypergraph, eps: float) -> MixingBound:
     The prefactor 8 leaves a factor-4 margin over that 2. A smaller beta1 is
     a weaker guarantee that the walk holds, so it gives a larger bound.
     """
-    _require_eps(eps)
+    eps = _require_eps(eps)
     beta2 = float(_rho_scaled(H).min())
     beta1 = float(_lazy_factors(H)[1].min())
     d_min = float(degrees(H)[0].min())

@@ -4,9 +4,9 @@ Four routes are provided and cross-checked against each other:
 
 * ``stationary_walk`` -- power iteration of ``_walk_product``, pi P
   without P in two O(nnz) passes over the CSR arrays, so it has no size
-  limit; its per-edge sums are the rho route's constants.
-  It gives up after ``WALK_MAX_ITER`` steps, since a slowly mixing walk
-  contracts slowly.
+  limit; its per-edge sums are the rho route's constants. It gives up
+  after ``WALK_MAX_ITER`` steps, since a slowly mixing walk contracts
+  slowly.
 * ``stationary_rho`` -- the per-edge-constant construction, on the lazy
   walk's factor g = gamma / delta (the delta(e) = 1 normalization): build
   the |E| x |E| coupling matrix A with A[e, f] = sum over v in both edges
@@ -22,10 +22,11 @@ Four routes are provided and cross-checked against each other:
   pi_v = d(v) gamma(v) / sum_u d(u) gamma(u) available when vertex weights
   do not depend on the edge.
 
-Each route given H checks max|pi P - pi| by ``_walk_product``, not on P.
-The rho and direct routes are dense and share one fixed-point solve: the
-system (M - I) x = 0 with its last equation replaced by sum(x) = 1, on M = A
-and on M = P^T, set up in M's own buffer, which it leaves overwritten. The
+Each route given H ends in ``_finish``: max|pi P - pi| by ``_walk_product``,
+not on P, and rho only where every constant is a finite float. The rho and
+direct routes are dense and share one fixed-point solve: the system
+(M - I) x = 0 with its last equation replaced by sum(x) = 1, on M = A and
+on M = P^T, set up in M's own buffer, which it leaves overwritten. The
 rank-aggregation step solves a stack of restart chains by the same solve.
 
 ``naive_stationary`` is the degree-fraction formula d(v)/sum d(u). It is
@@ -75,7 +76,8 @@ class StationaryResult(_Record):
 
     ``rho`` holds the per-edge constants (in the delta(e)=1 normalization,
     summing to 1 against the edge weights) when the rho route or the walk
-    iteration produced the result, and is None otherwise.
+    iteration produced the result, and is None otherwise or where a
+    constant leaves the float range.
     ``residual`` is max |pi P - pi|.
     """
 
@@ -87,19 +89,25 @@ class StationaryResult(_Record):
     __slots__ = tuple(__annotations__)
 
     def as_dict(self) -> dict:
-        out = {
-            "pi": dict(zip(self.vertices, self.pi.tolist())),
-            "rho": {} if self.rho is None else {
-                str(k): r for k, r in enumerate(self.rho.tolist())
-            },
-            "method": self.method,
-            "residual": float(self.residual),
-        }
-        return out
+        rho = [] if self.rho is None else self.rho.tolist()
+        return {"pi": dict(zip(self.vertices, self.pi.tolist())),
+                "rho": {str(k): r for k, r in enumerate(rho)},
+                "method": self.method, "residual": float(self.residual)}
 
 
 def _residual(pi: np.ndarray, P: TransitionMatrix) -> float:
     return float(np.abs(pi @ P.matrix - pi).max())
+
+
+def _finish(H: Hypergraph, pi: np.ndarray, method: str, rho: np.ndarray | None = None,
+            product=None) -> StationaryResult:
+    """The record of a route given H: its residual max|pi P - pi| by
+    `product` (``_walk_product(H)`` unless the caller holds it), and `rho`
+    only where every constant is a finite float, else None."""
+    return StationaryResult(
+        vertices=H.vertices, pi=pi, method=method,
+        rho=rho if rho is None or np.isfinite(rho).all() else None,
+        residual=float(np.abs((product or _walk_product(H))(pi) - pi).max()))
 
 
 def _walk_product(H: Hypergraph):
@@ -189,15 +197,11 @@ def _solve_rho(H: Hypergraph) -> StationaryResult:
             f"edge #{bad[0]}: per-edge constant rho_e overflows the float range")
     pi = np.bincount(H.indices, weights=_per_member(H, rho * H.omega) * _lazy_factors(H)[1],
                      minlength=H.n_vertices)
-    residual = float(np.abs(_walk_product(H)(pi) - pi).max())
-    if not residual <= RESIDUAL_TOL:
+    result = _finish(H, pi, "rho-eigenvector", rho)
+    if not result.residual <= RESIDUAL_TOL:
         raise ConvergenceFailure(
-            f"stationary residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}"
-        )
-    return StationaryResult(
-        vertices=H.vertices, pi=pi, rho=rho, method="rho-eigenvector",
-        residual=residual,
-    )
+            f"stationary residual {result.residual:.3e} exceeds {RESIDUAL_TOL:.0e}")
+    return result
 
 
 def stationary_direct(P: TransitionMatrix) -> StationaryResult:
@@ -234,9 +238,7 @@ def _stationary_direct_of(H: Hypergraph) -> StationaryResult:
     _check_size(H.n_vertices)
     M = _lazy_walk(H)
     _check_stochastic(M)
-    pi = _nonnegative(_fixed_point(M.T), H.vertices)
-    return StationaryResult(vertices=H.vertices, pi=pi, rho=None, method="direct-solve",
-                            residual=float(np.abs(_walk_product(H)(pi) - pi).max()))
+    return _finish(H, _nonnegative(_fixed_point(M.T), H.vertices), "direct-solve")
 
 
 def stationary_walk(H: Hypergraph) -> StationaryResult:
@@ -255,8 +257,8 @@ def stationary_walk(H: Hypergraph) -> StationaryResult:
     The returned pi is renormalized to sum 1, and ``residual`` is
     max|pi P - pi| by the same product. Its per-edge sums
     rho_e = sum over v in e of pi_v / d(v) are the rho route's constants,
-    with sum_e rho_e * omega(e) = sum_v pi_v = 1; one that overflows (a
-    subnormal degree) is ConvergenceFailure naming its edge.
+    with sum_e rho_e * omega(e) = sum_v pi_v = 1; where one overflows (a
+    subnormal degree), pi is returned with ``rho`` None.
     """
     product = _walk_product(H)
     pi = np.full(H.n_vertices, 1.0 / H.n_vertices)
@@ -272,20 +274,12 @@ def stationary_walk(H: Hypergraph) -> StationaryResult:
             f"walk iteration stopped after {iterations} iterations with residual "
             f"{residual:.3e}; it needs at most {WALK_RTOL:.0e} * max pi = "
             f"{WALK_RTOL * pi.max():.3e}, and each vertex's change at most "
-            f"{RESIDUAL_TOL:.0e} of its mass"
-        )
+            f"{RESIDUAL_TOL:.0e} of its mass")
     pi = pi / pi.sum()
-    with np.errstate(over="ignore"):  # a subnormal degree: named below
+    with np.errstate(over="ignore"):  # a subnormal degree: _finish drops rho
         rho = np.bincount(_per_member(H, np.arange(H.n_edges)),
                           (pi / degrees(H)[0])[H.indices], H.n_edges)
-    bad = np.flatnonzero(~np.isfinite(rho))
-    if len(bad):
-        raise ConvergenceFailure(
-            f"edge #{bad[0]}: per-edge constant rho_e overflows the float range")
-    return StationaryResult(
-        vertices=H.vertices, pi=pi, rho=rho, method="walk-iteration",
-        residual=float(np.abs(product(pi) - pi).max()),
-    )
+    return _finish(H, pi, "walk-iteration", rho, product)
 
 
 def stationary_edge_independent(H: Hypergraph) -> StationaryResult:
@@ -299,11 +293,8 @@ def stationary_edge_independent(H: Hypergraph) -> StationaryResult:
     d, _ = degrees(H)
     pi = d * gamma
     pi /= pi.sum()
-    method = "closed-form-trivial" if has_trivial_weights(H) else "closed-form-edge-independent"
-    return StationaryResult(
-        vertices=H.vertices, pi=pi, rho=None, method=method,
-        residual=float(np.abs(_walk_product(H)(pi) - pi).max()),
-    )
+    return _finish(H, pi, "closed-form-trivial" if has_trivial_weights(H)
+                   else "closed-form-edge-independent")
 
 
 def naive_stationary(H: Hypergraph) -> np.ndarray:

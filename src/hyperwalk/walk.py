@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import _REAL, Hypergraph, _block_scatter, _Indexed, _memo, _per_member, degrees
+from .core import Hypergraph, _block_scatter, _Indexed, _memo, _per_member, _real, degrees
 from .errors import BadBeta, SingletonEdge, SizeLimit
 
 __all__ = [
@@ -94,9 +94,9 @@ def _lazy_factors(H: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     """P's terms as ``_block_scatter``'s ``left`` and ``right`` factors: each
     term is (omega(e) / d(v)) * (gamma_e(w) / delta(e)), leaving v by e,
     then landing on w, each in [0, 1] even where d or delta is subnormal.
-    ``_lazy_walk`` and ``stationary._walk_product`` read both; the coupling
-    matrix, the rho solve's pi, ``stationary._rho_scaled``, the sandwich
-    graph and the mixing bound's beta1 read ``right``."""
+    ``_lazy_walk`` and ``stationary._walk_product`` read both, the non-lazy
+    walk ``left``, and the coupling matrix, the rho solve's pi, the sandwich
+    graph, ``stationary._rho_scaled`` and the mixing bound's beta1 ``right``."""
     d, delta = degrees(H)
     return _per_member(H, H.omega) / d[H.indices], H.gamma / _per_member(H, delta)
 
@@ -110,9 +110,8 @@ def nonlazy_transition_matrix(H: Hypergraph) -> TransitionMatrix:
         raise SingletonEdge(
             f"edge #{singletons[0]} has a single member; non-lazy walk undefined"
         )
-    d, _ = degrees(H)
-    # P[v, w] += (omega / d(v)) * gamma(w) / (sum of the other members' gamma) for w != v
-    coeff = _per_member(H, H.omega) / (d[H.indices] * _others(H.indptr, H.gamma))
+    # P[v, w] += (omega / d(v), in [0, 1]) / (the other members' gamma sum) * gamma(w), w != v
+    coeff = _lazy_factors(H)[0] / _others(H.indptr, H.gamma)
     P = _block_scatter(H.indptr, H.indices, coeff, H.gamma, H.n_vertices)
     np.fill_diagonal(P, 0.0)
     return TransitionMatrix._over(H, P)
@@ -154,11 +153,11 @@ def restart_matrix(P: TransitionMatrix, beta: float, restart=None) -> Transition
 
 
 def _check_beta(beta) -> float:
-    """A restart probability, as a float: a real number strictly inside
-    (0, 1), else BadBeta."""
-    if not (type(beta) in _REAL and 0.0 < beta < 1.0):
+    """A restart probability as the float it is mixed in as (a float32 beta
+    would round 1 - beta to float32), if that lies in (0, 1), else BadBeta."""
+    if not 0.0 < (value := _real(beta)) < 1.0:
         raise BadBeta(f"restart probability must lie in (0, 1), got {beta!r}")
-    return float(beta)  # a float32 beta would round 1 - beta to float32
+    return value
 
 
 def _restart(M: np.ndarray, beta: float, r=None, out=None) -> np.ndarray:

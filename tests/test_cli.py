@@ -884,17 +884,18 @@ SUBNORMAL_EDGE = {"vertices": ["a", "b"],
 
 
 def test_subnormal_edge_weight_auto_falls_back_at_once(tmp_path, capsys):
-    # d = 1e-320: the walk converges at once, but its per-edge constant
-    # sum of pi / d overflows
+    # d = 1e-320: the walk converges at once, and its per-edge constant
+    # sum of pi / d overflows, so it answers pi with no rho and nothing
+    # falls back
     path = _write_json(tmp_path, "h.json", SUBNORMAL_EDGE)
     assert dispatch(["stationary", "--input", path, "--method", "direct"]) == 0
-    direct = capsys.readouterr().out
-    assert json.loads(direct)["pi"] == {"a": 0.5, "b": 0.5}
+    direct = json.loads(capsys.readouterr().out)
+    assert direct["pi"] == {"a": 0.5, "b": 0.5}
     assert dispatch(["stationary", "--input", path]) == 0
     out, err = capsys.readouterr()
-    assert out == direct
-    assert err == ("warning: ConvergenceFailure: edge #0: per-edge constant rho_e overflows "
-                   "the float range; using the direct solve\n")
+    auto = json.loads(out)
+    assert (auto["method"], auto["rho"], auto["pi"], err) == ("walk-iteration", {},
+                                                              direct["pi"], "")
 
 
 SUBNORMAL_DELTA = {"vertices": ["a", "b"],
@@ -1234,6 +1235,30 @@ def test_stationary_auto_answers_a_subnormal_vertex_degree_above_the_dense_limit
     result = json.loads(out)
     assert (result["method"], result["pi"]["x"], err) == ("walk-iteration", 0.0, "")
     assert abs(sum(result["pi"].values()) - 1.0) <= 1e-12
+
+
+def test_stationary_auto_answers_rho_past_the_float_range_above_the_dense_limit(
+        tmp_path, capsys, monkeypatch):
+    # every edge weight 1e-320: P and pi are those of the all-ones copy, but
+    # rho, normalized so sum_e rho_e * omega(e) = 1, is about 1e320, so the
+    # walk answers pi with no rho
+    n, rng = 5000, np.random.default_rng(3)
+    order = rng.permutation(n).tolist()
+    chain = [order[i:i + 2] for i in range(n - 1)]
+    extra = [rng.choice(n, size=3, replace=False).tolist() for _ in range(10_000 - (n - 1))]
+    doc = json.loads(Path(_write_edges(tmp_path, n, chain + extra, seed=3)).read_text())
+    _no_dense_matrix(monkeypatch)
+    results = []
+    for weight in (1.0, 1e-320):
+        for edge in doc["edges"]:
+            edge["weight"] = weight
+        assert dispatch(["stationary", "--input", _write_json(tmp_path, "h.json", doc)]) == 0
+        out, err = capsys.readouterr()
+        results.append(json.loads(out))
+        assert (results[-1]["method"], err) == ("walk-iteration", "")
+    ones, tiny = results
+    assert (tiny["pi"], tiny["rho"]) == (ones["pi"], {})
+    assert len(ones["rho"]) == len(doc["edges"])
 
 
 def test_stationary_auto_is_deterministic(tmp_path):

@@ -100,12 +100,15 @@ def unreachable(*args):
     (lambda: generate(5, math.inf, 0.5, 1), "sigma must be finite, got inf"),
     (lambda: experiment(20, 1.0, [0.3, 0.5], 1, -1), "seed must be nonnegative, got -1"),
     (lambda: experiment(5, math.inf, [0.5], 2, 1), "sigma must be finite, got inf"),
+    # an int past the float range reads as inf, not as an OverflowError
+    (lambda: generate(5, 10**400, 0.5, 1), "sigma must be finite, got inf"),
+    (lambda: experiment(5, 1.0, [10**400], 2, 1), "p must lie in (0, 1)"),
 ], ids=["generate-n-float", "generate-n-true", "generate-sigma-true", "generate-p-str",
         "generate-seed-float", "generate-seed-true", "experiment-n-float",
         "experiment-sigma-true", "experiment-p-str", "experiment-trials-float",
         "experiment-trials-true", "experiment-seed-float", "experiment-seed-true-no-rate",
         "generate-seed-negative", "generate-sigma-inf", "experiment-seed-negative",
-        "experiment-sigma-inf"])
+        "experiment-sigma-inf", "generate-sigma-int-past-float", "experiment-p-int-past-float"])
 def test_counts_seeds_and_rates_are_checked_by_type(monkeypatch, call, message):
     monkeypatch.setattr(rankagg, "_draw", unreachable)
     with pytest.raises(ValueError) as info:
@@ -142,6 +145,12 @@ def test_numpy_counts_seeds_and_rates_are_read_as_numbers():
     assert same(generate(np.uint64(5), np.float32(1.0), np.float64(0.5), np.int8(1)), want)
     got = experiment(np.uint64(6), np.float32(1.0), [np.float32(0.5)], np.int8(2), np.uint64(3))
     assert got.to_csv() == experiment(6, 1.0, [0.5], 2, 3).to_csv()
+
+
+def test_a_longdouble_sigma_draws_as_its_float():
+    # sigma * N(0, 1) in longdouble would give other scores, hence other
+    # edge weights, than sigma = 1.0
+    assert same(generate(20, np.longdouble(1.0), 0.3, 5), generate(20, 1.0, 0.3, 5))
 
 
 def test_generate_score_beyond_float_range_is_named():

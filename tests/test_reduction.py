@@ -28,7 +28,7 @@ from hyperwalk import (
     transition_matrix,
 )
 from hyperwalk.core import _block_scatter
-from conftest import rho_normalized, sweep
+from conftest import rebuilt, rho_normalized, sweep
 
 
 # -- graph walks ---------------------------------------------------------------
@@ -259,6 +259,16 @@ def test_sandwich_graph_trivial_edge(triangle):
     G = sandwich_check(triangle).graph
     np.testing.assert_allclose(G.weights, 1 / 9, atol=1e-12)
     np.testing.assert_allclose(G.weights.sum(axis=1), 1 / 3, atol=1e-12)
+
+
+def test_graphs_compare_by_names_and_weights(h_demo):
+    W = [[0.0, 1.0], [1.0, 0.0]]
+    G = WeightedGraph(("a", "b"), W)
+    assert G == WeightedGraph(("a", "b"), np.array(W))
+    assert G != WeightedGraph(("a", "c"), W)
+    assert G != WeightedGraph(("a", "b"), [[0.0, 2.0], [2.0, 0.0]])
+    assert G != W and G != "G"
+    assert sandwich_check(h_demo) == sandwich_check(rebuilt(h_demo))
 
 
 def test_sandwich_graph_shares_stationary(h_demo):

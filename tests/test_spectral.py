@@ -538,6 +538,13 @@ def test_mixing_bound_rejects_bad_eps(h_demo):
         mixing_time_bound(h_demo, 0.0)
 
 
+def test_mixing_bound_checks_eps_as_its_float(h_demo):
+    # 1e-400 lies in (0, 1/2) as longdouble, but log(2 eps) would take it as 0.0
+    with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1/2\), got "):
+        mixing_time_bound(h_demo, np.longdouble("1e-400"))
+    assert mixing_time_bound(h_demo, np.longdouble(0.1)) == mixing_time_bound(h_demo, 0.1)
+
+
 def test_empirical_uniform_chain(triangle):
     P = transition_matrix(triangle)
     pi = stationary_direct(P).pi

@@ -36,6 +36,7 @@ from hyperwalk.stationary import (
     RESIDUAL_TOL,
     WALK_RTOL,
     _fixed_point,
+    _rho_scaled,
     _stationary_direct_of,
     _walk_product,
     edge_coupling_matrix,
@@ -140,16 +141,29 @@ def test_walk_iteration_converges_on_a_dominated_member():
 
 
 def test_subnormal_edge_weight_stops_both_rho_routes():
-    """d = omega = 1e-320: the walk converges, but its per-edge constant
-    sum of pi / d overflows, and so does the rho route's normalization by
-    sum_e rho_e * omega(e)."""
+    """d = omega = 1e-320: the walk converges, and its per-edge constant
+    sum of pi / d overflows, so it answers pi with no rho; the rho route's
+    normalization by sum_e rho_e * omega(e) overflows too, and that route
+    forms pi from rho, so it refuses."""
     H = Hypergraph(("a", "b"), [(1e-320, {"a": 1.0, "b": 1.0})])
-    with pytest.raises(ConvergenceFailure,
-                       match=r"^edge #0: per-edge constant rho_e overflows the float range$"):
-        stationary_walk(H)
+    walked = stationary_walk(H)
+    assert (walked.pi.tolist(), walked.rho, walked.method) == ([0.5, 0.5], None,
+                                                               "walk-iteration")
+    assert walked.as_dict()["rho"] == {}
     with pytest.raises(NonPositiveWeight, match=r"edge #0: per-edge constant rho_e overflows"):
         stationary_rho(H)
     np.testing.assert_array_equal(stationary_direct(transition_matrix(H)).pi, [0.5, 0.5])
+
+
+def test_a_rescaled_weight_that_rounds_to_zero_after_a_rho_solve():
+    # gamma / delta of a in the first edge, 5e-324 / 10, rounds to 0.0; the
+    # rho solve answers, and the rescaled weight rho_e * 0.0 is named
+    H = Hypergraph(("a", "b", "c"), [(1.0, {"a": 5e-324, "b": 10.0}),
+                                     (1.0, {"a": 1.0, "b": 1.0}), (1.0, {"b": 1.0, "c": 1.0})])
+    assert stationary_rho(H).residual <= RESIDUAL_TOL
+    with pytest.raises(NonPositiveWeight) as info:
+        _rho_scaled(H)
+    assert str(info.value) == "vertex 'a': a weight rescaled so rho_e = 1 rounds to 0.0"
 
 
 def test_walk_iteration_above_the_dense_limit():

@@ -210,6 +210,17 @@ def test_restart_rejects_bad_beta(h_demo, beta):
         restart_matrix(P, beta)
 
 
+@pytest.mark.parametrize("beta", [np.longdouble("1e-400"),
+                                  np.longdouble(1.0) - np.longdouble("1e-19")],
+                         ids=["rounds-to-0", "rounds-to-1"])
+def test_restart_checks_beta_as_the_float_it_mixes_in(h_demo, beta):
+    # both lie inside (0, 1) as longdouble, but the restart mix would take
+    # beta as 0.0 or 1.0
+    P = transition_matrix(h_demo)
+    with pytest.raises(BadBeta, match=r"^restart probability must lie in \(0, 1\), got "):
+        restart_matrix(P, beta)
+
+
 @pytest.mark.parametrize("beta", [np.float32(0.4), np.float64(0.4)])
 def test_restart_accepts_a_numpy_beta(h_demo, beta):
     # mixed in double precision: a float32 1 - beta would throw the row sums
@@ -341,13 +352,24 @@ def test_nonlazy_dominated_member_is_exact():
     assert P[1].tolist() == [0.5, 0.0, 0.5]
 
 
+def test_nonlazy_walk_with_huge_weights():
+    # d(b) * (sum of b's other members' gamma) = 1e300 * 1e300 overflows;
+    # the lazy walk's omega / d(b) = 1e-300 divided by 1e-300 does not
+    H = Hypergraph(("a", "b", "c"), [(1e300, {"a": 1e300, "b": 1.0}),
+                                     (1.0, {"b": 1.0, "c": 1e-300})])
+    assert nonlazy_transition_matrix(H).matrix.tolist() == [[0.0, 1.0, 0.0],
+                                                            [1.0, 0.0, 1e-300],
+                                                            [0.0, 1.0, 0.0]]
+
+
 def test_nonlazy_trivial_weights_keep_their_bits():
     # with all-ones weights each normalizer is |e| - 1 exactly, as delta -
-    # gamma gave it: the matrices behind criterion 8 keep every bit
+    # gamma gave it: the matrices behind criterion 8 are (omega / d) / (|e| - 1)
+    # times gamma, with the lazy walk's omega / d, bit for bit
     for H in sweep(8, 100, trivial=True, min_edge_size=2):
         d, _ = degrees(H)
         sizes = np.diff(H.indptr)
-        coeff = np.repeat(H.omega, sizes) / (d[H.indices] * np.repeat(sizes - 1.0, sizes))
+        coeff = np.repeat(H.omega, sizes) / d[H.indices] / np.repeat(sizes - 1.0, sizes)
         P = _block_scatter(H.indptr, H.indices, coeff, H.gamma, H.n_vertices)
         np.fill_diagonal(P, 0.0)
         assert np.array_equal(nonlazy_transition_matrix(H).matrix, P)
