@@ -364,13 +364,15 @@ def dispatch(argv: list[str]) -> int:
         # digests of the inputs as read: the output may overwrite one of them
         paths = [getattr(args, name, None) for name in ("input", "matches")] if out else []
         inputs = {p: _sha256(p) for p in paths if p}
-        if out and not os.path.isdir(parent := os.path.dirname(out) or "."):
+        if out and not os.path.isdir(parent := os.path.dirname(out.rstrip(os.sep)) or "."):
             try:  # open's own error, before the work: the directory's lookup fails,
                 os.stat(parent)
-                code = errno.ENOTDIR  # or it is a file
+                code = errno.ENOTDIR  # or it is a file,
             except OSError as exc:
                 code = exc.errno
             raise OSError(code, os.strerror(code), out)
+        if out and (out.endswith(os.sep) or os.path.isdir(out)):  # or out names a directory
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
         result = args.handler(args)
         text = _json_text(result) if isinstance(result, dict) else result
         if out:

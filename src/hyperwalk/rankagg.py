@@ -13,10 +13,10 @@ chains built from the matches:
 * mc3        -- the classic pairwise chain: pick one of your matches, pick a
   participant uniformly, move only if they outscored you.
 
-A trial builds its three chains as one (3, n, n) stack, then mixes in the
-restart, checks and solves the stack once; each ranker is the same step on a
-stack of its one chain, and each chain keeps the bits of its own build and
-solve.
+A trial builds its three chains from its match hypergraph as one (3, n, n)
+stack, then mixes in the restart, checks and solves the stack once; each
+ranker is the same step on a stack of its one chain, and each chain keeps
+the bits of its own build and solve.
 
 Quality is measured by Kendall tau against the true skill order, in both the
 unweighted and top-weighted (hyperbolic position weights) variants. The
@@ -36,13 +36,14 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import (_INTEGER, _PAIR_CHUNK, _REAL, Hypergraph, _block_add, _component_labels,
-                   _entry_pairs, _Frozen, _real, _Record, _vertex_index, delta_normalized)
+                   _entry_pairs, _Frozen, _per_member, _real, _Record, _vertex_index, degrees,
+                   delta_normalized)
 from .errors import (ConvergenceFailure, DisconnectedHypergraph, DuplicateVertex,
                      ElementMismatch, HyperwalkError, MalformedInput, NonPositiveWeight,
                      ScoreOverflow)
 from .reduction import _clique_scale, _row_normalized
 from .stationary import _fixed_point, _nonnegative
-from .walk import _check_beta, _check_size, _check_stochastic, _restart
+from .walk import _check_beta, _check_size, _check_stochastic, _lazy_factors, _restart
 
 __all__ = [
     "ExperimentResult",
@@ -67,11 +68,8 @@ MAX_DRAWS = 100_000
 
 class MatchData(_Frozen):
     """Matches among players 1..n: the one hypergraph the rankers read (see
-    the module docstring), each entry's raw score in its CSR order (players
-    ascending in a match), and the factors of the three chains that
-    `_stationary` scatters: per entry the lazy walk's omega/d and gamma/delta,
-    the clique chain's delta-normalized gamma (None if normalizing takes a
-    weight to 0 or inf) and MC3's step, and per match the clique scale.
+    the module docstring) and each entry's raw score in its CSR order
+    (players ascending in a match).
 
     Built from ``(participants, scores)`` pairs, flattened once into the
     arrays `generate` draws and built by `_match_sets`, as every match set
@@ -89,7 +87,7 @@ class MatchData(_Frozen):
     pairs in input order. Matches that are not iterable are MalformedInput
     naming "matches". No per-match object is made on the success path."""
 
-    __slots__ = ("hypergraph", "scores", "_left", "_right", "_clique", "_scale", "_step")
+    __slots__ = ("hypergraph", "scores")
 
     def __init__(self, n: int, matches: Iterable[tuple[Sequence[int], Sequence[float]]]):
         if type(n) not in _INTEGER:
@@ -145,12 +143,12 @@ def _match_sets(n: int, draws: list) -> list[MatchData]:
     (at least 2), per entry, match by match, its player and its score.
 
     One pass over the sets' concatenated arrays forms every set's CSR order
-    (one stable argsort on (match, player)), omega, gamma, fault tests,
-    connectivity (one _component_labels call, each set's players offset)
-    and chain factors, each by the operations, in the order, that form it
-    for one set alone, so each set gets the bits it would get alone. The
-    faults are MatchData's, in its order, named as for one set alone: a
-    caller with several sets rebuilds them one at a time (`_built`)."""
+    (one stable argsort on (match, player)), omega, gamma, fault tests and
+    connectivity (one _component_labels call, each set's players offset),
+    each by the operations, in the order, that form it for one set alone,
+    so each set gets the bits it would get alone. The faults are
+    MatchData's, in its order, named as for one set alone: a caller with
+    several sets rebuilds them one at a time (`_built`)."""
     counts = [len(sizes) for sizes, _, _ in draws]
     sizes = np.concatenate([sizes for sizes, _, _ in draws])
     players = np.concatenate([players for _, players, _ in draws])
@@ -201,28 +199,14 @@ def _match_sets(n: int, draws: list) -> list[MatchData]:
     who, gamma, scores = key[order], gamma[order], scores[order]
     # the sets as one hypergraph over len(draws) * n vertices, set j's players offset by j * n
     offset = np.arange(0, len(draws) * n, n)
-    vertex = who + np.repeat(offset, entries)
-    labels = _component_labels(eptr, vertex, len(draws) * n)
-    # The chains' factors as _lazy_factors, delta_normalized and _clique_scale
-    # form them from the degrees d and delta, and MC3's step. d and delta are
-    # finite for n <= 4096, which _stationary checks first.
-    per_member = np.repeat(omega, sizes)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        d = np.bincount(vertex, weights=per_member, minlength=len(draws) * n)
-        delta = np.add.reduceat(gamma, eptr[:-1])
-        left, right = per_member / d[vertex], gamma / np.repeat(delta, sizes)
-        clique = gamma * np.repeat(1.0 / delta, sizes)
-        scale = _clique_scale(omega, np.add.reduceat(clique, eptr[:-1]))
-    step = 1.0 / (np.bincount(vertex, minlength=len(draws) * n)[vertex] * np.repeat(sizes, sizes))
-    normalized = np.logical_and.reduceat(np.isfinite(clique) & (clique > 0.0), first[:-1])
+    labels = _component_labels(eptr, who + np.repeat(offset, entries), len(draws) * n)
     out = []
-    for a, b, ma, mb, ok in zip(first[:-1].tolist(), first[1:].tolist(),
-                                mptr[:-1].tolist(), mptr[1:].tolist(), normalized.tolist()):
+    for a, b, ma, mb in zip(first[:-1].tolist(), first[1:].tolist(), mptr[:-1].tolist(),
+                            mptr[1:].tolist()):
         H = object.__new__(Hypergraph)
         H._build(names, index, eptr[ma:mb + 1] - a, who[a:b], gamma[a:b], omega[ma:mb])
         data = object.__new__(MatchData)
-        data._set(hypergraph=H, scores=scores[a:b], _left=left[a:b], _right=right[a:b],
-                  _clique=clique[a:b] if ok else None, _scale=scale[ma:mb], _step=step[a:b])
+        data._set(hypergraph=H, scores=scores[a:b])
         out.append(data)
     if (labels != np.repeat(offset, n)).any():
         for data in out:  # the first set in pieces names its fault
@@ -415,9 +399,10 @@ def _stationary(data: MatchData, beta: float, methods=_METHODS) -> np.ndarray:
     a subsequence of _METHODS, as the rows of one array.
 
     The chains are one (len(methods), n, n) stack, scattered from the
-    factors `data` holds: one _entry_pairs walk in size order adds the terms
-    of the lazy walk and of the clique expansion of ``delta_normalized(H)``,
-    one in match order adds MC3's, each term in the order its own
+    factors of the match hypergraph H: one _entry_pairs walk in size order
+    adds the terms of the lazy walk (``walk._lazy_factors(H)``) and of the
+    clique expansion of ``delta_normalized(H)`` (gamma / delta, formed
+    here), one in match order adds MC3's, each term in the order its own
     construction adds it, so each row has the bits of
     ``stationary_direct(restart_matrix(chain, beta)).pi``. The row sums,
     restart mix, checks, solve and nonnegativity each run once on the
@@ -428,11 +413,14 @@ def _stationary(data: MatchData, beta: float, methods=_METHODS) -> np.ndarray:
     stack = np.zeros((len(methods), n * n))
     factors = []
     if "hypergraph-rwr" in methods:
-        factors.append((data._left, data._right, None))
+        factors.append((*_lazy_factors(H), None))
     if "clique-rwr" in methods:
-        if data._clique is None:  # normalizing took a weight to 0 or inf
+        with np.errstate(over="ignore"):  # a subnormal delta: named below
+            gamma = H.gamma * _per_member(H, 1.0 / degrees(H)[1])
+        if not (np.isfinite(gamma) & (gamma > 0.0)).all():  # normalizing took one to 0 or inf
             delta_normalized(H)  # names the first
-        factors.append((data._clique, data._clique, data._scale))
+        scale = _clique_scale(H.omega, np.add.reduceat(gamma, H.indptr[:-1]))
+        factors.append((gamma, gamma, scale))
     if factors:
         with np.errstate(over="ignore", invalid="ignore"):  # inf or inf * 0: named below
             _block_add(stack, H.indptr, H.indices, factors, n)
@@ -457,10 +445,11 @@ def _mc3_add(out: np.ndarray, data: MatchData) -> None:
     order."""
     H = data.hypergraph
     n, who, s = H.n_vertices, H.indices, data.scores
+    step = 1.0 / (np.bincount(who, minlength=n)[who] * _per_member(H, np.diff(H.indptr)))
     for row, col, _ in _entry_pairs(H.indptr, np.arange(H.n_edges)):
         # to whoever outscored the entry, else back to the entry itself
         to = np.where(s[col] > s[row], who[col], who[row])
-        np.add.at(out, who[row] * n + to, data._step[row])
+        np.add.at(out, who[row] * n + to, step[row])
 
 
 def kendall_tau(order: Sequence, truth: Sequence, weighted: bool = False) -> float:

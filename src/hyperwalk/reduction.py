@@ -35,7 +35,7 @@ from .errors import (
     SizeLimit,
 )
 from .spectral import _walk_laplacian, eigenvalues_symmetric
-from .stationary import RESIDUAL_TOL, _rho_scaled, stationary_rho
+from .stationary import RESIDUAL_TOL, _residual, _rho_scaled, stationary_rho
 from .walk import (TransitionMatrix, _check_size, _lazy_factors, nonlazy_transition_matrix,
                    transition_matrix)
 
@@ -132,7 +132,7 @@ def reversibility(P: TransitionMatrix, pi: np.ndarray) -> ReversibilityVerdict:
     total = float(pi.sum())
     if not abs(total - 1.0) <= RESIDUAL_TOL:
         raise NotStationary(f"supplied distribution sums to {total!r}, not 1")
-    if not np.abs(pi @ P.matrix - pi).max() <= RESIDUAL_TOL:
+    if not _residual(pi, P) <= RESIDUAL_TOL:
         raise NotStationary("supplied distribution is not stationary for the chain")
     flow = pi[:, None] * P.matrix
     gap = np.abs(flow - flow.T)

@@ -17,6 +17,7 @@ import hyperwalk
 from hyperwalk import ConvergenceFailure, demo_hypergraph, dumps_json
 from hyperwalk.cli import dispatch
 from hyperwalk.core import _json_text
+from hyperwalk.rankagg import generate, matches_to_json_dict
 from hyperwalk.stationary import RESIDUAL_TOL, WALK_MAX_ITER
 from hyperwalk.walk import DENSE_SIZE_LIMIT
 from conftest import gc_off
@@ -386,6 +387,18 @@ def test_out_into_a_missing_directory_is_refused_before_the_work(tmp_path, capsy
         assert dispatch(["rankagg", "--out", str(out)]) == 1
         assert capsys.readouterr() == ("", f"error: NotADirectoryError: {opened.value}\n")
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    # a directory, or a path with a final / (open's IsADirectoryError), and a
+    # path with a final / under a missing directory (its FileNotFoundError)
+    (tmp_path / "dir").mkdir()
+    for out in (tmp_path / "dir", f"{tmp_path / 'dir'}/", f"{tmp_path / 'missing'}/",
+                f"{tmp_path / 'missing' / 'x'}/"):
+        with pytest.raises(OSError) as opened:
+            open(out, "w")
+        assert dispatch(["rankagg", "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {type(opened.value).__name__}: {opened.value}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+    assert not list((tmp_path / "dir").iterdir())
 
 
 def test_manifest_records_numpy_and_blas_threads(demo_file, tmp_path):
@@ -790,6 +803,23 @@ def test_rankagg_score_overflow_is_named_without_a_warning():
     assert run.returncode == 1
     assert "error: ScoreOverflow" in run.stderr
     assert "Warning" not in run.stderr
+
+
+def test_rankagg_seeded_outputs_have_the_recorded_digests(tmp_path):
+    # SHA-256 of the seeded outputs with one BLAS thread: the default
+    # experiment's CSV and --json, and the rankings of a generated match
+    # file. A digest that moves means the rankers' bits moved.
+    path = _write_json(tmp_path, "m.json", matches_to_json_dict(generate(100, 1.0, 0.05, 7)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(hyperwalk.__file__).parents[1]))
+    for args, digest in (
+            ([], "199aed05c8ebbb9277bdfce2b7078ff5016e11f1383fed9f582977043e996f57"),
+            (["--json"], "97843fba0f742ee7ee6b8023f85b7517cd30f28cdcc70949e9eaf3794accca95"),
+            (["--matches", path],
+             "02d18575325fcb7b5442334baa96239702dac0ac9b519780e6e341d663608289")):
+        run = subprocess.run([sys.executable, "-m", "hyperwalk.cli", "rankagg", *args],
+                             env=env, capture_output=True, check=True)
+        assert hashlib.sha256(run.stdout).hexdigest() == digest, args
 
 
 def test_rankagg_huge_score_spread_is_named_without_a_warning(tmp_path):

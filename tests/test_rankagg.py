@@ -706,6 +706,27 @@ def test_experiment_builds_one_hypergraph_per_trial(monkeypatch):
     assert len(calls) == 2 * 3
 
 
+def test_rankers_read_the_walk_factors_from_the_hypergraph(monkeypatch):
+    # each trial's walk chain takes its factors from walk._lazy_factors of
+    # its own hypergraph, once; the clique and MC3 chains do not read them
+    calls = []
+    real = rankagg._lazy_factors
+
+    def counting(H):
+        calls.append(H)
+        return real(H)
+
+    monkeypatch.setattr(rankagg, "_lazy_factors", counting)
+    monkeypatch.setattr(rankagg, "_shares", lambda tasks: 1)  # every trial counted here
+    experiment(10, 1.0, [0.3], trials=3, seed=5)
+    assert len(calls) == 3 and len({id(H) for H in calls}) == 3
+    data = generate(10, 1.0, 0.3, seed=5)
+    for ranker, count in ((rank_hypergraph, 1), (rank_clique, 0), (rank_mc3, 0)):
+        calls.clear()
+        ranker(data)
+        assert calls == [data.hypergraph] * count, ranker
+
+
 # -- rankers ------------------------------------------------------------------------
 
 def winner_first(ranker):
