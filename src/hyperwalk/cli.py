@@ -364,7 +364,8 @@ def dispatch(argv: list[str]) -> int:
         # digests of the inputs as read: the output may overwrite one of them
         paths = [getattr(args, name, None) for name in ("input", "matches")] if out else []
         inputs = {p: _sha256(p) for p in paths if p}
-        if out and not os.path.isdir(parent := os.path.dirname(out.rstrip(os.sep)) or "."):
+        if out is not None and not os.path.isdir(  # and "", whose directory "" is missing
+                parent := os.path.dirname(out.rstrip(os.sep)) or out and "."):
             try:  # open's own error, before the work: the directory's lookup fails,
                 os.stat(parent)
                 code = errno.ENOTDIR  # or it is a file,

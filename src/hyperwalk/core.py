@@ -528,7 +528,7 @@ def build_hypergraph(data: Mapping) -> Hypergraph:
         for i, entry in enumerate(raw_edges):
             if not isinstance(entry, dict):
                 raise MalformedInput(f"edge #{i} must be an object, got {entry!r}")
-            members = entry.get("members") or {}  # missing or empty: EmptyEdge
+            members = entry.get("members", {})  # missing or empty: EmptyEdge
             if not isinstance(members, dict):
                 raise MalformedInput(f'edge #{i}: "members" must map vertex names to weights')
             yield entry.get("weight"), members

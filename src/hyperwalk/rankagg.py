@@ -214,21 +214,18 @@ def _match_sets(n: int, draws: list) -> list[MatchData]:
     return out
 
 
-def _check_types(**values) -> None:
-    """ValueError naming the first of `values` of the wrong type: n, trials
-    and seed must be integers (core._INTEGER), sigma and p real numbers
-    (core._REAL), so a bool or a str is neither."""
-    for name, value in values.items():
-        integer = name in ("n", "trials", "seed")
+def _check_draw(n, sigma, p_values: list, seed) -> tuple:
+    """``(n, sigma, p_values)`` as generate(n, sigma, p, seed) draws with
+    them for each p of `p_values` (n an int, sigma and the rates by
+    core._real), else ValueError naming the first fault: the type of n,
+    sigma, each rate and seed (core._INTEGER or core._REAL: no bool or str),
+    then their ranges in that order, n, sigma and seed once, a rate twice."""
+    for name, value in [("n", n), ("sigma", sigma), *(("p", p) for p in p_values), ("seed", seed)]:
+        integer = name in ("n", "seed")
         if type(value) not in (_INTEGER if integer else _REAL):
             raise ValueError(f"{name} must be {'an integer' if integer else 'a real number'}, "
                              f"got {value!r}")
-
-
-def _check_draw(n: int, sigma: float, p_values: list, seed: int) -> None:
-    """The usage errors of the values of generate(n, sigma, p, seed) for
-    each p of `p_values`, as ValueError: n, sigma and seed are checked once,
-    however many rates there are, and a rate given twice is refused."""
+    n, sigma, p_values = int(n), _real(sigma), [_real(p) for p in p_values]
     if n < 2:
         raise ValueError("need at least two players")
     if not sigma > 0.0:
@@ -242,6 +239,7 @@ def _check_draw(n: int, sigma: float, p_values: list, seed: int) -> None:
             raise ValueError(f"inclusion rate {p!r} is given more than once")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    return n, sigma, p_values
 
 
 def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
@@ -264,9 +262,7 @@ def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
     the scores. A score beyond the float range is left to MatchData to name
     (ScoreOverflow).
     """
-    _check_types(n=n, sigma=sigma, p=p, seed=seed)
-    n, sigma, p = int(n), _real(sigma), _real(p)  # not a numpy uint n or longdouble sigma
-    _check_draw(n, sigma, [p], seed)
+    n, sigma, (p,) = _check_draw(n, sigma, [p], seed)
     return _match_sets(n, [_draw(n, sigma, p, seed)])[0]
 
 
@@ -604,18 +600,17 @@ def experiment(n: int, sigma: float, p_values: Iterable[float], trials: int,
 
     Trial t uses seed + t, so trials are independent given the base seed and
     the whole table is reproducible byte-for-byte, however many processes
-    run the trials (one per available CPU, see _in_shares). More players
-    than a dense chain holds is SizeLimit, and a restart probability
-    outside (0, 1) BadBeta, whatever the rates, before any trial is drawn.
+    run the trials (one per available CPU, see _in_shares). The values are
+    checked before any trial is drawn, whatever the rates, in this order:
+    trials (an integer, at least 1), the draw's values as generate checks
+    them (_check_draw), then more players than a dense chain holds is
+    SizeLimit and a restart probability outside (0, 1) BadBeta.
     """
-    _check_types(n=n, sigma=sigma, trials=trials, seed=seed)
+    if type(trials) not in _INTEGER:
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    p_values = list(p_values)
-    for p in p_values:
-        _check_types(p=p)
-    n, sigma, p_values = int(n), _real(sigma), [_real(p) for p in p_values]
-    _check_draw(n, sigma, p_values, seed)
+    n, sigma, p_values = _check_draw(n, sigma, list(p_values), seed)
     _check_size(n)
     restart = _check_beta(beta)
 

@@ -182,11 +182,12 @@ def simulate(P: TransitionMatrix, start: str, steps: int, seed: int) -> list[str
     i = P.index(start)
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(P.matrix, axis=1)
+    # per row its last column of positive probability, where a draw in the
+    # cdf's final rounding gap steps
+    last = (P.n - 1 - np.argmax(P.matrix[:, ::-1] > 0.0, axis=1)).tolist()
     path = [i]
     for _ in range(steps):
         u = rng.random()
-        i = int(np.searchsorted(cdf[i], u, side="right"))
-        if i >= P.n:  # guard the cdf's final rounding gap
-            i = P.n - 1
+        i = min(int(np.searchsorted(cdf[i], u, side="right")), last[i])
         path.append(i)
     return [P.vertices[j] for j in path]

@@ -387,11 +387,12 @@ def test_out_into_a_missing_directory_is_refused_before_the_work(tmp_path, capsy
         assert dispatch(["rankagg", "--out", str(out)]) == 1
         assert capsys.readouterr() == ("", f"error: NotADirectoryError: {opened.value}\n")
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
-    # a directory, or a path with a final / (open's IsADirectoryError), and a
-    # path with a final / under a missing directory (its FileNotFoundError)
+    # a directory, or a path with a final / (open's IsADirectoryError), a
+    # path with a final / under a missing directory and the empty path, which
+    # is not "no --out" (their FileNotFoundError)
     (tmp_path / "dir").mkdir()
     for out in (tmp_path / "dir", f"{tmp_path / 'dir'}/", f"{tmp_path / 'missing'}/",
-                f"{tmp_path / 'missing' / 'x'}/"):
+                f"{tmp_path / 'missing' / 'x'}/", ""):
         with pytest.raises(OSError) as opened:
             open(out, "w")
         assert dispatch(["rankagg", "--out", str(out)]) == 1

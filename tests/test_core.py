@@ -40,6 +40,14 @@ def test_equal_hypergraphs_hash_equal(h_demo):
         assert twin == H and twin is not H and hash(twin) == hash(H)
 
 
+def test_a_hypergraph_is_unequal_to_another_type_and_each_record_names_its_size(h_demo):
+    assert h_demo.__eq__("x") is NotImplemented
+    assert h_demo != "x"
+    assert repr(h_demo) == "Hypergraph(|V|=4, |E|=2)"
+    assert repr(clique_expansion_weights(h_demo)) == "WeightedGraph(|V|=4)"
+    assert repr(transition_matrix(h_demo)) == "TransitionMatrix(n=4)"
+
+
 def test_demo_fixture_degrees(h_demo):
     d, delta = degrees(h_demo)
     np.testing.assert_array_equal(d, [2.0, 1.0, 2.0, 1.0])
@@ -195,10 +203,17 @@ def test_build_hypergraph_names_the_first_fault_in_file_order():
     data["edges"][0] = {"weight": 1.0, "members": {"a": 1.0, "b": 1.0}}
     with pytest.raises(MalformedInput, match="edge #1 must be an object"):
         build_hypergraph(data)
-    data["edges"][1] = {"weight": 1.0, "members": ["a", "b"]}
-    with pytest.raises(MalformedInput,
-                       match='^edge #1: "members" must map vertex names to weights$'):
-        build_hypergraph(data)
+    # "members" present but not an object is malformed, however falsy;
+    # only a missing or empty object is an empty edge
+    for members in (["a", "b"], [], 0, False, "", None):
+        data["edges"][1] = {"weight": 1.0, "members": members}
+        with pytest.raises(MalformedInput,
+                           match='^edge #1: "members" must map vertex names to weights$'):
+            build_hypergraph(data)
+    for edge in ({"weight": 1.0}, {"weight": 1.0, "members": {}}):
+        data["edges"][1] = edge
+        with pytest.raises(EmptyEdge, match="^edge #1 "):
+            build_hypergraph(data)
 
 
 def test_degree_overflow_is_named():

@@ -82,42 +82,53 @@ def unreachable(*args):
     raise AssertionError("a match set was drawn")
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda: generate(2.5, 1.0, 0.5, 1), "n must be an integer, got 2.5"),
-    (lambda: generate(True, 1.0, 0.5, 1), "n must be an integer, got True"),
-    (lambda: generate(5, True, 0.5, 1), "sigma must be a real number, got True"),
-    (lambda: generate(5, 1.0, "0.5", 1), "p must be a real number, got '0.5'"),
-    (lambda: generate(5, 1.0, 0.5, 1.5), "seed must be an integer, got 1.5"),
-    (lambda: generate(5, 1.0, 0.5, True), "seed must be an integer, got True"),
-    (lambda: experiment(2.5, 1.0, [0.5], 2, 1), "n must be an integer, got 2.5"),
-    (lambda: experiment(5, True, [0.5], 2, 1), "sigma must be a real number, got True"),
-    (lambda: experiment(5, 1.0, ["0.5"], 2, 1), "p must be a real number, got '0.5'"),
-    (lambda: experiment(5, 1.0, [0.5], 2.5, 1), "trials must be an integer, got 2.5"),
-    (lambda: experiment(5, 1.0, [0.5], True, 1), "trials must be an integer, got True"),
-    (lambda: experiment(5, 1.0, [0.5], 2, 1.5), "seed must be an integer, got 1.5"),
-    (lambda: experiment(5, 1.0, [], 2, True), "seed must be an integer, got True"),
-    (lambda: generate(5, 1.0, 0.5, -1), "seed must be nonnegative, got -1"),
-    (lambda: generate(5, math.inf, 0.5, 1), "sigma must be finite, got inf"),
-    (lambda: experiment(20, 1.0, [0.3, 0.5], 1, -1), "seed must be nonnegative, got -1"),
-    (lambda: experiment(5, math.inf, [0.5], 2, 1), "sigma must be finite, got inf"),
-    # an int past the float range reads as inf, not as an OverflowError
-    (lambda: generate(5, 10**400, 0.5, 1), "sigma must be finite, got inf"),
-    (lambda: experiment(5, 1.0, [10**400], 2, 1), "p must lie in (0, 1)"),
-], ids=["generate-n-float", "generate-n-true", "generate-sigma-true", "generate-p-str",
-        "generate-seed-float", "generate-seed-true", "experiment-n-float",
-        "experiment-sigma-true", "experiment-p-str", "experiment-trials-float",
-        "experiment-trials-true", "experiment-seed-float", "experiment-seed-true-no-rate",
-        "generate-seed-negative", "generate-sigma-inf", "experiment-seed-negative",
-        "experiment-sigma-inf", "generate-sigma-int-past-float", "experiment-p-int-past-float"])
-def test_counts_seeds_and_rates_are_checked_by_type(monkeypatch, call, message):
-    monkeypatch.setattr(rankagg, "_draw", unreachable)
-    with pytest.raises(ValueError) as info:
-        call()
-    assert str(info.value) == message
-
-
 def unforked():
     raise AssertionError("a process was forked")
+
+
+# (argument, bad value, message): each is refused with the same message by
+# generate and by experiment (the bad rate alone and after a good one; any
+# other bad value with one rate, two and none), so the two entry points
+# cannot drift apart; trials is experiment's alone
+DRAW_FAULTS = {
+    "n-float": ("n", 2.5, "n must be an integer, got 2.5"),
+    "n-true": ("n", True, "n must be an integer, got True"),
+    "sigma-true": ("sigma", True, "sigma must be a real number, got True"),
+    "p-str": ("p", "0.5", "p must be a real number, got '0.5'"),
+    "seed-float": ("seed", 1.5, "seed must be an integer, got 1.5"),
+    "seed-true": ("seed", True, "seed must be an integer, got True"),
+    "trials-float": ("trials", 2.5, "trials must be an integer, got 2.5"),
+    "trials-true": ("trials", True, "trials must be an integer, got True"),
+    "seed-negative": ("seed", -1, "seed must be nonnegative, got -1"),
+    "sigma-inf": ("sigma", math.inf, "sigma must be finite, got inf"),
+    # an int past the float range reads as inf, not as an OverflowError
+    "sigma-int-past-float": ("sigma", 10**400, "sigma must be finite, got inf"),
+    "p-int-past-float": ("p", 10**400, "p must lie in (0, 1)"),
+}
+
+
+def draw_calls(entry, argument, value):
+    """The calls of `entry` with `argument` set to `value`, every other
+    argument valid."""
+    args = {"n": 20, "sigma": 1.0, "p": 0.5, "trials": 2, "seed": 1, argument: value}
+    if entry == "generate":
+        return [lambda: generate(args["n"], args["sigma"], args["p"], args["seed"])]
+    rates = [[args["p"]], [0.3, args["p"]]] + ([[]] if argument != "p" else [])
+    return [lambda r=r: experiment(args["n"], args["sigma"], r, args["trials"], args["seed"])
+            for r in rates]
+
+
+@pytest.mark.parametrize("entry, case", [
+    (entry, case) for entry in ("generate", "experiment") for case in DRAW_FAULTS
+    if entry == "experiment" or DRAW_FAULTS[case][0] != "trials"])
+def test_counts_seeds_and_rates_are_checked_by_type(monkeypatch, entry, case):
+    monkeypatch.setattr(rankagg, "_draw", unreachable)
+    monkeypatch.setattr(os, "fork", unforked)
+    argument, value, message = DRAW_FAULTS[case]
+    for call in draw_calls(entry, argument, value):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("n, sigma, seed, beta, error, message", [

@@ -393,6 +393,18 @@ def test_simulate_unknown_start(h_demo):
         simulate(P, "nope", 5, seed=1)
 
 
+def test_simulate_never_steps_where_the_row_has_no_probability(monkeypatch):
+    # row 0's cdf ends at 0.9999999999999999 < 1, and P[0, 10] = 0: a draw in
+    # that gap steps to the row's last reachable column, 9, not onto 10
+    row = [0.1] * 10 + [0.0]
+    assert np.cumsum(row)[-1] == 1.0 - 2.0 ** -53
+    P = TransitionMatrix([str(v) for v in range(11)], [row] * 11)
+    draws = iter([1.0 - 2.0 ** -53, 0.95, 0.05])
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: SimpleNamespace(random=lambda: next(draws)))
+    assert simulate(P, "0", 3, seed=1) == ["0", "9", "9", "0"]
+
+
 def test_simulate_reproducible(h_demo):
     P = transition_matrix(h_demo)
     assert simulate(P, "v1", 200, seed=9) == simulate(P, "v1", 200, seed=9)
