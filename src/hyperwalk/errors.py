@@ -91,17 +91,6 @@ class MassUnderflow(HyperwalkError):
     quantity that divides by it cannot be formed."""
 
 
-class Unmixed(HyperwalkError):
-    """The chain did not reach the requested total-variation distance in time."""
-
-    def __init__(self, cap: int):
-        super().__init__(f"chain not mixed within {cap} steps")
-        self.cap = cap
-
-    def __reduce__(self):  # rebuilt from cap: the default would pass the message as cap
-        return Unmixed, (self.cap,)
-
-
 # -- rank aggregation ---------------------------------------------------------
 
 class ScoreOverflow(HyperwalkError):

@@ -215,8 +215,9 @@ def _match_sets(n: int, draws: list) -> list[MatchData]:
 
 
 def _check_draw(n, sigma, p_values: list, seed) -> tuple:
-    """``(n, sigma, p_values)`` as generate(n, sigma, p, seed) draws with
-    them for each p of `p_values` (n an int, sigma and the rates by
+    """``(n, sigma, p_values, seed)`` as generate(n, sigma, p, seed) draws
+    with them for each p of `p_values` (n and seed as Python ints, so a
+    trial's seed + t cannot overflow a numpy dtype; sigma and the rates by
     core._real), else ValueError naming the first fault: the type of n,
     sigma, each rate and seed (core._INTEGER or core._REAL: no bool or str),
     then their ranges in that order, n, sigma and seed once, a rate twice."""
@@ -239,7 +240,7 @@ def _check_draw(n, sigma, p_values: list, seed) -> tuple:
             raise ValueError(f"inclusion rate {p!r} is given more than once")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    return n, sigma, p_values
+    return n, sigma, p_values, int(seed)
 
 
 def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
@@ -262,7 +263,7 @@ def generate(n: int, sigma: float, p: float, seed: int) -> MatchData:
     the scores. A score beyond the float range is left to MatchData to name
     (ScoreOverflow).
     """
-    n, sigma, (p,) = _check_draw(n, sigma, [p], seed)
+    n, sigma, (p,), seed = _check_draw(n, sigma, [p], seed)
     return _match_sets(n, [_draw(n, sigma, p, seed)])[0]
 
 
@@ -610,7 +611,7 @@ def experiment(n: int, sigma: float, p_values: Iterable[float], trials: int,
         raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    n, sigma, p_values = _check_draw(n, sigma, list(p_values), seed)
+    n, sigma, p_values, seed = _check_draw(n, sigma, list(p_values), seed)
     _check_size(n)
     restart = _check_beta(beta)
 

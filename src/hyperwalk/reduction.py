@@ -6,14 +6,12 @@ collapses to a walk on a weighted clique graph
 because such walks are time-reversible. Edge-dependent weights break
 reversibility in general -- the built-in demo fixture is the smallest
 witness -- so no graph on the same vertices reproduces the walk. This module
-provides the collapse, reversibility and cycle-product (Kolmogorov) checks,
-the non-lazy trivial-weight analogue, and the weighted clique expansion whose
-Laplacian eigenvalue brackets the hypergraph's within a weight-spread factor.
+provides the collapse and reversibility checks, the non-lazy trivial-weight
+analogue, and the weighted clique expansion whose Laplacian eigenvalue
+brackets the hypergraph's within a weight-spread factor.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -40,25 +38,20 @@ from .walk import (TransitionMatrix, _check_size, _lazy_factors, nonlazy_transit
                    transition_matrix)
 
 __all__ = [
-    "KolmogorovResult",
     "NonlazyEquivalence",
     "ReversibilityVerdict",
     "SandwichCheck",
     "clique_expansion_weights",
     "edge_independent_to_graph",
     "graph_random_walk",
-    "kolmogorov_check",
     "nonlazy_trivial_equivalence",
     "reversibility",
     "sandwich_check",
 ]
 
-KOLMOGOROV_VERTEX_LIMIT = 12
-KOLMOGOROV_CYCLE_LIMIT = 6
-# Largest |pi_u p_uv - pi_v p_vu| of a reversible chain, largest gap between
-# a cycle's forward and backward products, and slack of the sandwich bracket.
+# Largest |pi_u p_uv - pi_v p_vu| of a reversible chain, and slack of the
+# sandwich bracket.
 REVERSIBILITY_TOL = 1e-10
-KOLMOGOROV_TOL = 1e-12
 SANDWICH_TOL = 1e-9
 
 
@@ -145,51 +138,6 @@ def reversibility(P: TransitionMatrix, pi: np.ndarray) -> ReversibilityVerdict:
         worst_pair=(P.vertices[u], P.vertices[v]),
         violation=worst,
     )
-
-
-class KolmogorovResult(_Record):
-    holds: bool
-    witness_cycle: tuple[str, ...] | None
-    __slots__ = tuple(__annotations__)
-
-
-def kolmogorov_check(P: TransitionMatrix, max_cycle_len: int = 5) -> KolmogorovResult:
-    """Compare transition-probability products around every simple cycle with
-    the reversed product; equality for all cycles characterizes reversibility
-    without knowing pi.
-
-    Cycles of length 2 are skipped -- both orientations multiply the same two
-    factors, so they can never witness anything. The first violating cycle in
-    enumeration order is returned.
-    """
-    n = P.n
-    if n > KOLMOGOROV_VERTEX_LIMIT:
-        raise SizeLimit(
-            f"cycle enumeration supports at most {KOLMOGOROV_VERTEX_LIMIT} vertices, got {n}"
-        )
-    if max_cycle_len > KOLMOGOROV_CYCLE_LIMIT:
-        raise SizeLimit(
-            f"cycle length capped at {KOLMOGOROV_CYCLE_LIMIT}, got {max_cycle_len}"
-        )
-    M = P.matrix
-    for k in range(3, max_cycle_len + 1):
-        for combo in itertools.combinations(range(n), k):
-            first = combo[0]
-            for rest in itertools.permutations(combo[1:]):
-                if rest[0] > rest[-1]:
-                    continue  # each undirected cycle once
-                cycle = (first,) + rest
-                forward = 1.0
-                backward = 1.0
-                for i in range(k):
-                    forward *= M[cycle[i], cycle[(i + 1) % k]]
-                    backward *= M[cycle[i], cycle[(i - 1) % k]]
-                if abs(forward - backward) > KOLMOGOROV_TOL:
-                    return KolmogorovResult(
-                        holds=False,
-                        witness_cycle=tuple(P.vertices[i] for i in cycle),
-                    )
-    return KolmogorovResult(holds=True, witness_cycle=None)
 
 
 class NonlazyEquivalence(_Record):

@@ -17,8 +17,7 @@ import math
 import numpy as np
 
 from .core import Hypergraph, _memo, _real, _Record, degrees
-from .errors import (BoundOverflow, ConvergenceFailure, MassUnderflow, NotSymmetric,
-                     SizeLimit, Unmixed)
+from .errors import BoundOverflow, ConvergenceFailure, MassUnderflow, NotSymmetric, SizeLimit
 from .stationary import _rho_scaled, stationary_rho
 from .walk import TransitionMatrix, _lazy_factors, transition_matrix
 
@@ -33,7 +32,6 @@ __all__ = [
     "cheeger_constant",
     "eigenvalues_symmetric",
     "eigh_symmetric",
-    "empirical_mixing_time",
     "laplacian",
     "laplacian_from_walk",
     "mixing_time_bound",
@@ -358,19 +356,6 @@ def mixing_time_bound(H: Hypergraph, eps: float) -> MixingBound:
     return MixingBound(
         bound=bound, beta1=beta1, beta2=beta2, d_min=d_min, phi=phi, vacuous=vacuous
     )
-
-
-def empirical_mixing_time(P: TransitionMatrix, pi: np.ndarray, eps: float,
-                          cap: int) -> int:
-    """Smallest t <= cap with max-over-starts total variation distance
-    (half the L1 distance) between P^t rows and pi at most eps."""
-    M = np.eye(P.n)
-    for t in range(cap + 1):
-        tv = 0.5 * np.abs(M - pi[None, :]).sum(axis=1).max()
-        if tv <= eps:
-            return t
-        M = M @ P.matrix
-    raise Unmixed(cap)
 
 
 # -- aggregate report -------------------------------------------------------------

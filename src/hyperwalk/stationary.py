@@ -28,10 +28,6 @@ direct routes are dense and share one fixed-point solve: the system
 (M - I) x = 0 with its last equation replaced by sum(x) = 1, on M = A and
 on M = P^T, set up in M's own buffer, which it leaves overwritten. The
 rank-aggregation step solves a stack of restart chains by the same solve.
-
-``naive_stationary`` is the degree-fraction formula d(v)/sum d(u). It is
-*not* the stationary distribution in general -- it ignores the vertex
-weights entirely -- and is kept as a counterexample generator.
 """
 
 from __future__ import annotations
@@ -55,7 +51,6 @@ from .walk import TransitionMatrix, _check_size, _check_stochastic, _lazy_factor
 __all__ = [
     "StationaryResult",
     "edge_coupling_matrix",
-    "naive_stationary",
     "stationary_direct",
     "stationary_edge_independent",
     "stationary_rho",
@@ -295,17 +290,6 @@ def stationary_edge_independent(H: Hypergraph) -> StationaryResult:
     pi /= pi.sum()
     return _finish(H, pi, "closed-form-trivial" if has_trivial_weights(H)
                    else "closed-form-edge-independent")
-
-
-def naive_stationary(H: Hypergraph) -> np.ndarray:
-    """Degree fraction d(v) / sum_u d(u).
-
-    This ignores the vertex weights, so it is generally *not* stationary; it
-    coincides with the true distribution only in special cases such as
-    trivial weights. Kept as the counterexample generator.
-    """
-    d, _ = degrees(H)
-    return d / d.sum()
 
 
 def _rho_scaled(H: Hypergraph) -> np.ndarray:

@@ -1,5 +1,4 @@
-"""Random-walk transition matrices (lazy, non-lazy, with restart) and
-trajectory simulation.
+"""Random-walk transition matrices (lazy, non-lazy, with restart).
 
 The walker at vertex v picks an incident edge e with probability
 omega(e)/d(v), then a member w of e with probability gamma_e(w)/delta(e);
@@ -22,7 +21,6 @@ __all__ = [
     "TransitionMatrix",
     "nonlazy_transition_matrix",
     "restart_matrix",
-    "simulate",
     "transition_matrix",
 ]
 
@@ -169,25 +167,3 @@ def _restart(M: np.ndarray, beta: float, r=None, out=None) -> np.ndarray:
     mixed = np.multiply(1.0 - beta, M, out=out)
     mixed += beta * r
     return mixed
-
-
-def simulate(P: TransitionMatrix, start: str, steps: int, seed: int) -> list[str]:
-    """Sample a trajectory of `steps` transitions from `start`.
-
-    Reproducible: the same seed yields the same trajectory (PCG64 stream).
-    Returns steps + 1 vertex names including the start.
-    """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    i = P.index(start)
-    rng = np.random.default_rng(seed)
-    cdf = np.cumsum(P.matrix, axis=1)
-    # per row its last column of positive probability, where a draw in the
-    # cdf's final rounding gap steps
-    last = (P.n - 1 - np.argmax(P.matrix[:, ::-1] > 0.0, axis=1)).tolist()
-    path = [i]
-    for _ in range(steps):
-        u = rng.random()
-        i = min(int(np.searchsorted(cdf[i], u, side="right")), last[i])
-        path.append(i)
-    return [P.vertices[j] for j in path]

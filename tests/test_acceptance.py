@@ -9,17 +9,14 @@ import numpy as np
 import pytest
 
 from hyperwalk import (
-    empirical_mixing_time,
     check_cheeger,
     cheeger_constant,
     eigenvalues_symmetric,
     experiment,
     graph_random_walk,
     edge_independent_to_graph,
-    kolmogorov_check,
     laplacian,
     mixing_time_bound,
-    naive_stationary,
     nonlazy_trivial_equivalence,
     rescale_edges,
     reversibility,
@@ -29,12 +26,12 @@ from hyperwalk import (
     transition_matrix,
     demo_hypergraph,
     dumps_json,
-    Unmixed,
 )
 from hyperwalk.core import delta_normalized
 from hyperwalk.stationary import edge_coupling_matrix
 from hyperwalk.cli import dispatch
 from conftest import sweep
+from oracles import Unmixed, empirical_mixing_time, kolmogorov_check, naive_stationary
 from test_spectral import brute_force_cheeger
 from test_walk import DEMO_P
 

@@ -1,9 +1,11 @@
 """The top-level `hyperwalk` namespace: each module's `__all__` and the
-exception classes of `errors`, and nothing else."""
+exception classes of `errors`, and nothing else; and two rules every
+module's source keeps: one freezing rule and one writer per memo entry."""
 
 import inspect
 import os
 import pickle
+import re
 import subprocess
 import sys
 import types
@@ -14,8 +16,17 @@ import pytest
 import hyperwalk
 from hyperwalk import (HyperwalkError, core, errors, rankagg, reduction, spectral, stationary,
                        walk)
+from oracles import Unmixed
 
 MODULES = [core, walk, stationary, spectral, reduction, rankagg]
+SOURCES = sorted(Path(hyperwalk.__file__).parent.glob("*.py"))
+
+
+def source_lines():
+    """(file name, line number, line) of every line of the library."""
+    for path in SOURCES:
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            yield path.name, number, line
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
@@ -42,8 +53,8 @@ def test_every_top_level_name_has_one_record():
 
 
 @pytest.mark.parametrize("cls", [value for value in vars(errors).values()
-                                 if inspect.isclass(value) and issubclass(value, Exception)],
-                         ids=lambda cls: cls.__name__)
+                                 if inspect.isclass(value) and issubclass(value, Exception)]
+                         + [Unmixed], ids=lambda cls: cls.__name__)
 def test_every_error_keeps_its_type_and_message_through_pickle(cls):
     # a trial's error reaches the experiment's parent process pickled
     for error in (cls("a message"), cls(7)):
@@ -62,3 +73,39 @@ def test_importing_the_cli_generates_no_code():
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=60)
     assert (run.returncode, run.stdout.split(), run.stderr) == (0, ["False", "False"], "")
+
+
+def test_only_core_freezes_and_nothing_is_formed_lazily():
+    # an array is made read-only only in core._frozen, an attribute set only
+    # in core._Frozen's setter, and no object forms one lazily; a line's
+    # scope is the last def or class its file opened at column 0
+    bad, scope = [], ""
+    for name, number, line in source_lines():
+        if number == 1:
+            scope = ""
+        if re.match(r"(def|class) ", line):
+            scope = f"{name}:{line.split()[1]}"
+        if ("setflags(" in line and not scope.startswith("core.py:_frozen(")
+                or "object.__setattr__" in line and scope != "core.py:_Frozen:"
+                or "cached_property" in line):
+            bad.append(f"{name}:{number}: {line}")
+    assert bad == []
+
+
+def test_no_dataclass_in_the_library():
+    # a result record is a core._Record, never a dataclass, whose methods
+    # would be generated and compiled at every import
+    assert [f"{name}:{number}: {line}" for name, number, line in source_lines()
+            if "dataclass" in line] == []
+
+
+def test_the_memo_is_touched_only_in_core():
+    assert [f"{name}:{number}: {line}" for name, number, line in source_lines()
+            if "._memo" in line and name != "core.py"] == []
+
+
+def test_each_memo_key_has_one_writer():
+    # each memo key is written by one _memo(H, "<key>", ...) call
+    keys = [key for _, _, line in source_lines()
+            for key in re.findall(r'_memo\([A-Za-z_]+, "([^"]*)"', line)]
+    assert keys and {key for key in keys if keys.count(key) > 1} == set()

@@ -158,6 +158,17 @@ def test_numpy_counts_seeds_and_rates_are_read_as_numbers():
     assert got.to_csv() == experiment(6, 1.0, [0.5], 2, 3).to_csv()
 
 
+@pytest.mark.parametrize("seed", [np.int8(127), np.uint64(2**64 - 1)], ids=["int8", "uint64"])
+def test_a_numpy_seed_at_its_dtypes_limit_draws_as_the_equal_int(seed):
+    # trial t draws from seed + t as a Python int: int8 does not overflow
+    # (a RuntimeWarning) and uint64 does not wrap trial 1 to seed 0
+    got = experiment(6, 1.0, [0.5], 2, seed)
+    want = experiment(6, 1.0, [0.5], 2, int(seed))
+    assert got.to_csv() == want.to_csv()
+    assert type(got.params["seed"]) is int and got.params == want.params
+    assert same(generate(5, 1.0, 0.5, seed), generate(5, 1.0, 0.5, int(seed)))
+
+
 def test_a_longdouble_sigma_draws_as_its_float():
     # sigma * N(0, 1) in longdouble would give other scores, hence other
     # edge weights, than sigma = 1.0

@@ -19,7 +19,6 @@ from hyperwalk import (
     degrees,
     edge_independent_to_graph,
     graph_random_walk,
-    kolmogorov_check,
     nonlazy_trivial_equivalence,
     reversibility,
     sandwich_check,
@@ -29,6 +28,7 @@ from hyperwalk import (
 )
 from hyperwalk.core import _block_scatter
 from conftest import rebuilt, rho_normalized, sweep
+from oracles import kolmogorov_check
 
 
 # -- graph walks ---------------------------------------------------------------

@@ -22,7 +22,6 @@ from hyperwalk import (
     experiment,
     generate,
     graph_random_walk,
-    kolmogorov_check,
     nonlazy_transition_matrix,
     nonlazy_trivial_equivalence,
     rank_hypergraph,
@@ -34,6 +33,7 @@ from hyperwalk import (
     transition_matrix,
 )
 from conftest import reachable_arrays, rebuilt
+from oracles import kolmogorov_check
 
 
 def test_hypergraph_attributes_cannot_be_set(h_demo):

@@ -14,14 +14,12 @@ from hyperwalk import (
     MassUnderflow,
     NotSymmetric,
     SizeLimit,
-    Unmixed,
     TransitionMatrix,
     check_cheeger,
     cheeger_constant,
     dumps_json,
     eigenvalues_symmetric,
     eigh_symmetric,
-    empirical_mixing_time,
     laplacian,
     loads_json,
     mixing_time_bound,
@@ -34,6 +32,7 @@ import hyperwalk.spectral as spectral
 from hyperwalk.spectral import _bound_from_components
 from hyperwalk.cli import dispatch
 from conftest import rebuilt, rho_normalized, sweep
+from oracles import Unmixed, empirical_mixing_time
 
 
 # -- eigensolver -------------------------------------------------------------------

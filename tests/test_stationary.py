@@ -20,7 +20,6 @@ from hyperwalk import (
     TransitionMatrix,
     degrees,
     dumps_json,
-    naive_stationary,
     rescale_edges,
     restart_matrix,
     stationary_direct,
@@ -43,6 +42,7 @@ from hyperwalk.stationary import (
 )
 from hyperwalk.walk import DENSE_SIZE_LIMIT
 from conftest import rebuilt, rho_normalized, sweep
+from oracles import naive_stationary
 
 DEMO_PI = np.array([7, 2, 5, 3]) / 17
 

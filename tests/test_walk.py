@@ -20,7 +20,6 @@ from hyperwalk import (
     nonlazy_transition_matrix,
     rescale_edges,
     restart_matrix,
-    simulate,
     stationary_direct,
     stationary_rho,
     stationary_walk,
@@ -30,6 +29,7 @@ from hyperwalk import (
 from hyperwalk.core import _block_scatter, _vertex_major
 from hyperwalk.stationary import RESIDUAL_TOL, WALK_MAX_ITER, WALK_RTOL, edge_coupling_matrix
 from conftest import rho_normalized, sweep
+from oracles import simulate
 
 DEMO_P = np.array([
     [5 / 12, 1 / 8, 7 / 24, 1 / 6],
