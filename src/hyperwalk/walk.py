@@ -89,12 +89,12 @@ def _lazy_walk(H: Hypergraph) -> np.ndarray:
 
 
 def _lazy_factors(H: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
-    """P's terms as ``_block_scatter``'s ``left`` and ``right`` factors: each
-    term is (omega(e) / d(v)) * (gamma_e(w) / delta(e)), leaving v by e,
-    then landing on w, each in [0, 1] even where d or delta is subnormal.
-    ``_lazy_walk`` and ``stationary._walk_product`` read both, the non-lazy
-    walk ``left``, and the coupling matrix, the rho solve's pi, the sandwich
-    graph, ``stationary._rho_scaled`` and the mixing bound's beta1 ``right``."""
+    """P's terms as ``_block_scatter``'s ``left`` and ``right`` factors: each term
+    is (omega(e) / d(v)) * (gamma_e(w) / delta(e)), leaving v by e, then landing on
+    w, each in [0, 1] even where d or delta is subnormal. ``_lazy_walk``,
+    ``stationary._walk_product`` and ``rankagg._stationary`` read both, the non-lazy
+    walk ``left``, and the coupling matrix, the rho solve's pi, the sandwich graph,
+    ``stationary._rho_scaled`` and the mixing bound's beta1 ``right``."""
     d, delta = degrees(H)
     return _per_member(H, H.omega) / d[H.indices], H.gamma / _per_member(H, delta)
 

@@ -15,7 +15,7 @@ import pytest
 
 import hyperwalk
 from hyperwalk import ConvergenceFailure, demo_hypergraph, dumps_json
-from hyperwalk.cli import dispatch
+from hyperwalk.cli import dispatch, main
 from hyperwalk.core import _json_text
 from hyperwalk.rankagg import generate, matches_to_json_dict
 from hyperwalk.stationary import RESIDUAL_TOL, WALK_MAX_ITER
@@ -78,6 +78,20 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         dispatch(["transition"])  # missing --input
     assert exc.value.code == 2
+
+
+def test_main_exits_with_the_code_of_dispatch(demo_file, monkeypatch, capsys):
+    # main is the installed script's entry point: argv comes from sys.argv
+    for argv, code in ((["validate", "--input", demo_file], 0),
+                       (["validate", "--input", demo_file + ".missing"], 1),
+                       (["transition"], 2)):
+        monkeypatch.setattr(sys, "argv", ["hyperwalk", *argv])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == code, argv
+    out, err = capsys.readouterr()
+    assert out == f"{demo_file}: ok\n"
+    assert "error: FileNotFoundError: " in err and "usage: hyperwalk transition" in err
 
 
 def test_transition_csv(demo_file, capsys):
@@ -257,6 +271,11 @@ def test_rankagg_csv_and_manifest(tmp_path, capsys):
     assert manifest["seed"] == 3
     assert manifest["prng"] == "numpy:pcg64"
     assert manifest["command"][0] == "hyperwalk"
+    # a restart probability outside (0, 1) writes neither the output nor a manifest
+    assert dispatch(["rankagg", "--beta", "1.5", "--out", str(tmp_path / "bad.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: BadBeta: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv",
+                                                          "results.csv.manifest.json"]
 
 
 def test_rankagg_matches_file(tmp_path, capsys):
@@ -442,6 +461,9 @@ def test_config_defaults_reach_every_subcommand(demo_file, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["kind"] == "nonlazy"
     assert payload["matrix"][0][0] == 0.0
+    config.write_text(json.dumps({"json": True}))
+    assert dispatch(["--config", str(config), "demo"]) == 0
+    assert json.loads(capsys.readouterr().out)["reversible"] is False
 
 
 @pytest.mark.parametrize("values", [[1], {"handler": 1}])
@@ -809,18 +831,28 @@ def test_rankagg_score_overflow_is_named_without_a_warning():
 def test_rankagg_seeded_outputs_have_the_recorded_digests(tmp_path):
     # SHA-256 of the seeded outputs with one BLAS thread: the default
     # experiment's CSV and --json, and the rankings of a generated match
-    # file. A digest that moves means the rankers' bits moved.
+    # file. A digest that moves means the rankers' bits moved. The CSV and
+    # the rankings are made under string-hash seeds 0 and 1, so a set- or
+    # dict-order dependence moves a digest every time, not by chance, and
+    # the CSV and --json on one CPU too, so by one process, not one per CPU.
     path = _write_json(tmp_path, "m.json", matches_to_json_dict(generate(100, 1.0, 0.05, 7)))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str(Path(hyperwalk.__file__).parents[1]))
-    for args, digest in (
-            ([], "199aed05c8ebbb9277bdfce2b7078ff5016e11f1383fed9f582977043e996f57"),
-            (["--json"], "97843fba0f742ee7ee6b8023f85b7517cd30f28cdcc70949e9eaf3794accca95"),
-            (["--matches", path],
-             "02d18575325fcb7b5442334baa96239702dac0ac9b519780e6e341d663608289")):
-        run = subprocess.run([sys.executable, "-m", "hyperwalk.cli", "rankagg", *args],
-                             env=env, capture_output=True, check=True)
-        assert hashlib.sha256(run.stdout).hexdigest() == digest, args
+    table, as_json, matches = (
+        ([], "199aed05c8ebbb9277bdfce2b7078ff5016e11f1383fed9f582977043e996f57"),
+        (["--json"], "97843fba0f742ee7ee6b8023f85b7517cd30f28cdcc70949e9eaf3794accca95"),
+        (["--matches", path], "02d18575325fcb7b5442334baa96239702dac0ac9b519780e6e341d663608289"))
+    cli = "from hyperwalk.cli import main; main()"
+    runs = [(table, "0", cli), (table, "1", cli), (as_json, "0", cli), (matches, "0", cli),
+            (matches, "1", cli)]
+    if hasattr(os, "sched_setaffinity"):
+        one_cpu = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); " + cli
+        runs += [(table, "0", one_cpu), (as_json, "0", one_cpu)]
+    for (args, digest), hashseed, script in runs:
+        run = subprocess.run([sys.executable, "-c", script, "rankagg", *args],
+                             env=dict(env, PYTHONHASHSEED=hashseed), capture_output=True,
+                             check=True)
+        assert hashlib.sha256(run.stdout).hexdigest() == digest, (args, hashseed, script)
 
 
 def test_rankagg_huge_score_spread_is_named_without_a_warning(tmp_path):
