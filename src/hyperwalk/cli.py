@@ -27,12 +27,13 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    _file_bytes,
     _graph_edges,
     _hypergraph_json,
     _json_text,
     _load_json,
+    build_hypergraph,
     demo_hypergraph,
-    read_hypergraph,
 )
 from .errors import ConvergenceFailure, HyperwalkError
 from .rankagg import DEFAULT_BETA, _rankings, experiment, matches_from_json_dict
@@ -60,14 +61,6 @@ from .walk import (
 # not when a manifest is written. null: unset, the BLAS default.
 _BLAS_THREADS = {var: os.environ.get(var)
                  for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-
-
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def write_manifest(out_path: str, argv: list[str], inputs: dict[str, str],
@@ -109,8 +102,19 @@ def _matrix_csv(vertices, matrix) -> str:
 
 # -- subcommand handlers ---------------------------------------------------------
 
+def _input_json(args, path: str):
+    """The value of the JSON input file at `path`: parsed from the bytes
+    ``dispatch`` read and hashed before the work (with --out), which are
+    then let go, else read now."""
+    return _load_json(path, args.read.pop(path, None))
+
+
+def _hypergraph(args):
+    return build_hypergraph(_input_json(args, args.input))
+
+
 def _cmd_validate(args) -> str:
-    read_hypergraph(args.input)
+    _hypergraph(args)
     return f"{args.input}: ok\n"
 
 
@@ -118,7 +122,7 @@ def _cmd_transition(args) -> dict | str:
     for flag, value in (("--beta", args.beta), ("--restart-vertex", args.restart_vertex)):
         if value is not None and args.kind != "restart":
             raise ValueError(f"{flag} applies only to --kind restart")
-    H = read_hypergraph(args.input)
+    H = _hypergraph(args)
     P = nonlazy_transition_matrix(H) if args.kind == "nonlazy" else transition_matrix(H)
     if args.kind == "restart":
         restart = None
@@ -136,22 +140,22 @@ def _cmd_transition(args) -> dict | str:
 
 
 def _cmd_stationary(args) -> dict:
-    H = read_hypergraph(args.input)
+    H = _hypergraph(args)
     if args.method == "rho":
-        return stationary_rho(H).as_dict()
+        return stationary_rho(H)._json()
     if args.method == "auto":  # the walk iteration; the direct solve where it stalls
         try:
-            return stationary_walk(H).as_dict()
+            return stationary_walk(H)._json()
         except ConvergenceFailure as exc:
             if H.n_vertices > DENSE_SIZE_LIMIT:
                 raise
             print(f"warning: {type(exc).__name__}: {exc}; using the direct solve",
                   file=sys.stderr)
-    return _stationary_direct_of(H).as_dict()
+    return _stationary_direct_of(H)._json()
 
 
 def _cmd_spectral(args) -> dict:
-    H = read_hypergraph(args.input)
+    H = _hypergraph(args)
     payload = spectral_report(H, eps=args.eps).as_dict()
     if args.check_cheeger:
         verdict = check_cheeger(H)
@@ -165,7 +169,7 @@ def _cmd_spectral(args) -> dict:
 
 
 def _cmd_reduce(args) -> dict:
-    H = read_hypergraph(args.input)
+    H = _hypergraph(args)
     if args.mode == "eqind":
         G = edge_independent_to_graph(H)
         verdict = {"mode": "eqind", "walks_equal": True}
@@ -197,7 +201,7 @@ def _cmd_rankagg(args) -> dict | str:
     if args.matches:
         if given:
             raise ValueError(f"--{given[0]} applies only to the experiment, not to --matches")
-        data = matches_from_json_dict(_load_json(args.matches))
+        data = matches_from_json_dict(_input_json(args, args.matches))
         rankings = _rankings(data, args.beta)
         return {"rankings": [{"method": r.method, "order": list(r.order)} for r in rankings]}
     for name in _EXPERIMENT_FLAGS.keys() - given:  # the manifest records the seed used
@@ -361,9 +365,11 @@ def dispatch(argv: list[str]) -> int:
     args = _build_parser()[0].parse_args(argv)
     out = getattr(args, "out", None)
     try:
-        # digests of the inputs as read: the output may overwrite one of them
+        # with --out, each input file is read once, before the work: its digest
+        # and its parse are of the same bytes, which the output may overwrite
         paths = [getattr(args, name, None) for name in ("input", "matches")] if out else []
-        inputs = {p: _sha256(p) for p in paths if p}
+        args.read = {p: _file_bytes(p) for p in paths if p}
+        inputs = {p: hashlib.sha256(data).hexdigest() for p, data in args.read.items()}
         if out is not None and not os.path.isdir(  # and "", whose directory "" is missing
                 parent := os.path.dirname(out.rstrip(os.sep)) or out and "."):
             try:  # open's own error, before the work: the directory's lookup fails,

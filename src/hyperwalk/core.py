@@ -10,6 +10,8 @@ and safe to share across threads; a derived matrix shares its source's index.
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
+from operator import itemgetter, methodcaller
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -57,6 +59,30 @@ def _real(x) -> float:
     if type(x) is int and abs(x) > _FLOAT_MAX:
         return np.inf if x > 0 else -np.inf
     return float(x) if type(x) in _REAL else np.nan
+
+
+def _reals(values: list) -> np.ndarray:
+    """Each of `values` as `_real` reads it, as one float64 array: a list of
+    floats alone, the common case, goes straight to np.array, which would
+    round an int past _FLOAT_MAX to it."""
+    if set(map(type, values)) <= {float}:
+        return np.array(values, dtype=float)
+    return np.fromiter(map(_real, values), float, len(values))
+
+
+def _first(flags: np.ndarray) -> int:
+    """The position of the first True of `flags`, else len(flags)."""
+    return int(np.argmax(flags)) if flags.any() else len(flags)
+
+
+def _read(items) -> tuple[list, Exception | None]:
+    """What the iterable `items` yields until it ends or raises, and what it raised."""
+    read = []
+    try:
+        read.extend(items)
+    except Exception as exc:
+        return read, exc
+    return read, None
 
 
 def _component_labels(indptr, indices, n: int) -> np.ndarray:
@@ -199,8 +225,11 @@ class Hypergraph(_Indexed):
     edge has members and they are declared vertices, every weight is a
     Python or numpy int or float (not a bool or a str) that is finite and
     > 0, and the clique graph is connected (a vertex in no edge counts as
-    disconnected). Edges are read once, in order, so the first fault in
-    that order is the one named.
+    disconnected). Edges are read once, in order, and every weight and
+    member is checked in arrays; the fault named is the first in reading
+    order (per edge its weight, then its emptiness, then per member its
+    name, then its weight), and an error the edges iterable raises comes
+    after every fault in the edges it yielded before it.
 
     The degrees, the walk, the rho solve, the Laplacian and the Cheeger
     enumeration are each computed once per hypergraph and kept, read-only,
@@ -216,32 +245,43 @@ class Hypergraph(_Indexed):
         if not names:
             raise DisconnectedHypergraph("hypergraph has no vertices")
 
-        weights, sizes, members_idx, members_gamma = [], [], [], []
-        for k, (weight, members) in enumerate(edges):
-            if not 0 < _real(weight) <= _FLOAT_MAX:
-                raise NonPositiveWeight(
-                    f"edge #{k}: edge weight {weight!r} must be a finite number > 0")
-            if not members:
-                raise EmptyEdge(f"edge #{k} has no members")
-            for v, g in members.items():
-                if v not in index:
-                    raise UnknownVertex(f"edge #{k} references undeclared vertex {v!r}")
-                if not 0 < _real(g) <= _FLOAT_MAX:
-                    raise NonPositiveWeight(
-                        f"edge #{k}: weight {g!r} of vertex {v!r} must be a finite number > 0")
-                members_idx.append(index[v])
-            weights.append(weight)
-            sizes.append(len(members))
-            members_gamma.extend(members.values())
+        pairs, error = _read(edges)
+        if not (set(map(type, pairs)) <= {tuple} and set(map(len, pairs)) <= {2}):
+            pairs, unpacked = _read((weight, members) for weight, members in pairs)
+            error = unpacked or error  # a pair that does not unpack fails at its place
+        weights, members = list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs))
+        keys = list(chain.from_iterable(members))
+        values_of = dict.values if set(map(type, members)) <= {dict} else methodcaller("values")
+        values = list(chain.from_iterable(map(values_of, members)))
+        sizes = np.fromiter(map(len, members), np.intp, len(members))
+        omega, gamma = _reals(weights), _reals(values)
+        members_idx = np.fromiter(map(index.get, keys, repeat(-1)), np.intp, len(keys))
+        indptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
 
-        sizes, members_idx = np.array(sizes, dtype=np.intp), np.array(members_idx, dtype=np.intp)
+        # the first fault in reading order: per edge its weight, then its
+        # emptiness, then per member its name, then its weight
+        ok_weight = (omega > 0.0) & (omega <= _FLOAT_MAX)
+        ok_entry = (members_idx >= 0) & (gamma > 0.0) & (gamma <= _FLOAT_MAX)
+        if not (ok_weight.all() and sizes.all() and ok_entry.all()):
+            k, i = _first(~ok_weight | (sizes == 0)), _first(~ok_entry)
+            if (edge := int(np.searchsorted(indptr, i, "right")) - 1) < k:  # i's edge, else |E|
+                k, v, g = edge, keys[i], values[i]
+                if members_idx[i] < 0:
+                    raise UnknownVertex(f"edge #{k} references undeclared vertex {v!r}")
+                raise NonPositiveWeight(
+                    f"edge #{k}: weight {g!r} of vertex {v!r} must be a finite number > 0")
+            if not ok_weight[k]:
+                raise NonPositiveWeight(
+                    f"edge #{k}: edge weight {weights[k]!r} must be a finite number > 0")
+            raise EmptyEdge(f"edge #{k} has no members")
+        if error is not None:
+            raise error
+
         # each edge's members ascending: one stable argsort of edge * |V| + vertex,
         # the permutation np.lexsort((vertex, edge)) gives, as no edge holds a vertex twice
         order = np.argsort(np.repeat(np.arange(len(sizes)), sizes) * len(names) + members_idx,
                            kind="stable")
-        self._build(names, index, np.concatenate(([0], np.cumsum(sizes, dtype=np.intp))),
-                    members_idx[order], np.array(members_gamma, dtype=float)[order],
-                    np.array(weights, dtype=float))
+        self._build(names, index, indptr, members_idx[order], gamma[order], omega)
         self._check_connected()
 
     def _build(self, names: tuple, index: dict, indptr, indices, gamma, omega) -> None:
@@ -519,12 +559,17 @@ def build_hypergraph(data: Mapping) -> Hypergraph:
         raw_edges = data["edges"]
     except KeyError as exc:
         raise MalformedInput(f"hypergraph JSON is missing key {exc}") from None
-    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+    if not isinstance(vertices, list) or not all(map(isinstance, vertices, repeat(str))):
         raise MalformedInput('"vertices" must be a list of vertex names')
     if not isinstance(raw_edges, list):
         raise MalformedInput('"edges" must be a list of edge objects')
 
-    def edges():  # checked as Hypergraph reads them, so each edge is visited once
+    if set(map(type, raw_edges)) <= {dict}:  # every entry an object: no per-edge statement
+        members = list(map(dict.get, raw_edges, repeat("members"), repeat({})))
+        if set(map(type, members)) <= {dict}:  # missing or empty: EmptyEdge
+            return Hypergraph(vertices, zip(map(dict.get, raw_edges, repeat("weight")), members))
+
+    def edges():  # checked as read: a malformed entry after every fault before it
         for i, entry in enumerate(raw_edges):
             if not isinstance(entry, dict):
                 raise MalformedInput(f"edge #{i} must be an object, got {entry!r}")
@@ -626,16 +671,25 @@ def _write_json(value, newline: str, append, scalar_text=_SCALAR_TEXT.get,
         append(spell(text, text))
 
 
-def _load_json(path: str):
-    """The value of the JSON file at `path`, whatever its name, checked as by
-    `_json_value`: the one reader of every input file. Bytes that are not
-    UTF-8 are MalformedInput."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise MalformedInput(f"{path}: not UTF-8 text ({exc})") from None
+def _load_json(path: str, data: bytes | None = None):
+    """The value of the JSON file at `path`, whatever its name, or of
+    `data`, its bytes as already read, checked as by `_json_value`: the one
+    reader of every input file. Bytes that are not UTF-8 are MalformedInput;
+    line ends are read as open's text mode reads them."""
+    if data is None:
+        data = _file_bytes(path)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path}: not UTF-8 text ({exc})") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return _json_value(text, path)
+
+
+def _file_bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def loads_json(text: str) -> Hypergraph:
@@ -678,6 +732,19 @@ def _hypergraph_json(names, indptr, indices, gamma, omega) -> _JSONText:
 def _list_text(items: list) -> str:
     """A list of JSON texts in a member of a top-level object."""
     return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
+def _object_text(keys, values: np.ndarray) -> _JSONText:
+    """``json.dumps(dict(zip(keys, values.tolist())), indent=2)``, byte for
+    byte, for distinct str `keys`, rendered from the array: one escape per
+    key, and every number's text from one repr of the list, in which "nan"
+    and "inf" are json's NaN and Infinity."""
+    if not len(values):
+        return _JSONText("{}")
+    numbers = repr(values.tolist())[1:-1].replace("nan", "NaN").replace("inf", "Infinity")
+    entries = map(": ".join, zip(map(json.encoder.encode_basestring_ascii, keys),
+                                 numbers.split(", ")))
+    return _JSONText("{\n  " + ",\n  ".join(entries) + "\n}")
 
 
 def to_json_dict(H: Hypergraph) -> dict:

@@ -9,6 +9,9 @@ route the library itself does not take.
   *not* stationary under edge-dependent weights (criterion 9).
 * ``simulate`` -- a sampled trajectory, whose visit and step frequencies
   must approach pi and P.
+* ``first_edge_fault`` -- the edge checks of a hypergraph document as one
+  loop over its entries, in reading order, which ``build_hypergraph`` makes
+  in arrays: its first fault must be the one the library names.
 """
 
 from __future__ import annotations
@@ -17,8 +20,18 @@ import itertools
 
 import numpy as np
 
-from hyperwalk import Hypergraph, HyperwalkError, SizeLimit, TransitionMatrix, degrees
-from hyperwalk.core import _Record
+from hyperwalk import (
+    EmptyEdge,
+    Hypergraph,
+    HyperwalkError,
+    MalformedInput,
+    NonPositiveWeight,
+    SizeLimit,
+    TransitionMatrix,
+    UnknownVertex,
+    degrees,
+)
+from hyperwalk.core import _FLOAT_MAX, _Record, _real
 
 KOLMOGOROV_VERTEX_LIMIT = 12
 KOLMOGOROV_CYCLE_LIMIT = 6
@@ -126,3 +139,30 @@ def naive_stationary(H: Hypergraph) -> np.ndarray:
     """
     d, _ = degrees(H)
     return d / d.sum()
+
+
+def first_edge_fault(data) -> None:
+    """Raise the first fault among the edges of the hypergraph document
+    `data`, whose "vertices" are valid, checking one entry at a time: per
+    entry that it is an object whose "members", missing or empty for an
+    empty edge, is an object; then its weight, its emptiness, and per
+    member its name and then its weight. Return None if there is none."""
+    index = dict.fromkeys(data["vertices"])
+    for k, entry in enumerate(data["edges"]):
+        if not isinstance(entry, dict):
+            raise MalformedInput(f"edge #{k} must be an object, got {entry!r}")
+        members = entry.get("members", {})
+        if not isinstance(members, dict):
+            raise MalformedInput(f'edge #{k}: "members" must map vertex names to weights')
+        weight = entry.get("weight")
+        if not 0 < _real(weight) <= _FLOAT_MAX:
+            raise NonPositiveWeight(
+                f"edge #{k}: edge weight {weight!r} must be a finite number > 0")
+        if not members:
+            raise EmptyEdge(f"edge #{k} has no members")
+        for v, g in members.items():
+            if v not in index:
+                raise UnknownVertex(f"edge #{k} references undeclared vertex {v!r}")
+            if not 0 < _real(g) <= _FLOAT_MAX:
+                raise NonPositiveWeight(
+                    f"edge #{k}: weight {g!r} of vertex {v!r} must be a finite number > 0")

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -375,6 +376,43 @@ def test_manifest_digest_is_of_the_input_as_read(demo_file, capsys):
     manifest = json.loads(Path(demo_file + ".manifest.json").read_text())
     assert "pi" in json.loads(Path(demo_file).read_text())
     assert manifest["inputs"] == {demo_file: digest}
+
+
+@pytest.mark.parametrize("command, flag, data", [
+    ("stationary", "--input", dumps_json(demo_hypergraph())),
+    ("rankagg", "--matches", json.dumps(MATCHES)),
+], ids=["stationary", "rankagg"])
+def test_out_reads_an_input_that_can_be_read_once(tmp_path, capsys, command, flag, data):
+    # a named pipe gives its bytes to its first reader; a later reader gets
+    # an empty stream. With --out the input is read once, and the manifest
+    # names the digest of the bytes parsed
+    fifo = str(tmp_path / "in.json")
+    os.mkfifo(fifo)
+    stop = threading.Event()
+
+    def feed():
+        with open(fifo, "w") as fh:  # waits for the first reader
+            fh.write(data)
+        while not stop.wait(0.001):  # a later reader: opened and closed at once
+            try:
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # no reader
+                pass
+
+    feeder = threading.Thread(target=feed, daemon=True)
+    feeder.start()
+    out = str(tmp_path / "out.json")
+    code = dispatch([command, flag, fifo, "--out", out])
+    stop.set()
+    feeder.join(10)
+    assert not feeder.is_alive()
+    assert (code, capsys.readouterr().err) == (0, "")
+    (tmp_path / "in.json").unlink()
+    (tmp_path / "in.json").write_text(data)
+    assert dispatch([command, flag, fifo]) == 0
+    assert Path(out).read_text() == capsys.readouterr().out
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
+    assert manifest["inputs"] == {fifo: hashlib.sha256(data.encode()).hexdigest()}
 
 
 def test_out_into_a_missing_directory_is_named(demo_file, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Data model: validation, degrees, incidence, clique graphs, serialization."""
 
 import json
+import random
 import re
 import tracemalloc
 
@@ -12,6 +13,7 @@ from hyperwalk import (
     DuplicateVertex,
     EmptyEdge,
     Hypergraph,
+    HyperwalkError,
     MalformedInput,
     NonPositiveWeight,
     NotSymmetric,
@@ -32,6 +34,7 @@ from hyperwalk import (
 from hyperwalk import core
 from hyperwalk.core import _block_scatter, _vertex_major
 from conftest import rebuilt, sweep
+from oracles import first_edge_fault
 
 
 def test_equal_hypergraphs_hash_equal(h_demo):
@@ -151,12 +154,16 @@ def test_nonpositive_weights():
             Hypergraph(("a", "b"), [first, (1.0, {"a": 1.0, "b": bad})])
 
 
-@pytest.mark.parametrize("bad", [True, "2", np.True_, 10**400, -10**400, np.float32("inf"),
-                                 np.float16("inf"), np.longdouble("1e-400")])
+NOT_REAL = [True, "2", np.True_, 10**400, -10**400, np.float32("inf"), np.float16("inf"),
+            np.longdouble("1e-400"), int(core._FLOAT_MAX) + 1, -int(core._FLOAT_MAX) - 1]
+
+
+@pytest.mark.parametrize("bad", NOT_REAL)
 def test_weight_must_be_a_real_number(bad):
     # float() would read True as 1.0 and "2" as 2.0, and refuse 10**400; a
     # numpy float is checked as the float64 it is stored as, where float32
-    # and float16 inf stay inf and 1e-400 rounds to 0.0
+    # and float16 inf stay inf and 1e-400 rounds to 0.0; an int just past
+    # the largest float, which a float64 array rounds to it, is too large
     first = (1.0, {"a": 1.0, "b": 1.0})
     with pytest.raises(NonPositiveWeight,
                        match=rf"^edge #1: edge weight {re.escape(repr(bad))} must be"):
@@ -214,6 +221,56 @@ def test_build_hypergraph_names_the_first_fault_in_file_order():
         data["edges"][1] = edge
         with pytest.raises(EmptyEdge, match="^edge #1 "):
             build_hypergraph(data)
+
+
+def _plant(rng: random.Random, data: dict) -> None:
+    """One fault in a random edge of the document `data` that still has
+    members, if one does."""
+    intact = [k for k, entry in enumerate(data["edges"])
+              if isinstance(entry, dict) and isinstance(entry.get("members"), dict)
+              and entry["members"]]
+    if not intact:
+        return
+    k = rng.choice(intact)
+    entry = data["edges"][k]
+    kind = rng.choice(["weight", "gamma", "no members", "empty members", "undeclared",
+                       "entry", "members"])
+    if kind == "weight":
+        entry["weight"] = rng.choice(NOT_REAL)
+    elif kind == "gamma":
+        entry["members"][rng.choice(list(entry["members"]))] = rng.choice(NOT_REAL)
+    elif kind == "no members":
+        del entry["members"]
+    elif kind == "empty members":
+        entry["members"] = {}
+    elif kind == "undeclared":  # at a random place among the members
+        items = list(entry["members"].items())
+        items.insert(rng.randrange(len(items) + 1), ("z", 1.0))
+        entry["members"] = dict(items)
+    elif kind == "entry":
+        data["edges"][k] = rng.choice([["a", "b"], "edge", 1.0, None])
+    else:
+        entry["members"] = rng.choice([["a", "b"], [], 0, None, "a"])
+
+
+def test_build_hypergraph_names_the_fault_the_per_entry_loop_names():
+    # 1-3 faults planted in small documents: the array checks name the one
+    # the per-entry loop in reading order meets first, by type and text
+    rng = random.Random(48)
+    for _ in range(400):
+        data = {"vertices": ["a", "b", "c", "d"], "edges": []}
+        for _ in range(rng.randint(1, 5)):
+            members = rng.sample(data["vertices"], rng.randint(1, 3))
+            data["edges"].append({"weight": rng.choice([1.0, 2.5, 3]),
+                                  "members": {v: rng.choice([1.0, 0.5, 2]) for v in members}})
+        for _ in range(rng.randint(1, 3)):
+            _plant(rng, data)
+        with pytest.raises(HyperwalkError) as expected:
+            first_edge_fault(data)
+        with pytest.raises(HyperwalkError) as raised:
+            build_hypergraph(data)
+        assert (type(raised.value), str(raised.value)) == \
+            (type(expected.value), str(expected.value)), data
 
 
 def test_degree_overflow_is_named():

@@ -15,10 +15,14 @@ from hyperwalk import (
     demo_hypergraph,
     dumps_json,
     graph_to_json_dict,
+    stationary_rho,
+    stationary_walk,
     to_json_dict,
 )
 from hyperwalk.cli import dispatch
-from hyperwalk.core import _graph_edges, _hypergraph_json, _json_text
+from hyperwalk.core import _graph_edges, _hypergraph_json, _json_text, _object_text
+from hyperwalk.stationary import _stationary_direct_of
+from conftest import sweep
 from test_cli import MATCHES
 from test_properties import hypergraphs
 
@@ -162,6 +166,27 @@ def test_no_non_finite_weight_reaches_the_renderer(bad):
     assert G.weights.tolist() == [[big, 1e308], [1e308, 0.0]]
 
 
+def test_object_rendered_from_an_array():
+    keys, values = ['"', "\\", "\x00\n", "π漢", "", "x"], [float("nan"), float("inf"),
+                                                          -float("inf"), -0.0, 5e-324, 1e16]
+    spliced(_object_text(keys, np.array(values)), dict(zip(keys, values)))
+    spliced(_object_text((), np.empty(0)), {})
+
+
+# The stationary routes of the CLI by --method, and the inputs each payload
+# is checked on besides the demo: names json escapes, and a walk whose
+# per-edge constants leave the float range (rho None, so "rho": {}), which
+# the rho route refuses.
+STATIONARY_ROUTES = {"auto": stationary_walk, "rho": stationary_rho,
+                     "direct": _stationary_direct_of}
+AWKWARD_NAMES = ['say "hi"', "back\\slash", "\x07\x1f", "grüße π 漢字", ""]
+STATIONARY_INPUTS = sweep(48, 4) + [
+    Hypergraph(AWKWARD_NAMES, [(1.0, {"": 2.0, 'say "hi"': 1.0, "back\\slash": 0.5}),
+                               (2.0, {"": 1.0, "\x07\x1f": 3.0, "grüße π 漢字": 1.0})]),
+    Hypergraph(("a", "b", "c"), [(1e-320, {"a": 1.0, "b": 1.0}), (1e-320, {"b": 1.0, "c": 2.0})]),
+]
+
+
 @pytest.mark.parametrize("command", [
     "stationary --method auto --input {h}",
     "stationary --method rho --input {h}",
@@ -183,6 +208,17 @@ def test_cli_outputs_and_manifests_are_json_indent_2(tmp_path, command):
     for path in (out, tmp_path / "out.json.manifest.json"):
         text = path.read_text()
         assert text == reference(json.loads(text))
+    if command.startswith("stationary"):
+        # the payload, rendered from the result's arrays, is json.dumps of its
+        # as_dict(); the rho route refuses the last input
+        route = STATIONARY_ROUTES[command.split()[2]]
+        inputs = STATIONARY_INPUTS[:-1] if route is stationary_rho else STATIONARY_INPUTS
+        for H in [demo_hypergraph()] + inputs:
+            h.write_text(dumps_json(H))
+            assert dispatch(command.format(h=h, m=m).split() + ["--out", str(out)]) == 0
+            result = route(H)
+            assert out.read_text() == reference(result.as_dict())
+        assert (result.rho is None) == (route is not stationary_rho)  # the last: "rho": {}
 
 
 def test_demo_json_is_json_indent_2(capsys):
