@@ -32,8 +32,8 @@ from .core import (
     _hypergraph_json,
     _json_text,
     _load_json,
-    build_hypergraph,
     demo_hypergraph,
+    read_hypergraph,
 )
 from .errors import ConvergenceFailure, HyperwalkError
 from .rankagg import DEFAULT_BETA, _rankings, experiment, matches_from_json_dict
@@ -102,15 +102,15 @@ def _matrix_csv(vertices, matrix) -> str:
 
 # -- subcommand handlers ---------------------------------------------------------
 
-def _input_json(args, path: str):
-    """The value of the JSON input file at `path`: parsed from the bytes
-    ``dispatch`` read and hashed before the work (with --out), which are
-    then let go, else read now."""
-    return _load_json(path, args.read.pop(path, None))
+def _pre_read(args, path: str) -> bytes | None:
+    """The bytes of the input file at `path` that ``dispatch`` read and
+    hashed before the work (with --out), let go once taken; else None, and
+    the file is read now."""
+    return args.read.pop(path, None)
 
 
 def _hypergraph(args):
-    return build_hypergraph(_input_json(args, args.input))
+    return read_hypergraph(args.input, _pre_read(args, args.input))
 
 
 def _cmd_validate(args) -> str:
@@ -201,7 +201,7 @@ def _cmd_rankagg(args) -> dict | str:
     if args.matches:
         if given:
             raise ValueError(f"--{given[0]} applies only to the experiment, not to --matches")
-        data = matches_from_json_dict(_input_json(args, args.matches))
+        data = matches_from_json_dict(_load_json(args.matches, _pre_read(args, args.matches)))
         rankings = _rankings(data, args.beta)
         return {"rankings": [{"method": r.method, "order": list(r.order)} for r in rankings]}
     for name in _EXPERIMENT_FLAGS.keys() - given:  # the manifest records the seed used

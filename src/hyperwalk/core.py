@@ -251,8 +251,7 @@ class Hypergraph(_Indexed):
             error = unpacked or error  # a pair that does not unpack fails at its place
         weights, members = list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs))
         keys = list(chain.from_iterable(members))
-        values_of = dict.values if set(map(type, members)) <= {dict} else methodcaller("values")
-        values = list(chain.from_iterable(map(values_of, members)))
+        values = list(chain.from_iterable(map(methodcaller("values"), members)))
         sizes = np.fromiter(map(len, members), np.intp, len(members))
         omega, gamma = _reals(weights), _reals(values)
         members_idx = np.fromiter(map(index.get, keys, repeat(-1)), np.intp, len(keys))
@@ -564,11 +563,6 @@ def build_hypergraph(data: Mapping) -> Hypergraph:
     if not isinstance(raw_edges, list):
         raise MalformedInput('"edges" must be a list of edge objects')
 
-    if set(map(type, raw_edges)) <= {dict}:  # every entry an object: no per-edge statement
-        members = list(map(dict.get, raw_edges, repeat("members"), repeat({})))
-        if set(map(type, members)) <= {dict}:  # missing or empty: EmptyEdge
-            return Hypergraph(vertices, zip(map(dict.get, raw_edges, repeat("weight")), members))
-
     def edges():  # checked as read: a malformed entry after every fault before it
         for i, entry in enumerate(raw_edges):
             if not isinstance(entry, dict):
@@ -759,9 +753,12 @@ def dumps_json(H: Hypergraph) -> str:
     return _json_text(_hypergraph_json(H.vertices, *H._arrays()))
 
 
-def read_hypergraph(path: str) -> Hypergraph:
-    """Load a hypergraph from the JSON file at `path`, whatever its name."""
-    return build_hypergraph(_load_json(path))
+def read_hypergraph(path: str, data: bytes | None = None) -> Hypergraph:
+    """Load a hypergraph from the JSON file at `path`, whatever its name, or
+    from `data`, its bytes as already read."""
+    value = _load_json(path, data)
+    del data  # let the bytes go before the build: a lower peak RSS
+    return build_hypergraph(value)
 
 
 def _graph_edges(G: WeightedGraph) -> tuple:

@@ -415,6 +415,36 @@ def test_out_reads_an_input_that_can_be_read_once(tmp_path, capsys, command, fla
     assert manifest["inputs"] == {fifo: hashlib.sha256(data.encode()).hexdigest()}
 
 
+@pytest.mark.parametrize("command, out", [
+    (["validate"], False), *((c, out) for c in (["transition"], ["stationary"], ["spectral"],
+                                                 ["reduce", "--mode", "sandwich"])
+                             for out in (False, True)),
+], ids=lambda v: v[0] if isinstance(v, list) else ("stdout", "out")[v])
+def test_a_command_decodes_its_hypergraph_inside_read_hypergraph(
+        demo_file, tmp_path, monkeypatch, command, out):
+    # the input's one JSON decode runs inside the public read_hypergraph
+    # call, whether the bytes were read before the work (--out) or not
+    real_read, real_load = hyperwalk.cli.read_hypergraph, hyperwalk.core._load_json
+    depth, loads = [0], []
+
+    def read(*args):
+        depth[0] += 1
+        try:
+            return real_read(*args)
+        finally:
+            depth[0] -= 1
+
+    def load(*args):
+        loads.append(depth[0])
+        return real_load(*args)
+
+    monkeypatch.setattr("hyperwalk.cli.read_hypergraph", read)
+    monkeypatch.setattr("hyperwalk.core._load_json", load)
+    argv = [command[0], "--input", demo_file, *command[1:]]
+    assert dispatch(argv + ["--out", str(tmp_path / "o.json")] * out) == 0
+    assert loads == [1]
+
+
 def test_out_into_a_missing_directory_is_named(demo_file, tmp_path, capsys):
     out = tmp_path / "missing" / "pi.json"
     assert dispatch(["stationary", "--input", demo_file, "--out", str(out)]) == 1
