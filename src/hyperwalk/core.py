@@ -75,16 +75,6 @@ def _first(flags: np.ndarray) -> int:
     return int(np.argmax(flags)) if flags.any() else len(flags)
 
 
-def _read(items) -> tuple[list, Exception | None]:
-    """What the iterable `items` yields until it ends or raises, and what it raised."""
-    read = []
-    try:
-        read.extend(items)
-    except Exception as exc:
-        return read, exc
-    return read, None
-
-
 def _component_labels(indptr, indices, n: int) -> np.ndarray:
     """Per vertex, the smallest vertex of its component, where the edges
     (non-empty, members ``indices[indptr[k]:indptr[k+1]]``) join vertices.
@@ -115,10 +105,14 @@ def _vertex_index(vertices) -> tuple[tuple[str, ...], dict[str, int]]:
     names = tuple(str(v) for v in vertices)
     index = dict(zip(names, range(len(names))))
     if len(index) < len(names):
-        seen: set[str] = set()
-        v = next(v for v in names if v in seen or seen.add(v))
-        raise DuplicateVertex(f"vertex {v!r} declared more than once")
+        raise DuplicateVertex(f"vertex {_first_repeat(names)!r} declared more than once")
     return names, index
+
+
+def _first_repeat(keys):
+    """The first of `keys` equal to one before it, the caller knowing that one is."""
+    seen = set()
+    return next(k for k in keys if k in seen or seen.add(k))
 
 
 def _frozen(value):
@@ -227,9 +221,9 @@ class Hypergraph(_Indexed):
     > 0, and the clique graph is connected (a vertex in no edge counts as
     disconnected). Edges are read once, in order, and every weight and
     member is checked in arrays; the fault named is the first in reading
-    order (per edge its weight, then its emptiness, then per member its
-    name, then its weight), and an error the edges iterable raises comes
-    after every fault in the edges it yielded before it.
+    order (per edge that it is a 2-tuple whose members are a mapping, else
+    MalformedInput, then its weight, its emptiness, and per member its name,
+    then its weight). An error the edges iterable raises is raised as it is.
 
     The degrees, the walk, the rho solve, the Laplacian and the Cheeger
     enumeration are each computed once per hypergraph and kept, read-only,
@@ -245,11 +239,13 @@ class Hypergraph(_Indexed):
         if not names:
             raise DisconnectedHypergraph("hypergraph has no vertices")
 
-        pairs, error = _read(edges)
-        if not (set(map(type, pairs)) <= {tuple} and set(map(len, pairs)) <= {2}):
-            pairs, unpacked = _read((weight, members) for weight, members in pairs)
-            error = unpacked or error  # a pair that does not unpack fails at its place
-        weights, members = list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs))
+        pairs = list(edges)
+        m = len(pairs)  # the first pair that is not a 2-tuple with a mapping, else |E|
+        if not (set(map(type, pairs)) <= {tuple} and set(map(len, pairs)) <= {2}
+                and set(map(type, map(itemgetter(1), pairs))) <= {dict}):
+            m = next((k for k, pair in enumerate(pairs) if not (isinstance(pair, tuple)
+                      and len(pair) == 2 and isinstance(pair[1], Mapping))), m)
+        weights, members = (list(map(itemgetter(j), pairs[:m])) for j in (0, 1))
         keys = list(chain.from_iterable(members))
         values = list(chain.from_iterable(map(methodcaller("values"), members)))
         sizes = np.fromiter(map(len, members), np.intp, len(members))
@@ -257,8 +253,8 @@ class Hypergraph(_Indexed):
         members_idx = np.fromiter(map(index.get, keys, repeat(-1)), np.intp, len(keys))
         indptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
 
-        # the first fault in reading order: per edge its weight, then its
-        # emptiness, then per member its name, then its weight
+        # the first fault in reading order before pair m: per edge its weight,
+        # then its emptiness, then per member its name, then its weight
         ok_weight = (omega > 0.0) & (omega <= _FLOAT_MAX)
         ok_entry = (members_idx >= 0) & (gamma > 0.0) & (gamma <= _FLOAT_MAX)
         if not (ok_weight.all() and sizes.all() and ok_entry.all()):
@@ -273,8 +269,10 @@ class Hypergraph(_Indexed):
                 raise NonPositiveWeight(
                     f"edge #{k}: edge weight {weights[k]!r} must be a finite number > 0")
             raise EmptyEdge(f"edge #{k} has no members")
-        if error is not None:
-            raise error
+        if m < len(pairs):  # a malformed pair, named after every fault before it
+            if isinstance(pairs[m], tuple) and len(pairs[m]) == 2:
+                raise MalformedInput(f'edge #{m}: "members" must map vertex names to weights')
+            raise MalformedInput(f"edge #{m} must be an object, got {pairs[m]!r}")
 
         # each edge's members ascending: one stable argsort of edge * |V| + vertex,
         # the permutation np.lexsort((vertex, edge)) gives, as no edge holds a vertex twice
@@ -562,28 +560,18 @@ def build_hypergraph(data: Mapping) -> Hypergraph:
         raise MalformedInput('"vertices" must be a list of vertex names')
     if not isinstance(raw_edges, list):
         raise MalformedInput('"edges" must be a list of edge objects')
-
-    def edges():  # checked as read: a malformed entry after every fault before it
-        for i, entry in enumerate(raw_edges):
-            if not isinstance(entry, dict):
-                raise MalformedInput(f"edge #{i} must be an object, got {entry!r}")
-            members = entry.get("members", {})  # missing or empty: EmptyEdge
-            if not isinstance(members, dict):
-                raise MalformedInput(f'edge #{i}: "members" must map vertex names to weights')
-            yield entry.get("weight"), members
-
-    return Hypergraph(vertices, edges())
+    # an object entry as its (weight, members) pair, a missing "members" an
+    # empty edge, and any other entry as it is: Hypergraph judges every edge
+    return Hypergraph(vertices, [(entry.get("weight"), entry.get("members", {}))
+                                 if isinstance(entry, dict) else entry for entry in raw_edges])
 
 
 def _unique_keys(pairs: list) -> dict:
     """The JSON object of `pairs`; DuplicateVertex if a key repeats."""
     obj = dict(pairs)
-    if len(obj) < len(pairs):  # some key repeats: name the first
-        seen = set()
-        for k, _ in pairs:
-            if k in seen:
-                raise DuplicateVertex(f"duplicate key {k!r} in JSON object")
-            seen.add(k)
+    if len(obj) < len(pairs):
+        raise DuplicateVertex(
+            f"duplicate key {_first_repeat(map(itemgetter(0), pairs))!r} in JSON object")
     return obj
 
 

@@ -10,8 +10,9 @@ route the library itself does not take.
 * ``simulate`` -- a sampled trajectory, whose visit and step frequencies
   must approach pi and P.
 * ``first_edge_fault`` -- the edge checks of a hypergraph document as one
-  loop over its entries, in reading order, which ``build_hypergraph`` makes
-  in arrays: its first fault must be the one the library names.
+  loop over its entries, in reading order, which ``Hypergraph`` makes in
+  arrays on the pairs ``build_hypergraph`` hands it: its first fault must be
+  the one the library names.
 """
 
 from __future__ import annotations
@@ -142,11 +143,12 @@ def naive_stationary(H: Hypergraph) -> np.ndarray:
 
 
 def first_edge_fault(data) -> None:
-    """Raise the first fault among the edges of the hypergraph document
-    `data`, whose "vertices" are valid, checking one entry at a time: per
-    entry that it is an object whose "members", missing or empty for an
-    empty edge, is an object; then its weight, its emptiness, and per
-    member its name and then its weight. Return None if there is none."""
+    """Raise the fault ``Hypergraph`` names first among the edges of the
+    hypergraph document `data`, whose "vertices" are valid, checking one
+    entry at a time: per entry that it is an object whose "members",
+    missing or empty for an empty edge, is an object; then its weight, its
+    emptiness, and per member its name and then its weight. Return None if
+    there is none."""
     index = dict.fromkeys(data["vertices"])
     for k, entry in enumerate(data["edges"]):
         if not isinstance(entry, dict):

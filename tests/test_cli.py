@@ -616,6 +616,26 @@ def test_any_file_name_is_read_as_json(demo_file, tmp_path, capsys):
         assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_line_ends_are_read_as_text_mode_reads_them(demo_file, tmp_path, capsys, newline):
+    # validate takes no --out; stationary with --out parses the bytes it read first
+    path = tmp_path / "h.json"
+    path.write_bytes(Path(demo_file).read_bytes().replace(b"\n", newline.encode()))
+    assert hyperwalk.read_hypergraph(str(path)) == demo_hypergraph()
+    assert dispatch(["validate", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == f"{path}: ok\n"
+    # a syntax error on line 3: its line, column and char are those of the text
+    path.write_bytes(newline.join(['{', '  "vertices": ["a"],', '  "edges": [}', '}']).encode())
+    with pytest.raises(json.JSONDecodeError) as info:
+        json.loads(path.read_text(encoding="utf-8"))
+    assert info.value.lineno == 3
+    expected = f"error: MalformedInput: {path}: invalid JSON: {info.value}\n"
+    for argv in (["validate", "--input", str(path)],
+                 ["stationary", "--input", str(path), "--out", str(tmp_path / "o.json")]):
+        assert dispatch(argv) == 1
+        assert capsys.readouterr() == ("", expected)
+
+
 @pytest.mark.parametrize("text", [
     "# vertices: a b c\n1.0 a:1.0 b:2.0\n1.0 b:1.0 c:1.0\n",
     "1 a:1_0 b:\u0661\n",            # an underscore and an Arabic-Indic digit

@@ -223,6 +223,46 @@ def test_build_hypergraph_names_the_first_fault_in_file_order():
             build_hypergraph(data)
 
 
+MEMBERS_TEXT = 'edge #1: "members" must map vertex names to weights'
+
+
+@pytest.mark.parametrize("pair, message", [
+    ((1.0, ["a", "b"]), MEMBERS_TEXT),
+    ((1.0, None), MEMBERS_TEXT),
+    ((1.0, "ab"), MEMBERS_TEXT),
+    ((1.0,), "edge #1 must be an object, got (1.0,)"),
+    ([1.0, {"a": 1.0}], "edge #1 must be an object, got [1.0, {'a': 1.0}]"),
+], ids=["members-list", "members-none", "members-str", "one-tuple", "list-pair"])
+def test_hypergraph_names_a_malformed_pair_in_edge_order(pair, message):
+    # a pair from Python is named as a JSON entry is: after a fault in an
+    # earlier edge, and before one in a later edge or a disconnected vertex
+    good = (1.0, {"a": 1.0, "b": 1.0})
+    for edges in ([good, pair], [good, pair, (True, {"z": 1.0})]):
+        with pytest.raises(MalformedInput) as info:
+            Hypergraph(("a", "b", "c"), edges)
+        assert str(info.value) == message
+    with pytest.raises(NonPositiveWeight, match=r"^edge #0: edge weight -1\.0 must be"):
+        Hypergraph(("a", "b"), [(-1.0, {"a": 1.0}), pair])
+
+
+def test_an_edges_iterable_that_raises_propagates_its_error():
+    def edges():
+        yield -1.0, {"a": 1.0}  # a fault read before the error does not hold it back
+        raise LookupError("no more edges")
+
+    with pytest.raises(LookupError, match="^no more edges$"):
+        Hypergraph(("a",), edges())
+
+
+def test_build_hypergraph_takes_a_tuple_entry_as_its_pair():
+    # JSON has no tuple; from Python, a (weight, members) entry is the pair it spells
+    data = {"vertices": ["a", "b"], "edges": [(1.0, {"a": 2.0, "b": 1.0})]}
+    assert build_hypergraph(data) == Hypergraph(("a", "b"), data["edges"])
+    data["edges"].append((1.0, ["a"]))
+    with pytest.raises(MalformedInput, match=f"^{re.escape(MEMBERS_TEXT)}$"):
+        build_hypergraph(data)
+
+
 def _plant(rng: random.Random, data: dict) -> None:
     """One fault in a random edge of the document `data` that still has
     members, if one does."""
