@@ -118,8 +118,8 @@ def _first_repeat(keys):
 def _frozen(value):
     """`value`, made read-only if it is an array; anything else as it is.
     The one place an array is made read-only: as `_Frozen` sets an
-    attribute (so a record's or a matrix's arrays as it is built), and in
-    each array the memo stores."""
+    attribute (so a record's or a matrix's arrays as it is built), in each
+    array the memo stores, and in the Cheeger enumeration's subset tables."""
     if isinstance(value, np.ndarray):
         value.setflags(write=False)
     return value
@@ -688,27 +688,35 @@ def _json_dict(names, indptr, indices, gamma, omega) -> dict:
     return {"vertices": list(names), "edges": edges}
 
 
-# One edge of the hypergraph JSON form as json.dumps(indent=2) writes it in
-# the "edges" list: its weight's text and its "name: gamma" lines, joined.
-# Names are only ever arguments of it, so a "%" in one is written as it is.
-_EDGE_TEXT = '{\n      "weight": %s,\n      "members": {\n        %s\n      }\n    }'
-
-
 def _hypergraph_json(names, indptr, indices, gamma, omega) -> _JSONText:
     """``json.dumps(_json_dict(...), indent=2)``, byte for byte, rendered
-    from the arrays: one escape per name, one repr per float, one
-    ``"name: gamma"`` string per entry, and each edge's text by one map over
-    slices of them. repr is json's text of a finite float, and Hypergraph
-    and WeightedGraph hold no other. Every edge has members."""
+    from the arrays by one ``%``: its format is the edges list with each
+    edge's text for its size, in edge order, and its arguments are each
+    edge's weight text, then each member's escaped name and gamma text,
+    gathered from one table by index. Each name is escaped once, each weight
+    written by one repr, and each gamma by one repr per run of equal
+    consecutive values (equal bits), so a graph's gammas, all 1.0, cost one.
+    Names are only ever arguments, so a "%" in one is written as it is. repr
+    is json's text of a finite float, and Hypergraph and WeightedGraph hold
+    no other. Every edge has members."""
     quoted = list(map(json.encoder.encode_basestring_ascii, names))
-    keys = [q + ": " for q in quoted]
-    entries = list(map(str.__add__, map(keys.__getitem__, indices.tolist()),
-                       map(float.__repr__, gamma.tolist())))
-    ptr = indptr.tolist()
-    members = map(",\n        ".join, map(entries.__getitem__, map(slice, ptr, ptr[1:])))
-    edges = list(map(_EDGE_TEXT.__mod__, zip(map(float.__repr__, omega.tolist()), members)))
-    return _JSONText('{\n  "vertices": ' + _list_text(quoted)
-                     + ',\n  "edges": ' + _list_text(edges) + "\n}")
+    m, bits = len(omega), gamma.view(np.uint64)
+    run = np.ones(len(bits), dtype=bool)  # where a run of equal gammas starts
+    np.not_equal(bits[1:], bits[:-1], out=run[1:])
+    texts = np.array(list(map(float.__repr__, omega.tolist())) + quoted
+                     + list(map(float.__repr__, gamma[run].tolist())), dtype=object)
+    args = np.empty(m + 2 * len(indices), dtype=np.intp)  # per argument, its row of texts
+    head = indptr[:-1] * 2 + np.arange(m)  # each edge's weight, before its members
+    args[head] = np.arange(m)
+    member = np.ones(len(args), dtype=bool)
+    member[head] = False
+    args[member] = np.column_stack(
+        (indices + m, np.cumsum(run) + (m + len(names) - 1))).ravel()
+    sizes = np.diff(indptr).tolist()
+    formats = {k: '{\n      "weight": %s,\n      "members": {\n        '
+                  + ",\n        ".join(["%s: %s"] * k) + "\n      }\n    }" for k in set(sizes)}
+    edges = _list_text(list(map(formats.__getitem__, sizes))) % tuple(texts[args].tolist())
+    return _JSONText('{\n  "vertices": ' + _list_text(quoted) + ',\n  "edges": ' + edges + "\n}")
 
 
 def _list_text(items: list) -> str:

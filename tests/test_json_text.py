@@ -15,6 +15,8 @@ from hyperwalk import (
     demo_hypergraph,
     dumps_json,
     graph_to_json_dict,
+    loads_json,
+    sandwich_check,
     stationary_rho,
     stationary_walk,
     to_json_dict,
@@ -149,6 +151,64 @@ def test_hypergraph_rendered_from_arrays(H):
 @given(weighted_graphs())
 def test_graph_rendered_from_its_pairs(G):
     spliced(_hypergraph_json(G.vertices, *_graph_edges(G)), graph_to_json_dict(G))
+
+
+def edvw_64():
+    """A seeded 64-vertex, 128-edge hypergraph with edge-dependent weights:
+    edges of 2 to 5 random members, the first 64 joined in a ring by the
+    pairs (i, i + 1)."""
+    rng = np.random.default_rng(64)
+    names = [f"v{i:02d}" for i in range(64)]
+    members = [set(rng.choice(64, size=int(rng.integers(2, 6)), replace=False).tolist())
+               for _ in range(128)]
+    for i in range(64):
+        members[i] |= {i, (i + 1) % 64}
+    return Hypergraph(names, [(float(rng.uniform(0.5, 2.0)),
+                               {names[j]: float(rng.uniform(0.25, 4.0)) for j in edge})
+                              for edge in members])
+
+
+def test_sandwich_graph_rendered_at_block_scale():
+    # hundreds of pairs beside the loops, every gamma 1.0 (one run of equal gammas)
+    G = sandwich_check(edvw_64()).graph
+    indptr, indices, gamma, omega = _graph_edges(G)
+    sizes = np.diff(indptr)
+    assert (sizes == 1).sum() > 0 and (sizes == 2).sum() > 500 and set(gamma) == {1.0}
+    rendered = _hypergraph_json(G.vertices, indptr, indices, gamma, omega)
+    spliced(rendered, graph_to_json_dict(G))
+    # the graph read back as a hypergraph renders the same text
+    assert dumps_json(loads_json(_json_text(rendered))) == reference(graph_to_json_dict(G))
+
+
+def mixed_sizes(names):
+    """Edges of sizes 1, 2, 3 and 5 in turn, each sharing a vertex with the
+    last, around 320 vertices, and one 300-member edge among them; the
+    gammas, in reading order, run equal, break and resume, across edges too,
+    and the weights repeat."""
+    n, at, edges = len(names), 0, []
+    gammas = iter([1.0, 1.0, 0.5, 0.5, 0.5, 1.0, 2.0, 1 / 3, 1 / 3, 1.0] * 150)
+    weights = [1.0, 0.25, 1.0, 3.0, 0.1]
+    while at < n:
+        for size in (1, 2, 3, 5):
+            edge = sorted({(at + j) % n for j in range(size)})
+            edges.append((weights[len(edges) % 5], {names[v]: next(gammas) for v in edge}))
+            at += size - 1
+        if len(edges) == 92:
+            edges.append((1.0, {names[v]: next(gammas) for v in range(7, 307)}))
+    return Hypergraph(names, edges)
+
+
+@pytest.mark.parametrize("names", [
+    [f"v{i:03d}" for i in range(320)],
+    AWKWARD + [AWKWARD[i % len(AWKWARD)] + str(i) for i in range(len(AWKWARD), 320)],
+], ids=["plain", "awkward"])
+def test_hypergraph_of_mixed_sizes_rendered(names):
+    H = mixed_sizes(names)
+    sizes = np.diff(H.indptr).tolist()
+    assert set(sizes) == {1, 2, 3, 5, 300} and sizes[:8] == [1, 2, 3, 5] * 2
+    spliced(_hypergraph_json(H.vertices, H.indptr, H.indices, H.gamma, H.omega),
+            to_json_dict(H))
+    assert dumps_json(H) == reference(to_json_dict(H))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

@@ -75,6 +75,25 @@ def test_importing_the_cli_generates_no_code():
     assert (run.returncode, run.stdout.split(), run.stderr) == (0, ["False", "False"], "")
 
 
+def test_the_commands_import_no_masked_arrays(tmp_path):
+    # np.unique imports numpy.ma (numpy 2.4), which adds to a command's peak
+    # RSS; no command on the demo reaches it
+    demo = tmp_path / "demo.json"
+    demo.write_text(hyperwalk.dumps_json(hyperwalk.demo_hypergraph()))
+    commands = [["reduce", "--mode", "sandwich"], ["stationary", "--method", "auto"],
+                ["stationary", "--method", "direct"], ["spectral", "--check-cheeger"]]
+    argvs = [command + ["--input", str(demo), "--out", str(tmp_path / f"c{i}.json")]
+             for i, command in enumerate(commands)]
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperwalk.__file__).parents[1]))
+    script = ("import sys; from hyperwalk.cli import dispatch; "
+              f"codes = [dispatch(argv) for argv in {argvs!r}]; "
+              "print(codes, 'numpy.ma' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert (run.returncode, run.stdout.split("\n")[-2:], run.stderr) == \
+        (0, ["[0, 0, 0, 0] False", ""], "")
+
+
 def test_only_core_freezes_and_nothing_is_formed_lazily():
     # an array is made read-only only in core._frozen, an attribute set only
     # in core._Frozen's setter, and no object forms one lazily; a line's
