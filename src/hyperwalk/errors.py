@@ -88,7 +88,8 @@ class BoundOverflow(HyperwalkError):
 
 class MassUnderflow(HyperwalkError):
     """A stationary probability is too small for a float (it is 0.0), so a
-    quantity that divides by it cannot be formed."""
+    quantity that divides by it cannot be formed; or too small beside
+    another for the dense solve to form both, in either state order."""
 
 
 # -- rank aggregation ---------------------------------------------------------

@@ -42,7 +42,7 @@ from .errors import (ConvergenceFailure, DisconnectedHypergraph, DuplicateVertex
                      ElementMismatch, HyperwalkError, MalformedInput, NonPositiveWeight,
                      ScoreOverflow)
 from .reduction import _clique_scale, _row_normalized
-from .stationary import _fixed_point, _nonnegative
+from .stationary import RESIDUAL_TOL, _fixed_point
 from .walk import _check_beta, _check_size, _check_stochastic, _lazy_factors, _restart
 
 __all__ = [
@@ -400,11 +400,12 @@ def _stationary(data: MatchData, beta: float, methods=_METHODS) -> np.ndarray:
     adds the terms of the lazy walk (``walk._lazy_factors(H)``) and of the
     clique expansion of ``delta_normalized(H)`` (gamma / delta, formed
     here), one in match order adds MC3's, each term in the order its own
-    construction adds it, so each row has the bits of
-    ``stationary_direct(restart_matrix(chain, beta)).pi``. The row sums,
-    restart mix, checks, solve and nonnegativity each run once on the
-    stack. Its input is checked: n fits a dense chain and beta is a float
-    in (0, 1). Each chain's faults are raised in stack order."""
+    construction adds it. One batched LU (``stationary._fixed_point``)
+    solves the stack, so each row has the bits of the LU solve of
+    ``restart_matrix(chain, beta)`` alone. The row sums, restart mix,
+    checks, solve and nonnegativity each run once on the stack. Its input
+    is checked: n fits a dense chain and beta is a float in (0, 1). Each
+    chain's faults are raised in stack order."""
     H = data.hypergraph
     n = H.n_vertices
     stack = np.zeros((len(methods), n * n))
@@ -433,6 +434,20 @@ def _stationary(data: MatchData, beta: float, methods=_METHODS) -> np.ndarray:
     _restart(stack, beta, out=stack)
     _check_stochastic(stack)
     return _nonnegative(_fixed_point(stack.transpose(0, 2, 1)), H.vertices)
+
+
+def _nonnegative(pi: np.ndarray, vertices: tuple) -> np.ndarray:
+    """pi, a stack of solved distributions over `vertices` as rows, cleared
+    of rounding's negatives in place. LU can leave an entry of a (near-)zero
+    mass just below 0: one within RESIDUAL_TOL of it becomes +0.0, and the
+    first one further below raises ConvergenceFailure naming its vertex."""
+    low = np.flatnonzero(pi < -RESIDUAL_TOL)
+    if len(low):
+        raise ConvergenceFailure(
+            f"stationary probability {pi.flat[low[0]]:.3e} of vertex "
+            f"{vertices[low[0] % len(vertices)]!r} is below -{RESIDUAL_TOL:.0e}")
+    pi[pi <= 0.0] = 0.0  # -0.0 as well
+    return pi
 
 
 def _mc3_add(out: np.ndarray, data: MatchData) -> None:

@@ -13,21 +13,20 @@ Four routes are provided and cross-checked against each other:
   of omega(f) * g_f(v) / d(v), solve for its positive fixed point
   A rho = rho, rescale so sum_e rho_e * omega(e) = 1, and assemble
   pi_v = sum over incident e of rho_e * omega(e) * g_e(v).
-* ``stationary_direct`` -- solve pi P = pi, sum pi = 1 as a dense linear
-  system (the oracle for the other two). P may be shared, so it solves in
-  a copy of P; the CLI's direct route (``_stationary_direct_of``) builds
-  and checks P's array itself and solves in that buffer, so one command
-  holds two n x n matrices at its peak: P and LAPACK's working copy.
+* ``stationary_direct`` -- GTH state reduction (``_gth``), the oracle for
+  the other two: subtraction-free, so every probability comes out with a
+  small relative error, however small it is. P may be shared, so it
+  solves in a copy of P; the CLI's direct route (``_stationary_direct_of``)
+  builds and checks P's array itself and solves in that buffer, so one
+  command holds one n x n matrix at its peak.
 * ``stationary_edge_independent`` -- the closed form
   pi_v = d(v) gamma(v) / sum_u d(u) gamma(u) available when vertex weights
   do not depend on the edge.
 
 Each route given H ends in ``_finish``: max|pi P - pi| by ``_walk_product``,
-not on P, and rho only where every constant is a finite float. The rho and
-direct routes are dense and share one fixed-point solve: the system
-(M - I) x = 0 with its last equation replaced by sum(x) = 1, on M = A and
-on M = P^T, set up in M's own buffer, which it leaves overwritten. The
-rank-aggregation step solves a stack of restart chains by the same solve.
+not on P, and rho only where every constant is a finite float. The rho
+route solves the fixed point A rho = rho by LU (``_fixed_point``), as the
+rank-aggregation step solves its stack of restart chains.
 """
 
 from __future__ import annotations
@@ -46,7 +45,8 @@ from .core import (
     edge_independent_gamma,
     has_trivial_weights,
 )
-from .errors import ConvergenceFailure, NonPositiveWeight, NotEdgeIndependent, SingularSystem
+from .errors import (ConvergenceFailure, MassUnderflow, NonPositiveWeight, NotEdgeIndependent,
+                     SingularSystem)
 from .walk import TransitionMatrix, _check_size, _check_stochastic, _lazy_factors, _lazy_walk
 
 __all__ = [
@@ -65,6 +65,11 @@ RESIDUAL_TOL = 1e-9
 # up after WALK_MAX_ITER steps. See stationary_walk.
 WALK_RTOL = 1e-13
 WALK_MAX_ITER = 2000
+
+# The dense solve (``_gth``) eliminates states in blocks of GTH_BLOCK, and
+# inverts each block by halves down to GTH_BASE states.
+GTH_BLOCK = 256
+GTH_BASE = 16
 
 
 class StationaryResult(_Record):
@@ -157,10 +162,9 @@ def _fixed_point(M: np.ndarray) -> np.ndarray:
     LAPACK's dgesv on each matrix as a solve of that matrix alone does, so
     each x has the same bits.
 
-    The system is set up in M itself, which LAPACK then copies, so no other
-    n x n buffer is needed. M is left holding the system: each caller's M
-    is a buffer it never reads again (the rho route's A, the direct route's
-    fresh P, ``stationary_direct``'s copy, the ranking step's stack).
+    The system is set up in M itself, which LAPACK then copies. M is left
+    holding the system: each caller's M is a buffer it never reads again
+    (the rho route's A, the ranking step's stack).
     """
     i = np.arange(M.shape[-1])
     b = np.zeros(M.shape[:-1] + (1,))
@@ -209,40 +213,131 @@ def _solve_rho(H: Hypergraph) -> StationaryResult:
 
 
 def stationary_direct(P: TransitionMatrix) -> StationaryResult:
-    """Solve pi P = pi with sum pi = 1 by dense elimination (partial
-    pivoting). The oracle the rho route is checked against.
+    """Solve pi P = pi with sum pi = 1 by GTH state reduction (``_dense_pi``).
+    The oracle the other routes are checked against.
 
-    P is read-only and may be shared, so the system is set up in one copy
-    of P. P^T as a view of a C-ordered matrix is in Fortran order, the
-    layout LAPACK takes."""
-    pi = _nonnegative(_fixed_point(P.matrix.copy().T), P.vertices)
+    P is read-only and may be shared, so each solve works in a copy of P, in
+    which an entry the row check lets lie just below 0 reads as 0.0."""
+    pi = _dense_pi(lambda: np.maximum(P.matrix, 0.0))
     return StationaryResult(vertices=P.vertices, pi=pi, rho=None, method="direct-solve",
                             residual=_residual(pi, P))
-
-
-def _nonnegative(pi: np.ndarray, vertices: tuple) -> np.ndarray:
-    """pi, one solved distribution over `vertices` or a stack of them as
-    rows, cleared of rounding's negatives in place. Rounding can leave an
-    entry of a (near-)zero mass just below 0: one within RESIDUAL_TOL of it
-    becomes +0.0, and the first one further below raises ConvergenceFailure
-    naming its vertex."""
-    low = np.flatnonzero(pi < -RESIDUAL_TOL)
-    if len(low):
-        raise ConvergenceFailure(
-            f"stationary probability {pi.flat[low[0]]:.3e} of vertex "
-            f"{vertices[low[0] % len(vertices)]!r} is below -{RESIDUAL_TOL:.0e}")
-    pi[pi <= 0.0] = 0.0  # -0.0 as well
-    return pi
 
 
 def _stationary_direct_of(H: Hypergraph) -> StationaryResult:
     """``stationary_direct(transition_matrix(H)).pi`` bit for bit, without
     the copy: P's array is built, checked and solved in its own buffer, so
-    one n x n matrix fewer is held at the peak. Nothing is stored on H."""
+    one n x n matrix is held at the peak. Nothing is stored on H."""
     _check_size(H.n_vertices)
-    M = _lazy_walk(H)
-    _check_stochastic(M)
-    return _finish(H, _nonnegative(_fixed_point(M.T), H.vertices), "direct-solve")
+
+    def fresh():
+        M = _lazy_walk(H)
+        _check_stochastic(M)
+        return M
+
+    return _finish(H, _dense_pi(fresh), "direct-solve")
+
+
+def _dense_pi(fresh) -> np.ndarray:
+    """pi of the row-stochastic matrix that each call of `fresh` builds anew,
+    by ``_gth`` in the states' own order. Where that order meets a pivot of
+    0.0 or leaves the float range, the solve runs once more on a fresh
+    build in reversed order: which states are eliminated last decides what
+    over- or underflows. Where that fails too, a pivot of 0.0 is
+    SingularSystem and the float range MassUnderflow."""
+    try:
+        pi = _gth(fresh())
+    except SingularSystem:
+        pi = None
+    if pi is None:
+        M = fresh()
+        n = len(M)
+        for i in range((n + 1) // 2):  # M[::-1, ::-1] in place, two rows at a time
+            M[[i, n - 1 - i]] = M[[n - 1 - i, i], ::-1]
+        pi = _gth(M)
+        if pi is None:
+            raise MassUnderflow("stationary probabilities span more than the float range "
+                                "in both state orders of the dense solve")
+        pi = pi[::-1].copy()
+    return pi
+
+
+def _gth(M: np.ndarray) -> np.ndarray | None:
+    """pi of a row-stochastic n x n M by GTH state reduction (Grassmann,
+    Taksar & Heyman 1985), in M's own buffer, which it leaves overwritten;
+    None where a value leaves the float range.
+
+    States are eliminated last-first, in blocks K of GTH_BLOCK states,
+    left-looking: a block first takes every later block's elimination into
+    its row panel M[K, :k1] and its column panel M[:k0, K], one GEMM each.
+    Then M[K, :k1] is the chain censored on the states before k1, and
+    M[:k0, K] is overwritten by W = M[:k0, K] (I - M[K, K])^-1, by which
+    the states before k0 reach K (``_block_inverse``). Then, first block to
+    last, pi_K = pi[:k0] W from pi_0 = 1.
+
+    Every pivot is a sum of exit masses and no step subtracts, so each
+    probability carries a small relative error (O'Cinneide 1993), and
+    none is negative. A pivot of 0.0 is SingularSystem. Temporaries are
+    O(n GTH_BLOCK)."""
+    n = len(M)
+    blocks = [(max(1, k1 - GTH_BLOCK), k1) for k1 in range(n, 1, -GTH_BLOCK)]
+    with np.errstate(all="ignore"):  # what leaves the float range is checked below
+        for k0, k1 in blocks:
+            K = slice(k0, k1)
+            if k1 < n:
+                M[K, :k1] += M[K, k1:] @ M[k1:, :k1]
+                M[:k0, K] += M[:k0, k1:] @ M[k1:, K]
+            M[:k0, K] = M[:k0, K] @ _block_inverse(M[K, K], M[K, :k0].sum(axis=1))
+        pi = np.ones(n)
+        for k0, k1 in reversed(blocks):
+            pi[k0:k1] = pi[:k0] @ M[:k0, k0:k1]
+        total = pi.sum()
+    return pi / total if np.isfinite(total) else None
+
+
+def _block_inverse(T: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """(I - T)^-1 of a substochastic block T whose rows leave the block with
+    mass r, with each pivot formed from exit mass: I - T's diagonal is
+    r + T's off-diagonal row sums, and T's own diagonal is never read.
+
+    Halves: the second half's inverse (its rows leave by r or into the first
+    half), then the first half's Schur complement, the first half censored
+    on the second, whose exit masses r1 + T12 X22 r2 are sums as well. At
+    GTH_BASE states and below, ``_bordered_inverse``."""
+    s = len(r)
+    if s <= GTH_BASE:
+        return _bordered_inverse(T, r)
+    h = s // 2
+    T11, T12, T21 = T[:h, :h], T[:h, h:], T[h:, :h]
+    X22 = _block_inverse(T[h:, h:], r[h:] + T21.sum(axis=1))
+    Y = T12 @ X22
+    X11 = _block_inverse(T11 + Y @ T21, r[:h] + Y @ r[h:])
+    X = np.empty((s, s))
+    X[:h, :h] = X11
+    X[:h, h:] = X11 @ Y
+    X[h:, :h] = X22 @ T21 @ X11
+    X[h:, h:] = X22 + X[h:, :h] @ Y
+    return X
+
+
+def _bordered_inverse(T: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``_block_inverse`` one state at a time, last-first: X holds the
+    inverse for the states after k, and state k's pivot is its exit mass
+    censored on them, r_k + T[k, :k].sum() + T[k, k+1:] X E[k+1:, k], where
+    E[j, k] = r_j + T[j, :k].sum() is each later state's exit past them."""
+    s = len(r)
+    E = np.cumsum(np.column_stack([r, T[:, :-1]]), axis=1)
+    X = np.empty((s, s))
+    for k in range(s - 1, -1, -1):
+        X22 = X[k + 1:, k + 1:]
+        v = T[k, k + 1:] @ X22
+        pivot = E[k, k] + v @ E[k + 1:, k]
+        if pivot == 0.0:
+            raise SingularSystem("stationary solve failed: a state's exit mass (a pivot) is 0.0")
+        X[k, k] = q = 1.0 / pivot
+        X[k, k + 1:] = v * q
+        X[k + 1:, k] = X22 @ T[k + 1:, k] * q
+        X22 += np.multiply.outer(X[k + 1:, k], v)
+    return X
 
 
 def stationary_walk(H: Hypergraph) -> StationaryResult:

@@ -66,6 +66,63 @@ def sweep(seed, count, **kwargs):
     return [random_hypergraph(rng, **kwargs) for _ in range(count)]
 
 
+def wide_sweep(seed, count, span):
+    """A reproducible list of random connected hypergraphs of 2 to 8
+    vertices whose edge and vertex weights are log-uniform in
+    [10^-span, 10^span]: nearly decoupled walks and masses many orders of
+    magnitude apart."""
+    rng = np.random.default_rng(seed)
+    hypergraphs = []
+    while len(hypergraphs) < count:
+        n = int(rng.integers(2, 9))
+        names = [f"v{i}" for i in range(n)]
+        edges = []
+        for _ in range(int(rng.integers(1, n + 2))):
+            members = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            weights = 10.0 ** rng.uniform(-span, span, size=len(members) + 1)
+            edges.append((float(weights[0]),
+                          {names[j]: float(g) for j, g in zip(members, weights[1:])}))
+        with contextlib.suppress(DisconnectedHypergraph):
+            hypergraphs.append(Hypergraph(names, edges))
+    return hypergraphs
+
+
+def _document(vertices, *edges):
+    return {"vertices": list(vertices),
+            "edges": [{"weight": w, "members": members} for w, members in edges]}
+
+
+# Two pairs joined by an edge of weight 1e-15 that pushes its flow from b
+# to c: exact pi = (4.999995e-7, 4.999995e-7, 0.4999995, 0.4999995).
+NCD = _document("abcd", (1.0, {"a": 1.0, "b": 1.0}), (1.0, {"c": 1.0, "d": 1.0}),
+                (1e-15, {"b": 1.0, "c": 1e6}))
+# Hypergraph documents whose masses span the float range, named: the
+# wide-range family's fixed members besides wide_sweep.
+WIDE_RANGE_INPUTS = {
+    "ncd": NCD,
+    "ncd-reversed": {**NCD, "vertices": ["d", "c", "b", "a"]},
+    "ncd-1e-18": _document("abcd", *[(e["weight"], e["members"]) for e in NCD["edges"][:2]],
+                           (1e-18, {"b": 1.0, "c": 1e6})),
+    # exact pi = (1, 2e-20, 1e-20) / (1 + 3e-20)
+    "dominated-member": _document("abc", (1.0, {"a": 1.0, "b": 1e-20}),
+                                  (1.0, {"b": 1.0, "c": 1.0})),
+    # exact pi = (1, 2e-320, 1e-320) / (1 + 3e-320)
+    "subnormal-vertex": _document("abc", (1.0, {"a": 1.0, "b": 1e-320}),
+                                  (1.0, {"b": 1.0, "c": 1.0})),
+    # exact pi rounds to (1, 1e-300, 0.0)
+    "huge-weights": _document("abc", (1e300, {"a": 1e300, "b": 1.0}),
+                              (1.0, {"b": 1.0, "c": 1e-300})),
+    # exact pi rounds to (5e-321, 0.5, 0.5); it and the next input are
+    # solved in reversed vertex order, an odd and an even number of them
+    "subnormal-beside-a-normal-edge": _document("abc", (1e-320, {"a": 1.0, "b": 1.0}),
+                                                (1.0, {"b": 1.0, "c": 1.0})),
+    # exact pi rounds to (2.5e-321, 0.25, 0.5, 0.25)
+    "subnormal-edge-ending-a-path": _document("abcd", (1e-320, {"a": 1.0, "b": 1.0}),
+                                              (1.0, {"b": 1.0, "c": 1.0}),
+                                              (1.0, {"c": 1.0, "d": 1.0})),
+}
+
+
 def rebuilt(H):
     """A freshly parsed copy of H: equal to H, with nothing computed for it
     yet, so a test that changes a module setting between two calls sees the

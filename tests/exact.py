@@ -39,11 +39,15 @@ def exact_transition(H) -> list[list[Fraction]]:
 
 
 def exact_stationary(H) -> list[Fraction]:
-    """The pi with pi P = pi and sum pi = 1, as Fractions: the system
-    (P^T - I) pi = 0 with its last equation replaced by sum pi = 1, solved
-    by Gauss-Jordan elimination. A connected hypergraph's lazy walk is
-    irreducible, so the solution is unique."""
-    P = exact_transition(H)
+    """The pi of H's lazy walk, as Fractions. A connected hypergraph's lazy
+    walk is irreducible, so it is unique."""
+    return exact_fixed_point(exact_transition(H))
+
+
+def exact_fixed_point(P: list[list[Fraction]]) -> list[Fraction]:
+    """The pi with pi P = pi and sum pi = 1 of an irreducible stochastic P
+    of Fractions: the system (P^T - I) pi = 0 with its last equation
+    replaced by sum pi = 1, solved by Gauss-Jordan elimination."""
     n = len(P)
     rows = [[P[j][i] - (i == j) for j in range(n)] + [Fraction(0)] for i in range(n - 1)]
     rows.append([Fraction(1)] * (n + 1))
@@ -60,12 +64,16 @@ def exact_stationary(H) -> list[Fraction]:
     return [row[n] for row in rows]
 
 
+# The smallest normal float. Below it a float carries fewer digits, so an
+# exact mass there is measured against it: a float of 0.0 for a mass of
+# 1e-600 has no error, and one of 0.0 for 5e-321 an error of 2.2e-13.
+SMALLEST_NORMAL = Fraction(2.0 ** -1022)
+
+
 def entrywise_error(pi, exact: list[Fraction]) -> float:
     """max over v of |pi_v - exact_v| / exact_v, formed exactly and rounded
-    once; every exact_v of a connected hypergraph's walk is positive."""
-    return float(max(abs(Fraction(p) - x) / x for p, x in zip(pi.tolist(), exact)))
+    once, with exact_v no smaller than SMALLEST_NORMAL; every exact_v of a
+    connected hypergraph's walk is positive."""
+    return float(max(abs(Fraction(p) - x) / max(x, SMALLEST_NORMAL)
+                     for p, x in zip(pi.tolist(), exact)))
 
-
-def normwise_error(pi, exact: list[Fraction]) -> float:
-    """max over v of |pi_v - exact_v|, over max exact_v."""
-    return float(max(abs(Fraction(p) - x) for p, x in zip(pi.tolist(), exact)) / max(exact))

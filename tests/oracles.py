@@ -9,6 +9,10 @@ route the library itself does not take.
   *not* stationary under edge-dependent weights (criterion 9).
 * ``simulate`` -- a sampled trajectory, whose visit and step frequencies
   must approach pi and P.
+* ``lu_stationary`` -- pi by one LU solve (``stationary._fixed_point``),
+  the solve the rank-aggregation stack runs on each of its chains: the
+  reference its rows must equal bit for bit, and the arithmetic some
+  tests pin a pi's last bits in.
 * ``first_edge_fault`` -- the edge checks of a hypergraph document as one
   loop over its entries, in reading order, which ``Hypergraph`` makes in
   arrays on the pairs ``build_hypergraph`` hands it: its first fault must be
@@ -33,6 +37,8 @@ from hyperwalk import (
     degrees,
 )
 from hyperwalk.core import _FLOAT_MAX, _Record, _real
+from hyperwalk.rankagg import _nonnegative
+from hyperwalk.stationary import _fixed_point
 
 KOLMOGOROV_VERTEX_LIMIT = 12
 KOLMOGOROV_CYCLE_LIMIT = 6
@@ -140,6 +146,13 @@ def naive_stationary(H: Hypergraph) -> np.ndarray:
     """
     d, _ = degrees(H)
     return d / d.sum()
+
+
+def lu_stationary(P: TransitionMatrix) -> np.ndarray:
+    """pi P = pi, sum pi = 1, by LU with partial pivoting in a copy of P,
+    cleared of rounding's negatives: ``rankagg._stationary``'s solve of
+    the one chain P."""
+    return _nonnegative(_fixed_point(P.matrix.copy().T), P.vertices)
 
 
 def first_edge_fault(data) -> None:

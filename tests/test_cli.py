@@ -21,7 +21,9 @@ from hyperwalk.core import _json_text
 from hyperwalk.rankagg import generate, matches_to_json_dict
 from hyperwalk.stationary import RESIDUAL_TOL, WALK_MAX_ITER
 from hyperwalk.walk import DENSE_SIZE_LIMIT
-from conftest import gc_off
+from conftest import WIDE_RANGE_INPUTS, gc_off
+from exact import entrywise_error, exact_stationary
+from test_exact import DIRECT_ENTRYWISE
 
 
 @pytest.fixture
@@ -698,7 +700,8 @@ SMALL_INPUTS = {
                                    {"weight": 1.0, "members": {"b": 1.0, "c": 1.0}}]},
     "subnormal-edge-weight": {"vertices": ["a", "b"],
                               "edges": [{"weight": 1e-320, "members": {"a": 1.0, "b": 1.0}}]},
-    # the sandwich graph's walk gives vertex 'a' a stationary mass of 0.0
+    # the sandwich graph's walk gives vertex 'a' a subnormal stationary mass,
+    # 5e-321; eliminated last, 'a' would take mass 1 and 'b' 2e320
     "subnormal-beside-a-normal-edge": {
         "vertices": ["a", "b", "c"],
         "edges": [{"weight": 1e-320, "members": {"a": 1.0, "b": 1.0}},
@@ -1047,6 +1050,44 @@ def test_subnormal_edge_weight_auto_falls_back_at_once(tmp_path, capsys):
     auto = json.loads(out)
     assert (auto["method"], auto["rho"], auto["pi"], err) == ("walk-iteration", {},
                                                               direct["pi"], "")
+
+
+@pytest.mark.parametrize("name", ["ncd", "ncd-reversed", "ncd-1e-18"])
+def test_direct_answers_a_nearly_decoupled_input(tmp_path, capsys, name):
+    # LU answered (0, 0, 0.5, 0.5), in reversed order (d 0.45, c 0.45,
+    # b 0.05, a 0.05), and refused the weight-1e-18 variant as singular
+    doc = WIDE_RANGE_INPUTS[name]
+    path = _write_json(tmp_path, "h.json", doc)
+    assert dispatch(["stationary", "--input", path, "--method", "direct"]) == 0
+    pi = json.loads(capsys.readouterr().out)["pi"]
+    assert list(pi) == doc["vertices"]
+    exact = exact_stationary(hyperwalk.build_hypergraph(doc))
+    assert entrywise_error(np.array(list(pi.values())), exact) <= DIRECT_ENTRYWISE
+
+
+def test_auto_falls_back_to_an_entrywise_direct_solve(tmp_path, capsys):
+    # {a: 1, b: 1e-320}, {b: 1, c: 1}: the walk stalls on b and c, and the
+    # direct solve keeps both masses, which LU wrote as 0.0
+    path = _write_json(tmp_path, "h.json", WIDE_RANGE_INPUTS["subnormal-vertex"])
+    assert dispatch(["stationary", "--input", path, "--method", "auto"]) == 0
+    out, err = capsys.readouterr()
+    assert err.startswith("warning: ConvergenceFailure: ") and err.endswith(
+        "; using the direct solve\n")
+    result = json.loads(out)
+    assert (result["method"], result["pi"]) == ("direct-solve",
+                                                {"a": 1.0, "b": 2e-320, "c": 1e-320})
+
+
+def test_direct_names_the_float_range_where_no_state_order_answers(tmp_path, capsys):
+    # b's mass is 2e320 of a's and of c's
+    doc = {"vertices": ["a", "b", "c"],
+           "edges": [{"weight": 1.0, "members": {"a": 1e-320, "b": 1.0}},
+                     {"weight": 1.0, "members": {"b": 1.0, "c": 1e-320}}]}
+    path = _write_json(tmp_path, "h.json", doc)
+    assert dispatch(["stationary", "--input", path, "--method", "direct"]) == 1
+    assert capsys.readouterr() == ("", "error: MassUnderflow: stationary probabilities span "
+                                   "more than the float range in both state orders of the "
+                                   "dense solve\n")
 
 
 SUBNORMAL_DELTA = {"vertices": ["a", "b"],

@@ -4,14 +4,19 @@
 The tolerances are the worst errors measured on criterion 2's inputs,
 ``sweep(2, 200)`` (2 to 8 vertices), rounded up in their third digit: a
 route that drifts past one has lost accuracy, and the fix is in the route,
-not here."""
+not here. The dense routes' tolerance holds on the wide-range family as
+well: ``wide_sweep`` at spans 3, 8 and 20 and the named
+``WIDE_RANGE_INPUTS``."""
 
 import numpy as np
 import pytest
 
+import hyperwalk.stationary as stationary
+
 from hyperwalk import (
     ConvergenceFailure,
     Hypergraph,
+    build_hypergraph,
     stationary_direct,
     stationary_edge_independent,
     stationary_rho,
@@ -19,17 +24,18 @@ from hyperwalk import (
     transition_matrix,
 )
 from hyperwalk.stationary import _stationary_direct_of
-from conftest import sweep
-from exact import entrywise_error, exact_stationary, exact_transition, normwise_error
+from conftest import WIDE_RANGE_INPUTS, sweep, wide_sweep
+from exact import entrywise_error, exact_stationary, exact_transition
 
 # Entrywise relative: max |pi_v - exact_v| / exact_v. The walk stops on its
 # last step's change, not on its error: measured 1.637e-12.
 WALK_ENTRYWISE = 1.64e-12
 # Entrywise relative: measured 4.61e-15.
 RHO_ENTRYWISE = 4.62e-15
-# LU is stable in norm only, so relative to max pi: measured 1.71e-15 for
-# both direct routes (entrywise relative, 3.81e-14).
-DIRECT_NORMWISE = 1.72e-15
+# Entrywise relative, both direct routes (GTH): measured 5.87e-16 here, and
+# 1.119e-15 on the wide-range family (1.049e-15 with the default blocks),
+# where LU was off by up to 4e22.
+DIRECT_ENTRYWISE = 1.12e-15
 # Entrywise relative, on sweep(2, 50, edge_independent=True): measured 3.46e-16.
 CLOSED_FORM_ENTRYWISE = 3.47e-16
 # The walk on the dominated-member input below: measured 3.44e-9, since its
@@ -51,8 +57,8 @@ def test_exact_walk_matrix_is_the_float_one_to_rounding(criterion_2):
 @pytest.mark.parametrize("route, error, tolerance", [
     (stationary_walk, entrywise_error, WALK_ENTRYWISE),
     (stationary_rho, entrywise_error, RHO_ENTRYWISE),
-    (lambda H: stationary_direct(transition_matrix(H)), normwise_error, DIRECT_NORMWISE),
-    (_stationary_direct_of, normwise_error, DIRECT_NORMWISE),
+    (lambda H: stationary_direct(transition_matrix(H)), entrywise_error, DIRECT_ENTRYWISE),
+    (_stationary_direct_of, entrywise_error, DIRECT_ENTRYWISE),
 ], ids=["walk", "rho", "direct", "direct-in-its-buffer"])
 def test_each_route_within_its_tolerance(criterion_2, route, error, tolerance):
     worst = max(error(route(H).pi, exact) for H, exact in criterion_2)
@@ -66,14 +72,34 @@ def test_closed_form_within_its_tolerance():
 
 
 def test_dominated_member_per_route():
-    # exact pi = (1, 2e-20, 1e-20) / (1 + 3e-20): the walk keeps both small
-    # masses, the direct solve loses them within its norm-wise tolerance,
-    # and the rho route refuses the input
+    # exact pi = (1, 2e-20, 1e-20) / (1 + 3e-20): the walk and both direct
+    # routes keep both small masses, and the rho route refuses the input
     H = Hypergraph(("a", "b", "c"), [(1.0, {"a": 1.0, "b": 1e-20}),
                                      (1.0, {"b": 1.0, "c": 1.0})])
     exact = exact_stationary(H)
     assert entrywise_error(stationary_walk(H).pi, exact) <= WALK_DOMINATED_ENTRYWISE
-    assert stationary_direct(transition_matrix(H)).pi.tolist() == [1.0, 0.0, 0.0]
-    assert normwise_error(_stationary_direct_of(H).pi, exact) <= DIRECT_NORMWISE
+    assert entrywise_error(stationary_direct(transition_matrix(H)).pi, exact) <= DIRECT_ENTRYWISE
+    assert entrywise_error(_stationary_direct_of(H).pi, exact) <= DIRECT_ENTRYWISE
     with pytest.raises(ConvergenceFailure, match="not strictly positive"):
         stationary_rho(H)
+
+
+@pytest.fixture(scope="module")
+def wide_family():
+    family = [build_hypergraph(doc) for doc in WIDE_RANGE_INPUTS.values()]
+    family += [H for span in (3, 8, 20) for H in wide_sweep(span, 150, span)]
+    return [(H, exact_stationary(H)) for H in family]
+
+
+# The default blocks, then blocks small enough that 8 states take several
+# of them and each block's inverse splits down to one or two states.
+@pytest.mark.parametrize("block, base", [(stationary.GTH_BLOCK, stationary.GTH_BASE), (3, 1),
+                                         (4, 2)])
+@pytest.mark.parametrize("route", [lambda H: stationary_direct(transition_matrix(H)),
+                                   _stationary_direct_of], ids=["direct", "direct-in-its-buffer"])
+def test_dense_routes_within_their_tolerance_on_the_wide_family(wide_family, monkeypatch, route,
+                                                                block, base):
+    monkeypatch.setattr(stationary, "GTH_BLOCK", block)
+    monkeypatch.setattr(stationary, "GTH_BASE", base)
+    worst = max(entrywise_error(route(H).pi, exact) for H, exact in wide_family)
+    assert worst <= DIRECT_ENTRYWISE

@@ -224,10 +224,12 @@ def test_sandwich_command_does_each_piece_of_work_once(h_demo, tmp_path, monkeyp
 
 @pytest.mark.parametrize("method, solves", [("rho", 1), ("direct", 1), ("auto", 0)])
 def test_stationary_command_solves_at_most_once(h_demo, tmp_path, monkeypatch, method, solves):
-    # rho solves its edge coupling matrix, direct the walk matrix, and auto
-    # iterates the walk without a solve where it converges, as on the demo
+    # rho solves its edge coupling matrix by LU, direct the walk matrix by
+    # GTH, and auto iterates the walk without a solve where it converges, as
+    # on the demo
     assert _command_counts(h_demo, tmp_path, monkeypatch, f"stationary --method {method}",
-                           [(np.linalg, "solve")]) == {"solve": solves}
+                           [(np.linalg, "solve"), (stationary, "_gth")]) == {
+        "solve": solves * (method == "rho"), "_gth": solves * (method == "direct")}
 
 
 def test_memoized_results_are_freed_by_reference_counting():

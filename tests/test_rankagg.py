@@ -32,7 +32,6 @@ from hyperwalk import (
     rank_hypergraph,
     rank_mc3,
     restart_matrix,
-    stationary_direct,
     to_json_dict,
     transition_matrix,
 )
@@ -40,6 +39,8 @@ from hyperwalk import core, rankagg
 from hyperwalk.core import delta_normalized
 from hyperwalk.reduction import clique_expansion_weights, graph_random_walk
 from hyperwalk.rankagg import matches_from_json_dict, matches_to_json_dict
+from hyperwalk.stationary import RESIDUAL_TOL
+from oracles import lu_stationary
 
 
 def same(a, b):
@@ -637,13 +638,13 @@ def test_mc3_chain_equals_per_match_loop(monkeypatch):
         cases.append((MatchData(doc["n"], matches), doc["n"], matches))
     for data, n, matches in cases:
         expected = per_match_mc3_chain(n, [(np.asarray(w).tolist(), s) for w, s in matches])
-        reference = stationary_direct(restart_matrix(TransitionMatrix(
+        reference = lu_stationary(restart_matrix(TransitionMatrix(
             [str(i) for i in range(1, n + 1)], expected), rankagg.DEFAULT_BETA))
         # alone, and as the last chain of a trial's stack
         for rank in (rank_mc3, lambda data: rankagg._rankings(data, rankagg.DEFAULT_BETA)[2]):
             result = rank(data)
             assert np.array_equal(stacks[-1][-1], expected)
-            assert np.array_equal(result.scores, reference.pi)
+            assert np.array_equal(result.scores, reference)
 
 
 def test_mc3_blocks_leave_chain_unchanged(monkeypatch):
@@ -676,7 +677,7 @@ def stacked_match_sets():
 
 
 def test_stacked_step_equals_each_chain_solved_alone():
-    # every chain's pi and order equal restart_matrix -> stationary_direct ->
+    # every chain's pi and order equal restart_matrix -> its LU solve ->
     # _ranking of the chain as its own function makes it, bit for bit, in the stack
     # of a trial and as a ranker's one-chain stack
     beta = rankagg.DEFAULT_BETA
@@ -690,11 +691,23 @@ def test_stacked_step_equals_each_chain_solved_alone():
         stacked = rankagg._rankings(data, beta)
         alone = [ranker(data, beta) for ranker in (rank_hypergraph, rank_clique, rank_mc3)]
         for method, chain, *results in zip(rankagg._METHODS, chains, stacked, alone):
-            want = rankagg._ranking(method, stationary_direct(restart_matrix(chain, beta)).pi)
+            want = rankagg._ranking(method, lu_stationary(restart_matrix(chain, beta)))
             for result in results:
                 assert result.method == method
                 assert result.scores.tobytes() == want.scores.tobytes(), (n, method)
                 assert result.order == want.order
+
+
+def test_stack_solve_names_a_negative_probability(monkeypatch):
+    # beyond RESIDUAL_TOL below 0 an entry is no rounding of a zero mass
+    data = generate(4, 1.0, 0.5, seed=1)
+    monkeypatch.setattr(rankagg, "_fixed_point", lambda M: np.array([[0.5, 0.5, 0.5, -0.5]]))
+    with pytest.raises(ConvergenceFailure, match="-5.000e-01 of vertex '4'"):
+        rank_hypergraph(data)
+    monkeypatch.setattr(rankagg, "_fixed_point",
+                        lambda M: np.array([[1.0, -0.0, -RESIDUAL_TOL, 0.25]]))
+    scores = rank_hypergraph(data).scores
+    assert scores.tolist() == [1.0, 0.0, 0.0, 0.25] and not np.signbit(scores).any()
 
 
 @pytest.mark.parametrize("ranker", [rank_hypergraph, rank_mc3])

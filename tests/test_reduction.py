@@ -1,6 +1,8 @@
 """Graph-equivalence machinery: collapses, reversibility, cycle products,
 and the eigenvalue bracket."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,8 @@ from hyperwalk import (
 )
 from hyperwalk.core import _block_scatter
 from conftest import rebuilt, rho_normalized, sweep
-from oracles import kolmogorov_check
+from exact import exact_fixed_point
+from oracles import kolmogorov_check, lu_stationary
 
 
 # -- graph walks ---------------------------------------------------------------
@@ -96,7 +99,7 @@ def test_edge_independent_walks_reversible():
 
 def test_demo_not_reversible(h_demo):
     P = transition_matrix(h_demo)
-    pi = stationary_direct(P).pi
+    pi = lu_stationary(P)
     verdict = reversibility(P, pi)
     assert not verdict.reversible
     # the largest flow asymmetry is 1/102, attained at (v1,v4) and (v3,v4);
@@ -295,13 +298,16 @@ def test_sandwich_check_refuses_one_vertex():
 
 
 def test_sandwich_check_with_a_zero_graph_mass():
-    # the graph walk's stationary mass of a rounds to 0.0; the check forms
-    # no normalized Laplacian, so nothing divides by it (a RuntimeWarning
-    # is an error here)
+    # the graph walk's stationary mass of a is 5e-321, subnormal; the check
+    # forms no normalized Laplacian, so nothing divides by it (a
+    # RuntimeWarning is an error here)
     H = Hypergraph(("a", "b", "c"), [(1e-320, {"a": 1.0, "b": 1.0}),
                                      (1.0, {"b": 1.0, "c": 1.0})])
     chk = sandwich_check(H)
-    assert stationary_direct(graph_random_walk(chk.graph)).pi[0] == 0.0
+    pi = stationary_direct(graph_random_walk(chk.graph)).pi
+    weights = [[Fraction(w) for w in row] for row in chk.graph.weights.tolist()]
+    exact = exact_fixed_point([[w / sum(row) for w in row] for row in weights])
+    assert pi.tolist() == [float(x) for x in exact] == [5e-321, 0.5, 0.5]  # each rounded
     assert chk.holds and chk.c == 1.0
 
 

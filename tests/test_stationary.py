@@ -15,6 +15,7 @@ from hyperwalk import (
     Hypergraph,
     NonPositiveWeight,
     NotEdgeIndependent,
+    MassUnderflow,
     SingularSystem,
     SizeLimit,
     TransitionMatrix,
@@ -42,7 +43,8 @@ from hyperwalk.stationary import (
 )
 from hyperwalk.walk import DENSE_SIZE_LIMIT
 from conftest import rebuilt, rho_normalized, sweep
-from oracles import naive_stationary
+from exact import exact_stationary
+from oracles import lu_stationary, naive_stationary
 
 DEMO_PI = np.array([7, 2, 5, 3]) / 17
 
@@ -69,18 +71,16 @@ def _chain_hypergraph(seed: int, n: int) -> Hypergraph:
     ])
 
 
-def test_direct_solve_is_bit_identical_to_the_c_ordered_system(h_demo):
+def test_direct_solve_is_bit_identical_in_both_entry_points(h_demo):
+    # the n=301 chain takes three blocks of the solve, and each block's
+    # inverse splits in halves; LU agrees where the chain is well conditioned
     for H in (h_demo, _chain_hypergraph(11, 301)):
         P = transition_matrix(H)
         before = P.matrix.copy()
-        M = P.matrix.T.copy()  # the same system as a C-ordered copy
-        M[np.diag_indices(len(M))] -= 1.0
-        M[-1, :] = 1.0
-        b = np.zeros(len(M))
-        b[-1] = 1.0
-        expected = np.linalg.solve(M, b)
-        assert stationary_direct(P).pi.tobytes() == expected.tobytes()
+        pi = stationary_direct(P).pi
+        assert _stationary_direct_of(H).pi.tobytes() == pi.tobytes()
         assert P.matrix.tobytes() == before.tobytes()
+        np.testing.assert_allclose(pi, lu_stationary(P), rtol=1e-12, atol=0.0)
 
 
 def test_demo_rho(h_demo):
@@ -220,8 +220,8 @@ def test_singular_system():
         stationary_direct(P)
 
 
-# b's weight is 1e-20 of a's in their edge: the walk's mass sits on a, and
-# the solve leaves -0.0 and -2e-20 for b and c
+# b's weight is 1e-20 of a's in their edge: the walk's mass sits on a. LU
+# left -0.0 and -2e-20 for b and c; GTH subtracts nothing.
 DOMINATED = {"vertices": ["a", "b", "c"], "edges": [
     {"weight": 1.0, "members": {"a": 1.0, "b": 1e-20}},
     {"weight": 1.0, "members": {"b": 1.0, "c": 1.0}},
@@ -233,13 +233,14 @@ def test_direct_writes_no_negative_probability(tmp_path, capsys):
     path.write_text(json.dumps(DOMINATED))
     assert dispatch(["stationary", "--input", str(path), "--method", "direct"]) == 0
     out = capsys.readouterr().out
-    assert json.loads(out)["pi"] == {"a": 1.0, "b": 0.0, "c": 0.0}
-    assert "-" not in out[:out.index('"rho"')]  # no -0.0 and no -2e-20
     H = Hypergraph(DOMINATED["vertices"],
                    [(e["weight"], e["members"]) for e in DOMINATED["edges"]])
+    # the exact masses (1, 2e-20, 1e-20) / (1 + 3e-20), each rounded
+    exact = [float(x) for x in exact_stationary(H)]
+    assert json.loads(out)["pi"] == dict(zip("abc", exact)) == {"a": 1.0, "b": 2e-20, "c": 1e-20}
+    assert "-" not in out[:out.index('"rho"')].replace("e-", "e")  # no -0.0, no negative
     res = _stationary_direct_of(H)
-    assert not np.signbit(res.pi).any()
-    # the residual is the corrected vector's, by the walk product
+    assert res.pi.tolist() == exact and not np.signbit(res.pi).any()
     assert res.residual == float(np.abs(_walk_product(H)(res.pi) - res.pi).max())
 
 
@@ -249,15 +250,31 @@ def test_direct_of_a_subnormal_delta_builds_without_a_warning():
     assert _stationary_direct_of(H).pi.tolist() == [0.5, 0.5]
 
 
-def test_direct_names_a_negative_probability(h_demo, monkeypatch):
-    # beyond RESIDUAL_TOL below 0 an entry is no rounding of a zero mass
-    monkeypatch.setattr(stationary, "_fixed_point", lambda M: np.array([0.5, 0.5, 0.5, -0.5]))
-    with pytest.raises(ConvergenceFailure, match="-5.000e-01 of vertex 'v4'"):
-        stationary_direct(transition_matrix(h_demo))
-    monkeypatch.setattr(stationary, "_fixed_point",
-                        lambda M: np.array([1.0, -0.0, -RESIDUAL_TOL, 0.25]))
-    res = stationary_direct(transition_matrix(h_demo))
-    assert res.pi.tolist() == [1.0, 0.0, 0.0, 0.25] and not np.signbit(res.pi).any()
+def test_direct_retries_in_reversed_order_where_the_float_range_ends(monkeypatch):
+    # exact pi rounds to (5e-321, 0.5, 0.5): eliminated last, a takes mass 1
+    # and b's is 2e320, past the float range; reversed, c is last and a's
+    # mass is 5e-321 of it
+    runs = []
+    real = stationary._gth
+    monkeypatch.setattr(stationary, "_gth", lambda M: runs.append(1) or real(M))
+    H = Hypergraph(("a", "b", "c"), [(1e-320, {"a": 1.0, "b": 1.0}),
+                                     (1.0, {"b": 1.0, "c": 1.0})])
+    assert _stationary_direct_of(H).pi.tolist() == [5e-321, 0.5, 0.5]
+    assert len(runs) == 2
+    # b's mass is 2e320 of a's and of c's: no state order answers
+    H = Hypergraph(("a", "b", "c"), [(1.0, {"a": 1e-320, "b": 1.0}),
+                                     (1.0, {"b": 1.0, "c": 1e-320})])
+    for solve in (_stationary_direct_of, lambda H: stationary_direct(transition_matrix(H))):
+        with pytest.raises(MassUnderflow, match="^stationary probabilities span more than the "
+                                                "float range in both state orders"):
+            solve(H)
+
+
+def test_direct_reads_a_slightly_negative_entry_as_zero():
+    # the row check lets an entry lie down to -1e-15; the solve reads 0.0
+    P = TransitionMatrix(("a", "b"), np.array([[0.5, 0.5], [1.0 + 1e-16, -1e-16]]))
+    pi = stationary_direct(P).pi
+    assert pi.tolist() == [2 / 3, 1 / 3] and not np.signbit(pi).any()
 
 
 def test_fixed_point_names_a_singular_system():
@@ -299,7 +316,7 @@ def test_direct_stores_nothing_on_the_hypergraph(h_demo, monkeypatch):
 
 def test_direct_command_holds_one_walk_matrix(tmp_path, monkeypatch):
     # P is solved in its own buffer, so the traced peak is P plus the input's
-    # parse, not P and a copy of it (LAPACK's own working copy is not traced)
+    # parse and the solve's O(256 n) temporaries, not P and a copy of it
     n = 1024
     path, out = tmp_path / "in.json", tmp_path / "out.json"
     path.write_text(dumps_json(_chain_hypergraph(14, n)))
