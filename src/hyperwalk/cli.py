@@ -141,8 +141,6 @@ def _cmd_transition(args) -> dict | str:
 
 def _cmd_stationary(args) -> dict:
     H = _hypergraph(args)
-    if args.method == "rho":
-        return stationary_rho(H)._json()
     if args.method == "auto":  # the walk iteration; the direct solve where it stalls
         try:
             return stationary_walk(H)._json()
@@ -243,7 +241,7 @@ def _cmd_demo(args) -> dict | str:
         "demo hypergraph: 4 vertices, 2 overlapping edges, gamma(v1 in edge 0) = 2",
         "\ntransition matrix P:",
         _matrix_csv(P.vertices, P.matrix).rstrip("\n"),
-        f"\nstationary distribution (rho route, residual {pi.residual:.2e}):",
+        f"\nstationary distribution (direct solve, residual {pi.residual:.2e}):",
         *(f"  pi({v}) = {x:.12f}" for v, x in zip(H.vertices, pi.pi)),
         f"\nreversible: {verdict.reversible} "
         f"(worst pair {verdict.worst_pair}, violation {verdict.violation:.6e})",
@@ -288,7 +286,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("stationary", help="stationary distribution as JSON")
     p.add_argument("--input", required=True)
-    p.add_argument("--method", choices=["rho", "direct", "auto"], default="auto")
+    p.add_argument("--method", choices=["direct", "auto"], default="auto")
     add_out(p)
     p.set_defaults(handler=_cmd_stationary)
 

@@ -225,7 +225,7 @@ class Hypergraph(_Indexed):
     MalformedInput, then its weight, its emptiness, and per member its name,
     then its weight). An error the edges iterable raises is raised as it is.
 
-    The degrees, the walk, the rho solve, the Laplacian and the Cheeger
+    The degrees, the walk, the stationary solve, the Laplacian and the Cheeger
     enumeration are each computed once per hypergraph and kept, read-only,
     in ``_memo``; none refers back to H, so they go when H goes, and a
     pickled or copied H starts with an empty memo, which equality ignores.

@@ -40,9 +40,9 @@ from .core import (_INTEGER, _PAIR_CHUNK, _REAL, Hypergraph, _block_add, _compon
                    delta_normalized)
 from .errors import (ConvergenceFailure, DisconnectedHypergraph, DuplicateVertex,
                      ElementMismatch, HyperwalkError, MalformedInput, NonPositiveWeight,
-                     ScoreOverflow)
+                     ScoreOverflow, SingularSystem)
 from .reduction import _clique_scale, _row_normalized
-from .stationary import RESIDUAL_TOL, _fixed_point
+from .stationary import RESIDUAL_TOL
 from .walk import _check_beta, _check_size, _check_stochastic, _lazy_factors, _restart
 
 __all__ = [
@@ -400,7 +400,7 @@ def _stationary(data: MatchData, beta: float, methods=_METHODS) -> np.ndarray:
     adds the terms of the lazy walk (``walk._lazy_factors(H)``) and of the
     clique expansion of ``delta_normalized(H)`` (gamma / delta, formed
     here), one in match order adds MC3's, each term in the order its own
-    construction adds it. One batched LU (``stationary._fixed_point``)
+    construction adds it. One batched LU (``_fixed_point``)
     solves the stack, so each row has the bits of the LU solve of
     ``restart_matrix(chain, beta)`` alone. The row sums, restart mix,
     checks, solve and nonnegativity each run once on the stack. Its input
@@ -434,6 +434,32 @@ def _stationary(data: MatchData, beta: float, methods=_METHODS) -> np.ndarray:
     _restart(stack, beta, out=stack)
     _check_stochastic(stack)
     return _nonnegative(_fixed_point(stack.transpose(0, 2, 1)), H.vertices)
+
+
+def _fixed_point(M: np.ndarray) -> np.ndarray:
+    """The x with M x = x and sum(x) = 1, of an n x n M, or of each matrix
+    of a stack (..., n, n) as the rows of x (..., n).
+
+    Solves (M - I) x = 0 with its last equation replaced by sum(x) = 1, by
+    LU with partial pivoting. When the fixed point is unique the replaced
+    equation is redundant (the rows of M - I are dependent) and the system
+    is nonsingular. A stack is one batched np.linalg.solve, which calls
+    LAPACK's dgesv on each matrix as a solve of that matrix alone does, so
+    each x has the same bits.
+
+    The system is set up in M itself, which LAPACK then copies. M is left
+    holding the system: the ranking step's stack is a buffer it never
+    reads again.
+    """
+    i = np.arange(M.shape[-1])
+    b = np.zeros(M.shape[:-1] + (1,))
+    b[..., -1, 0] = 1.0
+    M[..., i, i] -= 1.0
+    M[..., -1, :] = 1.0
+    try:
+        return np.linalg.solve(M, b)[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"stationary solve failed: {exc}") from None
 
 
 def _nonnegative(pi: np.ndarray, vertices: tuple) -> np.ndarray:

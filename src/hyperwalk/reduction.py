@@ -178,8 +178,8 @@ def sandwich_check(H: Hypergraph) -> SandwichCheck:
     Laplacian eigenvalues of H and of its rho-rescaled clique expansion.
 
     c is the worst per-vertex spread of the rescaled weights
-    (``stationary._rho_scaled``) over *incident* edges. The rho solve and
-    the walk matrix of H are each computed once and shared. Fewer than 2
+    (``stationary._rho_scaled``) over *incident* edges. The stationary solve
+    and the walk matrix of H are each computed once and shared. Fewer than 2
     vertices have no second eigenvalue, and more than DENSE_SIZE_LIMIT no
     dense walk matrix: SizeLimit, before any solve. Only
     the plain Laplacians are formed, so a graph vertex whose stationary mass

@@ -97,8 +97,8 @@ def laplacian_from_walk(P: TransitionMatrix, pi: np.ndarray) -> HypergraphLaplac
 
 
 def laplacian(H: Hypergraph) -> HypergraphLaplacian:
-    """Laplacian of the lazy walk on H, built from the rho-route stationary
-    distribution. Built once per hypergraph: every call on H returns the same
+    """Laplacian of the lazy walk on H, built from its stationary distribution
+    (``stationary_rho``). Built once per hypergraph: every call on H returns the same
     object, whose arrays are read-only."""
     P, pi = transition_matrix(H), stationary_rho(H).pi
     return _memo(H, "laplacian", lambda: laplacian_from_walk(P, pi))

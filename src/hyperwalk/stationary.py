@@ -1,32 +1,27 @@
 """Stationary distributions of hypergraph random walks.
 
-Four routes are provided and cross-checked against each other:
+Three routes are provided and cross-checked against each other:
 
 * ``stationary_walk`` -- power iteration of ``_walk_product``, pi P
   without P in two O(nnz) passes over the CSR arrays, so it has no size
-  limit; its per-edge sums are the rho route's constants. It gives up
-  after ``WALK_MAX_ITER`` steps, since a slowly mixing walk contracts
-  slowly.
-* ``stationary_rho`` -- the per-edge-constant construction, on the lazy
-  walk's factor g = gamma / delta (the delta(e) = 1 normalization): build
-  the |E| x |E| coupling matrix A with A[e, f] = sum over v in both edges
-  of omega(f) * g_f(v) / d(v), solve for its positive fixed point
-  A rho = rho, rescale so sum_e rho_e * omega(e) = 1, and assemble
-  pi_v = sum over incident e of rho_e * omega(e) * g_e(v).
+  limit. It gives up after ``WALK_MAX_ITER`` steps, since a slowly mixing
+  walk contracts slowly.
 * ``stationary_direct`` -- GTH state reduction (``_gth``), the oracle for
   the other two: subtraction-free, so every probability comes out with a
   small relative error, however small it is. P may be shared, so it
   solves in a copy of P; the CLI's direct route (``_stationary_direct_of``)
   builds and checks P's array itself and solves in that buffer, so one
-  command holds one n x n matrix at its peak.
+  command holds one n x n matrix at its peak. ``stationary_rho(H)`` is
+  the same solve of H's memoized P, kept on H for the Laplacian, the
+  Cheeger enumeration, the mixing bound and the sandwich check.
 * ``stationary_edge_independent`` -- the closed form
   pi_v = d(v) gamma(v) / sum_u d(u) gamma(u) available when vertex weights
   do not depend on the edge.
 
 Each route given H ends in ``_finish``: max|pi P - pi| by ``_walk_product``,
-not on P, and rho only where every constant is a finite float. The rho
-route solves the fixed point A rho = rho by LU (``_fixed_point``), as the
-rank-aggregation step solves its stack of restart chains.
+not on P, and the paper's per-edge constants from pi,
+rho_e = sum over v in e of pi_v / d(v) (``_rho_of``), only where every
+constant is a finite float.
 """
 
 from __future__ import annotations
@@ -35,23 +30,21 @@ import numpy as np
 
 from .core import (
     Hypergraph,
-    _block_scatter,
     _memo,
     _object_text,
     _per_member,
     _Record,
-    _vertex_major,
     degrees,
     edge_independent_gamma,
     has_trivial_weights,
 )
 from .errors import (ConvergenceFailure, MassUnderflow, NonPositiveWeight, NotEdgeIndependent,
                      SingularSystem)
-from .walk import TransitionMatrix, _check_size, _check_stochastic, _lazy_factors, _lazy_walk
+from .walk import (TransitionMatrix, _check_size, _check_stochastic, _lazy_factors, _lazy_walk,
+                   transition_matrix)
 
 __all__ = [
     "StationaryResult",
-    "edge_coupling_matrix",
     "stationary_direct",
     "stationary_edge_independent",
     "stationary_rho",
@@ -75,10 +68,10 @@ GTH_BASE = 16
 class StationaryResult(_Record):
     """A stationary distribution plus how it was obtained.
 
-    ``rho`` holds the per-edge constants (in the delta(e)=1 normalization,
-    summing to 1 against the edge weights) when the rho route or the walk
-    iteration produced the result, and is None otherwise or where a
-    constant leaves the float range.
+    ``rho`` holds the per-edge constants rho_e = sum over v in e of
+    pi_v / d(v) (in the delta(e)=1 normalization, summing to 1 against the
+    edge weights) when the route was given the hypergraph, and is None
+    otherwise or where a constant leaves the float range.
     ``residual`` is max |pi P - pi|.
     """
 
@@ -108,15 +101,24 @@ def _residual(pi: np.ndarray, P: TransitionMatrix) -> float:
     return float(np.abs(pi @ P.matrix - pi).max())
 
 
-def _finish(H: Hypergraph, pi: np.ndarray, method: str, rho: np.ndarray | None = None,
-            product=None) -> StationaryResult:
+def _finish(H: Hypergraph, pi: np.ndarray, method: str, product=None) -> StationaryResult:
     """The record of a route given H: its residual max|pi P - pi| by
-    `product` (``_walk_product(H)`` unless the caller holds it), and `rho`
-    only where every constant is a finite float, else None."""
+    `product` (``_walk_product(H)`` unless the caller holds it), and its
+    per-edge constants (``_rho_of``) only where every one is a finite
+    float, else None."""
+    rho = _rho_of(H, pi)
     return StationaryResult(
-        vertices=H.vertices, pi=pi, method=method,
-        rho=rho if rho is None or np.isfinite(rho).all() else None,
+        vertices=H.vertices, pi=pi, method=method, rho=rho if np.isfinite(rho).all() else None,
         residual=float(np.abs((product or _walk_product(H))(pi) - pi).max()))
+
+
+def _rho_of(H: Hypergraph, pi: np.ndarray) -> np.ndarray:
+    """The per-edge constants of pi, rho_e = sum over v in e of pi_v / d(v),
+    one bincount; then sum_e rho_e * omega(e) = sum_v pi_v. One overflows
+    where a degree is subnormal."""
+    with np.errstate(over="ignore"):
+        return np.bincount(_per_member(H, np.arange(H.n_edges)),
+                           (pi / degrees(H)[0])[H.indices], H.n_edges)
 
 
 def _walk_product(H: Hypergraph):
@@ -134,82 +136,27 @@ def _walk_product(H: Hypergraph):
     return product
 
 
-def edge_coupling_matrix(H: Hypergraph) -> np.ndarray:
-    """The |E| x |E| matrix whose eigenvalue-1 eigenvector gives the per-edge
-    constants, in the delta(e) = 1 normalization of any H: its column sums,
-    weighted by the edge weights, reproduce the edge weights.
-
-    Built vertex by vertex: each vertex v adds
-    outer(1, omega(f) * g_f(v) / d(v)) over the edges e, f holding it, with
-    g = gamma / delta the lazy walk's own factor.
-    """
-    _check_size(H.n_edges, "edges")
-    d, _ = degrees(H)
-    vptr, order = _vertex_major(H)
-    contrib = _per_member(H, H.omega) * _lazy_factors(H)[1] / d[H.indices]
-    edge = _per_member(H, np.arange(H.n_edges))
-    return _block_scatter(vptr, edge[order], np.ones(len(order)), contrib[order], H.n_edges)
-
-
-def _fixed_point(M: np.ndarray) -> np.ndarray:
-    """The x with M x = x and sum(x) = 1, of an n x n M, or of each matrix
-    of a stack (..., n, n) as the rows of x (..., n).
-
-    Solves (M - I) x = 0 with its last equation replaced by sum(x) = 1, by
-    LU with partial pivoting. When the fixed point is unique the replaced
-    equation is redundant (the rows of M - I are dependent) and the system
-    is nonsingular. A stack is one batched np.linalg.solve, which calls
-    LAPACK's dgesv on each matrix as a solve of that matrix alone does, so
-    each x has the same bits.
-
-    The system is set up in M itself, which LAPACK then copies. M is left
-    holding the system: each caller's M is a buffer it never reads again
-    (the rho route's A, the ranking step's stack).
-    """
-    i = np.arange(M.shape[-1])
-    b = np.zeros(M.shape[:-1] + (1,))
-    b[..., -1, 0] = 1.0
-    M[..., i, i] -= 1.0
-    M[..., -1, :] = 1.0
-    try:
-        return np.linalg.solve(M, b)[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"stationary solve failed: {exc}") from None
-
-
 def stationary_rho(H: Hypergraph) -> StationaryResult:
-    """Stationary distribution via the per-edge constants rho_e.
-
-    The returned ``rho`` refers to the delta(e)=1 normalization of H and
-    satisfies sum_e rho_e * omega(e) = 1. Its one dense matrix, A, is
-    size-checked (edges only) before it is built.
+    """Stationary distribution of H's lazy walk and its per-edge constants
+    rho_e = sum over v in e of pi_v / d(v): ``stationary_direct`` of the
+    memoized ``transition_matrix(H)``, bit for bit, finished by
+    ``_finish``. The returned ``rho`` refers to the delta(e)=1
+    normalization of H and satisfies sum_e rho_e * omega(e) = 1. A constant
+    that overflows (a subnormal degree) is NonPositiveWeight.
 
     Solved once per hypergraph: every call on H returns the same object,
     whose ``pi`` and ``rho`` are read-only. A failure is never stored.
     """
-    return _memo(H, "stationary_rho", lambda: _solve_rho(H))
+    def solve():
+        result = _finish(H, _dense_pi(lambda: np.maximum(transition_matrix(H).matrix, 0.0)),
+                         "direct-solve")
+        if result.rho is None:
+            bad = np.flatnonzero(~np.isfinite(_rho_of(H, result.pi)))[0]
+            raise NonPositiveWeight(
+                f"edge #{bad}: per-edge constant rho_e overflows the float range")
+        return result
 
-
-def _solve_rho(H: Hypergraph) -> StationaryResult:
-    rho = _fixed_point(edge_coupling_matrix(H))
-    if not rho.min() > 0.0:
-        raise ConvergenceFailure(
-            "fixed point for the per-edge constants is not strictly positive "
-            f"(min component {rho.min():.3e})"
-        )
-    with np.errstate(over="ignore", divide="ignore"):  # subnormal edge weights
-        rho = rho / float(rho @ H.omega)
-    bad = np.flatnonzero(~np.isfinite(rho))
-    if len(bad):
-        raise NonPositiveWeight(
-            f"edge #{bad[0]}: per-edge constant rho_e overflows the float range")
-    pi = np.bincount(H.indices, weights=_per_member(H, rho * H.omega) * _lazy_factors(H)[1],
-                     minlength=H.n_vertices)
-    result = _finish(H, pi, "rho-eigenvector", rho)
-    if not result.residual <= RESIDUAL_TOL:
-        raise ConvergenceFailure(
-            f"stationary residual {result.residual:.3e} exceeds {RESIDUAL_TOL:.0e}")
-    return result
+    return _memo(H, "stationary_rho", solve)
 
 
 def stationary_direct(P: TransitionMatrix) -> StationaryResult:
@@ -354,10 +301,8 @@ def stationary_walk(H: Hypergraph) -> StationaryResult:
     residual when WALK_MAX_ITER steps do not get there.
 
     The returned pi is renormalized to sum 1, and ``residual`` is
-    max|pi P - pi| by the same product. Its per-edge sums
-    rho_e = sum over v in e of pi_v / d(v) are the rho route's constants,
-    with sum_e rho_e * omega(e) = sum_v pi_v = 1; where one overflows (a
-    subnormal degree), pi is returned with ``rho`` None.
+    max|pi P - pi| by the same product. Where a per-edge constant
+    overflows (a subnormal degree), pi is returned with ``rho`` None.
     """
     product = _walk_product(H)
     pi = np.full(H.n_vertices, 1.0 / H.n_vertices)
@@ -374,11 +319,7 @@ def stationary_walk(H: Hypergraph) -> StationaryResult:
             f"{residual:.3e}; it needs at most {WALK_RTOL:.0e} * max pi = "
             f"{WALK_RTOL * pi.max():.3e}, and each vertex's change at most "
             f"{RESIDUAL_TOL:.0e} of its mass")
-    pi = pi / pi.sum()
-    with np.errstate(over="ignore"):  # a subnormal degree: _finish drops rho
-        rho = np.bincount(_per_member(H, np.arange(H.n_edges)),
-                          (pi / degrees(H)[0])[H.indices], H.n_edges)
-    return _finish(H, pi, "walk-iteration", rho, product)
+    return _finish(H, pi / pi.sum(), "walk-iteration", product)
 
 
 def stationary_edge_independent(H: Hypergraph) -> StationaryResult:
@@ -398,9 +339,10 @@ def stationary_edge_independent(H: Hypergraph) -> StationaryResult:
 
 def _rho_scaled(H: Hypergraph) -> np.ndarray:
     """Per CSR entry, rho_e * (gamma_e(v) / delta(e)): H's vertex weights
-    rescaled per edge so every per-edge constant is 1, formed from the rho
-    solve and the lazy walk's factor, never from rho_e / delta(e), which can
-    overflow. One that rounds to 0.0 is NonPositiveWeight."""
+    rescaled per edge so every per-edge constant is 1, formed from
+    ``stationary_rho`` and the lazy walk's factor, never from
+    rho_e / delta(e), which can overflow. One that rounds to 0.0 is
+    NonPositiveWeight."""
     scaled = _per_member(H, stationary_rho(H).rho) * _lazy_factors(H)[1]
     if not scaled.min() > 0.0:
         vertex = H.vertices[H.indices[np.argmin(scaled)]]

@@ -68,9 +68,9 @@ def _check_stochastic(P: np.ndarray) -> None:
             raise ValueError("transition probabilities must be nonnegative")
 
 
-def _check_size(count: int, what: str = "vertices") -> None:
+def _check_size(count: int) -> None:
     if count > DENSE_SIZE_LIMIT:
-        raise SizeLimit(f"dense matrices support at most {DENSE_SIZE_LIMIT} {what}, got {count}")
+        raise SizeLimit(f"dense matrices support at most {DENSE_SIZE_LIMIT} vertices, got {count}")
 
 
 def transition_matrix(H: Hypergraph) -> TransitionMatrix:
@@ -93,8 +93,8 @@ def _lazy_factors(H: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     is (omega(e) / d(v)) * (gamma_e(w) / delta(e)), leaving v by e, then landing on
     w, each in [0, 1] even where d or delta is subnormal. ``_lazy_walk``,
     ``stationary._walk_product`` and ``rankagg._stationary`` read both, the non-lazy
-    walk ``left``, and the coupling matrix, the rho solve's pi, the sandwich graph,
-    ``stationary._rho_scaled`` and the mixing bound's beta1 ``right``."""
+    walk ``left``, and the sandwich graph, ``stationary._rho_scaled`` and the mixing
+    bound's beta1 ``right``."""
     d, delta = degrees(H)
     return _per_member(H, H.omega) / d[H.indices], H.gamma / _per_member(H, delta)
 

@@ -1,12 +1,14 @@
-"""Exact walk matrices and stationary distributions in rational arithmetic:
-the reference that tests/test_exact.py checks every float route against.
+"""Exact walk matrices, stationary distributions and per-edge constants in
+rational arithmetic: the reference that tests/test_exact.py checks every
+float route against.
 
 Every float is an exact rational, so the lazy walk of a hypergraph has an
 exact P[v, w] = sum over edges e holding both of
 (omega(e) / d(v)) * (gamma_e(w) / delta(e)), and an exact pi, the solution
-of pi P = pi with sum pi = 1. Both are formed here from the ``Fraction`` of
-each omega and gamma, pi by Gauss-Jordan elimination. The numbers grow with
-each elimination step, so this is meant for n <= 12.
+of pi P = pi with sum pi = 1, whose per-edge constants are exact too. All
+are formed here from the ``Fraction`` of each omega and gamma, pi by
+Gauss-Jordan elimination. The numbers grow with each elimination step, so
+this is meant for n <= 12.
 """
 
 from fractions import Fraction
@@ -14,8 +16,10 @@ from fractions import Fraction
 MAX_VERTICES = 12
 
 
-def exact_transition(H) -> list[list[Fraction]]:
-    """P of H's lazy walk, entry by entry, as Fractions."""
+def _exact_parts(H):
+    """H's CSR member indices, its omega and gamma as Fractions, each edge's
+    range of CSR entries, and the degrees d(v) = sum of omega(e) over the
+    edges holding v, as Fractions."""
     n = H.n_vertices
     if n > MAX_VERTICES:
         raise ValueError(f"exact arithmetic is meant for at most {MAX_VERTICES} vertices")
@@ -27,6 +31,13 @@ def exact_transition(H) -> list[list[Fraction]]:
     for e, entries in enumerate(edges):
         for k in entries:
             d[indices[k]] += omega[e]
+    return indices, omega, gamma, edges, d
+
+
+def exact_transition(H) -> list[list[Fraction]]:
+    """P of H's lazy walk, entry by entry, as Fractions."""
+    indices, omega, gamma, edges, d = _exact_parts(H)
+    n = H.n_vertices
     P = [[Fraction(0)] * n for _ in range(n)]
     for e, entries in enumerate(edges):
         delta = sum(gamma[k] for k in entries)
@@ -42,6 +53,14 @@ def exact_stationary(H) -> list[Fraction]:
     """The pi of H's lazy walk, as Fractions. A connected hypergraph's lazy
     walk is irreducible, so it is unique."""
     return exact_fixed_point(exact_transition(H))
+
+
+def exact_rho(H, pi: list[Fraction]) -> list[Fraction]:
+    """The per-edge constants of an exact pi of H, as Fractions:
+    rho_e = sum over v in e of pi_v / d(v), the paper's definition, so
+    sum_e rho_e * omega(e) = sum_v pi_v = 1."""
+    indices, _, _, edges, d = _exact_parts(H)
+    return [sum(pi[indices[k]] / d[indices[k]] for k in entries) for entries in edges]
 
 
 def exact_fixed_point(P: list[list[Fraction]]) -> list[Fraction]:
@@ -62,6 +81,26 @@ def exact_fixed_point(P: list[list[Fraction]]) -> list[Fraction]:
             if r != col and factor != 0:
                 rows[r] = [x - factor * y for x, y in zip(rows[r], head)]
     return [row[n] for row in rows]
+
+
+def exact_cheeger(H) -> Fraction:
+    """The Cheeger constant of H's lazy walk, as a Fraction: the least
+    boundary flow sum over x in S, y not in S of pi_x P[x, y], over pi(S),
+    among the nonempty proper subsets S with pi(S) <= 1/2, by enumerating
+    every subset."""
+    P = exact_transition(H)
+    pi = exact_fixed_point(P)
+    n = len(pi)
+    best = None
+    for mask in range(1, (1 << n) - 1):
+        inside = [x for x in range(n) if mask >> x & 1]
+        mass = sum(pi[x] for x in inside)
+        if mass > Fraction(1, 2):
+            continue
+        flow = sum(pi[x] * P[x][y] for x in inside for y in range(n) if not mask >> y & 1)
+        if best is None or flow / mass < best:
+            best = flow / mass
+    return best
 
 
 # The smallest normal float. Below it a float carries fewer digits, so an

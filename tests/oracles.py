@@ -9,7 +9,11 @@ route the library itself does not take.
   *not* stationary under edge-dependent weights (criterion 9).
 * ``simulate`` -- a sampled trajectory, whose visit and step frequencies
   must approach pi and P.
-* ``lu_stationary`` -- pi by one LU solve (``stationary._fixed_point``),
+* ``edge_coupling_matrix`` -- the paper's |E| x |E| matrix whose
+  eigenvalue-1 eigenvector is the per-edge constants: the library forms rho
+  from pi, and A rho = rho checks that it is the paper's fixed point
+  (criterion 2).
+* ``lu_stationary`` -- pi by one LU solve (``rankagg._fixed_point``),
   the solve the rank-aggregation stack runs on each of its chains: the
   reference its rows must equal bit for bit, and the arithmetic some
   tests pin a pi's last bits in.
@@ -36,9 +40,9 @@ from hyperwalk import (
     UnknownVertex,
     degrees,
 )
-from hyperwalk.core import _FLOAT_MAX, _Record, _real
-from hyperwalk.rankagg import _nonnegative
-from hyperwalk.stationary import _fixed_point
+from hyperwalk.core import _FLOAT_MAX, _block_scatter, _per_member, _Record, _real, _vertex_major
+from hyperwalk.rankagg import _fixed_point, _nonnegative
+from hyperwalk.walk import _lazy_factors
 
 KOLMOGOROV_VERTEX_LIMIT = 12
 KOLMOGOROV_CYCLE_LIMIT = 6
@@ -146,6 +150,22 @@ def naive_stationary(H: Hypergraph) -> np.ndarray:
     """
     d, _ = degrees(H)
     return d / d.sum()
+
+
+def edge_coupling_matrix(H: Hypergraph) -> np.ndarray:
+    """The |E| x |E| matrix whose eigenvalue-1 eigenvector gives the per-edge
+    constants, in the delta(e) = 1 normalization of any H: its column sums,
+    weighted by the edge weights, reproduce the edge weights.
+
+    Built vertex by vertex: each vertex v adds
+    outer(1, omega(f) * g_f(v) / d(v)) over the edges e, f holding it, with
+    g = gamma / delta the lazy walk's own factor.
+    """
+    d, _ = degrees(H)
+    vptr, order = _vertex_major(H)
+    contrib = _per_member(H, H.omega) * _lazy_factors(H)[1] / d[H.indices]
+    edge = _per_member(H, np.arange(H.n_edges))
+    return _block_scatter(vptr, edge[order], np.ones(len(order)), contrib[order], H.n_edges)
 
 
 def lu_stationary(P: TransitionMatrix) -> np.ndarray:

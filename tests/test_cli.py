@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 import hyperwalk
-from hyperwalk import ConvergenceFailure, demo_hypergraph, dumps_json
+from hyperwalk import ConvergenceFailure, demo_hypergraph, dumps_json, stationary_rho
 from hyperwalk.cli import dispatch, main
 from hyperwalk.core import _json_text
 from hyperwalk.rankagg import generate, matches_to_json_dict
-from hyperwalk.stationary import RESIDUAL_TOL, WALK_MAX_ITER
+from hyperwalk.stationary import WALK_MAX_ITER
 from hyperwalk.walk import DENSE_SIZE_LIMIT
 from conftest import WIDE_RANGE_INPUTS, gc_off
 from exact import entrywise_error, exact_stationary
@@ -131,18 +131,19 @@ def test_transition_kinds(demo_file, capsys):
 
 
 def test_stationary_json(demo_file, capsys):
-    assert dispatch(["stationary", "--input", demo_file, "--method", "rho"]) == 0
+    assert dispatch(["stationary", "--input", demo_file, "--method", "direct"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["residual"] <= 1e-9
     assert payload["pi"]["v1"] == pytest.approx(7 / 17, abs=1e-10)
-    assert payload["method"] == "rho-eigenvector"
+    assert payload["method"] == "direct-solve"
     assert payload["rho"]["0"] == pytest.approx(8 / 17, abs=1e-10)
 
 
-def test_stationary_direct_has_no_rho(demo_file, capsys):
-    assert dispatch(["stationary", "--input", demo_file, "--method", "direct"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["rho"] == {}
+def test_stationary_method_rho_is_a_usage_error(demo_file, capsys):
+    with pytest.raises(SystemExit) as info:
+        dispatch(["stationary", "--input", demo_file, "--method", "rho"])
+    assert info.value.code == 2
+    assert "invalid choice: 'rho'" in capsys.readouterr().err
 
 
 def test_spectral_with_cheeger(demo_file, capsys):
@@ -347,7 +348,7 @@ def test_out_file_is_the_stdout_plus_a_manifest(demo_file, tmp_path, capsys, com
 @pytest.mark.parametrize("command, source", [
     ("transition --json", "--input"),
     ("stationary", "--input"),
-    ("stationary --method rho", "--input"),
+    ("stationary --method direct", "--input"),
     ("spectral --check-cheeger", "--input"),
     ("reduce --mode sandwich", "--input"),
     ("rankagg --n 8 --p 0.3 --trials 2 --json", None),
@@ -513,15 +514,15 @@ def test_manifest_records_numpy_and_blas_threads(demo_file, tmp_path):
 
 def test_config_defaults_merged(demo_file, tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"method": "rho"}))
+    config.write_text(json.dumps({"method": "direct"}))
     assert dispatch(["--config", str(config), "stationary", "--input", demo_file]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["method"] == "rho-eigenvector"
+    assert payload["method"] == "direct-solve"
     # explicit flag wins over the config value
     assert dispatch(["--config", str(config), "stationary", "--input", demo_file,
-                     "--method", "direct"]) == 0
+                     "--method", "auto"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["method"] == "direct-solve"
+    assert payload["method"] == "walk-iteration"
 
 
 def test_config_defaults_reach_every_subcommand(demo_file, tmp_path, capsys):
@@ -584,12 +585,12 @@ def test_config_true_adds_a_flag_and_false_adds_none(demo_file, tmp_path, capsys
 def test_manifest_command_shows_config_flags(demo_file, tmp_path):
     out = str(tmp_path / "pi.json")
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"method": "rho", "out": out}))
+    config.write_text(json.dumps({"method": "direct", "out": out}))
     argv = ["--config", str(config), "stationary", "--input", demo_file]
     assert dispatch(argv) == 0
     manifest = json.loads((tmp_path / "pi.json.manifest.json").read_text())
     assert manifest["command"] == ["hyperwalk", "--config", str(config), "stationary",
-                                   "--method=rho", f"--out={out}", "--input", demo_file]
+                                   "--method=direct", f"--out={out}", "--input", demo_file]
 
 
 def test_missing_input_file_is_domain_error(capsys):
@@ -1007,7 +1008,7 @@ OVERFLOWING_DEGREE = [
 
 
 @pytest.mark.parametrize("edges, named", OVERFLOWING_DEGREE, ids=["edge", "vertex"])
-@pytest.mark.parametrize("command", ["stationary", "stationary --method rho", "transition",
+@pytest.mark.parametrize("command", ["stationary", "stationary --method direct", "transition",
                                      "spectral"])
 def test_overflowing_degree_is_named(tmp_path, capsys, edges, named, command):
     # each weight is finite, so the file is valid; the walk's degrees are not
@@ -1104,18 +1105,17 @@ def _run_as_a_user(tmp_path, command: str, doc=SUBNORMAL_DELTA) -> subprocess.Co
 
 
 @pytest.mark.parametrize("command", ["transition", "transition --kind restart",
-                                     "stationary --method direct", "stationary --method rho",
-                                     "stationary --method auto"])
+                                     "stationary --method direct", "stationary --method auto"])
 def test_subnormal_delta_walks_without_a_warning(tmp_path, command):
     # delta = 1e-323, so 1 / delta and omega / delta pass the float range, but
-    # gamma / delta = 0.5, the one factor the walk, its iteration and the rho
-    # solve read, does not
+    # gamma / delta = 0.5, the one factor the walk and its iteration read,
+    # does not
     run = _run_as_a_user(tmp_path, command)
     assert (run.returncode, run.stderr) == (0, "")
     if command.startswith("stationary"):
         result = json.loads(run.stdout)
         assert result["pi"] == {"a": 0.5, "b": 0.5}
-        assert result["method"] == {"direct": "direct-solve", "rho": "rho-eigenvector",
+        assert result["method"] == {"direct": "direct-solve",
                                     "auto": "walk-iteration"}[command.split()[-1]]
 
 
@@ -1195,13 +1195,28 @@ def test_mixing_bound_in_log_space(tmp_path):
     assert len(str(result["mixing_bound"])) > 200
 
 
-@pytest.mark.parametrize("command", ["stationary --method rho", "spectral"])
+@pytest.mark.parametrize("command", ["reduce --mode sandwich", "spectral"])
 def test_subnormal_edge_weight_is_named(tmp_path, capsys, command):
-    # sum_e rho_e * omega(e) = 1e-320, so rho_e / that overflows
+    # d(a) = d(b) = 1e-320, so rho_e = sum over v in e of pi_v / d(v) overflows
     path = _write_json(tmp_path, "h.json", SUBNORMAL_EDGE)
     assert dispatch(command.split() + ["--input", path]) == 1
     assert capsys.readouterr().err == ("error: NonPositiveWeight: edge #0: per-edge "
                                        "constant rho_e overflows the float range\n")
+
+
+def test_sandwich_refuses_masses_past_the_float_range_in_both_state_orders(tmp_path, capsys):
+    # An open FOUND in CHANGES.md: the dense solve refuses an input whose pi
+    # a float holds. b's mass is 2e320 of a's and of c's, and both state
+    # orders it tries eliminate a or c last; keeping b last would answer
+    # (5e-321, 1, 5e-321), as `stationary --method auto` does.
+    doc = {"vertices": ["a", "b", "c"],
+           "edges": [{"weight": 1, "members": {"a": 1e-320, "b": 1}},
+                     {"weight": 1, "members": {"b": 1, "c": 1e-320}}]}
+    path = _write_json(tmp_path, "h.json", doc)
+    assert dispatch(["reduce", "--mode", "sandwich", "--input", path]) == 1
+    assert capsys.readouterr() == ("", "error: MassUnderflow: stationary probabilities span "
+                                       "more than the float range in both state orders of "
+                                       "the dense solve\n")
 
 
 @pytest.mark.parametrize("kind, flag, value", [
@@ -1278,13 +1293,13 @@ def _count_calls(monkeypatch, *names) -> dict:
 
 
 def test_reduce_sandwich_derives_each_walk_once(demo_file, capsys, monkeypatch):
-    counts = _count_calls(monkeypatch, "stationary_rho", "_solve_rho", "transition_matrix",
+    counts = _count_calls(monkeypatch, "stationary_rho", "_gth", "_lazy_walk",
                           "clique_expansion_weights", "_clique_weights")
     assert dispatch(["reduce", "--input", demo_file, "--mode", "sandwich"]) == 0
-    # the rho solve checks its residual by the walk product, not on P; the
-    # check and its rescaled weights each read the one rho solve, and the
-    # graph is one scatter of gamma / delta, not a rescaled copy's expansion
-    assert counts == {"stationary_rho": 2, "_solve_rho": 1, "transition_matrix": 1,
+    # one P and one solve of it: the check and its rescaled weights each read
+    # the one stationary solve, and the graph is one scatter of
+    # gamma / delta, not a rescaled copy's expansion
+    assert counts == {"stationary_rho": 2, "_gth": 1, "_lazy_walk": 1,
                       "clique_expansion_weights": 0, "_clique_weights": 1}
 
 
@@ -1309,41 +1324,15 @@ def _unreachable(*args, **kwargs):
 
 
 def _no_dense_matrix(monkeypatch):
-    monkeypatch.setattr("hyperwalk.stationary._block_scatter", _unreachable)
     monkeypatch.setattr("hyperwalk.walk._block_scatter", _unreachable)
     monkeypatch.setattr("hyperwalk.reduction._block_scatter", _unreachable)
 
 
-def test_stationary_rho_too_many_vertices_fails_first(tmp_path, capsys, monkeypatch):
-    # the rho route's one dense matrix is |E| x |E|: past the limit in edges
-    # as well as vertices, the edge count is refused before it is built
-    path = _path(tmp_path, DENSE_SIZE_LIMIT + 2)
-    _no_dense_matrix(monkeypatch)
-    assert dispatch(["stationary", "--input", path, "--method", "rho"]) == 1
-    assert f"SizeLimit: dense matrices support at most {DENSE_SIZE_LIMIT} edges, " \
-           f"got {DENSE_SIZE_LIMIT + 1}" in capsys.readouterr().err
-
-
-def test_stationary_rho_answers_above_the_vertex_limit(tmp_path, capsys, monkeypatch):
-    # 4,101 vertices in 1,025 edges of 5 that overlap in one vertex: A is
-    # 1,025 x 1,025, and the residual is checked without P
-    n = 4 * 1025 + 1
-    path = _write_edges(tmp_path, n, [range(4 * k, 4 * k + 5) for k in range(1025)], seed=5)
-    monkeypatch.setattr("hyperwalk.walk._block_scatter", _unreachable)
-    assert dispatch(["stationary", "--input", path, "--method", "rho"]) == 0
-    out, err = capsys.readouterr()
-    result = json.loads(out)
-    assert (result["method"], len(result["pi"]), err) == ("rho-eigenvector", n, "")
-    assert result["residual"] <= RESIDUAL_TOL
-
-
-def test_stationary_rho_too_many_edges_fails_first(tmp_path, capsys, monkeypatch):
+def test_stationary_auto_answers_too_many_edges_without_a_dense_matrix(tmp_path, capsys,
+                                                                        monkeypatch):
     m = DENSE_SIZE_LIMIT + 1
     path = _write_edges(tmp_path, 8, [(i % 8, (i + 1) % 8) for i in range(m)], seed=1)
     _no_dense_matrix(monkeypatch)
-    assert dispatch(["stationary", "--input", path, "--method", "rho"]) == 1
-    assert f"SizeLimit: dense matrices support at most {DENSE_SIZE_LIMIT} edges, " \
-           f"got {m}" in capsys.readouterr().err
     # auto serves it through the walk iteration, without any dense matrix
     assert dispatch(["stationary", "--input", path]) == 0
     captured = capsys.readouterr()
@@ -1351,10 +1340,36 @@ def test_stationary_rho_too_many_edges_fails_first(tmp_path, capsys, monkeypatch
     assert captured.err == ""
 
 
+def test_spectral_and_sandwich_answer_more_edges_than_the_dense_limit(tmp_path, capsys,
+                                                                      monkeypatch):
+    # 4,097 edges on 12 vertices: the stationary solve is n x n, so the edge
+    # count sets no limit, and each command's pi is the direct route's, bit
+    # for bit
+    m = DENSE_SIZE_LIMIT + 1
+    path = _write_edges(tmp_path, 12, [(i % 12, (i + 1 + i // 12) % 12, (i + 5) % 12)
+                                       for i in range(m)], seed=2)
+    assert dispatch(["stationary", "--input", path, "--method", "direct"]) == 0
+    direct = list(json.loads(capsys.readouterr().out)["pi"].values())
+    solved = []
+
+    def spy(H, _original=stationary_rho):
+        result = _original(H)
+        solved.append(result.pi.tolist())
+        return result
+
+    monkeypatch.setattr("hyperwalk.spectral.stationary_rho", spy)
+    monkeypatch.setattr("hyperwalk.reduction.stationary_rho", spy)
+    for command in ("spectral --check-cheeger", "reduce --mode sandwich"):
+        solved.clear()
+        assert dispatch(command.split() + ["--input", path]) == 0
+        assert capsys.readouterr().err == ""
+        assert solved and all(pi == direct for pi in solved)
+
+
 @pytest.mark.parametrize("mode", ["eqind", "sandwich"])
 def test_reduce_too_many_vertices_fails_first(tmp_path, capsys, monkeypatch, mode):
-    # the sandwich check's rho solve would take these 4096 edges, so the
-    # vertex count is refused before it
+    # the sandwich check's stationary solve is n x n, so the vertex count is
+    # refused before it
     n = DENSE_SIZE_LIMIT + 1
     names = [f"v{i}" for i in range(n)]
     edges = [{"weight": 1.0, "members": {names[i]: 1.0, names[i + 1]: 1.0}}

@@ -17,7 +17,6 @@ from hyperwalk import (
     graph_to_json_dict,
     loads_json,
     sandwich_check,
-    stationary_rho,
     stationary_walk,
     to_json_dict,
 )
@@ -235,10 +234,8 @@ def test_object_rendered_from_an_array():
 
 # The stationary routes of the CLI by --method, and the inputs each payload
 # is checked on besides the demo: names json escapes, and a walk whose
-# per-edge constants leave the float range (rho None, so "rho": {}), which
-# the rho route refuses.
-STATIONARY_ROUTES = {"auto": stationary_walk, "rho": stationary_rho,
-                     "direct": _stationary_direct_of}
+# per-edge constants leave the float range (rho None, so "rho": {}).
+STATIONARY_ROUTES = {"auto": stationary_walk, "direct": _stationary_direct_of}
 AWKWARD_NAMES = ['say "hi"', "back\\slash", "\x07\x1f", "grüße π 漢字", ""]
 STATIONARY_INPUTS = sweep(48, 4) + [
     Hypergraph(AWKWARD_NAMES, [(1.0, {"": 2.0, 'say "hi"': 1.0, "back\\slash": 0.5}),
@@ -249,7 +246,6 @@ STATIONARY_INPUTS = sweep(48, 4) + [
 
 @pytest.mark.parametrize("command", [
     "stationary --method auto --input {h}",
-    "stationary --method rho --input {h}",
     "stationary --method direct --input {h}",
     "spectral --check-cheeger --input {h}",
     "reduce --mode sandwich --input {h}",
@@ -270,15 +266,15 @@ def test_cli_outputs_and_manifests_are_json_indent_2(tmp_path, command):
         assert text == reference(json.loads(text))
     if command.startswith("stationary"):
         # the payload, rendered from the result's arrays, is json.dumps of its
-        # as_dict(); the rho route refuses the last input
+        # as_dict()
         route = STATIONARY_ROUTES[command.split()[2]]
-        inputs = STATIONARY_INPUTS[:-1] if route is stationary_rho else STATIONARY_INPUTS
-        for H in [demo_hypergraph()] + inputs:
+        for H in [demo_hypergraph()] + STATIONARY_INPUTS:
             h.write_text(dumps_json(H))
             assert dispatch(command.format(h=h, m=m).split() + ["--out", str(out)]) == 0
             result = route(H)
             assert out.read_text() == reference(result.as_dict())
-        assert (result.rho is None) == (route is not stationary_rho)  # the last: "rho": {}
+            assert result.rho is not None or H is STATIONARY_INPUTS[-1]  # the last: "rho": {}
+        assert result.rho is None
 
 
 def test_demo_json_is_json_indent_2(capsys):

@@ -1,5 +1,5 @@
 """Results computed once per hypergraph: the degrees, the walk matrix, the
-rho solve, the Laplacian, its spectra and the Cheeger enumeration are
+stationary solve, the Laplacian, its spectra and the Cheeger enumeration are
 stored on the immutable Hypergraph, read-only, never carried over to a
 rescaled copy, and freed with it by reference counting."""
 
@@ -194,42 +194,41 @@ def _command_counts(h_demo, tmp_path, monkeypatch, command: str, pieces) -> dict
 
 
 def test_spectral_command_does_each_piece_of_work_once(h_demo, tmp_path, monkeypatch):
-    # one dense solve (the rho route's) and one eigensolve per spectrum;
-    # degrees once, of H alone: the rho solve and the mixing bound read H's
-    # own gamma / delta, and beta2 the rho-rescaled weights per entry, so no
+    # one GTH solve of P, no LU, and one eigensolve per spectrum; degrees
+    # once, of H alone: rho and the mixing bound read H's own degrees and
+    # gamma / delta, and beta2 the rho-rescaled weights per entry, so no
     # rescaled copy of H is built
-    pieces = ((walk, "_lazy_walk"), (stationary, "_solve_rho"),
+    pieces = ((walk, "_lazy_walk"), (stationary, "_gth"),
               (spectral, "laplacian_from_walk"), (spectral, "_cheeger_enumerate"),
               (np.linalg, "solve"), (np.linalg, "eigh"), (core, "_degrees"),
               (core, "rescale_edges"), (core.Hypergraph, "_with_gamma"))
     assert _command_counts(h_demo, tmp_path, monkeypatch, "spectral --check-cheeger",
                            pieces) == {
-        "_lazy_walk": 1, "_solve_rho": 1, "laplacian_from_walk": 1, "_cheeger_enumerate": 1,
-        "solve": 1, "eigh": 2, "_degrees": 1, "rescale_edges": 0, "_with_gamma": 0}
+        "_lazy_walk": 1, "_gth": 1, "laplacian_from_walk": 1, "_cheeger_enumerate": 1,
+        "solve": 0, "eigh": 2, "_degrees": 1, "rescale_edges": 0, "_with_gamma": 0}
 
 
 def test_sandwich_command_does_each_piece_of_work_once(h_demo, tmp_path, monkeypatch):
-    # one P and one rho solve of H, the command's only dense solve: the
+    # one P and one GTH solve of H, the command's only dense solve: the
     # clique graph's pi is its degree over its volume; one eigensolve each
     # for H and for the clique graph; degrees once, of H alone: the graph
     # and c read the rho-rescaled weights per entry, so no rescaled copy of
     # H is built
-    pieces = ((walk, "_lazy_walk"), (stationary, "_solve_rho"), (np.linalg, "solve"),
+    pieces = ((walk, "_lazy_walk"), (stationary, "_gth"), (np.linalg, "solve"),
               (np.linalg, "eigh"), (core, "_degrees"), (core, "rescale_edges"),
               (core.Hypergraph, "_with_gamma"))
     assert _command_counts(h_demo, tmp_path, monkeypatch, "reduce --mode sandwich",
-                           pieces) == {"_lazy_walk": 1, "_solve_rho": 1, "solve": 1, "eigh": 2,
+                           pieces) == {"_lazy_walk": 1, "_gth": 1, "solve": 0, "eigh": 2,
                                        "_degrees": 1, "rescale_edges": 0, "_with_gamma": 0}
 
 
-@pytest.mark.parametrize("method, solves", [("rho", 1), ("direct", 1), ("auto", 0)])
+@pytest.mark.parametrize("method, solves", [("direct", 1), ("auto", 0)])
 def test_stationary_command_solves_at_most_once(h_demo, tmp_path, monkeypatch, method, solves):
-    # rho solves its edge coupling matrix by LU, direct the walk matrix by
-    # GTH, and auto iterates the walk without a solve where it converges, as
-    # on the demo
+    # direct solves the walk matrix by GTH, never by LU, and auto iterates
+    # the walk without a solve where it converges, as on the demo
     assert _command_counts(h_demo, tmp_path, monkeypatch, f"stationary --method {method}",
                            [(np.linalg, "solve"), (stationary, "_gth")]) == {
-        "solve": solves * (method == "rho"), "_gth": solves * (method == "direct")}
+        "solve": 0, "_gth": solves}
 
 
 def test_memoized_results_are_freed_by_reference_counting():

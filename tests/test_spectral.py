@@ -212,6 +212,16 @@ def test_two_vertex_cheeger(two_vertex_edge):
     assert res.argmin == ("a",)  # lexicographic tie-break between {a} and {b}
 
 
+def test_cheeger_of_parallel_copies_of_one_edge():
+    # pi is (0.5, 0.5) exactly, so {v0} has pi(S) <= 1/2; an edge-coupling
+    # LU gave both vertices 0.5000000000000001, which left no subset to
+    # score, and the enumeration crashed
+    H = Hypergraph(("v0", "v1"), [(1.0, {"v0": 1.0, "v1": 1.0})] * 5)
+    assert stationary_rho(H).pi.tolist() == [0.5, 0.5]
+    result = cheeger_constant(H)
+    assert (result.phi, result.argmin) == (0.5, ("v0",))
+
+
 def test_demo_cheeger_value_and_cross_check(h_demo):
     res = cheeger_constant(h_demo)
     assert res.phi == pytest.approx(89 / 192, abs=1e-12)

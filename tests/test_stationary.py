@@ -1,5 +1,5 @@
-"""Stationary distributions: rho route, direct solve, closed forms, and the
-degree-fraction counterexample."""
+"""Stationary distributions: walk iteration, direct solve, the per-edge
+constants, closed forms, and the degree-fraction counterexample."""
 
 import json
 import tracemalloc
@@ -11,7 +11,6 @@ import hyperwalk.stationary as stationary
 import hyperwalk.walk as walk
 
 from hyperwalk import (
-    ConvergenceFailure,
     Hypergraph,
     NonPositiveWeight,
     NotEdgeIndependent,
@@ -32,19 +31,18 @@ from hyperwalk import (
 )
 from hyperwalk.cli import dispatch
 from hyperwalk.core import delta_normalized
+from hyperwalk.rankagg import _fixed_point
 from hyperwalk.stationary import (
     RESIDUAL_TOL,
     WALK_RTOL,
-    _fixed_point,
     _rho_scaled,
     _stationary_direct_of,
     _walk_product,
-    edge_coupling_matrix,
 )
 from hyperwalk.walk import DENSE_SIZE_LIMIT
 from conftest import rebuilt, rho_normalized, sweep
 from exact import exact_stationary
-from oracles import lu_stationary, naive_stationary
+from oracles import edge_coupling_matrix, lu_stationary, naive_stationary
 
 DEMO_PI = np.array([7, 2, 5, 3]) / 17
 
@@ -91,7 +89,7 @@ def test_demo_rho(h_demo):
     omega = np.array([e["weight"] for e in to_json_dict(h_demo)["edges"]])
     assert res.rho @ omega == pytest.approx(1.0, abs=1e-12)
     assert res.residual <= 1e-9
-    assert res.method == "rho-eigenvector"
+    assert res.method == "direct-solve"
 
 
 def test_rho_fixed_point_identity():
@@ -102,20 +100,12 @@ def test_rho_fixed_point_identity():
             assert np.abs(A @ res.rho - res.rho).max() <= 1e-10
 
 
-def test_rho_route_refuses_a_residual_above_the_tolerance(h_demo, monkeypatch):
-    monkeypatch.setattr(stationary, "_walk_product", lambda H: lambda pi: pi + 1.0)
-    H = rebuilt(h_demo)
-    with pytest.raises(ConvergenceFailure,
-                       match=r"^stationary residual 1\.000e\+00 exceeds 1e-09$"):
-        stationary_rho(H)
-    assert "stationary_rho" not in H._memo
-
-
 def test_rho_matches_direct_on_sweep():
+    # stationary_rho is the direct solve of the memoized P, bit for bit
     for H in sweep(302, 50):
         pi_rho = stationary_rho(H).pi
         pi_direct = stationary_direct(transition_matrix(H)).pi
-        assert np.abs(pi_rho - pi_direct).max() <= 1e-8
+        assert pi_rho.tobytes() == pi_direct.tobytes()
 
 
 def test_demo_walk_iteration(h_demo):
@@ -142,9 +132,8 @@ def test_walk_iteration_converges_on_a_dominated_member():
 
 def test_subnormal_edge_weight_stops_both_rho_routes():
     """d = omega = 1e-320: the walk converges, and its per-edge constant
-    sum of pi / d overflows, so it answers pi with no rho; the rho route's
-    normalization by sum_e rho_e * omega(e) overflows too, and that route
-    forms pi from rho, so it refuses."""
+    sum of pi / d overflows, so it answers pi with no rho; stationary_rho,
+    whose callers read rho, refuses."""
     H = Hypergraph(("a", "b"), [(1e-320, {"a": 1.0, "b": 1.0})])
     walked = stationary_walk(H)
     assert (walked.pi.tolist(), walked.rho, walked.method) == ([0.5, 0.5], None,
@@ -157,7 +146,7 @@ def test_subnormal_edge_weight_stops_both_rho_routes():
 
 def test_a_rescaled_weight_that_rounds_to_zero_after_a_rho_solve():
     # gamma / delta of a in the first edge, 5e-324 / 10, rounds to 0.0; the
-    # rho solve answers, and the rescaled weight rho_e * 0.0 is named
+    # stationary solve answers, and the rescaled weight rho_e * 0.0 is named
     H = Hypergraph(("a", "b", "c"), [(1.0, {"a": 5e-324, "b": 10.0}),
                                      (1.0, {"a": 1.0, "b": 1.0}), (1.0, {"b": 1.0, "c": 1.0})])
     assert stationary_rho(H).residual <= RESIDUAL_TOL
@@ -261,7 +250,8 @@ def test_direct_retries_in_reversed_order_where_the_float_range_ends(monkeypatch
                                      (1.0, {"b": 1.0, "c": 1.0})])
     assert _stationary_direct_of(H).pi.tolist() == [5e-321, 0.5, 0.5]
     assert len(runs) == 2
-    # b's mass is 2e320 of a's and of c's: no state order answers
+    # b's mass is 2e320 of a's and of c's, and both orders eliminate a or c
+    # last, so neither answers; keeping b last would answer (5e-321, 1, 5e-321)
     H = Hypergraph(("a", "b", "c"), [(1.0, {"a": 1e-320, "b": 1.0}),
                                      (1.0, {"b": 1.0, "c": 1e-320})])
     for solve in (_stationary_direct_of, lambda H: stationary_direct(transition_matrix(H))):
@@ -285,16 +275,19 @@ def test_fixed_point_names_a_singular_system():
 def test_direct_in_the_walk_matrix_buffer_equals_the_public_solve(h_demo):
     # a fresh hypergraph, and one that already holds P: either way P's array
     # is built afresh and solved in its own buffer, and a held P is left as
-    # it was; the residual is the walk product's, not P's
+    # it was; the residual is the walk product's, not P's, and rho is
+    # stationary_rho's
     for H in [h_demo, _chain_hypergraph(13, 64)] + sweep(304, 15):
         want = stationary_direct(transition_matrix(rebuilt(H)))
+        rho = stationary_rho(rebuilt(H)).rho
         residual = float(np.abs(_walk_product(H)(want.pi) - want.pi).max())
         P = transition_matrix(H)
         before = P.matrix.tobytes()
         for got in (_stationary_direct_of(rebuilt(H)), _stationary_direct_of(H)):
             assert got.pi.tobytes() == want.pi.tobytes()
             assert np.float64(got.residual).tobytes() == np.float64(residual).tobytes()
-            assert (got.vertices, got.rho, got.method) == (want.vertices, None, "direct-solve")
+            assert (got.vertices, got.method) == (want.vertices, "direct-solve")
+            assert got.rho.tobytes() == rho.tobytes()
         assert transition_matrix(H) is P and P.matrix.tobytes() == before
 
 
@@ -364,10 +357,9 @@ def test_edge_independent_matches_direct():
         assert np.abs(res.pi - direct.pi).max() <= 1e-10
 
 
-def test_closed_form_and_rho_build_no_walk_matrix(monkeypatch):
-    # their residual is the walk product's, so neither builds P, and the
-    # closed form answers past the dense limit; the rho route's one dense
-    # matrix is |E| x |E|
+def test_closed_form_builds_no_walk_matrix(monkeypatch):
+    # its residual is the walk product's, so it does not build P, and it
+    # answers past the dense limit
     def unreachable(*args, **kwargs):
         raise AssertionError("P was built")
 
@@ -378,8 +370,6 @@ def test_closed_form_and_rho_build_no_walk_matrix(monkeypatch):
     monkeypatch.setattr(walk, "_block_scatter", unreachable)
     res = stationary_edge_independent(H)
     assert res.residual <= 1e-15 and abs(res.pi.sum() - 1.0) <= 1e-12
-    for H in sweep(305, 10):
-        assert stationary_rho(H).residual <= RESIDUAL_TOL
 
 
 def test_edge_independent_rejects_demo(h_demo):

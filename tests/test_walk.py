@@ -27,9 +27,9 @@ from hyperwalk import (
     transition_matrix,
 )
 from hyperwalk.core import _block_scatter, _vertex_major
-from hyperwalk.stationary import RESIDUAL_TOL, WALK_MAX_ITER, WALK_RTOL, edge_coupling_matrix
+from hyperwalk.stationary import RESIDUAL_TOL, WALK_MAX_ITER, WALK_RTOL
 from conftest import rho_normalized, sweep
-from oracles import simulate
+from oracles import edge_coupling_matrix, simulate
 
 DEMO_P = np.array([
     [5 / 12, 1 / 8, 7 / 24, 1 / 6],
@@ -128,17 +128,17 @@ def test_each_walk_keeps_the_bits_of_its_factors(H):
         got = stationary_walk(H)
         assert (got.pi.tobytes(), got.rho.tobytes(), got.residual) == \
             (want[0].tobytes(), want[1].tobytes(), want[2])
-    # the coupling matrix, the rho solve's pi and the mixing bound's beta1
-    # read H's own gamma / delta, so no delta(e) = 1 copy is built
+    # the coupling-matrix oracle and the mixing bound's beta1 read H's own
+    # gamma / delta, so no delta(e) = 1 copy is built; rho is one sum of
+    # pi / d per edge
     sizes = np.diff(H.indptr)
     vptr, order = _vertex_major(H)
     contrib = np.repeat(H.omega, sizes) * f.right / f.d[H.indices]
     A = _block_scatter(vptr, f.edge[order], np.ones(len(order)), contrib[order], H.n_edges)
     assert edge_coupling_matrix(H).tobytes() == A.tobytes()
     res = stationary_rho(H)
-    pi = np.bincount(H.indices, weights=np.repeat(res.rho * H.omega, sizes) * f.right,
-                     minlength=H.n_vertices)
-    assert res.pi.tobytes() == pi.tobytes()
+    rho = np.bincount(f.edge, weights=(res.pi / f.d)[H.indices], minlength=H.n_edges)
+    assert res.rho.tobytes() == rho.tobytes()
     # beta2 reads the rho-rescaled weights per entry, rho_e * (gamma / delta),
     # so no rescaled copy is built and a subnormal delta leaves it in range
     bound = mixing_time_bound(H, 0.25)
