@@ -86,6 +86,10 @@ class BoundOverflow(HyperwalkError):
     """A computed bound is too large for a float."""
 
 
+class NoFeasibleSubset(HyperwalkError):
+    """No subset has float mass pi(S) <= 1/2 for the Cheeger ratio."""
+
+
 class MassUnderflow(HyperwalkError):
     """A stationary probability is too small for a float (it is 0.0), so a
     quantity that divides by it cannot be formed; or too small beside

@@ -18,7 +18,8 @@ import math
 import numpy as np
 
 from .core import Hypergraph, _frozen, _memo, _real, _Record, degrees
-from .errors import BoundOverflow, ConvergenceFailure, MassUnderflow, NotSymmetric, SizeLimit
+from .errors import (BoundOverflow, ConvergenceFailure, MassUnderflow, NoFeasibleSubset,
+                     NotSymmetric, SizeLimit)
 from .stationary import _rho_scaled, stationary_rho
 from .walk import TransitionMatrix, _lazy_factors, transition_matrix
 
@@ -256,6 +257,9 @@ def _cheeger_enumerate(P: np.ndarray, pi: np.ndarray):
             ):
                 best_ratio = exact
                 best_subset = key
+    if best_subset is None:
+        raise NoFeasibleSubset("Cheeger enumeration: every vertex has float mass pi_v > 1/2 "
+                               "(the rounded pi sums past 1), so no subset has pi(S) <= 1/2")
     return best_ratio, best_subset
 
 
@@ -272,7 +276,8 @@ def cheeger_constant(H: Hypergraph) -> CheegerResult:
     which runs once per hypergraph: a later call on H returns the stored
     (immutable) minimum. The size check comes first and is never stored. A
     vertex whose mass is 0.0 makes a subset's ratio 0/0: MassUnderflow,
-    named before the enumeration."""
+    named before the enumeration. A pi whose every mass rounds above 1/2
+    leaves no subset to minimize over: NoFeasibleSubset, never stored."""
     _require_cheeger_size(H)
     P = transition_matrix(H)
     pi = stationary_rho(H).pi

@@ -11,9 +11,10 @@ Three routes are provided and cross-checked against each other:
   small relative error, however small it is. P may be shared, so it
   solves in a copy of P; the CLI's direct route (``_stationary_direct_of``)
   builds and checks P's array itself and solves in that buffer, so one
-  command holds one n x n matrix at its peak. ``stationary_rho(H)`` is
-  the same solve of H's memoized P, kept on H for the Laplacian, the
-  Cheeger enumeration, the mixing bound and the sandwich check.
+  command holds one n x n buffer plus O(GTH_BLOCK^2) workspace at its
+  peak. ``stationary_rho(H)`` is the same solve of H's memoized P, kept on
+  H for the Laplacian, the Cheeger enumeration, the mixing bound and the
+  sandwich check.
 * ``stationary_edge_independent`` -- the closed form
   pi_v = d(v) gamma(v) / sum_u d(u) gamma(u) available when vertex weights
   do not depend on the edge.
@@ -215,25 +216,38 @@ def _gth(M: np.ndarray) -> np.ndarray | None:
 
     States are eliminated last-first, in blocks K of GTH_BLOCK states,
     left-looking: a block first takes every later block's elimination into
-    its row panel M[K, :k1] and its column panel M[:k0, K], one GEMM each.
-    Then M[K, :k1] is the chain censored on the states before k1, and
-    M[:k0, K] is overwritten by W = M[:k0, K] (I - M[K, K])^-1, by which
-    the states before k0 reach K (``_block_inverse``). Then, first block to
-    last, pi_K = pi[:k0] W from pi_0 = 1.
+    its row panel M[K, :k1] and its column panel M[:k0, K]. Then M[K, :k1]
+    is the chain censored on the states before k1, and M[:k0, K] is
+    overwritten by W = M[:k0, K] X, X = (I - M[K, K])^-1, by which the
+    states before k0 reach K (``_block_inverse``). Then, first block to
+    last, pi_K = pi[:k0] W from pi_0 = 1. The row panel goes GTH_BLOCK
+    columns at a time, and the column panel with W GTH_BLOCK rows at a
+    time, through one GTH_BLOCK x GTH_BLOCK workspace: the solve holds one
+    n x n buffer plus O(GTH_BLOCK^2) workspace.
 
     Every pivot is a sum of exit masses and no step subtracts, so each
     probability carries a small relative error (O'Cinneide 1993), and
-    none is negative. A pivot of 0.0 is SingularSystem. Temporaries are
-    O(n GTH_BLOCK)."""
-    n = len(M)
-    blocks = [(max(1, k1 - GTH_BLOCK), k1) for k1 in range(n, 1, -GTH_BLOCK)]
+    none is negative. A pivot of 0.0 is SingularSystem."""
+    n, b = len(M), GTH_BLOCK
+    blocks = [(max(1, k1 - b), k1) for k1 in range(n, 1, -b)]
+    work = np.empty(min(b, n) ** 2)
     with np.errstate(all="ignore"):  # what leaves the float range is checked below
         for k0, k1 in blocks:
-            K = slice(k0, k1)
-            if k1 < n:
-                M[K, :k1] += M[K, k1:] @ M[k1:, :k1]
-                M[:k0, K] += M[:k0, k1:] @ M[k1:, K]
-            M[:k0, K] = M[:k0, K] @ _block_inverse(M[K, K], M[K, :k0].sum(axis=1))
+            K, s = slice(k0, k1), k1 - k0
+            for j in range(0, k1 if k1 < n else 0, b):
+                J = slice(j, min(j + b, k1))
+                M[K, J] += np.matmul(M[K, k1:], M[k1:, J],
+                                     out=work[:s * (J.stop - j)].reshape(s, -1))
+            X = _block_inverse(M[K, K], M[K, :k0].sum(axis=1))
+            for i in range(0, k0, b):  # W = (M[I, K] + M[I, k1:] M[k1:, K]) X
+                I = slice(i, min(i + b, k0))
+                t = work[:(I.stop - i) * s].reshape(-1, s)
+                if k1 < n:
+                    np.matmul(M[I, k1:], M[k1:, K], out=t)
+                    t += M[I, K]
+                else:
+                    t[...] = M[I, K]
+                np.matmul(t, X, out=M[I, K])
         pi = np.ones(n)
         for k0, k1 in reversed(blocks):
             pi[k0:k1] = pi[:k0] @ M[:k0, k0:k1]

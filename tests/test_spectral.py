@@ -12,6 +12,7 @@ from hyperwalk import (
     Hypergraph,
     HyperwalkError,
     MassUnderflow,
+    NoFeasibleSubset,
     NotSymmetric,
     SizeLimit,
     TransitionMatrix,
@@ -29,6 +30,7 @@ from hyperwalk import (
     transition_matrix,
 )
 import hyperwalk.spectral as spectral
+import hyperwalk.stationary as stationary
 from hyperwalk.spectral import _bound_from_components
 from hyperwalk.cli import dispatch
 from conftest import rebuilt, rho_normalized, sweep
@@ -395,6 +397,26 @@ def test_cheeger_never_scores_the_empty_or_full_set(monkeypatch):
             monkeypatch.setattr(spectral, "CHEEGER_BLOCK", block)
             with np.errstate(all="raise"):
                 assert spectral._cheeger_enumerate(P, pi) == want
+
+
+def test_cheeger_with_no_subset_of_mass_at_most_half_is_named(monkeypatch, tmp_path, capsys):
+    # Two masses each rounded just above 1/2 (as an LU solve once gave five
+    # parallel copies of one edge) leave no subset with pi(S) <= 1/2: a typed
+    # error, stored nowhere, and from the command no traceback.
+    heavy = np.full(2, np.nextafter(0.5, 1.0))
+    monkeypatch.setattr(stationary, "_dense_pi", lambda fresh: heavy.copy())
+    H = Hypergraph(["v0", "v1"], [(1.0, {"v0": 1.0, "v1": 1.0})] * 5)
+    message = ("Cheeger enumeration: every vertex has float mass pi_v > 1/2 (the rounded pi "
+               "sums past 1), so no subset has pi(S) <= 1/2")
+    for _ in range(2):
+        with pytest.raises(NoFeasibleSubset) as caught:
+            cheeger_constant(H)
+        assert str(caught.value) == message
+        assert "cheeger" not in H._memo
+    path = tmp_path / "in.json"
+    path.write_text(dumps_json(H))
+    assert dispatch(["spectral", "--input", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: NoFeasibleSubset: {message}\n")
 
 
 def test_cheeger_blocks_keep_a_floor_of_rows(monkeypatch):

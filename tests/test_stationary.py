@@ -309,7 +309,7 @@ def test_direct_stores_nothing_on_the_hypergraph(h_demo, monkeypatch):
 
 def test_direct_command_holds_one_walk_matrix(tmp_path, monkeypatch):
     # P is solved in its own buffer, so the traced peak is P plus the input's
-    # parse and the solve's O(256 n) temporaries, not P and a copy of it
+    # parse and the solve's O(GTH_BLOCK^2) workspace, not P and a copy of it
     n = 1024
     path, out = tmp_path / "in.json", tmp_path / "out.json"
     path.write_text(dumps_json(_chain_hypergraph(14, n)))
@@ -326,6 +326,28 @@ def test_direct_command_holds_one_walk_matrix(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert peak <= 1.5 * 8 * n * n
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_dense_solve_workspace_does_not_grow_with_n(monkeypatch, n):
+    # Every panel product goes through one GTH_BLOCK x GTH_BLOCK workspace,
+    # so beside M the solve's traced peak is a few GTH_BLOCK^2 arrays (the
+    # workspace, the block inverse and its halves) and pi. Measured with
+    # GTH_BLOCK = 32: 39.0 KB at n=256 and 40.4 KB at n=1024, 4.8 and 4.9 x
+    # 8 GTH_BLOCK^2 bytes; with an n-wide temporary per panel product it was
+    # 174 KB and 385 KB.
+    monkeypatch.setattr(stationary, "GTH_BLOCK", 32)
+    rng = np.random.default_rng(n)
+    M = rng.random((n, n))
+    M /= M.sum(axis=1, keepdims=True)
+    stationary._gth(M.copy())
+    tracemalloc.start()
+    try:
+        assert stationary._gth(M) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 8 * stationary.GTH_BLOCK ** 2
 
 
 # -- closed forms ------------------------------------------------------------------
