@@ -5,8 +5,9 @@ demo. Each handler takes the parsed arguments and returns its output: a dict
 for a JSON payload, or the text of a CSV or report. ``dispatch`` alone
 writes it, to stdout or to the --out file. Every file written with --out
 gets a companion ``<out>.manifest.json`` recording the command line, input
-digests, seed, tool version, numpy version, BLAS thread variables and PRNG
-algorithm, so any seeded run can be reproduced bit-for-bit within one build.
+digests, seed, tool version, Python and numpy versions, BLAS thread variables
+and PRNG algorithm, so any seeded run can be reproduced bit-for-bit within
+one build.
 
 Exit codes: 0 success, 1 domain error (message names the error type),
 2 usage error.
@@ -21,6 +22,7 @@ import functools
 import hashlib
 import json
 import os
+import platform
 import sys
 
 import numpy as np
@@ -73,6 +75,7 @@ def write_manifest(out_path: str, argv: list[str], inputs: dict[str, str],
         "inputs": inputs,
         "seed": seed,
         "version": __version__,
+        "python": platform.python_version(),
         "numpy": np.__version__,
         **_BLAS_THREADS,
         "prng": PRNG_ALGORITHM,

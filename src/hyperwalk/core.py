@@ -75,6 +75,13 @@ def _first(flags: np.ndarray) -> int:
     return int(np.argmax(flags)) if flags.any() else len(flags)
 
 
+def _add_in_order(start, values) -> float:
+    """start + values[0] + values[1] + ..., left to right like a loop, on
+    every Python: np.sum adds pairwise and the builtin sum compensates
+    (Neumaier) from Python 3.12 on. The library's one fixed-order sum."""
+    return float(np.add.accumulate(np.concatenate(([start], values)))[-1])
+
+
 def _component_labels(indptr, indices, n: int) -> np.ndarray:
     """Per vertex, the smallest vertex of its component, where the edges
     (non-empty, members ``indices[indptr[k]:indptr[k+1]]``) join vertices.

@@ -35,9 +35,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import (_INTEGER, _PAIR_CHUNK, _REAL, Hypergraph, _block_add, _component_labels,
-                   _entry_pairs, _Frozen, _per_member, _real, _Record, _vertex_index, degrees,
-                   delta_normalized)
+from .core import (_INTEGER, _PAIR_CHUNK, _REAL, Hypergraph, _add_in_order, _block_add,
+                   _component_labels, _entry_pairs, _Frozen, _per_member, _real, _Record,
+                   _vertex_index, degrees, delta_normalized)
 from .errors import (ConvergenceFailure, DisconnectedHypergraph, DuplicateVertex,
                      ElementMismatch, HyperwalkError, MalformedInput, NonPositiveWeight,
                      ScoreOverflow, SingularSystem)
@@ -533,12 +533,6 @@ def _pair_blocks(n: int):
         yield i, upper, w, total
 
 
-def _add_in_order(start, values):
-    """start + values[0] + values[1] + ..., left to right like a loop;
-    np.sum would not add in that order."""
-    return np.add.accumulate(np.concatenate(([start], values)))[-1]
-
-
 def _taus(rank: np.ndarray, blocks) -> tuple[float, float]:
     """The weighted and the unweighted Kendall tau, in one pass over the
     pair `blocks` of n = len(rank), of truth against an order in which
@@ -550,7 +544,7 @@ def _taus(rank: np.ndarray, blocks) -> tuple[float, float]:
         concordant += int(np.count_nonzero(agree))  # exact, as the loop's +-1.0 sums are
         signed = _add_in_order(signed, np.where(agree, w, -w))
     pairs = n * (n - 1) // 2
-    return float(signed / total), (2 * concordant - pairs) / pairs
+    return signed / total, (2 * concordant - pairs) / pairs
 
 
 class ExperimentResult(_Record):
@@ -679,8 +673,8 @@ def experiment(n: int, sigma: float, p_values: Iterable[float], trials: int,
         for p in p_values:
             taus = [r["tau_weighted"] for r in rows
                     if r["method"] == method and r["p"] == p]
-            mean = sum(taus) / len(taus)
-            var = sum((x - mean) ** 2 for x in taus) / len(taus)
+            mean = _add_in_order(0.0, taus) / len(taus)
+            var = _add_in_order(0.0, [(x - mean) ** 2 for x in taus]) / len(taus)
             summary.append({
                 "method": method,
                 "p": p,

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .core import Hypergraph, _frozen, _memo, _real, _Record, degrees
+from .core import Hypergraph, _add_in_order, _frozen, _memo, _real, _Record, degrees
 from .errors import (BoundOverflow, ConvergenceFailure, MassUnderflow, NoFeasibleSubset,
                      NotSymmetric, SizeLimit)
 from .stationary import _rho_scaled, stationary_rho
@@ -179,7 +179,8 @@ def _cheeger_enumerate(P: np.ndarray, pi: np.ndarray):
     minimal if its block ratio is within a factor 1 + 3 RTOL of that of
     every surely feasible subset (block pi(S) <= (1 - RTOL)/2). The screen
     uses the least such ratio seen so far, so the minimizer passes it in any
-    block order. Only the candidates are rescored in fixed order.
+    block order. Only the candidates are rescored, each sum left to right by
+    ``core._add_in_order``.
 
     The rows of A are taken by pi(A) descending and the B by pi(B)
     ascending. A float sum is monotone in each term, so the cells of a row
@@ -190,9 +191,8 @@ def _cheeger_enumerate(P: np.ndarray, pi: np.ndarray):
     set stays the size of one block and no block-sized temporary is handed
     back to the system and faulted in again, page by page, at every step."""
     n = len(pi)
-    F = pi[:, None] * P
-    flow_terms, pi_list = F.tolist(), pi.tolist()  # the products pi[x] * P[x, y]
-    h = n // 2
+    F = pi[:, None] * P  # the products pi[x] * P[x, y]
+    vertices, h = np.arange(n), n // 2
 
     def half(part, rest):  # per subset T of part: pi(T), T F_part,rest, f(T), [1 - T, 1]
         inside, outside = _subsets(part.stop - part.start)
@@ -212,7 +212,7 @@ def _cheeger_enumerate(P: np.ndarray, pi: np.ndarray):
              (masks_a.index(len(pi_a) - 1), masks_b.index(len(pi_b) - 1))]
     half_lo, half_hi = 0.5 * (1.0 - CHEEGER_RTOL), 0.5 * (1.0 + CHEEGER_RTOL)
     bound = math.inf  # least block ratio of a surely feasible subset so far
-    best_ratio = best_subset = None
+    best_ratio, best_subset = math.inf, None
     rows = max(ROWS_FLOOR, CHEEGER_BLOCK >> (n - h))
     cells = min(rows, len(pi_a)) * len(pi_b)
     values, masks = np.empty((2, cells)), np.empty((2, cells), dtype=bool)
@@ -236,27 +236,14 @@ def _cheeger_enumerate(P: np.ndarray, pi: np.ndarray):
         for cell in np.flatnonzero(candidates).tolist():
             a_row, b_col = divmod(cell, cols)
             mask = masks_a[start + a_row] | (masks_b[b_col] << h)
-            members = [i for i in range(n) if mask >> i & 1]
-            pi_exact = 0.0
-            for i in members:
-                pi_exact += pi_list[i]
+            inside = (mask >> vertices & 1).astype(bool)
+            pi_exact = _add_in_order(0.0, pi[inside])
             if pi_exact > 0.5:
                 continue
-            flow_exact = 0.0
-            for x in members:
-                row = flow_terms[x]
-                for y in range(n):
-                    if not mask >> y & 1:
-                        flow_exact += row[y]
-            exact = flow_exact / pi_exact
-            key = tuple(members)
-            if (
-                best_ratio is None
-                or exact < best_ratio
-                or (exact == best_ratio and key < best_subset)
-            ):
-                best_ratio = exact
-                best_subset = key
+            exact = _add_in_order(0.0, F[inside][:, ~inside].ravel()) / pi_exact
+            key = tuple(np.flatnonzero(inside).tolist())
+            if (exact, key) < (best_ratio, best_subset):
+                best_ratio, best_subset = exact, key
     if best_subset is None:
         raise NoFeasibleSubset("Cheeger enumeration: every vertex has float mass pi_v > 1/2 "
                                "(the rounded pi sums past 1), so no subset has pi(S) <= 1/2")

@@ -234,19 +234,15 @@ def _gth(M: np.ndarray) -> np.ndarray | None:
     with np.errstate(all="ignore"):  # what leaves the float range is checked below
         for k0, k1 in blocks:
             K, s = slice(k0, k1), k1 - k0
-            for j in range(0, k1 if k1 < n else 0, b):
+            for j in range(0, k1, b):
                 J = slice(j, min(j + b, k1))
                 M[K, J] += np.matmul(M[K, k1:], M[k1:, J],
                                      out=work[:s * (J.stop - j)].reshape(s, -1))
             X = _block_inverse(M[K, K], M[K, :k0].sum(axis=1))
             for i in range(0, k0, b):  # W = (M[I, K] + M[I, k1:] M[k1:, K]) X
                 I = slice(i, min(i + b, k0))
-                t = work[:(I.stop - i) * s].reshape(-1, s)
-                if k1 < n:
-                    np.matmul(M[I, k1:], M[k1:, K], out=t)
-                    t += M[I, K]
-                else:
-                    t[...] = M[I, K]
+                t = np.matmul(M[I, k1:], M[k1:, K], out=work[:(I.stop - i) * s].reshape(-1, s))
+                t += M[I, K]
                 np.matmul(t, X, out=M[I, K])
         pi = np.ones(n)
         for k0, k1 in reversed(blocks):

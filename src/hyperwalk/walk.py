@@ -109,7 +109,8 @@ def nonlazy_transition_matrix(H: Hypergraph) -> TransitionMatrix:
             f"edge #{singletons[0]} has a single member; non-lazy walk undefined"
         )
     # P[v, w] += (omega / d(v), in [0, 1]) / (the other members' gamma sum) * gamma(w), w != v
-    coeff = _lazy_factors(H)[0] / _others(H.indptr, H.gamma)
+    with np.errstate(over="ignore"):  # a coefficient past the float range: _check_stochastic
+        coeff = _lazy_factors(H)[0] / _others(H.indptr, H.gamma)
     P = _block_scatter(H.indptr, H.indices, coeff, H.gamma, H.n_vertices)
     np.fill_diagonal(P, 0.0)
     return TransitionMatrix._over(H, P)

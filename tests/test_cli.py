@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -506,7 +507,7 @@ def test_manifest_records_numpy_and_blas_threads(demo_file, tmp_path):
     subprocess.run([sys.executable, "-c", script, "stationary", "--input", demo_file,
                     "--out", str(out)], env=env, check=True)
     manifest = json.loads((tmp_path / "pi.json.manifest.json").read_text())
-    assert manifest["numpy"] == np.__version__
+    assert (manifest["python"], manifest["numpy"]) == (platform.python_version(), np.__version__)
     assert manifest["OPENBLAS_NUM_THREADS"] == "1"
     assert manifest["OMP_NUM_THREADS"] is None
     assert manifest["MKL_NUM_THREADS"] is None
@@ -1129,6 +1130,17 @@ def test_subnormal_delta_is_refused_without_a_warning(tmp_path, command, message
     assert run.stderr == f"error: NonPositiveWeight: {message}\n"
 
 
+@pytest.mark.parametrize("doc", [
+    {"vertices": ["a", "b", "c"], "edges": [{"weight": 1.0, "members": {"a": 1.0, "b": 1e-320}},
+                                            {"weight": 1.0, "members": {"b": 1.0, "c": 1.0}}]},
+    SUBNORMAL_DELTA], ids=["subnormal-gamma", "subnormal-delta"])
+def test_nonlazy_coefficient_past_the_float_range_is_refused_without_a_warning(tmp_path, doc):
+    # (omega / d(v)) / (the other members' gamma sum) passes the float range
+    run = _run_as_a_user(tmp_path, "transition --kind nonlazy", doc)
+    assert (run.returncode, run.stderr) == (
+        2, "usage error: transition probabilities must be finite\n")
+
+
 # delta(e) = 2e-308 is a normal number, yet rho_e / delta(e) of the first
 # edge is about 2.5e312
 RHO_OVER_DELTA_PAST_RANGE = {
@@ -1251,7 +1263,7 @@ def test_stationary_auto_reports_fallback(demo_file, tmp_path, capsys, monkeypat
     assert "ConvergenceFailure: walk iteration refused" in capsys.readouterr().err
     assert auto.read_bytes() == direct.read_bytes()
     manifest = json.loads((tmp_path / "auto.json.manifest.json").read_text())
-    assert set(manifest) == {"command", "inputs", "seed", "version", "numpy",
+    assert set(manifest) == {"command", "inputs", "seed", "version", "python", "numpy",
                              "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                              "prng", "timestamp"}
 

@@ -1,7 +1,9 @@
 """The top-level `hyperwalk` namespace: each module's `__all__` and the
-exception classes of `errors`, and nothing else; and two rules every
-module's source keeps: one freezing rule and one writer per memo entry."""
+exception classes of `errors`, and nothing else; and the rules every
+module's source keeps: one freezing rule, no dataclass, no call to the
+builtin sum(), and one writer per memo entry."""
 
+import ast
 import inspect
 import os
 import pickle
@@ -116,6 +118,16 @@ def test_no_dataclass_in_the_library():
     # would be generated and compiled at every import
     assert [f"{name}:{number}: {line}" for name, number, line in source_lines()
             if "dataclass" in line] == []
+
+
+def test_no_call_to_the_builtin_sum():
+    # Python 3.12 and later compensate sum(), so a seeded output summed by it
+    # has other bits there than on 3.10 and 3.11
+    calls = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "sum"]
+    assert calls == [], "add through core._add_in_order, left to right on every Python"
 
 
 def test_the_memo_is_touched_only_in_core():

@@ -2,6 +2,8 @@
 
 import math
 import os
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -36,11 +38,13 @@ from hyperwalk import (
     transition_matrix,
 )
 from hyperwalk import core, rankagg
+from hyperwalk.cli import dispatch
 from hyperwalk.core import delta_normalized
 from hyperwalk.reduction import clique_expansion_weights, graph_random_walk
 from hyperwalk.rankagg import matches_from_json_dict, matches_to_json_dict
 from hyperwalk.stationary import RESIDUAL_TOL
 from oracles import lu_stationary
+import summary_sum
 
 
 def same(a, b):
@@ -946,6 +950,27 @@ def test_experiment_rejects_repeated_rate(monkeypatch):
     monkeypatch.setattr(rankagg, "_draw", unreachable)
     with pytest.raises(ValueError, match="inclusion rate 0.3 is given more than once"):
         experiment(10, 1.0, [0.3, 0.5, 0.3], trials=2, seed=5)
+
+
+def test_the_summary_does_not_depend_on_the_builtin_sum(monkeypatch):
+    # Python 3.12 and later compensate sum(), so a summary summed by it would
+    # have other bits there; math.fsum stands in for such a sum(), and the
+    # summary keeps the bits of a left-to-right sum, which fsum would move
+    monkeypatch.setattr(rankagg, "sum", math.fsum, raising=False)
+    result = experiment(100, 1.0, [0.03, 0.05, 0.07], 30, 42)
+    doc = {"trials": result.trials, "summary": result.summary}
+    assert summary_sum.mismatches(doc, summary_sum.in_order) == []
+    assert len(summary_sum.mismatches(doc, math.fsum)) == 9
+
+
+def test_the_summary_script_reproduces_the_cli_summary(tmp_path):
+    # the stdlib-only script that checks the summary on a Python without numpy
+    out = tmp_path / "run.json"
+    assert dispatch(["rankagg", "--json", "--trials", "4", "--out", str(out)]) == 0
+    run = subprocess.run([sys.executable, summary_sum.__file__, str(out)],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "left to right reproduces 9 of 9 rows" in run.stdout
 
 
 def test_experiment_deterministic_csv():
