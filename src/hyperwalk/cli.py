@@ -146,13 +146,13 @@ def _cmd_stationary(args) -> dict:
     H = _hypergraph(args)
     if args.method == "auto":  # the walk iteration; the direct solve where it stalls
         try:
-            return stationary_walk(H)._json()
+            return stationary_walk(H).as_dict()
         except ConvergenceFailure as exc:
             if H.n_vertices > DENSE_SIZE_LIMIT:
                 raise
             print(f"warning: {type(exc).__name__}: {exc}; using the direct solve",
                   file=sys.stderr)
-    return _stationary_direct_of(H)._json()
+    return _stationary_direct_of(H).as_dict()
 
 
 def _cmd_spectral(args) -> dict:
@@ -232,7 +232,7 @@ def _cmd_demo(args) -> dict | str:
         return {
             "vertices": list(H.vertices),
             "transition_matrix": P.matrix.tolist(),
-            "pi": dict(zip(H.vertices, pi.pi.tolist())),
+            "pi": pi.as_dict()["pi"],
             "reversible": verdict.reversible,
             "worst_pair": list(verdict.worst_pair),
             "violation": verdict.violation,

@@ -611,12 +611,13 @@ class _JSONText(str):
 def _json_text(value) -> str:
     """``json.dumps(value, indent=2) + "\\n"``, byte for byte: the one JSON
     writer. Non-empty dicts, lists and tuples are walked into one list of
-    text, joined once; a ``_JSONText`` is spliced in as written; json.dumps
-    itself writes each non-str key and each value outside ``_SCALAR_TEXT``
-    (np.float64, an empty container, an unsupported type), so json's rules
-    and errors hold for them. A container that holds itself raises
-    RecursionError where json raises ValueError. ``_write_json`` walks it:
-    a nested writer would be a reference cycle."""
+    text, joined once, and one whose values are all exactly float is written
+    from one repr of its values; a ``_JSONText`` is spliced in as written;
+    json.dumps itself writes each non-str key and each value outside
+    ``_SCALAR_TEXT`` (np.float64, an empty container, an unsupported type),
+    so json's rules and errors hold for them. A container that holds itself
+    raises RecursionError where json raises ValueError. ``_write_json``
+    walks it: a nested writer would be a reference cycle."""
     parts = []
     _write_json(value, "\n", parts.append)
     parts.append("\n")
@@ -629,6 +630,11 @@ def _write_json(value, newline: str, append, scalar_text=_SCALAR_TEXT.get,
     # each line after the first opens with `newline`; defaults are locals, for speed
     if isinstance(value, dict) and value:
         inner, sep = newline + "  ", "{"
+        floats = _float_texts(value.values())
+        if floats:  # json's key text, as below, beside each float's
+            keys = (key_text(k) if type(k) is str else json.dumps({k: 0})[1:-4] for k in value)
+            return append("{" + inner + ("," + inner).join(map(": ".join, zip(keys, floats)))
+                          + newline + "}")
         for key, item in value.items():
             key = key_text(key) if type(key) is str else json.dumps({key: 0})[1:-4]
             text = scalar_text(type(item))
@@ -642,6 +648,9 @@ def _write_json(value, newline: str, append, scalar_text=_SCALAR_TEXT.get,
         append(newline + "}")
     elif isinstance(value, (list, tuple)) and value:
         inner, sep = newline + "  ", "["
+        floats = _float_texts(value)
+        if floats:
+            return append("[" + inner + ("," + inner).join(floats) + newline + "]")
         for item in value:
             text = scalar_text(type(item))
             if text:
@@ -658,6 +667,14 @@ def _write_json(value, newline: str, append, scalar_text=_SCALAR_TEXT.get,
         text = scalar_text(type(value))
         text = text(value) if text else json.dumps(value)
         append(spell(text, text))
+
+
+def _float_texts(values) -> list | None:
+    """Each of `values`' JSON text if every one is exactly a float, else
+    None: one repr of their list, "nan" and "inf" spelled as json does."""
+    if set(map(type, values)) == {float}:
+        text = repr(list(values))[1:-1]
+        return text.replace("nan", "NaN").replace("inf", "Infinity").split(", ")
 
 
 def _load_json(path: str, data: bytes | None = None):
@@ -729,19 +746,6 @@ def _hypergraph_json(names, indptr, indices, gamma, omega) -> _JSONText:
 def _list_text(items: list) -> str:
     """A list of JSON texts in a member of a top-level object."""
     return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
-
-
-def _object_text(keys, values: np.ndarray) -> _JSONText:
-    """``json.dumps(dict(zip(keys, values.tolist())), indent=2)``, byte for
-    byte, for distinct str `keys`, rendered from the array: one escape per
-    key, and every number's text from one repr of the list, in which "nan"
-    and "inf" are json's NaN and Infinity."""
-    if not len(values):
-        return _JSONText("{}")
-    numbers = repr(values.tolist())[1:-1].replace("nan", "NaN").replace("inf", "Infinity")
-    entries = map(": ".join, zip(map(json.encoder.encode_basestring_ascii, keys),
-                                 numbers.split(", ")))
-    return _JSONText("{\n  " + ",\n  ".join(entries) + "\n}")
 
 
 def to_json_dict(H: Hypergraph) -> dict:

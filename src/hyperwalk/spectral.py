@@ -376,7 +376,7 @@ class SpectralReport(_Record):
 
     def as_dict(self) -> dict:
         return {
-            "eigenvalues": [float(x) for x in self.eigenvalues],
+            "eigenvalues": self.eigenvalues.tolist(),
             "lambda": float(self.lam),
             "lambda_unnormalized": float(self.lam_unnormalized),
             "cheeger": float(self.cheeger),

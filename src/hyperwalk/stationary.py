@@ -32,7 +32,6 @@ import numpy as np
 from .core import (
     Hypergraph,
     _memo,
-    _object_text,
     _per_member,
     _Record,
     degrees,
@@ -87,14 +86,6 @@ class StationaryResult(_Record):
         rho = [] if self.rho is None else self.rho.tolist()
         return {"pi": dict(zip(self.vertices, self.pi.tolist())),
                 "rho": {str(k): r for k, r in enumerate(rho)},
-                "method": self.method, "residual": float(self.residual)}
-
-    def _json(self) -> dict:
-        """``as_dict()`` with pi and rho as JSON text rendered from the
-        arrays (``core._object_text``), for ``core._json_text``."""
-        rho = np.empty(0) if self.rho is None else self.rho
-        return {"pi": _object_text(self.vertices, self.pi),
-                "rho": _object_text(map(str, range(len(rho))), rho),
                 "method": self.method, "residual": float(self.residual)}
 
 

@@ -21,7 +21,7 @@ from hyperwalk import (
     to_json_dict,
 )
 from hyperwalk.cli import dispatch
-from hyperwalk.core import _graph_edges, _hypergraph_json, _json_text, _object_text
+from hyperwalk.core import _float_texts, _graph_edges, _hypergraph_json, _json_text
 from hyperwalk.stationary import _stationary_direct_of
 from conftest import sweep
 from test_cli import MATCHES
@@ -225,11 +225,23 @@ def test_no_non_finite_weight_reaches_the_renderer(bad):
     assert G.weights.tolist() == [[big, 1e308], [1e308, 0.0]]
 
 
-def test_object_rendered_from_an_array():
+def test_all_float_containers_written_as_json_does():
+    # a container whose values are all exactly float is written from one
+    # repr of them: checked as a dict and as a list, at column 0 and spliced
     keys, values = ['"', "\\", "\x00\n", "π漢", "", "x"], [float("nan"), float("inf"),
                                                           -float("inf"), -0.0, 5e-324, 1e16]
-    spliced(_object_text(keys, np.array(values)), dict(zip(keys, values)))
-    spliced(_object_text((), np.empty(0)), {})
+    for value in (dict(zip(keys, values)), values, tuple(values), {}, [],
+                  [values, values[::-1], [0.5]], dict(enumerate(values)),
+                  {1: 0.5, "1": 2.0, 2.5: -1.0, None: 3.0, False: 4.0}):
+        spliced(value, value)
+    assert _float_texts(values) and _float_texts(dict(enumerate(values)).values())
+    # floats beside other values, and np.float64 (a float subclass), take
+    # json's own path
+    mixed = [0.5, 1, "2.0", None, True, [1.5], np.float64(0.25), float("nan")]
+    for value in (mixed, dict(zip(map(str, range(8)), mixed)), [np.float64(0.1)] * 3,
+                  {"a": np.float64(-0.0), "b": np.float64("inf")}):
+        assert _float_texts(value if isinstance(value, list) else value.values()) is None
+        spliced(value, value)
 
 
 # The stationary routes of the CLI by --method, and the inputs each payload
@@ -275,6 +287,22 @@ def test_cli_outputs_and_manifests_are_json_indent_2(tmp_path, command):
             assert out.read_text() == reference(result.as_dict())
             assert result.rho is not None or H is STATIONARY_INPUTS[-1]  # the last: "rho": {}
         assert result.rho is None
+
+
+@pytest.mark.parametrize("command", [
+    "transition --json", "stationary --method auto", "stationary --method direct"])
+def test_cli_outputs_at_benchmark_scale_are_json_indent_2(tmp_path, command):
+    # 64 rows of P, and pi and rho, each one all-float container
+    H = edvw_64()
+    h, out = tmp_path / "h.json", tmp_path / "out.json"
+    h.write_text(dumps_json(H))
+    assert dispatch(command.split() + ["--input", str(h), "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == reference(json.loads(text))
+    if command.startswith("stationary"):
+        result = STATIONARY_ROUTES[command.split()[2]](H)
+        assert len(result.pi) == 64 and result.rho is not None
+        assert text == reference(result.as_dict())
 
 
 def test_demo_json_is_json_indent_2(capsys):
