@@ -14,7 +14,12 @@ Three routes are provided and cross-checked against each other:
   command holds one n x n buffer plus O(GTH_BLOCK^2) workspace at its
   peak. ``stationary_rho(H)`` is the same solve of H's memoized P, kept on
   H for the Laplacian, the Cheeger enumeration, the mixing bound and the
-  sandwich check.
+  sandwich check. Above GTH_BLOCK states, one sparse round comes first
+  (``_round_order``, ``_round``): an independent set of states with few
+  neighbours, never the root that is eliminated last, is placed last in
+  P and eliminated by one scatter, and the dense solve runs on the rest.
+  Each entry point picks that set from the same pattern of P's nonzero
+  entries, so all three give the same pi bit for bit.
 * ``stationary_edge_independent`` -- the closed form
   pi_v = d(v) gamma(v) / sum_u d(u) gamma(u) available when vertex weights
   do not depend on the edge.
@@ -31,6 +36,8 @@ import numpy as np
 
 from .core import (
     Hypergraph,
+    _block_add,
+    _entry_pairs,
     _memo,
     _per_member,
     _Record,
@@ -140,8 +147,7 @@ def stationary_rho(H: Hypergraph) -> StationaryResult:
     whose ``pi`` and ``rho`` are read-only. A failure is never stored.
     """
     def solve():
-        result = _finish(H, _dense_pi(lambda: np.maximum(transition_matrix(H).matrix, 0.0)),
-                         "direct-solve")
+        result = _finish(H, _held_pi(transition_matrix(H).matrix), "direct-solve")
         if result.rho is None:
             bad = np.flatnonzero(~np.isfinite(_rho_of(H, result.pi)))[0]
             raise NonPositiveWeight(
@@ -157,7 +163,7 @@ def stationary_direct(P: TransitionMatrix) -> StationaryResult:
 
     P is read-only and may be shared, so each solve works in a copy of P, in
     which an entry the row check lets lie just below 0 reads as 0.0."""
-    pi = _dense_pi(lambda: np.maximum(P.matrix, 0.0))
+    pi = _held_pi(P.matrix)
     return StationaryResult(vertices=P.vertices, pi=pi, rho=None, method="direct-solve",
                             residual=_residual(pi, P))
 
@@ -168,42 +174,135 @@ def _stationary_direct_of(H: Hypergraph) -> StationaryResult:
     one n x n matrix is held at the peak. Nothing is stored on H."""
     _check_size(H.n_vertices)
 
-    def fresh():
-        M = _lazy_walk(H)
+    def fresh(order):
+        M = _lazy_walk(H, order)
         _check_stochastic(M)
         return M
 
-    return _finish(H, _dense_pi(fresh), "direct-solve")
+    return _finish(H, _dense_pi(H.n_vertices, lambda: _term_pattern(H), fresh), "direct-solve")
 
 
-def _dense_pi(fresh) -> np.ndarray:
-    """pi of the row-stochastic matrix that each call of `fresh` builds anew,
-    by ``_gth`` in the states' own order. Where that order meets a pivot of
-    0.0 or leaves the float range, the solve runs once more on a fresh
-    build in reversed order: which states are eliminated last decides what
-    over- or underflows. Where that fails too, a pivot of 0.0 is
-    SingularSystem and the float range MassUnderflow."""
-    try:
-        pi = _gth(fresh())
-    except SingularSystem:
-        pi = None
-    if pi is None:
-        M = fresh()
-        n = len(M)
-        for i in range((n + 1) // 2):  # M[::-1, ::-1] in place, two rows at a time
-            M[[i, n - 1 - i]] = M[[n - 1 - i, i], ::-1]
-        pi = _gth(M)
-        if pi is None:
-            raise MassUnderflow("stationary probabilities span more than the float range "
-                                "in both state orders of the dense solve")
-        pi = pi[::-1].copy()
-    return pi
+def _held_pi(P: np.ndarray) -> np.ndarray:
+    """``_dense_pi`` of a P that may be shared, each build one n x n copy of
+    it, in which an entry the row check lets lie just below 0 reads as 0.0."""
+    def fresh(order):
+        M = P[np.ix_(order, order)]
+        return np.maximum(M, 0.0, out=M)
+
+    def pattern():
+        A, B = _own_pages(len(P)), _own_pages(len(P))
+        return np.logical_or(np.greater(P, 0.0, out=A), np.greater(P.T, 0.0, out=B), out=A)
+
+    return _dense_pi(len(P), pattern, fresh)
 
 
-def _gth(M: np.ndarray) -> np.ndarray | None:
+def _term_pattern(H: Hypergraph) -> np.ndarray:
+    """Which vertices P links, P[v, w] or P[w, v] nonzero, as
+    ``_round_order`` reads it: the co-member pairs whose term is nonzero,
+    one _entry_pairs chunk at a time. An edge of s members whose smallest
+    term is nonzero gives each of them s - 1 neighbours; where
+    (s - 1)^2 > n none of them can be removed, so each gets a full row."""
+    n, (left, right), first = H.n_vertices, _lazy_factors(H), H.indptr[:-1]
+    A, sizes = _own_pages(n), np.diff(H.indptr)
+    full = ((sizes - 1) ** 2 > n) & (np.minimum.reduceat(left, first)
+                                     * np.minimum.reduceat(right, first) != 0.0)
+    A[H.indices[np.repeat(full, sizes)]] = True
+    for row, col, _ in _entry_pairs(H.indptr, np.flatnonzero(~full)):
+        keep = left[row] * right[col] != 0.0
+        v, w = H.indices[row[keep]], H.indices[col[keep]]
+        A[v, w] = A[w, v] = True
+    return A
+
+
+def _own_pages(n: int) -> np.ndarray:
+    """A zeroed n x n bool array in a mapping of its own, so its pages leave
+    when it is freed; freed heap pages would stay resident beside P."""
+    import mmap  # here, not at import: it adds about 0.5 ms to every command's start
+
+    return np.frombuffer(mmap.mmap(-1, n * n), dtype=bool).reshape(n, n)
+
+
+def _dense_pi(n: int, pattern, fresh) -> np.ndarray:
+    """pi of the n-state row-stochastic P that ``fresh(order)`` builds anew
+    as P[order][:, order], by ``_gth`` in the states' own order, so state 0
+    is the root, eliminated last. Above GTH_BLOCK states, ``_round_order``
+    first moves an independent set of low-degree states last, never the
+    root, reading ``pattern()``, which states P links; ``_round`` eliminates
+    them by one scatter. Where that order meets a pivot of 0.0 or leaves
+    the float range, the solve runs once more in reversed order, whose root
+    is state n - 1: which states are eliminated last decides what over- or
+    underflows. Where that fails too, a pivot of 0.0 is SingularSystem and
+    the float range MassUnderflow."""
+    for retry, base in enumerate((np.arange(n), np.arange(n)[::-1])):
+        order, m, links = (base, n, None) if n <= GTH_BLOCK else _round_order(pattern(), base)
+        M = fresh(order)
+        try:
+            with np.errstate(all="ignore"):  # what leaves the float range is checked below
+                pi = _gth(M) if links is None else _round(M, m, *links)
+                total = pi.sum()
+        except SingularSystem:
+            if retry:
+                raise
+            continue
+        if np.isfinite(total):
+            out = np.empty(n)
+            out[order] = pi / total
+            return out
+    raise MassUnderflow("stationary probabilities span more than the float range "
+                        "in both state orders of the dense solve")
+
+
+def _round_order(A: np.ndarray, base: np.ndarray) -> tuple:
+    """`base` with an independent set I of states moved last, the count m
+    of states kept, and the neighbours of each state of I by place in that
+    order, ``(indptr, places)``. A[v, w]
+    says P links v and w (this clears its diagonal). A state of d
+    neighbours may join I only if d^2 <= n, so that its elimination touches
+    at most n entries. I is built greedily, lowest d first, ties by place
+    in `base`, and never holds base[0], the root."""
+    n = len(A)
+    A.flat[::n + 1] = False
+    d = np.count_nonzero(A, axis=1)
+    rank = np.empty(n, dtype=np.intp)
+    rank[base] = np.arange(n)
+    free = np.ones(n, dtype=bool)
+    free[base[0]] = False
+    picked, links = [], []
+    candidates = np.flatnonzero(d * d <= n)
+    for v in candidates[np.lexsort((rank[candidates], d[candidates]))].tolist():
+        if free[v]:
+            picked.append(v)
+            links.append(np.flatnonzero(A[v]))
+            free[links[-1]] = False
+    order = np.concatenate([base[~np.isin(base, picked)], picked]).astype(np.intp)
+    rank[order] = np.arange(n)
+    indptr = np.cumsum([0] + [len(linked) for linked in links])
+    return order, n - len(picked), (indptr, rank[np.concatenate([base[:0]] + links)])
+
+
+def _round(M: np.ndarray, m: int, indptr, places) -> np.ndarray:
+    """``_gth`` of M after its states v = m + k, no two of them linked, are
+    eliminated into M[:m, :m] by one ``_block_add`` scatter: M[a, c] +=
+    M[a, v] * (M[v, c] / s_v) for each pair a, c of v's neighbours,
+    places[indptr[k]:indptr[k+1]], where the pivot s_v = sum of M[v, :m] is
+    v's exit mass (0.0 is SingularSystem). Then pi_v = (pi[:m] M[:m, v]) /
+    s_v. No step subtracts, so each probability keeps GTH's small relative
+    error in this order too."""
+    n = len(M)
+    s = M[m:, :m].sum(axis=1)
+    if not s.all():
+        raise SingularSystem("stationary solve failed: a state's exit mass (a pivot) is 0.0")
+    v = np.repeat(np.arange(m, n), np.diff(indptr))
+    _block_add(M.reshape(1, -1), indptr, places, [(M[places, v], M[v, places] / s[v - m], None)], n)
+    pi = _gth(M[:m, :m])
+    return np.concatenate([pi, pi @ M[:m, m:] / s])
+
+
+def _gth(M: np.ndarray) -> np.ndarray:
     """pi of a row-stochastic n x n M by GTH state reduction (Grassmann,
-    Taksar & Heyman 1985), in M's own buffer, which it leaves overwritten;
-    None where a value leaves the float range.
+    Taksar & Heyman 1985), scaled so that pi_0 = 1, in M's own buffer,
+    which it leaves overwritten; a value past the float range is left for
+    the caller to find.
 
     States are eliminated last-first, in blocks K of GTH_BLOCK states,
     left-looking: a block first takes every later block's elimination into
@@ -217,12 +316,14 @@ def _gth(M: np.ndarray) -> np.ndarray | None:
     n x n buffer plus O(GTH_BLOCK^2) workspace.
 
     Every pivot is a sum of exit masses and no step subtracts, so each
-    probability carries a small relative error (O'Cinneide 1993), and
-    none is negative. A pivot of 0.0 is SingularSystem."""
+    probability carries a small relative error (O'Cinneide 1993) in any
+    state order, and none is negative. A pivot of 0.0 is SingularSystem.
+    Above GTH_BLOCK states M is the block that ``_round`` leaves, and its
+    state 0 is the root of the whole order."""
     n, b = len(M), GTH_BLOCK
     blocks = [(max(1, k1 - b), k1) for k1 in range(n, 1, -b)]
     work = np.empty(min(b, n) ** 2)
-    with np.errstate(all="ignore"):  # what leaves the float range is checked below
+    with np.errstate(all="ignore"):  # what leaves the float range is the caller's to check
         for k0, k1 in blocks:
             K, s = slice(k0, k1), k1 - k0
             for j in range(0, k1, b):
@@ -238,8 +339,7 @@ def _gth(M: np.ndarray) -> np.ndarray | None:
         pi = np.ones(n)
         for k0, k1 in reversed(blocks):
             pi[k0:k1] = pi[:k0] @ M[:k0, k0:k1]
-        total = pi.sum()
-    return pi / total if np.isfinite(total) else None
+    return pi
 
 
 def _block_inverse(T: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -83,9 +83,12 @@ def transition_matrix(H: Hypergraph) -> TransitionMatrix:
     return _memo(H, "transition_matrix", lambda: TransitionMatrix._over(H, _lazy_walk(H)))
 
 
-def _lazy_walk(H: Hypergraph) -> np.ndarray:
-    """P's dense array, fresh and writable: nothing else holds it."""
-    return _block_scatter(H.indptr, H.indices, *_lazy_factors(H), H.n_vertices)
+def _lazy_walk(H: Hypergraph, order=None) -> np.ndarray:
+    """P's dense array, fresh and writable: nothing else holds it. Given a
+    permutation `order`, P[order][:, order], each entry the same terms added
+    in the same order."""
+    indices = H.indices if order is None else np.argsort(order)[H.indices]
+    return _block_scatter(H.indptr, indices, *_lazy_factors(H), H.n_vertices)
 
 
 def _lazy_factors(H: Hypergraph) -> tuple[np.ndarray, np.ndarray]:

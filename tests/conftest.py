@@ -130,6 +130,22 @@ def rebuilt(H):
     return loads_json(dumps_json(H))
 
 
+def round_sizes(monkeypatch):
+    """A list that records, per state order a dense solve picks, how many
+    states its first round (``stationary._round_order``) removes."""
+    import hyperwalk.stationary as stationary
+
+    sizes, real = [], stationary._round_order
+
+    def spy(A, base):
+        order, m, links = real(A, base)
+        sizes.append(len(order) - m)
+        return order, m, links
+
+    monkeypatch.setattr(stationary, "_round_order", spy)
+    return sizes
+
+
 def rho_normalized(H):
     """H with each edge's vertex weights rescaled so its own per-edge
     constant becomes 1: a hypergraph copy whose vertex weights are the

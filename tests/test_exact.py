@@ -27,7 +27,7 @@ from hyperwalk import (
     transition_matrix,
 )
 from hyperwalk.stationary import _stationary_direct_of
-from conftest import WIDE_RANGE_INPUTS, sweep, wide_sweep
+from conftest import WIDE_RANGE_INPUTS, rebuilt, round_sizes, sweep, wide_sweep
 from exact import entrywise_error, exact_cheeger, exact_rho, exact_stationary, exact_transition
 
 # Entrywise relative: max |pi_v - exact_v| / exact_v. The walk stops on its
@@ -129,3 +129,45 @@ def test_dense_routes_within_their_tolerance_on_the_wide_family(wide_family, mon
     monkeypatch.setattr(stationary, "GTH_BASE", base)
     worst = max(entrywise_error(route(H).pi, exact) for H, exact in wide_family)
     assert worst <= DIRECT_ENTRYWISE
+
+
+DENSE_ROUTES = [lambda H: stationary_direct(transition_matrix(H)), _stationary_direct_of,
+                lambda H: stationary_rho(rebuilt(H))]
+
+
+# Above GTH_BLOCK states the dense routes first eliminate an independent set
+# of low-degree states by one scatter (stationary._round); with blocks this
+# small it runs on some inputs of 4 to 8 vertices.
+@pytest.mark.parametrize("block, base", [(3, 1), (4, 2)])
+def test_dense_routes_after_a_round_within_their_tolerance(criterion_2, wide_family, monkeypatch,
+                                                           block, base):
+    monkeypatch.setattr(stationary, "GTH_BLOCK", block)
+    monkeypatch.setattr(stationary, "GTH_BASE", base)
+    sizes = round_sizes(monkeypatch)
+    rounds = []
+    for family in (criterion_2, wide_family):
+        ran = 0
+        for H, exact in family:
+            sizes.clear()
+            for route in DENSE_ROUTES:
+                assert entrywise_error(route(H).pi, exact) <= DIRECT_ENTRYWISE
+            ran += any(sizes)
+        rounds.append(ran)
+    assert min(rounds) > 0
+
+
+def test_round_never_removes_the_root(monkeypatch):
+    # exact pi = (1, 2e-320, 1e-320) / (1 + 3e-320). Above GTH_BLOCK = 2
+    # states the round runs on these 3: a and c have one neighbour each, and
+    # a is the root, so only c is removed. Removing a as well would leave b
+    # alone, with a's mass pi_b P[b, a] / P[a, b] = 5e319 of b's, past the
+    # float range, and in the reversed order likewise: MassUnderflow.
+    monkeypatch.setattr(stationary, "GTH_BLOCK", 2)
+    monkeypatch.setattr(stationary, "GTH_BASE", 1)
+    sizes = round_sizes(monkeypatch)
+    H = build_hypergraph(WIDE_RANGE_INPUTS["subnormal-vertex"])
+    exact = exact_stationary(H)
+    for route in DENSE_ROUTES:
+        sizes.clear()
+        assert entrywise_error(route(H).pi, exact) <= DIRECT_ENTRYWISE
+        assert sizes == [1]

@@ -404,7 +404,7 @@ def test_cheeger_with_no_subset_of_mass_at_most_half_is_named(monkeypatch, tmp_p
     # parallel copies of one edge) leave no subset with pi(S) <= 1/2: a typed
     # error, stored nowhere, and from the command no traceback.
     heavy = np.full(2, np.nextafter(0.5, 1.0))
-    monkeypatch.setattr(stationary, "_dense_pi", lambda fresh: heavy.copy())
+    monkeypatch.setattr(stationary, "_dense_pi", lambda *build: heavy.copy())
     H = Hypergraph(["v0", "v1"], [(1.0, {"v0": 1.0, "v1": 1.0})] * 5)
     message = ("Cheeger enumeration: every vertex has float mass pi_v > 1/2 (the rounded pi "
                "sums past 1), so no subset has pi(S) <= 1/2")

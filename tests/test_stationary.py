@@ -40,7 +40,7 @@ from hyperwalk.stationary import (
     _walk_product,
 )
 from hyperwalk.walk import DENSE_SIZE_LIMIT
-from conftest import rebuilt, rho_normalized, sweep
+from conftest import rebuilt, rho_normalized, round_sizes, sweep
 from exact import exact_stationary
 from oracles import edge_coupling_matrix, lu_stationary, naive_stationary
 
@@ -79,6 +79,38 @@ def test_direct_solve_is_bit_identical_in_both_entry_points(h_demo):
         assert _stationary_direct_of(H).pi.tobytes() == pi.tobytes()
         assert P.matrix.tobytes() == before.tobytes()
         np.testing.assert_allclose(pi, lu_stationary(P), rtol=1e-12, atol=0.0)
+
+
+def test_round_gives_the_same_bits_in_every_entry_point(monkeypatch):
+    # above GTH_BLOCK states each entry point picks the states its first
+    # round removes from the same pattern of P's nonzero entries: read from
+    # P, or from H's co-member pairs with a nonzero term, where an edge too
+    # big for any member to be removed is not read pair by pair
+    chain = _chain_hypergraph(11, 301)
+    names = chain.vertices[:200]
+    big = Hypergraph(chain.vertices, [(1.0, dict.fromkeys(names, 1.0))]
+                     + [(e["weight"], e["members"]) for e in to_json_dict(chain)["edges"]])
+    for H in (chain, big):
+        sizes = round_sizes(monkeypatch)
+        pi = _stationary_direct_of(H).pi
+        assert stationary_direct(transition_matrix(H)).pi.tobytes() == pi.tobytes()
+        assert stationary_rho(H).pi.tobytes() == pi.tobytes()
+        assert len(sizes) == 3 and len(set(sizes)) == 1 and sizes[0] > 0
+
+
+def test_round_removes_nothing_from_one_edge_holding_every_vertex(monkeypatch):
+    # the shape of CI's big-edge input at n=300: one edge holds every
+    # vertex, so every state has 299 neighbours, none has d^2 <= n, and pi
+    # is _gth of P in the states' own order, bit for bit
+    n, rng = 300, np.random.default_rng(1)
+    names = [f"v{i}" for i in range(n)]
+    H = Hypergraph(names, [(1.0, dict(zip(names, rng.uniform(0.25, 4.0, n).tolist())))]
+                   + [(1.5, {names[i]: 1.0, names[i + 1]: 2.0}) for i in range(0, n - 1, 7)])
+    sizes = round_sizes(monkeypatch)
+    want = stationary._gth(walk._lazy_walk(H))
+    want /= want.sum()
+    assert _stationary_direct_of(H).pi.tobytes() == want.tobytes()
+    assert sizes == [0]
 
 
 def test_demo_rho(h_demo):
@@ -296,7 +328,8 @@ def test_direct_stores_nothing_on_the_hypergraph(h_demo, monkeypatch):
     # keeps only the degrees the build reads
     builds = []
     real = stationary._lazy_walk
-    monkeypatch.setattr(stationary, "_lazy_walk", lambda H: builds.append(1) or real(H))
+    monkeypatch.setattr(stationary, "_lazy_walk",
+                        lambda H, *order: builds.append(1) or real(H, *order))
     want = stationary_direct(transition_matrix(rebuilt(h_demo))).pi
     residual = float(np.abs(_walk_product(h_demo)(want) - want).max())
     H = rebuilt(h_demo)
@@ -316,7 +349,8 @@ def test_direct_command_holds_one_walk_matrix(tmp_path, monkeypatch):
     builds = []
     real = walk._lazy_walk
     for module in (walk, stationary):
-        monkeypatch.setattr(module, "_lazy_walk", lambda H: builds.append(1) or real(H))
+        monkeypatch.setattr(module, "_lazy_walk",
+                            lambda H, *order: builds.append(1) or real(H, *order))
     tracemalloc.start()
     try:
         assert dispatch(["stationary", "--input", str(path), "--method", "direct",
