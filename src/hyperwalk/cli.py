@@ -1,13 +1,14 @@
 """Command-line interface.
 
 Subcommands: transition, stationary, spectral, reduce, rankagg, validate,
-demo. Each handler takes the parsed arguments and returns its output: a dict
-for a JSON payload, or the text of a CSV or report. ``dispatch`` alone
-writes it, to stdout or to the --out file. Every file written with --out
-gets a companion ``<out>.manifest.json`` recording the command line, input
-digests, seed, tool version, Python and numpy versions, BLAS thread variables
-and PRNG algorithm, so any seeded run can be reproduced bit-for-bit within
-one build.
+demo. Each handler takes the parsed arguments, reads each input file once
+(``_read``) after its usage checks, so a usage error is the same with or
+without --out and writes nothing, and returns its output: a dict for a JSON
+payload, or the text of a CSV or report. ``dispatch`` alone writes it, to
+stdout or to the --out file. Every file written with --out gets a companion
+``<out>.manifest.json`` recording the command line, input digests, seed,
+tool version, Python and numpy versions, BLAS thread variables and PRNG
+algorithm, so any seeded run can be reproduced bit-for-bit within one build.
 
 Exit codes: 0 success, 1 domain error (message names the error type),
 2 usage error.
@@ -105,15 +106,18 @@ def _matrix_csv(vertices, matrix) -> str:
 
 # -- subcommand handlers ---------------------------------------------------------
 
-def _pre_read(args, path: str) -> bytes | None:
-    """The bytes of the input file at `path` that ``dispatch`` read and
-    hashed before the work (with --out), let go once taken; else None, and
-    the file is read now."""
-    return args.read.pop(path, None)
+def _read(args, path: str) -> bytes:
+    """The input file at `path`, read once, by the handler that parses it,
+    after its usage checks; with --out, the sha256 of the bytes parsed goes
+    to the manifest's inputs, read before the output may overwrite them."""
+    data = _file_bytes(path)
+    if getattr(args, "out", None):
+        args.inputs[path] = hashlib.sha256(data).hexdigest()
+    return data
 
 
 def _hypergraph(args):
-    return read_hypergraph(args.input, _pre_read(args, args.input))
+    return read_hypergraph(args.input, _read(args, args.input))
 
 
 def _cmd_validate(args) -> str:
@@ -202,7 +206,7 @@ def _cmd_rankagg(args) -> dict | str:
     if args.matches:
         if given:
             raise ValueError(f"--{given[0]} applies only to the experiment, not to --matches")
-        data = matches_from_json_dict(_load_json(args.matches, _pre_read(args, args.matches)))
+        data = matches_from_json_dict(_load_json(args.matches, _read(args, args.matches)))
         rankings = _rankings(data, args.beta)
         return {"rankings": [{"method": r.method, "order": list(r.order)} for r in rankings]}
     for name in _EXPERIMENT_FLAGS.keys() - given:  # the manifest records the seed used
@@ -365,12 +369,8 @@ def dispatch(argv: list[str]) -> int:
     argv = _with_config(argv)
     args = _build_parser()[0].parse_args(argv)
     out = getattr(args, "out", None)
+    args.inputs = {}  # path -> sha256, filled by _read
     try:
-        # with --out, each input file is read once, before the work: its digest
-        # and its parse are of the same bytes, which the output may overwrite
-        paths = [getattr(args, name, None) for name in ("input", "matches")] if out else []
-        args.read = {p: _file_bytes(p) for p in paths if p}
-        inputs = {p: hashlib.sha256(data).hexdigest() for p, data in args.read.items()}
         if out is not None and not os.path.isdir(  # and "", whose directory "" is missing
                 parent := os.path.dirname(out.rstrip(os.sep)) or out and "."):
             try:  # open's own error, before the work: the directory's lookup fails,
@@ -386,7 +386,7 @@ def dispatch(argv: list[str]) -> int:
         if out:
             with open(out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-            write_manifest(out, argv, inputs, getattr(args, "seed", None))
+            write_manifest(out, argv, args.inputs, getattr(args, "seed", None))
         else:
             sys.stdout.write(text)
     except (HyperwalkError, OSError) as exc:

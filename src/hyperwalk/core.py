@@ -389,14 +389,11 @@ def _entry_pairs(indptr, groups):
     row_end, total = np.cumsum(sizes), sizes @ sizes
     if not total:  # no group, or only empty ones
         return
-    if total <= _PAIR_CHUNK:  # one chunk holds every pair
-        bounds = [0, row_end[-1]]
-    else:
-        pair_end = np.cumsum(sizes * sizes)
-        cut = np.arange(0, total, _PAIR_CHUNK)
-        k = np.searchsorted(pair_end, cut, side="right")  # the group holding each cut
-        start = row_end[k] - (pair_end[k] - cut) // sizes[k]  # a cut in a row moves to its end
-        bounds = sorted(set(start.tolist() + row_end[-1:].tolist()))  # no empty chunk
+    pair_end = np.cumsum(sizes * sizes)
+    cut = np.arange(0, total, _PAIR_CHUNK)
+    k = np.searchsorted(pair_end, cut, side="right")  # the group holding each cut
+    start = row_end[k] - (pair_end[k] - cut) // sizes[k]  # a cut in a row moves to its end
+    bounds = sorted(set(start.tolist() + row_end[-1:].tolist()))  # no empty chunk
     for a, b in zip(bounds[:-1], bounds[1:]):
         r = np.arange(a, b)
         k = np.searchsorted(row_end, r, side="right")  # each row's group
@@ -548,6 +545,17 @@ def has_trivial_weights(H: Hypergraph) -> bool:
 
 # -- serialization -----------------------------------------------------------
 
+def _fields(data, what: str, *keys) -> list:
+    """The values of `keys` in the JSON object `data`, else MalformedInput
+    naming `what`: a value that is not an object, or the first missing key."""
+    if not isinstance(data, Mapping):
+        raise MalformedInput(f"{what} must be an object")
+    try:
+        return [data[key] for key in keys]
+    except KeyError as exc:
+        raise MalformedInput(f"{what} is missing key {exc}") from None
+
+
 def build_hypergraph(data: Mapping) -> Hypergraph:
     """Build and validate a hypergraph from parsed JSON content.
 
@@ -556,13 +564,7 @@ def build_hypergraph(data: Mapping) -> Hypergraph:
         {"vertices": ["a", "b", ...],
          "edges": [{"weight": 1.0, "members": {"a": 2.0, "b": 1.0}}, ...]}
     """
-    if not isinstance(data, Mapping):
-        raise MalformedInput("hypergraph JSON must be an object")
-    try:
-        vertices = data["vertices"]
-        raw_edges = data["edges"]
-    except KeyError as exc:
-        raise MalformedInput(f"hypergraph JSON is missing key {exc}") from None
+    vertices, raw_edges = _fields(data, "hypergraph JSON", "vertices", "edges")
     if not isinstance(vertices, list) or not all(map(isinstance, vertices, repeat(str))):
         raise MalformedInput('"vertices" must be a list of vertex names')
     if not isinstance(raw_edges, list):

@@ -36,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import (_INTEGER, _PAIR_CHUNK, _REAL, Hypergraph, _add_in_order, _block_add,
-                   _component_labels, _entry_pairs, _Frozen, _per_member, _real, _Record,
+                   _component_labels, _entry_pairs, _fields, _Frozen, _per_member, _real, _Record,
                    _vertex_index, degrees, delta_normalized)
 from .errors import (ConvergenceFailure, DisconnectedHypergraph, DuplicateVertex,
                      ElementMismatch, HyperwalkError, MalformedInput, NonPositiveWeight,
@@ -175,19 +175,14 @@ def _match_sets(n: int, draws: list) -> list[MatchData]:
         i = bad[0]
         raise ScoreOverflow(f"match #{edge[i]}: score {float(scores[i])!r} of player "
                             f"{players[i]} is not a finite number <= {SCORE_LIMIT}")
-    # omega = np.std per match + 1, scores in input order, formed by
-    # np.std's own ufuncs over the rows of each block of equal-size
-    # matches (sum, divide, subtract, square, sum, divide, sqrt): the bits
-    # of np.std of each row (np.add.reduceat does not give them), without
-    # its per-call overhead. A spread past the float range gives inf.
+    # omega = np.std per match + 1, scores in input order, by one np.std
+    # per block of equal-size matches (np.add.reduceat does not give np.std's
+    # bits). A spread past the float range gives inf.
     omega = np.empty(len(sizes))
     with np.errstate(over="ignore", invalid="ignore"):
         for s in np.flatnonzero(np.bincount(sizes)):
             rows = np.flatnonzero(sizes == s)
-            x = scores[eptr[rows][:, None] + np.arange(s)]
-            x -= np.add.reduce(x, axis=1, keepdims=True) / s
-            np.multiply(x, x, out=x)
-            omega[rows] = np.sqrt(np.add.reduce(x, axis=1) / s) + 1.0
+            omega[rows] = np.std(scores[eptr[rows][:, None] + np.arange(s)], axis=1) + 1.0
     # math.exp per score: np.exp differs in the last bit
     gamma = np.fromiter(map(math.exp, scores.tolist()), float, len(scores))
     names, index = _vertex_index(range(1, n + 1))
@@ -694,16 +689,17 @@ def matches_from_json_dict(data: Mapping) -> MatchData:
 
         {"n": 4, "matches": [{"participants": [1, 3], "scores": [0.5, 1.25]}]}
 
-    The document's shape is checked here (a missing key is MalformedInput);
-    MatchData checks its values, so ``true``, ``1.7`` or ``"1"`` as a player
+    The document's shape is checked here, as `build_hypergraph` checks a
+    hypergraph's: a document or a match that is not an object, a missing
+    key, or a "matches" that is not a list is MalformedInput naming it.
+    MatchData checks the values, so ``true``, ``1.7`` or ``"1"`` as a player
     is MalformedInput and a ``NaN`` or ``Infinity`` score ScoreOverflow.
     """
-    try:
-        n = data["n"]
-        matches = [(m["participants"], m["scores"]) for m in data["matches"]]
-    except (KeyError, TypeError) as exc:
-        raise MalformedInput(f"match data: {type(exc).__name__}: {exc}") from None
-    return MatchData(n, matches)
+    n, matches = _fields(data, "match JSON", "n", "matches")
+    if not isinstance(matches, list):
+        raise MalformedInput('"matches" must be a list of match objects')
+    return MatchData(n, [_fields(match, f"match #{k}", "participants", "scores")
+                         for k, match in enumerate(matches)])
 
 
 def matches_to_json_dict(data: MatchData) -> dict:

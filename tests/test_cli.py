@@ -419,6 +419,23 @@ def test_out_reads_an_input_that_can_be_read_once(tmp_path, capsys, command, fla
     assert manifest["inputs"] == {fifo: hashlib.sha256(data.encode()).hexdigest()}
 
 
+@pytest.mark.parametrize("argv", [
+    ["transition", "--input", "{missing}", "--beta", "0.5"],
+    ["rankagg", "--matches", "{missing}", "--n", "5"],
+], ids=["transition", "rankagg"])
+def test_a_usage_error_comes_before_the_input_is_read(tmp_path, capsys, argv):
+    # a handler reads its input after its usage checks: a flag the command
+    # refuses beside a missing input file is a usage error, with --out or
+    # without, and nothing is written
+    argv = [arg.format(missing=tmp_path / "missing.json") for arg in argv]
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert dispatch(argv + ["--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, out", [
     (["validate"], False), *((c, out) for c in (["transition"], ["stationary"], ["spectral"],
                                                  ["reduce", "--mode", "sandwich"])

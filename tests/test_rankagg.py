@@ -361,6 +361,29 @@ def test_match_data_fault_messages(matches, error, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("doc, message", [
+    ([], "match JSON must be an object"),
+    ("x", "match JSON must be an object"),
+    (5, "match JSON must be an object"),
+    (None, "match JSON must be an object"),
+    ({"matches": []}, "match JSON is missing key 'n'"),
+    ({"n": 3}, "match JSON is missing key 'matches'"),
+    ({"n": 3, "matches": 7}, '"matches" must be a list of match objects'),
+    ({"n": 3, "matches": {"participants": [1, 2]}}, '"matches" must be a list of match objects'),
+    ({"n": 3, "matches": [[1, 2]]}, "match #0 must be an object"),
+    ({"n": 3, "matches": [{"participants": [1, 2], "scores": [0.0, 1.0]}, "x"]},
+     "match #1 must be an object"),
+    ({"n": 3, "matches": [{"scores": [0.0, 1.0]}]}, "match #0 is missing key 'participants'"),
+    ({"n": 3, "matches": [{"participants": [1, 2]}]}, "match #0 is missing key 'scores'"),
+], ids=["list", "str", "int", "null", "no-n", "no-matches", "matches-int", "matches-object",
+        "match-list", "second-match-str", "no-participants", "no-scores"])
+def test_match_document_shape_faults_are_named(doc, message):
+    # named as build_hypergraph names a hypergraph's, with no Python exception text
+    with pytest.raises(MalformedInput) as info:
+        matches_from_json_dict(doc)
+    assert str(info.value) == message
+
+
 def test_huge_score_spread_is_named_without_a_warning():
     # np.std overflows to inf; tier-1 turns RuntimeWarnings into errors
     with pytest.raises(NonPositiveWeight) as info:
