@@ -1,14 +1,15 @@
 """Command-line interface.
 
 Subcommands: transition, stationary, spectral, reduce, rankagg, validate,
-demo. Each handler takes the parsed arguments, reads each input file once
-(``_read``) after its usage checks, so a usage error is the same with or
-without --out and writes nothing, and returns its output: a dict for a JSON
-payload, or the text of a CSV or report. ``dispatch`` alone writes it, to
-stdout or to the --out file. Every file written with --out gets a companion
-``<out>.manifest.json`` recording the command line, input digests, seed,
-tool version, Python and numpy versions, BLAS thread variables and PRNG
-algorithm, so any seeded run can be reproduced bit-for-bit within one build.
+demo. Each handler takes the parsed arguments, makes its usage checks, then
+refuses an --out open would refuse (``_check_out``) before any work and
+reads each input file once (``_read``), so a usage error is the same with or
+without --out, and returns its output: a dict for a JSON payload, or the
+text of a CSV or report. ``dispatch`` alone writes it, to stdout or to the
+--out file. Every file written with --out gets a companion ``<out>.manifest.json``
+recording the command line, input digests, seed, tool version, Python and numpy
+versions, BLAS thread variables and PRNG algorithm, so any seeded run can be
+reproduced bit-for-bit within one build.
 
 Exit codes: 0 success, 1 domain error (message names the error type),
 2 usage error.
@@ -39,14 +40,14 @@ from .core import (
     read_hypergraph,
 )
 from .errors import ConvergenceFailure, HyperwalkError
-from .rankagg import DEFAULT_BETA, _rankings, experiment, matches_from_json_dict
+from .rankagg import DEFAULT_BETA, _checked, _rankings, experiment, matches_from_json_dict
 from .reduction import (
     edge_independent_to_graph,
     nonlazy_trivial_equivalence,
     reversibility,
     sandwich_check,
 )
-from .spectral import _spectra, check_cheeger, spectral_report
+from .spectral import _require_eps, _spectra, check_cheeger, spectral_report
 from .stationary import _stationary_direct_of, stationary_rho, stationary_walk
 from .walk import (
     DENSE_SIZE_LIMIT,
@@ -106,10 +107,26 @@ def _matrix_csv(vertices, matrix) -> str:
 
 # -- subcommand handlers ---------------------------------------------------------
 
+def _check_out(args) -> None:
+    """Refuse an --out that open would refuse (the empty path too), with its error."""
+    out = getattr(args, "out", None)
+    if out is not None and not os.path.isdir(
+            parent := os.path.dirname(out.rstrip(os.sep)) or out and "."):
+        try:
+            os.stat(parent)
+            code = errno.ENOTDIR
+        except OSError as exc:
+            code = exc.errno
+        raise OSError(code, os.strerror(code), out)
+    if out and (out.endswith(os.sep) or os.path.isdir(out)):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+
+
 def _read(args, path: str) -> bytes:
     """The input file at `path`, read once, by the handler that parses it,
-    after its usage checks; with --out, the sha256 of the bytes parsed goes
-    to the manifest's inputs, read before the output may overwrite them."""
+    after ``_check_out``; with --out, the sha256 of the bytes parsed goes to
+    the manifest's inputs, read before the output may overwrite them."""
+    _check_out(args)
     data = _file_bytes(path)
     if getattr(args, "out", None):
         args.inputs[path] = hashlib.sha256(data).hexdigest()
@@ -160,6 +177,7 @@ def _cmd_stationary(args) -> dict:
 
 
 def _cmd_spectral(args) -> dict:
+    _require_eps(args.eps)
     H = _hypergraph(args)
     payload = spectral_report(H, eps=args.eps).as_dict()
     if args.check_cheeger:
@@ -211,9 +229,10 @@ def _cmd_rankagg(args) -> dict | str:
         return {"rankings": [{"method": r.method, "order": list(r.order)} for r in rankings]}
     for name in _EXPERIMENT_FLAGS.keys() - given:  # the manifest records the seed used
         setattr(args, name, _EXPERIMENT_FLAGS[name])
-    p_values = [float(x) for x in args.p.split(",")]
-    result = experiment(args.n, args.sigma, p_values, args.trials, args.seed,
-                        beta=args.beta)
+    values = _checked(args.n, args.sigma, [float(x) for x in args.p.split(",")], args.trials,
+                      args.seed, args.beta)
+    _check_out(args)
+    result = experiment(*values)
     if args.json:
         return {"params": result.params, "summary": result.summary,
                 "trials": result.trials}
@@ -371,16 +390,6 @@ def dispatch(argv: list[str]) -> int:
     out = getattr(args, "out", None)
     args.inputs = {}  # path -> sha256, filled by _read
     try:
-        if out is not None and not os.path.isdir(  # and "", whose directory "" is missing
-                parent := os.path.dirname(out.rstrip(os.sep)) or out and "."):
-            try:  # open's own error, before the work: the directory's lookup fails,
-                os.stat(parent)
-                code = errno.ENOTDIR  # or it is a file,
-            except OSError as exc:
-                code = exc.errno
-            raise OSError(code, os.strerror(code), out)
-        if out and (out.endswith(os.sep) or os.path.isdir(out)):  # or out names a directory
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
         result = args.handler(args)
         text = _json_text(result) if isinstance(result, dict) else result
         if out:

@@ -418,13 +418,13 @@ def _block_scatter(indptr, indices, left, right, n: int, scale=None) -> np.ndarr
     return out.reshape(n, n)
 
 
-def _block_add(out: np.ndarray, indptr, indices, factors, n: int) -> None:
+def _block_add(out: np.ndarray, indptr, indices, factors, n: int, place=None) -> None:
     """Add to row i of `out`, a stack of flat n x n matrices, the sum
     ``_block_scatter`` forms from the i-th ``(left, right, scale)`` of
     `factors`, every sum by the chunks of one _entry_pairs walk in size
-    order."""
+    order; index pair (v, w)'s term goes to v * n + w, or place(v, w)."""
     for row, col, group in _entry_pairs(indptr, np.argsort(np.diff(indptr), kind="stable")):
-        at = indices[row] * n + indices[col]
+        at = indices[row] * n + indices[col] if place is None else place(indices[row], indices[col])
         for matrix, (left, right, scale) in zip(out, factors):
             values = left[row] * right[col]
             if scale is not None:

@@ -625,6 +625,17 @@ def _in_shares(run, tasks: list) -> list:
     return [shares[j % k][0][j // k] for j in range(len(tasks))]
 
 
+def _checked(n, sigma, p_values, trials, seed, beta) -> tuple:
+    """``experiment``'s arguments as it runs with them, each checked."""
+    if type(trials) not in _INTEGER:
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    n, sigma, p_values, seed = _check_draw(n, sigma, list(p_values), seed)
+    _check_size(n)
+    return n, sigma, p_values, trials, seed, _check_beta(beta)
+
+
 def experiment(n: int, sigma: float, p_values: Iterable[float], trials: int,
                seed: int, beta: float = DEFAULT_BETA) -> ExperimentResult:
     """Run all three rankers over seeded trials for each subsampling rate.
@@ -637,13 +648,7 @@ def experiment(n: int, sigma: float, p_values: Iterable[float], trials: int,
     them (_check_draw), then more players than a dense chain holds is
     SizeLimit and a restart probability outside (0, 1) BadBeta.
     """
-    if type(trials) not in _INTEGER:
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    n, sigma, p_values, seed = _check_draw(n, sigma, list(p_values), seed)
-    _check_size(n)
-    restart = _check_beta(beta)
+    n, sigma, p_values, trials, seed, restart = _checked(n, sigma, p_values, trials, seed, beta)
 
     tasks = [(p, t) for p in p_values for t in range(trials)]
     # The pairs of n, held once and built before any share forks (n >= 2

@@ -8,18 +8,17 @@ Three routes are provided and cross-checked against each other:
   walk contracts slowly.
 * ``stationary_direct`` -- GTH state reduction (``_gth``), the oracle for
   the other two: subtraction-free, so every probability comes out with a
-  small relative error, however small it is. P may be shared, so it
-  solves in a copy of P; the CLI's direct route (``_stationary_direct_of``)
-  builds and checks P's array itself and solves in that buffer, so one
-  command holds one n x n buffer plus O(GTH_BLOCK^2) workspace at its
-  peak. ``stationary_rho(H)`` is the same solve of H's memoized P, kept on
-  H for the Laplacian, the Cheeger enumeration, the mixing bound and the
-  sandwich check. Above GTH_BLOCK states, one sparse round comes first
-  (``_round_order``, ``_round``): an independent set of states with few
-  neighbours, never the root that is eliminated last, is placed last in
-  P and eliminated by one scatter, and the dense solve runs on the rest.
-  Each entry point picks that set from the same pattern of P's nonzero
-  entries, so all three give the same pi bit for bit.
+  small relative error, however small it is. ``stationary_rho(H)`` is the
+  same solve of H's memoized P, kept on H for the Laplacian, the Cheeger
+  enumeration, the mixing bound and the sandwich check; the CLI's direct
+  route (``_stationary_direct_of``) builds and checks P itself. Above
+  GTH_BLOCK states, one sparse round (``_round_order``, ``_round``)
+  eliminates an independent set of states with few neighbours, never the
+  root, by one scatter into the block of the m states kept, the only part
+  held densely (``_own_pages``): a solve holds 8 m^2 bytes plus
+  O(GTH_BLOCK^2) workspace at its peak. Each entry point picks that set
+  from the same pattern of P's nonzero entries, so all three give the
+  same pi bit for bit.
 * ``stationary_edge_independent`` -- the closed form
   pi_v = d(v) gamma(v) / sum_u d(u) gamma(u) available when vertex weights
   do not depend on the edge.
@@ -159,10 +158,8 @@ def stationary_rho(H: Hypergraph) -> StationaryResult:
 
 def stationary_direct(P: TransitionMatrix) -> StationaryResult:
     """Solve pi P = pi with sum pi = 1 by GTH state reduction (``_dense_pi``).
-    The oracle the other routes are checked against.
-
-    P is read-only and may be shared, so each solve works in a copy of P, in
-    which an entry the row check lets lie just below 0 reads as 0.0."""
+    The oracle the other routes are checked against. P is read-only and may
+    be shared, so each solve works in a copy (``_held_pi``)."""
     pi = _held_pi(P.matrix)
     return StationaryResult(vertices=P.vertices, pi=pi, rho=None, method="direct-solve",
                             residual=_residual(pi, P))
@@ -170,30 +167,62 @@ def stationary_direct(P: TransitionMatrix) -> StationaryResult:
 
 def _stationary_direct_of(H: Hypergraph) -> StationaryResult:
     """``stationary_direct(transition_matrix(H)).pi`` bit for bit, without
-    the copy: P's array is built, checked and solved in its own buffer, so
-    one n x n matrix is held at the peak. Nothing is stored on H."""
+    the copy: ``_walk_parts`` builds and checks only what the solve reads,
+    in the buffer it is solved in. Nothing is stored on H."""
     _check_size(H.n_vertices)
+    return _finish(H, _dense_pi(H.n_vertices, lambda: _term_pattern(H),
+                                lambda *states: _walk_parts(H, *states)), "direct-solve")
 
-    def fresh(order):
-        M = _lazy_walk(H, order)
-        _check_stochastic(M)
+
+def _walk_parts(H: Hypergraph, order, m: int, links):
+    """What ``_dense_pi`` solves of P[order][:, order]: P, where `links` is
+    None, else ``_round``'s B, C and R in ``_own_pages``, each entry the
+    terms ``_lazy_walk`` gives it, in its order (one ``_block_add``), checked
+    as ``_check_stochastic`` checks all of P: past C and R lie the removed
+    states' diagonals and one slot for the 0.0 terms of unlinked pairs."""
+    if links is None:
+        _check_stochastic(M := _lazy_walk(H, order))
         return M
+    n, (indptr, places), mm = H.n_vertices, links, m * m
+    v = np.repeat(np.arange(m, n), np.diff(indptr))
+    keys = np.concatenate([places * n + v, v * n + places, np.arange(m, n) * (n + 1)])
+    sort, buf = np.argsort(keys), _own_pages(mm + len(keys) + 1, float)
 
-    return _finish(H, _dense_pi(H.n_vertices, lambda: _term_pattern(H), fresh), "direct-solve")
+    def place(r, c):  # states r, c by place: B's entry, else the slot of its key
+        at, out = r * m + c, np.flatnonzero((r >= m) | (c >= m))
+        key = r[out] * n + c[out]
+        i = sort[np.searchsorted(keys, key, sorter=sort).clip(max=len(keys) - 1)]
+        at[out] = mm + np.where(keys[i] == key, i, len(keys))
+        return at
+
+    _block_add(buf[None], H.indptr, np.argsort(order)[H.indices], [(*_lazy_factors(H), None)],
+               m, place if m < n else None)  # with nothing removed, B is all of P
+    B, (C, R) = buf[:mm].reshape(m, m), buf[mm:mm + 2 * len(places)].reshape(2, -1)
+    with np.errstate(invalid="ignore", over="ignore"):  # the check names what is not finite
+        sums = np.concatenate([B.sum(axis=1) + np.bincount(places, C, m),
+                               np.bincount(v - m, R, n - m) + buf[m - n - 1:-1]])
+    _check_stochastic(buf[None], sums)
+    return B, C, R
 
 
 def _held_pi(P: np.ndarray) -> np.ndarray:
-    """``_dense_pi`` of a P that may be shared, each build one n x n copy of
-    it, in which an entry the row check lets lie just below 0 reads as 0.0."""
-    def fresh(order):
-        M = P[np.ix_(order, order)]
-        return np.maximum(M, 0.0, out=M)
+    """``_dense_pi`` of a P that may be shared, each build a copy of what
+    ``_walk_parts`` builds, B by row panels (no m x m temporary), in which
+    an entry the row check lets lie just below 0 reads as 0.0."""
+    def build(order, m, links):
+        if links is None:
+            return np.maximum(M := P[np.ix_(order, order)], 0.0, out=M)
+        B, kept = _own_pages((m, m), float), order[:m]
+        for i in range(0, m, GTH_BLOCK):
+            np.maximum(P[kept[i:i + GTH_BLOCK, None], kept], 0.0, out=B[i:i + GTH_BLOCK])
+        v, w = order[np.repeat(np.arange(m, len(P)), np.diff(links[0]))], order[links[1]]
+        return B, np.maximum(P[w, v], 0.0), np.maximum(P[v, w], 0.0)
 
     def pattern():
-        A, B = _own_pages(len(P)), _own_pages(len(P))
+        A, B = _own_pages(P.shape), _own_pages(P.shape)
         return np.logical_or(np.greater(P, 0.0, out=A), np.greater(P.T, 0.0, out=B), out=A)
 
-    return _dense_pi(len(P), pattern, fresh)
+    return _dense_pi(len(P), pattern, build)
 
 
 def _term_pattern(H: Hypergraph) -> np.ndarray:
@@ -203,7 +232,7 @@ def _term_pattern(H: Hypergraph) -> np.ndarray:
     term is nonzero gives each of them s - 1 neighbours; where
     (s - 1)^2 > n none of them can be removed, so each gets a full row."""
     n, (left, right), first = H.n_vertices, _lazy_factors(H), H.indptr[:-1]
-    A, sizes = _own_pages(n), np.diff(H.indptr)
+    A, sizes = _own_pages((n, n)), np.diff(H.indptr)
     full = ((sizes - 1) ** 2 > n) & (np.minimum.reduceat(left, first)
                                      * np.minimum.reduceat(right, first) != 0.0)
     A[H.indices[np.repeat(full, sizes)]] = True
@@ -214,31 +243,39 @@ def _term_pattern(H: Hypergraph) -> np.ndarray:
     return A
 
 
-def _own_pages(n: int) -> np.ndarray:
-    """A zeroed n x n bool array in a mapping of its own, so its pages leave
-    when it is freed; freed heap pages would stay resident beside P."""
+def _own_pages(shape, dtype=bool) -> np.ndarray:
+    """A zeroed array in a private mapping of its own, advised for huge pages
+    (a shared one, as on Windows, gets none), whose pages leave when freed."""
     import mmap  # here, not at import: it adds about 0.5 ms to every command's start
 
-    return np.frombuffer(mmap.mmap(-1, n * n), dtype=bool).reshape(n, n)
+    size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    pages = (mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+             if hasattr(mmap, "MAP_ANONYMOUS") else mmap.mmap(-1, size))
+    try:
+        pages.madvise(mmap.MADV_HUGEPAGE)
+    except (AttributeError, OSError):  # not Linux, or a kernel without huge pages
+        pass
+    return np.frombuffer(pages, dtype).reshape(shape)
 
 
-def _dense_pi(n: int, pattern, fresh) -> np.ndarray:
-    """pi of the n-state row-stochastic P that ``fresh(order)`` builds anew
-    as P[order][:, order], by ``_gth`` in the states' own order, so state 0
-    is the root, eliminated last. Above GTH_BLOCK states, ``_round_order``
-    first moves an independent set of low-degree states last, never the
-    root, reading ``pattern()``, which states P links; ``_round`` eliminates
-    them by one scatter. Where that order meets a pivot of 0.0 or leaves
-    the float range, the solve runs once more in reversed order, whose root
-    is state n - 1: which states are eliminated last decides what over- or
-    underflows. Where that fails too, a pivot of 0.0 is SingularSystem and
-    the float range MassUnderflow."""
+def _dense_pi(n: int, pattern, build) -> np.ndarray:
+    """pi of the n-state row-stochastic P by ``_gth`` of P[order][:, order]
+    as ``build(order, m, links)`` builds it anew, all of it up to GTH_BLOCK
+    states (m = n, links None), in the states' own order: state 0 is the
+    root, eliminated last. Above, ``_round_order`` first moves an
+    independent set of low-degree states last, never the root, reading
+    ``pattern()``, and ``_round`` eliminates them into the kept states'
+    block. Where that order meets a pivot of 0.0 or leaves the float range,
+    the solve runs once more in reversed order, whose root is state n - 1:
+    which states are eliminated last decides what over- or underflows.
+    Where that fails too, a pivot of 0.0 is SingularSystem and the float
+    range MassUnderflow."""
     for retry, base in enumerate((np.arange(n), np.arange(n)[::-1])):
         order, m, links = (base, n, None) if n <= GTH_BLOCK else _round_order(pattern(), base)
-        M = fresh(order)
+        parts = build(order, m, links)
         try:
             with np.errstate(all="ignore"):  # what leaves the float range is checked below
-                pi = _gth(M) if links is None else _round(M, m, *links)
+                pi = _gth(parts) if links is None else _round(*parts, *links)
                 total = pi.sum()
         except SingularSystem:
             if retry:
@@ -280,22 +317,21 @@ def _round_order(A: np.ndarray, base: np.ndarray) -> tuple:
     return order, n - len(picked), (indptr, rank[np.concatenate([base[:0]] + links)])
 
 
-def _round(M: np.ndarray, m: int, indptr, places) -> np.ndarray:
-    """``_gth`` of M after its states v = m + k, no two of them linked, are
-    eliminated into M[:m, :m] by one ``_block_add`` scatter: M[a, c] +=
-    M[a, v] * (M[v, c] / s_v) for each pair a, c of v's neighbours,
-    places[indptr[k]:indptr[k+1]], where the pivot s_v = sum of M[v, :m] is
-    v's exit mass (0.0 is SingularSystem). Then pi_v = (pi[:m] M[:m, v]) /
-    s_v. No step subtracts, so each probability keeps GTH's small relative
-    error in this order too."""
-    n = len(M)
-    s = M[m:, :m].sum(axis=1)
+def _round(B: np.ndarray, C, R, indptr, places) -> np.ndarray:
+    """pi from ``_walk_parts``' B = P[:m, :m] and, per link j in
+    indptr[k]:indptr[k+1] of removed state v = m + k (no two linked) to
+    a = places[j], C[j] = P[a, v] and R[j] = P[v, a]. One ``_block_add``
+    eliminates them into B, B[a, c] += C_a (R_c / s_v), with the pivot s_v
+    the sum of v's row entries, its exit mass (0.0 is SingularSystem); then
+    pi = ``_gth`` of B, and pi_v = (sum of pi_a C_a over v's links) / s_v.
+    No step subtracts, so GTH's small relative error holds."""
+    k = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    s = np.bincount(k, R, len(indptr) - 1)
     if not s.all():
         raise SingularSystem("stationary solve failed: a state's exit mass (a pivot) is 0.0")
-    v = np.repeat(np.arange(m, n), np.diff(indptr))
-    _block_add(M.reshape(1, -1), indptr, places, [(M[places, v], M[v, places] / s[v - m], None)], n)
-    pi = _gth(M[:m, :m])
-    return np.concatenate([pi, pi @ M[:m, m:] / s])
+    _block_add(B.reshape(1, -1), indptr, places, [(C, R / s[k], None)], len(B))
+    pi = _gth(B)
+    return np.concatenate([pi, np.bincount(k, pi[places] * C, len(s)) / s])
 
 
 def _gth(M: np.ndarray) -> np.ndarray:
@@ -312,14 +348,14 @@ def _gth(M: np.ndarray) -> np.ndarray:
     states before k0 reach K (``_block_inverse``). Then, first block to
     last, pi_K = pi[:k0] W from pi_0 = 1. The row panel goes GTH_BLOCK
     columns at a time, and the column panel with W GTH_BLOCK rows at a
-    time, through one GTH_BLOCK x GTH_BLOCK workspace: the solve holds one
-    n x n buffer plus O(GTH_BLOCK^2) workspace.
+    time, through one GTH_BLOCK x GTH_BLOCK workspace: the solve holds M
+    plus O(GTH_BLOCK^2) workspace.
 
     Every pivot is a sum of exit masses and no step subtracts, so each
     probability carries a small relative error (O'Cinneide 1993) in any
     state order, and none is negative. A pivot of 0.0 is SingularSystem.
-    Above GTH_BLOCK states M is the block that ``_round`` leaves, and its
-    state 0 is the root of the whole order."""
+    Above GTH_BLOCK states M is the kept states' m x m block, after
+    ``_round``'s scatter, and its state 0 is the root of the whole order."""
     n, b = len(M), GTH_BLOCK
     blocks = [(max(1, k1 - b), k1) for k1 in range(n, 1, -b)]
     work = np.empty(min(b, n) ** 2)

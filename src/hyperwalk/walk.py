@@ -52,13 +52,13 @@ class TransitionMatrix(_Indexed):
         return f"TransitionMatrix(n={self.n})"
 
 
-def _check_stochastic(P: np.ndarray) -> None:
+def _check_stochastic(P: np.ndarray, sums=None) -> None:
     """Refuse an n x n matrix, or any of a stack of them, that is not
     row-stochastic. Matrix by matrix, in stack order: an entry that is not
     finite, then a row sum more than _ROW_SUM_TOL from 1, then an entry
-    below -1e-15 is a ValueError."""
+    below -1e-15 is a ValueError. Given `sums`, its row sums, P is one matrix's."""
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, a sum past max
-        worst = np.abs(P.sum(axis=-1) - 1.0).max(axis=-1)  # nan or inf if any entry is
+        worst = np.abs((P.sum(axis=-1) if sums is None else sums) - 1.0).max(axis=-1)
     for off, low in zip(np.ravel(worst).tolist(), np.ravel(P.min(axis=(-2, -1))).tolist()):
         if not math.isfinite(off):
             raise ValueError("transition probabilities must be finite")

@@ -436,6 +436,24 @@ def test_a_usage_error_comes_before_the_input_is_read(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["transition", "--input", "README.md", "--beta", "0.5"],
+    ["rankagg", "--n", "1"],
+    ["spectral", "--input", "README.md", "--eps", "0.5"],
+], ids=["transition", "rankagg", "spectral"])
+def test_a_usage_error_comes_before_an_out_open_would_refuse(tmp_path, capsys, argv):
+    # --out into a missing directory is refused after the usage checks, so
+    # the usage error (exit 2) is the same with that --out or without one,
+    # and nothing is written
+    argv = [str(Path(__file__).parents[1] / a) if a == "README.md" else a for a in argv]
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert dispatch(argv + ["--out", str(tmp_path / "missing-dir" / "o.csv")]) == 2
+    assert capsys.readouterr().err == err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, out", [
     (["validate"], False), *((c, out) for c in (["transition"], ["stationary"], ["spectral"],
                                                  ["reduce", "--mode", "sandwich"])

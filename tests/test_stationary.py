@@ -2,7 +2,11 @@
 constants, closed forms, and the degree-fraction counterexample."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +34,7 @@ from hyperwalk import (
     transition_matrix,
 )
 from hyperwalk.cli import dispatch
-from hyperwalk.core import delta_normalized
+from hyperwalk.core import _block_scatter, delta_normalized
 from hyperwalk.rankagg import _fixed_point
 from hyperwalk.stationary import (
     RESIDUAL_TOL,
@@ -96,6 +100,72 @@ def test_round_gives_the_same_bits_in_every_entry_point(monkeypatch):
         assert stationary_direct(transition_matrix(H)).pi.tobytes() == pi.tobytes()
         assert stationary_rho(H).pi.tobytes() == pi.tobytes()
         assert len(sizes) == 3 and len(set(sizes)) == 1 and sizes[0] > 0
+
+
+def _round_inputs():
+    """The n=301 chain, and the same chain with one edge of its first 200
+    vertices, too big for any member to be removed."""
+    chain = _chain_hypergraph(11, 301)
+    big = Hypergraph(chain.vertices, [(1.0, dict.fromkeys(chain.vertices[:200], 1.0))]
+                     + [(e["weight"], e["members"]) for e in to_json_dict(chain)["edges"]])
+    return chain, big
+
+
+def _split(H):
+    """The state order, kept count and links of H's first round, and the
+    parts the direct route builds for them."""
+    order, m, links = stationary._round_order(stationary._term_pattern(H),
+                                              np.arange(H.n_vertices))
+    return order, m, links, stationary._walk_parts(H, order, m, links)
+
+
+def test_split_build_equals_p_in_every_entry():
+    # the kept states' block and each removed state's link entries receive
+    # the terms P's own build gives them, in its order: the entries of P
+    for H in _round_inputs():
+        order, m, (indptr, places), (B, C, R) = _split(H)
+        P = walk._lazy_walk(H, order)
+        v = np.repeat(np.arange(m, H.n_vertices), np.diff(indptr))
+        assert 0 < m < H.n_vertices and B.shape == (m, m)
+        assert B.tobytes() == P[:m, :m].tobytes()
+        assert C.tobytes() == P[places, v].tobytes()
+        assert R.tobytes() == P[v, places].tobytes()
+        # and nothing else in the removed states' rows and columns
+        assert np.count_nonzero(P[m:]) == len(R) + np.count_nonzero(P[m:, m:])
+        assert np.count_nonzero(P[:, m:]) == len(C) + np.count_nonzero(P[m:, m:])
+        assert np.count_nonzero(P[m:, m:]) == np.count_nonzero(np.diag(P)[m:])
+
+
+@pytest.mark.parametrize("term, message", [
+    (np.nan, "transition probabilities must be finite"),
+    (2.0, "rows must sum to 1"),
+])
+def test_split_build_checks_a_removed_state_row(monkeypatch, term, message):
+    # a term planted in one factor of a removed state's entry lands in that
+    # state's row only (its links and its diagonal), which the solve never
+    # holds densely: the build still checks it, with P's own check's words
+    H = _round_inputs()[0]
+    order, m, _, _ = _split(H)
+    entry = np.flatnonzero(H.indices == order[-1])[0]
+    real = stationary._lazy_factors
+
+    def planted(H):
+        left, right = real(H)
+        left = left.copy()
+        left[entry] *= term
+        return left, right
+
+    monkeypatch.setattr(stationary, "_lazy_factors", planted)
+    base = np.arange(H.n_vertices)
+    assert stationary._round_order(stationary._term_pattern(H), base)[0].tolist() == order.tolist()
+    P = _block_scatter(H.indptr, np.argsort(order)[H.indices], *planted(H), H.n_vertices)
+    assert (P[:m] == walk._lazy_walk(H, order)[:m]).all()
+    with pytest.raises(ValueError) as whole:
+        walk._check_stochastic(P)
+    assert str(whole.value).startswith(message)
+    with pytest.raises(ValueError) as parts:
+        _stationary_direct_of(H)
+    assert str(parts.value) == str(whole.value)
 
 
 def test_round_removes_nothing_from_one_edge_holding_every_vertex(monkeypatch):
@@ -327,9 +397,9 @@ def test_direct_stores_nothing_on_the_hypergraph(h_demo, monkeypatch):
     # each call builds P's array once, solves in it and drops it: H's memo
     # keeps only the degrees the build reads
     builds = []
-    real = stationary._lazy_walk
-    monkeypatch.setattr(stationary, "_lazy_walk",
-                        lambda H, *order: builds.append(1) or real(H, *order))
+    real = stationary._walk_parts
+    monkeypatch.setattr(stationary, "_walk_parts",
+                        lambda H, *states: builds.append(1) or real(H, *states))
     want = stationary_direct(transition_matrix(rebuilt(h_demo))).pi
     residual = float(np.abs(_walk_product(h_demo)(want) - want).max())
     H = rebuilt(h_demo)
@@ -342,15 +412,16 @@ def test_direct_stores_nothing_on_the_hypergraph(h_demo, monkeypatch):
 
 def test_direct_command_holds_one_walk_matrix(tmp_path, monkeypatch):
     # P is solved in its own buffer, so the traced peak is P plus the input's
-    # parse and the solve's O(GTH_BLOCK^2) workspace, not P and a copy of it
+    # parse and the solve's O(GTH_BLOCK^2) workspace, not P and a copy of it;
+    # the kept states' block lives in a mapping, which tracemalloc does not
+    # see (test_direct_command_grows_by_the_kept_block measures it)
     n = 1024
     path, out = tmp_path / "in.json", tmp_path / "out.json"
     path.write_text(dumps_json(_chain_hypergraph(14, n)))
     builds = []
-    real = walk._lazy_walk
-    for module in (walk, stationary):
-        monkeypatch.setattr(module, "_lazy_walk",
-                            lambda H, *order: builds.append(1) or real(H, *order))
+    for module, name in ((walk, "_lazy_walk"), (stationary, "_walk_parts")):
+        monkeypatch.setattr(module, name, lambda H, *states, _real=getattr(module, name):
+                            builds.append(1) or _real(H, *states))
     tracemalloc.start()
     try:
         assert dispatch(["stationary", "--input", str(path), "--method", "direct",
@@ -360,6 +431,59 @@ def test_direct_command_holds_one_walk_matrix(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert peak <= 1.5 * 8 * n * n
     assert len(builds) == 1
+
+
+_RESIDENT = """
+import json, sys
+import hyperwalk.stationary as stationary
+from hyperwalk.cli import dispatch
+
+def status(key):  # bytes
+    with open("/proc/self/status") as fh:
+        return next(1024 * int(line.split()[1]) for line in fh if line.startswith(key + ":"))
+
+stationary.GTH_BLOCK = 32  # the solve's O(GTH_BLOCK^2) workspace out of the way
+kept, starts, real = [], [], (stationary._round_order, stationary._dense_pi)
+
+def round_order(A, base):
+    found = real[0](A, base)
+    kept.append(found[1])
+    return found
+
+def dense_pi(*args):
+    starts.append(status("VmRSS"))
+    return real[1](*args)
+
+stationary._round_order, stationary._dense_pi = round_order, dense_pi
+peaks = []
+for path in sys.argv[1:]:
+    assert dispatch(["stationary", "--input", path, "--method", "direct",
+                     "--out", path + ".out"]) == 0
+    peaks.append(status("VmHWM"))
+print(json.dumps({"kept": kept, "starts": starts, "peaks": peaks}))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_direct_command_grows_by_the_kept_block(tmp_path):
+    # tracemalloc does not see a mapping, so a fresh process reads its own
+    # resident high-water mark. After a small command has paid every first
+    # use, the solve's peak grows over its start by the block of the m
+    # states the round keeps, not by all of P: measured 1.01 x 8 m^2 at
+    # m = 693 (2.18 with the n x n buffer). A second command reaches the
+    # same mark, within a quarter of the block (measured 20 KB).
+    paths = [tmp_path / "small.json", tmp_path / "in.json"]
+    paths[0].write_text(dumps_json(_chain_hypergraph(14, 300)))
+    paths[1].write_text(dumps_json(_chain_hypergraph(14, 1024)))
+    env = dict(os.environ, PYTHONPATH=str(Path(stationary.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", _RESIDENT, *map(str, paths + paths[1:])],
+                         env=env, capture_output=True, text=True, check=True)
+    found = json.loads(run.stdout)
+    m = found["kept"][1]
+    assert m < 1024 and found["kept"][1:] == [m, m]
+    for start, peak in zip(found["starts"][1:], found["peaks"][1:]):
+        assert peak - start <= 1.25 * 8 * m * m
+    assert found["peaks"][2] - found["peaks"][1] <= 0.25 * 8 * m * m
 
 
 @pytest.mark.parametrize("n", [256, 1024])
