@@ -196,7 +196,7 @@ def _walk_parts(H: Hypergraph, order, m: int, links):
         return at
 
     _block_add(buf[None], H.indptr, np.argsort(order)[H.indices], [(*_lazy_factors(H), None)],
-               m, place if m < n else None)  # with nothing removed, B is all of P
+               m, place)
     B, (C, R) = buf[:mm].reshape(m, m), buf[mm:mm + 2 * len(places)].reshape(2, -1)
     with np.errstate(invalid="ignore", over="ignore"):  # the check names what is not finite
         sums = np.concatenate([B.sum(axis=1) + np.bincount(places, C, m),
